@@ -1,9 +1,10 @@
 //! # noc-bench — the experiment harness
 //!
 //! One binary per table/figure of the evaluation (see DESIGN.md for the
-//! index) plus Criterion micro-benchmarks of the hot paths. This library
-//! holds what the binaries share: result formatting, artifact caching for
-//! trained policies, standard configurations, and a tiny thread-pool helper.
+//! index) plus the timed workload suite behind `noc-cli bench`
+//! ([`report`]). This library holds what the binaries share: result
+//! formatting, artifact caching for trained policies, standard
+//! configurations, and a tiny thread-pool helper.
 
 #![warn(missing_docs)]
 

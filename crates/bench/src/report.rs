@@ -33,8 +33,8 @@
 
 use noc_selfconf::{zoo, ActionSpace, NocEnv, NocEnvConfig, RewardConfig, SweepGrid};
 use noc_sim::{
-    FaultPlan, InjectionProcess, RoutingAlgorithm, SimConfig, Simulator, SwitchArb, Topology,
-    TopologyKind, TrafficPattern, WorkloadSpec,
+    FaultPlan, InjectionProcess, RoutingAlgorithm, SimConfig, Simulator, SwitchArb, TopologyKind,
+    TrafficPattern, WorkloadSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -304,50 +304,249 @@ pub fn detect_git_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Run `body` `repeats` times; the body times its own measured region (so
-/// per-repeat setup/warmup stays outside the sample) and returns
-/// `(elapsed_ns, units, flits)`. Returns `(median_ns, iqr_ns, units,
-/// flits)`, with `units`/`flits` from the last repeat (workloads are
-/// deterministic, so every repeat does identical work).
-fn timed<F>(repeats: usize, mut body: F) -> (u64, u64, u64, Option<u64>)
-where
-    F: FnMut() -> (u64, u64, Option<u64>),
-{
-    let mut samples = Vec::with_capacity(repeats);
-    let mut units = 0;
-    let mut flits = None;
-    for _ in 0..repeats {
-        let (dt, u, f) = body();
-        samples.push(dt.max(1)); // guard div-by-zero on sub-ns clocks
-        units = u;
-        flits = f;
+impl BenchReport {
+    /// Run `body` `config.repeats` times and append the workload's row.
+    /// The body times its own measured region (so per-repeat setup/warmup
+    /// stays outside the sample) and returns `(elapsed_ns, units, flits)`;
+    /// the row reports the median and IQR of the samples, with
+    /// `units`/`flits` from the last repeat (workloads are deterministic,
+    /// so every repeat does identical work).
+    fn time<F>(&mut self, name: &str, params: String, unit: &str, mut body: F)
+    where
+        F: FnMut() -> (u64, u64, Option<u64>),
+    {
+        let repeats = self.config.repeats;
+        let mut samples = Vec::with_capacity(repeats);
+        let mut units = 0;
+        let mut flits = None;
+        for _ in 0..repeats {
+            let (dt, u, f) = body();
+            samples.push(dt.max(1)); // guard div-by-zero on sub-ns clocks
+            units = u;
+            flits = f;
+        }
+        let (median_ns, iqr_ns) = median_iqr(&mut samples);
+        let secs = median_ns as f64 / 1e9;
+        self.workloads.push(WorkloadResult {
+            name: name.to_string(),
+            params,
+            repeats,
+            median_ns,
+            iqr_ns,
+            units,
+            unit: unit.to_string(),
+            units_per_sec: units as f64 / secs,
+            flits_per_sec: flits.map(|f| f as f64 / secs),
+            tolerance: None,
+            target_units_per_sec: None,
+        });
     }
-    let (median, iqr) = median_iqr(&mut samples);
-    (median, iqr, units, flits)
 }
 
-fn push_result(
-    out: &mut Vec<WorkloadResult>,
-    name: &str,
+/// One cycle-level simulator workload of the suite (a row of
+/// [`sim_points`]).
+struct SimPoint {
+    /// Stable workload identifier (`sim/...`).
+    name: String,
+    /// Scenario description; [`time_sim`] appends the cycle budgets.
     params: String,
-    unit: &str,
-    repeats: usize,
-    measured: (u64, u64, u64, Option<u64>),
-) {
-    let (median_ns, iqr_ns, units, flits) = measured;
-    let secs = median_ns as f64 / 1e9;
-    out.push(WorkloadResult {
+    /// The simulated configuration.
+    config: SimConfig,
+}
+
+/// The suite's simulator workloads, in report order.
+fn sim_points() -> Vec<SimPoint> {
+    use RoutingAlgorithm::{OddEven, Table, TorusDor, TorusMinAdaptive};
+    use TrafficPattern::{Transpose, Uniform};
+    let point = |name: &str, params: &str, config: SimConfig| SimPoint {
         name: name.to_string(),
-        params,
-        repeats,
-        median_ns,
-        iqr_ns,
-        units,
-        unit: unit.to_string(),
-        units_per_sec: units as f64 / secs,
-        flits_per_sec: flits.map(|f| f as f64 / secs),
-        tolerance: None,
-        target_units_per_sec: None,
+        params: params.to_string(),
+        config,
+    };
+    let mesh = |width: usize, pattern, rate: f64| {
+        SimConfig::default()
+            .with_size(width, width)
+            .with_traffic(pattern, rate)
+    };
+    let uniform = |width, rate| mesh(width, Uniform, rate);
+    let torus = |config: SimConfig, routing| {
+        config
+            .with_topology(TopologyKind::Torus)
+            .with_routing(routing)
+    };
+    // `links` seeded-random permanent link faults from cycle 0.
+    let faulted = |config: SimConfig, links: usize, seed: u64| {
+        let plan = FaultPlan::random_links(&config.topology(), links, seed, 0, None);
+        config.with_faults(plan)
+    };
+    let wormhole = || {
+        uniform(8, 0.05)
+            .with_packet_len(8)
+            .with_switch_arb(SwitchArb::PerPacket)
+    };
+    let bursty = WorkloadSpec::stationary(
+        Uniform,
+        InjectionProcess::Bursty {
+            rate_on: 0.2,
+            switch: 0.02,
+        },
+    );
+
+    // Throughput across mesh sizes and patterns. The last is the
+    // idle-heavy point: at 0.01 flits/node/cycle most routers are empty
+    // most cycles, so it tracks the active-router worklist (idle routers
+    // must cost ~nothing, not a full pipeline walk).
+    let mut points: Vec<SimPoint> = [
+        (4, Uniform, 0.10),
+        (4, Transpose, 0.10),
+        (8, Uniform, 0.10),
+        (8, Transpose, 0.10),
+        (8, Uniform, 0.25),
+        (8, Uniform, 0.01),
+    ]
+    .into_iter()
+    .map(|(width, pattern, rate)| {
+        let pattern_name = pattern.name();
+        point(
+            &format!("sim/{width}x{width}/{pattern_name}/r{rate:.2}"),
+            &format!("{width}x{width} mesh, {pattern_name} traffic at {rate} flits/node/cycle"),
+            mesh(width, pattern, rate),
+        )
+    })
+    .collect();
+
+    points.extend([
+        // Torus fabric: the wrap-aware scenario family (dateline VC
+        // partitioning, wrap-link traversal, torus routing) at the same
+        // size and load as the 8x8 mesh point, so mesh-vs-torus cost stays
+        // visible in the perf history. One dimension-ordered point and one
+        // minimal-adaptive point under link faults (the adaptive fault
+        // path).
+        point(
+            "sim/8x8/torus/uniform/r0.10",
+            "8x8 torus, torus-DOR routing, uniform traffic at 0.1 flits/node/cycle",
+            torus(uniform(8, 0.10), TorusDor),
+        ),
+        point(
+            "sim/8x8/torus/uniform/r0.10/faults2",
+            "8x8 torus, minimal-adaptive routing, 2 permanent link faults, \
+             uniform traffic at 0.1 flits/node/cycle",
+            faulted(torus(uniform(8, 0.10), TorusMinAdaptive), 2, 0x70F5),
+        ),
+        // Degraded fabric: the fault path (liveness filter in route
+        // computation, adaptive rerouting, drop accounting) on an 8x8 mesh
+        // with four permanent link faults, so the perf trajectory tracks
+        // faulted operation alongside the healthy-mesh workloads above.
+        point(
+            "sim/8x8/uniform/r0.10/faults4",
+            "8x8 mesh, odd-even routing, 4 permanent link faults, uniform traffic \
+             at 0.1 flits/node/cycle",
+            faulted(uniform(8, 0.10).with_routing(OddEven), 4, 0xFA17),
+        ),
+        // Bursty workload: the composable-workload path (per-node on/off
+        // process state, phase lookup) on an 8x8 mesh at the same mean load
+        // as the uniform r0.10 point, so the perf trajectory tracks
+        // non-Bernoulli injection alongside the classic workloads.
+        point(
+            "sim/8x8/uniform/bursty",
+            &format!(
+                "8x8 mesh, bursty on/off uniform traffic ({}, mean 0.1 flits/node/cycle)",
+                bursty.label()
+            ),
+            SimConfig::default().with_workload(bursty.clone()),
+        ),
+        // Big fabrics: 16x16 and 32x32 meshes and tori, serial and
+        // partitioned. The serial 16x16 point is the baseline the
+        // partitioned points are compared against (the partition speedup);
+        // the p4 points exercise the tile pool, boundary exchange, and
+        // log-replay stats commit at the scale where parallelism pays off.
+        point(
+            "sim/16x16/uniform/r0.10",
+            "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
+             serial stepping",
+            uniform(16, 0.10),
+        ),
+        // The large-fabric idle-heavy point: 256 routers at 0.01
+        // flits/node/cycle is where worklist skipping pays the most, since
+        // the active set is a small fraction of the fabric each cycle.
+        point(
+            "sim/16x16/uniform/r0.01",
+            "16x16 mesh, XY routing, uniform traffic at 0.01 flits/node/cycle \
+             (idle-heavy), serial stepping",
+            uniform(16, 0.01),
+        ),
+        point(
+            "sim/16x16/uniform/r0.10/p4",
+            "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
+             4 partitions",
+            uniform(16, 0.10).with_partitions(4),
+        ),
+        point(
+            "sim/16x16/torus/uniform/r0.10/p4",
+            "16x16 torus, torus-DOR routing, uniform traffic at 0.1 \
+             flits/node/cycle, 4 partitions",
+            torus(uniform(16, 0.10), TorusDor).with_partitions(4),
+        ),
+        point(
+            "sim/16x16/uniform/r0.10/faults4/p4",
+            "16x16 mesh, odd-even routing, 4 permanent link faults, uniform \
+             traffic at 0.1 flits/node/cycle, 4 partitions",
+            faulted(uniform(16, 0.10).with_routing(OddEven), 4, 0xB16F).with_partitions(4),
+        ),
+        point(
+            "sim/32x32/uniform/r0.10/p4",
+            "32x32 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
+             4 partitions",
+            uniform(32, 0.10).with_partitions(4),
+        ),
+        point(
+            "sim/32x32/torus/uniform/r0.10/p4",
+            "32x32 torus, torus-DOR routing, uniform traffic at 0.1 \
+             flits/node/cycle, 4 partitions",
+            torus(uniform(32, 0.10), TorusDor).with_partitions(4),
+        ),
+        // Wormhole fabric: long packets under per-packet switch
+        // arbitration, the flow-control path where a head flit holds its
+        // output port until the tail releases it. One healthy 8-flit point,
+        // and a table-routed twin under permanent link faults (k-path table
+        // build + fault recompute + route-hold interplay), so wormhole cost
+        // stays visible in the perf history next to the legacy per-flit
+        // workloads.
+        point(
+            "sim/8x8/uniform/r0.05/len8",
+            "8x8 mesh, XY routing, 8-flit packets under per-packet wormhole \
+             arbitration, uniform traffic at 0.05 flits/node/cycle",
+            wormhole(),
+        ),
+        point(
+            "sim/8x8/uniform/r0.05/len8/table/faults2",
+            "8x8 mesh, table-driven k-path routing with 2 permanent link \
+             faults, 8-flit packets under per-packet wormhole arbitration, \
+             uniform traffic at 0.05 flits/node/cycle",
+            faulted(wormhole().with_routing(Table), 2, 0x7AB1E),
+        ),
+    ]);
+    points
+}
+
+/// Time one simulator workload. Each repeat builds a fresh simulator so
+/// repeats are identical work; construction and warmup stay outside the
+/// timed region.
+fn time_sim(report: &mut BenchReport, point: &SimPoint) {
+    let config = report.config;
+    let params = format!(
+        "{}, {} warmup + {} timed cycles",
+        point.params, config.sim_warmup, config.sim_cycles
+    );
+    report.time(&point.name, params, "cycles", || {
+        let mut sim = Simulator::new(point.config.clone()).expect("valid bench config");
+        sim.run(config.sim_warmup);
+        let flits0 = sim.stats().ejected_flits;
+        let t0 = Instant::now();
+        sim.run(config.sim_cycles);
+        let dt = t0.elapsed().as_nanos() as u64;
+        let flits = sim.stats().ejected_flits - flits0;
+        (dt, config.sim_cycles, Some(flits))
     });
 }
 
@@ -355,402 +554,32 @@ fn push_result(
 /// the report (`"quick"` / `"full"` from the CLI).
 pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> BenchReport {
     assert!(config.repeats > 0, "bench suite needs at least one repeat");
-    let mut workloads = Vec::new();
+    let mut report = BenchReport {
+        schema_version: BENCH_SCHEMA_VERSION,
+        git_sha,
+        mode: mode.to_string(),
+        config,
+        workloads: Vec::new(),
+    };
 
-    // --- Cycle-level simulator throughput across mesh sizes and patterns.
-    let sim_points: &[(usize, TrafficPattern, f64)] = &[
-        (4, TrafficPattern::Uniform, 0.10),
-        (4, TrafficPattern::Transpose, 0.10),
-        (8, TrafficPattern::Uniform, 0.10),
-        (8, TrafficPattern::Transpose, 0.10),
-        (8, TrafficPattern::Uniform, 0.25),
-        // Idle-heavy point: at 0.01 flits/node/cycle most routers are empty
-        // most cycles, so this workload tracks the active-router worklist
-        // (idle routers must cost ~nothing, not a full pipeline walk).
-        (8, TrafficPattern::Uniform, 0.01),
-    ];
-    for (width, pattern, rate) in sim_points {
-        let name = format!("sim/{width}x{width}/{}/r{rate:.2}", pattern.name());
-        let params = format!(
-            "{width}x{width} mesh, {} traffic at {rate} flits/node/cycle, \
-             {} warmup + {} timed cycles",
-            pattern.name(),
-            config.sim_warmup,
-            config.sim_cycles
-        );
-        let cfg = SimConfig::default()
-            .with_size(*width, *width)
-            .with_traffic(pattern.clone(), *rate);
-        let measured = timed(config.repeats, || {
-            // Fresh simulator per repeat so repeats are identical work;
-            // construction and warmup stay outside the timed region.
-            let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-            sim.run(config.sim_warmup);
-            let flits0 = sim.stats().ejected_flits;
-            let t0 = Instant::now();
-            sim.run(config.sim_cycles);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let flits = sim.stats().ejected_flits - flits0;
-            (dt, config.sim_cycles, Some(flits))
-        });
-        push_result(
-            &mut workloads,
-            &name,
-            params,
-            "cycles",
-            config.repeats,
-            measured,
-        );
-    }
+    let threads = noc_selfconf::default_threads();
+    // The two grid workloads share XY routing, nominal V/F and the suite's window budgets.
+    let bench_grid = |sizes, patterns, rates, base_seed| SweepGrid {
+        sizes,
+        patterns,
+        rates,
+        routings: vec![RoutingAlgorithm::Xy],
+        levels: vec![None],
+        warmup: config.sweep_measure / 4,
+        measure: config.sweep_measure,
+        drain: config.sweep_measure,
+        base_seed,
+        ..SweepGrid::default()
+    };
 
-    // --- Torus fabric: the wrap-aware scenario family (dateline VC
-    // partitioning, wrap-link traversal, torus routing) at the same size
-    // and load as the 8x8 mesh point, so mesh-vs-torus cost stays visible
-    // in the perf history. One dimension-ordered point and one
-    // minimal-adaptive point under link faults (the adaptive fault path).
-    {
-        let cfg = SimConfig::default()
-            .with_topology(TopologyKind::Torus)
-            .with_routing(RoutingAlgorithm::TorusDor)
-            .with_traffic(TrafficPattern::Uniform, 0.10);
-        let measured = timed(config.repeats, || {
-            let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-            sim.run(config.sim_warmup);
-            let flits0 = sim.stats().ejected_flits;
-            let t0 = Instant::now();
-            sim.run(config.sim_cycles);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let flits = sim.stats().ejected_flits - flits0;
-            (dt, config.sim_cycles, Some(flits))
-        });
-        push_result(
-            &mut workloads,
-            "sim/8x8/torus/uniform/r0.10",
-            format!(
-                "8x8 torus, torus-DOR routing, uniform traffic at 0.1 \
-                 flits/node/cycle, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let plan = FaultPlan::random_links(&Topology::torus(8, 8), 2, 0x70F5, 0, None);
-        let cfg = SimConfig::default()
-            .with_topology(TopologyKind::Torus)
-            .with_routing(RoutingAlgorithm::TorusMinAdaptive)
-            .with_traffic(TrafficPattern::Uniform, 0.10)
-            .with_faults(plan);
-        let measured = timed(config.repeats, || {
-            let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-            sim.run(config.sim_warmup);
-            let flits0 = sim.stats().ejected_flits;
-            let t0 = Instant::now();
-            sim.run(config.sim_cycles);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let flits = sim.stats().ejected_flits - flits0;
-            (dt, config.sim_cycles, Some(flits))
-        });
-        push_result(
-            &mut workloads,
-            "sim/8x8/torus/uniform/r0.10/faults2",
-            format!(
-                "8x8 torus, minimal-adaptive routing, 2 permanent link faults, \
-                 uniform traffic at 0.1 flits/node/cycle, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-    }
-
-    // --- Degraded fabric: the fault path (liveness filter in route
-    // computation, adaptive rerouting, drop accounting) on an 8x8 mesh with
-    // four permanent link faults, so the perf trajectory tracks faulted
-    // operation alongside the healthy-mesh workloads above.
-    {
-        let plan = FaultPlan::random_links(&Topology::mesh(8, 8), 4, 0xFA17, 0, None);
-        let cfg = SimConfig::default()
-            .with_traffic(TrafficPattern::Uniform, 0.10)
-            .with_routing(RoutingAlgorithm::OddEven)
-            .with_faults(plan);
-        let measured = timed(config.repeats, || {
-            let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-            sim.run(config.sim_warmup);
-            let flits0 = sim.stats().ejected_flits;
-            let t0 = Instant::now();
-            sim.run(config.sim_cycles);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let flits = sim.stats().ejected_flits - flits0;
-            (dt, config.sim_cycles, Some(flits))
-        });
-        push_result(
-            &mut workloads,
-            "sim/8x8/uniform/r0.10/faults4",
-            format!(
-                "8x8 mesh, odd-even routing, 4 permanent link faults, uniform traffic \
-                 at 0.1 flits/node/cycle, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-    }
-
-    // --- Bursty workload: the composable-workload path (per-node on/off
-    // process state, phase lookup) on an 8x8 mesh at the same mean load as
-    // the uniform r0.10 point, so the perf trajectory tracks non-Bernoulli
-    // injection alongside the classic workloads.
-    {
-        let workload = WorkloadSpec::stationary(
-            TrafficPattern::Uniform,
-            InjectionProcess::Bursty {
-                rate_on: 0.2,
-                switch: 0.02,
-            },
-        );
-        let cfg = SimConfig::default().with_workload(workload.clone());
-        let measured = timed(config.repeats, || {
-            let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-            sim.run(config.sim_warmup);
-            let flits0 = sim.stats().ejected_flits;
-            let t0 = Instant::now();
-            sim.run(config.sim_cycles);
-            let dt = t0.elapsed().as_nanos() as u64;
-            let flits = sim.stats().ejected_flits - flits0;
-            (dt, config.sim_cycles, Some(flits))
-        });
-        push_result(
-            &mut workloads,
-            "sim/8x8/uniform/bursty",
-            format!(
-                "8x8 mesh, bursty on/off uniform traffic ({}, mean 0.1 \
-                 flits/node/cycle), {} warmup + {} timed cycles",
-                workload.label(),
-                config.sim_warmup,
-                config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-    }
-
-    // --- Big fabrics: 16x16 and 32x32 meshes and tori, serial and
-    // partitioned. The serial 16x16 point is the baseline the partitioned
-    // points are compared against (the partition-speedup criterion); the
-    // p4 points exercise the tile pool, boundary exchange, and log-replay
-    // stats commit at the scale where parallelism pays off.
-    {
-        let time_cfg = |cfg: &SimConfig| {
-            timed(config.repeats, || {
-                let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-                sim.run(config.sim_warmup);
-                let flits0 = sim.stats().ejected_flits;
-                let t0 = Instant::now();
-                sim.run(config.sim_cycles);
-                let dt = t0.elapsed().as_nanos() as u64;
-                let flits = sim.stats().ejected_flits - flits0;
-                (dt, config.sim_cycles, Some(flits))
-            })
-        };
-
-        let cfg = SimConfig::default()
-            .with_size(16, 16)
-            .with_traffic(TrafficPattern::Uniform, 0.10);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/16x16/uniform/r0.10",
-            format!(
-                "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-                 serial stepping, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        // The large-fabric idle-heavy point: 256 routers at 0.01
-        // flits/node/cycle is where worklist skipping pays the most, since
-        // the active set is a small fraction of the fabric each cycle.
-        let low = SimConfig::default()
-            .with_size(16, 16)
-            .with_traffic(TrafficPattern::Uniform, 0.01);
-        let measured = time_cfg(&low);
-        push_result(
-            &mut workloads,
-            "sim/16x16/uniform/r0.01",
-            format!(
-                "16x16 mesh, XY routing, uniform traffic at 0.01 flits/node/cycle \
-                 (idle-heavy), serial stepping, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let measured = time_cfg(&cfg.clone().with_partitions(4));
-        push_result(
-            &mut workloads,
-            "sim/16x16/uniform/r0.10/p4",
-            format!(
-                "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-                 4 partitions, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let cfg = SimConfig::default()
-            .with_size(16, 16)
-            .with_topology(TopologyKind::Torus)
-            .with_routing(RoutingAlgorithm::TorusDor)
-            .with_traffic(TrafficPattern::Uniform, 0.10)
-            .with_partitions(4);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/16x16/torus/uniform/r0.10/p4",
-            format!(
-                "16x16 torus, torus-DOR routing, uniform traffic at 0.1 \
-                 flits/node/cycle, 4 partitions, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let plan = FaultPlan::random_links(&Topology::mesh(16, 16), 4, 0xB16F, 0, None);
-        let cfg = SimConfig::default()
-            .with_size(16, 16)
-            .with_traffic(TrafficPattern::Uniform, 0.10)
-            .with_routing(RoutingAlgorithm::OddEven)
-            .with_faults(plan)
-            .with_partitions(4);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/16x16/uniform/r0.10/faults4/p4",
-            format!(
-                "16x16 mesh, odd-even routing, 4 permanent link faults, uniform \
-                 traffic at 0.1 flits/node/cycle, 4 partitions, {} warmup + {} \
-                 timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let cfg = SimConfig::default()
-            .with_size(32, 32)
-            .with_traffic(TrafficPattern::Uniform, 0.10)
-            .with_partitions(4);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/32x32/uniform/r0.10/p4",
-            format!(
-                "32x32 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-                 4 partitions, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let cfg = SimConfig::default()
-            .with_size(32, 32)
-            .with_topology(TopologyKind::Torus)
-            .with_routing(RoutingAlgorithm::TorusDor)
-            .with_traffic(TrafficPattern::Uniform, 0.10)
-            .with_partitions(4);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/32x32/torus/uniform/r0.10/p4",
-            format!(
-                "32x32 torus, torus-DOR routing, uniform traffic at 0.1 \
-                 flits/node/cycle, 4 partitions, {} warmup + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-    }
-
-    // --- Wormhole fabric: long packets under per-packet switch arbitration,
-    // the flow-control path where a head flit holds its output port until
-    // the tail releases it. One healthy 8-flit point, and a table-routed
-    // twin under permanent link faults (k-path table build + fault
-    // recompute + route-hold interplay), so wormhole cost stays visible in
-    // the perf history next to the legacy per-flit workloads.
-    {
-        let time_cfg = |cfg: &SimConfig| {
-            timed(config.repeats, || {
-                let mut sim = Simulator::new(cfg.clone()).expect("valid bench config");
-                sim.run(config.sim_warmup);
-                let flits0 = sim.stats().ejected_flits;
-                let t0 = Instant::now();
-                sim.run(config.sim_cycles);
-                let dt = t0.elapsed().as_nanos() as u64;
-                let flits = sim.stats().ejected_flits - flits0;
-                (dt, config.sim_cycles, Some(flits))
-            })
-        };
-
-        let cfg = SimConfig::default()
-            .with_traffic(TrafficPattern::Uniform, 0.05)
-            .with_packet_len(8)
-            .with_switch_arb(SwitchArb::PerPacket);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/8x8/uniform/r0.05/len8",
-            format!(
-                "8x8 mesh, XY routing, 8-flit packets under per-packet wormhole \
-                 arbitration, uniform traffic at 0.05 flits/node/cycle, {} warmup \
-                 + {} timed cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
-
-        let plan = FaultPlan::random_links(&Topology::mesh(8, 8), 2, 0x7AB1E, 0, None);
-        let cfg = SimConfig::default()
-            .with_traffic(TrafficPattern::Uniform, 0.05)
-            .with_packet_len(8)
-            .with_switch_arb(SwitchArb::PerPacket)
-            .with_routing(RoutingAlgorithm::Table)
-            .with_faults(plan);
-        let measured = time_cfg(&cfg);
-        push_result(
-            &mut workloads,
-            "sim/8x8/uniform/r0.05/len8/table/faults2",
-            format!(
-                "8x8 mesh, table-driven k-path routing with 2 permanent link \
-                 faults, 8-flit packets under per-packet wormhole arbitration, \
-                 uniform traffic at 0.05 flits/node/cycle, {} warmup + {} timed \
-                 cycles",
-                config.sim_warmup, config.sim_cycles
-            ),
-            "cycles",
-            config.repeats,
-            measured,
-        );
+    // --- Cycle-level simulator throughput: the `sim/*` table.
+    for point in sim_points() {
+        time_sim(&mut report, &point);
     }
 
     // --- Batched DQN forward/backward (the training inner loop).
@@ -760,30 +589,27 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
         // Prime replay + Adam state outside the timed region.
         agent.train_step(&mut rng);
         let steps = config.dqn_steps as u64;
-        let measured = timed(config.repeats, || {
+        let params = format!(
+            "15-64-64-9 MLP, batch 32, double-DQN, {} train steps per repeat",
+            config.dqn_steps
+        );
+        report.time("dqn/train_step/batch32", params, "train_steps", || {
             let t0 = Instant::now();
             for _ in 0..steps {
                 agent.train_step(&mut rng);
             }
             (t0.elapsed().as_nanos() as u64, steps, None)
         });
-        push_result(
-            &mut workloads,
-            "dqn/train_step/batch32",
-            format!(
-                "15-64-64-9 MLP, batch 32, double-DQN, {} train steps per repeat",
-                config.dqn_steps
-            ),
-            "train_steps",
-            config.repeats,
-            measured,
-        );
 
         let states: Vec<Vec<f32>> = (0..32)
             .map(|i| (0..15).map(|j| ((i * 3 + j) % 11) as f32 / 11.0).collect())
             .collect();
         let batches = config.dqn_predicts as u64;
-        let measured = timed(config.repeats, || {
+        let params = format!(
+            "15-64-64-9 MLP, 32-state batched Q evaluation, {} batches per repeat",
+            config.dqn_predicts
+        );
+        report.time("dqn/predict/batch32", params, "predict_batches", || {
             let mut acc = 0.0f32;
             let t0 = Instant::now();
             for _ in 0..batches {
@@ -794,17 +620,6 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             std::hint::black_box(acc);
             (dt, batches, None)
         });
-        push_result(
-            &mut workloads,
-            "dqn/predict/batch32",
-            format!(
-                "15-64-64-9 MLP, 32-state batched Q evaluation, {} batches per repeat",
-                config.dqn_predicts
-            ),
-            "predict_batches",
-            config.repeats,
-            measured,
-        );
     }
 
     // --- Full NocEnv control epoch (simulate + encode + reward).
@@ -829,7 +644,11 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
         env.reset();
         let epochs = config.env_epochs as u64;
         let mut action = 0usize;
-        let measured = timed(config.repeats, || {
+        let params = format!(
+            "4x4 mesh, 2x2 regions, 500-cycle epochs, {} epochs per repeat",
+            config.env_epochs
+        );
+        report.time("env/epoch/4x4", params, "epochs", || {
             let t0 = Instant::now();
             for _ in 0..epochs {
                 action = (action + 1) % env.num_actions();
@@ -837,53 +656,28 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             }
             (t0.elapsed().as_nanos() as u64, epochs, None)
         });
-        push_result(
-            &mut workloads,
-            "env/epoch/4x4",
-            format!(
-                "4x4 mesh, 2x2 regions, 500-cycle epochs, {} epochs per repeat",
-                config.env_epochs
-            ),
-            "epochs",
-            config.repeats,
-            measured,
-        );
     }
 
     // --- Sweep-grid fan-out (the parallel scenario engine end to end).
     {
-        let grid = SweepGrid {
-            sizes: vec![(4, 4), (8, 8)],
-            patterns: vec![TrafficPattern::Uniform],
-            rates: vec![0.05, 0.10],
-            routings: vec![RoutingAlgorithm::Xy],
-            levels: vec![None],
-            warmup: config.sweep_measure / 4,
-            measure: config.sweep_measure,
-            drain: config.sweep_measure,
-            base_seed: 7,
-            ..SweepGrid::default()
-        };
-        let threads = noc_selfconf::default_threads();
+        let grid = bench_grid(
+            vec![(4, 4), (8, 8)],
+            vec![TrafficPattern::Uniform],
+            vec![0.05, 0.10],
+            7,
+        );
         let scenarios = grid.len() as u64;
-        let measured = timed(config.repeats, || {
+        let params = format!(
+            "4x4+8x8 uniform at 0.05/0.10, {} measure cycles, {threads} threads",
+            config.sweep_measure
+        );
+        report.time("sweep/fanout/4scenarios", params, "scenarios", || {
             let t0 = Instant::now();
-            let report = grid.run(threads).expect("valid bench grid");
+            let swept = grid.run(threads).expect("valid bench grid");
             let dt = t0.elapsed().as_nanos() as u64;
-            std::hint::black_box(report.aggregate.num_scenarios);
+            std::hint::black_box(swept.aggregate.num_scenarios);
             (dt, scenarios, None)
         });
-        push_result(
-            &mut workloads,
-            "sweep/fanout/4scenarios",
-            format!(
-                "4x4+8x8 uniform at 0.05/0.10, {} measure cycles, {threads} threads",
-                config.sweep_measure
-            ),
-            "scenarios",
-            config.repeats,
-            measured,
-        );
     }
 
     // --- Warm-cache sweep service (the daemon's data path): resolve a
@@ -892,42 +686,28 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
     // assembly with zero simulation, i.e. the marginal cost of a cache-hit
     // job in `noc-cli serve`.
     {
-        let grid = SweepGrid {
-            sizes: vec![(4, 4)],
-            patterns: vec![TrafficPattern::Uniform, TrafficPattern::Transpose],
-            rates: vec![0.02, 0.04, 0.06, 0.08],
-            routings: vec![RoutingAlgorithm::Xy],
-            levels: vec![None],
-            warmup: config.sweep_measure / 4,
-            measure: config.sweep_measure,
-            drain: config.sweep_measure,
-            base_seed: 11,
-            ..SweepGrid::default()
-        };
-        let threads = noc_selfconf::default_threads();
+        let grid = bench_grid(
+            vec![(4, 4)],
+            vec![TrafficPattern::Uniform, TrafficPattern::Transpose],
+            vec![0.02, 0.04, 0.06, 0.08],
+            11,
+        );
         let scenarios = grid.len() as u64;
         let cache = noc_selfconf::ResultCache::in_memory();
         // Warm every key outside the timed region.
         grid.run_cached(threads, &cache).expect("valid bench grid");
-        let measured = timed(config.repeats, || {
+        let params = format!(
+            "8-scenario 4x4 grid resolved from a warm in-memory result \
+             cache, {} measure cycles, {threads} threads",
+            config.sweep_measure
+        );
+        report.time("serve/cache-hit", params, "scenarios", || {
             let t0 = Instant::now();
-            let report = grid.run_cached(threads, &cache).expect("valid bench grid");
+            let swept = grid.run_cached(threads, &cache).expect("valid bench grid");
             let dt = t0.elapsed().as_nanos() as u64;
-            std::hint::black_box(report.aggregate.num_scenarios);
+            std::hint::black_box(swept.aggregate.num_scenarios);
             (dt, scenarios, None)
         });
-        push_result(
-            &mut workloads,
-            "serve/cache-hit",
-            format!(
-                "8-scenario 4x4 grid resolved from a warm in-memory result \
-                 cache, {} measure cycles, {threads} threads",
-                config.sweep_measure
-            ),
-            "scenarios",
-            config.repeats,
-            measured,
-        );
     }
 
     // --- Tournament evaluator (policy deserialization + controller runs
@@ -977,37 +757,23 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             reward: RewardConfig::default(),
             base_seed: 17,
         };
-        let threads = noc_selfconf::default_threads();
         let cells = (policies.len() * tournament.families.len()) as u64;
-        let measured = timed(config.repeats, || {
+        let params = format!(
+            "2 policies x 2 families on a 4x4 fabric, {} epochs x 200 \
+             cycles per cell, {threads} threads",
+            config.env_epochs
+        );
+        report.time("zoo/tournament/2x2", params, "cells", || {
             let t0 = Instant::now();
-            let report = zoo::tournament_matrix(&policies, &tournament, threads)
+            let matrix = zoo::tournament_matrix(&policies, &tournament, threads)
                 .expect("bench tournament runs");
             let dt = t0.elapsed().as_nanos() as u64;
-            std::hint::black_box(report.cells.len());
+            std::hint::black_box(matrix.cells.len());
             (dt, cells, None)
         });
-        push_result(
-            &mut workloads,
-            "zoo/tournament/2x2",
-            format!(
-                "2 policies x 2 families on a 4x4 fabric, {} epochs x 200 \
-                 cycles per cell, {threads} threads",
-                config.env_epochs
-            ),
-            "cells",
-            config.repeats,
-            measured,
-        );
     }
 
-    BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
-        git_sha,
-        mode: mode.to_string(),
-        config,
-        workloads,
-    }
+    report
 }
 
 /// The standard bench agent: the self-configuration network shape with a
@@ -1247,6 +1013,15 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
+        // The suite is the checked-in baseline's table — same rows, same
+        // order, same units — so `--compare` against it needs no refresh.
+        let baseline: BenchReport =
+            serde_json::from_str(include_str!("../../../results/bench_baseline.json")).unwrap();
+        let rows = |r: &BenchReport| -> Vec<(String, String)> {
+            let row = |w: &WorkloadResult| (w.name.clone(), w.unit.clone());
+            r.workloads.iter().map(row).collect()
+        };
+        assert_eq!(rows(&report), rows(&baseline));
         assert_eq!(report.workloads.len(), 25);
         for w in &report.workloads {
             assert!(w.median_ns > 0, "{} must take time", w.name);

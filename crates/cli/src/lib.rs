@@ -207,6 +207,66 @@ fn parse_size(s: &str) -> Result<(usize, usize), CliError> {
     Ok((parse(w)?, parse(h)?))
 }
 
+/// The value following `flag`, or the usage error every subcommand shares.
+fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| CliError(format!("{flag} requires a value")))
+}
+
+/// Scan `args` as a closed set of `--flag value` pairs plus valueless
+/// `bool_flags` (paired with an empty value), in command-line order.
+/// Unknown flags are rejected before a value is demanded, so `--bogus` as
+/// the last argument is diagnosed as unknown, not as missing a value.
+fn flag_pairs<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    bool_flags: &[&str],
+    cmd: &str,
+) -> Result<Vec<(&'a str, &'a str)>, CliError> {
+    let mut pairs = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if bool_flags.contains(&flag.as_str()) {
+            pairs.push((flag.as_str(), ""));
+        } else if value_flags.contains(&flag.as_str()) {
+            pairs.push((flag.as_str(), flag_value(&mut it, flag)?));
+        } else {
+            let or_bool: String = bool_flags.iter().map(|b| format!(", or {b}")).collect();
+            return Err(CliError(format!(
+                "unknown {cmd} flag `{flag}` (expected {}{or_bool})",
+                value_flags.join(", ")
+            )));
+        }
+    }
+    Ok(pairs)
+}
+
+/// Parse `value` as a `what` (a flag like `--seed`, or a noun like `rate`
+/// for a list item), naming both in the error.
+fn parse_value<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, CliError>
+where
+    T::Err: fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| CliError(format!("bad {what} `{value}`: {e}")))
+}
+
+/// Parse an unsigned count that must be at least 1 (`--threads`,
+/// `--partitions`, `--repeats`, ...); `T::default()` is its zero.
+fn parse_positive<T>(flag: &str, value: &str) -> Result<T, CliError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: fmt::Display,
+{
+    let n: T = parse_value(flag, value)?;
+    if n == T::default() {
+        return Err(CliError(format!("{flag} must be at least 1")));
+    }
+    Ok(n)
+}
+
 fn parse_list<T>(
     value: &str,
     what: &str,
@@ -271,24 +331,9 @@ pub fn parse_sweep_grid_args(args: &[String]) -> Result<SweepGridOptions, CliErr
         "--out",
         "--cache",
     ];
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--serial" {
-            opts.serial = true;
-            continue;
-        }
-        // Reject unknown flags before demanding a value, so `--bogus` as
-        // the last argument is diagnosed as unknown, not as missing a value.
-        if !VALUE_FLAGS.contains(&flag.as_str()) {
-            return Err(CliError(format!(
-                "unknown sweep-grid flag `{flag}` (expected {}, or --serial)",
-                VALUE_FLAGS.join(", ")
-            )));
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))?;
-        match flag.as_str() {
+    for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &["--serial"], "sweep-grid")? {
+        match flag {
+            "--serial" => opts.serial = true,
             "--sizes" => opts.grid.sizes = parse_list(value, "sizes", parse_size)?,
             "--topologies" => {
                 opts.grid.topologies = parse_list(value, "topologies", parse_topology)?;
@@ -297,10 +342,7 @@ pub fn parse_sweep_grid_args(args: &[String]) -> Result<SweepGridOptions, CliErr
                 opts.grid.patterns = parse_list(value, "patterns", parse_pattern)?;
             }
             "--rates" => {
-                opts.grid.rates = parse_list(value, "rates", |s| {
-                    s.parse::<f64>()
-                        .map_err(|e| CliError(format!("bad rate `{s}`: {e}")))
-                })?;
+                opts.grid.rates = parse_list(value, "rates", |s| parse_value("rate", s))?;
             }
             "--routings" => {
                 opts.grid.routings = parse_list(value, "routings", parse_routing)?;
@@ -310,17 +352,12 @@ pub fn parse_sweep_grid_args(args: &[String]) -> Result<SweepGridOptions, CliErr
                     if s == "none" {
                         Ok(None)
                     } else {
-                        s.parse::<usize>()
-                            .map(Some)
-                            .map_err(|e| CliError(format!("bad level `{s}`: {e}")))
+                        parse_value("level", s).map(Some)
                     }
                 })?;
             }
             "--faults" => {
-                opts.grid.faults = parse_list(value, "faults", |s| {
-                    s.parse::<usize>()
-                        .map_err(|e| CliError(format!("bad fault count `{s}`: {e}")))
-                })?;
+                opts.grid.faults = parse_list(value, "faults", |s| parse_value("fault count", s))?;
             }
             "--workloads" => {
                 opts.grid.workloads = parse_list(value, "workloads", parse_workload)?;
@@ -328,38 +365,15 @@ pub fn parse_sweep_grid_args(args: &[String]) -> Result<SweepGridOptions, CliErr
             "--arb" => {
                 opts.grid.base = opts.grid.base.clone().with_switch_arb(parse_arb(value)?);
             }
-            "--warmup" | "--measure" | "--drain" | "--seed" => {
-                let n: u64 = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad {flag} `{value}`: {e}")))?;
-                match flag.as_str() {
-                    "--warmup" => opts.grid.warmup = n,
-                    "--measure" => opts.grid.measure = n,
-                    "--drain" => opts.grid.drain = n,
-                    _ => opts.grid.base_seed = n,
-                }
-            }
-            "--threads" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --threads `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError("--threads must be at least 1".into()));
-                }
-                opts.threads = Some(n);
-            }
-            "--partitions" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --partitions `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError("--partitions must be at least 1".into()));
-                }
-                opts.grid.partitions = n;
-            }
-            "--out" => opts.out = Some(value.clone()),
-            "--cache" => opts.cache = Some(value.clone()),
-            _ => unreachable!("flag membership checked above"),
+            "--warmup" => opts.grid.warmup = parse_value(flag, value)?,
+            "--measure" => opts.grid.measure = parse_value(flag, value)?,
+            "--drain" => opts.grid.drain = parse_value(flag, value)?,
+            "--seed" => opts.grid.base_seed = parse_value(flag, value)?,
+            "--threads" => opts.threads = Some(parse_positive(flag, value)?),
+            "--partitions" => opts.grid.partitions = parse_positive(flag, value)?,
+            "--out" => opts.out = Some(value.to_string()),
+            "--cache" => opts.cache = Some(value.to_string()),
+            _ => unreachable!("flag membership checked by flag_pairs"),
         }
     }
     if opts.serial && opts.threads.is_some() {
@@ -476,20 +490,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunOptions, CliError> {
     ];
     // Collect (flag, value) pairs first so --config loads before overrides
     // regardless of argument order.
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if !VALUE_FLAGS.contains(&flag.as_str()) {
-            return Err(CliError(format!(
-                "unknown run flag `{flag}` (expected {})",
-                VALUE_FLAGS.join(", ")
-            )));
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))?;
-        pairs.push((flag.as_str(), value.as_str()));
-    }
+    let pairs = flag_pairs(args, &VALUE_FLAGS, &[], "run")?;
     let mut config = match pairs.iter().find(|(f, _)| *f == "--config") {
         Some((_, path)) => load_config(Some(path))?,
         None => SimConfig::default(),
@@ -509,43 +510,16 @@ pub fn parse_run_args(args: &[String]) -> Result<RunOptions, CliError> {
             }
             "--routing" => config = config.with_routing(parse_routing(value)?),
             "--pattern" => pattern = Some(parse_pattern(value)?),
-            "--rate" => {
-                rate = Some(
-                    value
-                        .parse::<f64>()
-                        .map_err(|e| CliError(format!("bad --rate `{value}`: {e}")))?,
-                );
-            }
+            "--rate" => rate = Some(parse_value(flag, value)?),
             "--workload" => workload = Some(parse_workload(value)?),
             "--arb" => config = config.with_switch_arb(parse_arb(value)?),
-            "--faults" => {
-                faults = Some(
-                    value
-                        .parse()
-                        .map_err(|e| CliError(format!("bad --faults `{value}`: {e}")))?,
-                );
-            }
-            "--partitions" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --partitions `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError("--partitions must be at least 1".into()));
-                }
-                config = config.with_partitions(n);
-            }
-            "--seed" | "--warmup" | "--measure" | "--drain" => {
-                let n: u64 = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad {flag} `{value}`: {e}")))?;
-                match flag {
-                    "--seed" => config = config.with_seed(n),
-                    "--warmup" => warmup = n,
-                    "--measure" => measure = n,
-                    _ => drain = n,
-                }
-            }
-            _ => unreachable!("flag membership checked above"),
+            "--faults" => faults = Some(parse_value(flag, value)?),
+            "--partitions" => config = config.with_partitions(parse_positive(flag, value)?),
+            "--seed" => config = config.with_seed(parse_value(flag, value)?),
+            "--warmup" => warmup = parse_value(flag, value)?,
+            "--measure" => measure = parse_value(flag, value)?,
+            "--drain" => drain = parse_value(flag, value)?,
+            _ => unreachable!("flag membership checked by flag_pairs"),
         }
     }
     if workload.is_some() && (pattern.is_some() || rate.is_some()) {
@@ -736,46 +710,23 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOptions, CliError> {
         "--sha",
         "--trajectory",
     ];
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--quick" {
-            opts.quick = true;
-            continue;
-        }
-        if !VALUE_FLAGS.contains(&flag.as_str()) {
-            return Err(CliError(format!(
-                "unknown bench flag `{flag}` (expected {}, or --quick)",
-                VALUE_FLAGS.join(", ")
-            )));
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))?;
-        match flag.as_str() {
-            "--repeats" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --repeats `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError("--repeats must be at least 1".into()));
-                }
-                opts.repeats = Some(n);
-            }
-            "--out" => opts.out = Some(value.clone()),
-            "--compare" => opts.compare = Some(value.clone()),
-            "--against" => opts.against = Some(value.clone()),
+    for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &["--quick"], "bench")? {
+        match flag {
+            "--quick" => opts.quick = true,
+            "--repeats" => opts.repeats = Some(parse_positive(flag, value)?),
+            "--out" => opts.out = Some(value.to_string()),
+            "--compare" => opts.compare = Some(value.to_string()),
+            "--against" => opts.against = Some(value.to_string()),
             "--tolerance" => {
-                let t: f64 = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --tolerance `{value}`: {e}")))?;
+                let t: f64 = parse_value(flag, value)?;
                 if !t.is_finite() || t <= 0.0 {
                     return Err(CliError("--tolerance must be positive".into()));
                 }
                 opts.tolerance = t;
             }
-            "--sha" => opts.sha = Some(value.clone()),
-            "--trajectory" => opts.trajectory = Some(value.clone()),
-            _ => unreachable!("flag membership checked above"),
+            "--sha" => opts.sha = Some(value.to_string()),
+            "--trajectory" => opts.trajectory = Some(value.to_string()),
+            _ => unreachable!("flag membership checked by flag_pairs"),
         }
     }
     if opts.against.is_some() && opts.compare.is_none() {
@@ -868,56 +819,27 @@ pub fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 /// # Errors
 /// Returns a usage error for missing/extra positionals or bad values.
 pub fn parse_train_args(args: &[String]) -> Result<TrainOptions, CliError> {
-    let usage = || {
-        CliError(
+    let (positionals, pairs, run_flags) = split_run_flags(args, &["--episodes", "--max-steps"])?;
+    let mut episodes: Option<usize> = None;
+    let mut max_steps: usize = 40;
+    for (flag, value) in pairs {
+        match flag {
+            "--episodes" => episodes = Some(parse_positive(flag, value)?),
+            _ => max_steps = parse_positive(flag, value)?,
+        }
+    }
+    if positionals.is_empty() || positionals.len() > 2 {
+        return Err(CliError(
             "usage: noc-cli train <out.json> [episodes] [--episodes N] [--max-steps N] \
              [run scenario flags: --topology --size --pattern --rate --workload --faults \
              --seed --config ...]"
                 .into(),
-        )
-    };
-    let mut positionals: Vec<String> = Vec::new();
-    let mut episodes: Option<usize> = None;
-    let mut max_steps: usize = 40;
-    let mut run_flags: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--episodes" | "--max-steps" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError(format!("{arg} requires a value")))?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad {arg} `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError(format!("{arg} must be at least 1")));
-                }
-                if arg == "--episodes" {
-                    episodes = Some(n);
-                } else {
-                    max_steps = n;
-                }
-            }
-            flag if flag.starts_with("--") => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError(format!("{flag} requires a value")))?;
-                run_flags.push(flag.to_string());
-                run_flags.push(value.clone());
-            }
-            _ => positionals.push(arg.clone()),
-        }
+        ));
     }
-    if positionals.is_empty() || positionals.len() > 2 {
-        return Err(usage());
-    }
-    let out_path = positionals[0].clone();
+    let out_path = positionals[0].to_string();
     if let Some(legacy) = positionals.get(1) {
         // Pre-zoo grammar: `train <out.json> <episodes>`.
-        let n: usize = legacy
-            .parse()
-            .map_err(|e| CliError(format!("bad episode count `{legacy}`: {e}")))?;
+        let n: usize = parse_value("episode count", legacy)?;
         if episodes.is_some() {
             return Err(CliError(
                 "episode count given both positionally and via --episodes".into(),
@@ -1049,42 +971,41 @@ pub fn cmd_evaluate(policy_path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One positional argument, the zoo-specific `(flag, value)` pairs, and the
+/// Positional arguments, the subcommand's own `(flag, value)` pairs, and the
 /// leftover run flags, in that order.
-type ZooArgs<'a> = (String, Vec<(&'a str, &'a str)>, Vec<String>);
+type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>, Vec<String>);
 
-/// Split `args` into zoo-specific `(flag, value)` pairs and leftover run
-/// flags (which configure the base fabric and the master seed).
-fn split_zoo_flags<'a>(
-    args: &'a [String],
-    zoo_flags: &[&str],
-    positional_name: &str,
-) -> Result<ZooArgs<'a>, CliError> {
-    let mut positionals: Vec<String> = Vec::new();
+/// Split `args` into positionals, the subcommand's `own_flags` as
+/// `(flag, value)` pairs, and every other `--flag value` pair — the run
+/// flags, which configure the base fabric and the master seed.
+fn split_run_flags<'a>(args: &'a [String], own_flags: &[&str]) -> Result<SplitArgs<'a>, CliError> {
+    let mut positionals: Vec<&str> = Vec::new();
     let mut pairs: Vec<(&str, &str)> = Vec::new();
     let mut run_flags: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg.starts_with("--") {
-            let value = it
-                .next()
-                .ok_or_else(|| CliError(format!("{arg} requires a value")))?;
-            if zoo_flags.contains(&arg.as_str()) {
-                pairs.push((arg.as_str(), value.as_str()));
+            let value = flag_value(&mut it, arg)?;
+            if own_flags.contains(&arg.as_str()) {
+                pairs.push((arg.as_str(), value));
             } else {
-                run_flags.push(arg.clone());
-                run_flags.push(value.clone());
+                run_flags.extend([arg.clone(), value.to_string()]);
             }
         } else {
-            positionals.push(arg.clone());
+            positionals.push(arg.as_str());
         }
     }
-    if positionals.len() != 1 {
-        return Err(CliError(format!(
-            "expected exactly one positional argument: {positional_name}"
-        )));
+    Ok((positionals, pairs, run_flags))
+}
+
+/// The single `<zoo-dir>` positional of `train-grid` / `tournament`.
+fn zoo_dir_arg(positionals: &[&str]) -> Result<String, CliError> {
+    match positionals {
+        [dir] => Ok(dir.to_string()),
+        _ => Err(CliError(
+            "expected exactly one positional argument: <zoo-dir>".into(),
+        )),
     }
-    Ok((positionals.remove(0), pairs, run_flags))
 }
 
 fn parse_families(spec: &str) -> Result<Vec<zoo::ScenarioFamily>, CliError> {
@@ -1107,7 +1028,8 @@ pub fn cmd_train_grid(args: &[String]) -> Result<(), CliError> {
         "--epochs-per-episode",
         "--threads",
     ];
-    let (out_dir, pairs, run_flags) = split_zoo_flags(args, &ZOO_FLAGS, "<zoo-dir>")?;
+    let (positionals, pairs, run_flags) = split_run_flags(args, &ZOO_FLAGS)?;
+    let out_dir = zoo_dir_arg(&positionals)?;
     let run = parse_run_args(&run_flags)?;
     let mut variants: Vec<zoo::DqnVariant> = ["default", "small"]
         .iter()
@@ -1138,20 +1060,10 @@ pub fn cmd_train_grid(args: &[String]) -> Result<(), CliError> {
                     .collect::<Result<_, _>>()?;
             }
             "--families" => families = parse_families(value)?,
-            _ => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad {flag} `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError(format!("{flag} must be at least 1")));
-                }
-                match flag {
-                    "--episodes" => episodes = n,
-                    "--max-steps" => max_steps = n,
-                    "--epochs-per-episode" => epochs_per_episode = n,
-                    _ => threads = n,
-                }
-            }
+            "--episodes" => episodes = parse_positive(flag, value)?,
+            "--max-steps" => max_steps = parse_positive(flag, value)?,
+            "--epochs-per-episode" => epochs_per_episode = parse_positive(flag, value)?,
+            _ => threads = parse_positive(flag, value)?,
         }
     }
     let base_seed = run.config.seed;
@@ -1200,7 +1112,8 @@ pub fn cmd_train_grid(args: &[String]) -> Result<(), CliError> {
 /// deterministic and byte-identical for every `--threads` value.
 pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
     const ZOO_FLAGS: [&str; 4] = ["--families", "--epochs", "--threads", "--out"];
-    let (zoo_dir, pairs, run_flags) = split_zoo_flags(args, &ZOO_FLAGS, "<zoo-dir>")?;
+    let (positionals, pairs, run_flags) = split_run_flags(args, &ZOO_FLAGS)?;
+    let zoo_dir = zoo_dir_arg(&positionals)?;
     let run = parse_run_args(&run_flags)?;
     let mut config = zoo::TournamentConfig {
         base: run.config,
@@ -1212,19 +1125,8 @@ pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
     for (flag, value) in pairs {
         match flag {
             "--families" => config.families = parse_families(value)?,
-            "--epochs" => {
-                config.epochs = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --epochs `{value}`: {e}")))?;
-            }
-            "--threads" => {
-                threads = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --threads `{value}`: {e}")))?;
-                if threads == 0 {
-                    return Err(CliError("--threads must be at least 1".into()));
-                }
-            }
+            "--epochs" => config.epochs = parse_value(flag, value)?,
+            "--threads" => threads = parse_positive(flag, value)?,
             _ => out = Some(value.to_string()),
         }
     }
@@ -1334,43 +1236,16 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeConfig, CliError> {
         "--max-outstanding",
         "--max-client-outstanding",
     ];
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if !VALUE_FLAGS.contains(&flag.as_str()) {
-            return Err(CliError(format!(
-                "unknown serve flag `{flag}` (expected {})",
-                VALUE_FLAGS.join(", ")
-            )));
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError(format!("{flag} requires a value")))?;
-        match flag.as_str() {
-            "--addr" => config.addr = value.clone(),
+    for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &[], "serve")? {
+        match flag {
+            "--addr" => config.addr = value.to_string(),
             "--cache" => config.cache_dir = Some(std::path::PathBuf::from(value)),
-            "--threads" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad --threads `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError("--threads must be at least 1".into()));
-                }
-                config.scheduler.threads = n;
+            "--threads" => config.scheduler.threads = parse_positive(flag, value)?,
+            "--max-outstanding" => config.scheduler.max_outstanding = parse_positive(flag, value)?,
+            "--max-client-outstanding" => {
+                config.scheduler.max_client_outstanding = parse_positive(flag, value)?;
             }
-            "--max-outstanding" | "--max-client-outstanding" => {
-                let n: u64 = value
-                    .parse()
-                    .map_err(|e| CliError(format!("bad {flag} `{value}`: {e}")))?;
-                if n == 0 {
-                    return Err(CliError(format!("{flag} must be at least 1")));
-                }
-                if flag == "--max-outstanding" {
-                    config.scheduler.max_outstanding = n;
-                } else {
-                    config.scheduler.max_client_outstanding = n;
-                }
-            }
-            _ => unreachable!("flag membership checked above"),
+            _ => unreachable!("flag membership checked by flag_pairs"),
         }
     }
     Ok(config)
@@ -1421,16 +1296,8 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitOptions, CliError> {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--addr" | "--client" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError(format!("{flag} requires a value")))?;
-                if flag == "--addr" {
-                    addr = value.clone();
-                } else {
-                    client = value.clone();
-                }
-            }
+            "--addr" => addr = flag_value(&mut it, flag)?.to_string(),
+            "--client" => client = flag_value(&mut it, flag)?.to_string(),
             "--threads" | "--serial" | "--partitions" | "--cache" => {
                 return Err(CliError(format!(
                     "{flag} does not apply to submit: execution happens on the daemon"
@@ -1529,10 +1396,7 @@ pub fn cmd_serve_ctl(args: &[String]) -> Result<(), CliError> {
         if flag != "--addr" {
             return Err(usage());
         }
-        addr = it
-            .next()
-            .ok_or_else(|| CliError("--addr requires a value".into()))?
-            .clone();
+        addr = flag_value(&mut it, flag)?.to_string();
     }
     let mut conn = ServeClient::connect(&addr)
         .map_err(|e| CliError(format!("cannot connect to daemon at {addr}: {e}")))?;

@@ -253,6 +253,15 @@ impl SimConfig {
                 "at most 12 VCs per port are supported".into(),
             ));
         }
+        if self.vc_depth > usize::from(u16::MAX) {
+            // The fabric counts downstream credits in u16: a deeper buffer
+            // would truncate (65536 -> 0 credits, a silently wedged run).
+            return Err(SimError::InvalidConfig(format!(
+                "VC depth {} exceeds the supported maximum of {} flits",
+                self.vc_depth,
+                u16::MAX
+            )));
+        }
         if self.packet_len == 0 {
             return Err(SimError::InvalidConfig(
                 "packet length must be positive".into(),
@@ -336,6 +345,13 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(SimConfig::default().with_size(0, 4).validate().is_err());
         assert!(SimConfig::default().with_vcs(0, 4).validate().is_err());
+        // Credits are u16 per output VC: 65535 fits, 65536 would truncate.
+        assert!(SimConfig::default().with_vcs(4, 65_535).validate().is_ok());
+        let err = SimConfig::default().with_vcs(4, 65_536).validate();
+        assert!(
+            matches!(&err, Err(SimError::InvalidConfig(m)) if m.contains("VC depth 65536")),
+            "{err:?}"
+        );
         assert!(SimConfig::default().with_packet_len(0).validate().is_err());
         assert!(SimConfig::default().with_regions(16, 1).validate().is_err());
         // Transpose on a rectangle.

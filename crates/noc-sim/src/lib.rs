@@ -32,9 +32,11 @@
 //! * [`flit`] — packets and their flit segmentation.
 //! * [`routing`] — XY/YX, three turn models, Odd-Even, torus DOR and
 //!   torus minimal-adaptive.
-//! * [`vc`] / [`arbiter`] / [`router`] — the three-stage VC router pipeline.
-//! * [`soa`] — the flat structure-of-arrays fabric state the pipeline runs
-//!   on; partition tiles are contiguous slices of it.
+//! * [`soa`] — the three-stage VC router pipeline (RC, VA, SA/ST) over
+//!   flat structure-of-arrays fabric state; partition tiles are contiguous
+//!   slices of it.
+//! * [`vc`] — the bounded flit FIFO behind each input VC, and the
+//!   injection queues' credit view of the `Local` port.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
 //!   to injection processes (Bernoulli, bursty, pulsed), plus traces.
 //! * [`dvfs`] / [`power`] — V/F levels, regions, clock gating, event energy.
@@ -45,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arbiter;
 pub mod config;
 pub mod dvfs;
 pub mod error;
@@ -53,7 +54,6 @@ pub mod fault;
 pub mod flit;
 pub mod network;
 pub mod power;
-pub mod router;
 pub mod routing;
 pub mod sim;
 pub mod soa;

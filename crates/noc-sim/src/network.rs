@@ -49,9 +49,8 @@ use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Flit, Packet, PacketId};
 use crate::power::{PowerEvent, PowerModel};
-use crate::router::{RouterCtx, RouterEvent};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
-use crate::soa::{FabricState, FabricTile};
+use crate::soa::{FabricState, FabricTile, RouterCtx, RouterEvent};
 use crate::stats::{EnergySink, StatsCollector, StatsOp};
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use crate::vc::OutputVcState;

@@ -1,47 +1,133 @@
-//! Structure-of-arrays router state for the whole fabric.
+//! The wormhole virtual-channel router pipeline, over structure-of-arrays
+//! state for the whole fabric.
+//!
+//! A three-stage pipeline executed once per active (non-clock-gated) cycle,
+//! in reverse order so a flit takes one stage per cycle:
+//!
+//! 1. **SA/ST** — switch allocation + traversal: per output port, a
+//!    round-robin pick among input VCs whose packet was routed to that
+//!    port, holds a downstream VC, and has a credit. The winning flit
+//!    leaves through the crossbar (at most one flit per input port and per
+//!    output port per cycle).
+//! 2. **VA** — virtual-channel allocation: head flits that have a route claim
+//!    a free VC at the downstream input port.
+//! 3. **RC** — route computation: head flits at the front of a VC compute
+//!    their candidate output ports; adaptive algorithms pick the candidate
+//!    with the most free downstream credits.
+//!
+//! Flow control is credit-based: per output port and VC, the fabric keeps
+//! the number of free slots in the downstream buffer and the packet that
+//! owns the VC; the network layer returns credits as downstream buffers
+//! drain, applying the [`RouterEvent`]s each cycle emits.
 //!
 //! [`FabricState`] holds every router's pipeline state in flat arrays
 //! indexed by `(router, port, vc)` — flit buffers, route locks, granted
 //! downstream VCs, VC owners, drain flags, downstream credits, and the
-//! arbitration pointers — instead of a `Vec` of boxed per-router structs.
-//! A partition tile (a contiguous node range) is then literally a
-//! contiguous slice of each array: [`FabricState::split_tiles`] carves the
-//! fabric into disjoint [`FabricTile`] views that worker threads step
-//! concurrently without sharing a cache line of mutable state.
+//! arbitration pointers. A partition tile (a contiguous node range) is then
+//! literally a contiguous slice of each array: [`FabricState::split_tiles`]
+//! carves the fabric into disjoint [`FabricTile`] views that worker threads
+//! step concurrently without sharing a cache line of mutable state.
 //!
-//! The router pipeline itself (SA/ST, VA, RC — see [`crate::router`]) is
-//! implemented here against the flat layout, with two supporting
-//! structures per router:
+//! Two supporting structures per router keep the cycle loop cheap:
 //!
 //! * an O(1) occupancy counter (`occ`), so the cycle loop's
 //!   active-router test is one load, and
 //! * an occupancy bitmask (`occ_mask`) with bit `port * num_vcs + vc` set
 //!   iff that input VC buffers at least one flit. All three pipeline
-//!   stages iterate set bits only, and switch allocation becomes
-//!   branchless two-stage arbitration: stage one builds per-output-port
-//!   request masks in a single pass over the occupied VCs; stage two
-//!   grants with a rotate-free round-robin pick
-//!   (`mask & (!0 << ptr)`, then `trailing_zeros`), which reproduces
-//!   [`crate::arbiter::RoundRobinArbiter`] semantics exactly — first
-//!   asserted index at or after the pointer, else first asserted index,
-//!   pointer advances past the winner.
+//!   stages iterate set bits only, and switch allocation is two-stage
+//!   arbitration over bitmasks: stage one builds per-output-port request
+//!   masks in a single pass over the occupied VCs; stage two grants with
+//!   the rotate-free round-robin pick `rr_pick` — first asserted index at
+//!   or after the pointer, else first asserted index; the pointer advances
+//!   past the winner.
 //!
 //! Both counters are derivable from the buffers; `debug_assert!` recounts
-//! (exercised by the debug-profile CI job) and the custom `Deserialize`
-//! impl keep them honest. Behavior is byte-identical to the pre-SoA
-//! per-router structs: the stages visit VCs in the same `(port, vc)`
-//! order, record the same energy events in the same order, and emit the
-//! same [`RouterEvent`]s, pinned by the golden and differential tests.
+//! (exercised by the debug-profile CI job) keep them honest. The stages
+//! visit VCs in `(port, vc)` order and record energy events in a fixed
+//! order, which the golden and differential tests pin byte-for-byte.
 
 use crate::config::SwitchArb;
+use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
-use crate::power::PowerEvent;
-use crate::router::{RouterCtx, RouterEvent};
-use crate::routing::{route, route_live, route_table, RoutingAlgorithm};
-use crate::topology::{NodeId, Port};
+use crate::power::{PowerEvent, PowerModel};
+use crate::routing::{route, route_live, route_table, RoutingAlgorithm, RoutingTables};
+use crate::stats::EnergySink;
+use crate::topology::{NodeId, Port, Topology};
 use crate::vc::VcBuffer;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+
+/// Effects of one router cycle, applied by the network layer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RouterEvent {
+    /// A flit leaves through `out_port` toward the neighboring router.
+    Forward {
+        /// Output port the flit leaves through.
+        out_port: Port,
+        /// The departing flit (with `vc` set to the downstream VC).
+        flit: Flit,
+    },
+    /// A flit reaches its destination and leaves the network.
+    Eject {
+        /// The delivered flit.
+        flit: Flit,
+    },
+    /// A buffer slot freed on input port `in_port`, VC `vc`: the upstream
+    /// sender regains one credit.
+    Credit {
+        /// Input port whose buffer drained.
+        in_port: Port,
+        /// Virtual channel index.
+        vc: usize,
+    },
+    /// A flit of an unroutable packet is discarded (fault handling). The
+    /// network layer counts it toward the drop/unreachable statistics.
+    Drop {
+        /// The discarded flit.
+        flit: Flit,
+    },
+}
+
+/// Per-cycle execution context handed to [`FabricTile::step_node`].
+#[allow(missing_debug_implementations)]
+pub struct RouterCtx<'a> {
+    /// The network topology (for route computation).
+    pub topo: &'a Topology,
+    /// Routing algorithm in force this cycle.
+    pub routing: RoutingAlgorithm,
+    /// Event-energy model.
+    pub power: &'a PowerModel,
+    /// Energy accumulator — a meter on the serial path, a per-tile
+    /// [`crate::stats::StatsOp`] log inside the partitioned stepper.
+    pub energy: EnergySink<'a>,
+    /// Dynamic energy multiplier for this router's current V/F level.
+    pub dynamic_scale: f64,
+    /// Link/router liveness under the active fault set. `None` means the
+    /// simulation runs without a fault plan (the common case) and route
+    /// computation skips the liveness filter entirely.
+    pub faults: Option<&'a LinkState>,
+    /// Switch-allocation granularity (per-flit legacy vs per-packet
+    /// wormhole holds). See [`SwitchArb`].
+    pub arb: SwitchArb,
+    /// Precomputed k-path tables, required when `routing` is
+    /// [`RoutingAlgorithm::Table`] and ignored otherwise. The network
+    /// rebuilds them whenever the live-link set changes.
+    pub tables: Option<&'a RoutingTables>,
+}
+
+/// Round-robin pick over a non-empty request bitmask: the first asserted
+/// bit at or after `ptr`, else (wrapping) the first asserted bit. The
+/// caller advances its pointer past the winner, which is what makes the
+/// arbitration starvation-free under persistent requests.
+#[inline]
+fn rr_pick(reqs: u64, ptr: u32) -> u32 {
+    debug_assert!(reqs != 0, "round-robin pick over an empty request set");
+    let hi = reqs & (u64::MAX << ptr);
+    if hi != 0 {
+        hi.trailing_zeros()
+    } else {
+        reqs.trailing_zeros()
+    }
+}
 
 /// Flat pipeline state for `routers` routers, one array per field.
 ///
@@ -49,7 +135,7 @@ use std::collections::BTreeSet;
 /// `router * (Port::COUNT * num_vcs) + port * num_vcs + vc`; per-port
 /// arrays use `router * Port::COUNT + port`; per-router arrays use the
 /// router index directly.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug)]
 pub struct FabricState {
     routers: usize,
     num_vcs: usize,
@@ -81,98 +167,26 @@ pub struct FabricState {
     /// output port (`u32::MAX` = free). Only written under
     /// [`SwitchArb::PerPacket`]; acquired by a head-flit grant, released by
     /// the tail-flit grant, and cleared by fault purges when the holding VC
-    /// is released. Configs serialized before the field existed
-    /// deserialize to all-free.
-    #[serde(default)]
+    /// is released.
     sw_hold: Vec<u32>,
     /// VC-allocation rotation pointer per `(router, out_port)`.
     va_ptr: Vec<u32>,
     /// Buffered-flit count per router, maintained on accept/pop so the
-    /// active-router test is O(1). Derivable: deserialization rebuilds it
-    /// from the buffers rather than trusting the wire.
-    #[serde(skip)]
+    /// active-router test is O(1).
     occ: Vec<u32>,
     /// Occupancy bitmask per router: bit `port * num_vcs + vc` set iff
-    /// that input VC is non-empty. Derivable, rebuilt like `occ`.
-    #[serde(skip)]
+    /// that input VC is non-empty.
     occ_mask: Vec<u64>,
-}
-
-// Deserialization is written by hand (over a derive-backed shadow struct)
-// so the occupancy counter and bitmask are always recomputed from the
-// deserialized buffers. Trusting stored counters — or defaulting them to
-// zero — would desynchronize them from the buffers and stall the
-// pipeline: `step_node` short-circuits on `occ == 0`.
-impl<'de> Deserialize<'de> for FabricState {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct Shadow {
-            routers: usize,
-            num_vcs: usize,
-            vc_depth: usize,
-            vc_partition: bool,
-            bufs: Vec<VcBuffer>,
-            in_route: Vec<Option<Port>>,
-            in_out_vc: Vec<Option<u8>>,
-            in_owner: Vec<Option<PacketId>>,
-            in_dropping: Vec<bool>,
-            out_owner: Vec<Option<PacketId>>,
-            out_credits: Vec<u16>,
-            sw_next: Vec<u32>,
-            #[serde(default)]
-            sw_hold: Vec<u32>,
-            va_ptr: Vec<u32>,
-        }
-        let s = Shadow::deserialize(d)?;
-        let pv = Port::COUNT * s.num_vcs;
-        let (mut occ, mut occ_mask) = (Vec::new(), Vec::new());
-        for r in 0..s.routers {
-            let chunk = &s.bufs[r * pv..(r + 1) * pv];
-            occ.push(chunk.iter().map(|b| b.len() as u32).sum());
-            let mut mask = 0u64;
-            for (b, buf) in chunk.iter().enumerate() {
-                if !buf.is_empty() {
-                    mask |= 1 << b;
-                }
-            }
-            occ_mask.push(mask);
-        }
-        // States serialized before the per-packet hold existed carry no
-        // `sw_hold`; they can only have run per-flit, where every hold is
-        // free.
-        let sw_hold = if s.sw_hold.is_empty() {
-            vec![u32::MAX; s.routers * Port::COUNT]
-        } else {
-            s.sw_hold
-        };
-        Ok(FabricState {
-            routers: s.routers,
-            num_vcs: s.num_vcs,
-            vc_depth: s.vc_depth,
-            vc_partition: s.vc_partition,
-            bufs: s.bufs,
-            in_route: s.in_route,
-            in_out_vc: s.in_out_vc,
-            in_owner: s.in_owner,
-            in_dropping: s.in_dropping,
-            out_owner: s.out_owner,
-            out_credits: s.out_credits,
-            sw_next: s.sw_next,
-            sw_hold,
-            va_ptr: s.va_ptr,
-            occ,
-            occ_mask,
-        })
-    }
 }
 
 impl FabricState {
     /// Idle state for `routers` routers.
     ///
     /// # Panics
-    /// Panics if `num_vcs == 0`, `vc_depth == 0`, `vc_partition` is set
-    /// with fewer than two VCs, or the flattened `(port, vc)` index does
-    /// not fit the occupancy bitmask (`Port::COUNT * num_vcs > 64`).
+    /// Panics if `num_vcs == 0`, `vc_depth == 0`, `vc_depth` does not fit
+    /// the `u16` credit counters, `vc_partition` is set with fewer than two
+    /// VCs, or the flattened `(port, vc)` index does not fit the occupancy
+    /// bitmask (`Port::COUNT * num_vcs > 64`).
     pub fn new(routers: usize, num_vcs: usize, vc_depth: usize, vc_partition: bool) -> Self {
         assert!(num_vcs > 0, "router needs at least one VC");
         assert!(vc_depth > 0, "VC depth must be positive");
@@ -185,6 +199,7 @@ impl FabricState {
             "flattened (port, vc) state is bitmask-indexed: at most {} VCs",
             64 / Port::COUNT
         );
+        let credits = u16::try_from(vc_depth).expect("credit counters are u16: vc_depth <= 65535");
         let pv = Port::COUNT * num_vcs;
         FabricState {
             routers,
@@ -197,28 +212,13 @@ impl FabricState {
             in_owner: vec![None; routers * pv],
             in_dropping: vec![false; routers * pv],
             out_owner: vec![None; routers * pv],
-            out_credits: vec![vc_depth as u16; routers * pv],
+            out_credits: vec![credits; routers * pv],
             sw_next: vec![0; routers * Port::COUNT],
             sw_hold: vec![u32::MAX; routers * Port::COUNT],
             va_ptr: vec![0; routers * Port::COUNT],
             occ: vec![0; routers],
             occ_mask: vec![0; routers],
         }
-    }
-
-    /// Number of routers.
-    pub fn num_routers(&self) -> usize {
-        self.routers
-    }
-
-    /// Virtual channels per port.
-    pub fn num_vcs(&self) -> usize {
-        self.num_vcs
-    }
-
-    /// Buffer depth per VC, in flits.
-    pub fn vc_depth(&self) -> usize {
-        self.vc_depth
     }
 
     #[inline]
@@ -252,40 +252,9 @@ impl FabricState {
         self.occ[r] as usize
     }
 
-    /// Per-router occupancy counters (no recount; the cycle loop's
-    /// active-router scan and region sampling read this directly).
-    pub fn occ_counts(&self) -> &[u32] {
-        &self.occ
-    }
-
     /// Total buffering capacity per router.
     pub fn buffer_capacity(&self) -> usize {
         self.pv() * self.vc_depth
-    }
-
-    /// Whether input VC `(port, vc)` of router `r` can accept a flit.
-    pub fn can_accept(&self, r: usize, port: Port, vc: usize) -> bool {
-        !self.bufs[self.idx(r, port, vc)].is_full()
-    }
-
-    /// Free slots the upstream view holds for output `(port, vc)`.
-    pub fn credits(&self, r: usize, port: Port, vc: usize) -> usize {
-        self.out_credits[self.idx(r, port, vc)] as usize
-    }
-
-    /// Downstream-VC owner for output `(port, vc)` (`None` = free).
-    pub fn output_owner(&self, r: usize, port: Port, vc: usize) -> Option<PacketId> {
-        self.out_owner[self.idx(r, port, vc)]
-    }
-
-    /// Route lock on input VC `(port, vc)`.
-    pub fn input_route(&self, r: usize, port: Port, vc: usize) -> Option<Port> {
-        self.in_route[self.idx(r, port, vc)]
-    }
-
-    /// Downstream VC granted to input VC `(port, vc)`.
-    pub fn input_out_vc(&self, r: usize, port: Port, vc: usize) -> Option<usize> {
-        self.in_out_vc[self.idx(r, port, vc)].map(usize::from)
     }
 
     /// Record the owners of router `r`'s output VCs on `port` (packets
@@ -314,9 +283,8 @@ impl FabricState {
         }
     }
 
-    /// Mutable view of the whole fabric (the serial phases — commit,
-    /// fault purge, and the single-router [`crate::router::Router`]
-    /// wrapper — go through this).
+    /// Mutable view of the whole fabric (the serial phases — commit and
+    /// fault purge — go through this).
     pub fn tile(&mut self) -> FabricTile<'_> {
         FabricTile {
             num_vcs: self.num_vcs,
@@ -425,13 +393,6 @@ pub struct FabricTile<'a> {
 }
 
 impl FabricTile<'_> {
-    /// Buffered flits in local router `k` (O(1), no recount — the hot
-    /// active-router test).
-    #[inline]
-    pub fn occ_at(&self, k: usize) -> usize {
-        self.occ[k] as usize
-    }
-
     /// Buffered flits in local router `k`, with the debug recount.
     pub fn occupancy(&self, k: usize) -> usize {
         debug_assert_eq!(
@@ -610,15 +571,7 @@ impl FabricTile<'_> {
             if reqs == 0 {
                 continue; // no grant: the round-robin pointer holds
             }
-            let ptr = self.sw_next[k * Port::COUNT + op];
-            // First asserted index at or after the pointer, else first
-            // asserted index — exactly RoundRobinArbiter::grant.
-            let hi = reqs & (u64::MAX << ptr);
-            let win = if hi != 0 {
-                hi.trailing_zeros()
-            } else {
-                reqs.trailing_zeros()
-            };
+            let win = rr_pick(reqs, self.sw_next[k * Port::COUNT + op]);
             self.sw_next[k * Port::COUNT + op] = (win + 1) % n;
             let b = win as usize;
             let (ip, vc) = (b / v, b % v);
@@ -855,5 +808,292 @@ impl FabricTile<'_> {
         }
         self.occ_mask[k] = mask;
         removed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flit::{FlitKind, Packet};
+    use crate::power::EnergyMeter;
+    use proptest::prelude::*;
+
+    /// Grant the way `switch_allocation` does: pick, then advance the
+    /// pointer past the winner. `None` when nothing requests (the pointer
+    /// holds).
+    fn grant(reqs: u64, ptr: &mut u32, n: u32) -> Option<u32> {
+        (reqs != 0).then(|| {
+            let win = rr_pick(reqs, *ptr);
+            *ptr = (win + 1) % n;
+            win
+        })
+    }
+
+    /// The reference the bitmask pick must match: walk the `n` requesters
+    /// from the pointer, wrapping, and take the first asserted one.
+    fn naive_pick(reqs: u64, ptr: u32, n: u32) -> Option<u32> {
+        (0..n)
+            .map(|off| (ptr + off) % n)
+            .find(|&i| (reqs >> i) & 1 == 1)
+    }
+
+    #[test]
+    fn grants_only_asserted_requests() {
+        let mut ptr = 0;
+        assert_eq!(grant(0b0100, &mut ptr, 4), Some(2));
+        assert_eq!(grant(0b0000, &mut ptr, 4), None);
+        // Exhaustively, for every request set and pointer over up to 8
+        // requesters: the winner is asserted and is the naive loop's winner.
+        for n in 1..=8u32 {
+            for reqs in 1..1u64 << n {
+                for ptr in 0..n {
+                    let win = rr_pick(reqs, ptr);
+                    assert_eq!((reqs >> win) & 1, 1, "n={n} reqs={reqs:#b} ptr={ptr}");
+                    assert_eq!(Some(win), naive_pick(reqs, ptr, n));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rotates_priority_after_grant() {
+        let mut ptr = 0;
+        let wins: Vec<_> = (0..4).map(|_| grant(0b111, &mut ptr, 3)).collect();
+        assert_eq!(wins, [Some(0), Some(1), Some(2), Some(0)]);
+    }
+
+    #[test]
+    fn no_starvation_under_persistent_contention() {
+        let mut ptr = 0;
+        let mut wins = [0usize; 5];
+        for _ in 0..100 {
+            wins[grant(0b11111, &mut ptr, 5).unwrap() as usize] += 1;
+        }
+        assert!(wins.iter().all(|&w| w == 20), "unfair wins: {wins:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Round-robin arbitration is work-conserving (grants whenever any
+        /// request is up) and fair (over n consecutive all-up cycles, every
+        /// requester wins exactly once), at every width the fabric can
+        /// flatten `(port, vc)` into.
+        #[test]
+        fn arbiter_work_conserving_and_fair(n in 1u32..=64, rounds in 1usize..5) {
+            let all = u64::MAX >> (64 - n);
+            let mut ptr = 0;
+            let mut wins = vec![0usize; n as usize];
+            for _ in 0..rounds * n as usize {
+                prop_assert_eq!(naive_pick(all, ptr, n), Some(rr_pick(all, ptr)));
+                let w = grant(all, &mut ptr, n).expect("requests up => grant");
+                wins[w as usize] += 1;
+            }
+            prop_assert!(wins.iter().all(|&w| w == rounds), "wins {wins:?}");
+        }
+    }
+
+    /// One router in isolation — a one-router fabric — plus everything a
+    /// [`RouterCtx`] borrows, on a 4x4 mesh with XY routing.
+    struct Rig {
+        node: NodeId,
+        f: FabricState,
+        topo: Topology,
+        power: PowerModel,
+        meter: EnergyMeter,
+    }
+
+    fn ctx<'a>(
+        topo: &'a Topology,
+        power: &'a PowerModel,
+        meter: &'a mut EnergyMeter,
+    ) -> RouterCtx<'a> {
+        RouterCtx {
+            topo,
+            routing: RoutingAlgorithm::Xy,
+            power,
+            energy: EnergySink::Meter(meter),
+            dynamic_scale: 1.0,
+            faults: None,
+            arb: SwitchArb::PerFlit,
+            tables: None,
+        }
+    }
+
+    impl Rig {
+        fn new(node: usize, num_vcs: usize, vc_depth: usize, vc_partition: bool) -> Self {
+            Rig {
+                node: NodeId(node),
+                f: FabricState::new(1, num_vcs, vc_depth, vc_partition),
+                topo: Topology::mesh(4, 4),
+                power: PowerModel::default_32nm(),
+                meter: EnergyMeter::new(),
+            }
+        }
+
+        fn accept(&mut self, port: Port, flit: Flit) {
+            let mut ctx = ctx(&self.topo, &self.power, &mut self.meter);
+            self.f.tile().accept(0, port, flit, &mut ctx);
+        }
+
+        fn step(&mut self) -> Vec<RouterEvent> {
+            let mut events = Vec::new();
+            let mut ctx = ctx(&self.topo, &self.power, &mut self.meter);
+            self.f.tile().step_node(0, self.node, &mut ctx, &mut events);
+            events
+        }
+
+        fn idx(&self, port: Port, vc: usize) -> usize {
+            self.f.idx(0, port, vc)
+        }
+    }
+
+    fn make_flits(src: usize, dst: usize, len: u32) -> Vec<Flit> {
+        Packet {
+            id: PacketId(1),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            len_flits: len,
+            created_at: 0,
+        }
+        .to_flits(0)
+    }
+
+    /// Drive a lone router: inject a packet on the Local port addressed to a
+    /// neighbor and check it is forwarded east with pipeline latency 3
+    /// (RC, VA, SA on successive cycles).
+    #[test]
+    fn single_flit_traverses_pipeline_in_three_cycles() {
+        let mut r = Rig::new(0, 2, 4, false);
+        r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
+
+        // Cycle 1: RC only.
+        let ev = r.step();
+        assert!(ev.is_empty(), "no movement before VA: {ev:?}");
+        // Cycle 2: VA.
+        let ev = r.step();
+        assert!(ev.is_empty(), "no movement before SA: {ev:?}");
+        // Cycle 3: SA/ST forwards the flit.
+        let ev = r.step();
+        let fwd = ev.iter().find_map(|e| match e {
+            RouterEvent::Forward { out_port, flit } => Some((*out_port, flit.clone())),
+            _ => None,
+        });
+        let (port, flit) = fwd.expect("flit forwarded");
+        assert_eq!(port, Port::East);
+        assert_eq!(flit.hops, 1);
+        assert!(ev.iter().any(|e| matches!(
+            e,
+            RouterEvent::Credit {
+                in_port: Port::Local,
+                vc: 0
+            }
+        )));
+    }
+
+    #[test]
+    fn flit_at_destination_is_ejected() {
+        let mut r = Rig::new(5, 2, 4, false);
+        let mut flit = make_flits(0, 5, 1).remove(0);
+        flit.vc = 1;
+        r.accept(Port::West, flit);
+        let mut ejected = false;
+        for _ in 0..3 {
+            for e in r.step() {
+                if let RouterEvent::Eject { flit } = e {
+                    assert_eq!(flit.dst, NodeId(5));
+                    ejected = true;
+                }
+            }
+        }
+        assert!(ejected, "flit should eject within 3 cycles");
+    }
+
+    #[test]
+    fn credits_limit_outstanding_flits() {
+        let mut r = Rig::new(0, 1, 2, false);
+        // 5-flit packet; downstream buffer depth 2 and no credit returns.
+        for f in make_flits(0, 3, 5).into_iter().take(2) {
+            r.accept(Port::Local, f);
+        }
+        let mut forwarded = 0;
+        for _ in 0..10 {
+            for e in r.step() {
+                if matches!(e, RouterEvent::Forward { .. }) {
+                    forwarded += 1;
+                }
+            }
+        }
+        assert_eq!(
+            forwarded, 2,
+            "only vc_depth flits may be in flight without credits"
+        );
+        // Nothing more is buffered, so verify credit accounting instead.
+        let east = r.idx(Port::East, 0);
+        assert_eq!(r.f.out_credits[east], 0);
+        r.f.tile().return_credit(0, Port::East, 0);
+        assert_eq!(r.f.out_credits[east], 1);
+    }
+
+    #[test]
+    fn tail_flit_releases_vc_ownership() {
+        let mut r = Rig::new(0, 1, 4, false);
+        for f in make_flits(0, 1, 2) {
+            r.accept(Port::Local, f);
+        }
+        let mut tails = 0;
+        for _ in 0..8 {
+            for e in r.step() {
+                if let RouterEvent::Forward { flit, .. } = e {
+                    if flit.kind == FlitKind::Tail {
+                        tails += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(tails, 1);
+        // After the tail left, the output VC is free for a new packet.
+        assert!(r.f.out_owner[r.idx(Port::East, 0)].is_none());
+        assert!(r.f.in_route[r.idx(Port::Local, 0)].is_none());
+    }
+
+    #[test]
+    fn occupancy_tracks_buffered_flits() {
+        let mut r = Rig::new(0, 2, 4, false);
+        assert_eq!(r.f.occupancy(0), 0);
+        for f in make_flits(0, 1, 3) {
+            r.accept(Port::Local, f);
+        }
+        assert_eq!(r.f.occupancy(0), 3);
+        assert_eq!(r.f.buffer_capacity(), 5 * 2 * 4);
+    }
+
+    #[test]
+    fn vc_partition_restricts_allocation() {
+        let mut r = Rig::new(0, 4, 2, true);
+        let mut flit = make_flits(0, 1, 1).remove(0);
+        flit.vc_class = 1;
+        r.accept(Port::Local, flit);
+        r.step(); // RC
+        r.step(); // VA
+        let out_vc = r.f.in_out_vc[r.idx(Port::Local, 0)].expect("VC allocated");
+        assert!(
+            out_vc >= 2,
+            "class-1 flit must use the upper VC half, got {out_vc}"
+        );
+    }
+
+    #[test]
+    fn step_consumes_energy() {
+        let mut r = Rig::new(0, 2, 4, false);
+        r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
+        for _ in 0..3 {
+            r.step();
+        }
+        assert!(r.meter.dynamic_pj() > 0.0);
+        assert!(
+            r.meter.events() >= 4,
+            "write + RC + VA + SA events expected"
+        );
     }
 }

@@ -2,12 +2,10 @@
 //! VC ownership and credits (credit-based flow control).
 
 use crate::flit::{Flit, PacketId};
-use crate::topology::Port;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A FIFO flit buffer of bounded capacity backing one input virtual channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcBuffer {
     fifo: VecDeque<Flit>,
     capacity: usize,
@@ -84,72 +82,10 @@ impl VcBuffer {
     }
 }
 
-/// One input virtual channel: its buffer plus the per-packet routing state
-/// established by the head flit and reused by body/tail flits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InputVc {
-    /// Buffered flits.
-    pub buf: VcBuffer,
-    /// Output port assigned by route computation for the packet currently
-    /// occupying this VC.
-    pub route: Option<Port>,
-    /// Downstream VC index granted by VC allocation.
-    pub out_vc: Option<usize>,
-    /// Packet occupying this VC, recorded at route computation. Fault
-    /// handling uses it to find and release every VC a condemned packet
-    /// holds along its path.
-    pub owner: Option<PacketId>,
-    /// When true, the occupying packet was found unroutable (every candidate
-    /// output link dead): its flits are discarded as they arrive until the
-    /// tail releases the VC.
-    pub dropping: bool,
-}
-
-impl InputVc {
-    /// A fresh idle VC with the given buffer capacity.
-    pub fn new(capacity: usize) -> Self {
-        InputVc {
-            buf: VcBuffer::new(capacity),
-            route: None,
-            out_vc: None,
-            owner: None,
-            dropping: false,
-        }
-    }
-
-    /// Whether the VC currently has a route but no output VC (waiting in the
-    /// VC-allocation stage).
-    pub fn awaiting_vc_alloc(&self) -> bool {
-        self.route.is_some() && self.out_vc.is_none() && !self.buf.is_empty()
-    }
-
-    /// Whether the VC is fully allocated and has a flit ready to bid for the
-    /// switch.
-    pub fn ready_for_switch(&self) -> bool {
-        self.route.is_some() && self.out_vc.is_some() && !self.buf.is_empty()
-    }
-
-    /// Clear per-packet state after the tail flit departs (or the packet is
-    /// dropped).
-    pub fn release(&mut self) {
-        self.route = None;
-        self.out_vc = None;
-        self.owner = None;
-        self.dropping = false;
-    }
-
-    /// Remove every flit of `packet` from the buffer, in order, returning
-    /// how many were removed. Fault handling uses this to purge condemned
-    /// packets; normal operation never removes flits out of FIFO order.
-    pub fn purge_packet(&mut self, packet: PacketId) -> usize {
-        self.buf.purge_packet(packet)
-    }
-}
-
 /// The upstream router's bookkeeping for one VC at the downstream input port
 /// reached through one of its output ports: who owns it and how many buffer
 /// slots remain (credits).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutputVcState {
     /// Packet currently holding this downstream VC, if any.
     pub owner: Option<PacketId>,
@@ -218,31 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn input_vc_stage_predicates() {
-        let mut vc = InputVc::new(2);
-        assert!(!vc.awaiting_vc_alloc() && !vc.ready_for_switch());
-        vc.buf.push(flit(0, FlitKind::Head));
-        assert!(!vc.awaiting_vc_alloc(), "no route yet");
-        vc.route = Some(Port::East);
-        assert!(vc.awaiting_vc_alloc());
-        vc.out_vc = Some(1);
-        assert!(vc.ready_for_switch());
-        vc.release();
-        assert!(vc.route.is_none() && vc.out_vc.is_none());
-    }
-
-    #[test]
     fn purge_removes_only_the_named_packet() {
-        let mut vc = InputVc::new(4);
-        vc.buf.push(flit(0, FlitKind::Head));
-        vc.buf.push(flit(1, FlitKind::Tail));
+        let mut b = VcBuffer::new(4);
+        b.push(flit(0, FlitKind::Head));
+        b.push(flit(1, FlitKind::Tail));
         let mut other = flit(0, FlitKind::Single);
         other.packet = PacketId(2);
-        vc.buf.push(other);
-        assert_eq!(vc.purge_packet(PacketId(1)), 2);
-        assert_eq!(vc.buf.len(), 1);
-        assert_eq!(vc.buf.front().unwrap().packet, PacketId(2));
-        assert_eq!(vc.purge_packet(PacketId(1)), 0);
+        b.push(other);
+        assert_eq!(b.purge_packet(PacketId(1)), 2);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.front().unwrap().packet, PacketId(2));
+        assert_eq!(b.purge_packet(PacketId(1)), 0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests of the simulator's core invariants.
 
-use noc_sim::arbiter::RoundRobinArbiter;
 use noc_sim::dvfs::ClockGate;
 use noc_sim::flit::PacketId;
 use noc_sim::routing::walk_route;
@@ -70,20 +69,6 @@ proptest! {
         let (src, dst) = (NodeId(src % n), NodeId(dst % n));
         let path = walk_route(RoutingAlgorithm::TorusDor, &topo, src, dst, |_| 0);
         prop_assert_eq!(path.len() - 1, topo.distance(src, dst));
-    }
-
-    /// Round-robin arbitration is work-conserving (grants whenever any
-    /// request is up) and fair (over n consecutive all-up cycles, every
-    /// requester wins exactly once).
-    #[test]
-    fn arbiter_work_conserving_and_fair(n in 1usize..12, rounds in 1usize..5) {
-        let mut arb = RoundRobinArbiter::new(n);
-        let mut wins = vec![0usize; n];
-        for _ in 0..rounds * n {
-            let w = arb.grant(&vec![true; n]).expect("requests up => grant");
-            wins[w] += 1;
-        }
-        prop_assert!(wins.iter().all(|&w| w == rounds), "wins {wins:?}");
     }
 
     /// The clock gate activates round(N·f) times over N cycles for any
