@@ -4,8 +4,9 @@
 //! Expected shape: hockey-stick curves; saturation ordering
 //! uniform > bit-complement ≈ transpose > hotspot.
 
-use noc_bench::{configs, fmt, parallel_map, print_table, save_csv, save_markdown, Scale};
-use noc_sim::Simulator;
+use noc_bench::{configs, fmt, print_table, save_csv, save_markdown, Scale};
+use noc_selfconf::SweepGrid;
+use noc_sim::RoutingAlgorithm;
 
 fn main() {
     let scale = Scale::from_env();
@@ -18,40 +19,38 @@ fn main() {
     let (warmup, measure, drain) = scale.pick((2000, 8000, 8000), (300, 800, 800));
     let patterns = configs::comparison_patterns();
 
-    let grid: Vec<(String, f64)> = patterns
-        .iter()
-        .flat_map(|(name, _)| rates.iter().map(move |&r| (name.to_string(), r)))
-        .collect();
-    let threads = noc_bench::default_threads();
-    let results = parallel_map(grid.len(), threads, |i| {
-        let (name, rate) = &grid[i];
-        let pattern = patterns
-            .iter()
-            .find(|(n, _)| n == name)
-            .expect("pattern")
-            .1
-            .clone();
-        let cfg = configs::mesh8()
-            .with_traffic(pattern, *rate)
-            .with_seed(100 + i as u64);
-        let mut sim = Simulator::new(cfg).expect("valid config");
-        let summary = sim.run_classic(warmup, measure, drain);
-        (
-            summary.window.avg_packet_latency,
-            summary.window.throughput,
-            summary.saturated,
-        )
-    });
+    let report = SweepGrid {
+        base: configs::mesh8(),
+        sizes: vec![(8, 8)],
+        patterns: patterns.iter().map(|(_, p)| p.clone()).collect(),
+        rates: rates.clone(),
+        routings: vec![RoutingAlgorithm::Xy],
+        warmup,
+        measure,
+        drain,
+        base_seed: 100,
+        ..SweepGrid::default()
+    }
+    .run(noc_bench::default_threads())
+    .expect("valid grid");
 
+    // Scenarios come back in grid order: pattern-major, rate-fastest.
+    let grid: Vec<(&str, f64)> = patterns
+        .iter()
+        .flat_map(|(name, _)| rates.iter().map(move |&r| (*name, r)))
+        .collect();
     let mut rows = Vec::new();
-    for (i, (name, rate)) in grid.iter().enumerate() {
-        let (lat, tput, saturated) = results[i];
+    for ((name, rate), s) in grid.iter().zip(&report.scenarios) {
         rows.push(vec![
-            name.clone(),
+            name.to_string(),
             format!("{rate:.3}"),
-            fmt(lat),
-            fmt(tput),
-            if saturated { "yes".into() } else { "no".into() },
+            fmt(s.metrics.avg_packet_latency),
+            fmt(s.metrics.throughput),
+            if s.saturated {
+                "yes".into()
+            } else {
+                "no".into()
+            },
         ]);
     }
     let headers = [
@@ -74,9 +73,9 @@ fn main() {
     for (name, _) in &patterns {
         let sat = grid
             .iter()
-            .enumerate()
-            .filter(|(i, (n, _))| n == name && results[*i].2)
-            .map(|(_, (_, r))| *r)
+            .zip(&report.scenarios)
+            .filter(|((n, _), s)| n == name && s.saturated)
+            .map(|((_, r), _)| *r)
             .fold(f64::MAX, f64::min);
         sat_rows.push(vec![
             name.to_string(),

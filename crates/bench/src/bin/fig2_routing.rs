@@ -5,8 +5,9 @@
 //! Expected shape: odd-even ties XY at low load and wins past mid-load on
 //! the adversarial patterns.
 
-use noc_bench::{configs, fmt, parallel_map, print_table, save_csv, save_markdown, Scale};
-use noc_sim::{RoutingAlgorithm, Simulator, TrafficPattern};
+use noc_bench::{configs, fmt, print_table, save_csv, save_markdown, Scale};
+use noc_selfconf::SweepGrid;
+use noc_sim::{RoutingAlgorithm, TrafficPattern};
 
 fn main() {
     let scale = Scale::from_env();
@@ -26,47 +27,42 @@ fn main() {
         ("uniform", TrafficPattern::Uniform),
     ];
 
-    let mut grid = Vec::new();
-    for (pname, pattern) in &patterns {
-        for (aname, alg) in &algorithms {
-            for &rate in &rates {
-                grid.push((
+    let report = SweepGrid {
+        base: configs::mesh8(),
+        sizes: vec![(8, 8)],
+        patterns: patterns.iter().map(|(_, p)| p.clone()).collect(),
+        rates: rates.clone(),
+        routings: algorithms.iter().map(|(_, a)| *a).collect(),
+        warmup,
+        measure,
+        drain,
+        base_seed: 200,
+        ..SweepGrid::default()
+    }
+    .run(noc_bench::default_threads())
+    .expect("valid grid");
+
+    // Scenarios come back in grid order: pattern, then rate, then routing.
+    let mut scenarios = report.scenarios.iter();
+    let mut rows = Vec::new();
+    for (pname, _) in &patterns {
+        for rate in &rates {
+            for (aname, _) in &algorithms {
+                let s = scenarios.next().expect("one scenario per grid point");
+                rows.push(vec![
                     pname.to_string(),
                     aname.to_string(),
-                    *alg,
-                    pattern.clone(),
-                    rate,
-                ));
+                    format!("{rate:.3}"),
+                    fmt(s.metrics.avg_packet_latency),
+                    fmt(s.metrics.throughput),
+                    if s.saturated {
+                        "yes".into()
+                    } else {
+                        "no".into()
+                    },
+                ]);
             }
         }
-    }
-    let threads = noc_bench::default_threads();
-    let results = parallel_map(grid.len(), threads, |i| {
-        let (_, _, alg, pattern, rate) = &grid[i];
-        let cfg = configs::mesh8()
-            .with_traffic(pattern.clone(), *rate)
-            .with_routing(*alg)
-            .with_seed(200 + i as u64);
-        let mut sim = Simulator::new(cfg).expect("valid config");
-        let s = sim.run_classic(warmup, measure, drain);
-        (
-            s.window.avg_packet_latency,
-            s.window.throughput,
-            s.saturated,
-        )
-    });
-
-    let mut rows = Vec::new();
-    for (i, (pname, aname, _, _, rate)) in grid.iter().enumerate() {
-        let (lat, tput, sat) = results[i];
-        rows.push(vec![
-            pname.clone(),
-            aname.clone(),
-            format!("{rate:.3}"),
-            fmt(lat),
-            fmt(tput),
-            if sat { "yes".into() } else { "no".into() },
-        ]);
     }
     let headers = [
         "pattern",

@@ -4,12 +4,12 @@
 //! Expected shape: static-max lowest latency; static-min highest; DRL tracks
 //! static-max within ~10–20 % at low-mid load; threshold/tabular in between.
 
-use noc_bench::comparison::run_or_load;
+use noc_bench::comparison;
 use noc_bench::{fmt, print_table, save_csv, save_markdown, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = run_or_load(scale);
+    let points = comparison::run(scale);
     let mut rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

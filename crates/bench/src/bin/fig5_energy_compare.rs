@@ -3,12 +3,12 @@
 //! Expected shape: static-max burns the most; static-min the least; DRL cuts
 //! 20–40 % vs static-max at low-mid load.
 
-use noc_bench::comparison::run_or_load;
+use noc_bench::comparison;
 use noc_bench::{fmt, print_table, save_csv, save_markdown, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = run_or_load(scale);
+    let points = comparison::run(scale);
     let mut rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

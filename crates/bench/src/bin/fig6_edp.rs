@@ -3,13 +3,13 @@
 //! Expected shape: DRL lowest EDP overall, especially at low-mid load where
 //! static-max wastes energy and static-min wastes latency.
 
-use noc_bench::comparison::run_or_load;
+use noc_bench::comparison;
 use noc_bench::{fmt, print_table, save_csv, save_markdown, Scale};
 use std::collections::BTreeMap;
 
 fn main() {
     let scale = Scale::from_env();
-    let points = run_or_load(scale);
+    let points = comparison::run(scale);
     let mut rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

@@ -6,7 +6,7 @@
 //! during the idle/low phases and raise them for the burst; static-max stays
 //! pinned and burns energy through the idle phase.
 
-use noc_bench::comparison::controllers_for;
+use noc_bench::comparison::entrants_for;
 use noc_bench::{configs, fmt, print_table, save_csv, save_markdown, Scale};
 use noc_selfconf::run_controller;
 
@@ -16,14 +16,15 @@ fn main() {
     let epochs = scale.pick(64usize, 6);
     let epoch_cycles = 500;
 
-    let mut factories = controllers_for(&configs::mesh8(), "mesh8", scale);
+    // The per-epoch trace is the figure, so this binary drives
+    // `run_controller` itself rather than reading matrix aggregates.
     let mut rows = Vec::new();
     let mut summary = Vec::new();
-    for (name, factory) in factories.iter_mut() {
-        if *name == "static-min" || *name == "tabular-q" {
+    for (name, entrant) in &entrants_for(&configs::mesh8(), "mesh8", scale) {
+        if name == "static-min" || name == "tabular-q" {
             continue; // keep the figure readable: 3 series as in the paper
         }
-        let mut controller = factory();
+        let mut controller = entrant.controller(&sim).expect("cached policy deploys");
         let run = run_controller(&sim, controller.as_mut(), epochs, epoch_cycles)
             .expect("valid configuration");
         for (i, (m, levels)) in run.epochs.iter().zip(&run.levels).enumerate() {

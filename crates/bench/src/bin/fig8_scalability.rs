@@ -3,9 +3,8 @@
 //! region-normalized so the architecture is identical) and compares EDP vs
 //! static-max and threshold at mid load.
 
-use noc_bench::comparison::controllers_for;
-use noc_bench::{configs, fmt, print_table, save_csv, save_markdown, Scale};
-use noc_selfconf::run_controller;
+use noc_bench::comparison::entrants_for;
+use noc_bench::{configs, evaluate, fmt, print_table, save_csv, save_markdown, Scale};
 use noc_sim::TrafficPattern;
 
 fn main() {
@@ -14,30 +13,29 @@ fn main() {
     let epoch_cycles = scale.pick(500u64, 200);
     let rate = 0.10;
 
+    let patterns = [
+        ("uniform", TrafficPattern::Uniform),
+        ("hotspot", configs::hotspot()),
+    ];
+    let workloads = patterns.clone().map(|(_, pattern)| (pattern, rate));
+
     let mut rows = Vec::new();
     for (mesh_name, sim, key) in [
         ("4x4", configs::mesh4(), "mesh4"),
         ("8x8", configs::mesh8(), "mesh8"),
     ] {
-        let mut factories = controllers_for(&sim, key, scale);
-        for (cname, factory) in factories.iter_mut() {
-            for (pname, pattern) in [
-                ("uniform", TrafficPattern::Uniform),
-                ("hotspot", configs::hotspot()),
-            ] {
-                let cfg = sim.clone().with_traffic(pattern, rate);
-                let mut controller = factory();
-                let run = run_controller(&cfg, controller.as_mut(), epochs, epoch_cycles)
-                    .expect("valid configuration");
-                rows.push(vec![
-                    mesh_name.to_string(),
-                    pname.to_string(),
-                    cname.to_string(),
-                    fmt(run.aggregate.avg_latency),
-                    fmt(run.aggregate.energy_pj / 1e3),
-                    fmt(run.aggregate.edp / 1e6),
-                ]);
-            }
+        let entrants = entrants_for(&sim, key, scale);
+        let report = evaluate(&sim, &entrants, &workloads, epochs, epoch_cycles);
+        // Cells are entrant-major, workload-fastest.
+        for (cell, (pname, _)) in report.cells.iter().zip(patterns.iter().cycle()) {
+            rows.push(vec![
+                mesh_name.to_string(),
+                pname.to_string(),
+                cell.policy.clone(),
+                fmt(cell.aggregate.avg_latency),
+                fmt(cell.aggregate.energy_pj / 1e3),
+                fmt(cell.aggregate.edp / 1e6),
+            ]);
         }
     }
     let headers = [

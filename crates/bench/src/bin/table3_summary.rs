@@ -1,12 +1,12 @@
 //! Table 3 — per-pattern summary at mid load: latency, throughput, energy,
 //! EDP, and savings vs the static-max baseline.
 
-use noc_bench::comparison::run_or_load;
+use noc_bench::comparison;
 use noc_bench::{fmt, print_table, save_csv, save_markdown, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = run_or_load(scale);
+    let points = comparison::run(scale);
     // Mid-load column: the rate closest to 0.10.
     let mut rates: Vec<f64> = points.iter().map(|p| p.rate).collect();
     rates.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));

@@ -6,8 +6,10 @@
 //! against each other, not against the headline policy) and is evaluated on
 //! a fixed workload mix.
 
-use noc_bench::{configs, fmt, print_table, save_csv, save_markdown, train_or_load, Scale};
-use noc_selfconf::{run_controller, RewardConfig};
+use noc_bench::{
+    configs, evaluate, fmt, print_table, save_csv, save_markdown, train_or_load, Scale,
+};
+use noc_selfconf::{Entrant, RewardConfig};
 use noc_sim::TrafficPattern;
 use rl::DqnConfig;
 
@@ -90,7 +92,8 @@ fn main() {
         ("hotspot@0.10", configs::hotspot(), 0.10),
     ];
 
-    let mut rows = Vec::new();
+    let mut final_returns = Vec::new();
+    let mut entrants: Vec<(String, Entrant)> = Vec::new();
     for v in &variants {
         let mut env_cfg = configs::train_env(sim.clone(), 7);
         env_cfg.reward = (v.reward)();
@@ -99,24 +102,32 @@ fn main() {
         let artifact = train_or_load(v.key, env_cfg, (v.dqn)(configs::dqn_default(7)), train);
         // Final-quarter training return.
         let quarter = (artifact.curve.len() / 4).max(1);
-        let final_return: f64 = artifact.curve[artifact.curve.len() - quarter..]
-            .iter()
-            .map(|e| e.total_reward)
-            .sum::<f64>()
-            / quarter as f64;
-        for (wname, pattern, rate) in &eval_workloads {
-            let cfg = sim.clone().with_traffic(pattern.clone(), *rate);
-            let mut controller = artifact.drl_controller().expect("cached policy deploys");
-            let run = run_controller(&cfg, &mut controller, eval_epochs, epoch_cycles)
-                .expect("valid configuration");
+        final_returns.push(
+            artifact.curve[artifact.curve.len() - quarter..]
+                .iter()
+                .map(|e| e.total_reward)
+                .sum::<f64>()
+                / quarter as f64,
+        );
+        entrants.push((v.label.to_string(), artifact.into()));
+    }
+    let workloads = eval_workloads
+        .clone()
+        .map(|(_, pattern, rate)| (pattern, rate));
+    let report = evaluate(&sim, &entrants, &workloads, eval_epochs, epoch_cycles);
+
+    let mut rows = Vec::new();
+    for (v, final_return) in final_returns.iter().enumerate() {
+        for (w, (wname, ..)) in eval_workloads.iter().enumerate() {
+            let cell = &report.cells[v * eval_workloads.len() + w];
             rows.push(vec![
-                v.label.to_string(),
+                cell.policy.clone(),
                 wname.to_string(),
-                fmt(final_return),
-                fmt(run.aggregate.avg_latency),
-                fmt(run.aggregate.energy_pj / 1e3),
-                fmt(run.aggregate.edp / 1e6),
-                fmt(run.aggregate.mean_level),
+                fmt(*final_return),
+                fmt(cell.aggregate.avg_latency),
+                fmt(cell.aggregate.energy_pj / 1e3),
+                fmt(cell.aggregate.edp / 1e6),
+                fmt(cell.aggregate.mean_level),
             ]);
         }
     }

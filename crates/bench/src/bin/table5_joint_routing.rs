@@ -9,8 +9,10 @@
 //! odd-even routing and beats the DVFS-only policy's EDP; on uniform they
 //! tie (XY is already optimal there).
 
-use noc_bench::{configs, fmt, print_table, save_csv, save_markdown, train_or_load, Scale};
-use noc_selfconf::{run_controller, ActionSpace, NocEnvConfig, StaticController};
+use noc_bench::{
+    configs, evaluate, fmt, print_table, save_csv, save_markdown, train_or_load, Scale,
+};
+use noc_selfconf::{ActionSpace, Entrant, NocEnvConfig};
 use noc_sim::{RoutingAlgorithm, TrafficPattern};
 
 fn main() {
@@ -49,30 +51,25 @@ fn main() {
         ("hotspot@0.10", configs::hotspot(), 0.10),
     ];
 
+    let entrants: Vec<(String, Entrant)> = vec![
+        ("static-max".into(), Entrant::StaticMax),
+        ("drl-dvfs".into(), dvfs_only.into()),
+        ("drl-joint".into(), joint.into()),
+    ];
+    let points = workloads.clone().map(|(_, pattern, rate)| (pattern, rate));
+    let report = evaluate(&sim, &entrants, &points, epochs, epoch_cycles);
+
     let mut rows = Vec::new();
-    for (wname, pattern, rate) in &workloads {
-        let cfg = sim.clone().with_traffic(pattern.clone(), *rate);
-        let mut entries: Vec<(String, Box<dyn noc_selfconf::Controller>)> = vec![
-            ("static-max".into(), Box::new(StaticController::max())),
-            (
-                "drl-dvfs".into(),
-                dvfs_only.controller().expect("cached policy deploys"),
-            ),
-            (
-                "drl-joint".into(),
-                joint.controller().expect("cached policy deploys"),
-            ),
-        ];
-        for (label, controller) in entries.iter_mut() {
-            let run = run_controller(&cfg, controller.as_mut(), epochs, epoch_cycles)
-                .expect("valid configuration");
+    for (w, (wname, ..)) in workloads.iter().enumerate() {
+        for e in 0..entrants.len() {
+            let cell = &report.cells[e * workloads.len() + w];
             rows.push(vec![
                 wname.to_string(),
-                label.clone(),
-                fmt(run.aggregate.avg_latency),
-                fmt(run.aggregate.energy_pj / 1e3),
-                fmt(run.aggregate.edp / 1e6),
-                fmt(run.aggregate.mean_level),
+                cell.policy.clone(),
+                fmt(cell.aggregate.avg_latency),
+                fmt(cell.aggregate.energy_pj / 1e3),
+                fmt(cell.aggregate.edp / 1e6),
+                fmt(cell.aggregate.mean_level),
             ]);
         }
     }

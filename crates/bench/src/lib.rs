@@ -4,15 +4,20 @@
 //! index) plus the timed workload suite behind `noc-cli bench`
 //! ([`report`]). This library holds what the binaries share: result
 //! formatting, artifact caching for trained policies, standard
-//! configurations, and a tiny thread-pool helper.
+//! configurations, and [`evaluate`] — the tournament-matrix call every
+//! controller comparison is formatted from. It owns no simulation loop:
+//! scenario grids run on `SweepGrid`, controllers on `tournament_matrix`.
 
 #![warn(missing_docs)]
 
 pub mod report;
 
-use noc_selfconf::{NocEnvConfig, PolicyArtifact};
+use noc_selfconf::zoo::{tournament_matrix, TournamentConfig};
+use noc_selfconf::{
+    Entrant, NocEnvConfig, PolicyArtifact, RewardConfig, ScenarioFamily, TournamentReport,
+};
+use noc_sim::{SimConfig, TrafficPattern, WorkloadSpec};
 use rl::{DqnConfig, TabularConfig, TrainConfig};
-use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -119,7 +124,7 @@ pub use noc_selfconf::{default_threads, parallel_map};
 
 /// Whether a cached artifact at `path` can satisfy a request whose training
 /// configuration hashes to `expected`. Artifacts whose hash differs — or
-/// legacy artifacts, which carry no hash — are misses: returning them would
+/// that carry none — are misses: returning them would
 /// silently hand the caller a policy trained under a *different*
 /// configuration (the old cache's stale-artifact bug).
 fn cache_hit(path: &Path, expected: &str, kind: &str) -> Option<PolicyArtifact> {
@@ -143,9 +148,8 @@ fn cache_hit(path: &Path, expected: &str, kind: &str) -> Option<PolicyArtifact> 
 
 /// Train a DQN policy, caching the artifact at `<dir>/<key>.json`. The
 /// cache is keyed on the configuration hash: an artifact trained under a
-/// different environment/hyper-parameter/budget combination (or a pre-zoo
-/// legacy artifact, which records no hash) is a miss and gets retrained.
-/// `EXPT_RETRAIN` forces a miss.
+/// different environment/hyper-parameter/budget combination is a miss and
+/// gets retrained. `EXPT_RETRAIN` forces a miss.
 pub fn train_or_load_in(
     dir: &Path,
     key: &str,
@@ -219,10 +223,7 @@ pub fn train_or_load_tabular(
 /// Standard experiment configurations shared by the binaries.
 pub mod configs {
     use super::*;
-    use noc_sim::{
-        InjectionProcess, NodeId, SimConfig, TrafficPattern, TrafficSpec, WorkloadPhase,
-        WorkloadSpec,
-    };
+    use noc_sim::{InjectionProcess, NodeId, TrafficSpec, WorkloadPhase};
     use rl::Schedule;
 
     /// The paper's mesh: 8×8, 4 VCs × 4 flits, 5-flit packets, 2×2 regions.
@@ -310,6 +311,39 @@ pub mod configs {
     }
 }
 
+/// Score `entrants` on `sim` under each Bernoulli `(pattern, rate)`
+/// workload, `epochs` control epochs of `epoch_cycles` per cell: the one
+/// call behind every controller-comparison figure and table. Cells come
+/// back entrant-major, workload-fastest (`cells[e * workloads.len() + w]`),
+/// every entrant of a workload column on the identical simulation, seeded
+/// off `sim.seed`.
+///
+/// # Panics
+/// Panics on an invalid `sim` or an entrant trained for a different fabric
+/// (the experiment binaries have no error path to report it through).
+pub fn evaluate(
+    sim: &SimConfig,
+    entrants: &[(String, Entrant)],
+    workloads: &[(TrafficPattern, f64)],
+    epochs: usize,
+    epoch_cycles: u64,
+) -> TournamentReport {
+    let config = TournamentConfig {
+        base: sim.clone(),
+        families: workloads
+            .iter()
+            .map(|(pattern, rate)| {
+                ScenarioFamily::new(sim.kind, WorkloadSpec::bernoulli(pattern.clone(), *rate), 0)
+            })
+            .collect(),
+        epochs,
+        epoch_cycles,
+        reward: RewardConfig::default(),
+        base_seed: sim.seed,
+    };
+    tournament_matrix(entrants, &config, default_threads()).expect("valid evaluation matrix")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,18 +422,73 @@ mod tests {
         assert_eq!(t.kind_name(), "tabular");
         let _ = fs::remove_dir_all(&dir);
     }
+
+    /// The comparison grid is a pure function of its inputs: one point per
+    /// entrant × pattern × rate, the same bytes on a rerun, and nothing
+    /// written to the results directory (no result cache to go stale).
+    #[test]
+    fn comparison_grid_is_entrants_by_patterns_by_rates_and_uncached() {
+        let listing = || {
+            let mut names: Vec<_> = fs::read_dir(results_dir())
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let sim = configs::mesh4();
+        let env = configs::train_env(sim.clone(), 5);
+        let train = TrainConfig {
+            episodes: 1,
+            max_steps: 2,
+            ..configs::train_budget(Scale::Quick, 5)
+        };
+        let dqn = DqnConfig {
+            hidden: vec![8],
+            batch_size: 8,
+            min_replay: 8,
+            ..configs::dqn_default(5)
+        };
+        let policy = noc_selfconf::train_drl(env.clone(), dqn, train.clone()).unwrap();
+        let mut entrants = Entrant::baselines();
+        entrants.push((
+            "drl".into(),
+            PolicyArtifact::from_dqn(&policy, env, train)
+                .unwrap()
+                .into(),
+        ));
+        let patterns = comparison::sweep_patterns();
+        let rates = [0.05, 0.2];
+        let run = || comparison::grid(&sim, &entrants, &patterns, &rates, 2, 60);
+        let points = run();
+        assert_eq!(points.len(), entrants.len() * patterns.len() * rates.len());
+        // Matrix order: entrant-major, then pattern, then rate.
+        assert_eq!(points[0].controller, "static-max");
+        assert_eq!(
+            (points[1].pattern.as_str(), points[1].rate),
+            ("uniform", 0.2)
+        );
+        assert_eq!(points[2].pattern, "transpose");
+        assert_eq!(points.last().unwrap().controller, "drl");
+        let bytes = |points: &[comparison::ComparisonPoint]| {
+            points
+                .iter()
+                .map(|p| serde_json::to_string(&p.agg).unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bytes(&points), bytes(&run()));
+        assert_eq!(before, listing(), "the grid must not touch results/");
+    }
 }
 
 /// The controller-comparison grid shared by Figs 4–6 and Table 3.
 pub mod comparison {
     use super::*;
-    use noc_selfconf::{
-        run_controller, Controller, RunAggregate, StaticController, ThresholdController,
-    };
-    use noc_sim::{SimConfig, Simulator, TrafficPattern};
+    use noc_selfconf::RunAggregate;
 
     /// One grid point: a controller on a workload.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone)]
     pub struct ComparisonPoint {
         /// Traffic pattern name.
         pub pattern: String,
@@ -411,19 +500,10 @@ pub mod comparison {
         pub agg: RunAggregate,
     }
 
-    /// A factory producing fresh instances of one controller flavor.
-    pub type ControllerFactory = Box<dyn FnMut() -> Box<dyn Controller> + Send>;
-
-    /// The controllers compared everywhere. Policies are trained (or loaded
-    /// from cache) for the given mesh key.
-    pub fn controllers_for(
-        sim: &SimConfig,
-        key_prefix: &str,
-        scale: Scale,
-    ) -> Vec<(&'static str, ControllerFactory)> {
-        let probe = Simulator::new(sim.clone()).expect("valid sim");
-        let caps = probe.network().region_capacity();
-        let nodes = probe.network().topology().num_nodes();
+    /// The controllers compared everywhere: the three baselines plus the
+    /// tabular and DRL policies, trained (or loaded from cache) for the
+    /// given mesh key.
+    pub fn entrants_for(sim: &SimConfig, key_prefix: &str, scale: Scale) -> Vec<(String, Entrant)> {
         let drl = train_or_load(
             &format!("{key_prefix}_drl"),
             configs::train_env(sim.clone(), 7),
@@ -436,39 +516,10 @@ pub mod comparison {
             configs::tabular_default(),
             configs::train_budget(scale, 8),
         );
-        let drl = std::sync::Arc::new(drl);
-        let tab = std::sync::Arc::new(tab);
-        let caps2 = caps.clone();
-        vec![
-            (
-                "static-max",
-                Box::new(|| Box::new(StaticController::max()) as Box<dyn Controller>),
-            ),
-            (
-                "static-min",
-                Box::new(|| Box::new(StaticController::min()) as Box<dyn Controller>),
-            ),
-            (
-                "threshold",
-                Box::new(move || {
-                    Box::new(ThresholdController::new(caps2.clone(), nodes)) as Box<dyn Controller>
-                }),
-            ),
-            (
-                "tabular-q",
-                Box::new({
-                    let tab = tab.clone();
-                    move || tab.controller().expect("cached policy deploys")
-                }),
-            ),
-            (
-                "drl",
-                Box::new({
-                    let drl = drl.clone();
-                    move || drl.controller().expect("cached policy deploys")
-                }),
-            ),
-        ]
+        let mut entrants = Entrant::baselines();
+        entrants.push(("tabular-q".into(), tab.into()));
+        entrants.push(("drl".into(), drl.into()));
+        entrants
     }
 
     /// Injection rates of the comparison sweep.
@@ -485,65 +536,51 @@ pub mod comparison {
         ]
     }
 
-    /// Run (or load from cache) the full comparison grid on the 8×8 mesh.
-    pub fn run_or_load(scale: Scale) -> Vec<ComparisonPoint> {
-        let tag = scale.pick("full", "quick");
-        let cache = results_dir().join(format!("comparison_{tag}.json"));
-        if std::env::var("EXPT_RERUN").is_err() {
-            if let Ok(bytes) = std::fs::read(&cache) {
-                if let Ok(points) = serde_json::from_slice::<Vec<ComparisonPoint>>(&bytes) {
-                    eprintln!("loaded cached comparison {}", cache.display());
-                    return points;
-                }
+    /// `entrants` × `patterns` × `rates` on `sim`, one point per cell in
+    /// matrix order (entrant-major, then pattern, then rate).
+    pub fn grid(
+        sim: &SimConfig,
+        entrants: &[(String, Entrant)],
+        patterns: &[(&str, TrafficPattern)],
+        rates: &[f64],
+        epochs: usize,
+        epoch_cycles: u64,
+    ) -> Vec<ComparisonPoint> {
+        let mut names = Vec::new();
+        let mut workloads = Vec::new();
+        for (name, pattern) in patterns {
+            for &rate in rates {
+                names.push(*name);
+                workloads.push((pattern.clone(), rate));
             }
         }
-        let sim = configs::mesh8();
-        let mut factories = controllers_for(&sim, "mesh8", scale);
-        let rates = sweep_rates(scale);
-        let patterns = sweep_patterns();
-        let epochs = scale.pick(40, 3);
-        let epoch_cycles = scale.pick(500, 200);
-
-        // Flatten the grid, then evaluate points in parallel per controller
-        // (controller factories are FnMut, so parallelize over the grid for
-        // each controller in turn).
-        let mut points = Vec::new();
-        for (name, factory) in factories.iter_mut() {
-            let mut grid: Vec<(String, f64, SimConfig)> = Vec::new();
-            for (pname, pattern) in &patterns {
-                for &rate in &rates {
-                    grid.push((
-                        pname.to_string(),
-                        rate,
-                        sim.clone().with_traffic(pattern.clone(), rate),
-                    ));
-                }
-            }
-            let controllers: Vec<std::sync::Mutex<Box<dyn Controller>>> = grid
-                .iter()
-                .map(|_| std::sync::Mutex::new(factory()))
-                .collect();
-            let threads = noc_selfconf::default_threads();
-            let results = parallel_map(grid.len(), threads, |i| {
-                let (pname, rate, cfg) = &grid[i];
-                let mut c = controllers[i].lock().expect("controller lock poisoned");
-                let run = run_controller(cfg, c.as_mut(), epochs, epoch_cycles)
-                    .expect("valid configuration");
+        let report = evaluate(sim, entrants, &workloads, epochs, epoch_cycles);
+        report
+            .cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let w = i % workloads.len();
                 ComparisonPoint {
-                    pattern: pname.clone(),
-                    rate: *rate,
-                    controller: name.to_string(),
-                    agg: run.aggregate,
+                    pattern: names[w].to_string(),
+                    rate: workloads[w].1,
+                    controller: cell.policy,
+                    agg: cell.aggregate,
                 }
-            });
-            points.extend(results);
-            eprintln!("comparison: finished controller {name}");
-        }
-        std::fs::write(
-            &cache,
-            serde_json::to_vec(&points).expect("points serialize"),
+            })
+            .collect()
+    }
+
+    /// The full comparison grid on the 8×8 mesh at `scale`'s budgets.
+    pub fn run(scale: Scale) -> Vec<ComparisonPoint> {
+        let sim = configs::mesh8();
+        grid(
+            &sim,
+            &entrants_for(&sim, "mesh8", scale),
+            &sweep_patterns(),
+            &sweep_rates(scale),
+            scale.pick(40, 3),
+            scale.pick(500, 200),
         )
-        .expect("cache must be writable");
-        points
     }
 }

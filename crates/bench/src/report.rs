@@ -741,11 +741,13 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             epochs_per_episode: 4,
             base_seed: 17,
         };
-        let policies: Vec<(String, zoo::PolicyArtifact)> = (0..grid.len())
+        let policies: Vec<(String, zoo::Entrant)> = (0..grid.len())
             .map(|i| {
                 (
                     format!("bench{i}"),
-                    zoo::train_member(&grid, i).expect("bench policy trains"),
+                    zoo::train_member(&grid, i)
+                        .expect("bench policy trains")
+                        .into(),
                 )
             })
             .collect();

@@ -6,13 +6,12 @@
 use noc_selfconf::serve::{
     Daemon, Event, Request, ResultCache, SchedulerConfig, ServeClient, ServeConfig,
 };
+use noc_selfconf::sweep::seeded_link_faults;
 use noc_selfconf::zoo;
-use noc_selfconf::{
-    run_controller, train_drl, NocEnvConfig, StaticController, SweepGrid, ThresholdController,
-};
+use noc_selfconf::{train_drl, NocEnvConfig, SweepGrid};
 use noc_sim::{
-    FaultPlan, PacketTrace, RoutingAlgorithm, RunSummary, SimConfig, Simulator, SwitchArb,
-    TopologyKind, TrafficPattern, TrafficSpec, WorkloadSpec,
+    PacketTrace, RoutingAlgorithm, RunSummary, SimConfig, Simulator, SwitchArb, TopologyKind,
+    TrafficPattern, TrafficSpec, WorkloadSpec,
 };
 use rl::{DqnConfig, Schedule, TrainConfig};
 use std::error::Error;
@@ -139,21 +138,29 @@ pub fn cmd_sweep(rate0: f64, rate1: f64, steps: usize) -> Result<(), CliError> {
     if steps < 2 || !(0.0..=1.0).contains(&rate0) || !(0.0..=1.0).contains(&rate1) {
         return Err(CliError("sweep needs rates in [0,1] and >= 2 steps".into()));
     }
+    let grid = SweepGrid {
+        sizes: vec![(8, 8)],
+        patterns: vec![TrafficPattern::Uniform],
+        rates: (0..steps)
+            .map(|i| rate0 + (rate1 - rate0) * i as f64 / (steps - 1) as f64)
+            .collect(),
+        warmup: 1500,
+        measure: 5000,
+        drain: 5000,
+        ..SweepGrid::default()
+    };
+    let report = grid.run(noc_selfconf::default_threads())?;
     println!(
         "{:>8} {:>12} {:>12} {:>10}",
         "rate", "latency", "throughput", "saturated"
     );
-    for i in 0..steps {
-        let rate = rate0 + (rate1 - rate0) * i as f64 / (steps - 1) as f64;
-        let cfg = SimConfig::default().with_traffic(TrafficPattern::Uniform, rate);
-        let mut sim = Simulator::new(cfg)?;
-        let run = sim.run_classic(1500, 5000, 5000);
+    for (rate, s) in grid.rates.iter().zip(&report.scenarios) {
         println!(
             "{:>8.3} {:>12.1} {:>12.4} {:>10}",
             rate,
-            run.window.avg_packet_latency,
-            run.window.throughput,
-            if run.saturated { "yes" } else { "no" }
+            s.metrics.avg_packet_latency,
+            s.metrics.throughput,
+            if s.saturated { "yes" } else { "no" }
         );
     }
     Ok(())
@@ -538,17 +545,11 @@ pub fn parse_run_args(args: &[String]) -> Result<RunOptions, CliError> {
     config.routing = config.routing.for_topology(config.kind);
     // An explicit --faults always overrides the base config's plan:
     // `--faults 0` clears a plan inherited from --config instead of
-    // silently running a faulted fabric.
-    match faults {
-        Some(0) => config = config.with_faults(FaultPlan::empty()),
-        Some(n) => {
-            // Seeded off the run's own seed, like the sweep engine's
-            // fault axis.
-            let plan =
-                FaultPlan::random_links(&config.topology(), n, config.seed ^ 0xFA17, 0, None);
-            config = config.with_faults(plan);
-        }
-        None => {}
+    // silently running a faulted fabric. The draw is the sweep engine's,
+    // so `--seed <ScenarioResult.seed>` reproduces a sweep scenario's plan.
+    if let Some(n) = faults {
+        let plan = seeded_link_faults(&config, n);
+        config = config.with_faults(plan);
     }
     config.validate()?;
     Ok(RunOptions {
@@ -820,34 +821,23 @@ pub fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 /// Returns a usage error for missing/extra positionals or bad values.
 pub fn parse_train_args(args: &[String]) -> Result<TrainOptions, CliError> {
     let (positionals, pairs, run_flags) = split_run_flags(args, &["--episodes", "--max-steps"])?;
-    let mut episodes: Option<usize> = None;
+    let mut episodes: usize = 60;
     let mut max_steps: usize = 40;
     for (flag, value) in pairs {
         match flag {
-            "--episodes" => episodes = Some(parse_positive(flag, value)?),
+            "--episodes" => episodes = parse_positive(flag, value)?,
             _ => max_steps = parse_positive(flag, value)?,
         }
     }
-    if positionals.is_empty() || positionals.len() > 2 {
+    let [out_path] = positionals[..] else {
         return Err(CliError(
-            "usage: noc-cli train <out.json> [episodes] [--episodes N] [--max-steps N] \
+            "usage: noc-cli train <out.json> [--episodes N] [--max-steps N] \
              [run scenario flags: --topology --size --pattern --rate --workload --faults \
              --seed --config ...]"
                 .into(),
         ));
-    }
-    let out_path = positionals[0].to_string();
-    if let Some(legacy) = positionals.get(1) {
-        // Pre-zoo grammar: `train <out.json> <episodes>`.
-        let n: usize = parse_value("episode count", legacy)?;
-        if episodes.is_some() {
-            return Err(CliError(
-                "episode count given both positionally and via --episodes".into(),
-            ));
-        }
-        episodes = Some(n);
-    }
-    let episodes = episodes.unwrap_or(60).max(1);
+    };
+    let out_path = out_path.to_string();
     let run = parse_run_args(&run_flags)?;
     Ok(TrainOptions {
         out_path,
@@ -917,55 +907,37 @@ pub fn cmd_train(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `evaluate`: run a saved policy against the baselines on the default mesh.
-/// Accepts zoo artifacts and all legacy policy shapes; every load is
-/// validated by the zoo layer before a controller is built.
+/// `evaluate`: score a saved policy against the three baselines on the
+/// default mesh — a 4 × 1 tournament matrix, so all four controllers run
+/// the identical simulation and a policy trained for a different fabric is
+/// rejected by the matrix's structured compatibility check.
 pub fn cmd_evaluate(policy_path: &str) -> Result<(), CliError> {
     let artifact = zoo::PolicyArtifact::load(Path::new(policy_path))?;
     eprintln!(
-        "loaded {} policy from {policy_path}{}",
+        "loaded {} policy from {policy_path} (config hash {})",
         artifact.kind_name(),
-        if artifact.config_hash.is_empty() {
-            " (legacy artifact, no provenance)".to_string()
-        } else {
-            format!(" (config hash {})", artifact.config_hash)
-        }
+        artifact.config_hash
     );
-    let cfg = SimConfig::default().with_traffic(TrafficPattern::Uniform, 0.12);
-    // Reject stale artifacts cleanly: a policy trained against an older
-    // observation layout (or a different region grid) observes a different
-    // number of features than this fabric produces.
-    let probe_env = noc_selfconf::NocEnv::new(NocEnvConfig::for_sim(cfg.clone(), 0))?;
-    let expected = probe_env.encoder().state_dim();
-    if artifact.encoder.state_dim() != expected {
-        return Err(CliError(format!(
-            "policy `{policy_path}` is incompatible: it observes {} features but this \
-             fabric produces {expected} — retrain with `noc-cli train`",
-            artifact.encoder.state_dim()
-        )));
-    }
-    let probe = Simulator::new(cfg.clone())?;
-    let caps = probe.network().region_capacity();
-    let nodes = probe.network().topology().num_nodes();
-    let mut controllers: Vec<Box<dyn noc_selfconf::Controller>> = vec![
-        Box::new(StaticController::max()),
-        Box::new(StaticController::min()),
-        Box::new(ThresholdController::new(caps, nodes)),
-        artifact.controller()?,
-    ];
+    let mut entrants = zoo::Entrant::baselines();
+    entrants.push((policy_path.to_string(), artifact.into()));
+    let config = zoo::TournamentConfig {
+        families: vec![zoo::ScenarioFamily::parse("mesh/uniform/r0.12")?],
+        epochs: 40,
+        ..zoo::TournamentConfig::default()
+    };
+    let report = zoo::tournament_matrix(&entrants, &config, noc_selfconf::default_threads())?;
     println!(
         "{:>12} {:>10} {:>12} {:>12} {:>10}",
         "controller", "latency", "energy (nJ)", "EDP (e6)", "mean lvl"
     );
-    for c in controllers.iter_mut() {
-        let run = run_controller(&cfg, c.as_mut(), 40, 500)?;
+    for cell in &report.cells {
         println!(
             "{:>12} {:>10.1} {:>12.1} {:>12.2} {:>10.2}",
-            run.aggregate.controller,
-            run.aggregate.avg_latency,
-            run.aggregate.energy_pj / 1e3,
-            run.aggregate.edp / 1e6,
-            run.aggregate.mean_level
+            cell.aggregate.controller,
+            cell.aggregate.avg_latency,
+            cell.aggregate.energy_pj / 1e3,
+            cell.aggregate.edp / 1e6,
+            cell.aggregate.mean_level
         );
     }
     Ok(())
@@ -1710,6 +1682,39 @@ mod tests {
         assert!(parse_run_args(&strings(&["--rate"])).is_err());
     }
 
+    /// One fault draw: `run --seed <scenario seed> --faults N` rebuilds the
+    /// exact fault plan the sweep engine gave that scenario.
+    #[test]
+    fn run_reproduces_a_sweep_scenarios_fault_plan() {
+        let grid = SweepGrid {
+            sizes: vec![(4, 4)],
+            topologies: vec![TopologyKind::Mesh, TopologyKind::Torus],
+            patterns: vec![TrafficPattern::Uniform],
+            rates: vec![0.05],
+            faults: vec![2],
+            ..SweepGrid::default()
+        };
+        for scenario in grid.scenarios() {
+            let cfg = &scenario.config;
+            assert_eq!(cfg.fault_plan.len(), 2);
+            let opts = parse_run_args(&strings(&[
+                "--size",
+                "4x4",
+                "--topology",
+                cfg.kind.name(),
+                "--rate",
+                "0.05",
+                "--seed",
+                &cfg.seed.to_string(),
+                "--faults",
+                "2",
+            ]))
+            .unwrap();
+            assert_eq!(opts.config.fault_plan, cfg.fault_plan, "{}", scenario.label);
+            assert_eq!(&opts.config, cfg, "the whole scenario config reproduces");
+        }
+    }
+
     #[test]
     fn run_end_to_end_on_a_faulted_torus() {
         cmd_run(&strings(&[
@@ -1959,7 +1964,7 @@ mod tests {
         let loaded = zoo::PolicyArtifact::load(&path).unwrap();
         let mut controller = loaded.controller().unwrap();
         let cfg = SimConfig::default().with_size(4, 4).with_regions(2, 2);
-        let run = run_controller(&cfg, controller.as_mut(), 3, 100).unwrap();
+        let run = noc_selfconf::run_controller(&cfg, controller.as_mut(), 3, 100).unwrap();
         assert_eq!(run.epochs.len(), 3);
     }
 
@@ -1968,10 +1973,10 @@ mod tests {
         let opts = parse_train_args(&strings(&["out.json"])).unwrap();
         assert_eq!(opts.episodes, 60);
         assert_eq!(opts.max_steps, 40);
-        // Legacy positional episode count still works.
-        let opts = parse_train_args(&strings(&["out.json", "25"])).unwrap();
-        assert_eq!(opts.episodes, 25);
-        // Both forms at once conflict.
+        // The pre-zoo positional episode count is a usage error now, not a
+        // silently ignored argument.
+        let err = parse_train_args(&strings(&["out.json", "25"])).unwrap_err();
+        assert!(err.0.starts_with("usage: noc-cli train"), "{err}");
         assert!(parse_train_args(&strings(&["out.json", "25", "--episodes", "30"])).is_err());
         // Scenario flags flow through the run parser; --seed lands in the
         // config (and thus drives training).

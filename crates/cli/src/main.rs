@@ -73,7 +73,7 @@ fn main() -> ExitCode {
                  sweep-grid [flags] | serve [flags] | submit [flags] | \
                  serve-ctl <ping|stats|shutdown> [--addr A] | \
                  workload <parse|describe> <label> | bench [flags] | \
-                 train <out.json> [episodes] [flags] | train-grid <dir> [flags] | \
+                 train <out.json> [flags] | train-grid <dir> [flags] | \
                  tournament <dir> [flags] | evaluate <policy.json> | \
                  replay <trace.csv> [period] | default-config>\n\
                  run flags: --topology mesh|torus  --size 8x8  --routing xy  \

@@ -19,8 +19,8 @@
 //!   content-addressed result cache, single-flight deduplication, and
 //!   admission-controlled fair-share scheduling.
 //! * [`zoo`] — the policy zoo: one versioned artifact format for trained
-//!   policies (legacy shapes still load), population training over variant ×
-//!   scenario grids, and the tournament generalization matrix.
+//!   policies, population training over variant × scenario grids, and the
+//!   tournament matrix every controller-vs-scenario comparison runs on.
 //!
 //! ```no_run
 //! use noc_selfconf::{train_drl, NocEnvConfig};
@@ -67,6 +67,7 @@ pub use training::{
     TrainedPolicy,
 };
 pub use zoo::{
-    dqn_config_hash, load_zoo, tabular_config_hash, tournament_matrix, train_grid, PolicyArtifact,
-    PolicyKind, ScenarioFamily, TournamentConfig, TournamentReport, ZooError, ZooGrid, ZooManifest,
+    dqn_config_hash, load_zoo, tabular_config_hash, tournament_matrix, train_grid, Entrant,
+    PolicyArtifact, PolicyKind, ScenarioFamily, TournamentConfig, TournamentReport, ZooError,
+    ZooGrid, ZooManifest,
 };

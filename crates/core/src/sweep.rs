@@ -237,6 +237,23 @@ pub(crate) fn mix_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The workspace's one seeded fault draw: `count` permanent link faults
+/// drawn uniformly over `config`'s topology (`0` = the empty plan), salted
+/// off `config.seed` so the draw is decorrelated from traffic yet fully
+/// reproducible. The sweep fault axis, [`crate::zoo::ScenarioFamily::apply`]
+/// and `noc-cli run --faults` all draw through here, so
+/// `run --seed <ScenarioResult.seed> --faults N` reproduces a sweep
+/// scenario's fault plan.
+pub fn seeded_link_faults(config: &SimConfig, count: usize) -> FaultPlan {
+    FaultPlan::random_links(
+        &config.topology(),
+        count,
+        mix_seed(config.seed, 0xFA),
+        0,
+        None,
+    )
+}
+
 impl SweepGrid {
     /// The grid's traffic points, in axis order: the `patterns` × `rates`
     /// product (pattern-major, as single-phase Bernoulli workloads labeled
@@ -319,16 +336,7 @@ impl SweepGrid {
                                     .with_partitions(self.partitions.max(1))
                                     .with_seed(seed);
                                 if faults > 0 {
-                                    // The fault draw is salted off the
-                                    // scenario seed so it is decorrelated
-                                    // from traffic yet fully reproducible.
-                                    let plan = FaultPlan::random_links(
-                                        &config.topology(),
-                                        faults,
-                                        mix_seed(seed, 0xFA),
-                                        0,
-                                        None,
-                                    );
+                                    let plan = seeded_link_faults(&config, faults);
                                     config = config.with_faults(plan);
                                 }
                                 let mut label =

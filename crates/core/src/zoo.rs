@@ -1,15 +1,10 @@
 //! The policy zoo: one versioned on-disk format for trained policies, plus
 //! population training and the tournament generalization matrix.
 //!
-//! Before this module, the workspace persisted trained policies in three
-//! divergent ad-hoc JSON shapes (the CLI's `SavedPolicy`, the bench
-//! harness's `PolicyArtifact` and `TabularArtifact`), with the
-//! encoder/state-dim compatibility check implemented in only one of the
-//! three load paths. [`PolicyArtifact`] replaces all of them:
+//! [`PolicyArtifact`] is the one shape a trained policy is persisted in:
 //!
-//! * **Versioned**: a `schema_version` field gates evolution; the three
-//!   legacy shapes are still accepted by [`PolicyArtifact::parse`] and
-//!   migrated in memory (provenance unknown, hash empty).
+//! * **Versioned**: a `schema_version` field is the one gate on what
+//!   [`PolicyArtifact::parse`] accepts.
 //! * **Self-describing**: the policy kind (DQN weights or tabular Q-table),
 //!   the [`StateEncoder`] and [`ActionSpace`] it was trained with, the full
 //!   training provenance ([`NocEnvConfig`], [`TrainConfig`], seed, learning
@@ -24,20 +19,25 @@
 //! variants × scenario families over the workspace worker pool with
 //! SplitMix64 per-member seeds — artifacts are byte-identical across thread
 //! counts and reruns, the same contract the sweep engine honors — and
-//! [`tournament_matrix`] scores every zoo policy against every scenario
-//! family into one deterministic [`TournamentReport`]: the generalization
-//! matrix the paper never measured.
+//! [`tournament_matrix`] scores every [`Entrant`] (a zoo policy or a built-in
+//! baseline) against every scenario family into one deterministic
+//! [`TournamentReport`]: the generalization matrix the paper never measured,
+//! and the one place in the workspace a controller is driven against a
+//! scenario — the paper's comparison figures and `noc-cli evaluate` are
+//! matrices too.
 
 use crate::action::ActionSpace;
-use crate::controller::{Controller, DrlController, TabularController};
+use crate::controller::{
+    Controller, DrlController, StaticController, TabularController, ThresholdController,
+};
 use crate::env::{NocEnv, NocEnvConfig};
 use crate::par::parallel_map;
 use crate::reward::RewardConfig;
 use crate::serve::cache::fnv1a64;
 use crate::state::StateEncoder;
-use crate::sweep::mix_seed;
+use crate::sweep::{mix_seed, seeded_link_faults};
 use crate::training::{run_controller, train_drl, RunAggregate, TrainedPolicy};
-use noc_sim::{FaultPlan, SimConfig, SimError, TopologyKind, TrafficPattern, WorkloadSpec};
+use noc_sim::{SimConfig, SimError, Simulator, TopologyKind, TrafficPattern, WorkloadSpec};
 use rl::{DqnAgent, DqnConfig, EpisodeStats, TabularConfig, TabularQ, TrainConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -60,8 +60,8 @@ pub enum ZooError {
         /// The OS error.
         message: String,
     },
-    /// JSON did not match any supported artifact shape, or a spec string
-    /// was malformed.
+    /// JSON did not match the artifact shape, or a spec string was
+    /// malformed.
     Parse {
         /// What was being parsed.
         context: String,
@@ -167,11 +167,6 @@ pub struct TrainProvenance {
 
 /// One trained policy, in the single versioned on-disk format every
 /// train/evaluate/bench path shares.
-///
-/// Legacy artifacts (the pre-zoo `SavedPolicy` / bench `PolicyArtifact` /
-/// bench `TabularArtifact` JSON shapes) still load through
-/// [`PolicyArtifact::parse`]; they migrate with `provenance: None` and an
-/// empty `config_hash`, which any config-hash-keyed cache treats as a miss.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PolicyArtifact {
     /// Schema version ([`ZOO_SCHEMA_VERSION`]).
@@ -182,40 +177,18 @@ pub struct PolicyArtifact {
     pub encoder: StateEncoder,
     /// The action space used in training.
     pub action_space: ActionSpace,
-    /// Training provenance; `None` for artifacts migrated from legacy
-    /// shapes, which recorded none.
+    /// Training provenance; `None` for artifacts assembled by hand rather
+    /// than by a training run.
     #[serde(default)]
     pub provenance: Option<TrainProvenance>,
     /// Per-episode learning curve.
     #[serde(default)]
     pub curve: Vec<EpisodeStats>,
     /// Content hash of the configuration that trained this policy
-    /// ([`dqn_config_hash`] / [`tabular_config_hash`]); empty for migrated
-    /// legacy artifacts.
+    /// ([`dqn_config_hash`] / [`tabular_config_hash`]); empty when there is
+    /// no provenance, which any config-hash-keyed cache treats as a miss.
     #[serde(default)]
     pub config_hash: String,
-}
-
-/// The pre-zoo DQN artifact shape: covers both the CLI's `SavedPolicy`
-/// (no curve) and the bench harness's `PolicyArtifact` (with curve).
-#[derive(Deserialize)]
-struct LegacyDqn {
-    dqn: DqnConfig,
-    policy_json: String,
-    encoder: StateEncoder,
-    action_space: ActionSpace,
-    #[serde(default)]
-    curve: Vec<EpisodeStats>,
-}
-
-/// The pre-zoo bench `TabularArtifact` shape.
-#[derive(Deserialize)]
-struct LegacyTabular {
-    agent: TabularQ,
-    encoder: StateEncoder,
-    action_space: ActionSpace,
-    #[serde(default)]
-    curve: Vec<EpisodeStats>,
 }
 
 fn hash_hex(text: &str) -> String {
@@ -323,65 +296,26 @@ impl PolicyArtifact {
         }
     }
 
-    /// Parse an artifact from JSON, accepting the versioned shape and all
-    /// three legacy shapes (CLI `SavedPolicy`, bench `PolicyArtifact`,
-    /// bench `TabularArtifact`). Legacy artifacts migrate with
-    /// `provenance: None` and an empty `config_hash`.
+    /// Parse an artifact from JSON. Only the versioned shape is accepted: a
+    /// document without `schema_version` (the pre-zoo `SavedPolicy` /
+    /// `TabularArtifact` files) is a parse error, and a version this build
+    /// does not support is rejected by [`PolicyArtifact::validate`].
     ///
     /// This only parses; call [`PolicyArtifact::validate`] (or use
     /// [`PolicyArtifact::load`], which does both) before deploying.
     ///
     /// # Errors
-    /// Returns [`ZooError::Parse`] if the JSON matches none of the shapes.
+    /// Returns [`ZooError::Parse`] if the JSON is not a versioned artifact.
     pub fn parse(json: &str) -> ZooResult<Self> {
-        // The versioned shape is the only one with a `schema_version` key;
-        // probing for it first keeps error messages for malformed *new*
-        // artifacts precise instead of reporting three failed fallbacks.
-        if json.contains("\"schema_version\"") {
-            return serde_json::from_str::<PolicyArtifact>(json).map_err(|e| ZooError::Parse {
-                context: "versioned policy artifact".into(),
-                message: e.to_string(),
-            });
-        }
-        if let Ok(legacy) = serde_json::from_str::<LegacyTabular>(json) {
-            return Ok(PolicyArtifact {
-                schema_version: ZOO_SCHEMA_VERSION,
-                kind: PolicyKind::Tabular {
-                    agent: legacy.agent,
-                },
-                encoder: legacy.encoder,
-                action_space: legacy.action_space,
-                provenance: None,
-                curve: legacy.curve,
-                config_hash: String::new(),
-            });
-        }
-        if let Ok(legacy) = serde_json::from_str::<LegacyDqn>(json) {
-            return Ok(PolicyArtifact {
-                schema_version: ZOO_SCHEMA_VERSION,
-                kind: PolicyKind::Dqn {
-                    dqn: legacy.dqn,
-                    policy_json: legacy.policy_json,
-                },
-                encoder: legacy.encoder,
-                action_space: legacy.action_space,
-                provenance: None,
-                curve: legacy.curve,
-                config_hash: String::new(),
-            });
-        }
-        Err(ZooError::Parse {
+        serde_json::from_str(json).map_err(|e| ZooError::Parse {
             context: "policy artifact".into(),
-            message: "JSON matches neither the versioned zoo shape nor any legacy shape \
-                      (SavedPolicy / PolicyArtifact / TabularArtifact)"
-                .into(),
+            message: e.to_string(),
         })
     }
 
     /// Check the artifact is deployable: supported schema version, and the
     /// policy's dimensions match the stored encoder and action space. Every
-    /// load path runs this — it is *the* compatibility check the legacy
-    /// formats implemented zero or one times.
+    /// load path runs this.
     ///
     /// # Errors
     /// [`ZooError::SchemaVersion`] or [`ZooError::Incompatible`].
@@ -441,8 +375,7 @@ impl PolicyArtifact {
         })
     }
 
-    /// Load an artifact from `path`: read, parse (versioned or legacy), and
-    /// validate. This is the single entry point every consumer (CLI
+    /// Load an artifact from `path`: read, parse, and validate. This is the single entry point every consumer (CLI
     /// evaluate, bench policy cache, tournament) goes through.
     ///
     /// # Errors
@@ -553,6 +486,17 @@ pub struct ScenarioFamily {
 }
 
 impl ScenarioFamily {
+    /// A family from its parts, under the canonical name [`Self::parse`]
+    /// round-trips.
+    pub fn new(topology: TopologyKind, workload: WorkloadSpec, faults: usize) -> Self {
+        ScenarioFamily {
+            name: format!("{}/{}/f{}", topology.name(), workload.label(), faults),
+            topology,
+            workload,
+            faults,
+        }
+    }
+
     /// Parse a family spec (see the type docs for the grammar).
     ///
     /// # Errors
@@ -609,19 +553,13 @@ impl ScenarioFamily {
                 ))
             }
         };
-        Ok(ScenarioFamily {
-            name: format!("{}/{}/f{}", topology.name(), workload.label(), faults),
-            topology,
-            workload,
-            faults,
-        })
+        Ok(ScenarioFamily::new(topology, workload, faults))
     }
 
     /// Instantiate the family on a base simulator configuration: topology,
     /// workload, and seed applied; routing coerced to a topology-legal
-    /// algorithm; faults drawn off the scenario seed with the same salt the
-    /// sweep engine uses, so the draw is decorrelated from traffic yet
-    /// fully reproducible.
+    /// algorithm; faults drawn off the scenario seed by the sweep engine's
+    /// [`seeded_link_faults`].
     pub fn apply(&self, base: &SimConfig, seed: u64) -> SimConfig {
         let mut config = base
             .clone()
@@ -629,19 +567,8 @@ impl ScenarioFamily {
             .with_workload(self.workload.clone())
             .with_seed(seed);
         config.routing = config.routing.for_topology(self.topology);
-        if self.faults > 0 {
-            let plan = FaultPlan::random_links(
-                &config.topology(),
-                self.faults,
-                mix_seed(seed, 0xFA),
-                0,
-                None,
-            );
-            config = config.with_faults(plan);
-        } else {
-            config = config.with_faults(FaultPlan::empty());
-        }
-        config
+        let plan = seeded_link_faults(&config, self.faults);
+        config.with_faults(plan)
     }
 }
 
@@ -981,7 +908,7 @@ pub fn default_tournament_families() -> Vec<ScenarioFamily> {
     out
 }
 
-/// Configuration of a tournament: which scenario families every policy is
+/// Configuration of a tournament: which scenario families every entrant is
 /// scored against, and the shared evaluation budget.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TournamentConfig {
@@ -996,7 +923,9 @@ pub struct TournamentConfig {
     /// Reward used for scoring (shared across policies, so scores are
     /// comparable even when policies trained under different rewards).
     pub reward: RewardConfig,
-    /// Master seed; cell seeds are `mix_seed(base_seed, cell index)`.
+    /// Master seed; every cell of family column `f` runs on
+    /// `mix_seed(base_seed, f)`, so a column compares its entrants on the
+    /// identical simulation (traffic stream and fault set).
     pub base_seed: u64,
 }
 
@@ -1013,14 +942,14 @@ impl Default for TournamentConfig {
     }
 }
 
-/// One cell of the generalization matrix: one policy on one family.
+/// One cell of the generalization matrix: one entrant on one family.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TournamentCell {
     /// Policy name.
     pub policy: String,
     /// Canonical family name.
     pub family: String,
-    /// The cell's simulation seed.
+    /// The cell's simulation seed (shared by the whole family column).
     pub seed: u64,
     /// Mean per-epoch reward under the tournament's reward config.
     pub score: f64,
@@ -1049,17 +978,17 @@ pub struct PolicyMeanScore {
     pub mean_score: f64,
 }
 
-/// The tournament generalization matrix: every policy × every family, with
-/// per-family winners and per-policy means. Deterministic: cell seeds are
-/// fixed by cell index, cells are computed into index slots, and nothing in
-/// the report depends on the thread count.
+/// The tournament generalization matrix: every entrant × every family, with
+/// per-family winners and per-entrant means. Deterministic: cell seeds are
+/// fixed by family column, cells are computed into index slots, and nothing
+/// in the report depends on the thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TournamentReport {
     /// Schema version ([`ZOO_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// The tournament configuration (axes, budget, seed).
     pub config: TournamentConfig,
-    /// Policy names, row order.
+    /// Entrant names, row order.
     pub policies: Vec<String>,
     /// Cells in row-major (policy-major, family-fastest) order.
     pub cells: Vec<TournamentCell>,
@@ -1069,25 +998,81 @@ pub struct TournamentReport {
     pub mean_score_by_policy: Vec<PolicyMeanScore>,
 }
 
-/// Score every policy against every scenario family on `threads` OS
+/// One row of the tournament matrix: a trained policy, or one of the
+/// built-in baselines — which carry no weights and are built per cell from
+/// the cell's [`SimConfig`].
+#[derive(Debug, Clone)]
+pub enum Entrant {
+    /// A trained policy (boxed: the baselines are zero-sized).
+    Policy(Box<PolicyArtifact>),
+    /// `static-max`: every region pinned at the fastest level.
+    StaticMax,
+    /// `static-min`: every region pinned at the slowest level.
+    StaticMin,
+    /// `threshold`: the reactive occupancy heuristic.
+    Threshold,
+}
+
+impl From<PolicyArtifact> for Entrant {
+    fn from(artifact: PolicyArtifact) -> Self {
+        Entrant::Policy(Box::new(artifact))
+    }
+}
+
+impl Entrant {
+    /// The three built-in baselines under their canonical names, in the
+    /// order every comparison lists them.
+    pub fn baselines() -> Vec<(String, Entrant)> {
+        vec![
+            ("static-max".into(), Entrant::StaticMax),
+            ("static-min".into(), Entrant::StaticMin),
+            ("threshold".into(), Entrant::Threshold),
+        ]
+    }
+
+    /// Build a fresh controller for one run on `sim`.
+    ///
+    /// # Errors
+    /// As [`PolicyArtifact::controller`] for policies; `sim`'s
+    /// configuration error for the threshold baseline, which sizes itself
+    /// from the fabric.
+    pub fn controller(&self, sim: &SimConfig) -> ZooResult<Box<dyn Controller>> {
+        Ok(match self {
+            Entrant::Policy(artifact) => artifact.controller()?,
+            Entrant::StaticMax => Box::new(StaticController::max()),
+            Entrant::StaticMin => Box::new(StaticController::min()),
+            Entrant::Threshold => {
+                let probe = Simulator::new(sim.clone())?;
+                let net = probe.network();
+                Box::new(ThresholdController::new(
+                    net.region_capacity(),
+                    net.topology().num_nodes(),
+                ))
+            }
+        })
+    }
+}
+
+/// Score every entrant against every scenario family on `threads` OS
 /// threads. The report is byte-identical for every `threads` value.
 ///
-/// Every policy is validated, and its observation dimension checked against
-/// the tournament fabric, before any cell runs — a policy trained on a
-/// different region grid fails fast with a structured error naming it.
+/// Every policy entrant is validated, and its observation dimension checked
+/// against the tournament fabric, before any cell runs — a policy trained
+/// on a different region grid fails fast with a structured error naming it.
+/// Baselines observe nothing fabric-specific and need no such check.
 ///
 /// # Errors
 /// Validation/compatibility errors, or the first (in cell order)
 /// simulation error.
 pub fn tournament_matrix(
-    policies: &[(String, PolicyArtifact)],
+    entrants: &[(String, Entrant)],
     config: &TournamentConfig,
     threads: usize,
 ) -> ZooResult<TournamentReport> {
-    if policies.is_empty() {
+    if entrants.is_empty() {
         return Err(ZooError::Parse {
             context: "tournament".into(),
-            message: "no policies to score".into(),
+            message: "no entrants to score".into(),
         });
     }
     if config.families.is_empty() {
@@ -1101,7 +1086,10 @@ pub fn tournament_matrix(
     // environment yields the expected dimensions for every cell.
     let probe = NocEnv::new(NocEnvConfig::for_sim(config.base.clone(), 0))?;
     let expected_dim = probe.encoder().state_dim();
-    for (name, artifact) in policies {
+    for (name, entrant) in entrants {
+        let Entrant::Policy(artifact) = entrant else {
+            continue;
+        };
         artifact.validate().map_err(|e| match e {
             ZooError::Incompatible {
                 field,
@@ -1126,13 +1114,13 @@ pub fn tournament_matrix(
         }
     }
     let nf = config.families.len();
-    let n = policies.len() * nf;
+    let n = entrants.len() * nf;
     let cells: ZooResult<Vec<TournamentCell>> = parallel_map(n, threads, |index| {
         let (p, f) = (index / nf, index % nf);
         let family = &config.families[f];
-        let seed = mix_seed(config.base_seed, index as u64);
+        let seed = mix_seed(config.base_seed, f as u64);
         let sim = family.apply(&config.base, seed);
-        let mut controller = policies[p].1.controller()?;
+        let mut controller = entrants[p].1.controller(&sim)?;
         let run = run_controller(
             &sim,
             controller.as_mut(),
@@ -1150,7 +1138,7 @@ pub fn tournament_matrix(
                 / run.epochs.len() as f64
         };
         Ok(TournamentCell {
-            policy: policies[p].0.clone(),
+            policy: entrants[p].0.clone(),
             family: family.name.clone(),
             seed,
             score,
@@ -1163,7 +1151,7 @@ pub fn tournament_matrix(
     let mut best_by_family = Vec::with_capacity(nf);
     for (f, family) in config.families.iter().enumerate() {
         let mut best: Option<&TournamentCell> = None;
-        for p in 0..policies.len() {
+        for p in 0..entrants.len() {
             let cell = &cells[p * nf + f];
             let better = match best {
                 None => true,
@@ -1173,14 +1161,14 @@ pub fn tournament_matrix(
                 best = Some(cell);
             }
         }
-        let best = best.expect("at least one policy");
+        let best = best.expect("at least one entrant");
         best_by_family.push(FamilyBest {
             family: family.name.clone(),
             policy: best.policy.clone(),
             score: best.score,
         });
     }
-    let mean_score_by_policy = policies
+    let mean_score_by_policy = entrants
         .iter()
         .enumerate()
         .map(|(p, (name, _))| PolicyMeanScore {
@@ -1195,7 +1183,7 @@ pub fn tournament_matrix(
     Ok(TournamentReport {
         schema_version: ZOO_SCHEMA_VERSION,
         config: config.clone(),
-        policies: policies.iter().map(|(n, _)| n.clone()).collect(),
+        policies: entrants.iter().map(|(n, _)| n.clone()).collect(),
         cells,
         best_by_family,
         mean_score_by_policy,
@@ -1212,8 +1200,11 @@ pub fn run_tournament(
     config: &TournamentConfig,
     threads: usize,
 ) -> ZooResult<TournamentReport> {
-    let policies = load_zoo(zoo_dir)?;
-    tournament_matrix(&policies, config, threads)
+    let entrants: Vec<(String, Entrant)> = load_zoo(zoo_dir)?
+        .into_iter()
+        .map(|(name, artifact)| (name, artifact.into()))
+        .collect();
+    tournament_matrix(&entrants, config, threads)
 }
 
 #[cfg(test)]

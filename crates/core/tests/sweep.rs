@@ -240,60 +240,6 @@ fn nan_aggregate_roundtrips_through_json() {
     assert_eq!(to_json(&back), json, "round-trip must be lossless");
 }
 
-/// Golden back-compat pin of the workload refactor: a *legacy* JSON config
-/// (the pre-workload `Stationary {pattern, rate}` form) and the equivalent
-/// single-phase Bernoulli `WorkloadSpec` must produce byte-identical
-/// `SweepReport`s. This is the test that pins the traffic refactor as
-/// behavior-preserving: legacy configs deserialize into workloads that
-/// consume the RNG draw-for-draw like the old generator.
-#[test]
-fn legacy_stationary_config_is_byte_identical_to_workload_equivalent() {
-    // The exact serialized form the pre-workload tree emitted (`throttles`
-    // and `fault_plan` carry serde defaults and may be absent).
-    let legacy_json = r#"{
-        "width": 8, "height": 8, "kind": "Mesh",
-        "num_vcs": 4, "vc_depth": 4, "packet_len": 5,
-        "routing": "Xy",
-        "traffic": {"Stationary": {"pattern": "Uniform", "rate": 0.1}},
-        "vf_table": {"levels": [
-            {"voltage": 0.6, "freq_scale": 0.4},
-            {"voltage": 0.8, "freq_scale": 0.6},
-            {"voltage": 1.0, "freq_scale": 0.8},
-            {"voltage": 1.1, "freq_scale": 1.0}]},
-        "regions_x": 2, "regions_y": 2,
-        "power": {
-            "e_buffer_write": 1.2, "e_buffer_read": 1.0, "e_route": 0.1,
-            "e_vc_alloc": 0.15, "e_sw_arb": 0.2, "e_xbar": 0.8,
-            "e_link": 1.6, "p_leak_router": 0.35, "p_leak_link": 0.05,
-            "idle_leakage_fraction": 1.0},
-        "seed": 1
-    }"#;
-    let legacy: SimConfig = serde_json::from_str(legacy_json).expect("legacy config loads");
-    let modern =
-        SimConfig::default().with_workload(WorkloadSpec::bernoulli(TrafficPattern::Uniform, 0.1));
-    assert_eq!(legacy, modern, "legacy form must deserialize into the spec");
-
-    let grid = |base: SimConfig| SweepGrid {
-        base,
-        sizes: vec![(4, 4)],
-        topologies: vec![TopologyKind::Mesh],
-        patterns: vec![TrafficPattern::Uniform],
-        rates: vec![0.08],
-        routings: vec![RoutingAlgorithm::Xy],
-        warmup: 200,
-        measure: 500,
-        drain: 500,
-        base_seed: 42,
-        ..quick_grid()
-    };
-    let from_legacy = to_json(&grid(legacy).run(2).expect("valid grid"));
-    let from_modern = to_json(&grid(modern).run_serial().expect("valid grid"));
-    assert_eq!(
-        from_legacy, from_modern,
-        "legacy and workload-form configs must sweep to identical bytes"
-    );
-}
-
 /// The sweep determinism guarantee extends to the workloads axis: grids
 /// carrying bursty and phase-changing workload points are byte-identical
 /// across reruns and thread counts.

@@ -1,11 +1,11 @@
-//! Integration tests of the policy zoo: legacy-shape migration, artifact
+//! Integration tests of the policy zoo: the one versioned artifact shape,
 //! round-trip fidelity, structured compatibility errors on every load path,
-//! and byte-identical population training / tournament reports across
-//! thread counts.
+//! and byte-identical population training / tournament reports (policies
+//! and baseline entrants alike) across thread counts.
 
 use noc_selfconf::zoo::{
-    self, dqn_variant, load_zoo, tournament_matrix, train_grid, PolicyArtifact, PolicyKind,
-    ScenarioFamily, TournamentConfig, ZooError, ZooGrid,
+    self, dqn_variant, load_zoo, tournament_matrix, train_grid, Entrant, PolicyArtifact,
+    PolicyKind, ScenarioFamily, TournamentConfig, ZooError, ZooGrid,
 };
 use noc_selfconf::{train_drl, ActionSpace, NocEnvConfig, StateEncoder};
 use noc_sim::SimConfig;
@@ -91,101 +91,51 @@ fn probe_states(seed: u64, dim: usize) -> Vec<Vec<f32>> {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy-shape fixtures: the three pre-zoo JSON formats must keep loading.
+// `schema_version` is the one gate: the three pre-zoo JSON shapes no longer
+// load, and fail with a structured parse error rather than a panic.
 // ---------------------------------------------------------------------------
 
-/// The CLI's pre-zoo `SavedPolicy` shape (no curve).
 #[test]
-fn legacy_saved_policy_shape_loads() {
+fn pre_zoo_shapes_are_parse_errors() {
     let (encoder, action_space) = small_deployment();
     let agent = DqnAgent::new(tiny_dqn(5).with_dims(17, 11));
-    let json = format!(
-        r#"{{"dqn": {}, "policy_json": {}, "encoder": {}, "action_space": {}}}"#,
+    let encoder = serde_json::to_string(&encoder).unwrap();
+    let action_space = serde_json::to_string(&action_space).unwrap();
+    let dqn = format!(
+        r#""dqn": {}, "policy_json": {}, "encoder": {encoder}, "action_space": {action_space}"#,
         serde_json::to_string(agent.config()).unwrap(),
         serde_json::to_string(&agent.policy_to_json().unwrap()).unwrap(),
-        serde_json::to_string(&encoder).unwrap(),
-        serde_json::to_string(&action_space).unwrap(),
     );
-    let artifact = PolicyArtifact::parse(&json).unwrap();
-    assert_eq!(artifact.kind_name(), "dqn");
-    assert!(artifact.provenance.is_none());
-    assert!(artifact.config_hash.is_empty());
-    assert!(artifact.curve.is_empty());
-    artifact.validate().unwrap();
-    // The migrated artifact deploys, and its greedy policy matches the
-    // source agent exactly.
-    let PolicyKind::Dqn { policy_json, .. } = &artifact.kind else {
-        panic!("expected a DQN artifact");
-    };
-    let mut reloaded = DqnAgent::new(tiny_dqn(99).with_dims(17, 11));
-    reloaded.policy_from_json(policy_json).unwrap();
-    for state in probe_states(5, 17) {
-        assert_eq!(reloaded.greedy_action(&state), agent.greedy_action(&state));
-    }
-    assert!(artifact.drl_controller().is_ok());
-}
-
-/// The bench harness's pre-zoo `PolicyArtifact` shape (with curve).
-#[test]
-fn legacy_bench_dqn_shape_loads() {
-    let env = NocEnvConfig::for_sim(small_sim(), 3);
-    let policy = train_drl(env, tiny_dqn(3), tiny_train(3)).unwrap();
-    let json = format!(
-        r#"{{"dqn": {}, "policy_json": {}, "encoder": {}, "action_space": {}, "curve": {}}}"#,
-        serde_json::to_string(policy.agent.config()).unwrap(),
-        serde_json::to_string(&policy.agent.policy_to_json().unwrap()).unwrap(),
-        serde_json::to_string(&policy.encoder).unwrap(),
-        serde_json::to_string(&policy.action_space).unwrap(),
-        serde_json::to_string(&policy.curve).unwrap(),
-    );
-    let artifact = PolicyArtifact::parse(&json).unwrap();
-    assert_eq!(artifact.kind_name(), "dqn");
-    assert_eq!(artifact.curve.len(), policy.curve.len());
-    assert!(artifact.provenance.is_none());
-    artifact.validate().unwrap();
-    assert!(artifact.controller().is_ok());
-}
-
-/// The bench harness's pre-zoo `TabularArtifact` shape.
-#[test]
-fn legacy_tabular_shape_loads() {
-    let (encoder, action_space) = small_deployment();
-    let mut agent = TabularQ::new(TabularConfig {
+    let tabular = TabularQ::new(TabularConfig {
         state_dim: 17,
         num_actions: 11,
         bins: 3,
         ..TabularConfig::default()
     });
-    let mut next = feature_stream(7);
-    for i in 0..40 {
-        let state: Vec<f32> = (0..17).map(|_| next()).collect();
-        let next_state: Vec<f32> = (0..17).map(|_| next()).collect();
-        agent.update(&Transition {
-            state,
-            action: i % 11,
-            reward: next() - 0.5,
-            next_state,
-            done: i % 10 == 0,
-        });
+    for old in [
+        // The CLI's `SavedPolicy`, the bench `PolicyArtifact` (with curve),
+        // and the bench `TabularArtifact`.
+        format!("{{{dqn}}}"),
+        format!(r#"{{{dqn}, "curve": []}}"#),
+        format!(
+            r#"{{"agent": {}, "encoder": {encoder}, "action_space": {action_space}, "curve": []}}"#,
+            serde_json::to_string(&tabular).unwrap()
+        ),
+    ] {
+        match PolicyArtifact::parse(&old) {
+            Err(ZooError::Parse { message, .. }) => {
+                assert!(message.contains("schema_version"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
-    let json = format!(
-        r#"{{"agent": {}, "encoder": {}, "action_space": {}, "curve": []}}"#,
-        serde_json::to_string(&agent).unwrap(),
-        serde_json::to_string(&encoder).unwrap(),
-        serde_json::to_string(&action_space).unwrap(),
-    );
-    let artifact = PolicyArtifact::parse(&json).unwrap();
-    assert_eq!(artifact.kind_name(), "tabular");
-    assert!(artifact.provenance.is_none());
-    artifact.validate().unwrap();
-    let PolicyKind::Tabular { agent: migrated } = &artifact.kind else {
-        panic!("expected a tabular artifact");
-    };
-    assert_eq!(migrated.num_states(), agent.num_states());
-    for state in probe_states(7, 17) {
-        assert_eq!(migrated.greedy_action(&state), agent.greedy_action(&state));
-    }
-    assert!(artifact.tabular_controller().is_ok());
+    // The same rejection through the file load path names the file.
+    let dir = temp_dir("pre_zoo");
+    let path = dir.join("saved_policy.json");
+    std::fs::write(&path, format!("{{{dqn}}}")).unwrap();
+    let message = PolicyArtifact::load(&path).unwrap_err().to_string();
+    assert!(message.contains("saved_policy.json"), "{message}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -199,7 +149,7 @@ fn garbage_json_is_a_parse_error() {
 
 // ---------------------------------------------------------------------------
 // Wrong-dimension artifacts are rejected with a structured error on every
-// load path: versioned file, legacy file, and zoo-directory loads.
+// load path: single-file and zoo-directory loads.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -231,27 +181,6 @@ fn wrong_state_dim_rejected_on_every_load_path() {
     // The error message tells the user how to recover.
     let message = PolicyArtifact::load(&path).unwrap_err().to_string();
     assert!(message.contains("retrain"), "unhelpful error: {message}");
-
-    // Legacy shape with the same mismatch (the path `cmd_evaluate` used to
-    // guard by hand).
-    let (encoder, action_space) = small_deployment();
-    let agent = DqnAgent::new(tiny_dqn(5).with_dims(16, 11)); // encoder makes 17
-    let legacy = format!(
-        r#"{{"dqn": {}, "policy_json": {}, "encoder": {}, "action_space": {}}}"#,
-        serde_json::to_string(agent.config()).unwrap(),
-        serde_json::to_string(&agent.policy_to_json().unwrap()).unwrap(),
-        serde_json::to_string(&encoder).unwrap(),
-        serde_json::to_string(&action_space).unwrap(),
-    );
-    let legacy_path = dir.join("bad_legacy.json");
-    std::fs::write(&legacy_path, legacy).unwrap();
-    assert!(matches!(
-        PolicyArtifact::load(&legacy_path),
-        Err(ZooError::Incompatible {
-            field: "state_dim",
-            ..
-        })
-    ));
 
     // A zoo-directory load hits the same validation (no manifest, so the
     // sorted-filename path is exercised too).
@@ -409,22 +338,37 @@ fn train_grid_is_byte_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir4);
 }
 
+/// A tiny trained DQN artifact on [`small_sim`].
+fn tiny_policy(seed: u64) -> PolicyArtifact {
+    let env = NocEnvConfig::for_sim(small_sim(), seed);
+    let policy = train_drl(env.clone(), tiny_dqn(seed), tiny_train(seed)).unwrap();
+    PolicyArtifact::from_dqn(&policy, env, tiny_train(seed)).unwrap()
+}
+
+fn tiny_tournament(families: &[&str]) -> TournamentConfig {
+    TournamentConfig {
+        base: small_sim(),
+        families: families
+            .iter()
+            .map(|f| ScenarioFamily::parse(f).unwrap())
+            .collect(),
+        epochs: 2,
+        epoch_cycles: 60,
+        ..TournamentConfig::default()
+    }
+}
+
 #[test]
 fn tournament_report_is_deterministic_across_thread_counts() {
     let dir = temp_dir("tournament");
     let grid = tiny_grid(7);
     train_grid(&grid, &dir, 2).unwrap();
-    let policies = load_zoo(&dir).unwrap();
-    let config = TournamentConfig {
-        base: small_sim(),
-        families: vec![
-            ScenarioFamily::parse("mesh/uniform/r0.1").unwrap(),
-            ScenarioFamily::parse("torus/ph[uniform:burst0.3x0.05]/f1").unwrap(),
-        ],
-        epochs: 2,
-        epoch_cycles: 60,
-        ..TournamentConfig::default()
-    };
+    let policies: Vec<(String, Entrant)> = load_zoo(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|(name, artifact)| (name, artifact.into()))
+        .collect();
+    let config = tiny_tournament(&["mesh/uniform/r0.1", "torus/ph[uniform:burst0.3x0.05]/f1"]);
     let r1 = tournament_matrix(&policies, &config, 1).unwrap();
     let r3 = tournament_matrix(&policies, &config, 3).unwrap();
     assert_eq!(
@@ -460,21 +404,70 @@ fn tournament_rejects_policies_from_a_different_fabric() {
     // A policy trained on a 2x2-region grid cannot enter a tournament on an
     // 8x8 fabric with 2x2 regions of *different* node count? Regions match,
     // so use a 4x4-region fabric where the observation really is wider.
-    let env = NocEnvConfig::for_sim(small_sim(), 9);
-    let policy = train_drl(env.clone(), tiny_dqn(9), tiny_train(9)).unwrap();
-    let artifact = PolicyArtifact::from_dqn(&policy, env, tiny_train(9)).unwrap();
     let config = TournamentConfig {
         base: SimConfig::default().with_regions(4, 4), // 8x8, 16 regions
-        families: vec![ScenarioFamily::parse("mesh/uniform/r0.1").unwrap()],
         epochs: 1,
-        epoch_cycles: 60,
-        ..TournamentConfig::default()
+        ..tiny_tournament(&["mesh/uniform/r0.1"])
     };
-    match tournament_matrix(&[("small-fabric".into(), artifact)], &config, 1) {
+    // Baselines size themselves from the cell's fabric: no dimension check
+    // applies, and they run on the 16-region mesh as they are.
+    let mut entrants = Entrant::baselines();
+    let report = tournament_matrix(&entrants, &config, 1).unwrap();
+    assert_eq!(report.policies, ["static-max", "static-min", "threshold"]);
+    // Add the small-fabric policy and the matrix fails before any cell
+    // runs, naming it.
+    entrants.push(("small-fabric".into(), tiny_policy(9).into()));
+    match tournament_matrix(&entrants, &config, 1) {
         Err(ZooError::Incompatible { policy, field, .. }) => {
             assert_eq!(policy, "small-fabric");
             assert_eq!(field, "state_dim");
         }
         other => panic!("expected a structured incompatibility, got {other:?}"),
     }
+}
+
+/// The unified matrix: baselines and a trained policy side by side, over a
+/// healthy and a faulted family, byte-identical at any thread count.
+#[test]
+fn mixed_entrant_matrix_is_byte_identical_across_thread_counts() {
+    let mut entrants = Entrant::baselines();
+    entrants.push(("drl".into(), tiny_policy(13).into()));
+    let config = tiny_tournament(&["mesh/uniform/r0.1", "mesh/uniform/r0.1/f1"]);
+    let r1 = tournament_matrix(&entrants, &config, 1).unwrap();
+    let r3 = tournament_matrix(&entrants, &config, 3).unwrap();
+    assert_eq!(
+        serde_json::to_string_pretty(&r1).unwrap(),
+        serde_json::to_string_pretty(&r3).unwrap()
+    );
+    assert_eq!(r1.cells.len(), 4 * 2);
+    assert_eq!(
+        r1.policies,
+        ["static-max", "static-min", "threshold", "drl"]
+    );
+    // Each baseline cell was driven by the controller its name promises.
+    for cell in &r1.cells[..6] {
+        assert_eq!(cell.aggregate.controller, cell.policy);
+    }
+}
+
+/// The column seed: every entrant of one family runs the identical
+/// simulation (same traffic stream, same dead links), so one artifact
+/// entered under two names scores identically in every column.
+#[test]
+fn one_artifact_under_two_names_scores_identically_per_column() {
+    let artifact = tiny_policy(21);
+    let entrants = vec![
+        ("first".to_string(), Entrant::from(artifact.clone())),
+        ("second".to_string(), Entrant::from(artifact)),
+    ];
+    let config = tiny_tournament(&["mesh/uniform/r0.1", "torus/uniform/r0.1/f2"]);
+    let report = tournament_matrix(&entrants, &config, 2).unwrap();
+    let nf = config.families.len();
+    for f in 0..nf {
+        let (a, b) = (&report.cells[f], &report.cells[nf + f]);
+        assert_eq!(a.seed, b.seed, "column {f} shares one seed");
+        assert_eq!(a.aggregate, b.aggregate, "column {f}");
+        assert_eq!(a.score, b.score);
+    }
+    assert_ne!(report.cells[0].seed, report.cells[1].seed);
 }

@@ -792,13 +792,7 @@ impl WorkloadSpec {
 
 /// Traffic specification: a rate-based [`WorkloadSpec`] or an explicit
 /// packet schedule (trace-driven traffic).
-///
-/// Serialization note: this enum has hand-written serde impls so legacy
-/// configuration files keep loading. The pre-workload variants
-/// `Stationary {pattern, rate}` and `PhaseTrace {phases: [{pattern, rate,
-/// cycles}]}` deserialize into the equivalent single-/multi-phase Bernoulli
-/// [`WorkloadSpec`] with byte-identical simulation behavior.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TrafficSpec {
     /// A rate-based workload (phases of pattern × injection process).
     Workload(WorkloadSpec),
@@ -831,80 +825,6 @@ impl TrafficSpec {
         match self {
             TrafficSpec::Workload(w) => w.validate(topo),
             TrafficSpec::Trace(trace) => trace.validate(topo),
-        }
-    }
-}
-
-impl serde::Serialize for TrafficSpec {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let build = || -> Result<serde::Value, serde::SerError> {
-            let (tag, inner) = match self {
-                TrafficSpec::Workload(w) => ("Workload", serde::to_value(w)?),
-                TrafficSpec::Trace(t) => ("Trace", serde::to_value(t)?),
-            };
-            Ok(serde::Value::Map(vec![(tag.to_string(), inner)]))
-        };
-        match build() {
-            Ok(v) => s.serialize_value(v),
-            Err(e) => Err(<S::Error as serde::ser::Error>::custom(e)),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for TrafficSpec {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let fail = |msg: String| <D::Error as serde::de::Error>::custom(msg);
-        let v = d.value();
-        let entries = v
-            .as_map()
-            .filter(|m| m.len() == 1)
-            .ok_or_else(|| fail("TrafficSpec: expected a single-variant object".into()))?;
-        let (tag, inner) = &entries[0];
-        fn field<'a, E: serde::de::Error>(
-            obj: &'a serde::Value,
-            tag: &str,
-            key: &str,
-        ) -> Result<&'a serde::Value, E> {
-            obj.get(key)
-                .ok_or_else(|| E::custom(format!("TrafficSpec::{tag}: missing field `{key}`")))
-        }
-        let field = |obj, key| field::<D::Error>(obj, tag, key);
-        match tag.as_str() {
-            "Workload" => Ok(TrafficSpec::Workload(
-                serde::from_value(inner).map_err(|e| fail(e.to_string()))?,
-            )),
-            "Trace" => Ok(TrafficSpec::Trace(
-                serde::from_value(inner).map_err(|e| fail(e.to_string()))?,
-            )),
-            // Legacy (pre-workload) forms, kept loadable forever: the
-            // equivalent Bernoulli workloads reproduce them byte-for-byte.
-            "Stationary" => {
-                let pattern: TrafficPattern =
-                    serde::from_value(field(inner, "pattern")?).map_err(|e| fail(e.to_string()))?;
-                let rate: f64 =
-                    serde::from_value(field(inner, "rate")?).map_err(|e| fail(e.to_string()))?;
-                Ok(TrafficSpec::Workload(WorkloadSpec::bernoulli(
-                    pattern, rate,
-                )))
-            }
-            "PhaseTrace" => {
-                let phases = field(inner, "phases")?
-                    .as_seq()
-                    .ok_or_else(|| fail("TrafficSpec::PhaseTrace: `phases` must be a list".into()))?
-                    .iter()
-                    .map(|p| {
-                        let pattern: TrafficPattern = serde::from_value(field(p, "pattern")?)
-                            .map_err(|e| fail(e.to_string()))?;
-                        let rate: f64 = serde::from_value(field(p, "rate")?)
-                            .map_err(|e| fail(e.to_string()))?;
-                        let cycles: u64 = serde::from_value(field(p, "cycles")?)
-                            .map_err(|e| fail(e.to_string()))?;
-                        Ok(WorkloadPhase::bernoulli(pattern, rate, cycles))
-                    })
-                    .collect::<Result<Vec<WorkloadPhase>, D::Error>>()?;
-                Ok(TrafficSpec::Workload(WorkloadSpec::new(phases)))
-            }
-            other => Err(fail(format!("TrafficSpec: unknown variant `{other}`"))),
         }
     }
 }
@@ -1610,27 +1530,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_spec_json_deserializes_into_workloads() {
-        // Pre-workload serialized forms must keep loading, as the
-        // equivalent Bernoulli workloads.
-        let stationary = r#"{"Stationary":{"pattern":"Uniform","rate":0.1}}"#;
-        let spec: TrafficSpec = serde_json::from_str(stationary).unwrap();
-        assert_eq!(spec, TrafficSpec::stationary(TrafficPattern::Uniform, 0.1));
-
-        let phased = r#"{"PhaseTrace":{"phases":[
-            {"pattern":"Uniform","rate":0.05,"cycles":100},
-            {"pattern":"Transpose","rate":0.2,"cycles":50}]}}"#;
-        let spec: TrafficSpec = serde_json::from_str(phased).unwrap();
-        assert_eq!(
-            spec,
-            TrafficSpec::Workload(WorkloadSpec::new(vec![
-                WorkloadPhase::bernoulli(TrafficPattern::Uniform, 0.05, 100),
-                WorkloadPhase::bernoulli(TrafficPattern::Transpose, 0.2, 50),
-            ]))
-        );
-
-        assert!(serde_json::from_str::<TrafficSpec>(r#"{"Mystery":{}}"#).is_err());
-        assert!(serde_json::from_str::<TrafficSpec>(r#"{"Stationary":{"rate":0.1}}"#).is_err());
+    fn pre_workload_spec_json_is_a_serde_error() {
+        // The `Stationary` / `PhaseTrace` tags were retired with the
+        // hand-written serde: they are unknown variants now, reported as
+        // errors rather than panics.
+        for old in [
+            r#"{"Stationary":{"pattern":"Uniform","rate":0.1}}"#,
+            r#"{"PhaseTrace":{"phases":[{"pattern":"Uniform","rate":0.05,"cycles":100}]}}"#,
+        ] {
+            let err = serde_json::from_str::<TrafficSpec>(old).unwrap_err();
+            assert!(err.to_string().contains("unknown variant"), "{err}");
+        }
+        assert!(serde_json::from_str::<TrafficSpec>(r#"{"Workload":{}}"#).is_err());
     }
 
     #[test]

@@ -145,7 +145,7 @@ proptest! {
     }
 
     /// Workload specs survive a serde JSON round-trip exactly, including the
-    /// legacy-compatible `TrafficSpec` wrapper.
+    /// `TrafficSpec` wrapper.
     #[test]
     fn workload_spec_json_roundtrips(seed in 0u64..1_000_000) {
         let spec = arb_workload(seed);
