@@ -1,10 +1,6 @@
-//! Machine-readable performance tracking: the `noc-cli bench` subsystem.
+//! Machine-readable performance reporting: the `noc-cli bench` subsystem.
 //!
-//! The ROADMAP's north star is a system that runs "as fast as the hardware
-//! allows" — which is unfalsifiable without machine-readable perf history.
-//! This module provides it:
-//!
-//! * [`run_suite`] executes a fixed set of timed workloads (cycle-level
+//! * [`run_suite`] executes a fixed set of 25 timed workloads (cycle-level
 //!   simulation on several mesh/pattern points plus torus and faulted-fabric
 //!   scenarios, batched DQN training steps,
 //!   full `NocEnv` control epochs, and a parallel sweep-grid fan-out),
@@ -12,24 +8,13 @@
 //!   **interquartile range** of the wall-clock cost plus derived rates
 //!   (cycles/sec, flits/sec, steps/sec, ...).
 //! * [`BenchReport`] serializes to a deterministic-schema JSON artifact,
-//!   conventionally named `BENCH_<git-sha>.json`, so perf history can be
-//!   diffed across commits.
-//! * [`compare`] diffs two reports workload-by-workload and flags median
-//!   regressions beyond a tolerance — the CI perf gate.
+//!   conventionally named `BENCH_<git-sha>.json`.
 //!
-//! Wall-clock numbers are inherently machine-dependent; reports record the
-//! median of several repeats to tame scheduler noise. The CI gate applies a
-//! **per-workload** tolerance when the baseline carries one (fast workloads
-//! are noisier than slow ones, so a single global knob either lets slow
-//! regressions through or flakes on fast points), falling back to a generous
-//! global (30 %) tolerance otherwise. A baseline workload may additionally
-//! carry an absolute `target_units_per_sec` floor — the candidate fails the
-//! gate outright when it runs below it, regardless of relative deltas, which
-//! is how the "8x8 uniform\@0.10 sustains ≥ 100k cycles/sec" promise is held.
-//!
-//! [`append_trajectory`] distils each gated run to one CSV line (sha, date,
-//! headline cycles/sec) appended to `results/trajectory.csv`, giving a
-//! commit-over-commit perf history that survives artifact expiry.
+//! This module only reports. Wall-clock numbers are machine-dependent, so
+//! a report is never judged against a stored one: whether a change made
+//! the code slower is decided by the `benchmark/` harness, which builds
+//! the parent and the change on one machine and compares paired runs (see
+//! `benchmark/README.md`).
 
 use noc_selfconf::{zoo, ActionSpace, NocEnv, NocEnvConfig, RewardConfig, SweepGrid};
 use noc_sim::{
@@ -43,13 +28,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Version stamped into every report; bump on schema changes so `compare`
-/// can refuse apples-to-oranges diffs.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// Default regression tolerance of the CI gate: a workload regresses when
-/// its median wall-clock grows by more than this fraction.
-pub const DEFAULT_TOLERANCE: f64 = 0.30;
+/// Version stamped into every report; bump on schema changes so readers
+/// of the artifact can tell layouts apart. Version 2 dropped the two
+/// per-workload budget keys that only a curated baseline ever set.
+pub const BENCH_SCHEMA_VERSION: u32 = 2;
 
 /// Budget knobs for one suite run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,8 +83,7 @@ impl BenchSuiteConfig {
 /// One measured workload of the suite.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadResult {
-    /// Stable identifier, e.g. `sim/8x8/uniform/r0.10` — the key `compare`
-    /// matches on.
+    /// Stable identifier, e.g. `sim/8x8/uniform/r0.10`.
     pub name: String,
     /// Human-readable scenario metadata (mesh, pattern, budget, batch, ...).
     pub params: String,
@@ -120,16 +101,6 @@ pub struct WorkloadResult {
     pub units_per_sec: f64,
     /// Flits delivered per second (simulator workloads only).
     pub flits_per_sec: Option<f64>,
-    /// Per-workload regression tolerance. Set in curated baselines; when
-    /// present it overrides the global `--tolerance` for this workload in
-    /// [`compare`]. Fresh suite runs leave it unset.
-    #[serde(default)]
-    pub tolerance: Option<f64>,
-    /// Absolute floor on the candidate's `units_per_sec`. Set in curated
-    /// baselines; a candidate below the floor fails the gate even if its
-    /// relative delta is within tolerance. Fresh suite runs leave it unset.
-    #[serde(default)]
-    pub target_units_per_sec: Option<f64>,
 }
 
 /// The serialized artifact: one suite run on one commit.
@@ -218,79 +189,6 @@ pub fn median_iqr(samples: &mut [u64]) -> (u64, u64) {
     (median, q3.saturating_sub(q1))
 }
 
-/// Headline workloads distilled into the trajectory CSV, in column order:
-/// the loaded and idle-heavy points at both tracked fabric sizes.
-pub const TRAJECTORY_WORKLOADS: [&str; 4] = [
-    "sim/8x8/uniform/r0.10",
-    "sim/8x8/uniform/r0.01",
-    "sim/16x16/uniform/r0.10",
-    "sim/16x16/uniform/r0.01",
-];
-
-/// Header line of `trajectory.csv` (no trailing newline).
-pub fn trajectory_header() -> String {
-    let mut out = String::from("sha,date");
-    for name in TRAJECTORY_WORKLOADS {
-        let _ = write!(out, ",{name}");
-    }
-    out
-}
-
-/// One trajectory row for `report` (no trailing newline): commit sha, UTC
-/// date, then cycles/sec for each headline workload (empty cell when the
-/// report lacks the workload, so schema drift stays visible instead of
-/// shifting columns).
-pub fn trajectory_line(report: &BenchReport) -> String {
-    let mut out = format!("{},{}", report.git_sha, utc_date_string());
-    for name in TRAJECTORY_WORKLOADS {
-        match report.workloads.iter().find(|w| w.name == name) {
-            Some(w) => {
-                let _ = write!(out, ",{:.0}", w.units_per_sec);
-            }
-            None => out.push(','),
-        }
-    }
-    out
-}
-
-/// Append `report`'s trajectory row to the CSV at `path`, writing the
-/// header first when the file is missing or empty.
-///
-/// # Errors
-/// Propagates filesystem errors from opening or writing the file.
-pub fn append_trajectory(report: &BenchReport, path: &std::path::Path) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let needs_header = std::fs::metadata(path).map_or(true, |m| m.len() == 0);
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if needs_header {
-        writeln!(file, "{}", trajectory_header())?;
-    }
-    writeln!(file, "{}", trajectory_line(report))
-}
-
-/// Today's UTC date as `YYYY-MM-DD`, from the system clock. Uses the
-/// days-to-civil conversion of Hinnant's date algorithms; no external
-/// time crate needed for a date stamp.
-fn utc_date_string() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 /// The git commit of the working tree, or `unknown`.
 pub fn detect_git_sha() -> String {
     std::process::Command::new("git")
@@ -337,8 +235,6 @@ impl BenchReport {
             unit: unit.to_string(),
             units_per_sec: units as f64 / secs,
             flits_per_sec: flits.map(|f| f as f64 / secs),
-            tolerance: None,
-            target_units_per_sec: None,
         });
     }
 }
@@ -799,191 +695,6 @@ fn bench_agent() -> DqnAgent {
     agent
 }
 
-/// One workload's delta between two reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchDelta {
-    /// Workload identifier.
-    pub name: String,
-    /// Baseline median, nanoseconds.
-    pub old_median_ns: u64,
-    /// Candidate median, nanoseconds.
-    pub new_median_ns: u64,
-    /// `(new - old) / old`; positive means slower.
-    pub delta_frac: f64,
-    /// The tolerance this workload was judged against: the baseline's
-    /// per-workload value when present, else the global fallback.
-    pub tolerance: f64,
-    /// Candidate units per second (for target checks and the table).
-    pub new_units_per_sec: f64,
-    /// Absolute `units_per_sec` floor from the baseline, if any.
-    pub target_units_per_sec: Option<f64>,
-    /// Whether the delta exceeds this workload's tolerance.
-    pub regression: bool,
-    /// Whether the candidate ran below the absolute target floor.
-    pub missed_target: bool,
-}
-
-impl BenchDelta {
-    /// Whether this workload fails the gate (relative regression or an
-    /// absolute target miss).
-    pub fn failed(&self) -> bool {
-        self.regression || self.missed_target
-    }
-}
-
-/// Outcome of diffing two reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Comparison {
-    /// Global fallback tolerance (workloads without a baseline override).
-    pub tolerance: f64,
-    /// Per-workload deltas, in baseline order.
-    pub deltas: Vec<BenchDelta>,
-    /// Baseline workloads absent from the candidate (treated as failures:
-    /// a silently dropped workload must force a baseline refresh).
-    pub missing_in_new: Vec<String>,
-    /// Candidate workloads absent from the baseline (informational).
-    pub missing_in_old: Vec<String>,
-}
-
-impl Comparison {
-    /// Number of gate failures (regressions, target misses, and dropped
-    /// workloads).
-    pub fn failures(&self) -> usize {
-        self.deltas.iter().filter(|d| d.failed()).count() + self.missing_in_new.len()
-    }
-
-    /// Names of the workloads that breached their own budget (relative
-    /// tolerance or absolute target), in baseline order.
-    pub fn breached(&self) -> Vec<&str> {
-        self.deltas
-            .iter()
-            .filter(|d| d.failed())
-            .map(|d| d.name.as_str())
-            .collect()
-    }
-
-    /// Render the delta table plus a verdict line. Every row shows the
-    /// tolerance that judged it; failing rows say *which* budget broke
-    /// (relative slowdown vs absolute target), and the trailing summary
-    /// names every breaching workload so CI logs are self-explanatory.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<34} {:>12} {:>12} {:>9} {:>6}  verdict",
-            "workload", "old median", "new median", "delta", "tol"
-        );
-        for d in &self.deltas {
-            let verdict = if d.regression && d.missed_target {
-                "REGRESSION+TARGET".to_string()
-            } else if d.regression {
-                "REGRESSION".to_string()
-            } else if d.missed_target {
-                format!(
-                    "MISSED TARGET ({:.0} < {:.0} {}/s)",
-                    d.new_units_per_sec,
-                    d.target_units_per_sec.unwrap_or(0.0),
-                    "units"
-                )
-            } else {
-                "ok".to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{:<34} {:>12} {:>12} {:>+8.1}% {:>5.0}%  {}",
-                d.name,
-                fmt_ns(d.old_median_ns),
-                fmt_ns(d.new_median_ns),
-                d.delta_frac * 100.0,
-                d.tolerance * 100.0,
-                verdict,
-            );
-        }
-        for name in &self.missing_in_new {
-            let _ = writeln!(out, "{name:<34} MISSING from candidate report");
-        }
-        for name in &self.missing_in_old {
-            let _ = writeln!(out, "{name:<34} new workload (no baseline)");
-        }
-        let _ = writeln!(
-            out,
-            "{} workload(s) compared, {} failure(s) \
-             ({:.0}% fallback tolerance, per-workload overrides applied)",
-            self.deltas.len(),
-            self.failures(),
-            self.tolerance * 100.0
-        );
-        let breached = self.breached();
-        if !breached.is_empty() {
-            let _ = writeln!(out, "breached budget: {}", breached.join(", "));
-        }
-        out
-    }
-}
-
-/// Diff `new` against the `old` baseline: a workload regresses when its
-/// median wall-clock grew by more than its tolerance (the baseline
-/// workload's own `tolerance` when present, else the global `tolerance`
-/// fallback), and fails outright when the baseline sets a
-/// `target_units_per_sec` floor the candidate runs below.
-///
-/// # Errors
-/// Returns an error when the schema versions or suite budgets differ —
-/// medians from different budgets (e.g. a `full` run vs a `quick`
-/// baseline) share workload names but time different amounts of work, so
-/// diffing them would report enormous phantom regressions.
-pub fn compare(old: &BenchReport, new: &BenchReport, tolerance: f64) -> Result<Comparison, String> {
-    if old.schema_version != new.schema_version {
-        return Err(format!(
-            "schema mismatch: baseline v{} vs candidate v{} — refresh the baseline",
-            old.schema_version, new.schema_version
-        ));
-    }
-    if old.config != new.config {
-        return Err(format!(
-            "suite-budget mismatch: baseline ran `{}` budgets, candidate ran `{}` \
-             ({:?} vs {:?}) — rerun with matching flags or refresh the baseline",
-            old.mode, new.mode, old.config, new.config
-        ));
-    }
-    let mut deltas = Vec::new();
-    let mut missing_in_new = Vec::new();
-    for ow in &old.workloads {
-        match new.workloads.iter().find(|nw| nw.name == ow.name) {
-            Some(nw) => {
-                let delta_frac =
-                    (nw.median_ns as f64 - ow.median_ns as f64) / (ow.median_ns as f64).max(1.0);
-                let tol = ow.tolerance.unwrap_or(tolerance);
-                let target = ow.target_units_per_sec;
-                deltas.push(BenchDelta {
-                    name: ow.name.clone(),
-                    old_median_ns: ow.median_ns,
-                    new_median_ns: nw.median_ns,
-                    delta_frac,
-                    tolerance: tol,
-                    new_units_per_sec: nw.units_per_sec,
-                    target_units_per_sec: target,
-                    regression: delta_frac > tol,
-                    missed_target: target.is_some_and(|t| nw.units_per_sec < t),
-                });
-            }
-            None => missing_in_new.push(ow.name.clone()),
-        }
-    }
-    let missing_in_old = new
-        .workloads
-        .iter()
-        .filter(|nw| !old.workloads.iter().any(|ow| ow.name == nw.name))
-        .map(|nw| nw.name.clone())
-        .collect();
-    Ok(Comparison {
-        tolerance,
-        deltas,
-        missing_in_new,
-        missing_in_old,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,16 +726,15 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // The suite is the checked-in baseline's table — same rows, same
-        // order, same units — so `--compare` against it needs no refresh.
-        let baseline: BenchReport =
-            serde_json::from_str(include_str!("../../../results/bench_baseline.json")).unwrap();
-        let rows = |r: &BenchReport| -> Vec<(String, String)> {
-            let row = |w: &WorkloadResult| (w.name.clone(), w.unit.clone());
-            r.workloads.iter().map(row).collect()
-        };
-        assert_eq!(rows(&report), rows(&baseline));
-        assert_eq!(report.workloads.len(), 25);
+        // 25 uniquely named rows, the `sim/*` table first and in
+        // `sim_points()` order.
+        let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
+        assert_eq!(names.len(), 25);
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate workload name");
+        let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();
+        let sim_prefix = names.iter().take_while(|n| n.starts_with("sim/"));
+        assert!(sim_prefix.eq(sim_names.iter()));
         for w in &report.workloads {
             assert!(w.median_ns > 0, "{} must take time", w.name);
             assert!(w.units_per_sec > 0.0, "{} must have a rate", w.name);
@@ -1050,148 +760,6 @@ mod tests {
         for w in &report.workloads {
             assert!(table.contains(&w.name));
         }
-    }
-
-    #[test]
-    fn self_comparison_reports_zero_failures() {
-        let report = run_suite(tiny_config(), "tiny", "cafe".into());
-        let cmp = compare(&report, &report, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), 0);
-        assert_eq!(cmp.deltas.len(), report.workloads.len());
-        assert!(cmp.deltas.iter().all(|d| d.delta_frac == 0.0));
-        assert!(cmp.render_table().contains("0 failure(s)"));
-    }
-
-    #[test]
-    fn slowdowns_beyond_tolerance_are_regressions() {
-        let old = run_suite(tiny_config(), "tiny", "old".into());
-        let mut new = old.clone();
-        for w in &mut new.workloads {
-            w.median_ns *= 2; // +100% >> 30%
-        }
-        let cmp = compare(&old, &new, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), old.workloads.len());
-        assert!(cmp.render_table().contains("REGRESSION"));
-        // Speedups never trip the gate.
-        let cmp = compare(&new, &old, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), 0);
-    }
-
-    #[test]
-    fn dropped_workloads_fail_the_gate() {
-        let old = run_suite(tiny_config(), "tiny", "old".into());
-        let mut new = old.clone();
-        let dropped = new.workloads.remove(0);
-        let cmp = compare(&old, &new, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), 1);
-        assert_eq!(cmp.missing_in_new, vec![dropped.name.clone()]);
-        assert!(cmp.render_table().contains("MISSING"));
-        // A workload only the candidate has is informational, not a failure.
-        let cmp = compare(&new, &old, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), 0);
-        assert_eq!(cmp.missing_in_old, vec![dropped.name]);
-    }
-
-    #[test]
-    fn per_workload_tolerance_overrides_the_global_fallback() {
-        let old = run_suite(tiny_config(), "tiny", "old".into());
-        let mut new = old.clone();
-        for w in &mut new.workloads {
-            w.median_ns = w.median_ns * 3 / 2; // +50%: above 30%, below 80%
-        }
-        // Globally this is a regression everywhere...
-        let cmp = compare(&old, &new, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), old.workloads.len());
-        // ...but a baseline that grants workload 0 an 80% budget exempts
-        // exactly that workload, and the delta records which tolerance
-        // actually judged it.
-        let mut curated = old.clone();
-        curated.workloads[0].tolerance = Some(0.80);
-        let cmp = compare(&curated, &new, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), old.workloads.len() - 1);
-        assert!(!cmp.deltas[0].regression);
-        assert_eq!(cmp.deltas[0].tolerance, 0.80);
-        assert_eq!(cmp.deltas[1].tolerance, DEFAULT_TOLERANCE);
-        // The summary names every breaching workload — and not the exempt one.
-        let table = cmp.render_table();
-        assert!(table.contains("breached budget:"));
-        assert!(!cmp.breached().contains(&cmp.deltas[0].name.as_str()));
-    }
-
-    #[test]
-    fn absolute_target_floors_fail_independently_of_deltas() {
-        let old = run_suite(tiny_config(), "tiny", "old".into());
-        let new = old.clone();
-        // Identical medians: zero delta everywhere. An unreachable floor on
-        // workload 0 must still fail the gate and name the workload.
-        let mut curated = old.clone();
-        curated.workloads[0].target_units_per_sec = Some(f64::INFINITY);
-        let cmp = compare(&curated, &new, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), 1);
-        assert!(cmp.deltas[0].missed_target && !cmp.deltas[0].regression);
-        assert_eq!(cmp.breached(), vec![cmp.deltas[0].name.as_str()]);
-        assert!(cmp.render_table().contains("MISSED TARGET"));
-        // A floor the candidate clears is not a failure.
-        let mut curated = old.clone();
-        curated.workloads[0].target_units_per_sec = Some(0.0);
-        let cmp = compare(&curated, &new, DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cmp.failures(), 0);
-    }
-
-    #[test]
-    fn trajectory_rows_track_the_headline_workloads() {
-        let report = run_suite(tiny_config(), "tiny", "abc123".into());
-        let header = trajectory_header();
-        assert!(header.starts_with("sha,date"));
-        for name in TRAJECTORY_WORKLOADS {
-            assert!(header.contains(name), "header lacks {name}");
-        }
-        let line = trajectory_line(&report);
-        assert!(line.starts_with("abc123,"));
-        assert_eq!(
-            line.matches(',').count(),
-            header.matches(',').count(),
-            "row/header column mismatch"
-        );
-        // Every headline workload exists in the suite, so no cell is empty.
-        assert!(!line.contains(",,") && !line.ends_with(','));
-        // The date cell is YYYY-MM-DD.
-        let date = line.split(',').nth(1).unwrap();
-        assert_eq!(date.len(), 10, "bad date stamp {date}");
-        assert!(date.as_bytes()[4] == b'-' && date.as_bytes()[7] == b'-');
-
-        let dir = std::env::temp_dir().join(format!("traj-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trajectory.csv");
-        append_trajectory(&report, &path).unwrap();
-        append_trajectory(&report, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "header once, then one row per append");
-        assert_eq!(lines[0], header);
-        assert_eq!(lines[1], lines[2]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_an_error() {
-        let old = run_suite(tiny_config(), "tiny", "old".into());
-        let mut new = old.clone();
-        new.schema_version += 1;
-        assert!(compare(&old, &new, DEFAULT_TOLERANCE).is_err());
-    }
-
-    #[test]
-    fn suite_budget_mismatch_is_an_error() {
-        // A full-budget candidate against a quick-budget baseline times
-        // different work under the same workload names; the diff must be
-        // refused, not reported as a phantom regression.
-        let old = run_suite(tiny_config(), "tiny", "old".into());
-        let mut new = old.clone();
-        new.config.sim_cycles *= 10;
-        new.mode = "full".into();
-        let err = compare(&old, &new, DEFAULT_TOLERANCE).unwrap_err();
-        assert!(err.contains("budget mismatch"), "unexpected error: {err}");
     }
 
     #[test]

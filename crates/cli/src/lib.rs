@@ -133,6 +133,22 @@ pub fn cmd_simulate(config_path: Option<&str>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Parse `sweep`'s positionals `<rate0> <rate1> <steps>`.
+///
+/// # Errors
+/// Returns a usage error unless there are exactly two rates and a step
+/// count that is a plain unsigned integer.
+pub fn parse_sweep_args(args: &[String]) -> Result<(f64, f64, usize), CliError> {
+    let [rate0, rate1, steps] = args else {
+        return Err(CliError("sweep requires <rate0> <rate1> <steps>".into()));
+    };
+    Ok((
+        parse_value("rate0", rate0)?,
+        parse_value("rate1", rate1)?,
+        parse_value("steps", steps)?,
+    ))
+}
+
 /// `sweep`: latency/throughput across an injection-rate range.
 pub fn cmd_sweep(rate0: f64, rate1: f64, steps: usize) -> Result<(), CliError> {
     if steps < 2 || !(0.0..=1.0).contains(&rate0) || !(0.0..=1.0).contains(&rate1) {
@@ -671,17 +687,8 @@ pub struct BenchOptions {
     pub repeats: Option<usize>,
     /// Write the report here (default: `BENCH_<git-sha>.json`).
     pub out: Option<String>,
-    /// Baseline report to compare against.
-    pub compare: Option<String>,
-    /// Candidate report to compare (skips running the suite).
-    pub against: Option<String>,
-    /// Fractional regression tolerance for `--compare`.
-    pub tolerance: f64,
     /// Git SHA to stamp into the report (default: auto-detected).
     pub sha: Option<String>,
-    /// Append a one-line summary (sha, date, headline cycles/sec) to this
-    /// CSV after the run — the committed perf-history file.
-    pub trajectory: Option<String>,
     /// Suite budget override (tests use tiny budgets; not CLI-reachable).
     pub suite: Option<noc_bench::report::BenchSuiteConfig>,
 }
@@ -695,121 +702,55 @@ pub fn parse_bench_args(args: &[String]) -> Result<BenchOptions, CliError> {
         quick: false,
         repeats: None,
         out: None,
-        compare: None,
-        against: None,
-        tolerance: noc_bench::report::DEFAULT_TOLERANCE,
         sha: None,
-        trajectory: None,
         suite: None,
     };
-    const VALUE_FLAGS: [&str; 7] = [
-        "--repeats",
-        "--out",
-        "--compare",
-        "--against",
-        "--tolerance",
-        "--sha",
-        "--trajectory",
-    ];
+    const VALUE_FLAGS: [&str; 3] = ["--repeats", "--out", "--sha"];
     for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &["--quick"], "bench")? {
         match flag {
             "--quick" => opts.quick = true,
             "--repeats" => opts.repeats = Some(parse_positive(flag, value)?),
             "--out" => opts.out = Some(value.to_string()),
-            "--compare" => opts.compare = Some(value.to_string()),
-            "--against" => opts.against = Some(value.to_string()),
-            "--tolerance" => {
-                let t: f64 = parse_value(flag, value)?;
-                if !t.is_finite() || t <= 0.0 {
-                    return Err(CliError("--tolerance must be positive".into()));
-                }
-                opts.tolerance = t;
-            }
             "--sha" => opts.sha = Some(value.to_string()),
-            "--trajectory" => opts.trajectory = Some(value.to_string()),
             _ => unreachable!("flag membership checked by flag_pairs"),
         }
-    }
-    if opts.against.is_some() && opts.compare.is_none() {
-        return Err(CliError("--against requires --compare".into()));
     }
     Ok(opts)
 }
 
-fn load_bench_report(path: &str) -> Result<noc_bench::report::BenchReport, CliError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read bench report `{path}`: {e}")))?;
-    serde_json::from_str(&text)
-        .map_err(|e| CliError(format!("malformed bench report `{path}`: {e}")))
-}
-
-/// Execute parsed `bench` options: run the suite (or load `--against`),
-/// write the report, and apply the `--compare` gate.
+/// Execute parsed `bench` options: run the suite, print its table and
+/// write the report.
 ///
 /// # Errors
-/// Returns an error for IO failures or when the comparison finds
-/// regressions (so the process exits non-zero — the CI gate).
+/// Returns an error when the report cannot be written.
 pub fn run_bench(opts: &BenchOptions) -> Result<(), CliError> {
-    use noc_bench::report::{compare, detect_git_sha, run_suite, BenchSuiteConfig};
+    use noc_bench::report::{detect_git_sha, run_suite, BenchSuiteConfig};
 
-    let new_report = match &opts.against {
-        Some(path) => {
-            eprintln!("bench: comparing {path} (no suite run)");
-            load_bench_report(path)?
+    let mode = if opts.quick { "quick" } else { "full" };
+    let mut suite = opts.suite.unwrap_or_else(|| {
+        if opts.quick {
+            BenchSuiteConfig::quick()
+        } else {
+            BenchSuiteConfig::full()
         }
-        None => {
-            let mode = if opts.quick { "quick" } else { "full" };
-            let mut suite = opts.suite.unwrap_or_else(|| {
-                if opts.quick {
-                    BenchSuiteConfig::quick()
-                } else {
-                    BenchSuiteConfig::full()
-                }
-            });
-            if let Some(r) = opts.repeats {
-                suite.repeats = r;
-            }
-            let sha = opts.sha.clone().unwrap_or_else(detect_git_sha);
-            eprintln!(
-                "bench: running the {mode} suite ({} repeats per workload)...",
-                suite.repeats
-            );
-            let report = run_suite(suite, mode, sha);
-            eprint!("{}", report.render_table());
-            let path = opts.out.clone().unwrap_or_else(|| report.file_name());
-            fs::write(&path, serde_json::to_string_pretty(&report)?)?;
-            eprintln!("bench: report written to {path}");
-            report
-        }
-    };
-
-    if let Some(path) = &opts.trajectory {
-        noc_bench::report::append_trajectory(&new_report, std::path::Path::new(path))
-            .map_err(|e| CliError(format!("cannot append trajectory to `{path}`: {e}")))?;
-        eprintln!("bench: trajectory row appended to {path}");
+    });
+    if let Some(r) = opts.repeats {
+        suite.repeats = r;
     }
-
-    if let Some(baseline_path) = &opts.compare {
-        let baseline = load_bench_report(baseline_path)?;
-        let cmp = compare(&baseline, &new_report, opts.tolerance).map_err(CliError)?;
-        println!("{}", cmp.render_table());
-        let failures = cmp.failures();
-        if failures > 0 {
-            let mut broke: Vec<String> = cmp.breached().iter().map(|s| s.to_string()).collect();
-            broke.extend(cmp.missing_in_new.iter().map(|n| format!("{n} (missing)")));
-            return Err(CliError(format!(
-                "bench: {failures} perf failure(s) vs {baseline_path} \
-                 (budget breached by: {})",
-                broke.join(", ")
-            )));
-        }
-        eprintln!("bench: no regressions vs {baseline_path}");
-    }
+    let sha = opts.sha.clone().unwrap_or_else(detect_git_sha);
+    eprintln!(
+        "bench: running the {mode} suite ({} repeats per workload)...",
+        suite.repeats
+    );
+    let report = run_suite(suite, mode, sha);
+    eprint!("{}", report.render_table());
+    let path = opts.out.clone().unwrap_or_else(|| report.file_name());
+    fs::write(&path, serde_json::to_string_pretty(&report)?)?;
+    eprintln!("bench: report written to {path}");
     Ok(())
 }
 
-/// `bench`: run the timed workload suite, emit `BENCH_<sha>.json`, and
-/// optionally gate against a baseline report.
+/// `bench`: run the timed workload suite and emit `BENCH_<sha>.json`.
 pub fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     run_bench(&parse_bench_args(args)?)
 }
@@ -1135,6 +1076,19 @@ pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
         println!("\nwrote {path}");
     }
     Ok(())
+}
+
+/// Parse `replay`'s positionals `<trace.csv> [period]`.
+///
+/// # Errors
+/// Returns a usage error for a missing trace path or a period that is not
+/// a positive integer.
+pub fn parse_replay_args(args: &[String]) -> Result<(&str, Option<u64>), CliError> {
+    match args {
+        [path] => Ok((path, None)),
+        [path, period] => Ok((path, Some(parse_positive("period", period)?))),
+        _ => Err(CliError("replay requires <trace.csv> [period]".into())),
+    }
 }
 
 /// `replay`: drive the default mesh with a packet trace from a CSV file
@@ -1807,10 +1761,6 @@ mod tests {
             "5",
             "--out",
             "b.json",
-            "--compare",
-            "old.json",
-            "--tolerance",
-            "0.5",
             "--sha",
             "abc123",
         ]))
@@ -1818,98 +1768,80 @@ mod tests {
         assert!(opts.quick);
         assert_eq!(opts.repeats, Some(5));
         assert_eq!(opts.out.as_deref(), Some("b.json"));
-        assert_eq!(opts.compare.as_deref(), Some("old.json"));
-        assert_eq!(opts.tolerance, 0.5);
         assert_eq!(opts.sha.as_deref(), Some("abc123"));
 
         let default = parse_bench_args(&[]).unwrap();
         assert!(!default.quick);
-        assert_eq!(default.tolerance, noc_bench::report::DEFAULT_TOLERANCE);
 
         assert!(parse_bench_args(&strings(&["--bogus"])).is_err());
         assert!(parse_bench_args(&strings(&["--repeats", "0"])).is_err());
         assert!(parse_bench_args(&strings(&["--repeats"])).is_err());
-        assert!(parse_bench_args(&strings(&["--tolerance", "-0.1"])).is_err());
-        assert!(parse_bench_args(&strings(&["--tolerance", "nope"])).is_err());
-        // --against without --compare has nothing to diff.
-        assert!(parse_bench_args(&strings(&["--against", "new.json"])).is_err());
+        // The stored-baseline gate is retired: its flags are unknown, and
+        // the usage error lists the four that remain.
+        for retired in ["--compare", "--against", "--tolerance", "--trajectory"] {
+            let err = parse_bench_args(&strings(&[retired, "x"])).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!(
+                    "unknown bench flag `{retired}` \
+                     (expected --repeats, --out, --sha, or --quick)"
+                )
+            );
+        }
     }
 
     #[test]
-    fn bench_compare_gate_passes_and_fails() {
-        use noc_bench::report::{run_suite, BenchSuiteConfig};
+    fn bench_run_writes_a_report() {
         let dir = std::env::temp_dir().join("noc_cli_test");
         fs::create_dir_all(&dir).unwrap();
-        let tiny = BenchSuiteConfig {
-            repeats: 1,
-            sim_cycles: 30,
-            sim_warmup: 10,
-            dqn_steps: 1,
-            dqn_predicts: 1,
-            env_epochs: 1,
-            sweep_measure: 30,
-        };
-        let report = run_suite(tiny, "tiny", "t".into());
-        let base = dir.join("bench_base.json");
-        fs::write(&base, serde_json::to_string_pretty(&report).unwrap()).unwrap();
-        let base_str = base.to_str().unwrap().to_string();
-
-        // Self-comparison (file vs file, no suite run): zero regressions.
-        let opts = BenchOptions {
-            quick: true,
-            repeats: None,
-            out: None,
-            compare: Some(base_str.clone()),
-            against: Some(base_str.clone()),
-            tolerance: 0.3,
-            sha: None,
-            trajectory: None,
-            suite: None,
-        };
-        run_bench(&opts).expect("self-comparison must pass the gate");
-
-        // A uniformly slower candidate fails the gate.
-        let mut slow = report.clone();
-        for w in &mut slow.workloads {
-            w.median_ns *= 10;
-        }
-        let cand = dir.join("bench_slow.json");
-        fs::write(&cand, serde_json::to_string_pretty(&slow).unwrap()).unwrap();
-        let opts = BenchOptions {
-            against: Some(cand.to_str().unwrap().to_string()),
-            compare: Some(base_str.clone()),
-            ..opts
-        };
-        let err = run_bench(&opts).expect_err("10x slowdown must fail the gate");
-        assert!(err.0.contains("perf failure"), "unexpected error: {err}");
-
-        // Running the (tiny) suite and gating against the fresh baseline
-        // exercises the run+write+compare path end to end, and --trajectory
-        // appends the one-line perf-history row.
         let out = dir.join("bench_fresh.json");
-        let traj = dir.join("trajectory.csv");
         let opts = BenchOptions {
             quick: true,
             repeats: None,
             out: Some(out.to_str().unwrap().to_string()),
-            compare: None,
-            against: None,
-            tolerance: 0.3,
             sha: Some("testsha".into()),
-            trajectory: Some(traj.to_str().unwrap().to_string()),
-            suite: Some(tiny),
+            suite: Some(noc_bench::report::BenchSuiteConfig {
+                repeats: 1,
+                sim_cycles: 30,
+                sim_warmup: 10,
+                dqn_steps: 1,
+                dqn_predicts: 1,
+                env_epochs: 1,
+                sweep_measure: 30,
+            }),
         };
         run_bench(&opts).expect("suite run must succeed");
         let written: noc_bench::report::BenchReport =
             serde_json::from_str(&fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(written.git_sha, "testsha");
-        assert_eq!(written.workloads.len(), report.workloads.len());
-        let traj_text = fs::read_to_string(&traj).unwrap();
-        let mut lines = traj_text.lines();
-        assert!(lines.next().unwrap().starts_with("sha,date"));
-        assert!(lines.next().unwrap().starts_with("testsha,"));
+        assert_eq!(written.mode, "quick");
+        assert_eq!(written.workloads.len(), 25);
+    }
 
-        assert!(load_bench_report("/nonexistent/bench.json").is_err());
+    #[test]
+    fn sweep_args_reject_non_integer_step_counts() {
+        assert_eq!(
+            parse_sweep_args(&strings(&["0.02", "0.3", "8"])).unwrap(),
+            (0.02, 0.3, 8)
+        );
+        for steps in ["2.9", "1e18", "-3"] {
+            let err = parse_sweep_args(&strings(&["0.02", "0.3", steps])).unwrap_err();
+            assert!(err.0.starts_with(&format!("bad steps `{steps}`")), "{err}");
+        }
+        assert!(parse_sweep_args(&strings(&["0.02", "nope", "8"])).is_err());
+        assert!(parse_sweep_args(&strings(&["0.02", "0.3"])).is_err());
+    }
+
+    #[test]
+    fn replay_args_reject_a_mistyped_period() {
+        let args = strings(&["t.csv", "100"]);
+        assert_eq!(parse_replay_args(&args).unwrap(), ("t.csv", Some(100)));
+        let args = strings(&["t.csv"]);
+        assert_eq!(parse_replay_args(&args).unwrap(), ("t.csv", None));
+        let err = parse_replay_args(&strings(&["t.csv", "10O"])).unwrap_err();
+        assert!(err.0.starts_with("bad period `10O`"), "{err}");
+        assert!(parse_replay_args(&strings(&["t.csv", "0"])).is_err());
+        assert!(parse_replay_args(&[]).is_err());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use noc_cli::{
     cmd_bench, cmd_default_config, cmd_evaluate, cmd_replay, cmd_run, cmd_serve, cmd_serve_ctl,
     cmd_simulate, cmd_submit, cmd_sweep, cmd_sweep_grid, cmd_tournament, cmd_train, cmd_train_grid,
-    cmd_workload, CliError,
+    cmd_workload, parse_replay_args, parse_sweep_args, CliError,
 };
 use std::process::ExitCode;
 
@@ -32,18 +32,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result: Result<(), CliError> = match args.first().map(String::as_str) {
         Some("simulate") => cmd_simulate(args.get(1).map(String::as_str)),
-        Some("sweep") => {
-            let parse = |i: usize, what: &str| {
-                args.get(i)
-                    .ok_or_else(|| CliError(format!("missing argument: {what}")))?
-                    .parse::<f64>()
-                    .map_err(|e| CliError(format!("bad {what}: {e}")))
-            };
-            match (parse(1, "rate0"), parse(2, "rate1"), parse(3, "steps")) {
-                (Ok(a), Ok(b), Ok(n)) => cmd_sweep(a, b, n as usize),
-                (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-            }
-        }
+        Some("sweep") => parse_sweep_args(&args[1..]).and_then(|(r0, r1, n)| cmd_sweep(r0, r1, n)),
         Some("train") => cmd_train(&args[1..]),
         Some("train-grid") => cmd_train_grid(&args[1..]),
         Some("tournament") => cmd_tournament(&args[1..]),
@@ -51,13 +40,9 @@ fn main() -> ExitCode {
             Some(path) => cmd_evaluate(path),
             None => Err(CliError("evaluate requires a policy path".into())),
         },
-        Some("replay") => match args.get(1) {
-            Some(path) => {
-                let period = args.get(2).and_then(|s| s.parse().ok());
-                cmd_replay(path, period)
-            }
-            None => Err(CliError("replay requires a trace path".into())),
-        },
+        Some("replay") => {
+            parse_replay_args(&args[1..]).and_then(|(path, period)| cmd_replay(path, period))
+        }
         Some("default-config") => cmd_default_config(),
         Some("run") => cmd_run(&args[1..]),
         Some("sweep-grid") => cmd_sweep_grid(&args[1..]),
@@ -96,9 +81,7 @@ fn main() -> ExitCode {
                  workload labels: ph[<pattern>:<process>[:<len>][@cycles]|...] with processes \
                  bern<rate>, burst<rate_on>x<switch>, pulse<rate>x<period>x<on> and lengths \
                  len<flits>, lenU<min>-<max>, lenB<short>-<long>p<pct>\n\
-                 bench flags: --quick  --repeats N  --out bench.json  \
-                 --compare baseline.json  --against candidate.json  \
-                 --tolerance 0.30  --sha SHA\n\
+                 bench flags: --quick  --repeats N  --out bench.json  --sha SHA\n\
                  train flags: --episodes N  --max-steps N  plus the run scenario flags \
                  (--topology, --size, --pattern, --rate, --workload, --faults, --seed, ...)\n\
                  train-grid flags: --variants default,small,wide,deep,nstep3,single  \

@@ -13,7 +13,9 @@
 //!   connection threads.
 //!
 //! Failure containment: a malformed request gets a structured `error`
-//! event and the connection stays usable; a client that disconnects
+//! event and the connection stays usable; a request line over 1 MiB gets
+//! the same event and is then treated as a disconnect, so no peer can grow
+//! the line buffer without bound; a client that disconnects
 //! mid-stream has its jobs canceled ([`Scheduler::disconnect`]) so its
 //! reservations free immediately; a write error just ends the writer (the
 //! scheduler's sends then fail silently into a dropped channel). Nothing a
@@ -30,7 +32,7 @@ use crate::serve::protocol::{ErrorCode, Event, Request};
 use crate::serve::scheduler::{JobId, Scheduler, SchedulerConfig};
 use crate::sweep::{SweepGrid, SweepReport};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,6 +43,12 @@ use std::time::Duration;
 
 /// How often blocked readers poll the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Longest request line a connection may send, newline included. A
+/// default-grid submit is a few KB; a peer that streams bytes without a
+/// newline is cut off here instead of growing the line buffer until the
+/// process dies.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Daemon configuration for [`Daemon::start`].
 #[derive(Debug, Clone)]
@@ -258,8 +266,19 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut buf = String::new();
     let mut disconnected = true;
     loop {
-        match reader.read_line(&mut buf) {
+        // The cap is on the whole line: `buf` may already hold the part of
+        // it that arrived before a read timeout, and never holds more than
+        // the cap because every read is bounded by what is left of it.
+        let budget = MAX_REQUEST_LINE - buf.len();
+        match reader.by_ref().take(budget as u64).read_line(&mut buf) {
             Ok(0) => break, // EOF: client closed its side
+            Ok(_) if buf.len() == MAX_REQUEST_LINE && !buf.ends_with('\n') => {
+                let _ = tx.send(Event::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                });
+                break; // as a disconnect: reservations freed, socket closed
+            }
             Ok(_) => {
                 let line = std::mem::take(&mut buf);
                 let line = line.trim();

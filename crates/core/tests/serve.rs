@@ -446,6 +446,26 @@ fn shut_down(daemon: Daemon) {
     daemon.wait();
 }
 
+/// Poll `stats` until a vanished client's jobs and reservations are gone.
+fn await_freed_reservations(conn: &mut ServeClient) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match conn.request(&Request::Stats).unwrap() {
+            Event::Stats { scheduler, .. } => {
+                if scheduler.outstanding_scenarios == 0 && scheduler.active_jobs == 0 {
+                    return;
+                }
+            }
+            other => panic!("expected stats, got {other:?}"),
+        }
+        assert!(
+            Instant::now() < deadline,
+            "a closed connection must free its reservations"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
 #[test]
 fn daemon_serves_ping_stats_and_structured_errors() {
     let daemon = local_daemon(ServeConfig::default());
@@ -599,25 +619,52 @@ fn disconnect_mid_stream_frees_reservations() {
         }
     } // dropped: TCP close; the daemon cancels and frees the reservations
     let mut conn = ServeClient::connect(&addr).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        match conn.request(&Request::Stats).unwrap() {
-            Event::Stats { scheduler, .. } => {
-                if scheduler.outstanding_scenarios == 0 && scheduler.active_jobs == 0 {
-                    break;
-                }
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        assert!(
-            Instant::now() < deadline,
-            "disconnect must free reservations"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    await_freed_reservations(&mut conn);
     // The daemon is still fully functional for the next client.
     let report = conn.run_grid("next", &tiny_grid()).expect("daemon alive");
     assert_eq!(report.aggregate.num_scenarios, 4);
+    drop(conn);
+    shut_down(daemon);
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_connection_closed() {
+    let daemon = local_daemon(ServeConfig {
+        scheduler: SchedulerConfig {
+            threads: 1,
+            ..SchedulerConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let addr = daemon.addr().to_string();
+    let mut conn = ServeClient::connect(&addr).unwrap();
+    // Hold a reservation, so the close is seen to free it.
+    conn.send(&Request::Submit {
+        client: "flood".to_string(),
+        grid: Box::new(slow_grid()),
+    })
+    .unwrap();
+    assert!(matches!(conn.recv().unwrap(), Event::Accepted { .. }));
+    // 2 MiB without a newline: the daemon stops reading at its 1 MiB cap
+    // and closes, so the tail of the write may fail — that is the point.
+    let _ = conn.send_raw(&"x".repeat(2 << 20));
+    let mut refused = false;
+    loop {
+        match conn.recv() {
+            Ok(Event::Error { code, .. }) => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                refused = true;
+            }
+            Ok(_) => {}      // the held job's own events
+            Err(_) => break, // EOF (or a reset): the daemon closed
+        }
+    }
+    assert!(refused, "the over-long line must get a bad_request event");
+
+    // A fresh connection is served, and the flood's reservation is gone.
+    let mut conn = ServeClient::connect(&addr).unwrap();
+    assert_eq!(conn.request(&Request::Ping).unwrap(), Event::Pong);
+    await_freed_reservations(&mut conn);
     drop(conn);
     shut_down(daemon);
 }

@@ -1,9 +1,7 @@
 //! Determinism and equivalence guarantees of the scenario-sweep engine.
 
-use noc_selfconf::{SweepGrid, SweepReport};
-use noc_sim::{
-    InjectionProcess, RoutingAlgorithm, SimConfig, TopologyKind, TrafficPattern, WorkloadSpec,
-};
+use noc_selfconf::{ResultCache, SweepGrid, SweepReport};
+use noc_sim::{RoutingAlgorithm, SimConfig, SwitchArb, TopologyKind, TrafficPattern, WorkloadSpec};
 
 /// A fast grid: 8 scenarios on small meshes with short windows.
 fn quick_grid() -> SweepGrid {
@@ -29,6 +27,41 @@ fn to_json(report: &SweepReport) -> String {
     serde_json::to_string_pretty(report).expect("report serializes")
 }
 
+/// The engine's determinism contract, one matrix: the report rendered under
+/// every execution strategy on offer — serial twice, 1/3/8 worker threads,
+/// 2 and 4 partitions per scenario, and an in-memory result cache cold then
+/// warm — is one byte string. Returns the serial report for the caller's
+/// axis-specific assertions.
+fn assert_execution_invariant(grid: &SweepGrid) -> SweepReport {
+    let serial = grid.run_serial().expect("valid grid");
+    let bytes = to_json(&serial);
+    let tiled = |partitions| SweepGrid {
+        partitions,
+        ..grid.clone()
+    };
+    let cache = ResultCache::in_memory();
+    let strategies = [
+        ("serial rerun", grid.run_serial()),
+        ("1 thread", grid.run(1)),
+        ("3 threads", grid.run(3)),
+        ("8 threads", grid.run(8)),
+        ("2 partitions", tiled(2).run(2)),
+        ("4 partitions", tiled(4).run(2)),
+        ("cold cache", grid.run_cached(2, &cache)),
+        ("warm cache", grid.run_cached(2, &cache)),
+    ];
+    for (strategy, report) in strategies {
+        assert_eq!(
+            to_json(&report.expect("valid grid")),
+            bytes,
+            "{strategy} changed the report bytes"
+        );
+    }
+    let computed = cache.stats().computed;
+    assert_eq!(computed, grid.len() as u64, "the warm pass re-simulated");
+    serial
+}
+
 #[test]
 fn repeated_runs_are_byte_identical() {
     let grid = quick_grid();
@@ -43,14 +76,9 @@ fn repeated_runs_are_byte_identical() {
 #[test]
 fn parallel_equals_serial() {
     let grid = quick_grid();
-    let parallel = grid.run(4).expect("valid grid");
-    let serial = grid.run_serial().expect("valid grid");
-    assert_eq!(
-        to_json(&parallel),
-        to_json(&serial),
-        "thread scheduling must not leak into results"
-    );
+    let serial = assert_execution_invariant(&grid);
     // Spot-check structured equality too, scenario by scenario.
+    let parallel = grid.run(4).expect("valid grid");
     assert_eq!(parallel.scenarios.len(), serial.scenarios.len());
     for (p, s) in parallel.scenarios.iter().zip(&serial.scenarios) {
         assert_eq!(
@@ -64,42 +92,33 @@ fn parallel_equals_serial() {
 #[test]
 fn thread_count_does_not_change_results() {
     let grid = quick_grid();
-    let one = to_json(&grid.run(1).expect("valid grid"));
-    let three = to_json(&grid.run(3).expect("valid grid"));
-    let many = to_json(&grid.run(64).expect("valid grid"));
-    assert_eq!(one, three);
+    let serial = assert_execution_invariant(&grid);
     assert_eq!(
-        one, many,
+        to_json(&grid.run(64).expect("valid grid")),
+        to_json(&serial),
         "oversubscribed pools must still be deterministic"
     );
 }
 
-/// Partition count is a pure execution strategy: the same grid swept with
-/// 1, 2, and 4 partitions per scenario produces byte-identical report
-/// bytes. `partitions` never serializes, and partitioned stepping replays
-/// the serial stats order exactly — so the reports cannot differ even in
-/// the last f64 bit. A torus + fault axis rides along to cover the
-/// boundary-exchange and rerouting paths, not just the healthy mesh.
+/// Partition count is a pure execution strategy: `partitions` never
+/// serializes, and partitioned stepping replays the serial stats order
+/// exactly — so the reports cannot differ even in the last f64 bit. A
+/// torus + fault axis rides along to cover the boundary-exchange and
+/// rerouting paths, not just the healthy mesh.
 #[test]
 fn partition_count_does_not_change_report_bytes() {
-    let grid = |partitions: usize| SweepGrid {
+    let grid = SweepGrid {
         topologies: vec![TopologyKind::Mesh, TopologyKind::Torus],
         patterns: vec![TrafficPattern::Uniform],
         rates: vec![0.10],
         routings: vec![RoutingAlgorithm::Xy],
         faults: vec![0, 2],
-        partitions,
         ..quick_grid()
     };
-    let one = to_json(&grid(1).run(2).expect("valid grid"));
-    let two = to_json(&grid(2).run(2).expect("valid grid"));
-    let four = to_json(&grid(4).run(2).expect("valid grid"));
-    assert_eq!(one, two, "2 partitions changed the report bytes");
-    assert_eq!(one, four, "4 partitions changed the report bytes");
+    assert_execution_invariant(&grid);
 }
 
-/// The sweep determinism guarantee extends to faulted scenarios: a grid
-/// with a fault axis is byte-identical across reruns and thread counts.
+/// The sweep determinism guarantee extends to faulted scenarios.
 #[test]
 fn fault_axis_is_deterministic_across_thread_counts() {
     let grid = SweepGrid {
@@ -110,18 +129,8 @@ fn fault_axis_is_deterministic_across_thread_counts() {
         ..quick_grid()
     };
     assert_eq!(grid.len(), 6);
-    let serial = to_json(&grid.run_serial().expect("valid grid"));
-    let rerun = to_json(&grid.run_serial().expect("valid grid"));
-    assert_eq!(serial, rerun, "faulted reruns must be byte-identical");
-    for threads in [1, 3, 8] {
-        let parallel = to_json(&grid.run(threads).expect("valid grid"));
-        assert_eq!(
-            serial, parallel,
-            "faulted grid diverged at {threads} threads"
-        );
-    }
+    let report = assert_execution_invariant(&grid);
     // The faulted points actually drop traffic (the axis is live).
-    let report = grid.run(2).expect("valid grid");
     assert!(report
         .scenarios
         .iter()
@@ -136,8 +145,7 @@ fn fault_axis_is_deterministic_across_thread_counts() {
 
 /// The sweep determinism guarantee extends to the topology axis: a grid
 /// mixing mesh and torus points (including faulted tori, whose fault draws
-/// come from the wrap-aware link pool) is byte-identical across reruns and
-/// thread counts.
+/// come from the wrap-aware link pool).
 #[test]
 fn topology_axis_is_deterministic_across_thread_counts() {
     let grid = SweepGrid {
@@ -149,20 +157,10 @@ fn topology_axis_is_deterministic_across_thread_counts() {
         ..quick_grid()
     };
     assert_eq!(grid.len(), 8, "2 topologies x 2 routings x 2 fault points");
-    let serial = to_json(&grid.run_serial().expect("valid grid"));
-    let rerun = to_json(&grid.run_serial().expect("valid grid"));
-    assert_eq!(serial, rerun, "topology-axis reruns must be byte-identical");
-    for threads in [1, 3, 8] {
-        let parallel = to_json(&grid.run(threads).expect("valid grid"));
-        assert_eq!(
-            serial, parallel,
-            "topology-axis grid diverged at {threads} threads"
-        );
-    }
+    let report = assert_execution_invariant(&grid);
     // The torus points are live and labeled: they ran on the wrap-around
     // fabric (shorter average distance than the mesh at the same size) and
     // carry the /t:torus segment with the mapped routing names.
-    let report = grid.run(2).expect("valid grid");
     let torus: Vec<_> = report
         .scenarios
         .iter()
@@ -240,52 +238,30 @@ fn nan_aggregate_roundtrips_through_json() {
     assert_eq!(to_json(&back), json, "round-trip must be lossless");
 }
 
-/// The sweep determinism guarantee extends to the workloads axis: grids
-/// carrying bursty and phase-changing workload points are byte-identical
-/// across reruns and thread counts.
+/// Parse workload labels as `sweep-grid --workloads` does.
+fn workloads(labels: &[&str]) -> Vec<WorkloadSpec> {
+    let parse = |label: &&str| WorkloadSpec::parse(label).expect("workload label parses");
+    labels.iter().map(parse).collect()
+}
+
+/// The sweep determinism guarantee extends to the workloads axis: a grid
+/// carrying a bursty and a phase-changing workload point.
 #[test]
 fn workload_axis_is_deterministic_across_thread_counts() {
     let grid = SweepGrid {
         patterns: vec![TrafficPattern::Uniform],
         rates: vec![0.08],
         routings: vec![RoutingAlgorithm::Xy],
-        workloads: vec![
-            WorkloadSpec::stationary(
-                TrafficPattern::Uniform,
-                InjectionProcess::Bursty {
-                    rate_on: 0.3,
-                    switch: 0.05,
-                },
-            ),
-            WorkloadSpec::new(vec![
-                noc_sim::WorkloadPhase::bernoulli(TrafficPattern::Uniform, 0.02, 400),
-                noc_sim::WorkloadPhase::new(
-                    TrafficPattern::Tornado,
-                    InjectionProcess::Periodic {
-                        rate: 0.3,
-                        period: 100,
-                        on: 40,
-                    },
-                    400,
-                ),
-            ]),
-        ],
+        workloads: workloads(&[
+            "ph[uniform:burst0.3x0.05]",
+            "ph[uniform:bern0.02@400|tornado:pulse0.3x100x40@400]",
+        ]),
         ..quick_grid()
     };
     assert_eq!(grid.len(), 3);
-    let serial = to_json(&grid.run_serial().expect("valid grid"));
-    let rerun = to_json(&grid.run_serial().expect("valid grid"));
-    assert_eq!(serial, rerun, "workload reruns must be byte-identical");
-    for threads in [1, 3, 8] {
-        let parallel = to_json(&grid.run(threads).expect("valid grid"));
-        assert_eq!(
-            serial, parallel,
-            "workload grid diverged at {threads} threads"
-        );
-    }
+    let report = assert_execution_invariant(&grid);
     // The workload points are live: the bursty scenario injects real load
-    // and its label parses back to its spec.
-    let report = grid.run(2).expect("valid grid");
+    // and carries its canonical label as the report key.
     let bursty = &report.scenarios[1];
     assert!(bursty.label.contains("ph[uniform:burst0.3x0.05]"));
     assert!(bursty.metrics.injected_flits > 0);
@@ -293,6 +269,39 @@ fn workload_axis_is_deterministic_across_thread_counts() {
         bursty.metrics.injection_burstiness > report.scenarios[0].metrics.injection_burstiness,
         "the bursty point must read burstier than the Bernoulli point"
     );
+}
+
+/// The sweep determinism guarantee extends to wormhole flow control: 8-flit
+/// and bimodal packets under per-packet arbitration, XY and table routing
+/// on both topologies, fault axis live.
+#[test]
+fn long_packet_axis_is_deterministic_across_strategies() {
+    let grid = SweepGrid {
+        base: quick_grid().base.with_switch_arb(SwitchArb::PerPacket),
+        topologies: vec![TopologyKind::Mesh, TopologyKind::Torus],
+        patterns: vec![],
+        routings: vec![RoutingAlgorithm::Xy, RoutingAlgorithm::Table],
+        faults: vec![0, 2],
+        workloads: workloads(&[
+            "ph[uniform:bern0.05:len8]",
+            "ph[uniform:bern0.05:lenB1-8p20]",
+        ]),
+        drain: 800,
+        ..quick_grid()
+    };
+    assert_eq!(
+        grid.len(),
+        16,
+        "2 topologies x 2 workloads x 2 routings x 2"
+    );
+    let report = assert_execution_invariant(&grid);
+    for segment in ["len8", "lenB1-8p20", "/table", "/t:torus", "/f2"] {
+        assert!(
+            report.scenarios.iter().any(|s| s.label.contains(segment)),
+            "no scenario label carries `{segment}`"
+        );
+    }
+    assert!(report.scenarios.iter().all(|s| s.metrics.ejected_flits > 0));
 }
 
 #[test]
@@ -365,19 +374,14 @@ fn report_roundtrips_through_json() {
 fn optimized_cycle_loop_reproduces_golden_metrics() {
     let grid = SweepGrid {
         base: SimConfig::default(),
-        sizes: vec![(4, 4)],
-        topologies: vec![TopologyKind::Mesh],
         patterns: vec![TrafficPattern::Uniform, TrafficPattern::Transpose],
         rates: vec![0.08],
         routings: vec![RoutingAlgorithm::Xy],
-        levels: vec![None],
-        faults: vec![0],
-        workloads: vec![],
-        partitions: 1,
         warmup: 200,
         measure: 600,
         drain: 600,
         base_seed: 42,
+        ..quick_grid()
     };
     let report = grid.run_serial().expect("valid grid");
     assert_eq!(report.scenarios.len(), 2);
@@ -432,19 +436,14 @@ fn faulted_golden_metrics_are_pinned() {
     .expect("valid fault plan");
     let grid = SweepGrid {
         base: SimConfig::default().with_faults(plan),
-        sizes: vec![(4, 4)],
-        topologies: vec![TopologyKind::Mesh],
         patterns: vec![TrafficPattern::Uniform],
         rates: vec![0.10],
         routings: vec![RoutingAlgorithm::Xy, RoutingAlgorithm::OddEven],
-        levels: vec![None],
-        faults: vec![0],
-        workloads: vec![],
-        partitions: 1,
         warmup: 200,
         measure: 600,
         drain: 600,
         base_seed: 42,
+        ..quick_grid()
     };
     let report = grid.run_serial().expect("valid grid");
     assert_eq!(report.scenarios.len(), 2);
