@@ -604,6 +604,31 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             std::hint::black_box(swept.aggregate.num_scenarios);
             (dt, scenarios, None)
         });
+
+        // The same warm grid as a `submit` over loopback on a kept
+        // connection: request render/parse, scheduler, event render, the
+        // socket and the client's parse on top of the row above, so wire
+        // cost reads beside cache cost.
+        let daemon = noc_selfconf::Daemon::start(noc_selfconf::ServeConfig::default())
+            .expect("bench daemon binds a loopback port");
+        let mut conn = noc_selfconf::ServeClient::connect(&daemon.addr().to_string())
+            .expect("bench daemon accepts");
+        conn.run_grid("prime", &grid).expect("valid bench grid");
+        let params = format!(
+            "the serve/cache-hit grid submitted to an in-process daemon over \
+             loopback on a kept connection, every scenario a memory hit, \
+             {threads} workers"
+        );
+        report.time("serve/socket-warm-submit", params, "scenarios", || {
+            let t0 = Instant::now();
+            let swept = conn.run_grid("bench", &grid).expect("warm submit");
+            let dt = t0.elapsed().as_nanos() as u64;
+            std::hint::black_box(swept.aggregate.num_scenarios);
+            (dt, scenarios, None)
+        });
+        drop(conn);
+        daemon.shutdown();
+        daemon.wait();
     }
 
     // --- Tournament evaluator (policy deserialization + controller runs
@@ -726,10 +751,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 25 uniquely named rows, the `sim/*` table first and in
+        // 26 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 25);
+        assert_eq!(names.len(), 26);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

@@ -9,6 +9,12 @@
 //!   channel of [`Event`]s onto the socket) — the channel is the *only*
 //!   path to the socket, so scheduler workers and the reader can both
 //!   reply without interleaving bytes;
+//! * both ends set `TCP_NODELAY` and hand the kernel whole lines: the
+//!   writer renders every event already queued into one frame and issues
+//!   one `write` for it, the client one `write` per request. A line split
+//!   across two writes leaves its tail behind Nagle until the peer's
+//!   delayed ACK (40 ms) — framing changes where writes end, never which
+//!   bytes are sent or in what order;
 //! * simulation work happens on the shared [`Scheduler`] pool, never on
 //!   connection threads.
 //!
@@ -18,8 +24,10 @@
 //! the line buffer without bound; a client that disconnects
 //! mid-stream has its jobs canceled ([`Scheduler::disconnect`]) so its
 //! reservations free immediately; a write error just ends the writer (the
-//! scheduler's sends then fail silently into a dropped channel). Nothing a
-//! client does reaches a `panic!` in daemon code.
+//! scheduler's sends then fail silently into a dropped channel); a
+//! connection whose threads cannot be spawned (a peer opening connections
+//! until thread creation fails) is logged and dropped. Nothing a client
+//! does reaches a `panic!` in daemon code.
 //!
 //! Shutdown: the `shutdown` command (or [`Daemon::shutdown`]) flips a
 //! flag, stops admission, pokes the accept loop awake via a loopback
@@ -32,11 +40,11 @@ use crate::serve::protocol::{ErrorCode, Event, Request};
 use crate::serve::scheduler::{JobId, Scheduler, SchedulerConfig};
 use crate::sweep::{SweepGrid, SweepReport};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read as _, Write as _};
+use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -125,9 +133,9 @@ impl Daemon {
     /// Bind, open the cache, start the scheduler pool, and begin accepting.
     ///
     /// # Errors
-    /// Returns the bind error, or the cache-directory error (an unwritable
+    /// Returns the bind error, the cache-directory error (an unwritable
     /// cache dir refuses to start — satellite 2's contract — rather than
-    /// failing jobs later).
+    /// failing jobs later), or the accept thread's spawn error.
     pub fn start(config: ServeConfig) -> std::io::Result<Daemon> {
         let cache = match &config.cache_dir {
             Some(dir) => Arc::new(ResultCache::open(dir)?),
@@ -156,7 +164,11 @@ impl Daemon {
         let accept_handle = std::thread::Builder::new()
             .name("noc-serve-accept".to_string())
             .spawn(move || accept_loop(&listener, &accept_shared, &accept_connections))
-            .expect("spawn accept thread");
+            .inspect_err(|_| {
+                // Nothing will ever reach the pool; don't leak its workers.
+                shared.scheduler.begin_shutdown();
+                shared.scheduler.join();
+            })?;
         Ok(Daemon {
             shared,
             accept_handle: Some(accept_handle),
@@ -212,14 +224,18 @@ fn accept_loop(
                 }
                 shared.log(&format!("connection from {peer}"));
                 let conn_shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                match std::thread::Builder::new()
                     .name("noc-serve-conn".to_string())
                     .spawn(move || handle_connection(stream, &conn_shared))
-                    .expect("spawn connection thread");
-                connections
-                    .lock()
-                    .expect("connection list poisoned")
-                    .push(handle);
+                {
+                    Ok(handle) => connections
+                        .lock()
+                        .expect("connection list poisoned")
+                        .push(handle),
+                    // The closure (and the stream in it) is dropped: the
+                    // peer sees a close, the daemon keeps accepting.
+                    Err(e) => shared.log(&format!("dropping {peer}: spawn failed: {e}")),
+                }
             }
             Err(e) => {
                 if shared.shutting_down() {
@@ -239,25 +255,21 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         .peer_addr()
         .map_or("<unknown>".to_string(), |a| a.to_string());
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let (tx, rx) = channel::<Event>();
-    let writer = std::thread::Builder::new()
+    let writer = match std::thread::Builder::new()
         .name("noc-serve-writer".to_string())
-        .spawn(move || {
-            let mut out = BufWriter::new(write_half);
-            while let Ok(event) = rx.recv() {
-                let write = out
-                    .write_all(event.render().as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush());
-                if write.is_err() {
-                    break; // client gone; remaining sends fail silently
-                }
-            }
-        })
-        .expect("spawn writer thread");
+        .spawn(move || write_frames(write_half, &rx))
+    {
+        Ok(writer) => writer,
+        Err(e) => {
+            shared.log(&format!("dropping {peer}: spawn failed: {e}"));
+            return;
+        }
+    };
 
     // conn-scoped id (what the client sees) -> scheduler id.
     let mut jobs: HashMap<u64, JobId> = HashMap::new();
@@ -312,6 +324,27 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     shared.log(&format!("connection from {peer} closed"));
     drop(tx); // writer drains queued events, then exits
     let _ = writer.join();
+}
+
+/// Writer side of one connection: block for an event, render it and
+/// everything else already queued (in channel order) into one reused frame
+/// buffer, and hand the kernel the frame in a single `write_all`. A cold
+/// job's results trickle, so each is its own frame; a warm job's whole
+/// burst leaves in a handful of writes, and no line is ever split.
+fn write_frames(mut out: TcpStream, rx: &Receiver<Event>) {
+    let mut frame = String::new();
+    while let Ok(event) = rx.recv() {
+        frame.clear();
+        let mut next = Some(event);
+        while let Some(event) = next {
+            frame.push_str(&event.render());
+            frame.push('\n');
+            next = rx.try_recv().ok();
+        }
+        if out.write_all(frame.as_bytes()).is_err() {
+            break; // client gone; remaining sends fail silently
+        }
+    }
 }
 
 /// Parse and execute one request line; every outcome (including parse
@@ -418,6 +451,7 @@ impl ServeClient {
     /// Propagates the connect/clone error.
     pub fn connect(addr: &str) -> std::io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(ServeClient {
             reader: BufReader::new(stream),
@@ -430,9 +464,7 @@ impl ServeClient {
     /// # Errors
     /// Propagates the socket write error.
     pub fn send(&mut self, request: &Request) -> std::io::Result<()> {
-        self.writer.write_all(request.render().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.write_line(&request.render())
     }
 
     /// Send one raw line verbatim (a newline is appended) — the error-path
@@ -442,9 +474,16 @@ impl ServeClient {
     /// # Errors
     /// Propagates the socket write error.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.write_line(line)
+    }
+
+    /// The one client write path: `line` and its newline leave in a single
+    /// `write_all`, so the newline never sits behind the request body.
+    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+        let mut framed = String::with_capacity(line.len() + 1);
+        framed.push_str(line);
+        framed.push('\n');
+        self.writer.write_all(framed.as_bytes())
     }
 
     /// Read one raw event line (without the trailing newline) — the byte

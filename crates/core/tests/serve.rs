@@ -1,6 +1,7 @@
 //! Integration tests of the sweep-as-a-service stack: cache-key
 //! completeness, single-flight deduplication, the warm-cache speedup
-//! headline, and the daemon's protocol / admission / failure behavior.
+//! headline, the daemon's protocol / admission / failure behavior, and the
+//! wire path (latency, byte identity across peers, mutated lines).
 
 use noc_selfconf::serve::{
     scenario_cache_key, CacheOutcome, Daemon, ErrorCode, Event, Request, ResultCache, Scheduler,
@@ -9,6 +10,10 @@ use noc_selfconf::serve::{
 use noc_selfconf::{ScenarioResult, SweepGrid};
 use noc_sim::{RoutingAlgorithm, SimError, SwitchArb, TrafficPattern};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -446,6 +451,19 @@ fn shut_down(daemon: Daemon) {
     daemon.wait();
 }
 
+/// Append one job's event lines (up to and including `done`) to `stream`.
+fn read_job_stream(stream: &mut String, mut next_line: impl FnMut() -> String) {
+    loop {
+        let line = next_line();
+        let done = line.starts_with("{\"event\":\"done\"");
+        stream.push_str(&line);
+        stream.push('\n');
+        if done {
+            return;
+        }
+    }
+}
+
 /// Poll `stats` until a vanished client's jobs and reservations are gone.
 fn await_freed_reservations(conn: &mut ServeClient) {
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -540,7 +558,7 @@ fn concurrent_duplicate_submissions_share_one_simulation() {
     let grid = tiny_grid();
     let n_clients = 3;
     let barrier = Barrier::new(n_clients);
-    let streams: Vec<Vec<String>> = std::thread::scope(|scope| {
+    let streams: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_clients)
             .map(|i| {
                 let (addr, grid, barrier) = (&addr, &grid, &barrier);
@@ -552,15 +570,9 @@ fn concurrent_duplicate_submissions_share_one_simulation() {
                         grid: Box::new(grid.clone()),
                     })
                     .unwrap();
-                    let mut lines = Vec::new();
-                    loop {
-                        let line = conn.recv_line().unwrap();
-                        let done = line.starts_with("{\"event\":\"done\"");
-                        lines.push(line);
-                        if done {
-                            return lines;
-                        }
-                    }
+                    let mut stream = String::new();
+                    read_job_stream(&mut stream, || conn.recv_line().unwrap());
+                    stream
                 })
             })
             .collect();
@@ -569,7 +581,7 @@ fn concurrent_duplicate_submissions_share_one_simulation() {
     // Byte-identical response streams: connection-scoped job ids and
     // in-order emission make each stream a pure function of the grid.
     assert_eq!(
-        streams[0].len(),
+        streams[0].lines().count(),
         grid.len() + 2,
         "accepted + results + done"
     );
@@ -735,6 +747,218 @@ fn daemon_with_disk_cache_serves_warm_submissions() {
         serde_json::to_string_pretty(&first).unwrap(),
         serde_json::to_string_pretty(&second).unwrap(),
         "cache restarts must preserve byte-identity"
+    );
+    drop(conn);
+    shut_down(daemon);
+}
+
+// ---------------------------------------------------------------------------
+// The wire path: no kernel timers, same bytes for every peer, hostile lines
+// ---------------------------------------------------------------------------
+
+#[test]
+fn warm_submits_over_the_socket_never_wait_on_a_kernel_timer() {
+    let daemon = local_daemon(ServeConfig::default());
+    let mut conn = ServeClient::connect(&daemon.addr().to_string()).unwrap();
+    let grid = tiny_grid();
+    conn.run_grid("prime", &grid).expect("priming submit");
+    let mut ms: Vec<f64> = (0..9)
+        .map(|_| {
+            let start = Instant::now();
+            conn.run_grid("warm", &grid).expect("warm submit");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    // A line split across two writes (or NODELAY lost on either end) waits
+    // on the peer's delayed ACK: a 40 ms quantum per submit. The real cost
+    // is 1-3 ms, so the bound has >10x headroom on a noisy box and still
+    // trips on the first stall that comes back.
+    assert!(
+        ms[4] < 30.0,
+        "median warm submit took {:.1} ms (all nine: {ms:.1?})",
+        ms[4]
+    );
+    drop(conn);
+    shut_down(daemon);
+}
+
+/// How a peer puts a request line on the wire.
+enum Peer {
+    /// [`ServeClient`]: `TCP_NODELAY`, one write per line.
+    Client,
+    /// The pre-NODELAY client: Nagle on, the body and its newline as two
+    /// writes.
+    TwoWrites,
+    /// Nagle on, a few bytes per write, pausing past the daemon's 200 ms
+    /// read poll mid-line so the reader times out holding a partial line.
+    Dribble,
+}
+
+/// Everything a fresh daemon sends `peer` for a cold and then a warm submit
+/// of `tiny_grid()` on one connection.
+fn cold_then_warm_stream(peer: Peer) -> String {
+    let daemon = local_daemon(ServeConfig::default());
+    let addr = daemon.addr().to_string();
+    let request = Request::Submit {
+        client: "peer".to_string(),
+        grid: Box::new(tiny_grid()),
+    }
+    .render();
+    let mut stream = String::new();
+    if let Peer::Client = peer {
+        let mut conn = ServeClient::connect(&addr).unwrap();
+        for _ in 0..2 {
+            conn.send_raw(&request).unwrap();
+            read_job_stream(&mut stream, || conn.recv_line().unwrap());
+        }
+    } else {
+        let mut socket = TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(socket.try_clone().unwrap());
+        for _ in 0..2 {
+            if let Peer::TwoWrites = peer {
+                socket.write_all(request.as_bytes()).unwrap();
+                socket.write_all(b"\n").unwrap();
+            } else {
+                let framed = format!("{request}\n");
+                let chunks: Vec<&[u8]> = framed.as_bytes().chunks(5).collect();
+                for (i, chunk) in chunks.iter().enumerate() {
+                    socket.write_all(chunk).unwrap();
+                    if i == 0 || i == chunks.len() / 2 {
+                        std::thread::sleep(Duration::from_millis(250));
+                    }
+                }
+            }
+            read_job_stream(&mut stream, || {
+                let mut line = String::new();
+                assert_ne!(reader.read_line(&mut line).unwrap(), 0, "daemon closed");
+                line.pop(); // the newline `read_job_stream` puts back
+                line
+            });
+        }
+    }
+    shut_down(daemon);
+    stream
+}
+
+#[test]
+fn legacy_peers_receive_the_same_bytes_as_the_client() {
+    // Cold results trickle (a frame each), warm ones leave coalesced, and
+    // the three peers pace the daemon differently: frame coalescing may
+    // move write boundaries, never a byte or the order of two lines.
+    let reference = cold_then_warm_stream(Peer::Client);
+    assert_eq!(
+        reference.lines().count(),
+        2 * (tiny_grid().len() + 2),
+        "accepted + results + done, cold then warm"
+    );
+    assert_eq!(
+        cold_then_warm_stream(Peer::TwoWrites),
+        reference,
+        "a Nagle peer that splits body and newline sees the same stream"
+    );
+    assert_eq!(
+        cold_then_warm_stream(Peer::Dribble),
+        reference,
+        "a peer that dribbles its request sees the same stream"
+    );
+}
+
+/// One seeded byte-level mutation of `line`: flip a bit, delete or
+/// duplicate a byte, truncate, or splice in the tail of a `corpus` line.
+fn mutate(rng: &mut StdRng, line: &mut Vec<u8>, corpus: &[String]) {
+    if line.is_empty() {
+        return;
+    }
+    let at = rng.gen_range(0..line.len());
+    match rng.gen_range(0..5) {
+        0 => line[at] ^= 1u8 << rng.gen_range(0..8u32),
+        1 => {
+            line.remove(at);
+        }
+        2 => line.insert(at, line[at]),
+        3 => line.truncate(at),
+        _ => {
+            let other = corpus[rng.gen_range(0..corpus.len())].as_bytes();
+            line.truncate(at);
+            line.extend_from_slice(&other[rng.gen_range(0..other.len())..]);
+        }
+    }
+}
+
+#[test]
+fn mutated_protocol_lines_never_panic_a_parser_or_wedge_a_connection() {
+    let daemon = local_daemon(ServeConfig::default());
+    let mut conn = ServeClient::connect(&daemon.addr().to_string()).unwrap();
+
+    // One real exchange: every request shape but `shutdown`, and every
+    // event line the daemon answered with.
+    let mut requests = Vec::new();
+    let mut events = Vec::new();
+    for request in [
+        Request::Ping,
+        Request::Submit {
+            client: "fuzz".to_string(),
+            grid: Box::new(tiny_grid()),
+        },
+        Request::Status { job: 1 },
+        Request::Stats,
+        Request::Cancel { job: 1 },
+    ] {
+        conn.send(&request).unwrap();
+        loop {
+            let line = conn.recv_line().unwrap();
+            let streaming = line.starts_with("{\"event\":\"accepted\"")
+                || line.starts_with("{\"event\":\"result\"");
+            events.push(line);
+            if !streaming {
+                break;
+            }
+        }
+        requests.push(request.render());
+    }
+    assert_eq!(events.len(), 4 + tiny_grid().len() + 2);
+    let corpus: Vec<String> = requests.iter().chain(&events).cloned().collect();
+
+    let mut rng = StdRng::seed_from_u64(0x5e7e);
+    let mut over_the_wire = 0;
+    for case in 0..4000 {
+        let pick = rng.gen_range(0..corpus.len());
+        let mut bytes = corpus[pick].clone().into_bytes();
+        for _ in 0..rng.gen_range(1..=3) {
+            mutate(&mut rng, &mut bytes, &corpus);
+        }
+        let line = String::from_utf8_lossy(&bytes).into_owned();
+        let parsed = std::panic::catch_unwind(|| {
+            let _ = Event::parse(&line);
+            Request::parse(line.trim()).is_ok()
+        });
+        let Ok(is_request) = parsed else {
+            panic!("case {case}: a parser panicked on {line:?}");
+        };
+        // Mutated *requests* also go through the live connection. A line
+        // that still parses would run (a rate digit flipped is a valid
+        // grid), a blank one is skipped by the daemon, and an embedded
+        // newline makes it two lines — the rest must each draw exactly one
+        // structured error and leave the connection serving.
+        if pick >= requests.len() || is_request || line.trim().is_empty() || line.contains('\n') {
+            continue;
+        }
+        conn.send_raw(&line).unwrap();
+        match conn.recv().unwrap() {
+            Event::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest, "{line:?}"),
+            other => panic!("case {case}: expected bad_request for {line:?}, got {other:?}"),
+        }
+        assert_eq!(
+            conn.request(&Request::Ping).unwrap(),
+            Event::Pong,
+            "case {case}: connection must stay usable after {line:?}"
+        );
+        over_the_wire += 1;
+    }
+    assert!(
+        over_the_wire > 500,
+        "only {over_the_wire} mutants reached the daemon"
     );
     drop(conn);
     shut_down(daemon);
