@@ -32,9 +32,9 @@
 //! * [`flit`] — packets and their flit segmentation.
 //! * [`routing`] — XY/YX, three turn models, Odd-Even, torus DOR and
 //!   torus minimal-adaptive.
-//! * [`soa`] — the three-stage VC router pipeline (RC, VA, SA/ST) over
-//!   flat structure-of-arrays fabric state; partition tiles are contiguous
-//!   slices of it.
+//! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)
+//!   over flat structure-of-arrays fabric state; partition tiles are
+//!   contiguous slices of it, and each writes its cycle into a tile outbox.
 //! * [`vc`] — the bounded flit FIFO behind each input VC, and the
 //!   injection queues' credit view of the `Local` port.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
@@ -56,7 +56,7 @@ pub mod network;
 pub mod power;
 pub mod routing;
 pub mod sim;
-pub mod soa;
+mod soa;
 pub mod stats;
 pub mod topology;
 pub mod trace;
@@ -72,8 +72,7 @@ pub use network::Network;
 pub use power::{EnergyMeter, PowerEvent, PowerModel};
 pub use routing::{RoutingAlgorithm, RoutingTables};
 pub use sim::{RunSummary, Simulator};
-pub use soa::{FabricState, FabricTile};
-pub use stats::{EnergySink, StatsCollector, StatsOp, StatsSnapshot, WindowMetrics};
+pub use stats::{StatsCollector, StatsSnapshot, WindowMetrics};
 pub use topology::{Coord, NodeId, Port, Topology, TopologyKind};
 pub use trace::{PacketTrace, TraceEvent};
 pub use traffic::{

@@ -1,9 +1,11 @@
 //! The network: a grid of routers, inter-router links, source (injection)
 //! queues, per-region DVFS state, and the global cycle loop.
 //!
-//! Event application is double-buffered: all routers compute their cycle
-//! first, then flit movements and credit returns are applied, so router
-//! evaluation order never matters and links have a one-cycle latency.
+//! Effect application is double-buffered: all routers compute their cycle
+//! first, each writing its deliveries, credit returns and stats ops straight
+//! into its tile's `TileOutbox`; then the commit phase applies the
+//! outboxes, so router evaluation order never matters and links have a
+//! one-cycle latency.
 //!
 //! # Partitioned stepping
 //!
@@ -12,19 +14,20 @@
 //! cross-node effect (flit deliveries, credit returns) is buffered and
 //! applied afterwards — the one-cycle link latency *is* the boundary
 //! exchange. Router state lives in the flat structure-of-arrays
-//! [`FabricState`], so `SimConfig::partitions` splits the fabric into
+//! `FabricState`, so `SimConfig::partitions` splits the fabric into
 //! contiguous node-range tiles — literal contiguous slices of every state
 //! array — stepped concurrently on a persistent thread pool.
 //!
 //! Determinism: tiles never touch the shared [`StatsCollector`]. Each tile
 //! appends the stats mutations it would have applied to a private
-//! [`StatsOp`] log, and a serial commit phase replays the logs in tile
+//! `StatsOp` log, and a serial commit phase replays the logs in tile
 //! order — which, because tiles are contiguous ascending ranges, is exactly
-//! the serial per-node mutation order (same float-addition order, same
-//! event order). Every partition count, including 1, runs this same
-//! log-and-replay path, so the partition knob cannot perturb results:
-//! reports are byte-identical across `partitions` ∈ {1, 2, 4, ...} (pinned
-//! by the differential tests in `tests/partitions.rs`).
+//! the serial per-node mutation order (same float-addition order for the
+//! `Energy`/`Leakage` ops, the only order-sensitive ones). Every partition
+//! count, including 1, runs this same log-and-replay path, so the partition
+//! knob cannot perturb results: reports are byte-identical across
+//! `partitions` ∈ {1, 2, 4, ...} (pinned by the differential tests in
+//! `tests/partitions.rs`).
 //!
 //! # Active-router worklist
 //!
@@ -32,7 +35,7 @@
 //! buffered flits and no source-queue backlog. Such a node's entire serial
 //! effect is one leakage record and (possibly) a clock-gate phase advance —
 //! it cannot inject, route, or move anything. Skipped nodes are coalesced
-//! into [`StatsOp::IdleLeakageRun`] ops that the commit phase expands into
+//! into `StatsOp::IdleLeakageRun` ops that the commit phase expands into
 //! the exact per-node leakage records of a full walk, and gate ticks are
 //! elided only while every gate provably sits at its zero-phase fixpoint
 //! (nominal frequency since reset — the `gates_pristine` flag), so reports
@@ -50,8 +53,8 @@ use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Flit, Packet, PacketId};
 use crate::power::{PowerEvent, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
-use crate::soa::{FabricState, FabricTile, RouterCtx, RouterEvent};
-use crate::stats::{EnergySink, StatsCollector, StatsOp};
+use crate::soa::{FabricState, FabricTile, RouterCtx, TileOutbox};
+use crate::stats::{StatsCollector, StatsOp};
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use crate::vc::OutputVcState;
 use std::cell::UnsafeCell;
@@ -116,24 +119,6 @@ impl InjectionQueue {
     }
 }
 
-/// A flit in transit on a link, to be delivered at the end of the cycle.
-#[derive(Debug, Clone)]
-struct Delivery {
-    to: NodeId,
-    in_port: Port,
-    flit: Flit,
-}
-
-/// A credit to return to an upstream sender.
-#[derive(Debug, Clone)]
-struct CreditReturn {
-    /// Router whose input buffer drained.
-    at: NodeId,
-    /// Input port the flit had arrived on.
-    in_port: Port,
-    vc: usize,
-}
-
 /// The simulated network.
 #[derive(Debug)]
 pub struct Network {
@@ -195,38 +180,25 @@ pub struct Network {
     /// Number of contiguous node-range tiles the per-node phase is split
     /// into (1 = no intra-simulation parallelism).
     partitions: usize,
+    /// Tile boundaries, `partitions + 1` ascending node indices from 0 to
+    /// `num_nodes` (both fixed at construction).
+    bounds: Vec<usize>,
     /// Persistent worker pool driving tiles 1.. when `partitions > 1`
     /// (tile 0 always runs on the calling thread).
     pool: Option<TilePool>,
-    /// Reusable per-cycle buffers. [`Network::step`] used to allocate fresh
-    /// `Vec`s for link deliveries, credit returns, router events, and the
-    /// region-occupancy sample every cycle; hoisting them here removes the
-    /// allocations per simulated cycle from the hottest loop in the system.
+    /// Reusable per-cycle buffers: hoisting the outboxes and the
+    /// region-occupancy sample here keeps their allocations out of the
+    /// hottest loop in the system.
     scratch: StepScratch,
 }
 
 /// Scratch buffers reused across [`Network::step`] calls (drained at the end
 /// of every cycle, so only capacity persists).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct StepScratch {
     /// One outbox per tile, reused across cycles.
     outboxes: Vec<TileOutbox>,
     region_occ: Vec<usize>,
-}
-
-/// Everything a tile produces during the per-node phase: buffered cross-node
-/// effects (deliveries, credits) plus the ordered log of stats mutations to
-/// replay serially in the commit phase.
-#[derive(Debug, Default)]
-struct TileOutbox {
-    /// Stats mutations in exact per-node order (see module docs).
-    ops: Vec<StatsOp>,
-    /// Flits leaving this tile's routers (possibly into another tile).
-    deliveries: Vec<Delivery>,
-    /// Credits owed to upstream routers (possibly in another tile).
-    credits: Vec<CreditReturn>,
-    /// Reusable router-event buffer for this tile's step loop.
-    events: Vec<RouterEvent>,
 }
 
 /// Immutable, cross-tile state the per-node phase reads. Everything here is
@@ -436,6 +408,8 @@ impl Network {
         let has_faults = !fault_plan.is_empty();
         let link_state = LinkState::healthy(topo.num_nodes());
         let partitions = config.partitions;
+        let n = topo.num_nodes();
+        let bounds = (0..=partitions).map(|t| t * n / partitions).collect();
         let pool = (partitions > 1).then(|| TilePool::new(partitions));
         let gates_pristine = max_vf.freq_scale == 1.0;
         let tables = (config.routing == RoutingAlgorithm::Table)
@@ -467,8 +441,12 @@ impl Network {
             step_all: false,
             gates_pristine,
             partitions,
+            bounds,
             pool,
-            scratch: StepScratch::default(),
+            scratch: StepScratch {
+                outboxes: (0..partitions).map(|_| TileOutbox::default()).collect(),
+                region_occ: Vec::new(),
+            },
         })
     }
 
@@ -703,13 +681,9 @@ impl Network {
         if self.has_faults {
             self.apply_fault_boundaries(stats);
         }
-        // Borrow the reusable per-tile outboxes out of `self` for the cycle
-        // (they are drained before being returned, so only their capacity
-        // carries over between cycles).
-        let mut outboxes = std::mem::take(&mut self.scratch.outboxes);
-        if outboxes.len() != self.partitions {
-            outboxes.resize_with(self.partitions, TileOutbox::default);
-        }
+        // The per-tile outboxes are drained by the commit phase below, so
+        // only their capacity carries over between cycles.
+        let outboxes = &mut self.scratch.outboxes;
 
         {
             let shared = TileShared {
@@ -729,31 +703,24 @@ impl Network {
                 gates_pristine: self.gates_pristine,
             };
             // Carve the fabric into disjoint contiguous slices, one per tile.
-            let n = self.topo.num_nodes();
-            let mut bounds = Vec::with_capacity(self.partitions + 1);
-            bounds.push(0);
-            for t in 0..self.partitions {
-                bounds.push((t + 1) * n / self.partitions);
-            }
+            let bounds = &self.bounds;
             let mut tasks: Vec<TileTask<'_>> = Vec::with_capacity(self.partitions);
             let mut inj = self.inj.as_mut_slice();
             let mut gates = self.gates.as_mut_slice();
-            let mut outs = outboxes.as_mut_slice();
-            for (t, fabric) in self.fabric.split_tiles(&bounds).into_iter().enumerate() {
+            let tiles = self.fabric.split_tiles(bounds).zip(outboxes.iter_mut());
+            for (t, (fabric, out)) in tiles.enumerate() {
                 let base = bounds[t];
                 let len = bounds[t + 1] - base;
                 let (q, rest) = inj.split_at_mut(len);
                 inj = rest;
                 let (g, rest) = gates.split_at_mut(len);
                 gates = rest;
-                let (o, rest) = outs.split_at_mut(1);
-                outs = rest;
                 tasks.push(TileTask {
                     base,
                     fabric,
                     inj: q,
                     gates: g,
-                    out: &mut o[0],
+                    out,
                 });
             }
             match &self.pool {
@@ -782,7 +749,7 @@ impl Network {
         // exact serial per-node order of stats mutations, deliveries, and
         // credits.
         let n = self.topo.num_nodes();
-        for ob in &mut outboxes {
+        for ob in outboxes.iter_mut() {
             for op in ob.ops.drain(..) {
                 match op {
                     // Expand a coalesced idle run into the exact per-node
@@ -807,25 +774,16 @@ impl Network {
         }
         {
             let mut tile = self.fabric.tile();
-            for ob in &mut outboxes {
-                for mut d in ob.deliveries.drain(..) {
-                    if crosses_dateline_rev(&self.topo, d.to, d.in_port) {
-                        d.flit.vc_class = 1;
-                    }
-                    let mut ctx = RouterCtx {
-                        topo: &self.topo,
-                        routing: self.routing,
-                        power: &self.power,
-                        energy: EnergySink::Meter(&mut stats.energy),
-                        dynamic_scale: self.region_dynamic_scale[self.region_by_node[d.to.0]],
-                        faults: None,
-                        arb: self.switch_arb,
-                        tables: self.tables.as_ref(),
-                    };
-                    tile.accept(d.to.0, d.in_port, d.flit, &mut ctx);
+            for ob in outboxes.iter_mut() {
+                for d in ob.deliveries.drain(..) {
+                    let scale = self.region_dynamic_scale[self.region_by_node[d.to.0]];
+                    stats
+                        .energy
+                        .record(&self.power, PowerEvent::BufferWrite, scale);
+                    tile.accept(d.to.0, d.in_port, d.flit);
                 }
             }
-            for ob in &mut outboxes {
+            for ob in outboxes.iter_mut() {
                 for c in ob.credits.drain(..) {
                     if c.in_port == Port::Local {
                         self.inj[c.at.0].vc_states[c.vc].credits += 1;
@@ -850,8 +808,6 @@ impl Network {
             self.link_state.dead_link_count(),
         );
         self.scratch.region_occ = region_occ;
-
-        self.scratch.outboxes = outboxes;
         self.cycle += 1;
     }
 
@@ -966,35 +922,6 @@ impl Network {
     }
 }
 
-/// Whether a mesh/torus hop from `from` via `port` crosses a wrap-around
-/// (dateline) link.
-fn crosses_dateline(topo: &Topology, from: NodeId, port: Port) -> bool {
-    if topo.kind() != TopologyKind::Torus {
-        return false;
-    }
-    let c = topo.coord(from);
-    match port {
-        Port::East => c.x == topo.width() - 1,
-        Port::West => c.x == 0,
-        Port::South => c.y == topo.height() - 1,
-        Port::North => c.y == 0,
-        Port::Local => false,
-    }
-}
-
-/// Dateline check phrased from the receiving side: the delivery into `to` on
-/// `in_port` crossed a wrap link iff the sender-side check holds for the
-/// reverse hop.
-fn crosses_dateline_rev(topo: &Topology, to: NodeId, in_port: Port) -> bool {
-    if topo.kind() != TopologyKind::Torus {
-        return false;
-    }
-    let from = topo
-        .neighbor(to, in_port)
-        .expect("delivery from a missing neighbor");
-    crosses_dateline(topo, from, in_port.opposite())
-}
-
 /// Close the pending idle run, if any, by logging its coalesced leakage op.
 /// Must be called before logging any other node's op (ops replay in log
 /// order, and the run's leakage must land exactly where a full walk would
@@ -1019,7 +946,6 @@ fn flush_idle_run(run: &mut Option<(usize, usize)>, ops: &mut Vec<StatsOp>) {
 /// credits commit afterwards; packets are offered before the step), so the
 /// idle test over start-of-cycle values is exact.
 fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
-    let mut events = std::mem::take(&mut tile.out.events);
     let mut idle_run: Option<(usize, usize)> = None;
     for k in 0..tile.inj.len() {
         let i = tile.base + k;
@@ -1064,62 +990,15 @@ fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
         if !tile.gates[k].tick() {
             continue; // clock-gated this cycle
         }
-        let dynamic_scale = shared.region_dynamic_scale[region];
-        events.clear();
-        {
-            let mut ctx = RouterCtx {
-                topo: shared.topo,
-                routing: shared.routing,
-                power: shared.power,
-                energy: EnergySink::Log(&mut tile.out.ops),
-                dynamic_scale,
-                faults: if shared.has_faults {
-                    Some(shared.link_state)
-                } else {
-                    None
-                },
-                arb: shared.arb,
-                tables: shared.tables,
-            };
-            tile.fabric.step_node(k, node, &mut ctx, &mut events);
-        }
-        for ev in events.drain(..) {
-            match ev {
-                RouterEvent::Forward { out_port, flit } => {
-                    let to = shared
-                        .topo
-                        .neighbor(node, out_port)
-                        .expect("router forwarded off the edge");
-                    debug_assert!(
-                        !shared.has_faults || shared.link_state.is_link_up(node, out_port),
-                        "delivery scheduled across a dead link"
-                    );
-                    tile.out.deliveries.push(Delivery {
-                        to,
-                        in_port: out_port.opposite(),
-                        flit,
-                    });
-                    tile.out.ops.push(StatsOp::Forward { node: i });
-                    tile.out.ops.push(StatsOp::Energy {
-                        event: PowerEvent::LinkTraversal,
-                        scale: dynamic_scale,
-                    });
-                }
-                RouterEvent::Eject { flit } => {
-                    tile.out.ops.push(StatsOp::Eject { flit });
-                }
-                RouterEvent::Credit { in_port, vc } => {
-                    tile.out.credits.push(CreditReturn {
-                        at: node,
-                        in_port,
-                        vc,
-                    });
-                }
-                RouterEvent::Drop { flit } => {
-                    tile.out.ops.push(StatsOp::Drop { flit });
-                }
-            }
-        }
+        let ctx = RouterCtx {
+            topo: shared.topo,
+            routing: shared.routing,
+            dynamic_scale: shared.region_dynamic_scale[region],
+            faults: shared.has_faults.then_some(shared.link_state),
+            arb: shared.arb,
+            tables: shared.tables,
+        };
+        tile.fabric.step_node(k, node, &ctx, tile.out);
         try_inject_tile(
             shared,
             &mut tile.fabric,
@@ -1130,7 +1009,6 @@ fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
         );
     }
     flush_idle_run(&mut idle_run, &mut tile.out.ops);
-    tile.out.events = events;
 }
 
 /// Try to move one flit from the node's source queue into the router's
@@ -1200,17 +1078,9 @@ fn try_inject_tile(
 
     if let Some((flit, is_tail)) = injected {
         ops.push(StatsOp::Injection { region, is_tail });
-        let mut ctx = RouterCtx {
-            topo: shared.topo,
-            routing: shared.routing,
-            power: shared.power,
-            energy: EnergySink::Log(ops),
-            dynamic_scale: scale,
-            faults: None,
-            arb: shared.arb,
-            tables: shared.tables,
-        };
-        fabric.accept(k, Port::Local, flit, &mut ctx);
+        let event = PowerEvent::BufferWrite;
+        ops.push(StatsOp::Energy { event, scale });
+        fabric.accept(k, Port::Local, flit);
     }
 }
 

@@ -145,8 +145,7 @@ impl Simulator {
     /// window metrics can report burstiness and per-phase buckets.
     pub fn step(&mut self) {
         let t = self.network.cycle();
-        let topo = self.network.topology().clone();
-        let packets = self.traffic.tick(&topo, t);
+        let packets = self.traffic.tick(self.network.topology(), t);
         self.stats
             .record_cycle_offered(self.traffic.current_phase(), packets.len() as u64);
         self.network.offer(packets, &mut self.stats);

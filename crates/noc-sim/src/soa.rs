@@ -18,7 +18,11 @@
 //! Flow control is credit-based: per output port and VC, the fabric keeps
 //! the number of free slots in the downstream buffer and the packet that
 //! owns the VC; the network layer returns credits as downstream buffers
-//! drain, applying the [`RouterEvent`]s each cycle emits.
+//! drain. A router's cycle writes its effects straight into its tile's
+//! [`TileOutbox`] — departing flits as [`Delivery`]s already addressed to
+//! the receiving router, drained slots as [`CreditReturn`]s, statistics and
+//! energy as [`StatsOp`]s — and the network's serial commit phase applies
+//! the outboxes in tile order.
 //!
 //! [`FabricState`] holds every router's pipeline state in flat arrays
 //! indexed by `(router, port, vc)` — flit buffers, route locks, granted
@@ -49,56 +53,57 @@
 use crate::config::SwitchArb;
 use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
-use crate::power::{PowerEvent, PowerModel};
+use crate::power::PowerEvent;
 use crate::routing::{route, route_live, route_table, RoutingAlgorithm, RoutingTables};
-use crate::stats::EnergySink;
-use crate::topology::{NodeId, Port, Topology};
+use crate::stats::StatsOp;
+use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use crate::vc::VcBuffer;
 use std::collections::BTreeSet;
 
-/// Effects of one router cycle, applied by the network layer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RouterEvent {
-    /// A flit leaves through `out_port` toward the neighboring router.
-    Forward {
-        /// Output port the flit leaves through.
-        out_port: Port,
-        /// The departing flit (with `vc` set to the downstream VC).
-        flit: Flit,
-    },
-    /// A flit reaches its destination and leaves the network.
-    Eject {
-        /// The delivered flit.
-        flit: Flit,
-    },
-    /// A buffer slot freed on input port `in_port`, VC `vc`: the upstream
-    /// sender regains one credit.
-    Credit {
-        /// Input port whose buffer drained.
-        in_port: Port,
-        /// Virtual channel index.
-        vc: usize,
-    },
-    /// A flit of an unroutable packet is discarded (fault handling). The
-    /// network layer counts it toward the drop/unreachable statistics.
-    Drop {
-        /// The discarded flit.
-        flit: Flit,
-    },
+/// A flit in transit on a link, to be delivered at the end of the cycle.
+#[derive(Debug, Clone)]
+pub struct Delivery {
+    /// Receiving router.
+    pub to: NodeId,
+    /// Input port of `to` the flit arrives on.
+    pub in_port: Port,
+    /// The flit, with `vc` set to the downstream VC and `vc_class` already
+    /// raised if the hop crossed a torus dateline.
+    pub flit: Flit,
+}
+
+/// A credit to return to an upstream sender.
+#[derive(Debug, Clone)]
+pub struct CreditReturn {
+    /// Router whose input buffer drained.
+    pub at: NodeId,
+    /// Input port the flit had arrived on.
+    pub in_port: Port,
+    /// Virtual channel index.
+    pub vc: usize,
+}
+
+/// Everything a tile produces during the per-node phase: buffered cross-node
+/// effects (deliveries, credits) plus the ordered log of stats mutations to
+/// replay serially in the commit phase. Only capacity persists across cycles.
+#[derive(Debug, Default)]
+pub struct TileOutbox {
+    /// Stats mutations in per-node order ([`StatsOp`] says which orders are
+    /// part of the byte-identity contract).
+    pub ops: Vec<StatsOp>,
+    /// Flits leaving this tile's routers (possibly into another tile).
+    pub deliveries: Vec<Delivery>,
+    /// Credits owed to upstream routers (possibly in another tile).
+    pub credits: Vec<CreditReturn>,
 }
 
 /// Per-cycle execution context handed to [`FabricTile::step_node`].
-#[allow(missing_debug_implementations)]
+#[derive(Debug)]
 pub struct RouterCtx<'a> {
     /// The network topology (for route computation).
     pub topo: &'a Topology,
     /// Routing algorithm in force this cycle.
     pub routing: RoutingAlgorithm,
-    /// Event-energy model.
-    pub power: &'a PowerModel,
-    /// Energy accumulator — a meter on the serial path, a per-tile
-    /// [`crate::stats::StatsOp`] log inside the partitioned stepper.
-    pub energy: EnergySink<'a>,
     /// Dynamic energy multiplier for this router's current V/F level.
     pub dynamic_scale: f64,
     /// Link/router liveness under the active fault set. `None` means the
@@ -112,6 +117,31 @@ pub struct RouterCtx<'a> {
     /// [`RoutingAlgorithm::Table`] and ignored otherwise. The network
     /// rebuilds them whenever the live-link set changes.
     pub tables: Option<&'a RoutingTables>,
+}
+
+impl RouterCtx<'_> {
+    /// One dynamic-energy op at this router's current V/F scale.
+    #[inline]
+    fn energy(&self, event: PowerEvent) -> StatsOp {
+        let scale = self.dynamic_scale;
+        StatsOp::Energy { event, scale }
+    }
+}
+
+/// Whether a mesh/torus hop from `from` via `port` crosses a wrap-around
+/// (dateline) link.
+fn crosses_dateline(topo: &Topology, from: NodeId, port: Port) -> bool {
+    if topo.kind() != TopologyKind::Torus {
+        return false;
+    }
+    let c = topo.coord(from);
+    match port {
+        Port::East => c.x == topo.width() - 1,
+        Port::West => c.x == 0,
+        Port::South => c.y == topo.height() - 1,
+        Port::North => c.y == 0,
+        Port::Local => false,
+    }
 }
 
 /// Round-robin pick over a non-empty request bitmask: the first asserted
@@ -231,25 +261,9 @@ impl FabricState {
         r * self.pv() + port.index() * self.num_vcs + vc
     }
 
-    /// Flits buffered in router `r`, with a debug recount against the O(1)
-    /// counter and the occupancy bitmask.
+    /// Flits buffered in router `r` (see [`occupancy`] for the debug recount).
     pub fn occupancy(&self, r: usize) -> usize {
-        let pv = self.pv();
-        debug_assert_eq!(
-            self.occ[r] as usize,
-            self.bufs[r * pv..(r + 1) * pv]
-                .iter()
-                .map(|b| b.len())
-                .sum::<usize>(),
-            "occupancy counter out of sync with the buffers"
-        );
-        debug_assert!(
-            (0..pv).all(
-                |b| (self.occ_mask[r] >> b) & 1 == u64::from(!self.bufs[r * pv + b].is_empty())
-            ),
-            "occupancy bitmask out of sync with the buffers"
-        );
-        self.occ[r] as usize
+        occupancy(&self.occ, &self.occ_mask, &self.bufs, self.pv(), r)
     }
 
     /// Total buffering capacity per router.
@@ -284,26 +298,11 @@ impl FabricState {
     }
 
     /// Mutable view of the whole fabric (the serial phases — commit and
-    /// fault purge — go through this).
+    /// fault purge — go through this): the one-tile split.
     pub fn tile(&mut self) -> FabricTile<'_> {
-        FabricTile {
-            num_vcs: self.num_vcs,
-            pv: Port::COUNT * self.num_vcs,
-            vc_depth: self.vc_depth,
-            vc_partition: self.vc_partition,
-            bufs: &mut self.bufs,
-            in_route: &mut self.in_route,
-            in_out_vc: &mut self.in_out_vc,
-            in_owner: &mut self.in_owner,
-            in_dropping: &mut self.in_dropping,
-            out_owner: &mut self.out_owner,
-            out_credits: &mut self.out_credits,
-            sw_next: &mut self.sw_next,
-            sw_hold: &mut self.sw_hold,
-            va_ptr: &mut self.va_ptr,
-            occ: &mut self.occ,
-            occ_mask: &mut self.occ_mask,
-        }
+        self.split_tiles(&[0, self.routers])
+            .next()
+            .expect("one tile")
     }
 
     /// Carve the fabric into disjoint contiguous tiles at the router
@@ -313,18 +312,16 @@ impl FabricState {
     ///
     /// # Panics
     /// Panics if the bounds are not ascending or do not cover the fabric.
-    pub fn split_tiles(&mut self, bounds: &[usize]) -> Vec<FabricTile<'_>> {
+    pub fn split_tiles<'a: 'b, 'b>(
+        &'a mut self,
+        bounds: &'b [usize],
+    ) -> impl Iterator<Item = FabricTile<'a>> + 'b {
         assert!(
             bounds.first() == Some(&0) && bounds.last() == Some(&self.routers),
             "tile bounds must cover the fabric"
         );
-        let (num_vcs, pv, vc_depth, vc_partition) = (
-            self.num_vcs,
-            Port::COUNT * self.num_vcs,
-            self.vc_depth,
-            self.vc_partition,
-        );
-        let mut out = Vec::with_capacity(bounds.len() - 1);
+        let (num_vcs, pv, vc_depth, vc_partition) =
+            (self.num_vcs, self.pv(), self.vc_depth, self.vc_partition);
         let mut bufs = self.bufs.as_mut_slice();
         let mut in_route = self.in_route.as_mut_slice();
         let mut in_out_vc = self.in_out_vc.as_mut_slice();
@@ -337,16 +334,16 @@ impl FabricState {
         let mut va_ptr = self.va_ptr.as_mut_slice();
         let mut occ = self.occ.as_mut_slice();
         let mut occ_mask = self.occ_mask.as_mut_slice();
-        for w in bounds.windows(2) {
+        bounds.windows(2).map(move |w| {
             let rn = w[1] - w[0];
             macro_rules! take {
                 ($slice:ident, $n:expr) => {{
-                    let (head, rest) = $slice.split_at_mut($n);
+                    let (head, rest) = std::mem::take(&mut $slice).split_at_mut($n);
                     $slice = rest;
                     head
                 }};
             }
-            out.push(FabricTile {
+            FabricTile {
                 num_vcs,
                 pv,
                 vc_depth,
@@ -363,10 +360,31 @@ impl FabricState {
                 va_ptr: take!(va_ptr, rn * Port::COUNT),
                 occ: take!(occ, rn),
                 occ_mask: take!(occ_mask, rn),
-            });
-        }
-        out
+            }
+        })
     }
+}
+
+/// Flits buffered in router `r` of the given (fabric- or tile-local) arrays,
+/// with a debug recount of the O(1) counter and the occupancy bitmask against
+/// the buffers. The one implementation behind [`FabricState::occupancy`] and
+/// [`FabricTile::occupancy`], so the debug-profile CI job checks both
+/// counters on the path the cycle loop runs.
+#[inline]
+fn occupancy(occ: &[u32], occ_mask: &[u64], bufs: &[VcBuffer], pv: usize, r: usize) -> usize {
+    debug_assert_eq!(
+        occ[r] as usize,
+        bufs[r * pv..(r + 1) * pv]
+            .iter()
+            .map(|b| b.len())
+            .sum::<usize>(),
+        "occupancy counter out of sync with the buffers"
+    );
+    debug_assert!(
+        (0..pv).all(|b| (occ_mask[r] >> b) & 1 == u64::from(!bufs[r * pv + b].is_empty())),
+        "occupancy bitmask out of sync with the buffers"
+    );
+    occ[r] as usize
 }
 
 /// A disjoint mutable view of a contiguous router range — the slice of
@@ -395,15 +413,7 @@ pub struct FabricTile<'a> {
 impl FabricTile<'_> {
     /// Buffered flits in local router `k`, with the debug recount.
     pub fn occupancy(&self, k: usize) -> usize {
-        debug_assert_eq!(
-            self.occ[k] as usize,
-            self.bufs[k * self.pv..(k + 1) * self.pv]
-                .iter()
-                .map(|b| b.len())
-                .sum::<usize>(),
-            "occupancy counter out of sync with the buffers"
-        );
-        self.occ[k] as usize
+        occupancy(self.occ, self.occ_mask, self.bufs, self.pv, k)
     }
 
     /// The VC index range a flit of `vc_class` may claim at the next hop,
@@ -433,13 +443,11 @@ impl FabricTile<'_> {
 
     /// Deposit a flit arriving on `port` of local router `k` into its VC
     /// buffer. Called by the network layer for link deliveries and local
-    /// injections.
+    /// injections; the caller accounts the `BufferWrite` energy.
     ///
     /// # Panics
     /// Panics if the buffer is full (a flow-control violation).
-    pub fn accept(&mut self, k: usize, port: Port, flit: Flit, ctx: &mut RouterCtx<'_>) {
-        ctx.energy
-            .record(ctx.power, PowerEvent::BufferWrite, ctx.dynamic_scale);
+    pub fn accept(&mut self, k: usize, port: Port, flit: Flit) {
         let b = port.index() * self.num_vcs + flit.vc;
         self.bufs[k * self.pv + b].push(flit);
         self.occ[k] += 1;
@@ -457,31 +465,32 @@ impl FabricTile<'_> {
     }
 
     /// Execute one active cycle of local router `k` (node id `node`):
-    /// SA/ST, then VA, then RC. Appends this cycle's events to the
-    /// caller-owned buffer.
-    pub fn step_node(
-        &mut self,
-        k: usize,
-        node: NodeId,
-        ctx: &mut RouterCtx<'_>,
-        events: &mut Vec<RouterEvent>,
-    ) {
+    /// SA/ST, then VA, then RC. Appends this cycle's deliveries, credits
+    /// and stats ops to the tile's outbox.
+    pub fn step_node(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, out: &mut TileOutbox) {
         if self.occupancy(k) == 0 {
             return; // idle router: nothing to route, allocate, or move
         }
         if ctx.faults.is_some() {
-            self.drain_dropped(k, events);
+            self.drain_dropped(k, node, out);
         }
-        self.switch_allocation(k, node, ctx, events);
-        self.vc_allocation(k, ctx);
-        self.route_computation(k, node, ctx);
+        let forwards = self.switch_allocation(k, node, ctx, out);
+        self.vc_allocation(k, ctx, &mut out.ops);
+        self.route_computation(k, node, ctx, &mut out.ops);
+        // Link energy is logged here, after RC's, rather than at the grant:
+        // the order of `Energy` ops is the float-addition order of the
+        // dynamic-energy sum (see [`StatsOp`]).
+        for _ in 0..forwards {
+            out.ops.push(StatsOp::Forward { node: node.0 });
+            out.ops.push(ctx.energy(PowerEvent::LinkTraversal));
+        }
     }
 
     /// Discard buffered flits of packets marked `dropping` (unroutable
     /// under the active fault set), returning a credit per discarded flit
     /// so the upstream sender keeps feeding the remainder of the packet.
     /// The tail flit releases the VC.
-    fn drain_dropped(&mut self, k: usize, events: &mut Vec<RouterEvent>) {
+    fn drain_dropped(&mut self, k: usize, node: NodeId, out: &mut TileOutbox) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut m = self.occ_mask[k];
@@ -497,8 +506,9 @@ impl FabricTile<'_> {
             while let Some(flit) = self.bufs[idx].pop() {
                 removed += 1;
                 let is_tail = flit.is_tail();
-                events.push(RouterEvent::Drop { flit });
-                events.push(RouterEvent::Credit {
+                out.ops.push(StatsOp::Drop { flit });
+                out.credits.push(CreditReturn {
+                    at: node,
                     in_port: Port::from_index(ip),
                     vc,
                 });
@@ -519,13 +529,14 @@ impl FabricTile<'_> {
     /// per-output-port request masks in a single pass over the occupied
     /// VCs; stage two grants each output port with the rotate-free
     /// round-robin pick and masks out the winner's whole input port.
+    /// Returns the number of flits forwarded over a link.
     fn switch_allocation(
         &mut self,
         k: usize,
         node: NodeId,
-        ctx: &mut RouterCtx<'_>,
-        events: &mut Vec<RouterEvent>,
-    ) {
+        ctx: &RouterCtx<'_>,
+        out: &mut TileOutbox,
+    ) -> u32 {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         // Stage one: request masks over flattened (in_port, vc), one per
@@ -555,6 +566,7 @@ impl FabricTile<'_> {
         let n = self.pv as u32;
         let vc_bits = (1u64 << v) - 1;
         let mut used_inputs = 0u64;
+        let mut forwards = 0;
         for out_port in Port::ALL {
             let op = out_port.index();
             let mut reqs = req[op] & !used_inputs;
@@ -595,14 +607,11 @@ impl FabricTile<'_> {
             if is_tail {
                 self.release(idx);
             }
-            ctx.energy
-                .record(ctx.power, PowerEvent::BufferRead, ctx.dynamic_scale);
-            ctx.energy
-                .record(ctx.power, PowerEvent::SwitchArb, ctx.dynamic_scale);
-            ctx.energy
-                .record(ctx.power, PowerEvent::Crossbar, ctx.dynamic_scale);
+            out.ops.push(ctx.energy(PowerEvent::BufferRead));
+            out.ops.push(ctx.energy(PowerEvent::SwitchArb));
+            out.ops.push(ctx.energy(PowerEvent::Crossbar));
             if out_port == Port::Local {
-                events.push(RouterEvent::Eject { flit });
+                out.ops.push(StatsOp::Eject { flit });
             } else {
                 debug_assert!(
                     ctx.faults.is_none_or(|ls| ls.is_link_up(node, out_port)),
@@ -616,14 +625,30 @@ impl FabricTile<'_> {
                 if is_tail {
                     self.out_owner[oidx] = None;
                 }
-                events.push(RouterEvent::Forward { out_port, flit });
+                // The sender resolves the receiver and stamps the dateline
+                // class, so the commit phase only deposits the flit.
+                if crosses_dateline(ctx.topo, node, out_port) {
+                    flit.vc_class = 1;
+                }
+                let to = ctx.topo.neighbor(node, out_port);
+                out.deliveries.push(Delivery {
+                    to: to.expect("router forwarded off the edge"),
+                    in_port: out_port.opposite(),
+                    flit,
+                });
+                forwards += 1;
             }
-            events.push(RouterEvent::Credit { in_port, vc });
+            out.credits.push(CreditReturn {
+                at: node,
+                in_port,
+                vc,
+            });
         }
+        forwards
     }
 
     /// VA: head flits holding a route claim a free downstream VC.
-    fn vc_allocation(&mut self, k: usize, ctx: &mut RouterCtx<'_>) {
+    fn vc_allocation(&mut self, k: usize, ctx: &RouterCtx<'_>, ops: &mut Vec<StatsOp>) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut m = self.occ_mask[k];
@@ -641,8 +666,7 @@ impl FabricTile<'_> {
             if out_port == Port::Local {
                 // Ejection needs no downstream VC; claim slot 0 nominally.
                 self.in_out_vc[idx] = Some(0);
-                ctx.energy
-                    .record(ctx.power, PowerEvent::VcAlloc, ctx.dynamic_scale);
+                ops.push(ctx.energy(PowerEvent::VcAlloc));
                 continue;
             }
             let flit = self.bufs[idx].front().expect("awaiting implies flit");
@@ -659,8 +683,7 @@ impl FabricTile<'_> {
                 self.in_out_vc[idx] = Some(ovc as u8);
                 let ptr = &mut self.va_ptr[k * Port::COUNT + op];
                 *ptr = ptr.wrapping_add(1);
-                ctx.energy
-                    .record(ctx.power, PowerEvent::VcAlloc, ctx.dynamic_scale);
+                ops.push(ctx.energy(PowerEvent::VcAlloc));
             }
         }
     }
@@ -669,7 +692,13 @@ impl FabricTile<'_> {
     /// algorithms pick the candidate whose free VCs hold the most credits.
     /// Under an active fault set, dead output links are excluded; a packet
     /// with no live candidate is marked for dropping instead of wedging.
-    fn route_computation(&mut self, k: usize, node: NodeId, ctx: &mut RouterCtx<'_>) {
+    fn route_computation(
+        &mut self,
+        k: usize,
+        node: NodeId,
+        ctx: &RouterCtx<'_>,
+        ops: &mut Vec<StatsOp>,
+    ) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut m = self.occ_mask[k];
@@ -726,8 +755,7 @@ impl FabricTile<'_> {
             };
             self.in_route[idx] = Some(chosen);
             self.in_owner[idx] = Some(packet);
-            ctx.energy
-                .record(ctx.power, PowerEvent::RouteCompute, ctx.dynamic_scale);
+            ops.push(ctx.energy(PowerEvent::RouteCompute));
         }
     }
 
@@ -815,7 +843,6 @@ impl FabricTile<'_> {
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, Packet};
-    use crate::power::EnergyMeter;
     use proptest::prelude::*;
 
     /// Grant the way `switch_allocation` does: pick, then advance the
@@ -894,30 +921,13 @@ mod tests {
     }
 
     /// One router in isolation — a one-router fabric — plus everything a
-    /// [`RouterCtx`] borrows, on a 4x4 mesh with XY routing.
+    /// [`RouterCtx`] borrows: a 4x4 mesh with XY routing, or
+    /// ([`Rig::torus`]) a 4x4 torus with dimension-ordered routing.
     struct Rig {
         node: NodeId,
         f: FabricState,
         topo: Topology,
-        power: PowerModel,
-        meter: EnergyMeter,
-    }
-
-    fn ctx<'a>(
-        topo: &'a Topology,
-        power: &'a PowerModel,
-        meter: &'a mut EnergyMeter,
-    ) -> RouterCtx<'a> {
-        RouterCtx {
-            topo,
-            routing: RoutingAlgorithm::Xy,
-            power,
-            energy: EnergySink::Meter(meter),
-            dynamic_scale: 1.0,
-            faults: None,
-            arb: SwitchArb::PerFlit,
-            tables: None,
-        }
+        routing: RoutingAlgorithm,
     }
 
     impl Rig {
@@ -926,21 +936,44 @@ mod tests {
                 node: NodeId(node),
                 f: FabricState::new(1, num_vcs, vc_depth, vc_partition),
                 topo: Topology::mesh(4, 4),
-                power: PowerModel::default_32nm(),
-                meter: EnergyMeter::new(),
+                routing: RoutingAlgorithm::Xy,
+            }
+        }
+
+        fn torus(node: usize) -> Self {
+            Rig {
+                topo: Topology::torus(4, 4),
+                routing: RoutingAlgorithm::TorusDor,
+                ..Rig::new(node, 2, 4, true)
             }
         }
 
         fn accept(&mut self, port: Port, flit: Flit) {
-            let mut ctx = ctx(&self.topo, &self.power, &mut self.meter);
-            self.f.tile().accept(0, port, flit, &mut ctx);
+            self.f.tile().accept(0, port, flit);
         }
 
-        fn step(&mut self) -> Vec<RouterEvent> {
-            let mut events = Vec::new();
-            let mut ctx = ctx(&self.topo, &self.power, &mut self.meter);
-            self.f.tile().step_node(0, self.node, &mut ctx, &mut events);
-            events
+        /// One cycle; returns everything the router put in its outbox.
+        fn step(&mut self) -> TileOutbox {
+            let mut out = TileOutbox::default();
+            let ctx = RouterCtx {
+                topo: &self.topo,
+                routing: self.routing,
+                dynamic_scale: 1.0,
+                faults: None,
+                arb: SwitchArb::PerFlit,
+                tables: None,
+            };
+            self.f.tile().step_node(0, self.node, &ctx, &mut out);
+            out
+        }
+
+        /// Send a single-flit packet from this router to `dst` through the
+        /// whole pipeline and return the delivery it leaves as.
+        fn forward_to(&mut self, dst: usize) -> Delivery {
+            self.accept(Port::Local, make_flits(self.node.0, dst, 1).remove(0));
+            let mut sent: Vec<_> = (0..3).flat_map(|_| self.step().deliveries).collect();
+            assert_eq!(sent.len(), 1, "one flit in, one delivery out");
+            sent.remove(0)
         }
 
         fn idx(&self, port: Port, vc: usize) -> usize {
@@ -968,27 +1001,21 @@ mod tests {
         r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
 
         // Cycle 1: RC only.
-        let ev = r.step();
-        assert!(ev.is_empty(), "no movement before VA: {ev:?}");
+        let out = r.step();
+        assert!(out.deliveries.is_empty() && out.credits.is_empty());
         // Cycle 2: VA.
-        let ev = r.step();
-        assert!(ev.is_empty(), "no movement before SA: {ev:?}");
-        // Cycle 3: SA/ST forwards the flit.
-        let ev = r.step();
-        let fwd = ev.iter().find_map(|e| match e {
-            RouterEvent::Forward { out_port, flit } => Some((*out_port, flit.clone())),
-            _ => None,
-        });
-        let (port, flit) = fwd.expect("flit forwarded");
-        assert_eq!(port, Port::East);
-        assert_eq!(flit.hops, 1);
-        assert!(ev.iter().any(|e| matches!(
-            e,
-            RouterEvent::Credit {
-                in_port: Port::Local,
-                vc: 0
-            }
-        )));
+        let out = r.step();
+        assert!(out.deliveries.is_empty() && out.credits.is_empty());
+        // Cycle 3: SA/ST forwards the flit east, to node 1's West port.
+        let out = r.step();
+        let d = out.deliveries.first().expect("flit forwarded");
+        assert_eq!((d.to, d.in_port), (NodeId(1), Port::West));
+        assert_eq!(d.flit.hops, 1);
+        assert!(out.ops.contains(&StatsOp::Forward { node: 0 }));
+        assert!(out
+            .credits
+            .iter()
+            .any(|c| (c.at, c.in_port, c.vc) == (NodeId(0), Port::Local, 0)));
     }
 
     #[test]
@@ -999,8 +1026,8 @@ mod tests {
         r.accept(Port::West, flit);
         let mut ejected = false;
         for _ in 0..3 {
-            for e in r.step() {
-                if let RouterEvent::Eject { flit } = e {
+            for op in r.step().ops {
+                if let StatsOp::Eject { flit } = op {
                     assert_eq!(flit.dst, NodeId(5));
                     ejected = true;
                 }
@@ -1016,14 +1043,7 @@ mod tests {
         for f in make_flits(0, 3, 5).into_iter().take(2) {
             r.accept(Port::Local, f);
         }
-        let mut forwarded = 0;
-        for _ in 0..10 {
-            for e in r.step() {
-                if matches!(e, RouterEvent::Forward { .. }) {
-                    forwarded += 1;
-                }
-            }
-        }
+        let forwarded: usize = (0..10).map(|_| r.step().deliveries.len()).sum();
         assert_eq!(
             forwarded, 2,
             "only vc_depth flits may be in flight without credits"
@@ -1043,11 +1063,9 @@ mod tests {
         }
         let mut tails = 0;
         for _ in 0..8 {
-            for e in r.step() {
-                if let RouterEvent::Forward { flit, .. } = e {
-                    if flit.kind == FlitKind::Tail {
-                        tails += 1;
-                    }
+            for d in r.step().deliveries {
+                if d.flit.kind == FlitKind::Tail {
+                    tails += 1;
                 }
             }
         }
@@ -1087,13 +1105,46 @@ mod tests {
     fn step_consumes_energy() {
         let mut r = Rig::new(0, 2, 4, false);
         r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
-        for _ in 0..3 {
-            r.step();
+        // Replay the logged ops the way the commit phase does.
+        let power = crate::power::PowerModel::default_32nm();
+        let mut stats = crate::stats::StatsCollector::new(1);
+        for op in (0..3).flat_map(|_| r.step().ops) {
+            stats.apply(op, &power, 16, 0);
         }
-        assert!(r.meter.dynamic_pj() > 0.0);
+        assert!(stats.energy.dynamic_pj() > 0.0);
         assert!(
-            r.meter.events() >= 4,
-            "write + RC + VA + SA events expected"
+            stats.energy.events() >= 4,
+            "RC + VA + SA + link events expected"
         );
+    }
+
+    /// The sender resolves the receiver and stamps the dateline class: a
+    /// torus hop over a wrap link leaves as class 1 addressed to the far
+    /// edge, an interior hop stays class 0, and a mesh never stamps.
+    #[test]
+    fn sender_stamps_dateline_class_on_wrap_links_only() {
+        // East from x = W-1 (node 3 -> node 0) and South from y = H-1
+        // (node 12 -> node 0) are the wrap links of a 4x4 torus.
+        let d = Rig::torus(3).forward_to(0);
+        assert_eq!(
+            (d.to, d.in_port, d.flit.vc_class),
+            (NodeId(0), Port::West, 1)
+        );
+        let d = Rig::torus(12).forward_to(0);
+        assert_eq!(
+            (d.to, d.in_port, d.flit.vc_class),
+            (NodeId(0), Port::North, 1)
+        );
+        // Interior torus hop: 1 -E-> 2.
+        let d = Rig::torus(1).forward_to(2);
+        assert_eq!(
+            (d.to, d.in_port, d.flit.vc_class),
+            (NodeId(2), Port::West, 0)
+        );
+        // Mesh edge routers have no wrap link to cross.
+        for (node, dst, to) in [(3, 2, 2), (3, 7, 7), (12, 8, 8), (12, 13, 13)] {
+            let d = Rig::new(node, 2, 4, false).forward_to(dst);
+            assert_eq!((d.to, d.flit.vc_class), (NodeId(to), 0));
+        }
     }
 }

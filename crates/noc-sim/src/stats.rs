@@ -42,9 +42,12 @@ pub const LATENCY_BUCKETS: [u64; 12] = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256
 /// perturb the last bits of `energy_pj`. Instead each tile appends the
 /// operations it *would* have applied, in its serial order, and the commit
 /// phase replays the logs tile by tile — reproducing the exact mutation
-/// sequence (and therefore the exact float-addition order) of a serial run.
+/// sequence of a serial run. Only [`StatsOp::Energy`] and
+/// [`StatsOp::Leakage`] feed order-sensitive float sums (one each); every
+/// other accumulator is an integer or an f64 sum of integer values, so the
+/// contract is the sequence of each of those two kinds within a tile's log.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StatsOp {
+pub(crate) enum StatsOp {
     /// One cycle of router+link leakage (`EnergyMeter::record_leakage`).
     Leakage {
         /// Outgoing links of the leaking router.
@@ -103,32 +106,6 @@ pub enum StatsOp {
         /// One past the last node of the run.
         to: usize,
     },
-}
-
-/// Where a router records its energy events: straight into an
-/// [`EnergyMeter`] (the serial path — deliveries, unit tests), or into a
-/// per-tile [`StatsOp`] log for deferred serial replay (the partitioned
-/// `Network::step`).
-#[derive(Debug)]
-pub enum EnergySink<'a> {
-    /// Record directly into the meter.
-    Meter(&'a mut EnergyMeter),
-    /// Append to a tile's operation log for later replay.
-    Log(&'a mut Vec<StatsOp>),
-}
-
-impl EnergySink<'_> {
-    /// Record one dynamic event (see [`EnergyMeter::record`]).
-    #[inline]
-    pub fn record(&mut self, model: &PowerModel, event: PowerEvent, dynamic_scale: f64) {
-        match self {
-            EnergySink::Meter(m) => m.record(model, event, dynamic_scale),
-            EnergySink::Log(log) => log.push(StatsOp::Energy {
-                event,
-                scale: dynamic_scale,
-            }),
-        }
-    }
 }
 
 /// Block length (cycles) of the injection-burstiness estimator: offered
@@ -448,7 +425,7 @@ impl StatsCollector {
     /// Replay one deferred [`StatsOp`] exactly as the serial stepper would
     /// have applied it: `power` and `cycle` are the power model and the cycle
     /// the op was logged in, `num_nodes` sizes the forward map on demand.
-    pub fn apply(&mut self, op: StatsOp, power: &PowerModel, num_nodes: usize, cycle: u64) {
+    pub(crate) fn apply(&mut self, op: StatsOp, power: &PowerModel, num_nodes: usize, cycle: u64) {
         match op {
             StatsOp::Leakage { links, scale } => self.energy.record_leakage(power, links, scale),
             StatsOp::Energy { event, scale } => self.energy.record(power, event, scale),
