@@ -355,7 +355,7 @@ fn sim_points() -> Vec<SimPoint> {
         // partitioned. The serial 16x16 point is the baseline the
         // partitioned points are compared against (the partition speedup);
         // the p4 points exercise the tile pool, boundary exchange, and
-        // log-replay stats commit at the scale where parallelism pays off.
+        // count-and-price stats commit at the scale where parallelism pays off.
         point(
             "sim/16x16/uniform/r0.10",
             "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \

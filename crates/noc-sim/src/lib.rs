@@ -34,14 +34,16 @@
 //!   torus minimal-adaptive.
 //! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)
 //!   over flat structure-of-arrays fabric state; partition tiles are
-//!   contiguous slices of it, and each writes its cycle into a tile outbox.
+//!   contiguous slices of it, and each router writes its cycle into its
+//!   tile's outbox and counts its energy events in its own slot.
 //! * [`vc`] — the bounded flit FIFO behind each input VC, and the
 //!   injection queues' credit view of the `Local` port.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
 //!   to injection processes (Bernoulli, bursty, pulsed), plus traces.
 //! * [`dvfs`] / [`power`] — V/F levels, regions, clock gating, event energy.
 //! * [`fault`] — timed link/router failures, fault-aware rerouting support.
-//! * [`network`] — the router grid, links, injection queues, cycle loop.
+//! * [`network`] — the router grid, links, injection queues, cycle loop;
+//!   its serial commit phase prices the count slots in node order.
 //! * [`stats`] / [`sim`] — metrics and the simulation driver.
 
 #![warn(missing_docs)]

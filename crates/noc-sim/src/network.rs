@@ -2,9 +2,10 @@
 //! queues, per-region DVFS state, and the global cycle loop.
 //!
 //! Effect application is double-buffered: all routers compute their cycle
-//! first, each writing its deliveries, credit returns and stats ops straight
-//! into its tile's `TileOutbox`; then the commit phase applies the
-//! outboxes, so router evaluation order never matters and links have a
+//! first, each writing its deliveries, credit returns, ejections and drops
+//! straight into its tile's `TileOutbox` and counting its energy events in
+//! its `NodeWork` slot; then the commit phase prices the slots and applies
+//! the outboxes, so router evaluation order never matters and links have a
 //! one-cycle latency.
 //!
 //! # Partitioned stepping
@@ -18,14 +19,14 @@
 //! contiguous node-range tiles — literal contiguous slices of every state
 //! array — stepped concurrently on a persistent thread pool.
 //!
-//! Determinism: tiles never touch the shared [`StatsCollector`]. Each tile
-//! appends the stats mutations it would have applied to a private
-//! `StatsOp` log, and a serial commit phase replays the logs in tile
-//! order — which, because tiles are contiguous ascending ranges, is exactly
-//! the serial per-node mutation order (same float-addition order for the
-//! `Energy`/`Leakage` ops, the only order-sensitive ones). Every partition
-//! count, including 1, runs this same log-and-replay path, so the partition
-//! knob cannot perturb results: reports are byte-identical across
+//! Determinism: tiles never touch the shared [`StatsCollector`]. Each
+//! router counts what it did in its own `NodeWork` slot — one more
+//! per-router array, carved into tiles like the rest — and a serial commit
+//! phase prices the slots in node order, which is the same sequence of
+//! float additions into the dynamic-energy and leakage sums (the only
+//! order-sensitive ones) wherever the tile bounds fall. Every partition
+//! count, including 1, runs this same count-and-price path, so the
+//! partition knob cannot perturb results: reports are byte-identical across
 //! `partitions` ∈ {1, 2, 4, ...} (pinned by the differential tests in
 //! `tests/partitions.rs`).
 //!
@@ -34,10 +35,10 @@
 //! The per-node loop skips routers that are provably inert this cycle: no
 //! buffered flits and no source-queue backlog. Such a node's entire serial
 //! effect is one leakage record and (possibly) a clock-gate phase advance —
-//! it cannot inject, route, or move anything. Skipped nodes are coalesced
-//! into `StatsOp::IdleLeakageRun` ops that the commit phase expands into
-//! the exact per-node leakage records of a full walk, and gate ticks are
-//! elided only while every gate provably sits at its zero-phase fixpoint
+//! it cannot inject, route, or move anything. A skipped node writes nothing:
+//! its untouched (`Idle`) `NodeWork` slot is the leakage record the commit
+//! phase prices exactly as a full walk's, and gate ticks are elided only
+//! while every gate provably sits at its zero-phase fixpoint
 //! (nominal frequency since reset — the `gates_pristine` flag), so reports
 //! stay byte-identical. A delivery, injection, or fault event lands a node
 //! back in the active set no later than the cycle it must act on it:
@@ -53,8 +54,8 @@ use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Flit, Packet, PacketId};
 use crate::power::{PowerEvent, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
-use crate::soa::{FabricState, FabricTile, RouterCtx, TileOutbox};
-use crate::stats::{StatsCollector, StatsOp};
+use crate::soa::{FabricState, FabricTile, NodeState, NodeWork, RouterCtx, TileOutbox};
+use crate::stats::StatsCollector;
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use crate::vc::OutputVcState;
 use std::cell::UnsafeCell;
@@ -210,11 +211,6 @@ struct TileShared<'a> {
     routing: RoutingAlgorithm,
     arb: SwitchArb,
     tables: Option<&'a RoutingTables>,
-    power: &'a PowerModel,
-    links_out: &'a [usize],
-    region_by_node: &'a [usize],
-    region_dynamic_scale: &'a [f64],
-    region_leakage_scale: &'a [f64],
     link_state: &'a LinkState,
     has_faults: bool,
     cycle: u64,
@@ -670,10 +666,11 @@ impl Network {
     /// Advance the network one global clock cycle.
     ///
     /// The per-node phase runs tile-by-tile (in parallel when
-    /// `partitions > 1`), logging stats mutations per tile; the commit
-    /// phase then replays those logs and applies deliveries and credits
-    /// serially in tile order. See the module docs for why this makes the
-    /// partition count observationally irrelevant.
+    /// `partitions > 1`), each router counting its energy events in its
+    /// `NodeWork` slot; the commit phase then prices the slots in node
+    /// order and applies ejections, deliveries and credits serially in tile
+    /// order. See the module docs for why this makes the partition count
+    /// observationally irrelevant.
     pub fn step(&mut self, stats: &mut StatsCollector) {
         if !self.throttles.is_empty() {
             self.sync_effective_levels();
@@ -691,11 +688,6 @@ impl Network {
                 routing: self.routing,
                 arb: self.switch_arb,
                 tables: self.tables.as_ref(),
-                power: &self.power,
-                links_out: &self.links_out,
-                region_by_node: &self.region_by_node,
-                region_dynamic_scale: &self.region_dynamic_scale,
-                region_leakage_scale: &self.region_leakage_scale,
                 link_state: &self.link_state,
                 has_faults: self.has_faults,
                 cycle: self.cycle,
@@ -744,42 +736,91 @@ impl Network {
             }
         }
 
-        // Commit phase (serial). Tiles are contiguous ascending node ranges,
-        // so replaying/applying each outbox in tile order reproduces the
-        // exact serial per-node order of stats mutations, deliveries, and
-        // credits.
+        // Commit phase (serial). Pricing the slots in node order and, tiles
+        // being contiguous ascending node ranges, applying each outbox in
+        // tile order reproduces the exact serial per-node order of stats
+        // mutations, deliveries, and credits.
         let n = self.topo.num_nodes();
-        for ob in outboxes.iter_mut() {
-            for op in ob.ops.drain(..) {
-                match op {
-                    // Expand a coalesced idle run into the exact per-node
-                    // leakage records a full walk would have produced: same
-                    // calls, same order, same floats. Idle means zero
-                    // occupancy and backlog, so the serial gating condition
-                    // reduces to the fraction check.
-                    StatsOp::IdleLeakageRun { from, to } => {
-                        for i in from..to {
-                            let mut leak = self.region_leakage_scale[self.region_by_node[i]];
-                            if self.power.idle_leakage_fraction < 1.0 {
-                                leak *= self.power.idle_leakage_fraction;
-                            }
-                            stats
-                                .energy
-                                .record_leakage(&self.power, self.links_out[i], leak);
-                        }
-                    }
-                    op => stats.apply(op, &self.power, n, self.cycle),
-                }
-            }
-        }
+        let power = &self.power;
         {
             let mut tile = self.fabric.tile();
+            let (mut grants, mut forwards) = (0usize, 0usize);
+            for (i, slot) in tile.work.iter_mut().enumerate() {
+                let work = *slot;
+                let region = self.region_by_node[i];
+                // Leakage accrues every global cycle regardless of clock
+                // gating; idle routers (empty buffers and source queue) may
+                // be power gated down to a fraction of nominal leakage, and
+                // a dead router consumes nothing.
+                let idle = work.state == NodeState::Idle;
+                let mut leak = self.region_leakage_scale[region];
+                if idle && power.idle_leakage_fraction < 1.0 {
+                    leak *= power.idle_leakage_fraction;
+                }
+                if work.state != NodeState::Dead {
+                    stats.energy.record_leakage(power, self.links_out[i], leak);
+                }
+                if idle {
+                    // Idle did nothing by definition, and most slots of a
+                    // sparse fabric are idle: a load and a compare, never a
+                    // store.
+                    continue;
+                }
+                *slot = NodeWork::default();
+                let scale = self.region_dynamic_scale[region];
+                let price = |stats: &mut StatsCollector, event| {
+                    stats.energy.record(power, event, scale);
+                };
+                // The order below is the float-addition order of the
+                // dynamic-energy sum (see `NodeWork`).
+                for _ in 0..work.grants {
+                    price(stats, PowerEvent::BufferRead);
+                    price(stats, PowerEvent::SwitchArb);
+                    price(stats, PowerEvent::Crossbar);
+                }
+                for _ in 0..work.va {
+                    price(stats, PowerEvent::VcAlloc);
+                }
+                for _ in 0..work.rc {
+                    price(stats, PowerEvent::RouteCompute);
+                }
+                for _ in 0..work.forwards {
+                    stats.record_forward(i, n);
+                    price(stats, PowerEvent::LinkTraversal);
+                }
+                if let Some(is_tail) = work.injected {
+                    stats.record_injection(region, is_tail);
+                    price(stats, PowerEvent::BufferWrite);
+                }
+                grants += work.grants as usize;
+                forwards += work.forwards as usize;
+            }
+            // Flit conservation through the switch, by an oracle that shares
+            // no code with the pipeline: every grant left over a link or
+            // ejected, and every flit that left a buffer returned a credit.
+            let sent = |len: fn(&TileOutbox) -> usize| outboxes.iter().map(len).sum::<usize>();
+            let (deliveries, ejected) = (sent(|o| o.deliveries.len()), sent(|o| o.ejected.len()));
+            debug_assert_eq!(forwards, deliveries, "forward without a delivery");
+            debug_assert_eq!(grants, deliveries + ejected, "granted flit went nowhere");
+            debug_assert_eq!(
+                sent(|o| o.credits.len()),
+                grants + sent(|o| o.dropped.len()),
+                "a flit left a buffer without returning its credit"
+            );
+            for ob in outboxes.iter_mut() {
+                for flit in ob.ejected.drain(..) {
+                    stats.record_ejection(&flit, self.cycle);
+                }
+                for flit in ob.dropped.drain(..) {
+                    stats.record_drop(&flit);
+                }
+                let (packets, flits) = std::mem::take(&mut ob.source_dropped);
+                stats.record_source_drop(packets, flits);
+            }
             for ob in outboxes.iter_mut() {
                 for d in ob.deliveries.drain(..) {
                     let scale = self.region_dynamic_scale[self.region_by_node[d.to.0]];
-                    stats
-                        .energy
-                        .record(&self.power, PowerEvent::BufferWrite, scale);
+                    stats.energy.record(power, PowerEvent::BufferWrite, scale);
                     tile.accept(d.to.0, d.in_port, d.flit);
                 }
             }
@@ -922,110 +963,68 @@ impl Network {
     }
 }
 
-/// Close the pending idle run, if any, by logging its coalesced leakage op.
-/// Must be called before logging any other node's op (ops replay in log
-/// order, and the run's leakage must land exactly where a full walk would
-/// have put it) and at the end of the tile.
-#[inline]
-fn flush_idle_run(run: &mut Option<(usize, usize)>, ops: &mut Vec<StatsOp>) {
-    if let Some((from, to)) = run.take() {
-        ops.push(StatsOp::IdleLeakageRun { from, to });
-    }
-}
-
-/// Step one tile's node range: the exact serial per-node loop, with all
-/// stats mutations logged to the tile's outbox instead of applied, and all
-/// cross-node effects buffered.
+/// Step one tile's node range: the exact serial per-node loop, with every
+/// energy event counted in the node's `NodeWork` slot instead of applied,
+/// and all cross-node effects buffered in the tile's outbox.
 ///
 /// Nodes with no buffered flits and no source backlog are skipped (the
 /// active-router worklist): such a node's pipeline and injection stages are
-/// provably no-ops, so its whole serial effect is one leakage record —
-/// coalesced into an [`StatsOp::IdleLeakageRun`] — plus a clock-gate tick,
-/// elided only while the gates are pristine (see `Network::gates_pristine`).
+/// provably no-ops, so its whole serial effect is one leakage record — its
+/// untouched `Idle` slot — plus a clock-gate tick, elided only while the
+/// gates are pristine (see `Network::gates_pristine`).
 /// Occupancy and backlog are stable during the phase (deliveries and
 /// credits commit afterwards; packets are offered before the step), so the
 /// idle test over start-of-cycle values is exact.
 fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
-    let mut idle_run: Option<(usize, usize)> = None;
+    let ctx = RouterCtx {
+        topo: shared.topo,
+        routing: shared.routing,
+        faults: shared.has_faults.then_some(shared.link_state),
+        arb: shared.arb,
+        tables: shared.tables,
+    };
     for k in 0..tile.inj.len() {
-        let i = tile.base + k;
-        let node = NodeId(i);
+        let node = NodeId(tile.base + k);
         if shared.has_faults && !shared.link_state.is_router_up(node) {
             // A dead router does nothing and consumes nothing; traffic
             // offered at its source queue is unreachable and dropped.
-            flush_idle_run(&mut idle_run, &mut tile.out.ops);
-            drop_source_queue_tile(&mut tile.inj[k], &mut tile.out.ops);
+            tile.fabric.work[k].state = NodeState::Dead;
+            drop_source_queue_tile(&mut tile.inj[k], &mut tile.out.source_dropped);
             continue;
         }
         let idle = tile.fabric.occupancy(k) == 0 && tile.inj[k].backlog_flits() == 0;
         if idle && !shared.step_all {
-            // Worklist skip: log the leakage as part of a coalesced run and
-            // keep the gate phase exact. Nothing else a full walk does for
-            // an idle node has any effect.
-            match &mut idle_run {
-                Some((_, to)) if *to == i => *to = i + 1,
-                _ => {
-                    flush_idle_run(&mut idle_run, &mut tile.out.ops);
-                    idle_run = Some((i, i + 1));
-                }
-            }
+            // Worklist skip: keep the gate phase exact. Nothing else a full
+            // walk does for an idle node has any effect — provided the
+            // commit phase left the slot it will price as idle clean.
+            debug_assert_eq!(tile.fabric.work[k], NodeWork::default());
             if !shared.gates_pristine {
                 tile.gates[k].tick();
             }
             continue;
         }
-        flush_idle_run(&mut idle_run, &mut tile.out.ops);
-        // Leakage accrues every global cycle regardless of clock gating;
-        // idle routers (empty buffers and source queue) may be power
-        // gated down to a fraction of nominal leakage.
-        let region = shared.region_by_node[i];
-        let mut leak = shared.region_leakage_scale[region];
-        if shared.power.idle_leakage_fraction < 1.0 && idle {
-            leak *= shared.power.idle_leakage_fraction;
+        if !idle {
+            tile.fabric.work[k].state = NodeState::Busy;
         }
-        tile.out.ops.push(StatsOp::Leakage {
-            links: shared.links_out[i],
-            scale: leak,
-        });
         if !tile.gates[k].tick() {
             continue; // clock-gated this cycle
         }
-        let ctx = RouterCtx {
-            topo: shared.topo,
-            routing: shared.routing,
-            dynamic_scale: shared.region_dynamic_scale[region],
-            faults: shared.has_faults.then_some(shared.link_state),
-            arb: shared.arb,
-            tables: shared.tables,
-        };
         tile.fabric.step_node(k, node, &ctx, tile.out);
-        try_inject_tile(
-            shared,
-            &mut tile.fabric,
-            k,
-            &mut tile.inj[k],
-            node,
-            &mut tile.out.ops,
-        );
+        try_inject_tile(shared, &mut tile.fabric, k, &mut tile.inj[k]);
     }
-    flush_idle_run(&mut idle_run, &mut tile.out.ops);
 }
 
 /// Try to move one flit from the node's source queue into the router's
 /// Local input port, honoring VC ownership and credits (tile-local variant;
-/// the injection and buffer-write stats land in the op log).
+/// the injection and its buffer write are counted in the node's slot).
 fn try_inject_tile(
     shared: &TileShared<'_>,
     fabric: &mut FabricTile<'_>,
     k: usize,
     q: &mut InjectionQueue,
-    node: NodeId,
-    ops: &mut Vec<StatsOp>,
 ) {
-    let region = shared.region_by_node[node.0];
     let is_torus = shared.topo.kind() == TopologyKind::Torus;
     let cycle = shared.cycle;
-    let scale = shared.region_dynamic_scale[region];
 
     let injected: Option<(Flit, bool)> = {
         if q.current.is_empty() {
@@ -1077,30 +1076,25 @@ fn try_inject_tile(
     };
 
     if let Some((flit, is_tail)) = injected {
-        ops.push(StatsOp::Injection { region, is_tail });
-        let event = PowerEvent::BufferWrite;
-        ops.push(StatsOp::Energy { event, scale });
+        fabric.work[k].injected = Some(is_tail);
         fabric.accept(k, Port::Local, flit);
     }
 }
 
 /// Drop everything waiting at a dead router's source queue: queued packets
-/// and any mid-injection remnant that never reached the network.
-fn drop_source_queue_tile(q: &mut InjectionQueue, ops: &mut Vec<StatsOp>) {
+/// and any mid-injection remnant that never reached the network. Adds to
+/// the tile's `(packets, flits)` tally.
+fn drop_source_queue_tile(q: &mut InjectionQueue, dropped: &mut (u64, u64)) {
     while let Some(p) = q.pop_packet() {
-        ops.push(StatsOp::SourceDrop {
-            packets: 1,
-            flits: p.len_flits as u64,
-        });
+        dropped.0 += 1;
+        dropped.1 += p.len_flits as u64;
     }
     if !q.current.is_empty() {
         // Possible only for a packet that had injected nothing when the
         // router died (otherwise the boundary purge already cleared it),
         // so it still counts as a whole dropped packet.
-        ops.push(StatsOp::SourceDrop {
-            packets: 1,
-            flits: q.current.len() as u64,
-        });
+        dropped.0 += 1;
+        dropped.1 += q.current.len() as u64;
         q.current.clear();
         if let Some(vc) = q.current_vc.take() {
             q.vc_states[vc].owner = None;
@@ -1628,5 +1622,43 @@ mod tests {
         net.step(&mut stats);
         let e2 = stats.energy.leakage_pj();
         assert!(e1 > 0.0 && e2 > e1);
+    }
+
+    /// One single-flit packet 0 -> 1 at the top V/F level (both scales
+    /// exactly 1.0), priced by hand rather than by a golden: inject, RC, VA,
+    /// SA + link at node 0 (cycles 0-3); deposit, RC, VA, SA + eject at
+    /// node 1 (cycles 4-6); every other router-cycle leaks idle.
+    #[test]
+    fn one_flit_one_hop_costs_what_the_power_model_says() {
+        let models = [PowerModel::default_32nm(), PowerModel::with_power_gating()];
+        for (partitions, p) in [1, 2].into_iter().flat_map(|n| models.map(|p| (n, p))) {
+            let mut cfg = small_config().with_partitions(partitions);
+            cfg.power = p;
+            let mut net = Network::new(&cfg).unwrap();
+            let mut stats = StatsCollector::new(net.regions().num_regions());
+            net.offer(vec![packet(0, 0, 1, 1, 0)], &mut stats);
+            let mut leakage = 0.0;
+            for cycle in 0..10 {
+                net.step(&mut stats);
+                let busy = [0, 0, 0, 0, 1, 1, 1].get(cycle);
+                for i in 0..16 {
+                    let (x, y) = (i % 4, i / 4);
+                    let links = [x > 0, x < 3, y > 0, y < 3].iter().filter(|&&l| l).count();
+                    let idle = busy != Some(&i);
+                    let gate = if idle { p.idle_leakage_fraction } else { 1.0 };
+                    leakage += (p.p_leak_router + p.p_leak_link * links as f64) * gate;
+                }
+            }
+            let hop = p.e_route + p.e_vc_alloc + p.e_buffer_read + p.e_sw_arb + p.e_xbar;
+            let dynamic = 2.0 * p.e_buffer_write + 2.0 * hop + p.e_link;
+            let (energy, gating) = (&stats.energy, p.idle_leakage_fraction);
+            assert_eq!(stats.ejected_packets, 1);
+            assert!((energy.dynamic_pj() - dynamic).abs() < 1e-9);
+            assert_eq!((energy.events(), stats.node_forwarded[0]), (13, 1));
+            assert!(
+                (energy.leakage_pj() - leakage).abs() < 1e-9,
+                "partitions={partitions} gating={gating}: {energy:?} vs {leakage}"
+            );
+        }
     }
 }

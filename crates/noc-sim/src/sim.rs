@@ -47,9 +47,8 @@ impl Simulator {
     /// Returns an error if the configuration is invalid.
     pub fn new(config: SimConfig) -> SimResult<Self> {
         let network = Network::new(&config)?;
-        let topo = network.topology().clone();
         let traffic = TrafficGenerator::new(
-            &topo,
+            network.topology(),
             config.traffic.clone(),
             config.packet_len,
             config.seed,

@@ -20,9 +20,10 @@
 //! owns the VC; the network layer returns credits as downstream buffers
 //! drain. A router's cycle writes its effects straight into its tile's
 //! [`TileOutbox`] — departing flits as [`Delivery`]s already addressed to
-//! the receiving router, drained slots as [`CreditReturn`]s, statistics and
-//! energy as [`StatsOp`]s — and the network's serial commit phase applies
-//! the outboxes in tile order.
+//! the receiving router, drained slots as [`CreditReturn`]s, ejected and
+//! dropped flits as themselves — and counts what it did in its own
+//! [`NodeWork`] slot; the network's serial commit phase prices the slots in
+//! node order and applies the outboxes in tile order.
 //!
 //! [`FabricState`] holds every router's pipeline state in flat arrays
 //! indexed by `(router, port, vc)` — flit buffers, route locks, granted
@@ -47,15 +48,14 @@
 //!
 //! Both counters are derivable from the buffers; `debug_assert!` recounts
 //! (exercised by the debug-profile CI job) keep them honest. The stages
-//! visit VCs in `(port, vc)` order and record energy events in a fixed
-//! order, which the golden and differential tests pin byte-for-byte.
+//! visit VCs in `(port, vc)` order and the commit phase prices each router's
+//! counts in one fixed order ([`NodeWork`]), which the golden and
+//! differential tests pin byte-for-byte.
 
 use crate::config::SwitchArb;
 use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
-use crate::power::PowerEvent;
 use crate::routing::{route, route_live, route_table, RoutingAlgorithm, RoutingTables};
-use crate::stats::StatsOp;
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use crate::vc::VcBuffer;
 use std::collections::BTreeSet;
@@ -83,18 +83,74 @@ pub struct CreditReturn {
     pub vc: usize,
 }
 
-/// Everything a tile produces during the per-node phase: buffered cross-node
-/// effects (deliveries, credits) plus the ordered log of stats mutations to
-/// replay serially in the commit phase. Only capacity persists across cycles.
+/// Everything a tile's routers emit beyond themselves during the per-node
+/// phase, applied serially by the commit phase in tile order. Deliveries are
+/// priced in that order (one `BufferWrite` each, after every [`NodeWork`]
+/// slot); ejections, drops and source drops feed only integers and f64 sums
+/// of integers, so their order is free. Only capacity persists across cycles.
 #[derive(Debug, Default)]
 pub struct TileOutbox {
-    /// Stats mutations in per-node order ([`StatsOp`] says which orders are
-    /// part of the byte-identity contract).
-    pub ops: Vec<StatsOp>,
     /// Flits leaving this tile's routers (possibly into another tile).
     pub deliveries: Vec<Delivery>,
     /// Credits owed to upstream routers (possibly in another tile).
     pub credits: Vec<CreditReturn>,
+    /// Flits ejected at their destination (`StatsCollector::record_ejection`).
+    pub ejected: Vec<Flit>,
+    /// Flits discarded by the drop drain (`StatsCollector::record_drop`).
+    pub dropped: Vec<Flit>,
+    /// `(packets, flits)` discarded at dead routers' source queues
+    /// (`StatsCollector::record_source_drop`).
+    pub source_dropped: (u64, u64),
+}
+
+/// What a router's cycle owes in leakage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum NodeState {
+    /// Empty buffers and empty source queue: leaks, power-gated if the
+    /// model gates. The default, so a router the worklist skips writes
+    /// nothing — its untouched slot *is* its idle leakage record.
+    #[default]
+    Idle,
+    /// Flits buffered or queued (even if clock-gated this cycle): leaks in
+    /// full.
+    Busy,
+    /// Dead under the active fault set: consumes nothing.
+    Dead,
+}
+
+/// What one router did this cycle: its leakage state and how many of each
+/// dynamic-energy event it caused. The per-node phase only counts; the
+/// serial commit phase prices the slots in node order and resets them.
+///
+/// Tiles cannot share a `&mut StatsCollector`, and merging per-tile energy
+/// sums would break byte-identity: float addition is not associative, so
+/// regrouping `dynamic_pj` or `leakage_pj` by tile would perturb their last
+/// bits. Counting suffices because a router's event sequence is fixed —
+/// `grants` × (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`,
+/// `rc` × `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy,
+/// not at the grant), then the injection's `BufferWrite`, all at the
+/// router's one V/F scale — so pricing slot after slot is the same sequence
+/// of f64 additions whatever the partition count. Those two sums are the
+/// only order-sensitive accumulators; everything else a cycle records is an
+/// integer or an f64 sum of integers.
+///
+/// The counts fit `u8`: each is at most one per input VC per cycle, and
+/// [`FabricState::new`] asserts `Port::COUNT * num_vcs <= 64`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeWork {
+    /// Leakage state.
+    pub state: NodeState,
+    /// Switch-allocation grants (flits read, arbitrated and crossed).
+    pub grants: u8,
+    /// VC allocations.
+    pub va: u8,
+    /// Route computations.
+    pub rc: u8,
+    /// Grants that left over an inter-router link (the rest ejected).
+    pub forwards: u8,
+    /// The flit injected from the source queue, if any: whether it was its
+    /// packet's tail.
+    pub injected: Option<bool>,
 }
 
 /// Per-cycle execution context handed to [`FabricTile::step_node`].
@@ -104,8 +160,6 @@ pub struct RouterCtx<'a> {
     pub topo: &'a Topology,
     /// Routing algorithm in force this cycle.
     pub routing: RoutingAlgorithm,
-    /// Dynamic energy multiplier for this router's current V/F level.
-    pub dynamic_scale: f64,
     /// Link/router liveness under the active fault set. `None` means the
     /// simulation runs without a fault plan (the common case) and route
     /// computation skips the liveness filter entirely.
@@ -117,15 +171,6 @@ pub struct RouterCtx<'a> {
     /// [`RoutingAlgorithm::Table`] and ignored otherwise. The network
     /// rebuilds them whenever the live-link set changes.
     pub tables: Option<&'a RoutingTables>,
-}
-
-impl RouterCtx<'_> {
-    /// One dynamic-energy op at this router's current V/F scale.
-    #[inline]
-    fn energy(&self, event: PowerEvent) -> StatsOp {
-        let scale = self.dynamic_scale;
-        StatsOp::Energy { event, scale }
-    }
 }
 
 /// Whether a mesh/torus hop from `from` via `port` crosses a wrap-around
@@ -207,6 +252,8 @@ pub struct FabricState {
     /// Occupancy bitmask per router: bit `port * num_vcs + vc` set iff
     /// that input VC is non-empty.
     occ_mask: Vec<u64>,
+    /// What each router did this cycle; all-default between cycles.
+    work: Vec<NodeWork>,
 }
 
 impl FabricState {
@@ -248,6 +295,7 @@ impl FabricState {
             va_ptr: vec![0; routers * Port::COUNT],
             occ: vec![0; routers],
             occ_mask: vec![0; routers],
+            work: vec![NodeWork::default(); routers],
         }
     }
 
@@ -334,6 +382,7 @@ impl FabricState {
         let mut va_ptr = self.va_ptr.as_mut_slice();
         let mut occ = self.occ.as_mut_slice();
         let mut occ_mask = self.occ_mask.as_mut_slice();
+        let mut work = self.work.as_mut_slice();
         bounds.windows(2).map(move |w| {
             let rn = w[1] - w[0];
             macro_rules! take {
@@ -360,6 +409,7 @@ impl FabricState {
                 va_ptr: take!(va_ptr, rn * Port::COUNT),
                 occ: take!(occ, rn),
                 occ_mask: take!(occ_mask, rn),
+                work: take!(work, rn),
             }
         })
     }
@@ -408,6 +458,9 @@ pub struct FabricTile<'a> {
     va_ptr: &'a mut [u32],
     occ: &'a mut [u32],
     occ_mask: &'a mut [u64],
+    /// This cycle's [`NodeWork`] slots: the stages and the network's
+    /// injection count into them, the commit phase prices and resets them.
+    pub work: &'a mut [NodeWork],
 }
 
 impl FabricTile<'_> {
@@ -465,8 +518,9 @@ impl FabricTile<'_> {
     }
 
     /// Execute one active cycle of local router `k` (node id `node`):
-    /// SA/ST, then VA, then RC. Appends this cycle's deliveries, credits
-    /// and stats ops to the tile's outbox.
+    /// SA/ST, then VA, then RC. Appends this cycle's deliveries, credits,
+    /// ejections and drops to the tile's outbox and counts the energy
+    /// events in the router's [`NodeWork`] slot.
     pub fn step_node(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, out: &mut TileOutbox) {
         if self.occupancy(k) == 0 {
             return; // idle router: nothing to route, allocate, or move
@@ -474,16 +528,9 @@ impl FabricTile<'_> {
         if ctx.faults.is_some() {
             self.drain_dropped(k, node, out);
         }
-        let forwards = self.switch_allocation(k, node, ctx, out);
-        self.vc_allocation(k, ctx, &mut out.ops);
-        self.route_computation(k, node, ctx, &mut out.ops);
-        // Link energy is logged here, after RC's, rather than at the grant:
-        // the order of `Energy` ops is the float-addition order of the
-        // dynamic-energy sum (see [`StatsOp`]).
-        for _ in 0..forwards {
-            out.ops.push(StatsOp::Forward { node: node.0 });
-            out.ops.push(ctx.energy(PowerEvent::LinkTraversal));
-        }
+        self.switch_allocation(k, node, ctx, out);
+        self.vc_allocation(k);
+        self.route_computation(k, node, ctx);
     }
 
     /// Discard buffered flits of packets marked `dropping` (unroutable
@@ -506,7 +553,7 @@ impl FabricTile<'_> {
             while let Some(flit) = self.bufs[idx].pop() {
                 removed += 1;
                 let is_tail = flit.is_tail();
-                out.ops.push(StatsOp::Drop { flit });
+                out.dropped.push(flit);
                 out.credits.push(CreditReturn {
                     at: node,
                     in_port: Port::from_index(ip),
@@ -529,14 +576,13 @@ impl FabricTile<'_> {
     /// per-output-port request masks in a single pass over the occupied
     /// VCs; stage two grants each output port with the rotate-free
     /// round-robin pick and masks out the winner's whole input port.
-    /// Returns the number of flits forwarded over a link.
     fn switch_allocation(
         &mut self,
         k: usize,
         node: NodeId,
         ctx: &RouterCtx<'_>,
         out: &mut TileOutbox,
-    ) -> u32 {
+    ) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         // Stage one: request masks over flattened (in_port, vc), one per
@@ -566,7 +612,6 @@ impl FabricTile<'_> {
         let n = self.pv as u32;
         let vc_bits = (1u64 << v) - 1;
         let mut used_inputs = 0u64;
-        let mut forwards = 0;
         for out_port in Port::ALL {
             let op = out_port.index();
             let mut reqs = req[op] & !used_inputs;
@@ -607,11 +652,9 @@ impl FabricTile<'_> {
             if is_tail {
                 self.release(idx);
             }
-            out.ops.push(ctx.energy(PowerEvent::BufferRead));
-            out.ops.push(ctx.energy(PowerEvent::SwitchArb));
-            out.ops.push(ctx.energy(PowerEvent::Crossbar));
+            self.work[k].grants += 1;
             if out_port == Port::Local {
-                out.ops.push(StatsOp::Eject { flit });
+                out.ejected.push(flit);
             } else {
                 debug_assert!(
                     ctx.faults.is_none_or(|ls| ls.is_link_up(node, out_port)),
@@ -636,7 +679,7 @@ impl FabricTile<'_> {
                     in_port: out_port.opposite(),
                     flit,
                 });
-                forwards += 1;
+                self.work[k].forwards += 1;
             }
             out.credits.push(CreditReturn {
                 at: node,
@@ -644,11 +687,10 @@ impl FabricTile<'_> {
                 vc,
             });
         }
-        forwards
     }
 
     /// VA: head flits holding a route claim a free downstream VC.
-    fn vc_allocation(&mut self, k: usize, ctx: &RouterCtx<'_>, ops: &mut Vec<StatsOp>) {
+    fn vc_allocation(&mut self, k: usize) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut m = self.occ_mask[k];
@@ -666,7 +708,7 @@ impl FabricTile<'_> {
             if out_port == Port::Local {
                 // Ejection needs no downstream VC; claim slot 0 nominally.
                 self.in_out_vc[idx] = Some(0);
-                ops.push(ctx.energy(PowerEvent::VcAlloc));
+                self.work[k].va += 1;
                 continue;
             }
             let flit = self.bufs[idx].front().expect("awaiting implies flit");
@@ -683,7 +725,7 @@ impl FabricTile<'_> {
                 self.in_out_vc[idx] = Some(ovc as u8);
                 let ptr = &mut self.va_ptr[k * Port::COUNT + op];
                 *ptr = ptr.wrapping_add(1);
-                ops.push(ctx.energy(PowerEvent::VcAlloc));
+                self.work[k].va += 1;
             }
         }
     }
@@ -692,13 +734,7 @@ impl FabricTile<'_> {
     /// algorithms pick the candidate whose free VCs hold the most credits.
     /// Under an active fault set, dead output links are excluded; a packet
     /// with no live candidate is marked for dropping instead of wedging.
-    fn route_computation(
-        &mut self,
-        k: usize,
-        node: NodeId,
-        ctx: &RouterCtx<'_>,
-        ops: &mut Vec<StatsOp>,
-    ) {
+    fn route_computation(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut m = self.occ_mask[k];
@@ -755,7 +791,7 @@ impl FabricTile<'_> {
             };
             self.in_route[idx] = Some(chosen);
             self.in_owner[idx] = Some(packet);
-            ops.push(ctx.energy(PowerEvent::RouteCompute));
+            self.work[k].rc += 1;
         }
     }
 
@@ -952,26 +988,26 @@ mod tests {
             self.f.tile().accept(0, port, flit);
         }
 
-        /// One cycle; returns everything the router put in its outbox.
-        fn step(&mut self) -> TileOutbox {
+        /// One cycle; returns everything the router put in its outbox and
+        /// what it counted (taking the slot, as the commit phase does).
+        fn step(&mut self) -> (TileOutbox, NodeWork) {
             let mut out = TileOutbox::default();
             let ctx = RouterCtx {
                 topo: &self.topo,
                 routing: self.routing,
-                dynamic_scale: 1.0,
                 faults: None,
                 arb: SwitchArb::PerFlit,
                 tables: None,
             };
             self.f.tile().step_node(0, self.node, &ctx, &mut out);
-            out
+            (out, std::mem::take(&mut self.f.work[0]))
         }
 
         /// Send a single-flit packet from this router to `dst` through the
         /// whole pipeline and return the delivery it leaves as.
         fn forward_to(&mut self, dst: usize) -> Delivery {
             self.accept(Port::Local, make_flits(self.node.0, dst, 1).remove(0));
-            let mut sent: Vec<_> = (0..3).flat_map(|_| self.step().deliveries).collect();
+            let mut sent: Vec<_> = (0..3).flat_map(|_| self.step().0.deliveries).collect();
             assert_eq!(sent.len(), 1, "one flit in, one delivery out");
             sent.remove(0)
         }
@@ -1001,17 +1037,17 @@ mod tests {
         r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
 
         // Cycle 1: RC only.
-        let out = r.step();
+        let (out, _) = r.step();
         assert!(out.deliveries.is_empty() && out.credits.is_empty());
         // Cycle 2: VA.
-        let out = r.step();
+        let (out, _) = r.step();
         assert!(out.deliveries.is_empty() && out.credits.is_empty());
         // Cycle 3: SA/ST forwards the flit east, to node 1's West port.
-        let out = r.step();
+        let (out, work) = r.step();
         let d = out.deliveries.first().expect("flit forwarded");
         assert_eq!((d.to, d.in_port), (NodeId(1), Port::West));
         assert_eq!(d.flit.hops, 1);
-        assert!(out.ops.contains(&StatsOp::Forward { node: 0 }));
+        assert_eq!((work.grants, work.forwards), (1, 1));
         assert!(out
             .credits
             .iter()
@@ -1026,11 +1062,9 @@ mod tests {
         r.accept(Port::West, flit);
         let mut ejected = false;
         for _ in 0..3 {
-            for op in r.step().ops {
-                if let StatsOp::Eject { flit } = op {
-                    assert_eq!(flit.dst, NodeId(5));
-                    ejected = true;
-                }
+            for flit in r.step().0.ejected {
+                assert_eq!(flit.dst, NodeId(5));
+                ejected = true;
             }
         }
         assert!(ejected, "flit should eject within 3 cycles");
@@ -1043,7 +1077,7 @@ mod tests {
         for f in make_flits(0, 3, 5).into_iter().take(2) {
             r.accept(Port::Local, f);
         }
-        let forwarded: usize = (0..10).map(|_| r.step().deliveries.len()).sum();
+        let forwarded: usize = (0..10).map(|_| r.step().0.deliveries.len()).sum();
         assert_eq!(
             forwarded, 2,
             "only vc_depth flits may be in flight without credits"
@@ -1063,7 +1097,7 @@ mod tests {
         }
         let mut tails = 0;
         for _ in 0..8 {
-            for d in r.step().deliveries {
+            for d in r.step().0.deliveries {
                 if d.flit.kind == FlitKind::Tail {
                     tails += 1;
                 }
@@ -1105,17 +1139,11 @@ mod tests {
     fn step_consumes_energy() {
         let mut r = Rig::new(0, 2, 4, false);
         r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
-        // Replay the logged ops the way the commit phase does.
-        let power = crate::power::PowerModel::default_32nm();
-        let mut stats = crate::stats::StatsCollector::new(1);
-        for op in (0..3).flat_map(|_| r.step().ops) {
-            stats.apply(op, &power, 16, 0);
-        }
-        assert!(stats.energy.dynamic_pj() > 0.0);
-        assert!(
-            stats.energy.events() >= 4,
-            "RC + VA + SA + link events expected"
-        );
+        // One stage per cycle: RC, then VA, then SA + link.
+        let counts = |w: NodeWork| (w.rc, w.va, w.grants, w.forwards);
+        assert_eq!(counts(r.step().1), (1, 0, 0, 0));
+        assert_eq!(counts(r.step().1), (0, 1, 0, 0));
+        assert_eq!(counts(r.step().1), (0, 0, 1, 1));
     }
 
     /// The sender resolves the receiver and stamps the dateline class: a

@@ -4,7 +4,7 @@
 //! them to obtain per-epoch or per-measurement-window figures.
 
 use crate::flit::Flit;
-use crate::power::{EnergyMeter, PowerEvent, PowerModel};
+use crate::power::EnergyMeter;
 use serde::{Deserialize, Serialize};
 
 /// Serde adapter mapping non-finite floats to JSON `null` and back to NaN,
@@ -31,82 +31,6 @@ pub mod serde_nan {
 /// Upper edges (inclusive) of the latency histogram buckets, in cycles.
 /// The final bucket is open-ended.
 pub const LATENCY_BUCKETS: [u64; 12] = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1024];
-
-/// One deferred [`StatsCollector`] mutation, recorded by a partition tile
-/// during the parallel phase of `Network::step` and replayed serially
-/// afterwards.
-///
-/// The partitioned stepper cannot hand tiles a shared `&mut StatsCollector`,
-/// and merging per-tile accumulators would break byte-identity: float
-/// addition is not associative, so regrouping the energy sums by tile would
-/// perturb the last bits of `energy_pj`. Instead each tile appends the
-/// operations it *would* have applied, in its serial order, and the commit
-/// phase replays the logs tile by tile — reproducing the exact mutation
-/// sequence of a serial run. Only [`StatsOp::Energy`] and
-/// [`StatsOp::Leakage`] feed order-sensitive float sums (one each); every
-/// other accumulator is an integer or an f64 sum of integer values, so the
-/// contract is the sequence of each of those two kinds within a tile's log.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum StatsOp {
-    /// One cycle of router+link leakage (`EnergyMeter::record_leakage`).
-    Leakage {
-        /// Outgoing links of the leaking router.
-        links: usize,
-        /// Leakage voltage scale (`V/V_nom`), idle gating already applied.
-        scale: f64,
-    },
-    /// One dynamic energy event (`EnergyMeter::record`).
-    Energy {
-        /// The micro-architectural event.
-        event: PowerEvent,
-        /// Dynamic voltage scale (`(V/V_nom)²`).
-        scale: f64,
-    },
-    /// A flit forwarded over an inter-router link
-    /// (`StatsCollector::record_forward`).
-    Forward {
-        /// The forwarding node.
-        node: usize,
-    },
-    /// A flit ejected at its destination (`StatsCollector::record_ejection`).
-    Eject {
-        /// The ejected flit.
-        flit: Flit,
-    },
-    /// A flit discarded by fault handling (`StatsCollector::record_drop`).
-    Drop {
-        /// The dropped flit.
-        flit: Flit,
-    },
-    /// A flit injected from a source queue
-    /// (`StatsCollector::record_injection`).
-    Injection {
-        /// DVFS region of the injecting node.
-        region: usize,
-        /// Whether the flit completes its packet.
-        is_tail: bool,
-    },
-    /// Packets discarded at a dead source
-    /// (`StatsCollector::record_source_drop`).
-    SourceDrop {
-        /// Dropped packets.
-        packets: u64,
-        /// Dropped flits (including never-injected ones).
-        flits: u64,
-    },
-    /// A run of consecutive idle routers, nodes `from..to`, each owing one
-    /// cycle of leakage. The worklist stepper coalesces skipped routers into
-    /// runs (two words instead of one `Leakage` op per idle node); the
-    /// commit phase expands the run itself — it needs each node's region
-    /// leakage scale and link count, which only the network layer holds — so
-    /// this op never reaches [`StatsCollector::apply`].
-    IdleLeakageRun {
-        /// First node of the run (inclusive).
-        from: usize,
-        /// One past the last node of the run.
-        to: usize,
-    },
-}
 
 /// Block length (cycles) of the injection-burstiness estimator: offered
 /// packets are aggregated per block, and the index of dispersion of the
@@ -419,24 +343,6 @@ impl StatsCollector {
         match self.latency_percentile(p) {
             u64::MAX => format!("> {}", LATENCY_BUCKETS[LATENCY_BUCKETS.len() - 1]),
             v => v.to_string(),
-        }
-    }
-
-    /// Replay one deferred [`StatsOp`] exactly as the serial stepper would
-    /// have applied it: `power` and `cycle` are the power model and the cycle
-    /// the op was logged in, `num_nodes` sizes the forward map on demand.
-    pub(crate) fn apply(&mut self, op: StatsOp, power: &PowerModel, num_nodes: usize, cycle: u64) {
-        match op {
-            StatsOp::Leakage { links, scale } => self.energy.record_leakage(power, links, scale),
-            StatsOp::Energy { event, scale } => self.energy.record(power, event, scale),
-            StatsOp::Forward { node } => self.record_forward(node, num_nodes),
-            StatsOp::Eject { flit } => self.record_ejection(&flit, cycle),
-            StatsOp::Drop { flit } => self.record_drop(&flit),
-            StatsOp::Injection { region, is_tail } => self.record_injection(region, is_tail),
-            StatsOp::SourceDrop { packets, flits } => self.record_source_drop(packets, flits),
-            StatsOp::IdleLeakageRun { .. } => {
-                unreachable!("idle-leakage runs are expanded by the network commit phase")
-            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Differential guarantees of the active-router worklist.
 //!
 //! The SoA cycle core skips routers that are provably inert this cycle
-//! (empty buffers, empty source queue) and accounts their leakage through
-//! coalesced `IdleLeakageRun` ops. The claim: skipping is *unobservable* —
+//! (empty buffers, empty source queue) and accounts their leakage from the
+//! `Idle` work slots they leave untouched. The claim: skipping is *unobservable* —
 //! every metric, energy sum, and serialized byte matches a run where every
 //! router walks the full pipeline every cycle (`set_step_all(true)`). The
 //! proptest below samples topology, routing, faults, DVFS throttles, and
