@@ -101,8 +101,8 @@ fn thread_count_does_not_change_results() {
 }
 
 /// Partition count is a pure execution strategy: `partitions` never
-/// serializes, and partitioned stepping replays the serial stats order
-/// exactly — so the reports cannot differ even in the last f64 bit. A
+/// serializes, and partitioned stepping counts per router and prices in
+/// node order — so the reports cannot differ even in the last f64 bit. A
 /// torus + fault axis rides along to cover the boundary-exchange and
 /// rerouting paths, not just the healthy mesh.
 #[test]

@@ -33,11 +33,10 @@
 //! * [`routing`] — XY/YX, three turn models, Odd-Even, torus DOR and
 //!   torus minimal-adaptive.
 //! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)
-//!   over flat structure-of-arrays fabric state; partition tiles are
-//!   contiguous slices of it, and each router writes its cycle into its
-//!   tile's outbox and counts its energy events in its own slot.
-//! * [`vc`] — the bounded flit FIFO behind each input VC, and the
-//!   injection queues' credit view of the `Local` port.
+//!   over flat structure-of-arrays fabric state, the buffered flits
+//!   included (one fixed ring per input VC); partition tiles are contiguous
+//!   slices of it, and each router writes its cycle into its tile's outbox
+//!   and counts its energy events in its own slot.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
 //!   to injection processes (Bernoulli, bursty, pulsed), plus traces.
 //! * [`dvfs`] / [`power`] — V/F levels, regions, clock gating, event energy.
@@ -63,7 +62,6 @@ pub mod stats;
 pub mod topology;
 pub mod trace;
 pub mod traffic;
-pub mod vc;
 
 pub use config::{SimConfig, SwitchArb};
 pub use dvfs::{ClockGate, RegionMap, ThrottleEvent, VfLevel, VfTable};

@@ -17,7 +17,9 @@
 //! exchange. Router state lives in the flat structure-of-arrays
 //! `FabricState`, so `SimConfig::partitions` splits the fabric into
 //! contiguous node-range tiles — literal contiguous slices of every state
-//! array — stepped concurrently on a persistent thread pool.
+//! array, the buffered flits included — stepped concurrently on a
+//! persistent thread pool. The tiles are an iterator over the bounds: one
+//! tile is stepped straight from it, several are collected once per cycle.
 //!
 //! Determinism: tiles never touch the shared [`StatsCollector`]. Each
 //! router counts what it did in its own `NodeWork` slot — one more
@@ -57,14 +59,13 @@ use crate::routing::{RoutingAlgorithm, RoutingTables};
 use crate::soa::{FabricState, FabricTile, NodeState, NodeWork, RouterCtx, TileOutbox};
 use crate::stats::StatsCollector;
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
-use crate::vc::OutputVcState;
 use std::cell::UnsafeCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-/// Per-node source queue with credit-tracked access to the router's `Local`
-/// input port.
+/// Per-node source queue with credit-tracked access to VC 0 of the router's
+/// `Local` input port.
 #[derive(Debug, Clone)]
 struct InjectionQueue {
     /// Packets waiting to enter the network.
@@ -74,20 +75,22 @@ struct InjectionQueue {
     queued_flits: usize,
     /// Flits of the packet currently being injected, in order.
     current: VecDeque<Flit>,
-    /// Upstream view of the router's Local-port input VCs.
-    vc_states: Vec<OutputVcState>,
-    /// VC claimed by the packet currently being injected.
-    current_vc: Option<usize>,
+    /// Free slots of the router's Local input VC 0, the only Local VC a
+    /// node injects on: it has one packet mid-injection at a time and is done
+    /// with the VC when the tail is injected (or the packet is purged or
+    /// dropped with a dead router), so ownership never contends — every head
+    /// flit would find VC 0 free — and Local input VCs 1.. never hold a flit
+    /// (`FabricState::assert_credits_conserved` checks both every cycle).
+    credits: usize,
 }
 
 impl InjectionQueue {
-    fn new(num_vcs: usize, vc_depth: usize) -> Self {
+    fn new(vc_depth: usize) -> Self {
         InjectionQueue {
             packets: VecDeque::new(),
             queued_flits: 0,
             current: VecDeque::new(),
-            vc_states: (0..num_vcs).map(|_| OutputVcState::new(vc_depth)).collect(),
-            current_vc: None,
+            credits: vc_depth,
         }
     }
 
@@ -207,12 +210,9 @@ struct StepScratch {
 /// threads is safe.
 #[derive(Debug)]
 struct TileShared<'a> {
-    topo: &'a Topology,
-    routing: RoutingAlgorithm,
-    arb: SwitchArb,
-    tables: Option<&'a RoutingTables>,
-    link_state: &'a LinkState,
-    has_faults: bool,
+    /// The routers' context, built once per cycle; `ctx.faults` (`None`
+    /// without a fault plan) is the single liveness handle.
+    ctx: RouterCtx<'a>,
     cycle: u64,
     /// Forced step-everyone mode (worklist disabled).
     step_all: bool,
@@ -377,7 +377,7 @@ impl Network {
         );
         let inj = topo
             .nodes()
-            .map(|_| InjectionQueue::new(config.num_vcs, config.vc_depth))
+            .map(|_| InjectionQueue::new(config.vc_depth))
             .collect();
         let regions = RegionMap::new(&topo, config.regions_x, config.regions_y)?;
         let max_level = config.vf_table.max_level();
@@ -684,55 +684,48 @@ impl Network {
 
         {
             let shared = TileShared {
-                topo: &self.topo,
-                routing: self.routing,
-                arb: self.switch_arb,
-                tables: self.tables.as_ref(),
-                link_state: &self.link_state,
-                has_faults: self.has_faults,
+                ctx: RouterCtx {
+                    topo: &self.topo,
+                    routing: self.routing,
+                    faults: self.has_faults.then_some(&self.link_state),
+                    arb: self.switch_arb,
+                    tables: self.tables.as_ref(),
+                },
                 cycle: self.cycle,
                 step_all: self.step_all,
                 gates_pristine: self.gates_pristine,
             };
             // Carve the fabric into disjoint contiguous slices, one per tile.
+            let (mut inj, mut gates) = (self.inj.as_mut_slice(), self.gates.as_mut_slice());
             let bounds = &self.bounds;
-            let mut tasks: Vec<TileTask<'_>> = Vec::with_capacity(self.partitions);
-            let mut inj = self.inj.as_mut_slice();
-            let mut gates = self.gates.as_mut_slice();
             let tiles = self.fabric.split_tiles(bounds).zip(outboxes.iter_mut());
-            for (t, (fabric, out)) in tiles.enumerate() {
-                let base = bounds[t];
-                let len = bounds[t + 1] - base;
-                let (q, rest) = inj.split_at_mut(len);
+            let tasks = tiles.zip(bounds.windows(2)).map(|((fabric, out), w)| {
+                let (q, rest) = std::mem::take(&mut inj).split_at_mut(w[1] - w[0]);
                 inj = rest;
-                let (g, rest) = gates.split_at_mut(len);
+                let (g, rest) = std::mem::take(&mut gates).split_at_mut(w[1] - w[0]);
                 gates = rest;
-                tasks.push(TileTask {
-                    base,
+                TileTask {
+                    base: w[0],
                     fabric,
                     inj: q,
                     gates: g,
                     out,
-                });
-            }
+                }
+            });
             match &self.pool {
                 Some(pool) => {
-                    let cells: Vec<UnsafeCell<TileTask<'_>>> =
-                        tasks.into_iter().map(UnsafeCell::new).collect();
+                    let cells: Vec<UnsafeCell<TileTask<'_>>> = tasks.map(UnsafeCell::new).collect();
                     let cells = SyncTasks(&cells);
-                    let shared = &shared;
                     pool.run(&|t| {
                         // Safety: tile index t is executed by exactly one
                         // thread per dispatch, so the cell is unaliased.
                         let task = unsafe { &mut *cells.get(t) };
-                        step_tile(shared, task);
+                        step_tile(&shared, task);
                     });
                 }
-                None => {
-                    for task in &mut tasks {
-                        step_tile(&shared, task);
-                    }
-                }
+                // One tile, stepped straight from the iterator: the serial
+                // arm allocates nothing.
+                None => tasks.for_each(|mut task| step_tile(&shared, &mut task)),
             }
         }
 
@@ -827,7 +820,7 @@ impl Network {
             for ob in outboxes.iter_mut() {
                 for c in ob.credits.drain(..) {
                     if c.in_port == Port::Local {
-                        self.inj[c.at.0].vc_states[c.vc].credits += 1;
+                        self.inj[c.at.0].credits += 1;
                     } else {
                         let upstream = self
                             .topo
@@ -849,6 +842,9 @@ impl Network {
             self.link_state.dead_link_count(),
         );
         self.scratch.region_occ = region_occ;
+        #[cfg(debug_assertions)]
+        self.fabric
+            .assert_credits_conserved(&self.topo, |i| self.inj[i].credits);
         self.cycle += 1;
     }
 
@@ -934,7 +930,7 @@ impl Network {
             let mut tile = self.fabric.tile();
             for (node, in_port, vc) in restored {
                 if in_port == Port::Local {
-                    self.inj[node].vc_states[vc].credits += 1;
+                    self.inj[node].credits += 1;
                 } else if let Some(up) = self.topo.neighbor(NodeId(node), in_port) {
                     tile.return_credit(up.0, in_port.opposite(), vc);
                 }
@@ -942,7 +938,7 @@ impl Network {
         }
 
         // Source queues: a condemned packet caught mid-injection loses its
-        // not-yet-injected flits too, and frees its claimed local VC.
+        // not-yet-injected flits too.
         if !condemned.is_empty() {
             for q in &mut self.inj {
                 let pid = match q.current.front() {
@@ -954,9 +950,6 @@ impl Network {
                 }
                 dropped_flits += q.current.len() as u64;
                 q.current.clear();
-                if let Some(vc) = q.current_vc.take() {
-                    q.vc_states[vc].owner = None;
-                }
             }
         }
         stats.record_purged(condemned.len() as u64, dropped_flits);
@@ -976,16 +969,9 @@ impl Network {
 /// credits commit afterwards; packets are offered before the step), so the
 /// idle test over start-of-cycle values is exact.
 fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
-    let ctx = RouterCtx {
-        topo: shared.topo,
-        routing: shared.routing,
-        faults: shared.has_faults.then_some(shared.link_state),
-        arb: shared.arb,
-        tables: shared.tables,
-    };
     for k in 0..tile.inj.len() {
         let node = NodeId(tile.base + k);
-        if shared.has_faults && !shared.link_state.is_router_up(node) {
+        if shared.ctx.faults.is_some_and(|ls| !ls.is_router_up(node)) {
             // A dead router does nothing and consumes nothing; traffic
             // offered at its source queue is unreachable and dropped.
             tile.fabric.work[k].state = NodeState::Dead;
@@ -1009,76 +995,26 @@ fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
         if !tile.gates[k].tick() {
             continue; // clock-gated this cycle
         }
-        tile.fabric.step_node(k, node, &ctx, tile.out);
-        try_inject_tile(shared, &mut tile.fabric, k, &mut tile.inj[k]);
+        tile.fabric.step_node(k, node, &shared.ctx, tile.out);
+        try_inject_tile(shared.cycle, &mut tile.fabric, k, &mut tile.inj[k]);
     }
 }
 
 /// Try to move one flit from the node's source queue into the router's
-/// Local input port, honoring VC ownership and credits (tile-local variant;
-/// the injection and its buffer write are counted in the node's slot).
-fn try_inject_tile(
-    shared: &TileShared<'_>,
-    fabric: &mut FabricTile<'_>,
-    k: usize,
-    q: &mut InjectionQueue,
-) {
-    let is_torus = shared.topo.kind() == TopologyKind::Torus;
-    let cycle = shared.cycle;
-
-    let injected: Option<(Flit, bool)> = {
-        if q.current.is_empty() {
-            match q.pop_packet() {
-                Some(p) => {
-                    q.current = p.to_flits(cycle).into();
-                    q.current_vc = None;
-                }
-                None => return,
-            }
-        }
-        let head = q.current.front().expect("checked non-empty");
-        let vc = match q.current_vc {
-            Some(vc) => Some(vc),
-            None => {
-                debug_assert!(head.is_head(), "mid-packet without an assigned VC");
-                // Head flit: claim a free local-input VC. Injected packets
-                // are dateline class 0, so claim from the class-0 range
-                // on tori.
-                let limit = if is_torus {
-                    q.vc_states.len() / 2
-                } else {
-                    q.vc_states.len()
-                };
-                match (0..limit).find(|&v| q.vc_states[v].is_free()) {
-                    Some(vc) => {
-                        q.vc_states[vc].owner = Some(head.packet);
-                        q.current_vc = Some(vc);
-                        Some(vc)
-                    }
-                    None => None,
-                }
-            }
-        };
-        match vc {
-            Some(vc) if q.vc_states[vc].has_credit() => {
-                let mut flit = q.current.pop_front().expect("checked non-empty");
-                flit.vc = vc;
-                q.vc_states[vc].credits -= 1;
-                let is_tail = flit.is_tail();
-                if is_tail {
-                    q.vc_states[vc].owner = None;
-                    q.current_vc = None;
-                }
-                Some((flit, is_tail))
-            }
-            _ => None,
-        }
-    };
-
-    if let Some((flit, is_tail)) = injected {
-        fabric.work[k].injected = Some(is_tail);
-        fabric.accept(k, Port::Local, flit);
+/// Local input VC 0, honoring its credits (the injection and its buffer
+/// write are counted in the node's slot).
+fn try_inject_tile(cycle: u64, fabric: &mut FabricTile<'_>, k: usize, q: &mut InjectionQueue) {
+    if q.current.is_empty() {
+        let Some(p) = q.pop_packet() else { return };
+        q.current = p.to_flits(cycle).into();
     }
+    if q.credits == 0 {
+        return;
+    }
+    let flit = q.current.pop_front().expect("refilled above");
+    q.credits -= 1;
+    fabric.work[k].injected = Some(flit.is_tail());
+    fabric.accept(k, Port::Local, flit);
 }
 
 /// Drop everything waiting at a dead router's source queue: queued packets
@@ -1096,9 +1032,6 @@ fn drop_source_queue_tile(q: &mut InjectionQueue, dropped: &mut (u64, u64)) {
         dropped.0 += 1;
         dropped.1 += q.current.len() as u64;
         q.current.clear();
-        if let Some(vc) = q.current_vc.take() {
-            q.vc_states[vc].owner = None;
-        }
     }
 }
 

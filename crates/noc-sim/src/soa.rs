@@ -26,12 +26,14 @@
 //! node order and applies the outboxes in tile order.
 //!
 //! [`FabricState`] holds every router's pipeline state in flat arrays
-//! indexed by `(router, port, vc)` — flit buffers, route locks, granted
-//! downstream VCs, VC owners, drain flags, downstream credits, and the
-//! arbitration pointers. A partition tile (a contiguous node range) is then
-//! literally a contiguous slice of each array: [`FabricState::split_tiles`]
-//! carves the fabric into disjoint [`FabricTile`] views that worker threads
-//! step concurrently without sharing a cache line of mutable state.
+//! indexed by `(router, port, vc)` — the flits themselves (one fixed ring of
+//! `vc_depth` slots per input VC, with its head and length), route locks,
+//! granted downstream VCs, VC owners, drain flags, downstream credits, and
+//! the arbitration pointers. No element owns a heap allocation, so a
+//! partition tile (a contiguous node range) is literally a contiguous slice
+//! of each array: [`FabricState::split_tiles`] carves the fabric into
+//! disjoint [`FabricTile`] views that worker threads step concurrently
+//! without sharing a cache line of mutable state.
 //!
 //! Two supporting structures per router keep the cycle loop cheap:
 //!
@@ -57,7 +59,6 @@ use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
 use crate::routing::{route, route_live, route_table, RoutingAlgorithm, RoutingTables};
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
-use crate::vc::VcBuffer;
 use std::collections::BTreeSet;
 
 /// A flit in transit on a link, to be delivered at the end of the cycle.
@@ -207,9 +208,10 @@ fn rr_pick(reqs: u64, ptr: u32) -> u32 {
 /// Flat pipeline state for `routers` routers, one array per field.
 ///
 /// Index layout: input-VC and output-VC arrays use
-/// `router * (Port::COUNT * num_vcs) + port * num_vcs + vc`; per-port
-/// arrays use `router * Port::COUNT + port`; per-router arrays use the
-/// router index directly.
+/// `router * (Port::COUNT * num_vcs) + port * num_vcs + vc`; flit slots use
+/// that index `* vc_depth + slot`; per-port arrays use
+/// `router * Port::COUNT + port`; per-router arrays use the router index
+/// directly.
 #[derive(Debug)]
 pub struct FabricState {
     routers: usize,
@@ -218,8 +220,15 @@ pub struct FabricState {
     /// When true, VC allocation partitions VCs into two dateline classes
     /// (tori). Requires `num_vcs >= 2`.
     vc_partition: bool,
-    /// Input flit buffers, `(router, port, vc)`.
-    bufs: Vec<VcBuffer>,
+    /// Input flit storage: a ring of `vc_depth` slots per `(router, port,
+    /// vc)`. A slot is `Some` iff it lies within `len` of its ring's `head`
+    /// (`pop` and `purge` vacate what they remove); `Option<Flit>` is the
+    /// same 64 bytes as `Flit` through `FlitKind`'s niche.
+    flits: Vec<Option<Flit>>,
+    /// Ring slot of the oldest buffered flit, per input VC.
+    head: Vec<u16>,
+    /// Buffered flits per input VC (`u16` like the credits that bound it).
+    len: Vec<u16>,
     /// Route lock per input VC: output port assigned by route computation.
     in_route: Vec<Option<Port>>,
     /// Downstream VC granted by VC allocation, per input VC.
@@ -283,7 +292,9 @@ impl FabricState {
             num_vcs,
             vc_depth,
             vc_partition,
-            bufs: (0..routers * pv).map(|_| VcBuffer::new(vc_depth)).collect(),
+            flits: vec![None; routers * pv * vc_depth],
+            head: vec![0; routers * pv],
+            len: vec![0; routers * pv],
             in_route: vec![None; routers * pv],
             in_out_vc: vec![None; routers * pv],
             in_owner: vec![None; routers * pv],
@@ -311,7 +322,7 @@ impl FabricState {
 
     /// Flits buffered in router `r` (see [`occupancy`] for the debug recount).
     pub fn occupancy(&self, r: usize) -> usize {
-        occupancy(&self.occ, &self.occ_mask, &self.bufs, self.pv(), r)
+        occupancy(&self.occ, &self.occ_mask, &self.len, self.pv(), r)
     }
 
     /// Total buffering capacity per router.
@@ -334,14 +345,39 @@ impl FabricState {
     /// Record every packet with a flit buffered in router `r` or holding
     /// one of its output claims into `out` — used when the router dies.
     pub(crate) fn condemn_all(&self, r: usize, out: &mut BTreeSet<PacketId>) {
-        let pv = self.pv();
-        for buf in &self.bufs[r * pv..(r + 1) * pv] {
-            for flit in buf.iter() {
-                out.insert(flit.packet);
-            }
+        let (pv, slots) = (self.pv(), self.buffer_capacity());
+        for flit in self.flits[r * slots..(r + 1) * slots].iter().flatten() {
+            out.insert(flit.packet);
         }
         for pid in self.out_owner[r * pv..(r + 1) * pv].iter().flatten() {
             out.insert(*pid);
+        }
+    }
+
+    /// Credit conservation, checked between cycles (every delivery and
+    /// credit committed, so nothing is in flight): the free slots of each
+    /// input VC are exactly the credits its one sender holds — the
+    /// neighbour's output VC, or for `Local` the source queue's counter
+    /// (`local`, VC 0 only). A VC nothing can send into — `Local` VCs 1..,
+    /// ports off the edge — must be empty. An oracle that shares no
+    /// code with the pipeline; it holds across purges, drop drains, dead
+    /// routers and heals.
+    #[cfg(debug_assertions)]
+    pub fn assert_credits_conserved(&self, topo: &Topology, local: impl Fn(usize) -> usize) {
+        for (r, port) in (0..self.routers).flat_map(|r| Port::ALL.map(|p| (r, p))) {
+            let sender = topo.neighbor(NodeId(r), port);
+            for vc in 0..self.num_vcs {
+                let credits = match sender {
+                    Some(up) => self.out_credits[self.idx(up.0, port.opposite(), vc)] as usize,
+                    None if (port, vc) == (Port::Local, 0) => local(r),
+                    None => self.vc_depth,
+                };
+                assert_eq!(
+                    credits + self.len[self.idx(r, port, vc)] as usize,
+                    self.vc_depth,
+                    "credits + buffered flits != vc_depth at router {r} input {port}/{vc}"
+                );
+            }
         }
     }
 
@@ -370,7 +406,9 @@ impl FabricState {
         );
         let (num_vcs, pv, vc_depth, vc_partition) =
             (self.num_vcs, self.pv(), self.vc_depth, self.vc_partition);
-        let mut bufs = self.bufs.as_mut_slice();
+        let mut flits = self.flits.as_mut_slice();
+        let mut head = self.head.as_mut_slice();
+        let mut len = self.len.as_mut_slice();
         let mut in_route = self.in_route.as_mut_slice();
         let mut in_out_vc = self.in_out_vc.as_mut_slice();
         let mut in_owner = self.in_owner.as_mut_slice();
@@ -397,7 +435,9 @@ impl FabricState {
                 pv,
                 vc_depth,
                 vc_partition,
-                bufs: take!(bufs, rn * pv),
+                flits: take!(flits, rn * pv * vc_depth),
+                head: take!(head, rn * pv),
+                len: take!(len, rn * pv),
                 in_route: take!(in_route, rn * pv),
                 in_out_vc: take!(in_out_vc, rn * pv),
                 in_owner: take!(in_owner, rn * pv),
@@ -417,21 +457,20 @@ impl FabricState {
 
 /// Flits buffered in router `r` of the given (fabric- or tile-local) arrays,
 /// with a debug recount of the O(1) counter and the occupancy bitmask against
-/// the buffers. The one implementation behind [`FabricState::occupancy`] and
-/// [`FabricTile::occupancy`], so the debug-profile CI job checks both
-/// counters on the path the cycle loop runs.
+/// the per-VC lengths. The one implementation behind
+/// [`FabricState::occupancy`] and [`FabricTile::occupancy`], so the
+/// debug-profile CI job checks both counters on the path the cycle loop runs.
 #[inline]
-fn occupancy(occ: &[u32], occ_mask: &[u64], bufs: &[VcBuffer], pv: usize, r: usize) -> usize {
+fn occupancy(occ: &[u32], occ_mask: &[u64], len: &[u16], pv: usize, r: usize) -> usize {
     debug_assert_eq!(
-        occ[r] as usize,
-        bufs[r * pv..(r + 1) * pv]
-            .iter()
-            .map(|b| b.len())
-            .sum::<usize>(),
+        occ[r],
+        (len[r * pv..(r + 1) * pv].iter())
+            .map(|&l| u32::from(l))
+            .sum::<u32>(),
         "occupancy counter out of sync with the buffers"
     );
     debug_assert!(
-        (0..pv).all(|b| (occ_mask[r] >> b) & 1 == u64::from(!bufs[r * pv + b].is_empty())),
+        (0..pv).all(|b| (occ_mask[r] >> b) & 1 == u64::from(len[r * pv + b] != 0)),
         "occupancy bitmask out of sync with the buffers"
     );
     occ[r] as usize
@@ -446,7 +485,9 @@ pub struct FabricTile<'a> {
     pv: usize,
     vc_depth: usize,
     vc_partition: bool,
-    bufs: &'a mut [VcBuffer],
+    flits: &'a mut [Option<Flit>],
+    head: &'a mut [u16],
+    len: &'a mut [u16],
     in_route: &'a mut [Option<Port>],
     in_out_vc: &'a mut [Option<u8>],
     in_owner: &'a mut [Option<PacketId>],
@@ -466,7 +507,62 @@ pub struct FabricTile<'a> {
 impl FabricTile<'_> {
     /// Buffered flits in local router `k`, with the debug recount.
     pub fn occupancy(&self, k: usize) -> usize {
-        occupancy(self.occ, self.occ_mask, self.bufs, self.pv, k)
+        occupancy(self.occ, self.occ_mask, self.len, self.pv, k)
+    }
+
+    /// Flat slot of the `i`-th oldest position (`i <= vc_depth`) of input
+    /// VC `idx`. The ring wraps by compare: `vc_depth` is a runtime value
+    /// and need not be a power of two.
+    #[inline]
+    fn slot(&self, idx: usize, i: usize) -> usize {
+        let s = self.head[idx] as usize + i;
+        let wrap = if s >= self.vc_depth { self.vc_depth } else { 0 };
+        idx * self.vc_depth + s - wrap
+    }
+
+    /// The oldest flit buffered in input VC `idx` (an empty ring's head
+    /// slot is vacant).
+    #[inline]
+    fn front(&self, idx: usize) -> Option<&Flit> {
+        self.flits[self.slot(idx, 0)].as_ref()
+    }
+
+    /// Remove and return the oldest flit of input VC `b` of local router
+    /// `k`, keeping the occupancy counters in step: the inverse of
+    /// [`accept`](Self::accept).
+    #[inline]
+    fn pop(&mut self, k: usize, b: usize) -> Option<Flit> {
+        let idx = k * self.pv + b;
+        let slot = self.slot(idx, 0);
+        let flit = self.flits[slot].take()?;
+        let next = self.head[idx] as usize + 1;
+        self.head[idx] = if next < self.vc_depth { next as u16 } else { 0 };
+        self.len[idx] -= 1;
+        self.occ[k] -= 1;
+        if self.len[idx] == 0 {
+            self.occ_mask[k] &= !(1u64 << b);
+        }
+        Some(flit)
+    }
+
+    /// Remove every flit of a `condemned` packet from input VC `idx` in one
+    /// pass, closing the gaps so the survivors keep their FIFO order;
+    /// returns how many were removed. Fault handling only: normal operation
+    /// never removes flits out of FIFO order.
+    fn purge(&mut self, idx: usize, condemned: &BTreeSet<PacketId>) -> usize {
+        let len = self.len[idx] as usize;
+        let mut kept = 0;
+        for i in 0..len {
+            let from = self.slot(idx, i);
+            let flit = self.flits[from].take().expect("slot within len");
+            if !condemned.contains(&flit.packet) {
+                let to = self.slot(idx, kept);
+                self.flits[to] = Some(flit);
+                kept += 1;
+            }
+        }
+        self.len[idx] = kept as u16;
+        len - kept
     }
 
     /// The VC index range a flit of `vc_class` may claim at the next hop,
@@ -499,10 +595,19 @@ impl FabricTile<'_> {
     /// injections; the caller accounts the `BufferWrite` energy.
     ///
     /// # Panics
-    /// Panics if the buffer is full (a flow-control violation).
+    /// Panics if the VC is full — senders must respect credits, so an
+    /// overflow indicates a flow-control bug.
     pub fn accept(&mut self, k: usize, port: Port, flit: Flit) {
         let b = port.index() * self.num_vcs + flit.vc;
-        self.bufs[k * self.pv + b].push(flit);
+        let idx = k * self.pv + b;
+        let len = self.len[idx];
+        assert!(
+            (len as usize) < self.vc_depth,
+            "VC buffer overflow: flow-control violation"
+        );
+        let slot = self.slot(idx, len as usize);
+        self.flits[slot] = Some(flit);
+        self.len[idx] = len + 1;
         self.occ[k] += 1;
         self.occ_mask[k] |= 1 << b;
     }
@@ -549,9 +654,7 @@ impl FabricTile<'_> {
                 continue;
             }
             let (ip, vc) = (b / v, b % v);
-            let mut removed = 0u32;
-            while let Some(flit) = self.bufs[idx].pop() {
-                removed += 1;
+            while let Some(flit) = self.pop(k, b) {
                 let is_tail = flit.is_tail();
                 out.dropped.push(flit);
                 out.credits.push(CreditReturn {
@@ -563,10 +666,6 @@ impl FabricTile<'_> {
                     self.release(idx);
                     break;
                 }
-            }
-            self.occ[k] -= removed;
-            if self.bufs[idx].is_empty() {
-                self.occ_mask[k] &= !(1u64 << b);
             }
         }
     }
@@ -636,11 +735,7 @@ impl FabricTile<'_> {
             let in_port = Port::from_index(ip);
             let idx = b0 + b;
             let out_vc = self.in_out_vc[idx].expect("granted VC has out_vc") as usize;
-            let mut flit = self.bufs[idx].pop().expect("granted VC has a flit");
-            self.occ[k] -= 1;
-            if self.bufs[idx].is_empty() {
-                self.occ_mask[k] &= !(1u64 << b);
-            }
+            let mut flit = self.pop(k, b).expect("granted VC has a flit");
             let is_tail = flit.is_tail();
             if per_packet {
                 // Head (or single-flit) grant acquires the hold, the tail
@@ -711,7 +806,7 @@ impl FabricTile<'_> {
                 self.work[k].va += 1;
                 continue;
             }
-            let flit = self.bufs[idx].front().expect("awaiting implies flit");
+            let flit = self.front(idx).expect("awaiting implies flit");
             debug_assert!(flit.is_head(), "VA on a non-head flit");
             let (packet, vc_class) = (flit.packet, flit.vc_class);
             let range = self.allowed_vcs(vc_class);
@@ -745,7 +840,7 @@ impl FabricTile<'_> {
             if self.in_dropping[idx] || self.in_route[idx].is_some() {
                 continue;
             }
-            let flit = self.bufs[idx].front().expect("occupied VC has a flit");
+            let flit = self.front(idx).expect("occupied VC has a flit");
             debug_assert!(
                 flit.is_head(),
                 "non-head flit at front of an unrouted VC: flow-control bug"
@@ -823,10 +918,7 @@ impl FabricTile<'_> {
             for vc in 0..v {
                 let idx = b0 + ip * v + vc;
                 if !condemned.is_empty() {
-                    let mut purged = 0;
-                    for pid in condemned {
-                        purged += self.bufs[idx].purge_packet(*pid);
-                    }
+                    let purged = self.purge(idx, condemned);
                     for _ in 0..purged {
                         credit(in_port, vc);
                     }
@@ -866,7 +958,7 @@ impl FabricTile<'_> {
         self.occ[k] -= removed as u32;
         let mut mask = 0u64;
         for b in 0..self.pv {
-            if !self.bufs[b0 + b].is_empty() {
+            if self.len[b0 + b] != 0 {
                 mask |= 1 << b;
             }
         }
@@ -1118,6 +1210,64 @@ mod tests {
         }
         assert_eq!(r.f.occupancy(0), 3);
         assert_eq!(r.f.buffer_capacity(), 5 * 2 * 4);
+    }
+
+    /// An input VC is a FIFO across ring wrap-around: eight flits through a
+    /// three-slot ring (a non-power-of-two depth) leave in arrival order.
+    #[test]
+    fn ring_is_fifo_across_wrap_around() {
+        let mut r = Rig::new(0, 1, 3, false);
+        let mut flits = make_flits(0, 1, 8).into_iter();
+        let mut seqs = Vec::new();
+        for _ in 0..20 {
+            // Keep the ring full, as a credit-respecting sender would.
+            while r.f.occupancy(0) < 3 {
+                let Some(flit) = flits.next() else { break };
+                r.accept(Port::Local, flit);
+            }
+            for d in r.step().0.deliveries {
+                seqs.push(d.flit.seq);
+                r.f.tile().return_credit(0, Port::East, 0);
+            }
+        }
+        assert_eq!(seqs, (0..8).collect::<Vec<_>>());
+        assert_eq!(r.f.occupancy(0), 0);
+        let local = r.idx(Port::Local, 0);
+        assert!(r.f.tile().pop(0, local).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "flow-control violation")]
+    fn ring_overflow_panics() {
+        let mut r = Rig::new(0, 1, 3, false);
+        r.forward_to(1); // the ring's head is now slot 1
+        for flit in make_flits(0, 1, 4) {
+            r.accept(Port::Local, flit); // the third wraps, the fourth overflows
+        }
+    }
+
+    #[test]
+    fn purge_removes_only_condemned_packets() {
+        let mut r = Rig::new(0, 1, 5, false);
+        r.forward_to(1);
+        r.forward_to(1); // head at slot 2: the five flits below wrap
+        for (id, len) in [(7, 2), (8, 2), (9, 1)] {
+            for mut flit in make_flits(0, 1, len) {
+                flit.packet = PacketId(id);
+                r.accept(Port::Local, flit);
+            }
+        }
+        let condemned = BTreeSet::from([PacketId(7), PacketId(9)]);
+        let mut credits = Vec::new();
+        let credit = |port, vc| credits.push((port, vc));
+        let removed = (r.f.tile()).purge_and_reroute(0, &condemned, |_| false, credit);
+        assert_eq!((removed, credits), (3, vec![(Port::Local, 0); 3]));
+        let again = (r.f.tile()).purge_and_reroute(0, &condemned, |_| false, |_, _| ());
+        assert_eq!(again, 0);
+        assert_eq!(r.f.occupancy(0), 2, "recounted against `len` in debug");
+        let left: Vec<_> = (0..4).flat_map(|_| r.step().0.deliveries).collect();
+        let left: Vec<_> = left.iter().map(|d| (d.flit.packet.0, d.flit.seq)).collect();
+        assert_eq!(left, [(8, 0), (8, 1)], "the survivor, in order");
     }
 
     #[test]

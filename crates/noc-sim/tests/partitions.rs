@@ -78,8 +78,8 @@ proptest! {
     /// sampled topology kind, fabric size, routing algorithm, workload
     /// spec, fault plan, and seed. Both the structural comparison and the
     /// serialized bytes must match exactly — f64 sums included, which is
-    /// only possible if the parallel stepper replays the serial mutation
-    /// order bit for bit.
+    /// only possible if the commit phase prices every router's counts in
+    /// node order, wherever the tile bounds fall.
     #[test]
     fn partitioned_step_is_byte_identical_to_serial(
         seed in 0u64..10_000,
@@ -142,7 +142,7 @@ proptest! {
 
 /// Golden pin of a partitioned 16×16 run: exact counters and f64 sums for
 /// 4 tiles on a uniform-load mesh. Any change to tile carving, boundary
-/// exchange, or the log-replay commit order shows up here as a concrete
+/// exchange, or the count-and-price commit order shows up here as a concrete
 /// diff, independent of the differential property above.
 #[test]
 fn partitioned_16x16_golden_metrics() {
