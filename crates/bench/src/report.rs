@@ -1,6 +1,6 @@
 //! Machine-readable performance reporting: the `noc-cli bench` subsystem.
 //!
-//! * [`run_suite`] executes a fixed set of 25 timed workloads (cycle-level
+//! * [`run_suite`] executes a fixed set of 28 timed workloads (cycle-level
 //!   simulation on several mesh/pattern points plus torus and faulted-fabric
 //!   scenarios, batched DQN training steps,
 //!   full `NocEnv` control epochs, and a parallel sweep-grid fan-out),
@@ -298,6 +298,10 @@ fn sim_points() -> Vec<SimPoint> {
         (8, Uniform, 0.10),
         (8, Transpose, 0.10),
         (8, Uniform, 0.25),
+        // Past saturation, where an 8x8 router does the flit-hops of a
+        // 32x32 one at r0.10 with all its state cache-resident: the ratio
+        // of the two rows' ns per router-cycle is the footprint's share.
+        (8, Uniform, 0.35),
         (8, Uniform, 0.01),
     ]
     .into_iter()
@@ -388,6 +392,12 @@ fn sim_points() -> Vec<SimPoint> {
             "16x16 mesh, odd-even routing, 4 permanent link faults, uniform \
              traffic at 0.1 flits/node/cycle, 4 partitions",
             faulted(uniform(16, 0.10).with_routing(OddEven), 4, 0xB16F).with_partitions(4),
+        ),
+        point(
+            "sim/32x32/uniform/r0.10",
+            "32x32 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
+             serial stepping",
+            uniform(32, 0.10),
         ),
         point(
             "sim/32x32/uniform/r0.10/p4",
@@ -751,10 +761,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 26 uniquely named rows, the `sim/*` table first and in
+        // 28 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 28);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

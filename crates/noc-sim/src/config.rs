@@ -3,6 +3,7 @@
 use crate::dvfs::{ThrottleEvent, VfTable};
 use crate::error::{SimError, SimResult};
 use crate::fault::FaultPlan;
+use crate::flit::MAX_ROUTERS;
 use crate::power::PowerModel;
 use crate::routing::RoutingAlgorithm;
 use crate::topology::{Topology, TopologyKind};
@@ -241,6 +242,14 @@ impl SimConfig {
                 "grid dimensions must be positive".into(),
             ));
         }
+        if (self.width.checked_mul(self.height)).is_none_or(|n| n > MAX_ROUTERS) {
+            // A flit names its endpoints in u16 (`Flit::src`/`dst`) and
+            // counts its hops, fewer than the routers, in u16 too.
+            return Err(SimError::InvalidConfig(format!(
+                "grid {}x{} exceeds the supported maximum of {MAX_ROUTERS} routers",
+                self.width, self.height
+            )));
+        }
         if self.num_vcs == 0 || self.vc_depth == 0 {
             return Err(SimError::InvalidConfig(
                 "VC count and depth must be positive".into(),
@@ -365,6 +374,20 @@ mod tests {
             .with_routing(RoutingAlgorithm::TorusDor)
             .validate()
             .is_err());
+    }
+
+    /// `validate` only: no 256x256 fabric is built.
+    #[test]
+    fn router_count_is_bounded_by_the_flit_node_fields() {
+        assert!(SimConfig::default().with_size(256, 256).validate().is_ok());
+        for (w, h) in [(65_537, 1), (257, 256), (usize::MAX, 2)] {
+            let err = SimConfig::default().with_size(w, h).validate();
+            assert!(
+                matches!(&err, Err(SimError::InvalidConfig(m))
+                    if m.contains("exceeds the supported maximum of 65536 routers")),
+                "{w}x{h}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -29,14 +29,17 @@
 //! ## Architecture
 //!
 //! * [`topology`] — mesh/torus grids, ports, neighbor wiring.
-//! * [`flit`] — packets and their flit segmentation.
+//! * [`flit`] — packets and the 32-byte flits a source queue mints from
+//!   them one at a time.
 //! * [`routing`] — XY/YX, three turn models, Odd-Even, torus DOR and
 //!   torus minimal-adaptive.
 //! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)
 //!   over flat structure-of-arrays fabric state, the buffered flits
 //!   included (one fixed ring per input VC); partition tiles are contiguous
 //!   slices of it, and each router writes its cycle into its tile's outbox
-//!   and counts its energy events in its own slot.
+//!   and counts its energy events in its own slot. Switch allocation's
+//!   request pass sorts the occupied VCs once for all three stages, and
+//!   neighbours come from a table built with the network.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
 //!   to injection processes (Bernoulli, bursty, pulsed), plus traces.
 //! * [`dvfs`] / [`power`] — V/F levels, regions, clock gating, event energy.

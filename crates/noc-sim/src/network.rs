@@ -53,7 +53,7 @@ use crate::config::{SimConfig, SwitchArb};
 use crate::dvfs::{ClockGate, RegionMap, ThrottleEvent, VfTable};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, LinkState};
-use crate::flit::{Flit, Packet, PacketId};
+use crate::flit::{Packet, PacketId};
 use crate::power::{PowerEvent, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
 use crate::soa::{FabricState, FabricTile, NodeState, NodeWork, RouterCtx, TileOutbox};
@@ -73,8 +73,9 @@ struct InjectionQueue {
     /// Total flits across `packets`, maintained on push/pop so backlog
     /// sampling is O(1) per queue even when the queue is saturated.
     queued_flits: usize,
-    /// Flits of the packet currently being injected, in order.
-    current: VecDeque<Flit>,
+    /// The packet currently being injected, if any. Its flits are minted
+    /// one at a time as credits allow; no flit sequence is ever allocated.
+    current: Option<Injecting>,
     /// Free slots of the router's Local input VC 0, the only Local VC a
     /// node injects on: it has one packet mid-injection at a time and is done
     /// with the VC when the tail is injected (or the packet is purged or
@@ -84,12 +85,22 @@ struct InjectionQueue {
     credits: usize,
 }
 
+/// A source queue's cursor into the packet it is injecting.
+#[derive(Debug, Clone)]
+struct Injecting {
+    packet: Packet,
+    /// Cycle the packet left the queue, stamped on every flit of it.
+    injected_at: u64,
+    /// Flits of the packet not yet minted: the next is `len_flits - left`.
+    left: u32,
+}
+
 impl InjectionQueue {
     fn new(vc_depth: usize) -> Self {
         InjectionQueue {
             packets: VecDeque::new(),
             queued_flits: 0,
-            current: VecDeque::new(),
+            current: None,
             credits: vc_depth,
         }
     }
@@ -119,7 +130,7 @@ impl InjectionQueue {
                 .sum::<usize>(),
             "queued-flit counter out of sync with the packet queue"
         );
-        self.current.len() + self.queued_flits
+        self.current.as_ref().map_or(0, |c| c.left as usize) + self.queued_flits
     }
 }
 
@@ -147,6 +158,8 @@ pub struct Network {
     effective_levels: Vec<usize>,
     /// Forced-throttle emergencies.
     throttles: Vec<ThrottleEvent>,
+    /// Neighbour per node and cardinal port ([`Topology::neighbor_table`]).
+    neighbors: Vec<[u32; 4]>,
     /// Outgoing link count per node, for leakage accounting.
     links_out: Vec<usize>,
     /// Region index per node (precomputed once; the cycle loop needs it for
@@ -385,14 +398,10 @@ impl Network {
             .nodes()
             .map(|_| ClockGate::new(config.vf_table.levels()[max_level].freq_scale))
             .collect();
-        let links_out = topo
-            .nodes()
-            .map(|n| {
-                Port::ALL
-                    .iter()
-                    .filter(|&&p| p != Port::Local && topo.neighbor(n, p).is_some())
-                    .count()
-            })
+        let neighbors = topo.neighbor_table();
+        let links_out = neighbors
+            .iter()
+            .map(|row| row.iter().filter(|&&to| to != Topology::NO_LINK).count())
             .collect();
         let region_by_node: Vec<usize> =
             topo.nodes().map(|n| regions.region_of(&topo, n)).collect();
@@ -424,6 +433,7 @@ impl Network {
             effective_levels: vec![max_level; num_regions],
             throttles: config.throttles.clone(),
             regions,
+            neighbors,
             links_out,
             region_by_node,
             region_dynamic_scale: vec![max_vf.dynamic_scale(nominal); num_regions],
@@ -686,6 +696,7 @@ impl Network {
             let shared = TileShared {
                 ctx: RouterCtx {
                     topo: &self.topo,
+                    neighbors: &self.neighbors,
                     routing: self.routing,
                     faults: self.has_faults.then_some(&self.link_state),
                     arb: self.switch_arb,
@@ -822,11 +833,12 @@ impl Network {
                     if c.in_port == Port::Local {
                         self.inj[c.at.0].credits += 1;
                     } else {
-                        let upstream = self
-                            .topo
-                            .neighbor(c.at, c.in_port)
-                            .expect("credit toward a missing neighbor");
-                        tile.return_credit(upstream.0, c.in_port.opposite(), c.vc);
+                        let upstream = self.neighbors[c.at.0][c.in_port.index()];
+                        assert!(
+                            upstream != Topology::NO_LINK,
+                            "credit toward a missing neighbor"
+                        );
+                        tile.return_credit(upstream as usize, c.in_port.opposite(), c.vc);
                     }
                 }
             }
@@ -894,10 +906,8 @@ impl Network {
             let node = NodeId(i);
             if !self.link_state.is_router_up(node) {
                 self.fabric.condemn_all(i, &mut condemned);
-                if let Some(f) = self.inj[i].current.front() {
-                    // Mid-injection at a dying router: the whole packet goes.
-                    condemned.insert(f.packet);
-                }
+                // Mid-injection at a dying router: the whole packet goes.
+                condemned.extend(self.inj[i].current.as_ref().map(|c| c.packet.id));
             } else {
                 for port in [Port::North, Port::East, Port::South, Port::West] {
                     if self.topo.neighbor(node, port).is_some()
@@ -941,15 +951,9 @@ impl Network {
         // not-yet-injected flits too.
         if !condemned.is_empty() {
             for q in &mut self.inj {
-                let pid = match q.current.front() {
-                    Some(f) => f.packet,
-                    None => continue,
-                };
-                if !condemned.contains(&pid) {
-                    continue;
+                if let Some(c) = q.current.take_if(|c| condemned.contains(&c.packet.id)) {
+                    dropped_flits += u64::from(c.left);
                 }
-                dropped_flits += q.current.len() as u64;
-                q.current.clear();
             }
         }
         stats.record_purged(condemned.len() as u64, dropped_flits);
@@ -1004,14 +1008,25 @@ fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
 /// Local input VC 0, honoring its credits (the injection and its buffer
 /// write are counted in the node's slot).
 fn try_inject_tile(cycle: u64, fabric: &mut FabricTile<'_>, k: usize, q: &mut InjectionQueue) {
-    if q.current.is_empty() {
-        let Some(p) = q.pop_packet() else { return };
-        q.current = p.to_flits(cycle).into();
+    if q.current.is_none() {
+        let Some(packet) = q.pop_packet() else { return };
+        q.current = Some(Injecting {
+            left: packet.len_flits,
+            packet,
+            injected_at: cycle,
+        });
     }
     if q.credits == 0 {
         return;
     }
-    let flit = q.current.pop_front().expect("refilled above");
+    let cur = q.current.as_mut().expect("refilled above");
+    let flit = cur
+        .packet
+        .flit(cur.packet.len_flits - cur.left, cur.injected_at);
+    cur.left -= 1;
+    if cur.left == 0 {
+        q.current = None;
+    }
     q.credits -= 1;
     fabric.work[k].injected = Some(flit.is_tail());
     fabric.accept(k, Port::Local, flit);
@@ -1025,13 +1040,12 @@ fn drop_source_queue_tile(q: &mut InjectionQueue, dropped: &mut (u64, u64)) {
         dropped.0 += 1;
         dropped.1 += p.len_flits as u64;
     }
-    if !q.current.is_empty() {
+    if let Some(c) = q.current.take() {
         // Possible only for a packet that had injected nothing when the
         // router died (otherwise the boundary purge already cleared it),
         // so it still counts as a whole dropped packet.
         dropped.0 += 1;
-        dropped.1 += q.current.len() as u64;
-        q.current.clear();
+        dropped.1 += u64::from(c.left);
     }
 }
 
@@ -1079,28 +1093,33 @@ mod tests {
         assert!(stats.avg_packet_latency() >= 6.0);
     }
 
-    #[test]
-    fn many_packets_all_delivered_xy() {
-        let cfg = small_config();
-        let mut net = Network::new(&cfg).unwrap();
+    /// Offer one `len`-flit packet per ordered node pair of a 4x4 fabric and
+    /// step until the fabric drains or `limit` cycles pass; returns the
+    /// packets offered and ejected and what is still in flight.
+    fn all_to_all(cfg: &SimConfig, len: u32, limit: usize) -> (u64, u64, usize) {
+        let mut net = Network::new(cfg).unwrap();
         let mut stats = StatsCollector::new(net.regions().num_regions());
         let mut id = 0;
-        for src in 0..16usize {
-            for dst in 0..16usize {
-                if src != dst {
-                    net.offer(vec![packet(id, src, dst, 3, 0)], &mut stats);
-                    id += 1;
-                }
+        for (src, dst) in (0..16).flat_map(|s| (0..16).map(move |d| (s, d))) {
+            if src != dst {
+                net.offer(vec![packet(id, src, dst, len, 0)], &mut stats);
+                id += 1;
             }
         }
-        for _ in 0..5000 {
+        for _ in 0..limit {
             net.step(&mut stats);
             if net.in_flight() == 0 {
                 break;
             }
         }
-        assert_eq!(stats.ejected_packets, id, "all-to-all traffic must drain");
-        assert_eq!(net.in_flight(), 0);
+        (id, stats.ejected_packets, net.in_flight())
+    }
+
+    #[test]
+    fn many_packets_all_delivered_xy() {
+        let (offered, ejected, in_flight) = all_to_all(&small_config(), 3, 5000);
+        assert_eq!(ejected, offered, "all-to-all traffic must drain");
+        assert_eq!(in_flight, 0);
     }
 
     #[test]
@@ -1112,28 +1131,8 @@ mod tests {
             RoutingAlgorithm::NegativeFirst,
             RoutingAlgorithm::Yx,
         ] {
-            let cfg = small_config().with_routing(alg);
-            let mut net = Network::new(&cfg).unwrap();
-            let mut stats = StatsCollector::new(net.regions().num_regions());
-            let mut id = 0;
-            for src in 0..16usize {
-                for dst in 0..16usize {
-                    if src != dst {
-                        net.offer(vec![packet(id, src, dst, 4, 0)], &mut stats);
-                        id += 1;
-                    }
-                }
-            }
-            for _ in 0..8000 {
-                net.step(&mut stats);
-                if net.in_flight() == 0 {
-                    break;
-                }
-            }
-            assert_eq!(
-                stats.ejected_packets, id,
-                "{alg:?} must drain all-to-all traffic"
-            );
+            let (offered, ejected, _) = all_to_all(&small_config().with_routing(alg), 4, 8000);
+            assert_eq!(ejected, offered, "{alg:?} must drain all-to-all traffic");
         }
     }
 
@@ -1141,27 +1140,8 @@ mod tests {
     fn torus_dor_drains_all_to_all() {
         let mut cfg = small_config().with_routing(RoutingAlgorithm::TorusDor);
         cfg.kind = TopologyKind::Torus;
-        let mut net = Network::new(&cfg).unwrap();
-        let mut stats = StatsCollector::new(net.regions().num_regions());
-        let mut id = 0;
-        for src in 0..16usize {
-            for dst in 0..16usize {
-                if src != dst {
-                    net.offer(vec![packet(id, src, dst, 4, 0)], &mut stats);
-                    id += 1;
-                }
-            }
-        }
-        for _ in 0..8000 {
-            net.step(&mut stats);
-            if net.in_flight() == 0 {
-                break;
-            }
-        }
-        assert_eq!(
-            stats.ejected_packets, id,
-            "torus must drain all-to-all traffic"
-        );
+        let (offered, ejected, _) = all_to_all(&cfg, 4, 8000);
+        assert_eq!(ejected, offered, "torus must drain all-to-all traffic");
     }
 
     #[test]
@@ -1169,28 +1149,9 @@ mod tests {
         let cfg = small_config()
             .with_routing(RoutingAlgorithm::TorusMinAdaptive)
             .with_topology(TopologyKind::Torus);
-        let mut net = Network::new(&cfg).unwrap();
-        let mut stats = StatsCollector::new(net.regions().num_regions());
-        let mut id = 0;
-        for src in 0..16usize {
-            for dst in 0..16usize {
-                if src != dst {
-                    net.offer(vec![packet(id, src, dst, 4, 0)], &mut stats);
-                    id += 1;
-                }
-            }
-        }
-        for _ in 0..8000 {
-            net.step(&mut stats);
-            if net.in_flight() == 0 {
-                break;
-            }
-        }
-        assert_eq!(
-            stats.ejected_packets, id,
-            "adaptive torus must drain all-to-all traffic"
-        );
-        assert_eq!(net.in_flight(), 0);
+        let (offered, ejected, in_flight) = all_to_all(&cfg, 4, 8000);
+        assert_eq!(ejected, offered, "adaptive torus must drain all-to-all");
+        assert_eq!(in_flight, 0);
     }
 
     #[test]

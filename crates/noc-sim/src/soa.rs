@@ -29,7 +29,9 @@
 //! indexed by `(router, port, vc)` — the flits themselves (one fixed ring of
 //! `vc_depth` slots per input VC, with its head and length), route locks,
 //! granted downstream VCs, VC owners, drain flags, downstream credits, and
-//! the arbitration pointers. No element owns a heap allocation, so a
+//! the arbitration pointers. A hop costs what it touches: a flit is 32
+//! bytes, an owner slot 8, and a neighbour is a load from a table resolved
+//! once ([`Topology::neighbor_table`]). No element owns a heap allocation, so a
 //! partition tile (a contiguous node range) is literally a contiguous slice
 //! of each array: [`FabricState::split_tiles`] carves the fabric into
 //! disjoint [`FabricTile`] views that worker threads step concurrently
@@ -40,13 +42,14 @@
 //! * an O(1) occupancy counter (`occ`), so the cycle loop's
 //!   active-router test is one load, and
 //! * an occupancy bitmask (`occ_mask`) with bit `port * num_vcs + vc` set
-//!   iff that input VC buffers at least one flit. All three pipeline
-//!   stages iterate set bits only, and switch allocation is two-stage
-//!   arbitration over bitmasks: stage one builds per-output-port request
-//!   masks in a single pass over the occupied VCs; stage two grants with
-//!   the rotate-free round-robin pick `rr_pick` — first asserted index at
-//!   or after the pointer, else first asserted index; the pointer advances
-//!   past the winner.
+//!   iff that input VC buffers at least one flit. Switch allocation is
+//!   two-stage arbitration over bitmasks: stage one builds per-output-port
+//!   request masks in a single pass over the occupied VCs; stage two grants
+//!   with the rotate-free round-robin pick `rr_pick` — first asserted index
+//!   at or after the pointer, else first asserted index; the pointer
+//!   advances past the winner. Stage one's pass is the cycle's only walk of
+//!   the occupied VCs: it also sorts the non-requesters into the masks VA
+//!   and RC iterate, so those two stages visit only the VCs that need them.
 //!
 //! Both counters are derivable from the buffers; `debug_assert!` recounts
 //! (exercised by the debug-profile CI job) keep them honest. The stages
@@ -58,7 +61,7 @@ use crate::config::SwitchArb;
 use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
 use crate::routing::{route, route_live, route_table, RoutingAlgorithm, RoutingTables};
-use crate::topology::{NodeId, Port, Topology, TopologyKind};
+use crate::topology::{NodeId, Port, Topology};
 use std::collections::BTreeSet;
 
 /// A flit in transit on a link, to be delivered at the end of the cycle.
@@ -159,6 +162,8 @@ pub struct NodeWork {
 pub struct RouterCtx<'a> {
     /// The network topology (for route computation).
     pub topo: &'a Topology,
+    /// [`Topology::neighbor_table`] of `topo`, indexed by node id.
+    pub neighbors: &'a [[u32; 4]],
     /// Routing algorithm in force this cycle.
     pub routing: RoutingAlgorithm,
     /// Link/router liveness under the active fault set. `None` means the
@@ -174,18 +179,33 @@ pub struct RouterCtx<'a> {
     pub tables: Option<&'a RoutingTables>,
 }
 
-/// Whether a mesh/torus hop from `from` via `port` crosses a wrap-around
-/// (dateline) link.
-fn crosses_dateline(topo: &Topology, from: NodeId, port: Port) -> bool {
-    if topo.kind() != TopologyKind::Torus {
-        return false;
+/// The packet that owns a VC, or none: 8 bytes where `Option<PacketId>` is
+/// 16, on arrays every head and tail flit touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Owner(u64);
+
+impl Owner {
+    const NONE: Owner = Owner(u64::MAX);
+
+    fn some(packet: PacketId) -> Owner {
+        debug_assert!(packet.0 != u64::MAX, "packet id is the free sentinel");
+        Owner(packet.0)
     }
-    let c = topo.coord(from);
+
+    fn get(self) -> Option<PacketId> {
+        (self != Owner::NONE).then_some(PacketId(self.0))
+    }
+}
+
+/// Whether the hop `from -> to` through `port` crosses a wrap-around
+/// (dateline) link. Node ids grow with `x`, then `y`, so a wrap link is the
+/// one East or South hop that does not move up in id order and the one West
+/// or North hop that does not move down (a one-wide ring hops onto itself);
+/// a mesh has no such hop.
+fn crosses_dateline(from: usize, to: usize, port: Port) -> bool {
     match port {
-        Port::East => c.x == topo.width() - 1,
-        Port::West => c.x == 0,
-        Port::South => c.y == topo.height() - 1,
-        Port::North => c.y == 0,
+        Port::East | Port::South => to <= from,
+        Port::West | Port::North => to >= from,
         Port::Local => false,
     }
 }
@@ -223,7 +243,7 @@ pub struct FabricState {
     /// Input flit storage: a ring of `vc_depth` slots per `(router, port,
     /// vc)`. A slot is `Some` iff it lies within `len` of its ring's `head`
     /// (`pop` and `purge` vacate what they remove); `Option<Flit>` is the
-    /// same 64 bytes as `Flit` through `FlitKind`'s niche.
+    /// same 32 bytes as `Flit` through `FlitKind`'s niche.
     flits: Vec<Option<Flit>>,
     /// Ring slot of the oldest buffered flit, per input VC.
     head: Vec<u16>,
@@ -234,13 +254,13 @@ pub struct FabricState {
     /// Downstream VC granted by VC allocation, per input VC.
     in_out_vc: Vec<Option<u8>>,
     /// Packet occupying each input VC (recorded at route computation).
-    in_owner: Vec<Option<PacketId>>,
+    in_owner: Vec<Owner>,
     /// Drain flag per input VC: the occupying packet is unroutable and its
     /// flits are discarded as they arrive.
     in_dropping: Vec<bool>,
     /// Downstream VC claims, `(router, port, vc)` — the upstream view of
     /// who owns the VC at the far end of each output.
-    out_owner: Vec<Option<PacketId>>,
+    out_owner: Vec<Owner>,
     /// Free downstream buffer slots per output VC (credits).
     out_credits: Vec<u16>,
     /// Switch-allocation round-robin pointer per `(router, out_port)`,
@@ -297,9 +317,9 @@ impl FabricState {
             len: vec![0; routers * pv],
             in_route: vec![None; routers * pv],
             in_out_vc: vec![None; routers * pv],
-            in_owner: vec![None; routers * pv],
+            in_owner: vec![Owner::NONE; routers * pv],
             in_dropping: vec![false; routers * pv],
-            out_owner: vec![None; routers * pv],
+            out_owner: vec![Owner::NONE; routers * pv],
             out_credits: vec![credits; routers * pv],
             sw_next: vec![0; routers * Port::COUNT],
             sw_hold: vec![u32::MAX; routers * Port::COUNT],
@@ -336,7 +356,7 @@ impl FabricState {
     /// and must be condemned network-wide.
     pub(crate) fn condemn_output_owners(&self, r: usize, port: Port, out: &mut BTreeSet<PacketId>) {
         for vc in 0..self.num_vcs {
-            if let Some(pid) = self.out_owner[self.idx(r, port, vc)] {
+            if let Some(pid) = self.out_owner[self.idx(r, port, vc)].get() {
                 out.insert(pid);
             }
         }
@@ -349,8 +369,8 @@ impl FabricState {
         for flit in self.flits[r * slots..(r + 1) * slots].iter().flatten() {
             out.insert(flit.packet);
         }
-        for pid in self.out_owner[r * pv..(r + 1) * pv].iter().flatten() {
-            out.insert(*pid);
+        for pid in self.out_owner[r * pv..(r + 1) * pv].iter() {
+            out.extend(pid.get());
         }
     }
 
@@ -490,9 +510,9 @@ pub struct FabricTile<'a> {
     len: &'a mut [u16],
     in_route: &'a mut [Option<Port>],
     in_out_vc: &'a mut [Option<u8>],
-    in_owner: &'a mut [Option<PacketId>],
+    in_owner: &'a mut [Owner],
     in_dropping: &'a mut [bool],
-    out_owner: &'a mut [Option<PacketId>],
+    out_owner: &'a mut [Owner],
     out_credits: &'a mut [u16],
     sw_next: &'a mut [u32],
     sw_hold: &'a mut [u32],
@@ -586,7 +606,7 @@ impl FabricTile<'_> {
     fn release(&mut self, idx: usize) {
         self.in_route[idx] = None;
         self.in_out_vc[idx] = None;
-        self.in_owner[idx] = None;
+        self.in_owner[idx] = Owner::NONE;
         self.in_dropping[idx] = false;
     }
 
@@ -598,7 +618,8 @@ impl FabricTile<'_> {
     /// Panics if the VC is full — senders must respect credits, so an
     /// overflow indicates a flow-control bug.
     pub fn accept(&mut self, k: usize, port: Port, flit: Flit) {
-        let b = port.index() * self.num_vcs + flit.vc;
+        debug_assert!(flit.vc() < self.num_vcs, "flit VC out of range");
+        let b = port.index() * self.num_vcs + flit.vc();
         let idx = k * self.pv + b;
         let len = self.len[idx];
         assert!(
@@ -633,9 +654,19 @@ impl FabricTile<'_> {
         if ctx.faults.is_some() {
             self.drain_dropped(k, node, out);
         }
-        self.switch_allocation(k, node, ctx, out);
-        self.vc_allocation(k);
-        self.route_computation(k, node, ctx);
+        let (va_mask, rc_mask) = self.switch_allocation(k, node, ctx, out);
+        // The oracle for SA's fused classification: a full walk of the VCs.
+        debug_assert!(
+            (0..self.pv).all(|b| {
+                let (occupied, idx) = ((self.occ_mask[k] >> b) & 1 == 1, k * self.pv + b);
+                let routed = self.in_route[idx].is_some();
+                (va_mask >> b) & 1 == u64::from(occupied && routed && self.in_out_vc[idx].is_none())
+                    && (rc_mask >> b) & 1 == u64::from(occupied && !routed)
+            }),
+            "SA's VA/RC masks differ from a walk of the occupied VCs"
+        );
+        self.vc_allocation(k, va_mask);
+        self.route_computation(k, node, ctx, rc_mask);
     }
 
     /// Discard buffered flits of packets marked `dropping` (unroutable
@@ -675,13 +706,17 @@ impl FabricTile<'_> {
     /// per-output-port request masks in a single pass over the occupied
     /// VCs; stage two grants each output port with the rotate-free
     /// round-robin pick and masks out the winner's whole input port.
+    /// Stage one has then loaded `in_route` and `in_out_vc` of every occupied
+    /// VC, so it sorts the non-requesters too: the returned `(va_mask,
+    /// rc_mask)` are the VCs routed without a downstream VC and the unrouted
+    /// ones as this stage leaves them — all that VA and RC visit.
     fn switch_allocation(
         &mut self,
         k: usize,
         node: NodeId,
         ctx: &RouterCtx<'_>,
         out: &mut TileOutbox,
-    ) {
+    ) -> (u64, u64) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         // Stage one: request masks over flattened (in_port, vc), one per
@@ -689,12 +724,20 @@ impl FabricTile<'_> {
         // VC, is non-empty (the occupancy mask), and has a credit (the
         // Local output sinks ejected flits unconditionally).
         let mut req = [0u64; Port::COUNT];
+        let (mut va_mask, mut rc_mask) = (0u64, 0u64);
         let mut m = self.occ_mask[k];
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
             let idx = b0 + b;
             let (Some(out_port), Some(ovc)) = (self.in_route[idx], self.in_out_vc[idx]) else {
+                // Not a requester: VA's if it holds a route, RC's if not.
+                let mask = if self.in_route[idx].is_some() {
+                    &mut va_mask
+                } else {
+                    &mut rc_mask
+                };
+                *mask |= 1 << b;
                 continue;
             };
             let has_credit = out_port == Port::Local
@@ -734,7 +777,7 @@ impl FabricTile<'_> {
             used_inputs |= vc_bits << (ip * v);
             let in_port = Port::from_index(ip);
             let idx = b0 + b;
-            let out_vc = self.in_out_vc[idx].expect("granted VC has out_vc") as usize;
+            let out_vc = self.in_out_vc[idx].expect("granted VC has out_vc");
             let mut flit = self.pop(k, b).expect("granted VC has a flit");
             let is_tail = flit.is_tail();
             if per_packet {
@@ -746,6 +789,10 @@ impl FabricTile<'_> {
             }
             if is_tail {
                 self.release(idx);
+                // The one reclassification stage two causes: the next
+                // packet's head, if already buffered behind the tail, now
+                // fronts an unrouted VC.
+                rc_mask |= self.occ_mask[k] & (1 << b);
             }
             self.work[k].grants += 1;
             if out_port == Port::Local {
@@ -755,22 +802,24 @@ impl FabricTile<'_> {
                     ctx.faults.is_none_or(|ls| ls.is_link_up(node, out_port)),
                     "SA forwarded into a dead link (boundary purge missed a route)"
                 );
-                flit.vc = out_vc;
+                flit.set_vc(out_vc);
                 flit.hops += 1;
-                let oidx = b0 + op * v + out_vc;
+                let oidx = b0 + op * v + out_vc as usize;
                 debug_assert!(self.out_credits[oidx] > 0, "SA granted without credit");
                 self.out_credits[oidx] -= 1;
                 if is_tail {
-                    self.out_owner[oidx] = None;
+                    self.out_owner[oidx] = Owner::NONE;
                 }
                 // The sender resolves the receiver and stamps the dateline
                 // class, so the commit phase only deposits the flit.
-                if crosses_dateline(ctx.topo, node, out_port) {
-                    flit.vc_class = 1;
+                let to = ctx.neighbors[node.0][op];
+                assert!(to != Topology::NO_LINK, "router forwarded off the edge");
+                let to = to as usize;
+                if crosses_dateline(node.0, to, out_port) {
+                    flit.cross_dateline();
                 }
-                let to = ctx.topo.neighbor(node, out_port);
                 out.deliveries.push(Delivery {
-                    to: to.expect("router forwarded off the edge"),
+                    to: NodeId(to),
                     in_port: out_port.opposite(),
                     flit,
                 });
@@ -782,23 +831,19 @@ impl FabricTile<'_> {
                 vc,
             });
         }
+        (va_mask, rc_mask)
     }
 
-    /// VA: head flits holding a route claim a free downstream VC.
-    fn vc_allocation(&mut self, k: usize) {
+    /// VA: head flits holding a route claim a free downstream VC. `m` is
+    /// SA's `va_mask`: exactly the VCs that hold a route and no claim.
+    fn vc_allocation(&mut self, k: usize, mut m: u64) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
-        let mut m = self.occ_mask[k];
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
             let idx = b0 + b;
-            let Some(out_port) = self.in_route[idx] else {
-                continue;
-            };
-            if self.in_out_vc[idx].is_some() {
-                continue;
-            }
+            let out_port = self.in_route[idx].expect("va_mask VC is routed");
             let op = out_port.index();
             if out_port == Port::Local {
                 // Ejection needs no downstream VC; claim slot 0 nominally.
@@ -808,15 +853,15 @@ impl FabricTile<'_> {
             }
             let flit = self.front(idx).expect("awaiting implies flit");
             debug_assert!(flit.is_head(), "VA on a non-head flit");
-            let (packet, vc_class) = (flit.packet, flit.vc_class);
+            let (packet, vc_class) = (flit.packet, flit.vc_class());
             let range = self.allowed_vcs(vc_class);
             let span = range.len();
             let start = (self.va_ptr[k * Port::COUNT + op] as usize) % span.max(1);
             let granted = (0..span)
                 .map(|off| range.start + (start + off) % span)
-                .find(|&ovc| self.out_owner[b0 + op * v + ovc].is_none());
+                .find(|&ovc| self.out_owner[b0 + op * v + ovc] == Owner::NONE);
             if let Some(ovc) = granted {
-                self.out_owner[b0 + op * v + ovc] = Some(packet);
+                self.out_owner[b0 + op * v + ovc] = Owner::some(packet);
                 self.in_out_vc[idx] = Some(ovc as u8);
                 let ptr = &mut self.va_ptr[k * Port::COUNT + op];
                 *ptr = ptr.wrapping_add(1);
@@ -829,15 +874,15 @@ impl FabricTile<'_> {
     /// algorithms pick the candidate whose free VCs hold the most credits.
     /// Under an active fault set, dead output links are excluded; a packet
     /// with no live candidate is marked for dropping instead of wedging.
-    fn route_computation(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>) {
+    /// `m` is SA's `rc_mask`: exactly the occupied VCs without a route.
+    fn route_computation(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, mut m: u64) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
-        let mut m = self.occ_mask[k];
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
             let idx = b0 + b;
-            if self.in_dropping[idx] || self.in_route[idx].is_some() {
+            if self.in_dropping[idx] {
                 continue;
             }
             let flit = self.front(idx).expect("occupied VC has a flit");
@@ -845,7 +890,8 @@ impl FabricTile<'_> {
                 flit.is_head(),
                 "non-head flit at front of an unrouted VC: flow-control bug"
             );
-            let (packet, src, dst, vc_class) = (flit.packet, flit.src, flit.dst, flit.vc_class);
+            let (packet, src, dst, vc_class) =
+                (flit.packet, flit.src(), flit.dst(), flit.vc_class());
             let cands = if ctx.routing == RoutingAlgorithm::Table {
                 // Table paths are enumerated over live links at build time
                 // and rebuilt on every liveness change, so no per-hop
@@ -865,7 +911,7 @@ impl FabricTile<'_> {
                 // is unroutable. Discard it (drain stage) rather than
                 // letting it wedge the network.
                 self.in_dropping[idx] = true;
-                self.in_owner[idx] = Some(packet);
+                self.in_owner[idx] = Owner::some(packet);
                 continue;
             }
             let chosen = if cands.len() == 1 {
@@ -878,14 +924,14 @@ impl FabricTile<'_> {
                         let ob = b0 + p.index() * v;
                         range
                             .clone()
-                            .filter(|&ovc| self.out_owner[ob + ovc].is_none())
+                            .filter(|&ovc| self.out_owner[ob + ovc] == Owner::NONE)
                             .map(|ovc| self.out_credits[ob + ovc] as usize)
                             .sum::<usize>()
                     })
                     .expect("route returned no candidates")
             };
             self.in_route[idx] = Some(chosen);
-            self.in_owner[idx] = Some(packet);
+            self.in_owner[idx] = Owner::some(packet);
             self.work[k].rc += 1;
         }
     }
@@ -924,7 +970,7 @@ impl FabricTile<'_> {
                     }
                     removed += purged as u64;
                     let owner_condemned =
-                        self.in_owner[idx].is_some_and(|o| condemned.contains(&o));
+                        (self.in_owner[idx].get()).is_some_and(|o| condemned.contains(&o));
                     if owner_condemned {
                         let claim = match (self.in_route[idx], self.in_out_vc[idx]) {
                             (Some(route), Some(out_vc)) if route != Port::Local => {
@@ -934,7 +980,7 @@ impl FabricTile<'_> {
                         };
                         self.release(idx);
                         if let Some((route, out_vc)) = claim {
-                            self.out_owner[b0 + route.index() * v + out_vc] = None;
+                            self.out_owner[b0 + route.index() * v + out_vc] = Owner::NONE;
                         }
                         // Under per-packet arbitration the condemned packet
                         // may hold an output port mid-transmission; free it
@@ -1086,6 +1132,7 @@ mod tests {
             let mut out = TileOutbox::default();
             let ctx = RouterCtx {
                 topo: &self.topo,
+                neighbors: &Topology::neighbor_table(&self.topo),
                 routing: self.routing,
                 faults: None,
                 arb: SwitchArb::PerFlit,
@@ -1109,15 +1156,18 @@ mod tests {
         }
     }
 
-    fn make_flits(src: usize, dst: usize, len: u32) -> Vec<Flit> {
+    fn make_packet(id: u64, src: usize, dst: usize, len: u32) -> Packet {
         Packet {
-            id: PacketId(1),
+            id: PacketId(id),
             src: NodeId(src),
             dst: NodeId(dst),
             len_flits: len,
             created_at: 0,
         }
-        .to_flits(0)
+    }
+
+    fn make_flits(src: usize, dst: usize, len: u32) -> Vec<Flit> {
+        make_packet(1, src, dst, len).to_flits(0)
     }
 
     /// Drive a lone router: inject a packet on the Local port addressed to a
@@ -1150,12 +1200,12 @@ mod tests {
     fn flit_at_destination_is_ejected() {
         let mut r = Rig::new(5, 2, 4, false);
         let mut flit = make_flits(0, 5, 1).remove(0);
-        flit.vc = 1;
+        flit.set_vc(1);
         r.accept(Port::West, flit);
         let mut ejected = false;
         for _ in 0..3 {
             for flit in r.step().0.ejected {
-                assert_eq!(flit.dst, NodeId(5));
+                assert_eq!(flit.dst(), NodeId(5));
                 ejected = true;
             }
         }
@@ -1197,8 +1247,29 @@ mod tests {
         }
         assert_eq!(tails, 1);
         // After the tail left, the output VC is free for a new packet.
-        assert!(r.f.out_owner[r.idx(Port::East, 0)].is_none());
+        assert_eq!(r.f.out_owner[r.idx(Port::East, 0)], Owner::NONE);
         assert!(r.f.in_route[r.idx(Port::Local, 0)].is_none());
+    }
+
+    /// The one mask update SA's stage two owes RC: packet B's head sits
+    /// behind packet A's tail in one VC, and the cycle that grants the tail
+    /// routes the head.
+    #[test]
+    fn tail_grant_routes_the_head_behind_it_in_the_same_cycle() {
+        let mut r = Rig::new(0, 1, 4, false);
+        for flit in make_packet(1, 0, 1, 2).to_flits(0) {
+            r.accept(Port::Local, flit);
+        }
+        r.accept(Port::Local, make_packet(2, 0, 1, 2).flit(0, 0));
+        for _ in 0..3 {
+            r.step(); // RC, VA, then A's head leaves
+        }
+        let (out, work) = r.step();
+        assert_eq!(out.deliveries[0].flit.kind, FlitKind::Tail);
+        assert_eq!((work.grants, work.rc), (1, 1));
+        let local = r.idx(Port::Local, 0);
+        assert_eq!(r.f.in_route[local], Some(Port::East));
+        assert_eq!(r.f.in_owner[local].get(), Some(PacketId(2)));
     }
 
     #[test]
@@ -1212,13 +1283,14 @@ mod tests {
         assert_eq!(r.f.buffer_capacity(), 5 * 2 * 4);
     }
 
-    /// An input VC is a FIFO across ring wrap-around: eight flits through a
-    /// three-slot ring (a non-power-of-two depth) leave in arrival order.
+    /// An input VC is a FIFO across ring wrap-around: eight single-flit
+    /// packets through a three-slot ring (a non-power-of-two depth) leave in
+    /// arrival order.
     #[test]
     fn ring_is_fifo_across_wrap_around() {
         let mut r = Rig::new(0, 1, 3, false);
-        let mut flits = make_flits(0, 1, 8).into_iter();
-        let mut seqs = Vec::new();
+        let mut flits = (0..8).map(|id| make_packet(id, 0, 1, 1).flit(0, 0));
+        let mut ids = Vec::new();
         for _ in 0..20 {
             // Keep the ring full, as a credit-respecting sender would.
             while r.f.occupancy(0) < 3 {
@@ -1226,11 +1298,11 @@ mod tests {
                 r.accept(Port::Local, flit);
             }
             for d in r.step().0.deliveries {
-                seqs.push(d.flit.seq);
+                ids.push(d.flit.packet.0);
                 r.f.tile().return_credit(0, Port::East, 0);
             }
         }
-        assert_eq!(seqs, (0..8).collect::<Vec<_>>());
+        assert_eq!(ids, (0..8).collect::<Vec<_>>());
         assert_eq!(r.f.occupancy(0), 0);
         let local = r.idx(Port::Local, 0);
         assert!(r.f.tile().pop(0, local).is_none());
@@ -1252,8 +1324,7 @@ mod tests {
         r.forward_to(1);
         r.forward_to(1); // head at slot 2: the five flits below wrap
         for (id, len) in [(7, 2), (8, 2), (9, 1)] {
-            for mut flit in make_flits(0, 1, len) {
-                flit.packet = PacketId(id);
+            for flit in make_packet(id, 0, 1, len).to_flits(0) {
                 r.accept(Port::Local, flit);
             }
         }
@@ -1266,15 +1337,19 @@ mod tests {
         assert_eq!(again, 0);
         assert_eq!(r.f.occupancy(0), 2, "recounted against `len` in debug");
         let left: Vec<_> = (0..4).flat_map(|_| r.step().0.deliveries).collect();
-        let left: Vec<_> = left.iter().map(|d| (d.flit.packet.0, d.flit.seq)).collect();
-        assert_eq!(left, [(8, 0), (8, 1)], "the survivor, in order");
+        let left: Vec<_> = left
+            .iter()
+            .map(|d| (d.flit.packet.0, d.flit.kind))
+            .collect();
+        let survivor = [(8, FlitKind::Head), (8, FlitKind::Tail)];
+        assert_eq!(left, survivor, "the survivor, in order");
     }
 
     #[test]
     fn vc_partition_restricts_allocation() {
         let mut r = Rig::new(0, 4, 2, true);
         let mut flit = make_flits(0, 1, 1).remove(0);
-        flit.vc_class = 1;
+        flit.cross_dateline();
         r.accept(Port::Local, flit);
         r.step(); // RC
         r.step(); // VA
@@ -1301,28 +1376,25 @@ mod tests {
     /// edge, an interior hop stays class 0, and a mesh never stamps.
     #[test]
     fn sender_stamps_dateline_class_on_wrap_links_only() {
-        // East from x = W-1 (node 3 -> node 0) and South from y = H-1
-        // (node 12 -> node 0) are the wrap links of a 4x4 torus.
-        let d = Rig::torus(3).forward_to(0);
-        assert_eq!(
-            (d.to, d.in_port, d.flit.vc_class),
-            (NodeId(0), Port::West, 1)
-        );
-        let d = Rig::torus(12).forward_to(0);
-        assert_eq!(
-            (d.to, d.in_port, d.flit.vc_class),
-            (NodeId(0), Port::North, 1)
-        );
-        // Interior torus hop: 1 -E-> 2.
-        let d = Rig::torus(1).forward_to(2);
-        assert_eq!(
-            (d.to, d.in_port, d.flit.vc_class),
-            (NodeId(2), Port::West, 0)
-        );
+        // The wrap links of a 4x4 torus: East from x = W-1, South from
+        // y = H-1, West from x = 0, North from y = 0; then an interior hop.
+        for (node, dst, in_port, class) in [
+            (3, 0, Port::West, 1),
+            (12, 0, Port::North, 1),
+            (0, 3, Port::East, 1),
+            (0, 12, Port::South, 1),
+            (1, 2, Port::West, 0),
+        ] {
+            let d = Rig::torus(node).forward_to(dst);
+            assert_eq!(
+                (d.to, d.in_port, d.flit.vc_class()),
+                (NodeId(dst), in_port, class)
+            );
+        }
         // Mesh edge routers have no wrap link to cross.
         for (node, dst, to) in [(3, 2, 2), (3, 7, 7), (12, 8, 8), (12, 13, 13)] {
             let d = Rig::new(node, 2, 4, false).forward_to(dst);
-            assert_eq!((d.to, d.flit.vc_class), (NodeId(to), 0));
+            assert_eq!((d.to, d.flit.vc_class()), (NodeId(to), 0));
         }
     }
 }

@@ -518,22 +518,20 @@ impl WindowMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, PacketId};
+    use crate::flit::{FlitKind, Packet, PacketId};
     use crate::topology::NodeId;
 
-    fn tail_flit(created: u64, injected: u64, hops: u32) -> Flit {
-        Flit {
-            packet: PacketId(0),
-            kind: FlitKind::Tail,
-            seq: 4,
+    fn tail_flit(created: u64, injected: u64, hops: u16) -> Flit {
+        let packet = Packet {
+            id: PacketId(0),
             src: NodeId(0),
             dst: NodeId(9),
+            len_flits: 5,
             created_at: created,
-            injected_at: injected,
-            vc: 0,
-            hops,
-            vc_class: 0,
-        }
+        };
+        let mut flit = packet.flit(4, injected);
+        flit.hops = hops;
+        flit
     }
 
     #[test]

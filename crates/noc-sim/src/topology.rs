@@ -286,6 +286,24 @@ impl Topology {
         }
     }
 
+    /// "No link" in a [`neighbor_table`](Self::neighbor_table) row.
+    pub const NO_LINK: u32 = u32::MAX;
+
+    /// [`neighbor`](Self::neighbor) of every node through each cardinal
+    /// port, resolved once: row `n`, column [`Port::index`],
+    /// [`NO_LINK`](Self::NO_LINK) off a mesh edge. The cycle loop indexes this where a
+    /// `neighbor` call would cost it a `div` and a nine-arm `match` per flit.
+    ///
+    /// # Panics
+    /// Panics if a node id does not fit `u32`.
+    pub fn neighbor_table(&self) -> Vec<[u32; 4]> {
+        let id = |to: NodeId| u32::try_from(to.0).expect("node id fits u32");
+        let link = |n, p| self.neighbor(n, p).map_or(Self::NO_LINK, id);
+        self.nodes()
+            .map(|n| [Port::North, Port::East, Port::South, Port::West].map(|p| link(n, p)))
+            .collect()
+    }
+
     /// Minimal hop distance between two nodes under this topology.
     pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
         let (ca, cb) = (self.coord(a), self.coord(b));
@@ -351,6 +369,25 @@ mod tests {
         assert_eq!(
             t.neighbor(corner, Port::West),
             Some(t.node_at(Coord { x: 3, y: 0 }))
+        );
+    }
+
+    #[test]
+    fn neighbor_table_agrees_with_neighbor() {
+        for t in [Topology::mesh(5, 3), Topology::torus(4, 4)] {
+            let table = t.neighbor_table();
+            assert_eq!(table.len(), t.num_nodes());
+            for (n, p) in t
+                .nodes()
+                .flat_map(|n| Port::ALL[..4].iter().map(move |&p| (n, p)))
+            {
+                let want = t.neighbor(n, p).map_or(Topology::NO_LINK, |m| m.0 as u32);
+                assert_eq!(table[n.0][p.index()], want, "{n} -{p}->");
+            }
+        }
+        assert_eq!(
+            Topology::mesh(5, 3).neighbor_table()[0][Port::North.index()],
+            Topology::NO_LINK
         );
     }
 

@@ -43,8 +43,8 @@ proptest! {
     /// kind, routing algorithm, injection rate (biased low, where skipping
     /// dominates), fault count, mid-run DVFS relevel, and partitions
     /// ∈ {1, 2, 4}. Structural and serialized-byte equality must both
-    /// hold — f64 energy sums included, which requires the idle-leakage
-    /// run expansion to replay the exact serial accumulation order.
+    /// hold — f64 energy sums included, which requires a skipped router's
+    /// untouched `Idle` slot to be priced exactly as a stepped idle one.
     #[test]
     fn worklist_is_byte_identical_to_step_all(
         seed in 0u64..10_000,
