@@ -1,6 +1,6 @@
 //! Machine-readable performance reporting: the `noc-cli bench` subsystem.
 //!
-//! * [`run_suite`] executes a fixed set of 28 timed workloads (cycle-level
+//! * [`run_suite`] executes a fixed set of 29 timed workloads (cycle-level
 //!   simulation on several mesh/pattern points plus torus and faulted-fabric
 //!   scenarios, batched DQN training steps,
 //!   full `NocEnv` control epochs, and a parallel sweep-grid fan-out),
@@ -488,24 +488,32 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
         time_sim(&mut report, &point);
     }
 
-    // --- Batched DQN forward/backward (the training inner loop).
+    // --- Batched DQN forward/backward (the training inner loop): the
+    // default self-configuration shape, then the zoo's `wide` shape the
+    // `learn_4x4` gate trains.
     {
-        let mut agent = bench_agent();
-        let mut rng = StdRng::seed_from_u64(1);
-        // Prime replay + Adam state outside the timed region.
-        agent.train_step(&mut rng);
+        let mut agent = bench_agent(15, &[64, 64], 9);
+        let mut wide = bench_agent(20, &[128, 64], 5);
         let steps = config.dqn_steps as u64;
-        let params = format!(
-            "15-64-64-9 MLP, batch 32, double-DQN, {} train steps per repeat",
-            config.dqn_steps
-        );
-        report.time("dqn/train_step/batch32", params, "train_steps", || {
-            let t0 = Instant::now();
-            for _ in 0..steps {
-                agent.train_step(&mut rng);
-            }
-            (t0.elapsed().as_nanos() as u64, steps, None)
-        });
+        for (name, shape, agent) in [
+            ("dqn/train_step/batch32", "15-64-64-9", &mut agent),
+            ("dqn/train_step/wide-b32", "20-128-64-5", &mut wide),
+        ] {
+            let mut rng = StdRng::seed_from_u64(1);
+            // Prime replay + Adam state outside the timed region.
+            agent.train_step(&mut rng);
+            let params = format!(
+                "{shape} MLP, batch 32, double-DQN, {} train steps per repeat",
+                config.dqn_steps
+            );
+            report.time(name, params, "train_steps", || {
+                let t0 = Instant::now();
+                for _ in 0..steps {
+                    agent.train_step(&mut rng);
+                }
+                (t0.elapsed().as_nanos() as u64, steps, None)
+            });
+        }
 
         let states: Vec<Vec<f32>> = (0..32)
             .map(|i| (0..15).map(|j| ((i * 3 + j) % 11) as f32 / 11.0).collect())
@@ -709,19 +717,22 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
     report
 }
 
-/// The standard bench agent: the self-configuration network shape with a
-/// replay buffer pre-filled deterministically.
-fn bench_agent() -> DqnAgent {
+/// A bench agent of the given network shape with a replay buffer
+/// pre-filled deterministically.
+fn bench_agent(state_dim: usize, hidden: &[usize], num_actions: usize) -> DqnAgent {
     let mut agent = DqnAgent::new(DqnConfig {
+        hidden: hidden.to_vec(),
         min_replay: 64,
-        ..DqnConfig::default().with_dims(15, 9)
+        ..DqnConfig::default().with_dims(state_dim, num_actions)
     });
     for i in 0..256usize {
-        let state: Vec<f32> = (0..15).map(|j| ((i + j) % 7) as f32 / 7.0).collect();
-        let next: Vec<f32> = (0..15).map(|j| ((i + j + 1) % 7) as f32 / 7.0).collect();
+        let state: Vec<f32> = (0..state_dim).map(|j| ((i + j) % 7) as f32 / 7.0).collect();
+        let next: Vec<f32> = (0..state_dim)
+            .map(|j| ((i + j + 1) % 7) as f32 / 7.0)
+            .collect();
         agent.observe(Transition {
             state,
-            action: i % 9,
+            action: i % num_actions,
             reward: (i % 3) as f32 - 1.0,
             next_state: next,
             done: i % 40 == 0,
@@ -761,10 +772,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 28 uniquely named rows, the `sim/*` table first and in
+        // 29 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 28);
+        assert_eq!(names.len(), 29);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

@@ -2,6 +2,7 @@
 
 use crate::activation::Activation;
 use crate::init::Init;
+use crate::optim::Optimizer;
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -16,8 +17,6 @@ pub struct Dense {
     grad_w: Option<Matrix>,
     #[serde(skip)]
     grad_b: Vec<f32>,
-    #[serde(skip)]
-    input: Option<Matrix>,
     #[serde(skip)]
     output: Option<Matrix>,
 }
@@ -40,7 +39,6 @@ impl Dense {
             activation,
             grad_w: None,
             grad_b: vec![],
-            input: None,
             output: None,
         }
     }
@@ -65,17 +63,10 @@ impl Dense {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
-    /// Forward pass. With `train` set, inputs and outputs are cached for a
-    /// subsequent [`Dense::backward`].
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut z = x.matmul(&self.w);
-        z.add_row(&self.b);
-        self.activation.apply(&mut z);
-        if train {
-            self.input = Some(x.clone());
-            self.output = Some(z.clone());
-        }
-        z
+    /// Training forward pass: the output is cached for a subsequent
+    /// [`Dense::backward`] and returned by reference.
+    pub fn forward(&mut self, x: &Matrix) -> &Matrix {
+        self.output.insert(self.forward_inference(x))
     }
 
     /// Forward pass without caching (inference from a shared reference).
@@ -86,27 +77,23 @@ impl Dense {
         z
     }
 
-    /// Backward pass: consume `dL/dy`, accumulate `dL/dW` and `dL/db`, and
-    /// return `dL/dx`.
-    ///
-    /// # Panics
-    /// Panics if no training-mode forward pass preceded this call.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self
-            .input
+    /// The output cached by the last [`Dense::forward`]; panics if none ran.
+    pub fn output(&self) -> &Matrix {
+        self.output
             .as_ref()
-            .expect("backward without cached forward");
-        let output = self
-            .output
-            .as_ref()
-            .expect("backward without cached forward");
-        // dz = grad_out ⊙ f'(y)
+            .expect("backward without cached forward")
+    }
+
+    /// Backward pass, parameter half: given the `input` the cached forward
+    /// pass saw and `dL/dy`, accumulate `dL/dW` and `dL/db` and return
+    /// `dz = dL/dy ⊙ f'(y)`, which [`Dense::input_grad`] turns into `dL/dx`.
+    /// Panics if no training forward pass preceded this call.
+    pub fn backward(&mut self, input: &Matrix, grad_out: &Matrix) -> Matrix {
         let mut dz = grad_out.clone();
         let act = self.activation;
-        for (g, &y) in dz.as_mut_slice().iter_mut().zip(output.as_slice()) {
+        for (g, &y) in dz.as_mut_slice().iter_mut().zip(self.output().as_slice()) {
             *g *= act.derivative_from_output(y);
         }
-        // Accumulate parameter gradients.
         let gw = input.t_matmul(&dz);
         match &mut self.grad_w {
             Some(acc) => {
@@ -124,8 +111,23 @@ impl Dense {
                 *a += g;
             }
         }
-        // Gradient w.r.t. the input.
+        dz
+    }
+
+    /// Backward pass, input half: `dL/dx = dz · Wᵀ` for the `dz` that
+    /// [`Dense::backward`] returned.
+    pub fn input_grad(&self, dz: &Matrix) -> Matrix {
         dz.matmul_t(&self.w)
+    }
+
+    /// Apply the accumulated gradients through `opt` (weights in `slot`,
+    /// biases in `slot + 1`), then clear them.
+    pub fn apply_grads(&mut self, slot: usize, opt: &mut dyn Optimizer) {
+        if let Some(gw) = &self.grad_w {
+            opt.step(slot, self.w.as_mut_slice(), gw.as_slice());
+            opt.step(slot + 1, &mut self.b, &self.grad_b);
+        }
+        self.zero_grad();
     }
 
     /// Clear accumulated gradients.
@@ -218,10 +220,10 @@ mod tests {
             w.copy_from_slice(&[1.0, -2.0]);
             b.copy_from_slice(&[0.5]);
         }
-        let y = layer.forward(&Matrix::row(vec![2.0, 1.0]), false);
+        let y = layer.forward_inference(&Matrix::row(vec![2.0, 1.0]));
         // 2*1 + 1*(-2) + 0.5 = 0.5 -> relu -> 0.5
         assert_eq!(y.as_slice(), &[0.5]);
-        let y = layer.forward(&Matrix::row(vec![0.0, 1.0]), false);
+        let y = layer.forward_inference(&Matrix::row(vec![0.0, 1.0]));
         // -2 + 0.5 = -1.5 -> relu -> 0
         assert_eq!(y.as_slice(), &[0.0]);
     }
@@ -231,7 +233,8 @@ mod tests {
         let mut r = rng();
         let mut layer = Dense::new(3, 4, Activation::Tanh, Init::XavierUniform, &mut r);
         let x = Matrix::row(vec![0.3, -0.7, 1.1]);
-        assert_eq!(layer.forward(&x, true), layer.forward_inference(&x));
+        let trained = layer.forward(&x).clone();
+        assert_eq!(trained, layer.forward_inference(&x));
     }
 
     /// Full numerical gradient check of a dense layer.
@@ -242,9 +245,10 @@ mod tests {
         let x = Matrix::from_vec(2, 3, vec![0.2, -0.4, 0.8, 1.0, 0.5, -0.9]);
         // Loss = sum(y); dL/dy = ones.
         let loss = |l: &Dense| -> f32 { l.forward_inference(&x).as_slice().iter().sum() };
-        layer.forward(&x, true);
+        layer.forward(&x);
         let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let grad_in = layer.backward(&ones);
+        let dz = layer.backward(&x, &ones);
+        let grad_in = layer.input_grad(&dz);
         let (gw, gb) = layer.grads().expect("grads accumulated");
         let gw = gw.to_vec();
         let gb = gb.to_vec();
@@ -305,11 +309,11 @@ mod tests {
         let mut layer = Dense::new(2, 2, Activation::Linear, Init::XavierUniform, &mut r);
         let x = Matrix::row(vec![1.0, 1.0]);
         let g = Matrix::row(vec![1.0, 1.0]);
-        layer.forward(&x, true);
-        layer.backward(&g);
+        layer.forward(&x);
+        layer.backward(&x, &g);
         let first = layer.grads().unwrap().0.to_vec();
-        layer.forward(&x, true);
-        layer.backward(&g);
+        layer.forward(&x);
+        layer.backward(&x, &g);
         let second = layer.grads().unwrap().0.to_vec();
         for (a, b) in first.iter().zip(&second) {
             assert!((b - 2.0 * a).abs() < 1e-5, "grads should accumulate");
@@ -336,6 +340,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut r = rng();
         let mut layer = Dense::new(2, 2, Activation::Linear, Init::Zeros, &mut r);
-        let _ = layer.backward(&Matrix::row(vec![1.0, 1.0]));
+        let x = Matrix::row(vec![1.0, 1.0]);
+        let _ = layer.backward(&x, &x);
     }
 }

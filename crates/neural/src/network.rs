@@ -29,6 +29,10 @@ impl Error for ModelIoError {}
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
+    /// The batch the last [`Mlp::forward`] saw: the bottom layer's input
+    /// (every other layer reads the cached output of the layer below).
+    #[serde(skip)]
+    input: Option<Matrix>,
 }
 
 impl Mlp {
@@ -62,7 +66,10 @@ impl Mlp {
                 Dense::new(w[0], w[1], act, init, &mut rng)
             })
             .collect();
-        Mlp { layers }
+        Mlp {
+            layers,
+            input: None,
+        }
     }
 
     /// Input width.
@@ -90,11 +97,12 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Training-mode forward pass (caches activations).
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut h = x.clone();
+    /// Training forward pass: every layer caches its output for
+    /// [`Mlp::backward`]; the returned reference is the top layer's cache.
+    pub fn forward(&mut self, x: &Matrix) -> &Matrix {
+        let mut h = &*self.input.insert(x.clone());
         for l in &mut self.layers {
-            h = l.forward(&h, train);
+            h = l.forward(h);
         }
         h
     }
@@ -127,11 +135,21 @@ impl Mlp {
         self.predict(&Matrix::row(x.to_vec())).as_slice().to_vec()
     }
 
-    /// Backpropagate `dL/dy` through the stack, accumulating gradients.
+    /// Backpropagate `dL/dy` through the stack, accumulating gradients. The
+    /// bottom layer's input gradient (`dL/dx` for the observation) has no
+    /// consumer and is never formed. Panics if no [`Mlp::forward`] ran.
     pub fn backward(&mut self, grad_out: &Matrix) {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
+        let x = self
+            .input
+            .as_ref()
+            .expect("backward without cached forward");
+        let mut grad: Option<Matrix> = None;
+        for i in (0..self.layers.len()).rev() {
+            let (below, rest) = self.layers.split_at_mut(i);
+            let layer = &mut rest[0];
+            let input = below.last().map_or(x, Dense::output);
+            let dz = layer.backward(input, grad.as_ref().unwrap_or(grad_out));
+            grad = (i > 0).then(|| layer.input_grad(&dz));
         }
     }
 
@@ -167,14 +185,7 @@ impl Mlp {
     /// Apply accumulated gradients via `opt`, then clear them.
     pub fn apply_grads(&mut self, opt: &mut dyn Optimizer) {
         for (i, l) in self.layers.iter_mut().enumerate() {
-            // Pull gradients out first to satisfy the borrow checker.
-            let grads = l.grads().map(|(gw, gb)| (gw.to_vec(), gb.to_vec()));
-            if let Some((gw, gb)) = grads {
-                let (w, b) = l.params_mut();
-                opt.step(i * 2, w, &gw);
-                opt.step(i * 2 + 1, b, &gb);
-            }
-            l.zero_grad();
+            l.apply_grads(i * 2, opt);
         }
     }
 
@@ -188,8 +199,8 @@ impl Mlp {
         opt: &mut dyn Optimizer,
     ) -> f32 {
         self.zero_grad();
-        let pred = self.forward(x, true);
-        let (l, grad) = loss.compute(&pred, target);
+        let pred = self.forward(x);
+        let (l, grad) = loss.compute(pred, target);
         self.backward(&grad);
         self.apply_grads(opt);
         l
@@ -262,7 +273,8 @@ mod tests {
     fn predict_matches_forward() {
         let mut net = Mlp::new(&[3, 6, 2], Activation::Tanh, Activation::Linear, 2);
         let x = Matrix::row(vec![0.1, -0.2, 0.5]);
-        assert_eq!(net.forward(&x, false), net.predict(&x));
+        let trained = net.forward(&x).clone();
+        assert_eq!(trained, net.predict(&x));
         assert_eq!(
             net.predict_one(&[0.1, -0.2, 0.5]),
             net.predict(&x).as_slice().to_vec()
@@ -319,8 +331,7 @@ mod tests {
         let x = Matrix::row(vec![1.0, -1.0]);
         let t = Matrix::row(vec![100.0]); // huge error => huge gradients
         net.zero_grad();
-        let pred = net.forward(&x, true);
-        let (_, grad) = Loss::Mse.compute(&pred, &t);
+        let (_, grad) = Loss::Mse.compute(net.forward(&x), &t);
         net.backward(&grad);
         let before = net.grad_norm();
         assert!(before > 1.0);
@@ -335,6 +346,50 @@ mod tests {
         let small = net.grad_norm();
         net.clip_grad_norm(10.0);
         assert!((net.grad_norm() - small).abs() < 1e-6);
+    }
+
+    /// `Mlp::backward` skips the bottom layer's `dz·Wᵀ`; nothing it keeps
+    /// may depend on that product. Drive the same layers by hand, forming
+    /// the input gradient at every layer, and compare every `(dW, db)` by
+    /// bits; count the products the stack formed.
+    #[test]
+    fn backward_skips_only_the_unused_input_gradient() {
+        use crate::tensor::tests::MATMUL_T_CALLS;
+        for dims in [&[4, 3][..], &[4, 9, 6, 3]] {
+            let mut net = Mlp::new(dims, Activation::Relu, Activation::Linear, 11);
+            let x = Matrix::from_vec(
+                5,
+                4,
+                (0..20).map(|i| ((i * 7 % 11) as f32 - 4.0) * 0.3).collect(),
+            );
+            let t = Matrix::zeros(5, 3);
+            let mut by_hand = net.layers().to_vec();
+
+            let (_, grad) = Loss::Mse.compute(net.forward(&x), &t);
+            MATMUL_T_CALLS.with(|c| c.set(0));
+            net.backward(&grad);
+            assert_eq!(MATMUL_T_CALLS.with(|c| c.get()), dims.len() - 2);
+
+            let mut inputs = vec![x.clone()];
+            for l in &mut by_hand {
+                let y = l.forward(inputs.last().unwrap()).clone();
+                inputs.push(y);
+            }
+            let mut g = grad;
+            for (l, input) in by_hand.iter_mut().zip(&inputs).rev() {
+                let dz = l.backward(input, &g);
+                g = l.input_grad(&dz);
+            }
+            assert_eq!((g.rows(), g.cols()), (5, 4), "dL/dx formed by hand");
+
+            for (stacked, hand) in net.layers().iter().zip(&by_hand) {
+                let bits = |l: &Dense| {
+                    let (gw, gb) = l.grads().expect("grads accumulated");
+                    gw.iter().chain(gb).map(|g| g.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(stacked), bits(hand));
+            }
+        }
     }
 
     #[test]

@@ -125,13 +125,13 @@ impl Optimizer for Adam {
         s.t += 1;
         let bc1 = 1.0 - self.beta1.powi(s.t as i32);
         let bc2 = 1.0 - self.beta2.powi(s.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            s.m[i] = self.beta1 * s.m[i] + (1.0 - self.beta1) * g;
-            s.v[i] = self.beta2 * s.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = s.m[i] / bc1;
-            let v_hat = s.v[i] / bc2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let moments = s.m.iter_mut().zip(s.v.iter_mut());
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 

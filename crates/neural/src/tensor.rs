@@ -143,22 +143,16 @@ impl Matrix {
         out
     }
 
-    /// `self × rhsᵀ` without materializing the transpose.
+    /// `self × rhsᵀ` as [`Matrix::matmul`] on the transposed `rhs`: products
+    /// add in ascending `k` from `+0.0`, as a dot product of two rows would.
     ///
     /// # Panics
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_t column mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs.rows {
-                let brow = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let dot: f32 = arow.iter().zip(brow).map(|(&a, &b)| a * b).sum();
-                out.data[i * rhs.rows + j] = dot;
-            }
-        }
-        out
+        #[cfg(test)]
+        tests::MATMUL_T_CALLS.with(|c| c.set(c.get() + 1));
+        self.matmul(&rhs.transpose())
     }
 
     /// The transpose.
@@ -238,8 +232,15 @@ impl fmt::Display for Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// `matmul_t` products formed on this thread, so `network.rs`'s
+        /// tests can count the input gradients a backward pass computes.
+        pub(crate) static MATMUL_T_CALLS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())

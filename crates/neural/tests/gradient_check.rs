@@ -35,8 +35,8 @@ proptest! {
         let target = Matrix::from_vec(batch, dout, (0..batch * dout).map(|_| next()).collect());
 
         net.zero_grad();
-        let pred = net.forward(&x, true);
-        let (_, grad) = Loss::Mse.compute(&pred, &target);
+        let pred = net.forward(&x);
+        let (_, grad) = Loss::Mse.compute(pred, &target);
         net.backward(&grad);
 
         let h = 1e-2f32;

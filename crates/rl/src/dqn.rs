@@ -177,8 +177,7 @@ impl DqnAgent {
         dims.extend(&config.hidden);
         dims.push(config.num_actions);
         let online = Mlp::new(&dims, Activation::Relu, Activation::Linear, config.seed);
-        let mut target = online.clone();
-        target.copy_params_from(&online);
+        let target = online.clone();
         let replay = match config.prioritized_alpha {
             Some(alpha) => {
                 Replay::Prioritized(PrioritizedReplay::new(config.replay_capacity, alpha))
@@ -276,24 +275,18 @@ impl DqnAgent {
             return None;
         }
         let batch = self.config.batch_size;
-        // Gather the batch (owned clones keep borrows simple).
-        let (transitions, indices, weights): (Vec<Transition>, Vec<usize>, Vec<f32>) = match &self
+        // Gather the batch by reference: `replay` and `online` are disjoint
+        // fields, so the transitions stay borrowed through the update.
+        let (transitions, indices, weights): (Vec<&Transition>, Vec<usize>, Vec<f32>) = match &self
             .replay
         {
-            Replay::Uniform(b) => {
-                let sample = b.sample(batch, rng);
-                (
-                    sample.into_iter().cloned().collect(),
-                    vec![],
-                    vec![1.0; batch],
-                )
-            }
+            Replay::Uniform(b) => (b.sample(batch, rng), vec![], vec![1.0; batch]),
             Replay::Prioritized(b) => {
                 let beta = 0.4
                     + 0.6
                         * (self.train_steps as f64 / self.config.beta_anneal_steps as f64).min(1.0);
                 let pb = b.sample(batch, beta, rng);
-                let ts = pb.indices.iter().map(|&i| b.get(i).clone()).collect();
+                let ts = pb.indices.iter().map(|&i| b.get(i)).collect();
                 (ts, pb.indices, pb.weights)
             }
         };
@@ -314,8 +307,10 @@ impl DqnAgent {
         } else {
             None
         };
-        let pred = self.online.forward(&states, true);
+        self.online.zero_grad();
+        let pred = self.online.forward(&states);
         let mut target = pred.clone();
+        let discount = self.config.gamma.powi(self.config.n_step as i32);
         let mut td_errors = Vec::with_capacity(batch);
         for (i, t) in transitions.iter().enumerate() {
             let bootstrap = if t.done {
@@ -334,8 +329,7 @@ impl DqnAgent {
                         .fold(f32::NEG_INFINITY, f32::max),
                 }
             };
-            let td_target =
-                t.reward + self.config.gamma.powi(self.config.n_step as i32) * bootstrap;
+            let td_target = t.reward + discount * bootstrap;
             let current = pred.get(i, t.action);
             let td_error = td_target - current;
             td_errors.push(td_error);
@@ -345,8 +339,7 @@ impl DqnAgent {
         }
 
         // Supervised step toward the TD targets (errors are zero off-action).
-        self.online.zero_grad();
-        let (loss, grad) = self.config.loss.compute(&pred, &target);
+        let (loss, grad) = self.config.loss.compute(pred, &target);
         self.online.backward(&grad);
         if let Some(max_norm) = self.config.max_grad_norm {
             self.online.clip_grad_norm(max_norm);
