@@ -1,11 +1,14 @@
 //! Implementation of the `noc-cli` subcommands (library form so the logic is
 //! unit-testable without spawning processes).
+//!
+//! Every subcommand is one row of `COMMANDS`: its name, positional
+//! synopsis, flags and handler. Dispatch, flag scanning, the unknown-flag
+//! errors and the usage text are all read off that table; argument parsing
+//! is intentionally dependency-free.
 
 #![warn(missing_docs)]
 
-use noc_selfconf::serve::{
-    Daemon, Event, Request, ResultCache, SchedulerConfig, ServeClient, ServeConfig,
-};
+use noc_selfconf::serve::{Daemon, Event, Request, ResultCache, ServeClient, ServeConfig};
 use noc_selfconf::sweep::seeded_link_faults;
 use noc_selfconf::zoo;
 use noc_selfconf::{train_drl, NocEnvConfig, SweepGrid};
@@ -55,6 +58,336 @@ impl From<zoo::ZooError> for CliError {
     }
 }
 
+/// One subcommand: a row of `COMMANDS`.
+pub struct Command {
+    /// `noc-cli <name>`.
+    pub(crate) name: &'static str,
+    /// Positional synopsis: each `<word>` is a required positional and each
+    /// `[word]` an optional one, so it also fixes how many are accepted.
+    pub(crate) args: &'static str,
+    /// One line of the usage text.
+    pub(crate) note: &'static str,
+    /// What a wrong number of positionals reports (and, on a command that
+    /// takes positionals, an unknown flag).
+    pub(crate) misuse: &'static str,
+    /// The command's own flags.
+    pub(crate) flags: &'static [Flag],
+    /// Where arguments that are not the command's own go.
+    pub(crate) pass: Pass,
+    /// Parse the arguments after the name and execute.
+    pub run: fn(&[String]) -> Result<(), CliError>,
+}
+
+/// Where a command's arguments that are not its own flags go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pass {
+    /// Nowhere: they are positionals, or unknown flags.
+    Own,
+    /// Every other `--flag value` pair is a `run` flag (the base fabric).
+    Run,
+    /// Every other argument is a `sweep-grid` flag, except these execution
+    /// flags, which do not apply where the grid runs.
+    Grid(&'static [&'static str]),
+}
+
+/// One flag of a [`Command`].
+pub(crate) struct Flag {
+    /// `--name`.
+    pub(crate) name: &'static str,
+    /// The value placeholder the usage text shows; empty for a switch.
+    pub(crate) value: &'static str,
+    /// Parse `(flag, value)` into the options being built.
+    set: Setter,
+}
+
+type Setter = fn(&mut Opts, &str, &str) -> Result<(), CliError>;
+
+const fn flag(name: &'static str, value: &'static str, set: Setter) -> Flag {
+    Flag { name, value, set }
+}
+
+/// Store a flag's parsed value; setters read `set(&mut o.field, parse(v)?)`.
+fn set<T>(slot: &mut T, value: T) -> Result<(), CliError> {
+    *slot = value;
+    Ok(())
+}
+
+/// What one invocation's flags set. Every command starts from the defaults
+/// and reads back the fields its own flags write.
+#[derive(Default)]
+struct Opts {
+    /// Scanned `(flag, value)` pairs, not yet applied.
+    pairs: Vec<(&'static Flag, String)>,
+    /// Positional arguments, in order.
+    pos: Vec<String>,
+    /// Arguments handed on to the [`Pass`] target's parser.
+    rest: Vec<String>,
+    run: RunOptions,
+    pattern: Option<TrafficPattern>,
+    rate: Option<f64>,
+    workload: Option<WorkloadSpec>,
+    faults: Option<usize>,
+    grid: SweepGrid,
+    threads: Option<usize>,
+    serial: bool,
+    out: Option<String>,
+    cache: Option<String>,
+    bench: BenchOptions,
+    serve: ServeConfig,
+    addr: Option<String>,
+    client: Option<String>,
+    episodes: Option<usize>,
+    max_steps: Option<usize>,
+    epochs_per_episode: Option<usize>,
+    variants: Option<Vec<zoo::DqnVariant>>,
+    families: Option<Vec<zoo::ScenarioFamily>>,
+    epochs: Option<usize>,
+}
+
+/// Flags that more than one command declares.
+#[rustfmt::skip]
+impl Flag {
+    const THREADS: Flag = flag("--threads", "N", |o, f, v| set(&mut o.threads, Some(parse_positive(f, v)?)));
+    const OUT: Flag = flag("--out", "report.json", |o, _, v| set(&mut o.out, Some(v.into())));
+    const ADDR: Flag = flag("--addr", DEFAULT_SERVE_ADDR, |o, _, v| set(&mut o.addr, Some(v.into())));
+    const EPISODES: Flag = flag("--episodes", "N", |o, f, v| set(&mut o.episodes, Some(parse_positive(f, v)?)));
+    const MAX_STEPS: Flag = flag("--max-steps", "N", |o, f, v| set(&mut o.max_steps, Some(parse_positive(f, v)?)));
+    const FAMILIES: Flag = flag("--families", "mesh/uniform/r0.1,torus/ph[uniform:burst0.3x0.05]/f2",
+        |o, _, v| set(&mut o.families, Some(parse_families(v)?)));
+}
+
+/// Every `noc-cli` subcommand, in usage order. Laid out by hand: one row
+/// per command, one line per flag.
+#[rustfmt::skip]
+pub(crate) static COMMANDS: [Command; 15] = [
+    Command { name: "simulate", args: "[config.json]", note: "run one warmup/measure/drain simulation",
+        misuse: "simulate takes at most one argument: [config.json]", flags: &[], pass: Pass::Own,
+        run: |a| cmd_simulate(row("simulate").parse(a)?.pos.first().map(String::as_str)) },
+    Command { name: "run", args: "", note: "one simulation configured inline", misuse: "",
+        flags: &[
+            flag("--config", "base.json", |_, _, _| Ok(())), // loaded first, by parse_run_args
+            flag("--topology", "mesh|torus", |o, _, v| set(&mut o.run.config.kind, parse_topology(v)?)),
+            flag("--size", "8x8", |o, _, v| parse_size(v).map(|s| (o.run.config.width, o.run.config.height) = s)),
+            flag("--routing", "xy", |o, _, v| set(&mut o.run.config.routing, parse_routing(v)?)),
+            flag("--pattern", "uniform", |o, _, v| set(&mut o.pattern, Some(TrafficPattern::parse(v)?))),
+            flag("--rate", "0.10", |o, f, v| set(&mut o.rate, Some(parse_value(f, v)?))),
+            flag("--workload", "ph[uniform:burst0.3x0.05]",
+                 |o, _, v| set(&mut o.workload, Some(WorkloadSpec::parse(v)?))),
+            flag("--arb", "perflit|perpacket", |o, _, v| set(&mut o.run.config.switch_arb, SwitchArb::parse(v)?)),
+            flag("--faults", "N", |o, f, v| set(&mut o.faults, Some(parse_value(f, v)?))),
+            flag("--partitions", "N", |o, f, v| set(&mut o.run.config.partitions, parse_positive(f, v)?)),
+            flag("--seed", "N", |o, f, v| set(&mut o.run.config.seed, parse_value(f, v)?)),
+            flag("--warmup", "N", |o, f, v| set(&mut o.run.warmup, parse_value(f, v)?)),
+            flag("--measure", "N", |o, f, v| set(&mut o.run.measure, parse_value(f, v)?)),
+            flag("--drain", "N", |o, f, v| set(&mut o.run.drain, parse_value(f, v)?)),
+        ],
+        pass: Pass::Own, run: cmd_run },
+    Command { name: "sweep", args: "<rate0> <rate1> <steps>", note: "latency-throughput sweep at <steps> rates",
+        misuse: "sweep requires <rate0> <rate1> <steps>", flags: &[], pass: Pass::Own,
+        run: |a| parse_sweep_args(a).and_then(|(rate0, rate1, steps)| cmd_sweep(rate0, rate1, steps)) },
+    Command { name: "sweep-grid", args: "", note: "parallel scenario grid -> one JSON report", misuse: "",
+        flags: &[
+            flag("--sizes", "4x4,8x8", |o, f, v| set(&mut o.grid.sizes, parse_list(f, v, parse_size)?)),
+            flag("--topologies", "mesh,torus",
+                 |o, f, v| set(&mut o.grid.topologies, parse_list(f, v, parse_topology)?)),
+            flag("--patterns", "uniform,transpose",
+                 |o, f, v| set(&mut o.grid.patterns, parse_list(f, v, TrafficPattern::parse)?)),
+            flag("--rates", "0.05,0.10",
+                 |o, f, v| set(&mut o.grid.rates, parse_list(f, v, |s| parse_value("rate", s))?)),
+            flag("--routings", "xy,oddeven", |o, f, v| set(&mut o.grid.routings, parse_list(f, v, parse_routing)?)),
+            flag("--levels", "none,0,3", |o, f, v| set(&mut o.grid.levels, parse_list(f, v, |s| match s {
+                "none" => Ok(None),
+                _ => parse_value("level", s).map(Some),
+            })?)),
+            flag("--faults", "0,1,2",
+                 |o, f, v| set(&mut o.grid.faults, parse_list(f, v, |s| parse_value("fault count", s))?)),
+            flag("--workloads", "ph[uniform:burst0.3x0.05]",
+                 |o, f, v| set(&mut o.grid.workloads, parse_list(f, v, WorkloadSpec::parse)?)),
+            flag("--arb", "perflit|perpacket", |o, _, v| set(&mut o.grid.base.switch_arb, SwitchArb::parse(v)?)),
+            flag("--warmup", "N", |o, f, v| set(&mut o.grid.warmup, parse_value(f, v)?)),
+            flag("--measure", "N", |o, f, v| set(&mut o.grid.measure, parse_value(f, v)?)),
+            flag("--drain", "N", |o, f, v| set(&mut o.grid.drain, parse_value(f, v)?)),
+            flag("--seed", "N", |o, f, v| set(&mut o.grid.base_seed, parse_value(f, v)?)),
+            Flag::THREADS,
+            flag("--partitions", "N", |o, f, v| set(&mut o.grid.partitions, parse_positive(f, v)?)),
+            Flag::OUT,
+            flag("--cache", "results/cache", |o, _, v| set(&mut o.cache, Some(v.into()))),
+            flag("--serial", "", |o, _, _| set(&mut o.serial, true)),
+        ],
+        pass: Pass::Own, run: cmd_sweep_grid },
+    Command { name: "serve", args: "", note: "persistent sweep daemon (TCP, JSON lines)", misuse: "",
+        flags: &[
+            Flag::ADDR,
+            flag("--cache", "results/cache", |o, _, v| set(&mut o.serve.cache_dir, Some(v.into()))),
+            flag("--threads", "N", |o, f, v| set(&mut o.serve.scheduler.threads, parse_positive(f, v)?)),
+            flag("--max-outstanding", "N",
+                 |o, f, v| set(&mut o.serve.scheduler.max_outstanding, parse_positive(f, v)?)),
+            flag("--max-client-outstanding", "N",
+                 |o, f, v| set(&mut o.serve.scheduler.max_client_outstanding, parse_positive(f, v)?)),
+        ],
+        pass: Pass::Own, run: cmd_serve },
+    Command { name: "submit", args: "", note: "send a grid to a daemon, stream the results", misuse: "",
+        flags: &[Flag::ADDR, flag("--client", "NAME", |o, _, v| set(&mut o.client, Some(v.into())))],
+        pass: Pass::Grid(&["--threads", "--serial", "--partitions", "--cache"]), run: cmd_submit },
+    Command { name: "serve-ctl", args: "<ping|stats|shutdown>", note: "ping, inspect or stop a running daemon",
+        misuse: "usage: noc-cli serve-ctl <ping|stats|shutdown> [--addr HOST:PORT]",
+        flags: &[Flag::ADDR], pass: Pass::Own, run: cmd_serve_ctl },
+    Command { name: "workload", args: "<parse|describe> <label>", note: "validate or describe a workload label",
+        misuse: "usage: noc-cli workload <parse|describe> <label>   (label grammar: \
+                 ph[<pattern>:<process>[:<len>][@cycles]|…], processes: bern<rate>, \
+                 burst<rate_on>x<switch>, pulse<rate>x<period>x<on>; lengths: \
+                 len<flits>, lenU<min>-<max>, lenB<short>-<long>p<pct>)",
+        flags: &[], pass: Pass::Own, run: cmd_workload },
+    Command { name: "bench", args: "", note: "timed perf suite -> BENCH_<sha>.json", misuse: "",
+        flags: &[
+            flag("--quick", "", |o, _, _| set(&mut o.bench.quick, true)),
+            flag("--repeats", "N", |o, f, v| set(&mut o.bench.repeats, Some(parse_positive(f, v)?))),
+            flag("--out", "bench.json", |o, _, v| set(&mut o.bench.out, Some(v.into()))),
+            flag("--sha", "SHA", |o, _, v| set(&mut o.bench.sha, Some(v.into()))),
+        ],
+        pass: Pass::Own, run: cmd_bench },
+    Command { name: "train", args: "<out.json>", note: "train a DQN policy on any scenario",
+        misuse: "usage: noc-cli train <out.json> [--episodes N] [--max-steps N] \
+                 [run scenario flags: --topology --size --pattern --rate --workload --faults \
+                 --seed --config ...]",
+        flags: &[Flag::EPISODES, Flag::MAX_STEPS], pass: Pass::Run, run: cmd_train },
+    Command { name: "train-grid", args: "<zoo-dir>", note: "train a population into a zoo directory",
+        misuse: "expected exactly one positional argument: <zoo-dir>",
+        flags: &[
+            flag("--variants", "default,small", |o, _, v| set(&mut o.variants, Some(parse_variants(v)?))),
+            Flag::FAMILIES,
+            Flag::EPISODES,
+            Flag::MAX_STEPS,
+            flag("--epochs-per-episode", "N",
+                 |o, f, v| set(&mut o.epochs_per_episode, Some(parse_positive(f, v)?))),
+            Flag::THREADS,
+        ],
+        pass: Pass::Run, run: cmd_train_grid },
+    Command { name: "tournament", args: "<zoo-dir>", note: "score every zoo policy x scenario family",
+        misuse: "expected exactly one positional argument: <zoo-dir>",
+        flags: &[
+            Flag::FAMILIES,
+            flag("--epochs", "N", |o, f, v| set(&mut o.epochs, Some(parse_value(f, v)?))),
+            Flag::THREADS,
+            Flag::OUT,
+        ],
+        pass: Pass::Run, run: cmd_tournament },
+    Command { name: "evaluate", args: "<policy.json>", note: "run a saved policy against the baselines",
+        misuse: "evaluate requires a policy path", flags: &[], pass: Pass::Own,
+        run: |a| cmd_evaluate(&row("evaluate").parse(a)?.pos[0]) },
+    Command { name: "replay", args: "<trace.csv> [period]", note: "replay a packet trace (CSV)",
+        misuse: "replay requires <trace.csv> [period]", flags: &[], pass: Pass::Own,
+        run: |a| parse_replay_args(a).and_then(|(path, period)| cmd_replay(path, period)) },
+    Command { name: "default-config", args: "", note: "print the default SimConfig as JSON",
+        misuse: "default-config takes no arguments", flags: &[], pass: Pass::Own,
+        run: |a| row("default-config").parse(a).and_then(|_| cmd_default_config()) },
+];
+
+/// The `COMMANDS` row named `name`.
+pub fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+fn row(name: &str) -> &'static Command {
+    command(name).expect("a COMMANDS row")
+}
+
+impl Command {
+    /// Sort `args` into this command's `(flag, value)` pairs, positionals
+    /// and pass-through arguments, in command-line order. An unknown flag
+    /// is rejected before a value is demanded, so `--bogus` as the last
+    /// argument is diagnosed as unknown, not as missing a value.
+    fn scan(&self, args: &[String]) -> Result<Opts, CliError> {
+        let mut o = Opts::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut take_value = || {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| CliError(format!("{arg} requires a value")))
+            };
+            if let Some(flag) = self.flags.iter().find(|f| f.name == arg.as_str()) {
+                let value = if flag.value.is_empty() {
+                    ""
+                } else {
+                    take_value()?
+                };
+                o.pairs.push((flag, value.to_string()));
+            } else if let Pass::Grid(exec) = self.pass {
+                if exec.contains(&arg.as_str()) {
+                    return Err(CliError(format!(
+                        "{arg} does not apply to {}: execution happens on the daemon",
+                        self.name
+                    )));
+                }
+                o.rest.push(arg.clone());
+            } else if self.flags.is_empty() || !(self.args.is_empty() || arg.starts_with("--")) {
+                // A flagless command takes every argument verbatim (`sweep -0.1 …`,
+                // `workload parse --x`); others take only non-flags, if any.
+                o.pos.push(arg.clone());
+            } else if self.pass == Pass::Run {
+                o.rest.extend([arg.clone(), take_value()?.to_string()]);
+            } else if !self.args.is_empty() {
+                return Err(self.misuse());
+            } else {
+                let (switches, values): (Vec<&Flag>, Vec<&Flag>) =
+                    self.flags.iter().partition(|f| f.value.is_empty());
+                let expected: Vec<&str> = values.iter().map(|f| f.name).collect();
+                let or: String = switches
+                    .iter()
+                    .map(|f| format!(", or {}", f.name))
+                    .collect();
+                let (name, expected) = (self.name, expected.join(", "));
+                let e = format!("unknown {name} flag `{arg}` (expected {expected}{or})");
+                return Err(CliError(e));
+            }
+        }
+        Ok(o)
+    }
+
+    /// Apply the scanned pairs in order, then check the positional count.
+    fn apply(&self, mut o: Opts) -> Result<Opts, CliError> {
+        for (flag, value) in std::mem::take(&mut o.pairs) {
+            (flag.set)(&mut o, flag.name, &value)?;
+        }
+        let words = self.args.split_whitespace();
+        let accepted = words.clone().filter(|w| w.starts_with('<')).count()..=words.count();
+        (accepted.contains(&o.pos.len()).then_some(o)).ok_or_else(|| self.misuse())
+    }
+
+    fn parse(&self, args: &[String]) -> Result<Opts, CliError> {
+        self.apply(self.scan(args)?)
+    }
+
+    fn misuse(&self) -> CliError {
+        CliError(self.misuse.to_string())
+    }
+}
+
+/// What `noc-cli` prints when no command matches: one line per
+/// `COMMANDS` row, then its flags, four to a line.
+pub fn usage() -> String {
+    let mut text = String::from("usage: noc-cli <command> [arguments] [flags]\n");
+    for c in &COMMANDS {
+        let synopsis = format!("{} {}", c.name, c.args);
+        text += &format!("\n  {:<36} {}\n", synopsis.trim_end(), c.note);
+        let mut words: Vec<String> = (c.flags.iter())
+            .map(|f| format!("{} {}", f.name, f.value).trim_end().to_string())
+            .collect();
+        match c.pass {
+            Pass::Own => {}
+            Pass::Run => words.push("plus the run flags".into()),
+            Pass::Grid(exec) => {
+                words.push(format!("plus the sweep-grid flags but {}", exec.join(" ")))
+            }
+        }
+        for line in words.chunks(4) {
+            text += &format!("      {}\n", line.join("  "));
+        }
+    }
+    text
+}
+
 /// Load a `SimConfig` from a JSON file, or the default when no path is given.
 pub fn load_config(path: Option<&str>) -> Result<SimConfig, CliError> {
     match path {
@@ -70,52 +403,33 @@ pub fn load_config(path: Option<&str>) -> Result<SimConfig, CliError> {
 
 /// Print the human-readable report of a finished classic run.
 fn print_run_summary(sim: &Simulator, run: &RunSummary) {
-    println!("cycles measured      : {}", run.window.cycles);
-    println!(
-        "avg packet latency   : {:.2} cycles",
-        run.window.avg_packet_latency
-    );
-    println!(
-        "avg network latency  : {:.2} cycles",
-        run.window.avg_network_latency
-    );
-    println!("avg hops             : {:.2}", run.window.avg_hops);
-    println!(
-        "throughput           : {:.4} flits/node/cycle",
-        run.window.throughput
-    );
-    println!(
-        "offered (accepted)   : {:.4} flits/node/cycle",
-        run.window.injection_rate
-    );
-    println!(
-        "energy               : {:.1} nJ",
-        run.window.energy_pj / 1e3
-    );
-    println!(
-        "  dynamic            : {:.1} nJ",
-        run.window.dynamic_pj / 1e3
-    );
-    println!(
-        "  leakage            : {:.1} nJ",
-        run.window.leakage_pj / 1e3
-    );
-    println!(
-        "EDP                  : {:.3}e6 pJ·cycles",
-        run.window.edp() / 1e6
-    );
-    println!(
-        "p95 latency (bucket) : {} cycles",
-        sim.stats().latency_percentile_display(0.95)
-    );
-    if run.window.dropped_packets > 0 || run.window.avg_dead_links > 0.0 {
-        println!(
-            "dropped (faults)     : {} packets / {} flits",
-            run.window.dropped_packets, run.window.dropped_flits
-        );
-        println!("mean dead links      : {:.1}", run.window.avg_dead_links);
+    let w = &run.window;
+    let p95 = sim.stats().latency_percentile_display(0.95);
+    let cycles = |c: f64| format!("{c:.2} cycles");
+    let rate = |r: f64| format!("{r:.4} flits/node/cycle");
+    let nj = |pj: f64| format!("{:.1} nJ", pj / 1e3);
+    let mut rows = vec![
+        ("cycles measured", w.cycles.to_string()),
+        ("avg packet latency", cycles(w.avg_packet_latency)),
+        ("avg network latency", cycles(w.avg_network_latency)),
+        ("avg hops", format!("{:.2}", w.avg_hops)),
+        ("throughput", rate(w.throughput)),
+        ("offered (accepted)", rate(w.injection_rate)),
+        ("energy", nj(w.energy_pj)),
+        ("  dynamic", nj(w.dynamic_pj)),
+        ("  leakage", nj(w.leakage_pj)),
+        ("EDP", format!("{:.3}e6 pJ·cycles", w.edp() / 1e6)),
+        ("p95 latency (bucket)", format!("{p95} cycles")),
+    ];
+    if w.dropped_packets > 0 || w.avg_dead_links > 0.0 {
+        let dropped = format!("{} packets / {} flits", w.dropped_packets, w.dropped_flits);
+        rows.push(("dropped (faults)", dropped));
+        rows.push(("mean dead links", format!("{:.1}", w.avg_dead_links)));
     }
-    println!("saturated            : {}", run.saturated);
+    rows.push(("saturated", run.saturated.to_string()));
+    for (label, value) in rows {
+        println!("{label:<21}: {value}");
+    }
     let map = sim
         .stats()
         .utilization_heatmap(sim.config().width, sim.config().height);
@@ -139,13 +453,11 @@ pub fn cmd_simulate(config_path: Option<&str>) -> Result<(), CliError> {
 /// Returns a usage error unless there are exactly two rates and a step
 /// count that is a plain unsigned integer.
 pub fn parse_sweep_args(args: &[String]) -> Result<(f64, f64, usize), CliError> {
-    let [rate0, rate1, steps] = args else {
-        return Err(CliError("sweep requires <rate0> <rate1> <steps>".into()));
-    };
+    let pos = row("sweep").parse(args)?.pos;
     Ok((
-        parse_value("rate0", rate0)?,
-        parse_value("rate1", rate1)?,
-        parse_value("steps", steps)?,
+        parse_value("rate0", &pos[0])?,
+        parse_value("rate1", &pos[1])?,
+        parse_value("steps", &pos[2])?,
     ))
 }
 
@@ -182,41 +494,21 @@ pub fn cmd_sweep(rate0: f64, rate1: f64, steps: usize) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Look up `s` in a `NAMED`-style table, or list the valid names.
-fn parse_named<T: Clone>(s: &str, what: &str, table: &[(&'static str, T)]) -> Result<T, CliError> {
-    table
-        .iter()
-        .find(|(n, _)| *n == s)
-        .map(|(_, v)| v.clone())
-        .ok_or_else(|| {
-            let names: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
-            CliError(format!(
-                "unknown {what} `{s}` (expected one of: {})",
-                names.join(", ")
-            ))
-        })
-}
-
-fn parse_pattern(s: &str) -> Result<TrafficPattern, CliError> {
-    // The canonical grammar also covers parameterized hotspot labels
-    // (`hotspot5-6f0.3`), which a `NAMED` lookup cannot.
-    TrafficPattern::parse(s).map_err(|e| CliError(e.to_string()))
-}
-
-fn parse_workload(s: &str) -> Result<WorkloadSpec, CliError> {
-    WorkloadSpec::parse(s).map_err(|e| CliError(e.to_string()))
+/// `found`, or an error naming `s` as an unknown `what` and listing the
+/// valid `names`.
+fn named<T>(found: Option<T>, s: &str, what: &str, names: &[&str]) -> Result<T, CliError> {
+    let names = names.join(", ");
+    found.ok_or_else(|| CliError(format!("unknown {what} `{s}` (expected one of: {names})")))
 }
 
 fn parse_routing(s: &str) -> Result<RoutingAlgorithm, CliError> {
-    parse_named(s, "routing", &RoutingAlgorithm::NAMED)
-}
-
-fn parse_arb(s: &str) -> Result<SwitchArb, CliError> {
-    SwitchArb::parse(s).map_err(|e| CliError(e.to_string()))
+    let names = RoutingAlgorithm::NAMED.map(|(n, _)| n);
+    named(RoutingAlgorithm::from_name(s), s, "routing", &names)
 }
 
 fn parse_topology(s: &str) -> Result<TopologyKind, CliError> {
-    parse_named(s, "topology", &TopologyKind::NAMED)
+    let names = TopologyKind::NAMED.map(|(n, _)| n);
+    named(TopologyKind::from_name(s), s, "topology", &names)
 }
 
 fn parse_size(s: &str) -> Result<(usize, usize), CliError> {
@@ -228,41 +520,6 @@ fn parse_size(s: &str) -> Result<(usize, usize), CliError> {
             .map_err(|e| CliError(format!("bad size `{s}`: {e}")))
     };
     Ok((parse(w)?, parse(h)?))
-}
-
-/// The value following `flag`, or the usage error every subcommand shares.
-fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
-    it.next()
-        .map(String::as_str)
-        .ok_or_else(|| CliError(format!("{flag} requires a value")))
-}
-
-/// Scan `args` as a closed set of `--flag value` pairs plus valueless
-/// `bool_flags` (paired with an empty value), in command-line order.
-/// Unknown flags are rejected before a value is demanded, so `--bogus` as
-/// the last argument is diagnosed as unknown, not as missing a value.
-fn flag_pairs<'a>(
-    args: &'a [String],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-    cmd: &str,
-) -> Result<Vec<(&'a str, &'a str)>, CliError> {
-    let mut pairs = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if bool_flags.contains(&flag.as_str()) {
-            pairs.push((flag.as_str(), ""));
-        } else if value_flags.contains(&flag.as_str()) {
-            pairs.push((flag.as_str(), flag_value(&mut it, flag)?));
-        } else {
-            let or_bool: String = bool_flags.iter().map(|b| format!(", or {b}")).collect();
-            return Err(CliError(format!(
-                "unknown {cmd} flag `{flag}` (expected {}{or_bool})",
-                value_flags.join(", ")
-            )));
-        }
-    }
-    Ok(pairs)
 }
 
 /// Parse `value` as a `what` (a flag like `--seed`, or a noun like `rate`
@@ -290,19 +547,24 @@ where
     Ok(n)
 }
 
-fn parse_list<T>(
+/// Parse a comma-separated `flag` value; empty items are skipped, but at
+/// least one must remain.
+fn parse_list<T, E>(
+    flag: &str,
     value: &str,
-    what: &str,
-    parse: impl Fn(&str) -> Result<T, CliError>,
-) -> Result<Vec<T>, CliError> {
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Vec<T>, CliError>
+where
+    CliError: From<E>,
+{
     let items: Result<Vec<T>, CliError> = value
         .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| parse(s.trim()))
+        .map(|s| Ok(parse(s.trim())?))
         .collect();
     let items = items?;
     if items.is_empty() {
-        return Err(CliError(format!("--{what} needs at least one value")));
+        return Err(CliError(format!("{flag} needs at least one value")));
     }
     Ok(items)
 }
@@ -328,84 +590,20 @@ pub struct SweepGridOptions {
 /// # Errors
 /// Returns a usage error for unknown flags or malformed values.
 pub fn parse_sweep_grid_args(args: &[String]) -> Result<SweepGridOptions, CliError> {
-    let mut opts = SweepGridOptions {
-        grid: SweepGrid::default(),
-        threads: None,
-        serial: false,
-        out: None,
-        cache: None,
-    };
-    const VALUE_FLAGS: [&str; 17] = [
-        "--sizes",
-        "--topologies",
-        "--patterns",
-        "--rates",
-        "--routings",
-        "--levels",
-        "--faults",
-        "--workloads",
-        "--arb",
-        "--warmup",
-        "--measure",
-        "--drain",
-        "--seed",
-        "--threads",
-        "--partitions",
-        "--out",
-        "--cache",
-    ];
-    for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &["--serial"], "sweep-grid")? {
-        match flag {
-            "--serial" => opts.serial = true,
-            "--sizes" => opts.grid.sizes = parse_list(value, "sizes", parse_size)?,
-            "--topologies" => {
-                opts.grid.topologies = parse_list(value, "topologies", parse_topology)?;
-            }
-            "--patterns" => {
-                opts.grid.patterns = parse_list(value, "patterns", parse_pattern)?;
-            }
-            "--rates" => {
-                opts.grid.rates = parse_list(value, "rates", |s| parse_value("rate", s))?;
-            }
-            "--routings" => {
-                opts.grid.routings = parse_list(value, "routings", parse_routing)?;
-            }
-            "--levels" => {
-                opts.grid.levels = parse_list(value, "levels", |s| {
-                    if s == "none" {
-                        Ok(None)
-                    } else {
-                        parse_value("level", s).map(Some)
-                    }
-                })?;
-            }
-            "--faults" => {
-                opts.grid.faults = parse_list(value, "faults", |s| parse_value("fault count", s))?;
-            }
-            "--workloads" => {
-                opts.grid.workloads = parse_list(value, "workloads", parse_workload)?;
-            }
-            "--arb" => {
-                opts.grid.base = opts.grid.base.clone().with_switch_arb(parse_arb(value)?);
-            }
-            "--warmup" => opts.grid.warmup = parse_value(flag, value)?,
-            "--measure" => opts.grid.measure = parse_value(flag, value)?,
-            "--drain" => opts.grid.drain = parse_value(flag, value)?,
-            "--seed" => opts.grid.base_seed = parse_value(flag, value)?,
-            "--threads" => opts.threads = Some(parse_positive(flag, value)?),
-            "--partitions" => opts.grid.partitions = parse_positive(flag, value)?,
-            "--out" => opts.out = Some(value.to_string()),
-            "--cache" => opts.cache = Some(value.to_string()),
-            _ => unreachable!("flag membership checked by flag_pairs"),
-        }
-    }
-    if opts.serial && opts.threads.is_some() {
+    let o = row("sweep-grid").parse(args)?;
+    if o.serial && o.threads.is_some() {
         return Err(CliError("--serial and --threads conflict: pick one".into()));
     }
-    if opts.grid.is_empty() {
+    if o.grid.is_empty() {
         return Err(CliError("sweep-grid: the grid is empty".into()));
     }
-    Ok(opts)
+    Ok(SweepGridOptions {
+        grid: o.grid,
+        threads: o.threads,
+        serial: o.serial,
+        out: o.out,
+        cache: o.cache,
+    })
 }
 
 /// `sweep-grid`: run a scenario grid in parallel and emit one aggregated
@@ -483,6 +681,19 @@ pub struct RunOptions {
     pub drain: u64,
 }
 
+impl Default for RunOptions {
+    /// What `run` does with no flags: the default config, 1000 warmup,
+    /// 4000 measured and up to 4000 drain cycles.
+    fn default() -> Self {
+        RunOptions {
+            config: SimConfig::default(),
+            warmup: 1000,
+            measure: 4000,
+            drain: 4000,
+        }
+    }
+}
+
 /// Parse `run` flags into a resolved configuration.
 ///
 /// Starts from the default `SimConfig` (or `--config <file>`), then applies
@@ -495,67 +706,25 @@ pub struct RunOptions {
 /// Returns a usage error for unknown flags, malformed values, or the
 /// `--workload` vs `--pattern`/`--rate` conflict.
 pub fn parse_run_args(args: &[String]) -> Result<RunOptions, CliError> {
-    const VALUE_FLAGS: [&str; 14] = [
-        "--config",
-        "--topology",
-        "--size",
-        "--routing",
-        "--pattern",
-        "--rate",
-        "--workload",
-        "--arb",
-        "--faults",
-        "--partitions",
-        "--seed",
-        "--warmup",
-        "--measure",
-        "--drain",
-    ];
-    // Collect (flag, value) pairs first so --config loads before overrides
-    // regardless of argument order.
-    let pairs = flag_pairs(args, &VALUE_FLAGS, &[], "run")?;
-    let mut config = match pairs.iter().find(|(f, _)| *f == "--config") {
-        Some((_, path)) => load_config(Some(path))?,
-        None => SimConfig::default(),
-    };
-    let (mut warmup, mut measure, mut drain) = (1000u64, 4000u64, 4000u64);
-    let mut pattern: Option<TrafficPattern> = None;
-    let mut rate: Option<f64> = None;
-    let mut workload: Option<WorkloadSpec> = None;
-    let mut faults: Option<usize> = None;
-    for (flag, value) in pairs {
-        match flag {
-            "--config" => {} // already applied
-            "--topology" => config = config.with_topology(parse_topology(value)?),
-            "--size" => {
-                let (w, h) = parse_size(value)?;
-                config = config.with_size(w, h);
-            }
-            "--routing" => config = config.with_routing(parse_routing(value)?),
-            "--pattern" => pattern = Some(parse_pattern(value)?),
-            "--rate" => rate = Some(parse_value(flag, value)?),
-            "--workload" => workload = Some(parse_workload(value)?),
-            "--arb" => config = config.with_switch_arb(parse_arb(value)?),
-            "--faults" => faults = Some(parse_value(flag, value)?),
-            "--partitions" => config = config.with_partitions(parse_positive(flag, value)?),
-            "--seed" => config = config.with_seed(parse_value(flag, value)?),
-            "--warmup" => warmup = parse_value(flag, value)?,
-            "--measure" => measure = parse_value(flag, value)?,
-            "--drain" => drain = parse_value(flag, value)?,
-            _ => unreachable!("flag membership checked by flag_pairs"),
-        }
+    let run = row("run");
+    let mut o = run.scan(args)?;
+    // --config loads before the overrides regardless of argument order.
+    if let Some((_, path)) = o.pairs.iter().find(|(f, _)| f.name == "--config") {
+        o.run.config = load_config(Some(path))?;
     }
-    if workload.is_some() && (pattern.is_some() || rate.is_some()) {
+    let o = run.apply(o)?;
+    let mut config = o.run.config;
+    if o.workload.is_some() && (o.pattern.is_some() || o.rate.is_some()) {
         return Err(CliError(
             "--workload conflicts with --pattern/--rate: pick one traffic form".into(),
         ));
     }
-    if let Some(w) = workload {
+    if let Some(w) = o.workload {
         config = config.with_workload(w);
-    } else if pattern.is_some() || rate.is_some() {
+    } else if o.pattern.is_some() || o.rate.is_some() {
         config = config.with_traffic(
-            pattern.unwrap_or(TrafficPattern::Uniform),
-            rate.unwrap_or(0.10),
+            o.pattern.unwrap_or(TrafficPattern::Uniform),
+            o.rate.unwrap_or(0.10),
         );
     }
     config.routing = config.routing.for_topology(config.kind);
@@ -563,17 +732,12 @@ pub fn parse_run_args(args: &[String]) -> Result<RunOptions, CliError> {
     // `--faults 0` clears a plan inherited from --config instead of
     // silently running a faulted fabric. The draw is the sweep engine's,
     // so `--seed <ScenarioResult.seed>` reproduces a sweep scenario's plan.
-    if let Some(n) = faults {
+    if let Some(n) = o.faults {
         let plan = seeded_link_faults(&config, n);
         config = config.with_faults(plan);
     }
     config.validate()?;
-    Ok(RunOptions {
-        config,
-        warmup,
-        measure,
-        drain,
-    })
+    Ok(RunOptions { config, ..o.run })
 }
 
 /// `run`: one classic warmup/measure/drain simulation configured inline
@@ -619,21 +783,10 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
 /// # Errors
 /// Returns a usage error for unknown subcommands or malformed labels.
 pub fn cmd_workload(args: &[String]) -> Result<(), CliError> {
-    let usage = || {
-        CliError(
-            "usage: noc-cli workload <parse|describe> <label>   (label grammar: \
-             ph[<pattern>:<process>[:<len>][@cycles]|…], processes: bern<rate>, \
-             burst<rate_on>x<switch>, pulse<rate>x<period>x<on>; lengths: \
-             len<flits>, lenU<min>-<max>, lenB<short>-<long>p<pct>)"
-                .into(),
-        )
-    };
-    let (sub, label) = match (args.first(), args.get(1)) {
-        (Some(sub), Some(label)) if args.len() == 2 => (sub.as_str(), label.as_str()),
-        _ => return Err(usage()),
-    };
-    let spec = parse_workload(label)?;
-    match sub {
+    let workload = row("workload");
+    let pos = workload.parse(args)?.pos;
+    let spec = WorkloadSpec::parse(&pos[1])?;
+    match pos[0].as_str() {
         "parse" => {
             eprintln!("workload: canonical label {}", spec.label());
             println!("{}", serde_json::to_string_pretty(&spec)?);
@@ -646,10 +799,9 @@ pub fn cmd_workload(args: &[String]) -> Result<(), CliError> {
                 "#", "pattern", "process", "cycles", "mean rate"
             );
             for (i, p) in spec.phases.iter().enumerate() {
-                let cycles = if p.cycles == 0 {
-                    "forever".to_string()
-                } else {
-                    p.cycles.to_string()
+                let cycles = match p.cycles {
+                    0 => "forever".to_string(),
+                    n => n.to_string(),
                 };
                 println!(
                     "{i:>2}  {:<18} {:<20} {cycles:>10} {:>10.4}",
@@ -674,12 +826,12 @@ pub fn cmd_workload(args: &[String]) -> Result<(), CliError> {
             );
             Ok(())
         }
-        _ => Err(usage()),
+        _ => Err(workload.misuse()),
     }
 }
 
 /// Parsed `bench` flags.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BenchOptions {
     /// Use the quick (smoke) suite budgets instead of the full ones.
     pub quick: bool,
@@ -698,24 +850,7 @@ pub struct BenchOptions {
 /// # Errors
 /// Returns a usage error for unknown flags or malformed values.
 pub fn parse_bench_args(args: &[String]) -> Result<BenchOptions, CliError> {
-    let mut opts = BenchOptions {
-        quick: false,
-        repeats: None,
-        out: None,
-        sha: None,
-        suite: None,
-    };
-    const VALUE_FLAGS: [&str; 3] = ["--repeats", "--out", "--sha"];
-    for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &["--quick"], "bench")? {
-        match flag {
-            "--quick" => opts.quick = true,
-            "--repeats" => opts.repeats = Some(parse_positive(flag, value)?),
-            "--out" => opts.out = Some(value.to_string()),
-            "--sha" => opts.sha = Some(value.to_string()),
-            _ => unreachable!("flag membership checked by flag_pairs"),
-        }
-    }
-    Ok(opts)
+    Ok(row("bench").parse(args)?.bench)
 }
 
 /// Execute parsed `bench` options: run the suite, print its table and
@@ -761,30 +896,12 @@ pub fn cmd_bench(args: &[String]) -> Result<(), CliError> {
 /// # Errors
 /// Returns a usage error for missing/extra positionals or bad values.
 pub fn parse_train_args(args: &[String]) -> Result<TrainOptions, CliError> {
-    let (positionals, pairs, run_flags) = split_run_flags(args, &["--episodes", "--max-steps"])?;
-    let mut episodes: usize = 60;
-    let mut max_steps: usize = 40;
-    for (flag, value) in pairs {
-        match flag {
-            "--episodes" => episodes = parse_positive(flag, value)?,
-            _ => max_steps = parse_positive(flag, value)?,
-        }
-    }
-    let [out_path] = positionals[..] else {
-        return Err(CliError(
-            "usage: noc-cli train <out.json> [--episodes N] [--max-steps N] \
-             [run scenario flags: --topology --size --pattern --rate --workload --faults \
-             --seed --config ...]"
-                .into(),
-        ));
-    };
-    let out_path = out_path.to_string();
-    let run = parse_run_args(&run_flags)?;
+    let o = row("train").parse(args)?;
     Ok(TrainOptions {
-        out_path,
-        episodes,
-        max_steps,
-        run,
+        out_path: o.pos[0].clone(),
+        episodes: o.episodes.unwrap_or(60),
+        max_steps: o.max_steps.unwrap_or(40),
+        run: parse_run_args(&o.rest)?,
     })
 }
 
@@ -801,6 +918,23 @@ pub struct TrainOptions {
     pub run: RunOptions,
 }
 
+/// The schedule `train` and `train-grid` share: one learn step per
+/// environment step, ε linear from 1.0 to 0.05 over 5/8 of all steps.
+fn train_config(episodes: usize, max_steps: usize, seed: u64) -> TrainConfig {
+    let steps = ((episodes * max_steps) as u64 * 5 / 8).max(1);
+    TrainConfig {
+        episodes,
+        max_steps,
+        epsilon: Schedule::Linear {
+            start: 1.0,
+            end: 0.05,
+            steps,
+        },
+        train_per_step: 1,
+        seed,
+    }
+}
+
 /// `train`: train a DQN self-configuration policy on an arbitrary scenario
 /// (same flags as `run`) and save it as a versioned zoo artifact. The seed
 /// comes from the scenario (`--seed`), so two invocations with the same
@@ -810,17 +944,7 @@ pub fn cmd_train(args: &[String]) -> Result<(), CliError> {
     let seed = opts.run.config.seed;
     let episodes = opts.episodes;
     let env_cfg = NocEnvConfig::for_sim(opts.run.config.clone(), seed);
-    let train = TrainConfig {
-        episodes,
-        max_steps: opts.max_steps,
-        epsilon: Schedule::Linear {
-            start: 1.0,
-            end: 0.05,
-            steps: ((episodes * opts.max_steps) as u64 * 5 / 8).max(1),
-        },
-        train_per_step: 1,
-        seed,
-    };
+    let train = train_config(episodes, opts.max_steps, seed);
     eprintln!(
         "training on the {}x{} {} environment (seed {seed}) for {episodes} episodes...",
         env_cfg.sim.width,
@@ -884,47 +1008,17 @@ pub fn cmd_evaluate(policy_path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Positional arguments, the subcommand's own `(flag, value)` pairs, and the
-/// leftover run flags, in that order.
-type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>, Vec<String>);
-
-/// Split `args` into positionals, the subcommand's `own_flags` as
-/// `(flag, value)` pairs, and every other `--flag value` pair — the run
-/// flags, which configure the base fabric and the master seed.
-fn split_run_flags<'a>(args: &'a [String], own_flags: &[&str]) -> Result<SplitArgs<'a>, CliError> {
-    let mut positionals: Vec<&str> = Vec::new();
-    let mut pairs: Vec<(&str, &str)> = Vec::new();
-    let mut run_flags: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg.starts_with("--") {
-            let value = flag_value(&mut it, arg)?;
-            if own_flags.contains(&arg.as_str()) {
-                pairs.push((arg.as_str(), value));
-            } else {
-                run_flags.extend([arg.clone(), value.to_string()]);
-            }
-        } else {
-            positionals.push(arg.as_str());
-        }
-    }
-    Ok((positionals, pairs, run_flags))
-}
-
-/// The single `<zoo-dir>` positional of `train-grid` / `tournament`.
-fn zoo_dir_arg(positionals: &[&str]) -> Result<String, CliError> {
-    match positionals {
-        [dir] => Ok(dir.to_string()),
-        _ => Err(CliError(
-            "expected exactly one positional argument: <zoo-dir>".into(),
-        )),
-    }
-}
-
 fn parse_families(spec: &str) -> Result<Vec<zoo::ScenarioFamily>, CliError> {
     spec.split(',')
         .filter(|s| !s.is_empty())
         .map(|s| zoo::ScenarioFamily::parse(s).map_err(CliError::from))
+        .collect()
+}
+
+fn parse_variants(spec: &str) -> Result<Vec<zoo::DqnVariant>, CliError> {
+    let names = &zoo::DQN_VARIANT_NAMES;
+    (spec.split(',').filter(|s| !s.is_empty()))
+        .map(|n| named(zoo::dqn_variant(n), n, "DQN variant", names))
         .collect()
 }
 
@@ -933,68 +1027,27 @@ fn parse_families(spec: &str) -> Result<Vec<zoo::ScenarioFamily>, CliError> {
 /// manifest are byte-identical for every `--threads` value (SplitMix64
 /// per-member seeds off the master `--seed`).
 pub fn cmd_train_grid(args: &[String]) -> Result<(), CliError> {
-    const ZOO_FLAGS: [&str; 6] = [
-        "--variants",
-        "--families",
-        "--episodes",
-        "--max-steps",
-        "--epochs-per-episode",
-        "--threads",
-    ];
-    let (positionals, pairs, run_flags) = split_run_flags(args, &ZOO_FLAGS)?;
-    let out_dir = zoo_dir_arg(&positionals)?;
-    let run = parse_run_args(&run_flags)?;
-    let mut variants: Vec<zoo::DqnVariant> = ["default", "small"]
-        .iter()
-        .map(|n| zoo::dqn_variant(n).expect("built-in variant"))
-        .collect();
-    let mut families = vec![
-        zoo::ScenarioFamily::parse("mesh/uniform/r0.1")?,
-        zoo::ScenarioFamily::parse("torus/uniform/r0.1/f2")?,
-    ];
-    let mut episodes = 20usize;
-    let mut max_steps = 40usize;
-    let mut epochs_per_episode = 40usize;
-    let mut threads = noc_selfconf::default_threads();
-    for (flag, value) in pairs {
-        match flag {
-            "--variants" => {
-                variants = value
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|name| {
-                        zoo::dqn_variant(name).ok_or_else(|| {
-                            CliError(format!(
-                                "unknown DQN variant `{name}` (expected one of: {})",
-                                zoo::DQN_VARIANT_NAMES.join(", ")
-                            ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--families" => families = parse_families(value)?,
-            "--episodes" => episodes = parse_positive(flag, value)?,
-            "--max-steps" => max_steps = parse_positive(flag, value)?,
-            "--epochs-per-episode" => epochs_per_episode = parse_positive(flag, value)?,
-            _ => threads = parse_positive(flag, value)?,
-        }
-    }
+    let o = row("train-grid").parse(args)?;
+    let out_dir = &o.pos[0];
+    let run = parse_run_args(&o.rest)?;
+    let variants = match o.variants {
+        Some(v) => v,
+        None => parse_variants("default,small")?,
+    };
+    let families = match o.families {
+        Some(f) => f,
+        None => parse_families("mesh/uniform/r0.1,torus/uniform/r0.1/f2")?,
+    };
+    let episodes = o.episodes.unwrap_or(20);
+    let max_steps = o.max_steps.unwrap_or(40);
+    let epochs_per_episode = o.epochs_per_episode.unwrap_or(40);
+    let threads = o.threads.unwrap_or_else(noc_selfconf::default_threads);
     let base_seed = run.config.seed;
     let grid = zoo::ZooGrid {
         base: run.config,
         variants,
         families,
-        train: TrainConfig {
-            episodes,
-            max_steps,
-            epsilon: Schedule::Linear {
-                start: 1.0,
-                end: 0.05,
-                steps: ((episodes * max_steps) as u64 * 5 / 8).max(1),
-            },
-            train_per_step: 1,
-            seed: base_seed, // overwritten per member
-        },
+        train: train_config(episodes, max_steps, base_seed), // seed overwritten per member
         epoch_cycles: 500,
         epochs_per_episode,
         base_seed,
@@ -1024,26 +1077,17 @@ pub fn cmd_train_grid(args: &[String]) -> Result<(), CliError> {
 /// scenario family and print the generalization matrix. The report is
 /// deterministic and byte-identical for every `--threads` value.
 pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
-    const ZOO_FLAGS: [&str; 4] = ["--families", "--epochs", "--threads", "--out"];
-    let (positionals, pairs, run_flags) = split_run_flags(args, &ZOO_FLAGS)?;
-    let zoo_dir = zoo_dir_arg(&positionals)?;
-    let run = parse_run_args(&run_flags)?;
+    let o = row("tournament").parse(args)?;
+    let run = parse_run_args(&o.rest)?;
     let mut config = zoo::TournamentConfig {
         base: run.config,
         ..zoo::TournamentConfig::default()
     };
     config.base_seed = config.base.seed;
-    let mut threads = noc_selfconf::default_threads();
-    let mut out: Option<String> = None;
-    for (flag, value) in pairs {
-        match flag {
-            "--families" => config.families = parse_families(value)?,
-            "--epochs" => config.epochs = parse_value(flag, value)?,
-            "--threads" => threads = parse_positive(flag, value)?,
-            _ => out = Some(value.to_string()),
-        }
-    }
-    let report = zoo::run_tournament(Path::new(&zoo_dir), &config, threads)?;
+    config.families = o.families.unwrap_or(config.families);
+    config.epochs = o.epochs.unwrap_or(config.epochs);
+    let threads = o.threads.unwrap_or_else(noc_selfconf::default_threads);
+    let report = zoo::run_tournament(Path::new(&o.pos[0]), &config, threads)?;
     println!(
         "tournament: {} policies x {} families (seed {})",
         report.policies.len(),
@@ -1071,7 +1115,7 @@ pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
     for mean in &report.mean_score_by_policy {
         println!("{:<44} {:.3}", mean.policy, mean.mean_score);
     }
-    if let Some(path) = out {
+    if let Some(path) = o.out {
         fs::write(&path, serde_json::to_string_pretty(&report)?)?;
         println!("\nwrote {path}");
     }
@@ -1084,11 +1128,10 @@ pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
 /// Returns a usage error for a missing trace path or a period that is not
 /// a positive integer.
 pub fn parse_replay_args(args: &[String]) -> Result<(&str, Option<u64>), CliError> {
-    match args {
-        [path] => Ok((path, None)),
-        [path, period] => Ok((path, Some(parse_positive("period", period)?))),
-        _ => Err(CliError("replay requires <trace.csv> [period]".into())),
-    }
+    // `replay` declares no flags, so `args` are exactly its positionals.
+    row("replay").parse(args)?;
+    let period = args.get(1).map(|p| parse_positive("period", p));
+    Ok((&args[0], period.transpose()?))
 }
 
 /// `replay`: drive the default mesh with a packet trace from a CSV file
@@ -1100,11 +1143,7 @@ pub fn cmd_replay(trace_path: &str, repeat_every: Option<u64>) -> Result<(), Cli
     let cfg = SimConfig::default().with_traffic_spec(TrafficSpec::Trace(trace));
     let mut sim = Simulator::new(cfg)?;
     // Run until the trace drains (or a generous bound for repeating traces).
-    let bound: u64 = if repeat_every.is_some() {
-        50_000
-    } else {
-        200_000
-    };
+    let bound: u64 = repeat_every.map_or(200_000, |_| 50_000);
     let mut idle_streak = 0u32;
     for _ in 0..bound / 100 {
         sim.run(100);
@@ -1149,32 +1188,12 @@ pub const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:4600";
 /// # Errors
 /// Returns a usage error for unknown flags or malformed values.
 pub fn parse_serve_args(args: &[String]) -> Result<ServeConfig, CliError> {
-    let mut config = ServeConfig {
-        addr: DEFAULT_SERVE_ADDR.to_string(),
-        scheduler: SchedulerConfig::default(),
-        cache_dir: None,
+    let o = row("serve").parse(args)?;
+    Ok(ServeConfig {
+        addr: o.addr.unwrap_or_else(|| DEFAULT_SERVE_ADDR.into()),
         verbose: true,
-    };
-    const VALUE_FLAGS: [&str; 5] = [
-        "--addr",
-        "--cache",
-        "--threads",
-        "--max-outstanding",
-        "--max-client-outstanding",
-    ];
-    for (flag, value) in flag_pairs(args, &VALUE_FLAGS, &[], "serve")? {
-        match flag {
-            "--addr" => config.addr = value.to_string(),
-            "--cache" => config.cache_dir = Some(std::path::PathBuf::from(value)),
-            "--threads" => config.scheduler.threads = parse_positive(flag, value)?,
-            "--max-outstanding" => config.scheduler.max_outstanding = parse_positive(flag, value)?,
-            "--max-client-outstanding" => {
-                config.scheduler.max_client_outstanding = parse_positive(flag, value)?;
-            }
-            _ => unreachable!("flag membership checked by flag_pairs"),
-        }
-    }
-    Ok(config)
+        ..o.serve
+    })
 }
 
 /// `serve`: run the sweep daemon until a client sends `shutdown`.
@@ -1216,26 +1235,11 @@ pub struct SubmitOptions {
 /// execution flags (`--threads`, `--serial`, `--partitions`, `--cache`)
 /// that do not apply to daemon-side execution.
 pub fn parse_submit_args(args: &[String]) -> Result<SubmitOptions, CliError> {
-    let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut client = "cli".to_string();
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => addr = flag_value(&mut it, flag)?.to_string(),
-            "--client" => client = flag_value(&mut it, flag)?.to_string(),
-            "--threads" | "--serial" | "--partitions" | "--cache" => {
-                return Err(CliError(format!(
-                    "{flag} does not apply to submit: execution happens on the daemon"
-                )));
-            }
-            _ => rest.push(flag.clone()),
-        }
-    }
-    let opts = parse_sweep_grid_args(&rest)?;
+    let o = row("submit").parse(args)?;
+    let opts = parse_sweep_grid_args(&o.rest)?;
     Ok(SubmitOptions {
-        addr,
-        client,
+        addr: o.addr.unwrap_or_else(|| DEFAULT_SERVE_ADDR.into()),
+        client: o.client.unwrap_or_else(|| "cli".into()),
         grid: opts.grid,
         out: opts.out,
     })
@@ -1264,8 +1268,8 @@ pub fn cmd_submit(args: &[String]) -> Result<(), CliError> {
         println!("{line}");
         let event =
             Event::parse(&line).map_err(|e| CliError(format!("malformed daemon reply: {e}")))?;
-        match event {
-            Event::Accepted { .. } | Event::Result { .. } => {}
+        let failure = match event {
+            Event::Accepted { .. } | Event::Result { .. } => continue,
             Event::Done { report, .. } => {
                 eprintln!(
                     "submit: {} scenarios done ({} saturated)",
@@ -1278,26 +1282,15 @@ pub fn cmd_submit(args: &[String]) -> Result<(), CliError> {
                 return Ok(());
             }
             Event::Canceled { completed, .. } => {
-                return Err(CliError(format!(
-                    "job canceled after {completed} scenario(s)"
-                )));
+                format!("job canceled after {completed} scenario(s)")
             }
-            Event::Failed { message, .. } => {
-                return Err(CliError(format!("job failed: {message}")));
-            }
+            Event::Failed { message, .. } => format!("job failed: {message}"),
             Event::Error { code, message } => {
-                return Err(CliError(format!(
-                    "daemon rejected submit ({}): {message}",
-                    code.name()
-                )));
+                format!("daemon rejected submit ({}): {message}", code.name())
             }
-            other => {
-                return Err(CliError(format!(
-                    "unexpected daemon reply: {}",
-                    other.render()
-                )));
-            }
-        }
+            other => format!("unexpected daemon reply: {}", other.render()),
+        };
+        return Err(CliError(failure));
     }
 }
 
@@ -1307,23 +1300,15 @@ pub fn cmd_submit(args: &[String]) -> Result<(), CliError> {
 /// # Errors
 /// Returns connection errors, malformed replies, and daemon-side errors.
 pub fn cmd_serve_ctl(args: &[String]) -> Result<(), CliError> {
-    let usage =
-        || CliError("usage: noc-cli serve-ctl <ping|stats|shutdown> [--addr HOST:PORT]".into());
-    let sub = args.first().ok_or_else(usage)?;
-    let request = match sub.as_str() {
+    let serve_ctl = row("serve-ctl");
+    let o = serve_ctl.parse(args)?;
+    let request = match o.pos[0].as_str() {
         "ping" => Request::Ping,
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
-        _ => return Err(usage()),
+        _ => return Err(serve_ctl.misuse()),
     };
-    let mut addr = DEFAULT_SERVE_ADDR.to_string();
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        if flag != "--addr" {
-            return Err(usage());
-        }
-        addr = flag_value(&mut it, flag)?.to_string();
-    }
+    let addr = o.addr.unwrap_or_else(|| DEFAULT_SERVE_ADDR.into());
     let mut conn = ServeClient::connect(&addr)
         .map_err(|e| CliError(format!("cannot connect to daemon at {addr}: {e}")))?;
     conn.send(&request)?;
@@ -1933,5 +1918,105 @@ mod tests {
         assert_eq!(opts.run.config.seed, 123);
         assert!(parse_train_args(&strings(&["out.json", "--rate", "oops"])).is_err());
         assert!(parse_train_args(&[]).is_err());
+    }
+
+    /// A well-formed value read off a flag's placeholder: `N` is a count,
+    /// `a|b` offers alternatives, anything else is already an example.
+    fn example(placeholder: &str) -> &str {
+        match placeholder {
+            "N" => "2",
+            p => p.split('|').next().unwrap(),
+        }
+    }
+
+    /// Positionals that satisfy a row's synopsis (`<ping|stats>` -> `ping`).
+    fn required_positionals(c: &Command) -> Vec<String> {
+        (c.args.split_whitespace())
+            .filter(|w| w.starts_with('<'))
+            .map(|w| example(w.trim_matches(['<', '>'])).to_string())
+            .collect()
+    }
+
+    /// Every `--flag` an error message names, minus the one it rejects.
+    fn flags_named(message: &str, rejected: &str) -> std::collections::BTreeSet<String> {
+        (message.split(|c: char| c.is_whitespace() || ",`()[]".contains(c)))
+            .filter(|w| w.starts_with("--") && *w != rejected)
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn every_command_row_is_wired_through_usage_scanning_and_errors() {
+        let text = usage();
+        for c in &COMMANDS {
+            let section = (text.split("\n\n"))
+                .find(|s| s.starts_with(&format!("  {} ", c.name)))
+                .unwrap_or_else(|| panic!("usage names `{}`", c.name));
+            for f in c.flags {
+                assert!(
+                    section.contains(f.name),
+                    "usage of {} names {}",
+                    c.name,
+                    f.name
+                );
+                let mut args = required_positionals(c);
+                args.push(f.name.to_string());
+                if !f.value.is_empty() {
+                    args.push(example(f.value).to_string());
+                }
+                if let Err(e) = c.parse(&args) {
+                    panic!("noc-cli {} {args:?}: {e}", c.name);
+                }
+            }
+            if c.flags.is_empty() {
+                continue;
+            }
+            // The unknown-flag error comes from the row that owns the flags:
+            // the command's own, or its pass-through target's.
+            let mut args = required_positionals(c);
+            args.extend(strings(&["--no-such-flag", "1"]));
+            let (err, owner) = match c.pass {
+                Pass::Own => (c.parse(&args).err().unwrap(), c),
+                Pass::Run => {
+                    let rest = c.parse(&args).unwrap().rest;
+                    (parse_run_args(&rest).unwrap_err(), row("run"))
+                }
+                Pass::Grid(_) => {
+                    let rest = c.parse(&args).unwrap().rest;
+                    (parse_sweep_grid_args(&rest).unwrap_err(), row("sweep-grid"))
+                }
+            };
+            let declared = owner.flags.iter().map(|f| f.name.to_string()).collect();
+            assert_eq!(
+                flags_named(&err.0, "--no-such-flag"),
+                declared,
+                "{}: {err}",
+                c.name
+            );
+        }
+    }
+
+    /// The one intended behaviour change of the command table: commands
+    /// that used to drop surplus positionals reject them.
+    #[test]
+    fn surplus_positionals_are_usage_errors() {
+        for (args, message) in [
+            (
+                &["simulate", "a.json", "b.json"][..],
+                "simulate takes at most one argument: [config.json]",
+            ),
+            (
+                &["evaluate", "a.json", "b.json"],
+                "evaluate requires a policy path",
+            ),
+            (&["evaluate"], "evaluate requires a policy path"),
+            (
+                &["default-config", "extra"],
+                "default-config takes no arguments",
+            ),
+        ] {
+            let err = (row(args[0]).run)(&strings(&args[1..])).unwrap_err();
+            assert_eq!(err.0, message, "noc-cli {args:?}");
+        }
     }
 }
