@@ -306,10 +306,9 @@ fn sim_points() -> Vec<SimPoint> {
     ]
     .into_iter()
     .map(|(width, pattern, rate)| {
-        let pattern_name = pattern.name();
         point(
-            &format!("sim/{width}x{width}/{pattern_name}/r{rate:.2}"),
-            &format!("{width}x{width} mesh, {pattern_name} traffic at {rate} flits/node/cycle"),
+            &format!("sim/{width}x{width}/{pattern}/r{rate:.2}"),
+            &format!("{width}x{width} mesh, {pattern} traffic at {rate} flits/node/cycle"),
             mesh(width, pattern, rate),
         )
     })

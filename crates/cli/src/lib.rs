@@ -166,9 +166,9 @@ pub(crate) static COMMANDS: [Command; 15] = [
     Command { name: "run", args: "", note: "one simulation configured inline", misuse: "",
         flags: &[
             flag("--config", "base.json", |_, _, _| Ok(())), // loaded first, by parse_run_args
-            flag("--topology", "mesh|torus", |o, _, v| set(&mut o.run.config.kind, parse_topology(v)?)),
+            flag("--topology", "mesh|torus", |o, _, v| set(&mut o.run.config.kind, TopologyKind::parse(v)?)),
             flag("--size", "8x8", |o, _, v| parse_size(v).map(|s| (o.run.config.width, o.run.config.height) = s)),
-            flag("--routing", "xy", |o, _, v| set(&mut o.run.config.routing, parse_routing(v)?)),
+            flag("--routing", "xy", |o, _, v| set(&mut o.run.config.routing, RoutingAlgorithm::parse(v)?)),
             flag("--pattern", "uniform", |o, _, v| set(&mut o.pattern, Some(TrafficPattern::parse(v)?))),
             flag("--rate", "0.10", |o, f, v| set(&mut o.rate, Some(parse_value(f, v)?))),
             flag("--workload", "ph[uniform:burst0.3x0.05]",
@@ -189,12 +189,12 @@ pub(crate) static COMMANDS: [Command; 15] = [
         flags: &[
             flag("--sizes", "4x4,8x8", |o, f, v| set(&mut o.grid.sizes, parse_list(f, v, parse_size)?)),
             flag("--topologies", "mesh,torus",
-                 |o, f, v| set(&mut o.grid.topologies, parse_list(f, v, parse_topology)?)),
+                 |o, f, v| set(&mut o.grid.topologies, parse_list(f, v, TopologyKind::parse)?)),
             flag("--patterns", "uniform,transpose",
                  |o, f, v| set(&mut o.grid.patterns, parse_list(f, v, TrafficPattern::parse)?)),
             flag("--rates", "0.05,0.10",
                  |o, f, v| set(&mut o.grid.rates, parse_list(f, v, |s| parse_value("rate", s))?)),
-            flag("--routings", "xy,oddeven", |o, f, v| set(&mut o.grid.routings, parse_list(f, v, parse_routing)?)),
+            flag("--routings", "xy,oddeven", |o, f, v| set(&mut o.grid.routings, parse_list(f, v, RoutingAlgorithm::parse)?)),
             flag("--levels", "none,0,3", |o, f, v| set(&mut o.grid.levels, parse_list(f, v, |s| match s {
                 "none" => Ok(None),
                 _ => parse_value("level", s).map(Some),
@@ -494,23 +494,6 @@ pub fn cmd_sweep(rate0: f64, rate1: f64, steps: usize) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `found`, or an error naming `s` as an unknown `what` and listing the
-/// valid `names`.
-fn named<T>(found: Option<T>, s: &str, what: &str, names: &[&str]) -> Result<T, CliError> {
-    let names = names.join(", ");
-    found.ok_or_else(|| CliError(format!("unknown {what} `{s}` (expected one of: {names})")))
-}
-
-fn parse_routing(s: &str) -> Result<RoutingAlgorithm, CliError> {
-    let names = RoutingAlgorithm::NAMED.map(|(n, _)| n);
-    named(RoutingAlgorithm::from_name(s), s, "routing", &names)
-}
-
-fn parse_topology(s: &str) -> Result<TopologyKind, CliError> {
-    let names = TopologyKind::NAMED.map(|(n, _)| n);
-    named(TopologyKind::from_name(s), s, "topology", &names)
-}
-
 fn parse_size(s: &str) -> Result<(usize, usize), CliError> {
     let (w, h) = s
         .split_once('x')
@@ -805,8 +788,8 @@ pub fn cmd_workload(args: &[String]) -> Result<(), CliError> {
                 };
                 println!(
                     "{i:>2}  {:<18} {:<20} {cycles:>10} {:>10.4}",
-                    p.pattern.name(),
-                    p.process.label(),
+                    p.pattern.to_string(),
+                    p.process.to_string(),
                     p.process.mean_rate()
                 );
             }
@@ -1016,9 +999,8 @@ fn parse_families(spec: &str) -> Result<Vec<zoo::ScenarioFamily>, CliError> {
 }
 
 fn parse_variants(spec: &str) -> Result<Vec<zoo::DqnVariant>, CliError> {
-    let names = &zoo::DQN_VARIANT_NAMES;
     (spec.split(',').filter(|s| !s.is_empty()))
-        .map(|n| named(zoo::dqn_variant(n), n, "DQN variant", names))
+        .map(|n| Ok(zoo::dqn_variant(n)?))
         .collect()
 }
 
@@ -1994,6 +1976,23 @@ mod tests {
                 c.name
             );
         }
+    }
+
+    /// The `workload` usage line is written out by hand, because the
+    /// invocation corpus pins it; it must list exactly the forms the
+    /// grammar tables declare.
+    #[test]
+    fn workload_usage_lists_the_grammar_forms() {
+        let synopses = |forms: &[noc_sim::names::Form]| {
+            forms.iter().map(|f| f.0).collect::<Vec<_>>().join(", ")
+        };
+        let usage = row("workload").misuse;
+        let processes = synopses(&noc_sim::InjectionProcess::FORMS);
+        let lengths = synopses(&noc_sim::LengthSpec::FORMS);
+        assert!(
+            usage.contains(&format!("processes: {processes}; lengths: {lengths})")),
+            "{usage}"
+        );
     }
 
     /// The one intended behaviour change of the command table: commands

@@ -29,51 +29,25 @@ use crate::sweep::{ScenarioResult, SweepGrid, SweepReport};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-/// Machine-readable error codes carried by [`Event::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ErrorCode {
-    /// The request line was not valid JSON or not a known command shape.
-    BadRequest,
-    /// The submitted grid failed validation.
-    InvalidGrid,
-    /// Admission control: the daemon's global scenario queue is full.
-    QueueFull,
-    /// Admission control: this client's outstanding-scenario quota is full.
-    ClientQuota,
-    /// The referenced job id is unknown on this connection.
-    UnknownJob,
-    /// The daemon is shutting down and accepts no new work.
-    ShuttingDown,
-    /// A scenario failed to simulate (configuration error past validation).
-    SimFailed,
-}
-
-impl ErrorCode {
-    /// Canonical wire name (`bad_request`, `queue_full`, ...).
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::InvalidGrid => "invalid_grid",
-            ErrorCode::QueueFull => "queue_full",
-            ErrorCode::ClientQuota => "client_quota",
-            ErrorCode::UnknownJob => "unknown_job",
-            ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::SimFailed => "sim_failed",
-        }
-    }
-
-    /// Parse a wire name back (inverse of [`ErrorCode::name`]).
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad_request" => ErrorCode::BadRequest,
-            "invalid_grid" => ErrorCode::InvalidGrid,
-            "queue_full" => ErrorCode::QueueFull,
-            "client_quota" => ErrorCode::ClientQuota,
-            "unknown_job" => ErrorCode::UnknownJob,
-            "shutting_down" => ErrorCode::ShuttingDown,
-            "sim_failed" => ErrorCode::SimFailed,
-            _ => return None,
-        })
+noc_sim::vocabulary! {
+    /// Machine-readable error codes carried by [`Event::Error`], by their
+    /// canonical wire names.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum ErrorCode as "error code" {
+        /// The request line was not valid JSON or not a known command shape.
+        BadRequest = "bad_request",
+        /// The submitted grid failed validation.
+        InvalidGrid = "invalid_grid",
+        /// Admission control: the daemon's global scenario queue is full.
+        QueueFull = "queue_full",
+        /// Admission control: this client's outstanding-scenario quota is full.
+        ClientQuota = "client_quota",
+        /// The referenced job id is unknown on this connection.
+        UnknownJob = "unknown_job",
+        /// The daemon is shutting down and accepts no new work.
+        ShuttingDown = "shutting_down",
+        /// A scenario failed to simulate (configuration error past validation).
+        SimFailed = "sim_failed",
     }
 }
 
@@ -392,11 +366,7 @@ impl Event {
             "pong" => Ok(Event::Pong),
             "shutting_down" => Ok(Event::ShuttingDown),
             "error" => Ok(Event::Error {
-                code: str_field("code")
-                    .ok()
-                    .as_deref()
-                    .and_then(ErrorCode::parse)
-                    .ok_or_else(|| "`error` missing or unknown `code`".to_string())?,
+                code: ErrorCode::parse(&str_field("code")?).map_err(|e| e.to_string())?,
                 message: str_field("message")?,
             }),
             other => Err(format!("unknown event `{other}`")),
@@ -531,17 +501,10 @@ mod tests {
 
     #[test]
     fn error_codes_round_trip() {
-        for code in [
-            ErrorCode::BadRequest,
-            ErrorCode::InvalidGrid,
-            ErrorCode::QueueFull,
-            ErrorCode::ClientQuota,
-            ErrorCode::UnknownJob,
-            ErrorCode::ShuttingDown,
-            ErrorCode::SimFailed,
-        ] {
-            assert_eq!(ErrorCode::parse(code.name()), Some(code));
+        for (name, code) in ErrorCode::NAMED {
+            assert_eq!(code.name(), name);
+            assert_eq!(ErrorCode::parse(name), Ok(code));
         }
-        assert_eq!(ErrorCode::parse("teapot"), None);
+        assert!(ErrorCode::parse("teapot").is_err());
     }
 }

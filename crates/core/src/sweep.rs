@@ -47,6 +47,7 @@ use noc_sim::{
     TopologyKind, TrafficPattern, WindowMetrics, WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// A cartesian grid of simulation scenarios.
 ///
@@ -268,7 +269,7 @@ impl SweepGrid {
                 // round-trip form), so close rates never collide into one
                 // label.
                 points.push((
-                    format!("{}/r{rate}", pattern.name()),
+                    format!("{pattern}/r{rate}"),
                     WorkloadSpec::bernoulli(pattern.clone(), rate),
                 ));
             }
@@ -342,13 +343,13 @@ impl SweepGrid {
                                 let mut label =
                                     format!("{w}x{h}/{traffic_label}/{}", routing.name());
                                 if kind != TopologyKind::Mesh {
-                                    label.push_str(&format!("/t:{}", kind.name()));
+                                    let _ = write!(label, "/t:{}", kind.name());
                                 }
                                 if let Some(l) = level {
-                                    label.push_str(&format!("/L{l}"));
+                                    let _ = write!(label, "/L{l}");
                                 }
                                 if faults > 0 {
-                                    label.push_str(&format!("/f{faults}"));
+                                    let _ = write!(label, "/f{faults}");
                                 }
                                 out.push(Scenario {
                                     index,
@@ -728,8 +729,8 @@ mod tests {
             assert_eq!(s.config.routing, RoutingAlgorithm::Table);
             let name = s.label.split('/').nth(3).unwrap();
             assert_eq!(
-                RoutingAlgorithm::from_name(name),
-                Some(RoutingAlgorithm::Table),
+                RoutingAlgorithm::parse(name),
+                Ok(RoutingAlgorithm::Table),
                 "label segment `{name}` must parse back"
             );
         }

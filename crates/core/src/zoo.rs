@@ -490,7 +490,7 @@ impl ScenarioFamily {
     /// round-trips.
     pub fn new(topology: TopologyKind, workload: WorkloadSpec, faults: usize) -> Self {
         ScenarioFamily {
-            name: format!("{}/{}/f{}", topology.name(), workload.label(), faults),
+            name: format!("{}/{workload}/f{faults}", topology.name()),
             topology,
             workload,
             faults,
@@ -512,17 +512,7 @@ impl ScenarioFamily {
                 "expected <topology>/<pattern>/r<rate>[/fN] or <topology>/ph[...][/fN]".into(),
             ));
         }
-        let topology = TopologyKind::from_name(tokens[0]).ok_or_else(|| {
-            err(format!(
-                "unknown topology `{}` (expected one of: {})",
-                tokens[0],
-                TopologyKind::NAMED
-                    .iter()
-                    .map(|(n, _)| *n)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })?;
+        let topology = TopologyKind::parse(tokens[0]).map_err(|e| err(e.to_string()))?;
         let mut rest = &tokens[1..];
         let mut faults = 0usize;
         if rest.len() > 1 {
@@ -553,6 +543,9 @@ impl ScenarioFamily {
                 ))
             }
         };
+        // The short form is range-checked here like a `ph[…]` label, not
+        // when a member's simulator is first built.
+        workload.shape_check().map_err(|e| err(e.to_string()))?;
         Ok(ScenarioFamily::new(topology, workload, faults))
     }
 
@@ -581,39 +574,29 @@ pub struct DqnVariant {
     pub dqn: DqnConfig,
 }
 
-/// Names of the built-in DQN variants [`dqn_variant`] resolves.
-pub const DQN_VARIANT_NAMES: [&str; 6] = ["default", "small", "wide", "deep", "nstep3", "single"];
+type DqnTweak = fn(&mut DqnConfig);
 
-/// Look up a built-in DQN variant by name ([`DQN_VARIANT_NAMES`]).
-pub fn dqn_variant(name: &str) -> Option<DqnVariant> {
-    let dqn = match name {
-        "default" => DqnConfig::default(),
-        "small" => DqnConfig {
-            hidden: vec![32],
-            ..DqnConfig::default()
-        },
-        "wide" => DqnConfig {
-            hidden: vec![128, 64],
-            ..DqnConfig::default()
-        },
-        "deep" => DqnConfig {
-            hidden: vec![64, 64, 64],
-            ..DqnConfig::default()
-        },
-        "nstep3" => DqnConfig {
-            n_step: 3,
-            ..DqnConfig::default()
-        },
-        "single" => DqnConfig {
-            double: false,
-            ..DqnConfig::default()
-        },
-        _ => return None,
-    };
-    Some(DqnVariant {
-        name: name.to_string(),
-        dqn,
-    })
+/// The built-in DQN variants, each name beside its change to
+/// [`DqnConfig::default`].
+pub const DQN_VARIANTS: [(&str, DqnTweak); 6] = [
+    ("default", |_| {}),
+    ("small", |c| c.hidden = vec![32]),
+    ("wide", |c| c.hidden = vec![128, 64]),
+    ("deep", |c| c.hidden = vec![64, 64, 64]),
+    ("nstep3", |c| c.n_step = 3),
+    ("single", |c| c.double = false),
+];
+
+/// Look up a built-in DQN variant by name ([`DQN_VARIANTS`]).
+///
+/// # Errors
+/// The unknown-name error, listing every variant.
+pub fn dqn_variant(name: &str) -> noc_sim::SimResult<DqnVariant> {
+    let tweak = noc_sim::names::lookup("DQN variant", &DQN_VARIANTS, name)?;
+    let mut dqn = DqnConfig::default();
+    tweak(&mut dqn);
+    let name = name.to_string();
+    Ok(DqnVariant { name, dqn })
 }
 
 /// A population-training grid: DQN variants × scenario families, trained
@@ -895,7 +878,7 @@ pub fn load_zoo(dir: &Path) -> ZooResult<Vec<(String, PolicyArtifact)>> {
 /// healthy/2-fault — 2 topologies × 2 workloads × 2 fault levels.
 pub fn default_tournament_families() -> Vec<ScenarioFamily> {
     let mut out = Vec::new();
-    for topology in ["mesh", "torus"] {
+    for (topology, _) in TopologyKind::NAMED {
         for traffic in ["uniform/r0.1", "ph[uniform:burst0.3x0.05]"] {
             for faults in [0usize, 2] {
                 out.push(
@@ -1263,6 +1246,11 @@ mod tests {
         assert!(ScenarioFamily::parse("ring/uniform/r0.1").is_err());
         assert!(ScenarioFamily::parse("mesh").is_err());
         assert!(ScenarioFamily::parse("mesh/uniform/q0.1").is_err());
+        // The short form is range-checked at parse, like `ph[uniform:bern1.5]`.
+        for rate in ["r1.5", "rNaN", "r-0.2"] {
+            let err = ScenarioFamily::parse(&format!("mesh/uniform/{rate}")).unwrap_err();
+            assert!(err.to_string().contains("outside [0, 1]"), "{err}");
+        }
     }
 
     #[test]
@@ -1316,11 +1304,11 @@ mod tests {
 
     #[test]
     fn variant_catalog_resolves_all_names() {
-        for name in DQN_VARIANT_NAMES {
+        for (name, _) in DQN_VARIANTS {
             let v = dqn_variant(name).expect("catalog name resolves");
             assert_eq!(v.name, name);
         }
-        assert!(dqn_variant("nope").is_none());
+        assert!(dqn_variant("nope").is_err());
     }
 
     #[test]

@@ -1,13 +1,71 @@
 //! Property-based tests of the self-configuration layer: action-space
-//! totality, encoder boundedness, reward monotonicity, and the zero-cost
-//! guarantee of the fault-injection hook.
+//! totality, encoder boundedness, reward monotonicity, the zero-cost
+//! guarantee of the fault-injection hook, and the name tables.
 
+use noc_selfconf::serve::ErrorCode;
+use noc_selfconf::zoo::{dqn_variant, DQN_VARIANTS};
 use noc_selfconf::{ActionSpace, RewardConfig, StateEncoder, SweepGrid};
 use noc_sim::{
-    FaultEvent, FaultPlan, FaultTarget, NodeId, Port, RoutingAlgorithm, SimConfig, TopologyKind,
-    TrafficPattern, WindowMetrics,
+    FaultEvent, FaultPlan, FaultTarget, InjectionProcess, LengthSpec, NodeId, Port,
+    RoutingAlgorithm, SimConfig, SimResult, SwitchArb, TopologyKind, TrafficPattern, WindowMetrics,
 };
 use proptest::prelude::*;
+
+/// Parse a name and print the parsed value's name back.
+type Reparse = fn(&str) -> SimResult<String>;
+
+/// Every vocabulary: what its errors call it, its plain names, the
+/// synopses of its parameterised forms, and its parser.
+fn vocabularies() -> [(&'static str, Vec<&'static str>, Vec<&'static str>, Reparse); 8] {
+    let synopses = |forms: &[noc_sim::names::Form]| forms.iter().map(|f| f.0).collect();
+    [
+        (
+            "routing",
+            RoutingAlgorithm::NAMED.map(|(n, _)| n).to_vec(),
+            vec![],
+            |s| RoutingAlgorithm::parse(s).map(|v| v.name().into()),
+        ),
+        (
+            "topology",
+            TopologyKind::NAMED.map(|(n, _)| n).to_vec(),
+            vec![],
+            |s| TopologyKind::parse(s).map(|v| v.name().into()),
+        ),
+        (
+            "switch arbitration",
+            SwitchArb::NAMED.map(|(n, _)| n).to_vec(),
+            vec![],
+            |s| SwitchArb::parse(s).map(|v| v.name().into()),
+        ),
+        (
+            "error code",
+            ErrorCode::NAMED.map(|(n, _)| n).to_vec(),
+            vec![],
+            |s| ErrorCode::parse(s).map(|v| v.name().into()),
+        ),
+        (
+            "DQN variant",
+            DQN_VARIANTS.map(|(n, _)| n).to_vec(),
+            vec![],
+            |s| dqn_variant(s).map(|v| v.name),
+        ),
+        (
+            "traffic pattern",
+            TrafficPattern::NAMED.map(|(n, _)| n).to_vec(),
+            synopses(&[TrafficPattern::HOTSPOT]),
+            |s| TrafficPattern::parse(s).map(|v| v.to_string()),
+        ),
+        (
+            "injection process",
+            vec![],
+            synopses(&InjectionProcess::FORMS),
+            |s| InjectionProcess::parse(s).map(|v| v.to_string()),
+        ),
+        ("length spec", vec![], synopses(&LengthSpec::FORMS), |s| {
+            LengthSpec::parse(s).map(|v| v.to_string())
+        }),
+    ]
+}
 
 fn any_metrics(regions: usize) -> impl Strategy<Value = WindowMetrics> {
     (
@@ -198,5 +256,31 @@ proptest! {
         let mut faster = m.clone();
         faster.throughput += 0.1;
         prop_assert!(r.compute(&faster, 64) >= base - 1e-9);
+    }
+
+    /// Every name table round-trips each of its names, and a string that is
+    /// no member gets the one unknown-name error, listing the table.
+    #[test]
+    fn name_tables_round_trip_and_reject_non_members(
+        picks in prop::collection::vec(0usize..38, 0..12),
+    ) {
+        // Upper case, digits, `_` and `-`: no name or form prefix starts
+        // with one of these, and `#` appears in no name.
+        const ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-";
+        let stranger: String = picks.iter().map(|&i| char::from(ALPHABET[i])).collect();
+        for (what, names, synopses, reparse) in vocabularies() {
+            let expected = [names.clone(), synopses].concat().join(", ");
+            let mut strangers = vec![stranger.clone()];
+            for name in &names {
+                prop_assert_eq!(reparse(name), Ok(name.to_string()));
+                strangers.push(format!("{name}#{stranger}"));
+            }
+            for s in strangers {
+                prop_assert_eq!(
+                    reparse(&s).unwrap_err().to_string(),
+                    format!("unknown {what} `{s}` (expected one of: {expected})")
+                );
+            }
+        }
     }
 }

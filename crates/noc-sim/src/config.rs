@@ -10,46 +10,24 @@ use crate::topology::{Topology, TopologyKind};
 use crate::traffic::{TrafficPattern, TrafficSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
-/// Switch-allocation granularity.
-///
-/// `PerFlit` is the historical behavior: every buffered flit competes for
-/// its output port every cycle, so flits of different packets may interleave
-/// on a link (VC ownership still keeps packets apart per VC). `PerPacket`
-/// models true wormhole switch allocation: once a head flit wins an output
-/// port, the port is held for that packet until its tail flit is switched,
-/// exposing head-of-line blocking and long-packet credit dynamics. For
-/// single-flit packets the two modes are byte-identical (every grant is a
-/// head-and-tail, so the hold is acquired and released within one grant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SwitchArb {
-    /// Flit-granular switch allocation (the legacy default).
-    #[default]
-    PerFlit,
-    /// Packet-granular allocation: output ports are held head→tail.
-    PerPacket,
-}
-
-impl SwitchArb {
-    /// Canonical CLI/label name (`perflit` / `perpacket`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SwitchArb::PerFlit => "perflit",
-            SwitchArb::PerPacket => "perpacket",
-        }
-    }
-
-    /// Parse a canonical name (inverse of [`SwitchArb::name`]).
+crate::vocabulary! {
+    /// Switch-allocation granularity.
     ///
-    /// # Errors
-    /// Returns an error for anything but `perflit`/`perpacket`.
-    pub fn parse(s: &str) -> SimResult<SwitchArb> {
-        match s {
-            "perflit" => Ok(SwitchArb::PerFlit),
-            "perpacket" => Ok(SwitchArb::PerPacket),
-            other => Err(SimError::InvalidConfig(format!(
-                "unknown switch arbitration `{other}` (expected perflit|perpacket)"
-            ))),
-        }
+    /// `PerFlit` is the historical behavior: every buffered flit competes for
+    /// its output port every cycle, so flits of different packets may interleave
+    /// on a link (VC ownership still keeps packets apart per VC). `PerPacket`
+    /// models true wormhole switch allocation: once a head flit wins an output
+    /// port, the port is held for that packet until its tail flit is switched,
+    /// exposing head-of-line blocking and long-packet credit dynamics. For
+    /// single-flit packets the two modes are byte-identical (every grant is a
+    /// head-and-tail, so the hold is acquired and released within one grant).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+    pub enum SwitchArb as "switch arbitration" {
+        /// Flit-granular switch allocation (the legacy default).
+        #[default]
+        PerFlit = "perflit",
+        /// Packet-granular allocation: output ports are held head→tail.
+        PerPacket = "perpacket",
     }
 }
 

@@ -31,6 +31,9 @@ pub enum SimError {
     },
     /// A trace or phase schedule is malformed.
     InvalidTrace(String),
+    /// A name that is no member of its vocabulary; the message lists every
+    /// member (see [`crate::names`]).
+    UnknownName(String),
 }
 
 impl fmt::Display for SimError {
@@ -53,6 +56,7 @@ impl fmt::Display for SimError {
                 write!(f, "region {region} out of range for {regions} regions")
             }
             SimError::InvalidTrace(msg) => write!(f, "invalid trace: {msg}"),
+            SimError::UnknownName(msg) => f.write_str(msg),
         }
     }
 }

@@ -42,6 +42,8 @@
 //!   neighbours come from a table built with the network.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
 //!   to injection processes (Bernoulli, bursty, pulsed), plus traces.
+//! * [`names`] — the one name table per vocabulary that label printers,
+//!   parsers and the unknown-name error are read off.
 //! * [`dvfs`] / [`power`] — V/F levels, regions, clock gating, event energy.
 //! * [`fault`] — timed link/router failures, fault-aware rerouting support.
 //! * [`network`] — the router grid, links, injection queues, cycle loop;
@@ -56,6 +58,7 @@ pub mod dvfs;
 pub mod error;
 pub mod fault;
 pub mod flit;
+pub mod names;
 pub mod network;
 pub mod power;
 pub mod routing;

@@ -14,80 +14,50 @@ use crate::fault::LinkState;
 use crate::topology::{Coord, NodeId, Port, Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
 
-/// Selectable routing algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RoutingAlgorithm {
-    /// Dimension-ordered: route fully in X, then in Y. Deadlock-free on mesh.
-    Xy,
-    /// Dimension-ordered: route fully in Y, then in X. Deadlock-free on mesh.
-    Yx,
-    /// Turn model: all westward hops are taken first; afterwards the packet
-    /// routes adaptively among the remaining minimal directions.
-    WestFirst,
-    /// Turn model: northward hops may only be taken last.
-    NorthLast,
-    /// Turn model: hops in negative directions (west, north) are taken first.
-    NegativeFirst,
-    /// Odd-Even adaptive turn model (Chiu, 2000). Restricts where east-north /
-    /// east-south and north-west / south-west turns may occur based on column
-    /// parity, giving deadlock freedom without virtual-channel partitioning.
-    OddEven,
-    /// Wrap-aware dimension-ordered routing for tori. Requires a dateline
-    /// virtual-channel partition for deadlock freedom (handled by the
-    /// router's VC allocator).
-    TorusDor,
-    /// Minimal-adaptive routing for tori: at every hop the packet may
-    /// advance in either dimension (each dimension's direction is the
-    /// wrap-aware minimal one, ties going east/south like [`TorusDor`]),
-    /// layered on the same dateline VC classes. The adaptivity is what makes
-    /// torus link faults survivable: [`route_live`] has an alternative
-    /// minimal port to fall back on. See DESIGN.md §10 for the
-    /// deadlock-freedom discussion.
-    TorusMinAdaptive,
-    /// Table-driven k-shortest-path routing (mesh *and* torus): up to
-    /// [`RoutingTables::K_DEFAULT`] minimal paths are precomputed per
-    /// (src, dst) pair over the currently-live links, a packet's path is
-    /// selected deterministically from its pair, and the network rebuilds
-    /// the tables whenever the live-link set changes. On the mesh the
-    /// enumerated paths obey the West-First turn rule; on the torus they
-    /// stay inside the wrap-aware minimal DAG, deadlock-guarded by the
-    /// dateline VC classes. See DESIGN.md §13.
-    Table,
+crate::vocabulary! {
+    /// Selectable routing algorithm.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum RoutingAlgorithm as "routing" {
+        /// Dimension-ordered: route fully in X, then in Y. Deadlock-free on mesh.
+        Xy = "xy",
+        /// Dimension-ordered: route fully in Y, then in X. Deadlock-free on mesh.
+        Yx = "yx",
+        /// Turn model: all westward hops are taken first; afterwards the packet
+        /// routes adaptively among the remaining minimal directions.
+        WestFirst = "westfirst",
+        /// Turn model: northward hops may only be taken last.
+        NorthLast = "northlast",
+        /// Turn model: hops in negative directions (west, north) are taken first.
+        NegativeFirst = "negfirst",
+        /// Odd-Even adaptive turn model (Chiu, 2000). Restricts where east-north /
+        /// east-south and north-west / south-west turns may occur based on column
+        /// parity, giving deadlock freedom without virtual-channel partitioning.
+        OddEven = "oddeven",
+        /// Wrap-aware dimension-ordered routing for tori. Requires a dateline
+        /// virtual-channel partition for deadlock freedom (handled by the
+        /// router's VC allocator).
+        TorusDor = "torusdor",
+        /// Minimal-adaptive routing for tori: at every hop the packet may
+        /// advance in either dimension (each dimension's direction is the
+        /// wrap-aware minimal one, ties going east/south like [`TorusDor`]),
+        /// layered on the same dateline VC classes. The adaptivity is what makes
+        /// torus link faults survivable: [`route_live`] has an alternative
+        /// minimal port to fall back on. See DESIGN.md §10 for the
+        /// deadlock-freedom discussion.
+        TorusMinAdaptive = "torusmin",
+        /// Table-driven k-shortest-path routing (mesh *and* torus): up to
+        /// [`RoutingTables::K_DEFAULT`] minimal paths are precomputed per
+        /// (src, dst) pair over the currently-live links, a packet's path is
+        /// selected deterministically from its pair, and the network rebuilds
+        /// the tables whenever the live-link set changes. On the mesh the
+        /// enumerated paths obey the West-First turn rule; on the torus they
+        /// stay inside the wrap-aware minimal DAG, deadlock-guarded by the
+        /// dateline VC classes. See DESIGN.md §13.
+        Table = "table",
+    }
 }
 
 impl RoutingAlgorithm {
-    /// Every algorithm paired with its canonical short name — the single
-    /// table behind [`RoutingAlgorithm::name`] and
-    /// [`RoutingAlgorithm::from_name`].
-    pub const NAMED: [(&'static str, RoutingAlgorithm); 9] = [
-        ("xy", RoutingAlgorithm::Xy),
-        ("yx", RoutingAlgorithm::Yx),
-        ("westfirst", RoutingAlgorithm::WestFirst),
-        ("northlast", RoutingAlgorithm::NorthLast),
-        ("negfirst", RoutingAlgorithm::NegativeFirst),
-        ("oddeven", RoutingAlgorithm::OddEven),
-        ("torusdor", RoutingAlgorithm::TorusDor),
-        ("torusmin", RoutingAlgorithm::TorusMinAdaptive),
-        ("table", RoutingAlgorithm::Table),
-    ];
-
-    /// The algorithm's canonical short name.
-    pub fn name(self) -> &'static str {
-        Self::NAMED
-            .iter()
-            .find(|(_, a)| *a == self)
-            .map(|(n, _)| *n)
-            .expect("every algorithm is in NAMED")
-    }
-
-    /// Look up an algorithm by its canonical short name.
-    pub fn from_name(name: &str) -> Option<RoutingAlgorithm> {
-        Self::NAMED
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, a)| *a)
-    }
-
     /// Whether the algorithm may return more than one candidate port
     /// (adaptive) or always exactly one (deterministic/oblivious).
     pub fn is_adaptive(self) -> bool {

@@ -117,38 +117,15 @@ impl fmt::Display for Port {
     }
 }
 
-/// The kind of grid topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TopologyKind {
-    /// 2-D mesh: edge routers have fewer neighbors.
-    Mesh,
-    /// 2-D torus: wrap-around links on every row and column.
-    Torus,
-}
-
-impl TopologyKind {
-    /// Every kind paired with its canonical short name — the single table
-    /// behind [`TopologyKind::name`] and [`TopologyKind::from_name`]. The
-    /// names are the `--topologies` CLI vocabulary and the `/t:<name>` sweep
-    /// label segment.
-    pub const NAMED: [(&'static str, TopologyKind); 2] =
-        [("mesh", TopologyKind::Mesh), ("torus", TopologyKind::Torus)];
-
-    /// The kind's canonical short name.
-    pub fn name(self) -> &'static str {
-        Self::NAMED
-            .iter()
-            .find(|(_, k)| *k == self)
-            .map(|(n, _)| *n)
-            .expect("every kind is in NAMED")
-    }
-
-    /// Look up a kind by its canonical short name.
-    pub fn from_name(name: &str) -> Option<TopologyKind> {
-        Self::NAMED
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, k)| *k)
+crate::vocabulary! {
+    /// The kind of grid topology. Its names are the `--topologies` CLI
+    /// vocabulary and the `/t:<name>` sweep label segment.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+    pub enum TopologyKind as "topology" {
+        /// 2-D mesh: edge routers have fewer neighbors.
+        Mesh = "mesh",
+        /// 2-D torus: wrap-around links on every row and column.
+        Torus = "torus",
     }
 }
 
@@ -445,9 +422,9 @@ mod tests {
     fn topology_kind_names_roundtrip() {
         for (name, kind) in TopologyKind::NAMED {
             assert_eq!(kind.name(), name);
-            assert_eq!(TopologyKind::from_name(name), Some(kind));
+            assert_eq!(TopologyKind::parse(name), Ok(kind));
         }
-        assert_eq!(TopologyKind::from_name("ring"), None);
+        assert!(TopologyKind::parse("ring").is_err());
         assert_eq!(
             Topology::new(TopologyKind::Torus, 4, 4),
             Topology::torus(4, 4)

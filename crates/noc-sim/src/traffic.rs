@@ -21,11 +21,13 @@
 
 use crate::error::{SimError, SimResult};
 use crate::flit::{Packet, PacketId};
+use crate::names::Form;
 use crate::topology::{Coord, NodeId, Topology};
 use crate::trace::PacketTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A destination-selection pattern.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,10 +57,9 @@ pub enum TrafficPattern {
 }
 
 impl TrafficPattern {
-    /// The dataless patterns paired with their canonical short names — the
-    /// single table behind [`TrafficPattern::name`] and
-    /// [`TrafficPattern::from_name`], so parsers and label printers cannot
-    /// drift apart.
+    /// The dataless patterns with their canonical names: with
+    /// [`TrafficPattern::HOTSPOT`], the one table behind the printer
+    /// ([`fmt::Display`]) and [`TrafficPattern::parse`].
     pub const NAMED: [(&'static str, TrafficPattern); 7] = [
         ("uniform", TrafficPattern::Uniform),
         ("transpose", TrafficPattern::Transpose),
@@ -69,65 +70,28 @@ impl TrafficPattern {
         ("neighbor", TrafficPattern::Neighbor),
     ];
 
-    /// The pattern's canonical short name. Hotspot patterns carry their
-    /// parameters (`hotspot5-6f0.3`: nodes 5 and 6, fraction 0.3) in the
-    /// shortest `f64` form that round-trips, so [`TrafficPattern::from_name`]
-    /// parses every emitted name back to an equal pattern.
-    pub fn name(&self) -> String {
-        match self {
-            TrafficPattern::Hotspot { hotspots, fraction } => {
-                // Node ids are part of the name: two hotspot patterns with
-                // different targets must never share a label.
-                let ids: Vec<String> = hotspots.iter().map(|n| n.0.to_string()).collect();
-                format!("hotspot{}f{fraction}", ids.join("-"))
-            }
-            dataless => Self::NAMED
-                .iter()
-                .find(|(_, p)| p == dataless)
-                .map(|(n, _)| (*n).to_string())
-                .expect("every dataless pattern is in NAMED"),
-        }
-    }
+    /// The hotspot form, e.g. `hotspot5-6f0.3`: nodes 5 and 6, fraction 0.3.
+    /// Node ids are part of the name, so two hotspot patterns with
+    /// different targets never share a label.
+    pub const HOTSPOT: Form = Form("hotspot<id>-…f<fraction>");
 
-    /// Parse a canonical pattern name: a dataless name from
-    /// [`TrafficPattern::NAMED`], or a parameterized hotspot label
-    /// (`hotspot<id>-<id>-...f<fraction>`). Inverse of
-    /// [`TrafficPattern::name`].
-    pub fn from_name(name: &str) -> Option<TrafficPattern> {
-        if let Some(rest) = name.strip_prefix("hotspot") {
-            // `<ids>f<fraction>`: ids are '-'-separated integers, so the
-            // first 'f' unambiguously starts the fraction.
-            let (ids, fraction) = rest.split_once('f')?;
-            let hotspots = ids
-                .split('-')
-                .map(|s| s.parse::<usize>().ok().map(NodeId))
-                .collect::<Option<Vec<NodeId>>>()?;
-            let fraction = fraction.parse::<f64>().ok()?;
-            return Some(TrafficPattern::Hotspot { hotspots, fraction });
-        }
-        Self::NAMED
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| p.clone())
-    }
-
-    /// Parse a canonical pattern name ([`TrafficPattern::from_name`]) with a
-    /// diagnostic listing the valid grammar — the one error message the CLI
-    /// and the workload grammar share. The parsed pattern is shape-checked.
+    /// Parse a canonical pattern name (the inverse of [`fmt::Display`]).
+    /// The parsed pattern is shape-checked.
     ///
     /// # Errors
     /// Returns an error for unknown names or out-of-range parameters.
-    pub fn parse(name: &str) -> SimResult<TrafficPattern> {
-        let pattern = Self::from_name(name).ok_or_else(|| {
-            let names: Vec<&str> = Self::NAMED.iter().map(|(n, _)| *n).collect();
-            SimError::InvalidConfig(format!(
-                "unknown traffic pattern `{name}` (expected one of: {}, or \
-                 hotspot<id>-<id>f<fraction>)",
-                names.join(", ")
-            ))
-        })?;
-        pattern.shape_check()?;
-        Ok(pattern)
+    pub fn parse(s: &str) -> SimResult<TrafficPattern> {
+        if let Some((_, pattern)) = Self::NAMED.iter().find(|(name, _)| *name == s) {
+            return Ok(pattern.clone());
+        }
+        let names = Self::NAMED.map(|(name, _)| name);
+        let f = Form::parse("traffic pattern", &names, &[Self::HOTSPOT], s)?;
+        let hotspots = f.list(0)?.into_iter().map(NodeId).collect();
+        let fraction = f.get(1)?;
+        f.checked(
+            TrafficPattern::Hotspot { hotspots, fraction },
+            Self::shape_check,
+        )
     }
 
     /// Topology-independent parameter checks (hotspot list non-empty,
@@ -239,6 +203,29 @@ impl TrafficPattern {
     }
 }
 
+impl fmt::Display for TrafficPattern {
+    /// Hotspot fractions print in the shortest `f64` form that round-trips,
+    /// so [`TrafficPattern::parse`] inverts this exactly.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrafficPattern::Hotspot { hotspots, fraction } => {
+                let ids = fmt::from_fn(|f| {
+                    for (i, node) in hotspots.iter().enumerate() {
+                        write!(f, "{}{}", if i == 0 { "" } else { "-" }, node.0)?;
+                    }
+                    Ok(())
+                });
+                Self::HOTSPOT.write(f, &[&ids, fraction])
+            }
+            dataless => {
+                let (name, _) = (Self::NAMED.iter().find(|(_, p)| p == dataless))
+                    .expect("every dataless pattern is in NAMED");
+                f.write_str(name)
+            }
+        }
+    }
+}
+
 /// How packets are offered over time at each source node. All rates are in
 /// flits per node per cycle; the generator converts them to per-cycle packet
 /// probabilities by dividing by the packet length.
@@ -276,63 +263,35 @@ pub enum InjectionProcess {
 }
 
 impl InjectionProcess {
-    /// Canonical label, e.g. `bern0.1`, `burst0.3x0.05`, `pulse0.4x100x20`.
-    /// Rates render in the shortest `f64` form that round-trips, so
-    /// [`InjectionProcess::parse`] inverts this exactly.
-    pub fn label(&self) -> String {
-        match self {
-            InjectionProcess::Bernoulli { rate } => format!("bern{rate}"),
-            InjectionProcess::Bursty { rate_on, switch } => format!("burst{rate_on}x{switch}"),
-            InjectionProcess::Periodic { rate, period, on } => {
-                format!("pulse{rate}x{period}x{on}")
-            }
-        }
-    }
+    /// The process forms, in variant order: e.g. `bern0.1`,
+    /// `burst0.3x0.05`, `pulse0.4x100x20`.
+    pub const FORMS: [Form; 3] = [
+        Form("bern<rate>"),
+        Form("burst<rate_on>x<switch>"),
+        Form("pulse<rate>x<period>x<on>"),
+    ];
 
-    /// Parse a canonical process label (inverse of
-    /// [`InjectionProcess::label`]). The parsed process is range-checked.
+    /// Parse a canonical process label (the inverse of [`fmt::Display`]).
+    /// The parsed process is range-checked.
     ///
     /// # Errors
     /// Returns an error for unknown process names, malformed numbers, or
     /// out-of-range parameters.
     pub fn parse(s: &str) -> SimResult<InjectionProcess> {
-        let bad = |why: String| SimError::InvalidConfig(format!("injection process `{s}`: {why}"));
-        let num = |v: &str, what: &str| {
-            v.parse::<f64>()
-                .map_err(|e| bad(format!("bad {what} `{v}`: {e}")))
+        let f = Form::parse("injection process", &[], &Self::FORMS, s)?;
+        let process = match f.form {
+            0 => Self::Bernoulli { rate: f.get(0)? },
+            1 => Self::Bursty {
+                rate_on: f.get(0)?,
+                switch: f.get(1)?,
+            },
+            _ => Self::Periodic {
+                rate: f.get(0)?,
+                period: f.get(1)?,
+                on: f.get(2)?,
+            },
         };
-        let int = |v: &str, what: &str| {
-            v.parse::<u64>()
-                .map_err(|e| bad(format!("bad {what} `{v}`: {e}")))
-        };
-        let process = if let Some(rest) = s.strip_prefix("bern") {
-            InjectionProcess::Bernoulli {
-                rate: num(rest, "rate")?,
-            }
-        } else if let Some(rest) = s.strip_prefix("burst") {
-            let (rate_on, switch) = rest
-                .split_once('x')
-                .ok_or_else(|| bad("expected burst<rate_on>x<switch>".into()))?;
-            InjectionProcess::Bursty {
-                rate_on: num(rate_on, "rate_on")?,
-                switch: num(switch, "switch")?,
-            }
-        } else if let Some(rest) = s.strip_prefix("pulse") {
-            let mut it = rest.splitn(3, 'x');
-            let (rate, period, on) = match (it.next(), it.next(), it.next()) {
-                (Some(r), Some(p), Some(o)) => (r, p, o),
-                _ => return Err(bad("expected pulse<rate>x<period>x<on>".into())),
-            };
-            InjectionProcess::Periodic {
-                rate: num(rate, "rate")?,
-                period: int(period, "period")?,
-                on: int(on, "on")?,
-            }
-        } else {
-            return Err(bad("expected bern…, burst…, or pulse…".into()));
-        };
-        process.validate().map_err(|e| bad(e.to_string()))?;
-        Ok(process)
+        f.checked(process, Self::validate)
     }
 
     /// Check parameter ranges (topology-independent).
@@ -385,6 +344,18 @@ impl InjectionProcess {
     }
 }
 
+impl fmt::Display for InjectionProcess {
+    /// Rates print in the shortest `f64` form that round-trips, so
+    /// [`InjectionProcess::parse`] inverts this exactly.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Bernoulli { rate } => Self::FORMS[0].write(f, &[rate]),
+            Self::Bursty { rate_on, switch } => Self::FORMS[1].write(f, &[rate_on, switch]),
+            Self::Periodic { rate, period, on } => Self::FORMS[2].write(f, &[rate, period, on]),
+        }
+    }
+}
+
 /// Packet-length distribution of a workload phase.
 ///
 /// Labels (the `len…` segment of the phase grammar): `len4` (fixed 4
@@ -424,58 +395,34 @@ impl LengthSpec {
         LengthSpec::Fixed { flits }
     }
 
-    /// Canonical label, e.g. `len4`, `lenU1-8`, `lenB1-8p20`.
-    pub fn label(&self) -> String {
-        match self {
-            LengthSpec::Fixed { flits } => format!("len{flits}"),
-            LengthSpec::Uniform { min, max } => format!("lenU{min}-{max}"),
-            LengthSpec::Bimodal {
-                short,
-                long,
-                long_pct,
-            } => format!("lenB{short}-{long}p{long_pct}"),
-        }
-    }
+    /// The length forms, in variant order: e.g. `len4`, `lenU1-8`,
+    /// `lenB1-8p20`.
+    pub const FORMS: [Form; 3] = [
+        Form("len<flits>"),
+        Form("lenU<min>-<max>"),
+        Form("lenB<short>-<long>p<pct>"),
+    ];
 
-    /// Parse a canonical length label (inverse of [`LengthSpec::label`]).
+    /// Parse a canonical length label (the inverse of [`fmt::Display`]).
     ///
     /// # Errors
-    /// Returns an error for anything but `len<n>`, `lenU<min>-<max>`, or
-    /// `lenB<short>-<long>p<pct>` with in-range parameters.
+    /// Returns an error for anything but one of [`LengthSpec::FORMS`] with
+    /// in-range parameters.
     pub fn parse(s: &str) -> SimResult<LengthSpec> {
-        let bad = |why: String| SimError::InvalidConfig(format!("length spec `{s}`: {why}"));
-        let num = |part: &str| -> SimResult<u32> {
-            part.parse()
-                .map_err(|e| bad(format!("bad number `{part}`: {e}")))
+        let f = Form::parse("length spec", &[], &Self::FORMS, s)?;
+        let spec = match f.form {
+            0 => Self::Fixed { flits: f.get(0)? },
+            1 => Self::Uniform {
+                min: f.get(0)?,
+                max: f.get(1)?,
+            },
+            _ => Self::Bimodal {
+                short: f.get(0)?,
+                long: f.get(1)?,
+                long_pct: f.get(2)?,
+            },
         };
-        let rest = s
-            .strip_prefix("len")
-            .ok_or_else(|| bad("expected len<n>, lenU<min>-<max>, or lenB<s>-<l>p<pct>".into()))?;
-        let spec = if let Some(rest) = rest.strip_prefix('U') {
-            let (min, max) = rest
-                .split_once('-')
-                .ok_or_else(|| bad("uniform form is lenU<min>-<max>".into()))?;
-            LengthSpec::Uniform {
-                min: num(min)?,
-                max: num(max)?,
-            }
-        } else if let Some(rest) = rest.strip_prefix('B') {
-            let (lens, pct) = rest
-                .split_once('p')
-                .ok_or_else(|| bad("bimodal form is lenB<short>-<long>p<pct>".into()))?;
-            let (short, long) = lens
-                .split_once('-')
-                .ok_or_else(|| bad("bimodal form is lenB<short>-<long>p<pct>".into()))?;
-            LengthSpec::Bimodal {
-                short: num(short)?,
-                long: num(long)?,
-                long_pct: num(pct)?,
-            }
-        } else {
-            LengthSpec::Fixed { flits: num(rest)? }
-        };
-        spec.validate()?;
-        Ok(spec)
+        f.checked(spec, Self::validate)
     }
 
     /// Check parameter ranges.
@@ -537,6 +484,20 @@ impl LengthSpec {
     }
 }
 
+impl fmt::Display for LengthSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Fixed { flits } => Self::FORMS[0].write(f, &[flits]),
+            Self::Uniform { min, max } => Self::FORMS[1].write(f, &[min, max]),
+            Self::Bimodal {
+                short,
+                long,
+                long_pct,
+            } => Self::FORMS[2].write(f, &[short, long, long_pct]),
+        }
+    }
+}
+
 /// One phase of a workload: a destination pattern driven by an injection
 /// process for `cycles` cycles (`0` = hold forever; only valid on the final
 /// phase), with an optional per-phase packet-length distribution.
@@ -586,20 +547,6 @@ impl WorkloadPhase {
             .as_ref()
             .map_or(f64::from(default_len), LengthSpec::mean_flits)
     }
-
-    /// Canonical phase label: `<pattern>:<process>[:<len…>]` with
-    /// `@<cycles>` appended for bounded phases.
-    pub fn label(&self) -> String {
-        let mut s = format!("{}:{}", self.pattern.name(), self.process.label());
-        if let Some(length) = &self.length {
-            s.push(':');
-            s.push_str(&length.label());
-        }
-        if self.cycles > 0 {
-            s.push_str(&format!("@{}", self.cycles));
-        }
-        s
-    }
 }
 
 /// A composable workload: ordered [`WorkloadPhase`]s. If every phase is
@@ -628,13 +575,11 @@ impl WorkloadSpec {
         WorkloadSpec::stationary(pattern, InjectionProcess::Bernoulli { rate })
     }
 
-    /// Canonical label: phase labels joined with `|` inside `ph[…]`, e.g.
-    /// `ph[uniform:bern0.1@5000|tornado:burst0.3x0.05@5000]`.
-    /// [`WorkloadSpec::parse`] inverts this exactly; sweep scenario labels,
-    /// CLI flags, and report keys all use this one grammar.
+    /// Canonical label (see [`fmt::Display`]). [`WorkloadSpec::parse`]
+    /// inverts this exactly; sweep scenario labels, CLI flags, and report
+    /// keys all use this one grammar.
     pub fn label(&self) -> String {
-        let phases: Vec<String> = self.phases.iter().map(WorkloadPhase::label).collect();
-        format!("ph[{}]", phases.join("|"))
+        self.to_string()
     }
 
     /// Parse a canonical workload label (inverse of [`WorkloadSpec::label`]).
@@ -656,21 +601,15 @@ impl WorkloadSpec {
             })?;
         let mut phases = Vec::new();
         for part in inner.split('|') {
-            let (pattern, rest) = part.split_once(':').ok_or_else(|| {
-                SimError::InvalidConfig(format!(
-                    "workload phase `{part}`: expected <pattern>:<process>[:len…][@cycles]"
-                ))
-            })?;
+            let bad = |why| SimError::InvalidConfig(format!("workload phase `{part}`: {why}"));
+            let (pattern, rest) = (part.split_once(':'))
+                .ok_or_else(|| bad("expected <pattern>:<process>[:len…][@cycles]".into()))?;
             let pattern = TrafficPattern::parse(pattern)?;
             let (rest, cycles) = match rest.split_once('@') {
-                Some((rest, cycles)) => {
-                    let cycles: u64 = cycles.parse().map_err(|e| {
-                        SimError::InvalidConfig(format!(
-                            "workload phase `{part}`: bad duration `{cycles}`: {e}"
-                        ))
-                    })?;
-                    (rest, cycles)
-                }
+                Some((rest, c)) => match c.parse::<u64>() {
+                    Ok(cycles) => (rest, cycles),
+                    Err(e) => return Err(bad(format!("bad duration `{c}`: {e}"))),
+                },
                 None => (rest, 0),
             };
             // Process labels never contain `:`, so a second colon can only
@@ -680,9 +619,12 @@ impl WorkloadSpec {
                 None => (rest, None),
             };
             let process = InjectionProcess::parse(process)?;
-            let mut phase = WorkloadPhase::new(pattern, process, cycles);
-            phase.length = length;
-            phases.push(phase);
+            phases.push(WorkloadPhase {
+                pattern,
+                process,
+                cycles,
+                length,
+            });
         }
         let spec = WorkloadSpec::new(phases);
         spec.shape_check()?;
@@ -787,6 +729,26 @@ impl WorkloadSpec {
                     / total as f64
             }
         }
+    }
+}
+
+impl fmt::Display for WorkloadSpec {
+    /// `ph[<phase>|…]`, each phase `<pattern>:<process>[:<len>]` with
+    /// `@<cycles>` appended when bounded, e.g.
+    /// `ph[uniform:bern0.1@5000|tornado:burst0.3x0.05@5000]`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ph[")?;
+        for (i, p) in self.phases.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "|" };
+            write!(f, "{sep}{}:{}", p.pattern, p.process)?;
+            if let Some(length) = &p.length {
+                write!(f, ":{length}")?;
+            }
+            if p.cycles > 0 {
+                write!(f, "@{}", p.cycles)?;
+            }
+        }
+        f.write_str("]")
     }
 }
 
@@ -1168,26 +1130,25 @@ mod tests {
     #[test]
     fn pattern_names_roundtrip() {
         for (name, pattern) in TrafficPattern::NAMED {
-            assert_eq!(pattern.name(), name);
-            assert_eq!(TrafficPattern::from_name(name), Some(pattern));
+            assert_eq!(pattern.to_string(), name);
+            assert_eq!(TrafficPattern::parse(name).unwrap(), pattern);
         }
-        // Hotspot labels carry their parameters and parse back (the former
-        // name/from_name asymmetry).
+        // Hotspot labels carry their parameters and parse back.
         let p = TrafficPattern::Hotspot {
             hotspots: vec![NodeId(5), NodeId(6)],
             fraction: 0.3,
         };
-        assert_eq!(p.name(), "hotspot5-6f0.3");
-        assert_eq!(TrafficPattern::from_name(&p.name()), Some(p));
+        assert_eq!(p.to_string(), "hotspot5-6f0.3");
+        assert_eq!(TrafficPattern::parse(&p.to_string()).unwrap(), p);
         let single = TrafficPattern::Hotspot {
             hotspots: vec![NodeId(0)],
             fraction: 0.125,
         };
-        assert_eq!(TrafficPattern::from_name(&single.name()), Some(single));
-        assert_eq!(TrafficPattern::from_name("hotspot"), None);
-        assert_eq!(TrafficPattern::from_name("hotspotf0.5"), None);
-        assert_eq!(TrafficPattern::from_name("hotspot1-xf0.5"), None);
-        assert_eq!(TrafficPattern::from_name("mystery"), None);
+        assert_eq!(TrafficPattern::parse(&single.to_string()).unwrap(), single);
+        assert!(TrafficPattern::parse("hotspot").is_err());
+        assert!(TrafficPattern::parse("hotspotf0.5").is_err());
+        assert!(TrafficPattern::parse("hotspot1-xf0.5").is_err());
+        assert!(TrafficPattern::parse("mystery").is_err());
     }
 
     #[test]
@@ -1234,7 +1195,7 @@ mod tests {
             },
         ];
         for p in processes {
-            let label = p.label();
+            let label = p.to_string();
             assert_eq!(InjectionProcess::parse(&label).unwrap(), p, "{label}");
         }
         assert_eq!(
@@ -1242,7 +1203,7 @@ mod tests {
                 rate_on: 0.3,
                 switch: 0.05
             }
-            .label(),
+            .to_string(),
             "burst0.3x0.05"
         );
         assert!(InjectionProcess::parse("bern1.5").is_err());
@@ -1627,6 +1588,111 @@ mod tests {
         assert!(TrafficSpec::Trace(trace).validate(&t).is_err());
     }
 
+    /// Every rejection of the label grammar: the parser, the malformed
+    /// label, and a fragment of its message, which never repeats the
+    /// `invalid configuration:` prefix.
+    #[test]
+    fn malformed_labels_are_rejected() {
+        type Parse = fn(&str) -> SimResult<()>;
+        let pattern: Parse = |s| TrafficPattern::parse(s).map(drop);
+        let process: Parse = |s| InjectionProcess::parse(s).map(drop);
+        let length: Parse = |s| LengthSpec::parse(s).map(drop);
+        let workload: Parse = |s| WorkloadSpec::parse(s).map(drop);
+        let corpus: [(Parse, &str, &str); 27] = [
+            (
+                pattern,
+                "mystery",
+                "unknown traffic pattern `mystery` (expected one of: uniform, transpose, \
+                 bitcomp, bitrev, shuffle, tornado, neighbor, hotspot<id>-…f<fraction>)",
+            ),
+            (pattern, "hotspot", "expected hotspot<id>-…f<fraction>"),
+            (pattern, "hotspotf0.5", "bad id ``"),
+            (pattern, "hotspot1-xf0.5", "bad id `x`"),
+            (
+                pattern,
+                "hotspot0f1.5",
+                "`hotspot0f1.5`: hotspot fraction 1.5",
+            ),
+            (process, "bern1.5", "`bern1.5`: injection rate 1.5 outside"),
+            (process, "bernx", "bad rate `x`"),
+            (process, "burst0.3", "expected burst<rate_on>x<switch>"),
+            (process, "burst0.3x0", "burst switch probability 0 outside"),
+            (
+                process,
+                "pulse0.3x100",
+                "expected pulse<rate>x<period>x<on>",
+            ),
+            (process, "pulse0.3x100x200", "pulse window 200/100"),
+            (
+                process,
+                "poisson0.1",
+                "unknown injection process `poisson0.1` (expected one of: bern<rate>, \
+                 burst<rate_on>x<switch>, pulse<rate>x<period>x<on>)",
+            ),
+            (length, "lenU4", "expected lenU<min>-<max>"),
+            (length, "lenB1-8", "expected lenB<short>-<long>p<pct>"),
+            (length, "len0", "`len0`: packet length must be positive"),
+            (
+                length,
+                "flits4",
+                "unknown length spec `flits4` (expected one of: len<flits>, \
+                 lenU<min>-<max>, lenB<short>-<long>p<pct>)",
+            ),
+            (
+                workload,
+                "uniform:bern0.1",
+                "expected ph[<phase>|<phase>|…]",
+            ),
+            (
+                workload,
+                "ph[]",
+                "workload phase ``: expected <pattern>:<process>",
+            ),
+            (
+                workload,
+                "ph[uniform]",
+                "workload phase `uniform`: expected",
+            ),
+            (workload, "ph[uniform:bern0.1@x]", "bad duration `x`"),
+            (
+                workload,
+                "ph[mystery:bern0.1]",
+                "unknown traffic pattern `mystery`",
+            ),
+            (workload, "ph[hotspot0f1.5:bern0.1]", "hotspot fraction 1.5"),
+            (
+                workload,
+                "ph[uniform:bern1.5]",
+                "`bern1.5`: injection rate 1.5",
+            ),
+            (
+                workload,
+                "ph[uniform:bern0.1:len0]",
+                "packet length must be positive",
+            ),
+            (
+                workload,
+                "ph[uniform:bern0.1:bogus]",
+                "unknown length spec `bogus`",
+            ),
+            (
+                workload,
+                "ph[uniform:bern0.1|tornado:bern0.2@100]",
+                "phase 0 has zero duration but is not the final phase",
+            ),
+            (
+                workload,
+                "ph[uniform:poisson0.1]",
+                "unknown injection process",
+            ),
+        ];
+        for (parse, label, message) in corpus {
+            let err = parse(label).expect_err(label).to_string();
+            assert!(err.contains(message), "{label}: {err}");
+            assert!(err.matches("invalid configuration:").count() <= 1, "{err}");
+        }
+    }
+
     #[test]
     fn length_spec_labels_round_trip() {
         let specs = [
@@ -1639,18 +1705,21 @@ mod tests {
             },
         ];
         for spec in specs {
-            let label = spec.label();
+            let label = spec.to_string();
             assert_eq!(LengthSpec::parse(&label).unwrap(), spec, "{label}");
         }
-        assert_eq!(LengthSpec::fixed(4).label(), "len4");
-        assert_eq!(LengthSpec::Uniform { min: 1, max: 8 }.label(), "lenU1-8");
+        assert_eq!(LengthSpec::fixed(4).to_string(), "len4");
+        assert_eq!(
+            LengthSpec::Uniform { min: 1, max: 8 }.to_string(),
+            "lenU1-8"
+        );
         assert_eq!(
             LengthSpec::Bimodal {
                 short: 1,
                 long: 8,
                 long_pct: 20
             }
-            .label(),
+            .to_string(),
             "lenB1-8p20"
         );
     }

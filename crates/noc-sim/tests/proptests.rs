@@ -4,16 +4,17 @@ use noc_sim::dvfs::ClockGate;
 use noc_sim::flit::PacketId;
 use noc_sim::routing::walk_route;
 use noc_sim::{
-    InjectionProcess, NodeId, Packet, RoutingAlgorithm, SimConfig, Simulator, StatsCollector,
-    Topology, TopologyKind, TrafficPattern, WorkloadPhase, WorkloadSpec,
+    InjectionProcess, LengthSpec, NodeId, Packet, RoutingAlgorithm, SimConfig, Simulator,
+    StatsCollector, Topology, TopologyKind, TrafficPattern, WorkloadPhase, WorkloadSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Draw an arbitrary *valid* workload spec: 1–4 phases over every pattern
-/// flavor (hotspot parameters included) and every injection process, with
-/// full-range `f64` parameters and an optional unbounded final phase.
+/// flavor (hotspot parameters included), every injection process and every
+/// length form (or none), with full-range parameters and an optional
+/// unbounded final phase.
 fn arb_workload(seed: u64) -> WorkloadSpec {
     let mut r = StdRng::seed_from_u64(seed);
     let n = r.gen_range(1usize..5);
@@ -46,12 +47,36 @@ fn arb_workload(seed: u64) -> WorkloadSpec {
                     }
                 }
             };
+            let length = match r.gen_range(0usize..4) {
+                0 => None,
+                1 => Some(LengthSpec::Fixed {
+                    flits: r.gen_range(1u32..=u32::MAX),
+                }),
+                2 => {
+                    let min = r.gen_range(1u32..=u32::MAX);
+                    let max = r.gen_range(min..=u32::MAX);
+                    Some(LengthSpec::Uniform { min, max })
+                }
+                _ => {
+                    let short = r.gen_range(1u32..=u32::MAX);
+                    Some(LengthSpec::Bimodal {
+                        short,
+                        long: r.gen_range(short..=u32::MAX),
+                        long_pct: r.gen_range(0u32..=100),
+                    })
+                }
+            };
             let cycles = if i + 1 == n && r.gen::<bool>() {
                 0 // unbounded terminal hold
             } else {
                 r.gen_range(1u64..100_000)
             };
-            WorkloadPhase::new(pattern, process, cycles)
+            WorkloadPhase {
+                pattern,
+                process,
+                cycles,
+                length,
+            }
         })
         .collect();
     WorkloadSpec::new(phases)
