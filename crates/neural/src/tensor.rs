@@ -104,19 +104,7 @@ impl Matrix {
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(&self.data, self.cols, 1, self.cols, rhs, &mut out);
         out
     }
 
@@ -127,19 +115,7 @@ impl Matrix {
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "t_matmul row mismatch");
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for r in 0..self.rows {
-            let arow = &self.data[r * self.cols..(r + 1) * self.cols];
-            let brow = &rhs.data[r * rhs.cols..(r + 1) * rhs.cols];
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(&self.data, 1, self.cols, self.rows, rhs, &mut out);
         out
     }
 
@@ -214,6 +190,59 @@ impl Matrix {
     }
 }
 
+/// Output columns in one [`gemm`] register block: eight 4-lane accumulators.
+const NR: usize = 32;
+
+/// `out = A × b`, where `A(i, p)` is `a[i * row_stride + p * col_stride]`
+/// for `p < k`: the one kernel behind every product.
+///
+/// Each output row first gathers its nonzero `A(i, p)`, in ascending `p`,
+/// into a list — branch-free: every slot is written, and kept only if its
+/// value is nonzero — then folds `v · b[p][j]` over that list into each
+/// output column from `+0.0`. That is the naive ascending-`p` fold minus its
+/// `±0.0` addends, which leave an accumulator started at `+0.0` unchanged,
+/// so every element is bit-identical to it. A zero in `A` never multiplies
+/// anything, so an `inf` or `NaN` in `b` behind it stays out of the result.
+fn gemm(a: &[f32], row_stride: usize, col_stride: usize, k: usize, b: &Matrix, out: &mut Matrix) {
+    let n = b.cols;
+    let mut list = vec![(0usize, 0.0f32); k];
+    for (i, orow) in out.data.chunks_exact_mut(n).enumerate() {
+        let mut len = 0;
+        for p in 0..k {
+            let v = a[i * row_stride + p * col_stride];
+            list[len] = (p * n, v);
+            len += (v != 0.0) as usize;
+        }
+        let list = &list[..len];
+        match n {
+            NR.. => fold::<NR>(list, &b.data, orow),
+            8.. => fold::<8>(list, &b.data, orow),
+            4.. => fold::<4>(list, &b.data, orow),
+            _ => fold::<1>(list, &b.data, orow),
+        }
+    }
+}
+
+/// One [`gemm`] output row in `W`-column register blocks: column `j` is the
+/// sum over `(off, v)` in `list`, in order, of `v · b[off + j]`, folded from
+/// `+0.0`. A row that is not a multiple of `W` wide ends on a block shifted
+/// left to end at its last column; the columns two blocks share are folded
+/// twice, to the same bits.
+#[inline(always)]
+fn fold<const W: usize>(list: &[(usize, f32)], b: &[f32], orow: &mut [f32]) {
+    let n = orow.len();
+    for j in (0..n).step_by(W) {
+        let j = j.min(n - W);
+        let mut acc = [0.0f32; W];
+        for &(off, v) in list {
+            for (s, &x) in acc.iter_mut().zip(&b[off + j..off + j + W]) {
+                *s += v * x;
+            }
+        }
+        orow[j..j + W].copy_from_slice(&acc);
+    }
+}
+
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -266,6 +295,18 @@ pub(crate) mod tests {
         let a = m(2, 3, &[1.0, -2.0, 0.5, 3.0, 4.0, -1.0]);
         let b = m(4, 3, &(0..12).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
         assert_eq!(a.matmul_t(&b), a.matmul(&b.transpose()));
+    }
+
+    #[test]
+    fn zero_activation_adds_nothing_against_inf_or_nan_weights() {
+        // `0 · inf` and `0 · NaN` are NaN: a zero in the left operand, of
+        // either sign, must leave its products out rather than multiply.
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let a = m(1, 3, &[0.0, 2.0, -0.0]);
+        let b = m(3, 2, &[inf, nan, 1.0, -3.0, nan, -inf]);
+        assert_eq!(a.matmul(&b).as_slice(), &[2.0, -6.0]);
+        assert_eq!(a.transpose().t_matmul(&b).as_slice(), &[2.0, -6.0]);
+        assert_eq!(a.matmul_t(&b.transpose()).as_slice(), &[2.0, -6.0]);
     }
 
     #[test]

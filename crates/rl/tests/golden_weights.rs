@@ -17,7 +17,9 @@ const STATE_DIM: usize = 20;
 const NUM_ACTIONS: usize = 5;
 const TRAIN_STEPS: u64 = 200;
 
-/// The zoo's `wide` shape at the benchmark's `learn_4x4` sizes.
+/// The zoo's `wide` hidden layers (128, 64), at a 20-input, 5-action
+/// shape of this file's own; the benchmark's `learn_4x4` trains them at
+/// 17-128-64-11 (a 4x4 fabric: 3·4 + 5 state features, 11 actions).
 fn wide(seed: u64) -> DqnConfig {
     DqnConfig {
         hidden: vec![128, 64],
