@@ -25,29 +25,39 @@
 //! router counts what it did in its own `NodeWork` slot — one more
 //! per-router array, carved into tiles like the rest — and a serial commit
 //! phase prices the slots in node order, which is the same sequence of
-//! float additions into the dynamic-energy and leakage sums (the only
-//! order-sensitive ones) wherever the tile bounds fall. Every partition
-//! count, including 1, runs this same count-and-price path, so the
-//! partition knob cannot perturb results: reports are byte-identical across
-//! `partitions` ∈ {1, 2, 4, ...} (pinned by the differential tests in
-//! `tests/partitions.rs`).
+//! float additions into the dynamic-energy sum wherever the tile bounds
+//! fall; leakage, the other order-sensitive sum, is priced serially in node
+//! order too. Every partition count, including 1, runs this same
+//! count-and-price path, so the partition knob cannot perturb results:
+//! reports are byte-identical across `partitions` ∈ {1, 2, 4, ...} (pinned
+//! by the differential tests in `tests/partitions.rs`).
 //!
 //! # Active-router worklist
 //!
-//! The per-node loop skips routers that are provably inert this cycle: no
-//! buffered flits and no source-queue backlog. Such a node's entire serial
-//! effect is one leakage record and (possibly) a clock-gate phase advance —
-//! it cannot inject, route, or move anything. A skipped node writes nothing:
-//! its untouched (`Idle`) `NodeWork` slot is the leakage record the commit
-//! phase prices exactly as a full walk's, and gate ticks are elided only
-//! while every gate provably sits at its zero-phase fixpoint
-//! (nominal frequency since reset — the `gates_pristine` flag), so reports
-//! stay byte-identical. A delivery, injection, or fault event lands a node
-//! back in the active set no later than the cycle it must act on it:
-//! deliveries and offered packets raise `occ`/backlog at commit time, and
-//! dead routers are handled before the idle test. A forced step-everyone
-//! mode ([`Network::set_step_all`]) drives the differential tests that pin
-//! the equivalence.
+//! The network keeps one bit per router, set iff the router has buffered
+//! flits or source backlog; every other router is provably inert — it
+//! cannot inject, route, or move anything. Three writers keep the set exact
+//! between cycles: [`Network::offer`] sets a source's bit, each committed
+//! delivery sets its receiver's, and the commit phase clears the bit of a
+//! router whose own step drained it (its `NodeWork` slot's `drained` flag);
+//! a fault purge, which empties buffers outside any router's step, rebuilds
+//! the set from the buffers. The per-node phase visits only set bits while
+//! every clock gate sits at its zero-phase fixpoint (nominal frequency
+//! since reset — the `gates_pristine` flag); off it, every live gate must
+//! tick every cycle, so one dense pass visits the set bits and ticks the
+//! rest. Dynamic pricing, the occupancy and region samples and
+//! [`Network::backlog`] walk only set bits, since an idle router adds
+//! nothing to any of them.
+//!
+//! Leakage is the one per-router cost left: one f64 add per router per
+//! cycle, in node order, as byte identity requires. Each router's `[idle,
+//! busy]` term (both `0.0` once it is dead) is recomputed only when an
+//! effective level or the fault set changes, and the pass reads the term
+//! its start-of-cycle bit selects. A forced step-everyone mode
+//! ([`Network::set_step_all`]) visits every router and prices leakage by
+//! classifying each from its own buffers; the differential tests pin the
+//! two modes byte-identical, and the end of every debug-build step checks
+//! the set against a full walk.
 
 use crate::config::{SimConfig, SwitchArb};
 use crate::dvfs::{ClockGate, RegionMap, ThrottleEvent, VfTable};
@@ -56,7 +66,7 @@ use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Packet, PacketId};
 use crate::power::{PowerEvent, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
-use crate::soa::{FabricState, FabricTile, NodeState, NodeWork, RouterCtx, TileOutbox};
+use crate::soa::{FabricState, FabricTile, RouterCtx, TileOutbox};
 use crate::stats::StatsCollector;
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
 use std::cell::UnsafeCell;
@@ -160,16 +170,19 @@ pub struct Network {
     throttles: Vec<ThrottleEvent>,
     /// Neighbour per node and cardinal port ([`Topology::neighbor_table`]).
     neighbors: Vec<[u32; 4]>,
-    /// Outgoing link count per node, for leakage accounting.
-    links_out: Vec<usize>,
     /// Region index per node (precomputed once; the cycle loop needs it for
-    /// every node every cycle).
+    /// every active node every cycle).
     region_by_node: Vec<usize>,
     /// Dynamic-energy multiplier per region at its current effective level,
     /// recomputed only when an effective level changes.
     region_dynamic_scale: Vec<f64>,
-    /// Leakage multiplier per region at its current effective level.
-    region_leakage_scale: Vec<f64>,
+    /// One cycle of leakage per router, `[idle, busy]`, at its region's
+    /// effective level (`0.0` for a dead router), recomputed only when an
+    /// effective level or the fault set changes.
+    leakage: Vec<[f64; 2]>,
+    /// The routers with buffered flits or source backlog (see the module
+    /// docs).
+    active: ActiveSet,
     /// Timed link/router failures (empty on a pristine fabric).
     fault_plan: FaultPlan,
     /// Cycles at which the active fault set changes, sorted ascending.
@@ -182,10 +195,11 @@ pub struct Network {
     /// fault-free simulation pays nothing.
     has_faults: bool,
     cycle: u64,
-    /// Worklist kill switch: when true, every router is stepped every cycle
-    /// even if provably inert. Test-only escape hatch — the differential
-    /// harness pins worklist runs byte-identical to step-everyone runs.
-    step_all: bool,
+    /// Worklist kill switch: when set, the per-node phase walks this set of
+    /// every router instead of `active`. Test-only escape hatch — the
+    /// differential harness pins worklist runs byte-identical to
+    /// step-everyone runs.
+    step_all: Option<ActiveSet>,
     /// True while every clock gate still sits at its initial zero-phase
     /// nominal-frequency fixpoint (`tick()` returns true and leaves the
     /// phase at exactly 0.0), which lets the worklist skip idle routers'
@@ -207,6 +221,78 @@ pub struct Network {
     /// region-occupancy sample here keeps their allocations out of the
     /// hottest loop in the system.
     scratch: StepScratch,
+    /// Flits offered since construction, for the flit-balance oracle.
+    #[cfg(debug_assertions)]
+    offered_flits: u64,
+    /// Flits that left the system since construction (ejected or dropped).
+    #[cfg(debug_assertions)]
+    retired_flits: u64,
+}
+
+/// One bit per router, in node order.
+#[derive(Debug, Clone)]
+struct ActiveSet(Vec<u64>);
+
+impl ActiveSet {
+    /// No router of `n`.
+    fn new(n: usize) -> Self {
+        ActiveSet(vec![0; n.div_ceil(64)])
+    }
+
+    /// Every router of `n`.
+    fn full(n: usize) -> Self {
+        let mut set = ActiveSet::new(n);
+        (0..n).for_each(|i| set.insert(i));
+        set
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        (self.0[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Call `f` on every member of `range`, ascending.
+    fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
+        if range.is_empty() {
+            return;
+        }
+        for w in range.start / 64..range.end.div_ceil(64) {
+            let base = w * 64;
+            let mut m = self.0[w];
+            if base < range.start {
+                m &= u64::MAX << (range.start - base);
+            }
+            if range.end < base + 64 {
+                m &= u64::MAX >> (base + 64 - range.end);
+            }
+            while m != 0 {
+                f(base + m.trailing_zeros() as usize);
+                m &= m - 1;
+            }
+        }
+    }
+
+    /// Call `f` on every member, ascending.
+    fn for_each(&self, f: impl FnMut(usize)) {
+        self.for_each_in(0..self.0.len() * 64, f);
+    }
+
+    /// Call `keep` on every member, ascending, and remove those it refuses.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut m = *word;
+            while m != 0 {
+                let b = m.trailing_zeros();
+                m &= m - 1;
+                if !keep(w * 64 + b as usize) {
+                    *word &= !(1 << b);
+                }
+            }
+        }
+    }
 }
 
 /// Scratch buffers reused across [`Network::step`] calls (drained at the end
@@ -227,6 +313,9 @@ struct TileShared<'a> {
     /// without a fault plan) is the single liveness handle.
     ctx: RouterCtx<'a>,
     cycle: u64,
+    /// The routers to visit: the active set, or every router under forced
+    /// step-everyone mode.
+    walk: &'a ActiveSet,
     /// Forced step-everyone mode (worklist disabled).
     step_all: bool,
     /// Whether idle routers may skip their clock-gate tick (see
@@ -399,10 +488,6 @@ impl Network {
             .map(|_| ClockGate::new(config.vf_table.levels()[max_level].freq_scale))
             .collect();
         let neighbors = topo.neighbor_table();
-        let links_out = neighbors
-            .iter()
-            .map(|row| row.iter().filter(|&&to| to != Topology::NO_LINK).count())
-            .collect();
         let region_by_node: Vec<usize> =
             topo.nodes().map(|n| regions.region_of(&topo, n)).collect();
         let max_vf = config.vf_table.levels()[max_level];
@@ -419,7 +504,7 @@ impl Network {
         let gates_pristine = max_vf.freq_scale == 1.0;
         let tables = (config.routing == RoutingAlgorithm::Table)
             .then(|| RoutingTables::build(&topo, None, RoutingTables::K_DEFAULT));
-        Ok(Network {
+        let mut net = Network {
             topo,
             routing: config.routing,
             switch_arb: config.switch_arb,
@@ -434,17 +519,17 @@ impl Network {
             throttles: config.throttles.clone(),
             regions,
             neighbors,
-            links_out,
             region_by_node,
             region_dynamic_scale: vec![max_vf.dynamic_scale(nominal); num_regions],
-            region_leakage_scale: vec![max_vf.leakage_scale(nominal); num_regions],
+            leakage: vec![[0.0; 2]; n],
+            active: ActiveSet::new(n),
             fault_plan,
             fault_boundaries,
             next_fault_boundary: 0,
             link_state,
             has_faults,
             cycle: 0,
-            step_all: false,
+            step_all: None,
             gates_pristine,
             partitions,
             bounds,
@@ -453,7 +538,13 @@ impl Network {
                 outboxes: (0..partitions).map(|_| TileOutbox::default()).collect(),
                 region_occ: Vec::new(),
             },
-        })
+            #[cfg(debug_assertions)]
+            offered_flits: 0,
+            #[cfg(debug_assertions)]
+            retired_flits: 0,
+        };
+        net.refresh_leakage();
+        Ok(net)
     }
 
     /// Number of tiles the per-node phase is split into.
@@ -466,7 +557,7 @@ impl Network {
     /// is a pure strength reduction — and the differential tests hold both
     /// modes byte-identical. Test instrumentation, not a tuning knob.
     pub fn set_step_all(&mut self, step_all: bool) {
-        self.step_all = step_all;
+        self.step_all = step_all.then(|| ActiveSet::full(self.topo.num_nodes()));
     }
 
     /// The topology.
@@ -554,6 +645,7 @@ impl Network {
     /// Recompute effective levels (requested ∧ throttles) and update clock
     /// gates for regions whose effective level changed.
     fn sync_effective_levels(&mut self) {
+        let mut changed = false;
         for region in 0..self.region_levels.len() {
             let mut eff = self.region_levels[region];
             for t in &self.throttles {
@@ -566,7 +658,6 @@ impl Network {
                 let vf = self.vf_table.level(eff).expect("effective level valid");
                 let nominal = self.vf_table.nominal_voltage();
                 self.region_dynamic_scale[region] = vf.dynamic_scale(nominal);
-                self.region_leakage_scale[region] = vf.leakage_scale(nominal);
                 for (node, &r) in self.region_by_node.iter().enumerate() {
                     if r == region {
                         self.gates[node].set_freq_scale(vf.freq_scale);
@@ -575,8 +666,45 @@ impl Network {
                 // Gate phases may leave the zero fixpoint from here on:
                 // idle routers must tick their gates every cycle.
                 self.gates_pristine = false;
+                changed = true;
             }
         }
+        if changed {
+            self.refresh_leakage();
+        }
+    }
+
+    /// Recompute every router's leakage terms (see `leakage`).
+    fn refresh_leakage(&mut self) {
+        for i in 0..self.leakage.len() {
+            self.leakage[i] = self.leakage_terms(i);
+        }
+    }
+
+    /// One global cycle of router `i`'s leakage, `[idle, busy]`, at its
+    /// region's effective level: what a per-router `record_leakage` call
+    /// would add, computed the same way, so pricing the terms changes no bit.
+    fn leakage_terms(&self, i: usize) -> [f64; 2] {
+        if !self.link_state.is_router_up(NodeId(i)) {
+            // A dead router consumes nothing: adding +0.0 to a sum that
+            // starts at +0.0 and never decreases changes no bit.
+            return [0.0; 2];
+        }
+        let (power, nominal) = (&self.power, self.vf_table.nominal_voltage());
+        let level = self.effective_levels[self.region_by_node[i]];
+        let busy =
+            (self.vf_table.level(level).expect("effective level valid")).leakage_scale(nominal);
+        // Idle routers (empty buffers and source queue) may be power gated
+        // down to a fraction of nominal leakage.
+        let mut idle = busy;
+        if power.idle_leakage_fraction < 1.0 {
+            idle *= power.idle_leakage_fraction;
+        }
+        let links = self.neighbors[i]
+            .iter()
+            .filter(|&&to| to != Topology::NO_LINK);
+        let links = links.count();
+        [power.leakage_pj(links, idle), power.leakage_pj(links, busy)]
     }
 
     /// Set every region to the same V/F level.
@@ -623,15 +751,20 @@ impl Network {
     pub fn offer(&mut self, packets: Vec<Packet>, stats: &mut StatsCollector) {
         for p in packets {
             stats.record_offered();
+            #[cfg(debug_assertions)]
+            {
+                self.offered_flits += u64::from(p.len_flits);
+            }
+            self.active.insert(p.src.0);
             self.inj[p.src.0].push_packet(p);
         }
     }
 
     /// Total flits buffered inside routers.
     pub fn occupancy(&self) -> usize {
-        (0..self.topo.num_nodes())
-            .map(|i| self.fabric.occupancy(i))
-            .sum()
+        let mut total = 0;
+        self.active.for_each(|i| total += self.fabric.occupancy(i));
+        total
     }
 
     /// Buffered flits per region.
@@ -642,15 +775,17 @@ impl Network {
     }
 
     /// Fill `out` with buffered flits per region (allocation-free variant of
-    /// [`Network::region_occupancy`] for the cycle loop).
-    fn region_occupancy_into(&self, out: &mut Vec<usize>) {
+    /// [`Network::region_occupancy`] for the cycle loop) and return the
+    /// source backlog: the cycle's whole sample in one walk of the set.
+    fn region_occupancy_into(&self, out: &mut Vec<usize>) -> usize {
         out.clear();
         out.resize(self.regions.num_regions(), 0);
-        // `FabricState::occupancy` recounts against the buffers in debug
-        // builds, so this per-cycle sample keeps the O(1) counters honest.
-        for i in 0..self.topo.num_nodes() {
+        let mut backlog = 0;
+        self.active.for_each(|i| {
             out[self.region_by_node[i]] += self.fabric.occupancy(i);
-        }
+            backlog += self.inj[i].backlog_flits();
+        });
+        backlog
     }
 
     /// Total buffer capacity per region (for normalizing occupancy).
@@ -665,7 +800,10 @@ impl Network {
 
     /// Flits waiting in source queues.
     pub fn backlog(&self) -> usize {
-        self.inj.iter().map(|q| q.backlog_flits()).sum()
+        let mut total = 0;
+        self.active
+            .for_each(|i| total += self.inj[i].backlog_flits());
+        total
     }
 
     /// Flits anywhere in the system (source queues + router buffers).
@@ -675,18 +813,42 @@ impl Network {
 
     /// Advance the network one global clock cycle.
     ///
-    /// The per-node phase runs tile-by-tile (in parallel when
-    /// `partitions > 1`), each router counting its energy events in its
-    /// `NodeWork` slot; the commit phase then prices the slots in node
-    /// order and applies ejections, deliveries and credits serially in tile
-    /// order. See the module docs for why this makes the partition count
+    /// Leakage is priced first, from the start-of-cycle active set. The
+    /// per-node phase then runs tile-by-tile (in parallel when
+    /// `partitions > 1`), each active router counting its energy events in
+    /// its `NodeWork` slot; the commit phase prices the slots in node order
+    /// and applies ejections, deliveries and credits serially in tile order.
+    /// See the module docs for why this makes the partition count
     /// observationally irrelevant.
     pub fn step(&mut self, stats: &mut StatsCollector) {
+        #[cfg(debug_assertions)]
+        let retired_before = stats.ejected_flits + stats.dropped_flits;
         if !self.throttles.is_empty() {
             self.sync_effective_levels();
         }
         if self.has_faults {
             self.apply_fault_boundaries(stats);
+        }
+        // Leakage accrues every global cycle regardless of clock gating, one
+        // add per router in node order: the busy term for a router active at
+        // the start of the cycle, the idle one otherwise.
+        let n = self.topo.num_nodes();
+        match self.step_all {
+            None => {
+                let words = self.leakage.chunks(64).zip(&self.active.0);
+                stats
+                    .energy
+                    .record_leakage_terms(words.flat_map(|(terms, &word)| {
+                        (terms.iter().enumerate()).map(move |(b, t)| t[(word >> b) as usize & 1])
+                    }));
+            }
+            // The reference the worklist differential holds the terms and
+            // the active set to: each router classified from its own buffers,
+            // its terms computed afresh.
+            Some(_) => stats.energy.record_leakage_terms((0..n).map(|i| {
+                let busy = self.fabric.occupancy(i) > 0 || self.inj[i].backlog_flits() > 0;
+                self.leakage_terms(i)[usize::from(busy)]
+            })),
         }
         // The per-tile outboxes are drained by the commit phase below, so
         // only their capacity carries over between cycles.
@@ -703,7 +865,8 @@ impl Network {
                     tables: self.tables.as_ref(),
                 },
                 cycle: self.cycle,
-                step_all: self.step_all,
+                walk: self.step_all.as_ref().unwrap_or(&self.active),
+                step_all: self.step_all.is_some(),
                 gates_pristine: self.gates_pristine,
             };
             // Carve the fabric into disjoint contiguous slices, one per tile.
@@ -744,33 +907,15 @@ impl Network {
         // being contiguous ascending node ranges, applying each outbox in
         // tile order reproduces the exact serial per-node order of stats
         // mutations, deliveries, and credits.
-        let n = self.topo.num_nodes();
         let power = &self.power;
         {
             let mut tile = self.fabric.tile();
             let (mut grants, mut forwards) = (0usize, 0usize);
-            for (i, slot) in tile.work.iter_mut().enumerate() {
-                let work = *slot;
+            // Only a router active at the start of the cycle did anything;
+            // the one whose step drained it leaves the set.
+            self.active.retain(|i| {
+                let work = std::mem::take(&mut tile.work[i]);
                 let region = self.region_by_node[i];
-                // Leakage accrues every global cycle regardless of clock
-                // gating; idle routers (empty buffers and source queue) may
-                // be power gated down to a fraction of nominal leakage, and
-                // a dead router consumes nothing.
-                let idle = work.state == NodeState::Idle;
-                let mut leak = self.region_leakage_scale[region];
-                if idle && power.idle_leakage_fraction < 1.0 {
-                    leak *= power.idle_leakage_fraction;
-                }
-                if work.state != NodeState::Dead {
-                    stats.energy.record_leakage(power, self.links_out[i], leak);
-                }
-                if idle {
-                    // Idle did nothing by definition, and most slots of a
-                    // sparse fabric are idle: a load and a compare, never a
-                    // store.
-                    continue;
-                }
-                *slot = NodeWork::default();
                 let scale = self.region_dynamic_scale[region];
                 let price = |stats: &mut StatsCollector, event| {
                     stats.energy.record(power, event, scale);
@@ -798,7 +943,8 @@ impl Network {
                 }
                 grants += work.grants as usize;
                 forwards += work.forwards as usize;
-            }
+                !work.drained
+            });
             // Flit conservation through the switch, by an oracle that shares
             // no code with the pipeline: every grant left over a link or
             // ejected, and every flit that left a buffer returned a credit.
@@ -826,6 +972,7 @@ impl Network {
                     let scale = self.region_dynamic_scale[self.region_by_node[d.to.0]];
                     stats.energy.record(power, PowerEvent::BufferWrite, scale);
                     tile.accept(d.to.0, d.in_port, d.flit);
+                    self.active.insert(d.to.0);
                 }
             }
             for ob in outboxes.iter_mut() {
@@ -845,19 +992,62 @@ impl Network {
         }
 
         let mut region_occ = std::mem::take(&mut self.scratch.region_occ);
-        self.region_occupancy_into(&mut region_occ);
+        let backlog = self.region_occupancy_into(&mut region_occ);
         let total_occ = region_occ.iter().sum();
         stats.sample_occupancy(
             total_occ,
             &region_occ,
-            self.backlog(),
+            backlog,
             self.link_state.dead_link_count(),
         );
         self.scratch.region_occ = region_occ;
         #[cfg(debug_assertions)]
-        self.fabric
-            .assert_credits_conserved(&self.topo, |i| self.inj[i].credits);
+        {
+            self.fabric
+                .assert_credits_conserved(&self.topo, |i| self.inj[i].credits);
+            self.retired_flits += stats.ejected_flits + stats.dropped_flits - retired_before;
+            self.assert_active_set_and_flit_balance();
+        }
         self.cycle += 1;
+    }
+
+    /// Two oracles, checked between cycles by a full walk that shares no
+    /// code with the worklist:
+    ///
+    /// * the active set is exact — a router's bit is set iff it buffers a
+    ///   flit or has source backlog — and every `NodeWork` slot's counts
+    ///   were priced;
+    /// * flit balance — every flit ever offered is ejected, dropped (drop
+    ///   drain, boundary purge or dead source), buffered, or still waiting
+    ///   in its source queue. Exact on every path: each of them counts the
+    ///   flits it removes, in `StatsCollector::dropped_flits`.
+    #[cfg(debug_assertions)]
+    fn assert_active_set_and_flit_balance(&mut self) {
+        let (mut buffered, mut backlog) = (0, 0);
+        for (i, q) in self.inj.iter().enumerate() {
+            let (occ, queued) = (self.fabric.occupancy(i), q.backlog_flits());
+            assert_eq!(
+                self.active.contains(i),
+                occ > 0 || queued > 0,
+                "active-set bit of router {i} is stale ({occ} flits buffered, {queued} queued)"
+            );
+            (buffered, backlog) = (buffered + occ, backlog + queued);
+        }
+        // `drained` is read only for active routers, so it may be left set.
+        let priced = crate::soa::NodeWork::default();
+        let tile = self.fabric.tile();
+        let mut work = tile.work.iter().map(|w| crate::soa::NodeWork {
+            drained: false,
+            ..*w
+        });
+        let unpriced = work.position(|w| w != priced);
+        assert_eq!(unpriced, None, "router's NodeWork counts left unpriced");
+        assert_eq!(
+            self.offered_flits,
+            self.retired_flits + (buffered + backlog) as u64,
+            "flit balance: offered != ejected + dropped ({}) + buffered ({buffered}) + backlog ({backlog})",
+            self.retired_flits
+        );
     }
 
     /// Apply every fault boundary reached by the current cycle: rebuild the
@@ -883,6 +1073,7 @@ impl Network {
                     RoutingTables::K_DEFAULT,
                 ));
             }
+            self.refresh_leakage();
             self.purge_condemned(stats);
         }
     }
@@ -957,51 +1148,72 @@ impl Network {
             }
         }
         stats.record_purged(condemned.len() as u64, dropped_flits);
+
+        // The purge emptied buffers and source cursors outside any router's
+        // step: rebuild the active set from what is left.
+        self.active = ActiveSet::new(n);
+        for (i, q) in self.inj.iter().enumerate() {
+            if self.fabric.occupancy(i) > 0 || q.backlog_flits() > 0 {
+                self.active.insert(i);
+            }
+        }
     }
 }
 
-/// Step one tile's node range: the exact serial per-node loop, with every
-/// energy event counted in the node's `NodeWork` slot instead of applied,
-/// and all cross-node effects buffered in the tile's outbox.
-///
-/// Nodes with no buffered flits and no source backlog are skipped (the
-/// active-router worklist): such a node's pipeline and injection stages are
-/// provably no-ops, so its whole serial effect is one leakage record — its
-/// untouched `Idle` slot — plus a clock-gate tick, elided only while the
-/// gates are pristine (see `Network::gates_pristine`).
-/// Occupancy and backlog are stable during the phase (deliveries and
-/// credits commit afterwards; packets are offered before the step), so the
-/// idle test over start-of-cycle values is exact.
+/// Step one tile's node range: every router of `shared.walk` in it is
+/// [`visit`]ed in node order. A router outside the active set has no
+/// buffered flits and no source backlog, so its pipeline and injection
+/// stages are provably no-ops and its whole serial effect is its leakage
+/// (priced from the active set) plus a clock-gate tick — a tick that is
+/// elided while the gates are pristine (see `Network::gates_pristine`),
+/// so then only the set bits are walked. Off the fixpoint every live idle
+/// gate must tick, and one dense pass does both jobs.
 fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
-    for k in 0..tile.inj.len() {
-        let node = NodeId(tile.base + k);
-        if shared.ctx.faults.is_some_and(|ls| !ls.is_router_up(node)) {
-            // A dead router does nothing and consumes nothing; traffic
-            // offered at its source queue is unreachable and dropped.
-            tile.fabric.work[k].state = NodeState::Dead;
-            drop_source_queue_tile(&mut tile.inj[k], &mut tile.out.source_dropped);
-            continue;
+    let base = tile.base;
+    let nodes = base..base + tile.inj.len();
+    if shared.gates_pristine {
+        shared
+            .walk
+            .for_each_in(nodes, |i| visit(shared, tile, i - base));
+        return;
+    }
+    for i in nodes {
+        if shared.walk.contains(i) {
+            visit(shared, tile, i - base);
+        } else if shared
+            .ctx
+            .faults
+            .is_none_or(|ls| ls.is_router_up(NodeId(i)))
+        {
+            tile.gates[i - base].tick();
         }
-        let idle = tile.fabric.occupancy(k) == 0 && tile.inj[k].backlog_flits() == 0;
-        if idle && !shared.step_all {
-            // Worklist skip: keep the gate phase exact. Nothing else a full
-            // walk does for an idle node has any effect — provided the
-            // commit phase left the slot it will price as idle clean.
-            debug_assert_eq!(tile.fabric.work[k], NodeWork::default());
-            if !shared.gates_pristine {
-                tile.gates[k].tick();
-            }
-            continue;
-        }
-        if !idle {
-            tile.fabric.work[k].state = NodeState::Busy;
-        }
-        if !tile.gates[k].tick() {
-            continue; // clock-gated this cycle
-        }
+    }
+}
+
+/// One cycle of local router `k`, with every energy event counted in its
+/// `NodeWork` slot instead of applied and all cross-node effects buffered
+/// in the tile's outbox; the slot's `drained` flag tells the commit phase
+/// whether the router ends the step empty. Occupancy and backlog are stable
+/// during the phase (deliveries and credits commit afterwards; packets are
+/// offered before the step), so the start-of-cycle active set is exact.
+fn visit(shared: &TileShared<'_>, tile: &mut TileTask<'_>, k: usize) {
+    let node = NodeId(tile.base + k);
+    let busy =
+        |tile: &TileTask<'_>| tile.fabric.occupancy(k) > 0 || tile.inj[k].backlog_flits() > 0;
+    debug_assert!(
+        shared.step_all || busy(tile),
+        "router {} is in the active set but idle",
+        node.0
+    );
+    if shared.ctx.faults.is_some_and(|ls| !ls.is_router_up(node)) {
+        // A dead router does nothing and consumes nothing; traffic offered
+        // at its source queue is unreachable and dropped.
+        drop_source_queue_tile(&mut tile.inj[k], &mut tile.out.source_dropped);
+    } else if tile.gates[k].tick() {
         tile.fabric.step_node(k, node, &shared.ctx, tile.out);
         try_inject_tile(shared.cycle, &mut tile.fabric, k, &mut tile.inj[k]);
     }
+    tile.fabric.work[k].drained = !busy(tile);
 }
 
 /// Try to move one flit from the node's source queue into the router's

@@ -66,6 +66,12 @@ impl PowerModel {
             ..PowerModel::default_32nm()
         }
     }
+
+    /// One global cycle of leakage (pJ) of a router with `num_links`
+    /// outgoing links at the given leakage scale (`V/V_nom`).
+    pub(crate) fn leakage_pj(&self, num_links: usize, leakage_scale: f64) -> f64 {
+        (self.p_leak_router + self.p_leak_link * num_links as f64) * leakage_scale
+    }
 }
 
 impl Default for PowerModel {
@@ -126,8 +132,15 @@ impl EnergyMeter {
     /// Record one global cycle of leakage for a router with `num_links`
     /// outgoing links, at the given leakage scale (`V/V_nom`).
     pub fn record_leakage(&mut self, model: &PowerModel, num_links: usize, leakage_scale: f64) {
-        self.leakage_pj +=
-            (model.p_leak_router + model.p_leak_link * num_links as f64) * leakage_scale;
+        self.leakage_pj += model.leakage_pj(num_links, leakage_scale);
+    }
+
+    /// Add already-priced leakage terms ([`PowerModel::leakage_pj`]) one
+    /// after another, in iteration order: the same f64 additions as one
+    /// [`record_leakage`](Self::record_leakage) call per term, with the
+    /// running sum kept out of memory.
+    pub(crate) fn record_leakage_terms(&mut self, terms: impl Iterator<Item = f64>) {
+        self.leakage_pj = terms.fold(self.leakage_pj, |sum, term| sum + term);
     }
 
     /// Total accumulated dynamic energy (pJ).

@@ -39,8 +39,8 @@
 //!
 //! Two supporting structures per router keep the cycle loop cheap:
 //!
-//! * an O(1) occupancy counter (`occ`), so the cycle loop's
-//!   active-router test is one load, and
+//! * an O(1) occupancy counter (`occ`), so testing whether a step drained
+//!   a router is one load, and
 //! * an occupancy bitmask (`occ_mask`) with bit `port * num_vcs + vc` set
 //!   iff that input VC buffers at least one flit. Switch allocation is
 //!   two-stage arbitration over bitmasks: stage one builds per-output-port
@@ -107,43 +107,32 @@ pub struct TileOutbox {
     pub source_dropped: (u64, u64),
 }
 
-/// What a router's cycle owes in leakage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum NodeState {
-    /// Empty buffers and empty source queue: leaks, power-gated if the
-    /// model gates. The default, so a router the worklist skips writes
-    /// nothing — its untouched slot *is* its idle leakage record.
-    #[default]
-    Idle,
-    /// Flits buffered or queued (even if clock-gated this cycle): leaks in
-    /// full.
-    Busy,
-    /// Dead under the active fault set: consumes nothing.
-    Dead,
-}
-
-/// What one router did this cycle: its leakage state and how many of each
-/// dynamic-energy event it caused. The per-node phase only counts; the
-/// serial commit phase prices the slots in node order and resets them.
+/// What one router did this cycle: how many of each dynamic-energy event it
+/// caused, and whether its step left it idle. The per-node phase only
+/// counts; the serial commit phase prices the slots of the active routers in
+/// node order and resets them, so every other slot's counts stay zero.
 ///
 /// Tiles cannot share a `&mut StatsCollector`, and merging per-tile energy
 /// sums would break byte-identity: float addition is not associative, so
-/// regrouping `dynamic_pj` or `leakage_pj` by tile would perturb their last
-/// bits. Counting suffices because a router's event sequence is fixed —
-/// `grants` × (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`,
-/// `rc` × `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy,
-/// not at the grant), then the injection's `BufferWrite`, all at the
-/// router's one V/F scale — so pricing slot after slot is the same sequence
-/// of f64 additions whatever the partition count. Those two sums are the
-/// only order-sensitive accumulators; everything else a cycle records is an
-/// integer or an f64 sum of integers.
+/// regrouping `dynamic_pj` by tile would perturb its last bits. Counting
+/// suffices because a router's event sequence is fixed — `grants` ×
+/// (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`, `rc` ×
+/// `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy, not at
+/// the grant), then the injection's `BufferWrite`, all at the router's one
+/// V/F scale — so pricing slot after slot is the same sequence of f64
+/// additions whatever the partition count. `dynamic_pj` and `leakage_pj`
+/// (which the network accrues from the active set, not from the slots) are
+/// the only order-sensitive accumulators; everything else a cycle records
+/// is an integer or an f64 sum of integers.
 ///
 /// The counts fit `u8`: each is at most one per input VC per cycle, and
 /// [`FabricState::new`] asserts `Port::COUNT * num_vcs <= 64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeWork {
-    /// Leakage state.
-    pub state: NodeState,
+    /// The router's step left it with no buffered flit and no source
+    /// backlog. Read only for routers in the active set, which the commit
+    /// phase then drops from it (a delivery landing on one puts it back).
+    pub drained: bool,
     /// Switch-allocation grants (flits read, arbitrated and crossed).
     pub grants: u8,
     /// VC allocations.

@@ -1,8 +1,8 @@
 //! Differential guarantees of the active-router worklist.
 //!
-//! The SoA cycle core skips routers that are provably inert this cycle
-//! (empty buffers, empty source queue) and accounts their leakage from the
-//! `Idle` work slots they leave untouched. The claim: skipping is *unobservable* —
+//! The SoA cycle core visits only the routers of its active set (buffered
+//! flits or source backlog) and prices every router's leakage from that set.
+//! The claim: skipping is *unobservable* —
 //! every metric, energy sum, and serialized byte matches a run where every
 //! router walks the full pipeline every cycle (`set_step_all(true)`). The
 //! proptest below samples topology, routing, faults, DVFS throttles, and
@@ -10,8 +10,8 @@
 //! worklist actually skips most of the fabric) to concrete numbers.
 
 use noc_sim::{
-    FaultPlan, RoutingAlgorithm, SimConfig, Simulator, StatsCollector, ThrottleEvent, Topology,
-    TopologyKind, TrafficPattern,
+    FaultPlan, PowerModel, RoutingAlgorithm, SimConfig, Simulator, StatsCollector, ThrottleEvent,
+    Topology, TopologyKind, TrafficPattern,
 };
 use proptest::prelude::*;
 
@@ -41,10 +41,12 @@ proptest! {
 
     /// Worklist stepping vs forced step-everyone, over sampled topology
     /// kind, routing algorithm, injection rate (biased low, where skipping
-    /// dominates), fault count, mid-run DVFS relevel, and partitions
-    /// ∈ {1, 2, 4}. Structural and serialized-byte equality must both
-    /// hold — f64 energy sums included, which requires a skipped router's
-    /// untouched `Idle` slot to be priced exactly as a stepped idle one.
+    /// dominates), fault count, mid-run DVFS relevel, power model, and
+    /// partitions ∈ {1, 2, 4}. Structural and serialized-byte equality must
+    /// both hold — f64 energy sums included, which requires every router's
+    /// leakage to be priced from the right term. Only the power-gated model
+    /// tells the idle term from the busy one (the default model's idle
+    /// fraction is 1.0), so it is an axis of its own.
     #[test]
     fn worklist_is_byte_identical_to_step_all(
         seed in 0u64..10_000,
@@ -53,6 +55,7 @@ proptest! {
         rate_sel in 0usize..4,
         num_faults in 0usize..3,
         relevel_sel in 0usize..3,
+        gated in any::<bool>(),
     ) {
         let routing = if torus {
             [
@@ -83,6 +86,9 @@ proptest! {
             .with_routing(routing)
             .with_seed(seed);
         cfg.kind = if torus { TopologyKind::Torus } else { TopologyKind::Mesh };
+        if gated {
+            cfg.power = PowerModel::with_power_gating();
+        }
         if num_faults > 0 {
             let topo = match cfg.kind {
                 TopologyKind::Mesh => Topology::mesh(8, 8),
@@ -156,6 +162,27 @@ fn idle_heavy_16x16_golden_metrics() {
         serde_json::to_string(&lazy).unwrap(),
         serde_json::to_string(&full).unwrap(),
         "worklist bytes must match step-everyone"
+    );
+}
+
+/// The power-gated twin of the golden point above: an idle router leaks a
+/// fifth of a busy one, so a router priced from the wrong leakage term
+/// moves `leakage_pj`. Compared against step-everyone, so it needs no golden
+/// constant of its own.
+#[test]
+fn idle_heavy_16x16_gated_matches_step_all() {
+    let mut cfg = SimConfig::default()
+        .with_size(16, 16)
+        .with_traffic(TrafficPattern::Uniform, 0.01)
+        .with_seed(42);
+    cfg.power = PowerModel::with_power_gating();
+    let lazy = run_mode(&cfg, 1, false, None, 1_000);
+    let full = run_mode(&cfg, 1, true, None, 1_000);
+    assert_eq!(lazy, full, "gated worklist run must match step-everyone");
+    assert_eq!(
+        serde_json::to_string(&lazy).unwrap(),
+        serde_json::to_string(&full).unwrap(),
+        "gated worklist bytes must match step-everyone"
     );
 }
 
