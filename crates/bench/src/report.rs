@@ -354,15 +354,11 @@ fn sim_points() -> Vec<SimPoint> {
             ),
             SimConfig::default().with_workload(bursty.clone()),
         ),
-        // Big fabrics: 16x16 and 32x32 meshes and tori, serial and
-        // partitioned. The serial 16x16 point is the baseline the
-        // partitioned points are compared against (the partition speedup);
-        // the p4 points exercise the tile pool, boundary exchange, and
-        // count-and-price stats commit at the scale where parallelism pays off.
+        // Big fabrics: 16x16 and 32x32 meshes and tori, where the fabric's
+        // state outgrows the cache.
         point(
             "sim/16x16/uniform/r0.10",
-            "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-             serial stepping",
+            "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle",
             uniform(16, 0.10),
         ),
         // The large-fabric idle-heavy point: 256 routers at 0.01
@@ -371,44 +367,29 @@ fn sim_points() -> Vec<SimPoint> {
         point(
             "sim/16x16/uniform/r0.01",
             "16x16 mesh, XY routing, uniform traffic at 0.01 flits/node/cycle \
-             (idle-heavy), serial stepping",
+             (idle-heavy)",
             uniform(16, 0.01),
         ),
         point(
-            "sim/16x16/uniform/r0.10/p4",
-            "16x16 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-             4 partitions",
-            uniform(16, 0.10).with_partitions(4),
+            "sim/16x16/torus/uniform/r0.10",
+            "16x16 torus, torus-DOR routing, uniform traffic at 0.1 flits/node/cycle",
+            torus(uniform(16, 0.10), TorusDor),
         ),
         point(
-            "sim/16x16/torus/uniform/r0.10/p4",
-            "16x16 torus, torus-DOR routing, uniform traffic at 0.1 \
-             flits/node/cycle, 4 partitions",
-            torus(uniform(16, 0.10), TorusDor).with_partitions(4),
-        ),
-        point(
-            "sim/16x16/uniform/r0.10/faults4/p4",
+            "sim/16x16/uniform/r0.10/faults4",
             "16x16 mesh, odd-even routing, 4 permanent link faults, uniform \
-             traffic at 0.1 flits/node/cycle, 4 partitions",
-            faulted(uniform(16, 0.10).with_routing(OddEven), 4, 0xB16F).with_partitions(4),
+             traffic at 0.1 flits/node/cycle",
+            faulted(uniform(16, 0.10).with_routing(OddEven), 4, 0xB16F),
         ),
         point(
             "sim/32x32/uniform/r0.10",
-            "32x32 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-             serial stepping",
+            "32x32 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle",
             uniform(32, 0.10),
         ),
         point(
-            "sim/32x32/uniform/r0.10/p4",
-            "32x32 mesh, XY routing, uniform traffic at 0.1 flits/node/cycle, \
-             4 partitions",
-            uniform(32, 0.10).with_partitions(4),
-        ),
-        point(
-            "sim/32x32/torus/uniform/r0.10/p4",
-            "32x32 torus, torus-DOR routing, uniform traffic at 0.1 \
-             flits/node/cycle, 4 partitions",
-            torus(uniform(32, 0.10), TorusDor).with_partitions(4),
+            "sim/32x32/torus/uniform/r0.10",
+            "32x32 torus, torus-DOR routing, uniform traffic at 0.1 flits/node/cycle",
+            torus(uniform(32, 0.10), TorusDor),
         ),
         // Wormhole fabric: long packets under per-packet switch
         // arbitration, the flow-control path where a head flit holds its
@@ -786,10 +767,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 29 uniquely named rows, the `sim/*` table first and in
+        // 27 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 29);
+        assert_eq!(names.len(), 27);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

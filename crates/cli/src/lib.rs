@@ -175,7 +175,6 @@ pub(crate) static COMMANDS: [Command; 15] = [
                  |o, _, v| set(&mut o.workload, Some(WorkloadSpec::parse(v)?))),
             flag("--arb", "perflit|perpacket", |o, _, v| set(&mut o.run.config.switch_arb, SwitchArb::parse(v)?)),
             flag("--faults", "N", |o, f, v| set(&mut o.faults, Some(parse_value(f, v)?))),
-            flag("--partitions", "N", |o, f, v| set(&mut o.run.config.partitions, parse_positive(f, v)?)),
             flag("--seed", "N", |o, f, v| set(&mut o.run.config.seed, parse_value(f, v)?)),
             flag("--warmup", "N", |o, f, v| set(&mut o.run.warmup, parse_value(f, v)?)),
             flag("--measure", "N", |o, f, v| set(&mut o.run.measure, parse_value(f, v)?)),
@@ -209,7 +208,6 @@ pub(crate) static COMMANDS: [Command; 15] = [
             flag("--drain", "N", |o, f, v| set(&mut o.grid.drain, parse_value(f, v)?)),
             flag("--seed", "N", |o, f, v| set(&mut o.grid.base_seed, parse_value(f, v)?)),
             Flag::THREADS,
-            flag("--partitions", "N", |o, f, v| set(&mut o.grid.partitions, parse_positive(f, v)?)),
             Flag::OUT,
             flag("--cache", "results/cache", |o, _, v| set(&mut o.cache, Some(v.into()))),
             flag("--serial", "", |o, _, _| set(&mut o.serial, true)),
@@ -228,7 +226,7 @@ pub(crate) static COMMANDS: [Command; 15] = [
         pass: Pass::Own, run: cmd_serve },
     Command { name: "submit", args: "", note: "send a grid to a daemon, stream the results", misuse: "",
         flags: &[Flag::ADDR, flag("--client", "NAME", |o, _, v| set(&mut o.client, Some(v.into())))],
-        pass: Pass::Grid(&["--threads", "--serial", "--partitions", "--cache"]), run: cmd_submit },
+        pass: Pass::Grid(&["--threads", "--serial", "--cache"]), run: cmd_submit },
     Command { name: "serve-ctl", args: "<ping|stats|shutdown>", note: "ping, inspect or stop a running daemon",
         misuse: "usage: noc-cli serve-ctl <ping|stats|shutdown> [--addr HOST:PORT]",
         flags: &[Flag::ADDR], pass: Pass::Own, run: cmd_serve_ctl },
@@ -517,7 +515,7 @@ where
 }
 
 /// Parse an unsigned count that must be at least 1 (`--threads`,
-/// `--partitions`, `--repeats`, ...); `T::default()` is its zero.
+/// `--repeats`, ...); `T::default()` is its zero.
 fn parse_positive<T>(flag: &str, value: &str) -> Result<T, CliError>
 where
     T: std::str::FromStr + Default + PartialEq,
@@ -1214,7 +1212,7 @@ pub struct SubmitOptions {
 ///
 /// # Errors
 /// Returns a usage error for unknown flags, malformed values, or the
-/// execution flags (`--threads`, `--serial`, `--partitions`, `--cache`)
+/// execution flags (`--threads`, `--serial`, `--cache`)
 /// that do not apply to daemon-side execution.
 pub fn parse_submit_args(args: &[String]) -> Result<SubmitOptions, CliError> {
     let o = row("submit").parse(args)?;
@@ -1371,8 +1369,6 @@ mod tests {
             "9",
             "--threads",
             "3",
-            "--partitions",
-            "4",
         ]))
         .unwrap();
         let g = &opts.grid;
@@ -1393,12 +1389,8 @@ mod tests {
             (100, 400, 300, 9)
         );
         assert_eq!(opts.threads, Some(3));
-        assert_eq!(g.partitions, 4);
         assert!(!opts.serial);
         assert_eq!(g.len(), 2 * 2 * 3 * 2 * 2 * 2);
-        for s in g.scenarios() {
-            assert_eq!(s.config.partitions, 4, "partitions reach every scenario");
-        }
     }
 
     #[test]
@@ -1531,8 +1523,6 @@ mod tests {
             "0.12",
             "--faults",
             "2",
-            "--partitions",
-            "2",
             "--seed",
             "9",
             "--warmup",
@@ -1545,7 +1535,6 @@ mod tests {
         .unwrap();
         assert_eq!(opts.config.routing, RoutingAlgorithm::TorusMinAdaptive);
         assert_eq!((opts.config.width, opts.config.height), (4, 4));
-        assert_eq!(opts.config.partitions, 2);
         assert_eq!(opts.config.seed, 9);
         assert_eq!(opts.config.fault_plan.len(), 2);
         assert!(opts
@@ -1672,8 +1661,6 @@ mod tests {
         assert!(parse_sweep_grid_args(&strings(&["--patterns", "mystery"])).is_err());
         assert!(parse_sweep_grid_args(&strings(&["--routings", "zigzag"])).is_err());
         assert!(parse_sweep_grid_args(&strings(&["--threads", "0"])).is_err());
-        assert!(parse_sweep_grid_args(&strings(&["--partitions", "0"])).is_err());
-        assert!(parse_sweep_grid_args(&strings(&["--partitions", "two"])).is_err());
         assert!(parse_sweep_grid_args(&strings(&["--faults", "one"])).is_err());
         assert!(parse_sweep_grid_args(&strings(&["--rates"])).is_err());
         assert!(parse_sweep_grid_args(&strings(&["--bogus", "1"])).is_err());
@@ -1782,7 +1769,7 @@ mod tests {
             serde_json::from_str(&fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(written.git_sha, "testsha");
         assert_eq!(written.mode, "quick");
-        assert_eq!(written.workloads.len(), 29);
+        assert_eq!(written.workloads.len(), 27);
     }
 
     #[test]

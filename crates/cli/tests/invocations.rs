@@ -32,11 +32,11 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 const RUN_FLAGS: &str = "--config, --topology, --size, --routing, --pattern, --rate, \
-                         --workload, --arb, --faults, --partitions, --seed, --warmup, \
-                         --measure, --drain";
+                         --workload, --arb, --faults, --seed, --warmup, --measure, \
+                         --drain";
 const GRID_FLAGS: &str = "--sizes, --topologies, --patterns, --rates, --routings, --levels, \
                           --faults, --workloads, --arb, --warmup, --measure, --drain, --seed, \
-                          --threads, --partitions, --out, --cache, or --serial";
+                          --threads, --out, --cache, or --serial";
 const TRAIN_USAGE: &str = "usage: noc-cli train <out.json> [--episodes N] [--max-steps N] \
                            [run scenario flags: --topology --size --pattern --rate --workload \
                            --faults --seed --config ...]";
@@ -75,6 +75,12 @@ fn error_corpus() -> Vec<(&'static [&'static str], i32, String)> {
             "--workload conflicts with --pattern/--rate: pick one traffic form".into(),
         ),
         (&["run", "extra"], 1, unknown("run", "extra", RUN_FLAGS)),
+        // Partitioned stepping is gone: the flag is unknown everywhere.
+        (
+            &["run", "--partitions", "4"],
+            1,
+            unknown("run", "--partitions", RUN_FLAGS),
+        ),
         (
             &["sweep", "0.02", "0.3"],
             1,
@@ -297,10 +303,8 @@ const DOCUMENTED: &[(&str, &[&str], u64)] = &[
             "0.05",
             "--faults",
             "4",
-            "--partitions",
-            "4",
         ],
-        0x596694c8da9e4cb0,
+        0x7042999d1eea589d,
     ),
     (
         "run",
@@ -373,13 +377,10 @@ const DOCUMENTED: &[(&str, &[&str], u64)] = &[
             "xy,oddeven",
             "--faults",
             "0,4",
-            "--serial",
-            "--partitions",
-            "4",
             "--out",
             "big.json",
         ],
-        0x617eb7848e147966,
+        0xde1272a1e8a73fa4,
     ),
     (
         "sweep-grid",

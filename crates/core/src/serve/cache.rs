@@ -8,14 +8,14 @@
 //!
 //! * **Content-addressed keys.** [`scenario_cache_key`] hashes the canonical
 //!   scenario label *plus the full canonical JSON of the resolved
-//!   `SimConfig`* (with the byte-identity-neutral `partitions` knob
-//!   normalized out), the pinned DVFS level, and the warmup/measure/drain
+//!   `SimConfig`* (with the ignored `partitions` field normalized out),
+//!   the pinned DVFS level, and the warmup/measure/drain
 //!   window budgets. Hashing the whole serialized config — rather than a
 //!   hand-picked field list — makes the key complete by construction: any
 //!   new behavior-affecting field (e.g. PR 8's `switch_arb` and per-phase
 //!   `LengthSpec`s) lands in the hash the moment it lands in serde, with no
-//!   audit to forget. The only excluded field is `partitions`, whose
-//!   byte-identity is pinned by the partition differential harness.
+//!   audit to forget. The only excluded field is `partitions`, which the
+//!   simulator never reads.
 //! * **Two tiers.** An in-memory index (everything this process resolved)
 //!   over an optional on-disk store `<dir>/<key>.json` shared across
 //!   processes and daemon restarts. Disk writes go through a
@@ -76,8 +76,8 @@ pub(crate) fn fnv1a64(bytes: &[u8], mut h: u64) -> u64 {
 /// Derive the content-addressed key of one resolved sweep scenario.
 ///
 /// The hashed text is: schema version, canonical scenario label, canonical
-/// JSON of the config with `partitions` normalized to 1 (its byte-identity
-/// is pinned — caching across partition counts is the point), the pinned
+/// JSON of the config with the ignored `partitions` field normalized to 1
+/// (so no key changed when the field stopped doing anything), the pinned
 /// DVFS level, and the window budgets. Everything that can change the
 /// result bytes is inside; nothing that cannot is.
 pub fn scenario_cache_key(scenario: &Scenario, warmup: u64, measure: u64, drain: u64) -> CacheKey {

@@ -438,8 +438,8 @@ mod tests {
             ..SweepGrid::default()
         };
         let mut report = grid.run_serial().expect("tiny grid runs");
-        // Zero the #[serde(skip)] wall-clock knobs (`threads`, grid
-        // `partitions`) so the parsed copy compares equal.
+        // Zero the #[serde(skip)] fields (`threads`, grid `partitions`) so
+        // the parsed copy compares equal.
         report.threads = 0;
         report.grid.partitions = 0;
         let events = [

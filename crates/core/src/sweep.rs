@@ -92,12 +92,10 @@ pub struct SweepGrid {
     /// the grid exactly as before.
     #[serde(default)]
     pub workloads: Vec<WorkloadSpec>,
-    /// Partitions each scenario's `Network::step` runs with (intra-scenario
-    /// parallelism). Not serialized: results are byte-identical for every
-    /// partition count — it is purely a wall-clock knob, like `threads` on
-    /// the report — and keeping it out preserves report byte-identity
-    /// across `--partitions` values. Deserialized grids get the field's
-    /// zero default, which [`SweepGrid::scenarios`] clamps up to serial.
+    /// Ignored. Each scenario steps on one thread; the field is kept, never
+    /// serialized and never read, so code that still sets it compiles and
+    /// every report byte stays what it was. Deserialized grids get its
+    /// zero default.
     #[serde(skip)]
     pub partitions: usize,
     /// Warmup cycles before the measurement window.
@@ -334,7 +332,6 @@ impl SweepGrid {
                                     .with_topology(kind)
                                     .with_workload(workload.clone())
                                     .with_routing(routing)
-                                    .with_partitions(self.partitions.max(1))
                                     .with_seed(seed);
                                 if faults > 0 {
                                     let plan = seeded_link_faults(&config, faults);
@@ -746,9 +743,9 @@ mod tests {
         let stripped = json.replace("\"topologies\":[\"Mesh\"],", "");
         assert_ne!(json, stripped, "the field must have been present");
         let mut back: SweepGrid = serde_json::from_str(&stripped).unwrap();
-        // `partitions` is never serialized (wall-clock knob); deserialized
-        // grids carry the zero placeholder that `scenarios()` clamps to
-        // serial. Normalize it before comparing the semantic fields.
+        // `partitions` is never serialized (an ignored field); deserialized
+        // grids carry its zero default. Normalize it before comparing the
+        // semantic fields.
         assert_eq!(back.partitions, 0);
         back.partitions = grid.partitions;
         assert_eq!(back, grid);

@@ -29,24 +29,17 @@ fn to_json(report: &SweepReport) -> String {
 
 /// The engine's determinism contract, one matrix: the report rendered under
 /// every execution strategy on offer — serial twice, 1/3/8 worker threads,
-/// 2 and 4 partitions per scenario, and an in-memory result cache cold then
-/// warm — is one byte string. Returns the serial report for the caller's
+/// and an in-memory result cache cold then warm — is one byte string. Returns the serial report for the caller's
 /// axis-specific assertions.
 fn assert_execution_invariant(grid: &SweepGrid) -> SweepReport {
     let serial = grid.run_serial().expect("valid grid");
     let bytes = to_json(&serial);
-    let tiled = |partitions| SweepGrid {
-        partitions,
-        ..grid.clone()
-    };
     let cache = ResultCache::in_memory();
     let strategies = [
         ("serial rerun", grid.run_serial()),
         ("1 thread", grid.run(1)),
         ("3 threads", grid.run(3)),
         ("8 threads", grid.run(8)),
-        ("2 partitions", tiled(2).run(2)),
-        ("4 partitions", tiled(4).run(2)),
         ("cold cache", grid.run_cached(2, &cache)),
         ("warm cache", grid.run_cached(2, &cache)),
     ];
@@ -98,24 +91,6 @@ fn thread_count_does_not_change_results() {
         to_json(&serial),
         "oversubscribed pools must still be deterministic"
     );
-}
-
-/// Partition count is a pure execution strategy: `partitions` never
-/// serializes, and partitioned stepping counts per router and prices in
-/// node order — so the reports cannot differ even in the last f64 bit. A
-/// torus + fault axis rides along to cover the boundary-exchange and
-/// rerouting paths, not just the healthy mesh.
-#[test]
-fn partition_count_does_not_change_report_bytes() {
-    let grid = SweepGrid {
-        topologies: vec![TopologyKind::Mesh, TopologyKind::Torus],
-        patterns: vec![TrafficPattern::Uniform],
-        rates: vec![0.10],
-        routings: vec![RoutingAlgorithm::Xy],
-        faults: vec![0, 2],
-        ..quick_grid()
-    };
-    assert_execution_invariant(&grid);
 }
 
 /// The sweep determinism guarantee extends to faulted scenarios.

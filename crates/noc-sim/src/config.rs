@@ -69,9 +69,9 @@ pub struct SimConfig {
     /// Defaults to the empty plan (a pristine fabric).
     #[serde(default)]
     pub fault_plan: FaultPlan,
-    /// Number of contiguous router-range tiles `Network::step` runs in
-    /// parallel. Defaults to 1 (serial); any value yields byte-identical
-    /// results, so this is purely a wall-clock knob.
+    /// Ignored: every simulation steps on one thread. Kept so configs that
+    /// carry it still parse and serialize to the same bytes; `validate`
+    /// still range-checks it (1 ..= routers), and nothing else reads it.
     #[serde(default = "default_partitions")]
     pub partitions: usize,
     /// RNG seed for traffic generation.
@@ -170,7 +170,7 @@ impl SimConfig {
         self
     }
 
-    /// Set the number of parallel step partitions (tiles).
+    /// Set the ignored [`SimConfig::partitions`] field.
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
         self

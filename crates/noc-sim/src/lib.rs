@@ -35,9 +35,9 @@
 //!   torus minimal-adaptive.
 //! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)
 //!   over flat structure-of-arrays fabric state, the buffered flits
-//!   included (one fixed ring per input VC); partition tiles are contiguous
-//!   slices of it, and each router writes its cycle into its tile's outbox
-//!   and counts its energy events in its own slot. Switch allocation's
+//!   included (one fixed ring per input VC); each router writes its cycle
+//!   into the network's outbox and counts its energy events in its own
+//!   slot. Switch allocation's
 //!   request pass sorts the occupied VCs once for all three stages, and
 //!   neighbours come from a table built with the network.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns

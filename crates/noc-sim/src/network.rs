@@ -3,34 +3,20 @@
 //!
 //! Effect application is double-buffered: all routers compute their cycle
 //! first, each writing its deliveries, credit returns, ejections and drops
-//! straight into its tile's `TileOutbox` and counting its energy events in
+//! straight into the network's `Outbox` and counting its energy events in
 //! its `NodeWork` slot; then the commit phase prices the slots and applies
-//! the outboxes, so router evaluation order never matters and links have a
+//! the outbox, so router evaluation order never matters and links have a
 //! one-cycle latency.
 //!
-//! # Partitioned stepping
+//! # Count and price
 //!
-//! The per-node phase of [`Network::step`] is data-parallel: node `i`
-//! mutates only its own fabric slice, `inj[i]`, and `gates[i]`, and every
-//! cross-node effect (flit deliveries, credit returns) is buffered and
-//! applied afterwards — the one-cycle link latency *is* the boundary
-//! exchange. Router state lives in the flat structure-of-arrays
-//! `FabricState`, so `SimConfig::partitions` splits the fabric into
-//! contiguous node-range tiles — literal contiguous slices of every state
-//! array, the buffered flits included — stepped concurrently on a
-//! persistent thread pool. The tiles are an iterator over the bounds: one
-//! tile is stepped straight from it, several are collected once per cycle.
-//!
-//! Determinism: tiles never touch the shared [`StatsCollector`]. Each
-//! router counts what it did in its own `NodeWork` slot — one more
-//! per-router array, carved into tiles like the rest — and a serial commit
-//! phase prices the slots in node order, which is the same sequence of
-//! float additions into the dynamic-energy sum wherever the tile bounds
-//! fall; leakage, the other order-sensitive sum, is priced serially in node
-//! order too. Every partition count, including 1, runs this same
-//! count-and-price path, so the partition knob cannot perturb results:
-//! reports are byte-identical across `partitions` ∈ {1, 2, 4, ...} (pinned
-//! by the differential tests in `tests/partitions.rs`).
+//! Routers never touch the shared [`StatsCollector`] while they step. Each
+//! counts what it did in its own `NodeWork` slot, and the commit phase
+//! prices the slots in node order — one fixed sequence of float additions
+//! into the dynamic-energy sum; leakage, the other order-sensitive sum, is
+//! priced in node order too. A simulation steps on one thread: parallelism
+//! lives a level up, across the independent simulations of a sweep, a
+//! training population or a tournament.
 //!
 //! # Active-router worklist
 //!
@@ -66,13 +52,10 @@ use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Packet, PacketId};
 use crate::power::{PowerEvent, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
-use crate::soa::{FabricState, FabricTile, RouterCtx, TileOutbox};
+use crate::soa::{FabricState, Outbox, RouterCtx};
 use crate::stats::StatsCollector;
 use crate::topology::{NodeId, Port, Topology, TopologyKind};
-use std::cell::UnsafeCell;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
 
 /// Per-node source queue with credit-tracked access to VC 0 of the router's
 /// `Local` input port.
@@ -208,16 +191,7 @@ pub struct Network {
     /// float-rounding-sensitive, so from then on every gate ticks every
     /// cycle whether or not its router is stepped.
     gates_pristine: bool,
-    /// Number of contiguous node-range tiles the per-node phase is split
-    /// into (1 = no intra-simulation parallelism).
-    partitions: usize,
-    /// Tile boundaries, `partitions + 1` ascending node indices from 0 to
-    /// `num_nodes` (both fixed at construction).
-    bounds: Vec<usize>,
-    /// Persistent worker pool driving tiles 1.. when `partitions > 1`
-    /// (tile 0 always runs on the calling thread).
-    pool: Option<TilePool>,
-    /// Reusable per-cycle buffers: hoisting the outboxes and the
+    /// Reusable per-cycle buffers: hoisting the outbox and the
     /// region-occupancy sample here keeps their allocations out of the
     /// hottest loop in the system.
     scratch: StepScratch,
@@ -254,30 +228,15 @@ impl ActiveSet {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Call `f` on every member of `range`, ascending.
-    fn for_each_in(&self, range: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
-        if range.is_empty() {
-            return;
-        }
-        for w in range.start / 64..range.end.div_ceil(64) {
-            let base = w * 64;
-            let mut m = self.0[w];
-            if base < range.start {
-                m &= u64::MAX << (range.start - base);
-            }
-            if range.end < base + 64 {
-                m &= u64::MAX >> (base + 64 - range.end);
-            }
+    /// Call `f` on every member, ascending.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.0.iter().enumerate() {
+            let mut m = word;
             while m != 0 {
-                f(base + m.trailing_zeros() as usize);
+                f(w * 64 + m.trailing_zeros() as usize);
                 m &= m - 1;
             }
         }
-    }
-
-    /// Call `f` on every member, ascending.
-    fn for_each(&self, f: impl FnMut(usize)) {
-        self.for_each_in(0..self.0.len() * 64, f);
     }
 
     /// Call `keep` on every member, ascending, and remove those it refuses.
@@ -297,169 +256,26 @@ impl ActiveSet {
 
 /// Scratch buffers reused across [`Network::step`] calls (drained at the end
 /// of every cycle, so only capacity persists).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StepScratch {
-    /// One outbox per tile, reused across cycles.
-    outboxes: Vec<TileOutbox>,
+    outbox: Outbox,
     region_occ: Vec<usize>,
 }
 
-/// Immutable, cross-tile state the per-node phase reads. Everything here is
-/// frozen for the duration of the phase, so sharing it across worker
-/// threads is safe.
+/// The per-node phase of one cycle: the routers' context, frozen for the
+/// phase, and the state the visited routers step.
 #[derive(Debug)]
-struct TileShared<'a> {
+struct NodePhase<'a> {
     /// The routers' context, built once per cycle; `ctx.faults` (`None`
     /// without a fault plan) is the single liveness handle.
     ctx: RouterCtx<'a>,
     cycle: u64,
-    /// The routers to visit: the active set, or every router under forced
-    /// step-everyone mode.
-    walk: &'a ActiveSet,
     /// Forced step-everyone mode (worklist disabled).
     step_all: bool,
-    /// Whether idle routers may skip their clock-gate tick (see
-    /// `Network::gates_pristine`).
-    gates_pristine: bool,
-}
-
-/// One tile's disjoint mutable slice of the fabric: the SoA router-state
-/// slices, source queues, and clock gates for the contiguous node range
-/// starting at `base`.
-#[derive(Debug)]
-struct TileTask<'a> {
-    base: usize,
-    fabric: FabricTile<'a>,
+    fabric: &'a mut FabricState,
     inj: &'a mut [InjectionQueue],
     gates: &'a mut [ClockGate],
-    out: &'a mut TileOutbox,
-}
-
-/// Shared view of the per-tile task cells handed to the pool closure.
-///
-/// Safety: each worker dereferences only the cell at its own tile index, so
-/// no two threads ever alias the same `TileTask`. The `T: Send` bound makes
-/// the compiler verify the tasks' contents may move across threads.
-struct SyncTasks<'a, T>(&'a [UnsafeCell<T>]);
-unsafe impl<T: Send> Sync for SyncTasks<'_, T> {}
-
-impl<T> SyncTasks<'_, T> {
-    /// Raw pointer to the task at `t`.
-    ///
-    /// # Safety
-    /// The caller must guarantee no two threads dereference the same index
-    /// concurrently (here: worker `t` is the only one touching tile `t`).
-    unsafe fn get(&self, t: usize) -> *mut T {
-        self.0[t].get()
-    }
-}
-
-/// Type-erased pointer to the per-cycle tile closure. The lifetime is erased
-/// so the pointer can live in the pool's shared cell; workers only
-/// dereference it between the start and done barriers of a dispatch, while
-/// the closure is guaranteed alive on the coordinating thread's stack.
-type Job = *const (dyn Fn(usize) + Sync);
-
-/// State shared between the coordinator and the pool workers.
-struct PoolShared {
-    /// Released by the coordinator once `job` is set (or shutdown raised).
-    start: Barrier,
-    /// Crossed by everyone once the dispatched job is finished.
-    done: Barrier,
-    /// The closure to run this dispatch, written only between barriers.
-    job: UnsafeCell<Option<Job>>,
-    /// Raised (before releasing `start`) to terminate the workers.
-    shutdown: AtomicBool,
-}
-
-// Safety: `job` is written only by the coordinator while the workers are
-// parked on `start`, and read only after crossing it; the barriers provide
-// the required happens-before edges. (`Send` is needed because the raw
-// closure pointer makes the type `!Send` by default; the same barrier
-// protocol keeps handing it across threads sound.)
-unsafe impl Sync for PoolShared {}
-unsafe impl Send for PoolShared {}
-
-/// Persistent barrier-synchronized worker pool for the partitioned per-node
-/// phase.
-///
-/// `noc_selfconf::parallel_map` (the sweep-level pool) is not reusable here:
-/// `noc-selfconf` depends on this crate, so reaching for it would create a
-/// dependency cycle — and it spawns fresh threads per call, which at one
-/// dispatch *per simulated cycle* would cost more than the cycle itself.
-/// This pool spawns `partitions - 1` workers once and reuses them; a
-/// dispatch is two barrier crossings.
-struct TilePool {
-    shared: Arc<PoolShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl TilePool {
-    fn new(partitions: usize) -> Self {
-        debug_assert!(partitions > 1);
-        let shared = Arc::new(PoolShared {
-            start: Barrier::new(partitions),
-            done: Barrier::new(partitions),
-            job: UnsafeCell::new(None),
-            shutdown: AtomicBool::new(false),
-        });
-        let workers = (1..partitions)
-            .map(|t| {
-                let sh = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    sh.start.wait();
-                    if sh.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // Safety: the coordinator set `job` before releasing the
-                    // start barrier and keeps the closure alive until every
-                    // thread crosses the done barrier.
-                    let job = unsafe { (*sh.job.get()).expect("job set before dispatch") };
-                    (unsafe { &*job })(t);
-                    sh.done.wait();
-                })
-            })
-            .collect();
-        TilePool { shared, workers }
-    }
-
-    /// Run `f(tile)` for every tile index concurrently; tile 0 runs on the
-    /// calling thread. Returns once every tile has finished.
-    fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        // Safety: erasing the lifetime is sound because the pointer is
-        // cleared before this frame (and `f`) can go away — workers finish
-        // with it strictly before the done barrier releases us.
-        let job: Job = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(f)
-        };
-        unsafe {
-            *self.shared.job.get() = Some(job);
-        }
-        self.shared.start.wait();
-        f(0);
-        self.shared.done.wait();
-        unsafe {
-            *self.shared.job.get() = None;
-        }
-    }
-}
-
-impl Drop for TilePool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.start.wait();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for TilePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TilePool")
-            .field("workers", &self.workers.len())
-            .finish()
-    }
+    out: &'a mut Outbox,
 }
 
 impl Network {
@@ -497,10 +313,7 @@ impl Network {
         let fault_boundaries = fault_plan.boundaries();
         let has_faults = !fault_plan.is_empty();
         let link_state = LinkState::healthy(topo.num_nodes());
-        let partitions = config.partitions;
         let n = topo.num_nodes();
-        let bounds = (0..=partitions).map(|t| t * n / partitions).collect();
-        let pool = (partitions > 1).then(|| TilePool::new(partitions));
         let gates_pristine = max_vf.freq_scale == 1.0;
         let tables = (config.routing == RoutingAlgorithm::Table)
             .then(|| RoutingTables::build(&topo, None, RoutingTables::K_DEFAULT));
@@ -531,13 +344,7 @@ impl Network {
             cycle: 0,
             step_all: None,
             gates_pristine,
-            partitions,
-            bounds,
-            pool,
-            scratch: StepScratch {
-                outboxes: (0..partitions).map(|_| TileOutbox::default()).collect(),
-                region_occ: Vec::new(),
-            },
+            scratch: StepScratch::default(),
             #[cfg(debug_assertions)]
             offered_flits: 0,
             #[cfg(debug_assertions)]
@@ -545,11 +352,6 @@ impl Network {
         };
         net.refresh_leakage();
         Ok(net)
-    }
-
-    /// Number of tiles the per-node phase is split into.
-    pub fn partitions(&self) -> usize {
-        self.partitions
     }
 
     /// Force the per-node loop to step every router every cycle, disabling
@@ -814,12 +616,10 @@ impl Network {
     /// Advance the network one global clock cycle.
     ///
     /// Leakage is priced first, from the start-of-cycle active set. The
-    /// per-node phase then runs tile-by-tile (in parallel when
-    /// `partitions > 1`), each active router counting its energy events in
-    /// its `NodeWork` slot; the commit phase prices the slots in node order
-    /// and applies ejections, deliveries and credits serially in tile order.
-    /// See the module docs for why this makes the partition count
-    /// observationally irrelevant.
+    /// per-node phase then steps the active routers in node order, each
+    /// counting its energy events in its `NodeWork` slot; the commit phase
+    /// prices the slots in node order and applies the outbox's ejections,
+    /// deliveries and credits (see the module docs).
     pub fn step(&mut self, stats: &mut StatsCollector) {
         #[cfg(debug_assertions)]
         let retired_before = stats.ejected_flits + stats.dropped_flits;
@@ -850,144 +650,102 @@ impl Network {
                 self.leakage_terms(i)[usize::from(busy)]
             })),
         }
-        // The per-tile outboxes are drained by the commit phase below, so
-        // only their capacity carries over between cycles.
-        let outboxes = &mut self.scratch.outboxes;
-
-        {
-            let shared = TileShared {
-                ctx: RouterCtx {
-                    topo: &self.topo,
-                    neighbors: &self.neighbors,
-                    routing: self.routing,
-                    faults: self.has_faults.then_some(&self.link_state),
-                    arb: self.switch_arb,
-                    tables: self.tables.as_ref(),
-                },
-                cycle: self.cycle,
-                walk: self.step_all.as_ref().unwrap_or(&self.active),
-                step_all: self.step_all.is_some(),
-                gates_pristine: self.gates_pristine,
-            };
-            // Carve the fabric into disjoint contiguous slices, one per tile.
-            let (mut inj, mut gates) = (self.inj.as_mut_slice(), self.gates.as_mut_slice());
-            let bounds = &self.bounds;
-            let tiles = self.fabric.split_tiles(bounds).zip(outboxes.iter_mut());
-            let tasks = tiles.zip(bounds.windows(2)).map(|((fabric, out), w)| {
-                let (q, rest) = std::mem::take(&mut inj).split_at_mut(w[1] - w[0]);
-                inj = rest;
-                let (g, rest) = std::mem::take(&mut gates).split_at_mut(w[1] - w[0]);
-                gates = rest;
-                TileTask {
-                    base: w[0],
-                    fabric,
-                    inj: q,
-                    gates: g,
-                    out,
-                }
-            });
-            match &self.pool {
-                Some(pool) => {
-                    let cells: Vec<UnsafeCell<TileTask<'_>>> = tasks.map(UnsafeCell::new).collect();
-                    let cells = SyncTasks(&cells);
-                    pool.run(&|t| {
-                        // Safety: tile index t is executed by exactly one
-                        // thread per dispatch, so the cell is unaliased.
-                        let task = unsafe { &mut *cells.get(t) };
-                        step_tile(&shared, task);
-                    });
-                }
-                // One tile, stepped straight from the iterator: the serial
-                // arm allocates nothing.
-                None => tasks.for_each(|mut task| step_tile(&shared, &mut task)),
-            }
+        NodePhase {
+            ctx: RouterCtx {
+                topo: &self.topo,
+                neighbors: &self.neighbors,
+                routing: self.routing,
+                faults: self.has_faults.then_some(&self.link_state),
+                arb: self.switch_arb,
+                tables: self.tables.as_ref(),
+            },
+            cycle: self.cycle,
+            step_all: self.step_all.is_some(),
+            fabric: &mut self.fabric,
+            inj: &mut self.inj,
+            gates: &mut self.gates,
+            out: &mut self.scratch.outbox,
         }
+        .run(
+            self.step_all.as_ref().unwrap_or(&self.active),
+            self.gates_pristine,
+        );
 
-        // Commit phase (serial). Pricing the slots in node order and, tiles
-        // being contiguous ascending node ranges, applying each outbox in
-        // tile order reproduces the exact serial per-node order of stats
-        // mutations, deliveries, and credits.
-        let power = &self.power;
-        {
-            let mut tile = self.fabric.tile();
-            let (mut grants, mut forwards) = (0usize, 0usize);
-            // Only a router active at the start of the cycle did anything;
-            // the one whose step drained it leaves the set.
-            self.active.retain(|i| {
-                let work = std::mem::take(&mut tile.work[i]);
-                let region = self.region_by_node[i];
-                let scale = self.region_dynamic_scale[region];
-                let price = |stats: &mut StatsCollector, event| {
-                    stats.energy.record(power, event, scale);
-                };
-                // The order below is the float-addition order of the
-                // dynamic-energy sum (see `NodeWork`).
-                for _ in 0..work.grants {
-                    price(stats, PowerEvent::BufferRead);
-                    price(stats, PowerEvent::SwitchArb);
-                    price(stats, PowerEvent::Crossbar);
-                }
-                for _ in 0..work.va {
-                    price(stats, PowerEvent::VcAlloc);
-                }
-                for _ in 0..work.rc {
-                    price(stats, PowerEvent::RouteCompute);
-                }
-                for _ in 0..work.forwards {
-                    stats.record_forward(i, n);
-                    price(stats, PowerEvent::LinkTraversal);
-                }
-                if let Some(is_tail) = work.injected {
-                    stats.record_injection(region, is_tail);
-                    price(stats, PowerEvent::BufferWrite);
-                }
-                grants += work.grants as usize;
-                forwards += work.forwards as usize;
-                !work.drained
-            });
-            // Flit conservation through the switch, by an oracle that shares
-            // no code with the pipeline: every grant left over a link or
-            // ejected, and every flit that left a buffer returned a credit.
-            let sent = |len: fn(&TileOutbox) -> usize| outboxes.iter().map(len).sum::<usize>();
-            let (deliveries, ejected) = (sent(|o| o.deliveries.len()), sent(|o| o.ejected.len()));
-            debug_assert_eq!(forwards, deliveries, "forward without a delivery");
-            debug_assert_eq!(grants, deliveries + ejected, "granted flit went nowhere");
-            debug_assert_eq!(
-                sent(|o| o.credits.len()),
-                grants + sent(|o| o.dropped.len()),
-                "a flit left a buffer without returning its credit"
-            );
-            for ob in outboxes.iter_mut() {
-                for flit in ob.ejected.drain(..) {
-                    stats.record_ejection(&flit, self.cycle);
-                }
-                for flit in ob.dropped.drain(..) {
-                    stats.record_drop(&flit);
-                }
-                let (packets, flits) = std::mem::take(&mut ob.source_dropped);
-                stats.record_source_drop(packets, flits);
+        // Commit phase. Pricing the slots in node order, then applying the
+        // outbox, reproduces the per-node order of stats mutations,
+        // deliveries, and credits.
+        let (power, out) = (&self.power, &mut self.scratch.outbox);
+        let (mut grants, mut forwards) = (0usize, 0usize);
+        // Only a router active at the start of the cycle did anything;
+        // the one whose step drained it leaves the set.
+        self.active.retain(|i| {
+            let work = std::mem::take(&mut self.fabric.work[i]);
+            let region = self.region_by_node[i];
+            let scale = self.region_dynamic_scale[region];
+            let price = |stats: &mut StatsCollector, event| {
+                stats.energy.record(power, event, scale);
+            };
+            // The order below is the float-addition order of the
+            // dynamic-energy sum (see `NodeWork`).
+            for _ in 0..work.grants {
+                price(stats, PowerEvent::BufferRead);
+                price(stats, PowerEvent::SwitchArb);
+                price(stats, PowerEvent::Crossbar);
             }
-            for ob in outboxes.iter_mut() {
-                for d in ob.deliveries.drain(..) {
-                    let scale = self.region_dynamic_scale[self.region_by_node[d.to.0]];
-                    stats.energy.record(power, PowerEvent::BufferWrite, scale);
-                    tile.accept(d.to.0, d.in_port, d.flit);
-                    self.active.insert(d.to.0);
-                }
+            for _ in 0..work.va {
+                price(stats, PowerEvent::VcAlloc);
             }
-            for ob in outboxes.iter_mut() {
-                for c in ob.credits.drain(..) {
-                    if c.in_port == Port::Local {
-                        self.inj[c.at.0].credits += 1;
-                    } else {
-                        let upstream = self.neighbors[c.at.0][c.in_port.index()];
-                        assert!(
-                            upstream != Topology::NO_LINK,
-                            "credit toward a missing neighbor"
-                        );
-                        tile.return_credit(upstream as usize, c.in_port.opposite(), c.vc);
-                    }
-                }
+            for _ in 0..work.rc {
+                price(stats, PowerEvent::RouteCompute);
+            }
+            for _ in 0..work.forwards {
+                stats.record_forward(i, n);
+                price(stats, PowerEvent::LinkTraversal);
+            }
+            if let Some(is_tail) = work.injected {
+                stats.record_injection(region, is_tail);
+                price(stats, PowerEvent::BufferWrite);
+            }
+            grants += work.grants as usize;
+            forwards += work.forwards as usize;
+            !work.drained
+        });
+        // Flit conservation through the switch, by an oracle that shares
+        // no code with the pipeline: every grant left over a link or
+        // ejected, and every flit that left a buffer returned a credit.
+        let (deliveries, ejected) = (out.deliveries.len(), out.ejected.len());
+        debug_assert_eq!(forwards, deliveries, "forward without a delivery");
+        debug_assert_eq!(grants, deliveries + ejected, "granted flit went nowhere");
+        debug_assert_eq!(
+            out.credits.len(),
+            grants + out.dropped.len(),
+            "a flit left a buffer without returning its credit"
+        );
+        for flit in out.ejected.drain(..) {
+            stats.record_ejection(&flit, self.cycle);
+        }
+        for flit in out.dropped.drain(..) {
+            stats.record_drop(&flit);
+        }
+        let (packets, flits) = std::mem::take(&mut out.source_dropped);
+        stats.record_source_drop(packets, flits);
+        for d in out.deliveries.drain(..) {
+            let scale = self.region_dynamic_scale[self.region_by_node[d.to.0]];
+            stats.energy.record(power, PowerEvent::BufferWrite, scale);
+            self.fabric.accept(d.to.0, d.in_port, d.flit);
+            self.active.insert(d.to.0);
+        }
+        for c in out.credits.drain(..) {
+            if c.in_port == Port::Local {
+                self.inj[c.at.0].credits += 1;
+            } else {
+                let upstream = self.neighbors[c.at.0][c.in_port.index()];
+                assert!(
+                    upstream != Topology::NO_LINK,
+                    "credit toward a missing neighbor"
+                );
+                self.fabric
+                    .return_credit(upstream as usize, c.in_port.opposite(), c.vc);
             }
         }
 
@@ -1005,6 +763,7 @@ impl Network {
         {
             self.fabric
                 .assert_credits_conserved(&self.topo, |i| self.inj[i].credits);
+            self.fabric.assert_holds_owned(self.switch_arb);
             self.retired_flits += stats.ejected_flits + stats.dropped_flits - retired_before;
             self.assert_active_set_and_flit_balance();
         }
@@ -1035,8 +794,7 @@ impl Network {
         }
         // `drained` is read only for active routers, so it may be left set.
         let priced = crate::soa::NodeWork::default();
-        let tile = self.fabric.tile();
-        let mut work = tile.work.iter().map(|w| crate::soa::NodeWork {
+        let mut work = self.fabric.work.iter().map(|w| crate::soa::NodeWork {
             drained: false,
             ..*w
         });
@@ -1114,27 +872,20 @@ impl Network {
         // restore), and clear uncommitted routes into dead links.
         let mut restored: Vec<(usize, Port, usize)> = Vec::new();
         let mut dropped_flits = 0u64;
-        {
-            let link_state = &self.link_state;
-            let mut tile = self.fabric.tile();
-            for i in 0..n {
-                let node = NodeId(i);
-                dropped_flits += tile.purge_and_reroute(
-                    i,
-                    &condemned,
-                    |p| !link_state.is_link_up(node, p),
-                    |in_port, vc| restored.push((i, in_port, vc)),
-                );
-            }
+        for i in 0..n {
+            let node = NodeId(i);
+            dropped_flits += self.fabric.purge_and_reroute(
+                i,
+                &condemned,
+                |p| !self.link_state.is_link_up(node, p),
+                |in_port, vc| restored.push((i, in_port, vc)),
+            );
         }
-        {
-            let mut tile = self.fabric.tile();
-            for (node, in_port, vc) in restored {
-                if in_port == Port::Local {
-                    self.inj[node].credits += 1;
-                } else if let Some(up) = self.topo.neighbor(NodeId(node), in_port) {
-                    tile.return_credit(up.0, in_port.opposite(), vc);
-                }
+        for (node, in_port, vc) in restored {
+            if in_port == Port::Local {
+                self.inj[node].credits += 1;
+            } else if let Some(up) = self.topo.neighbor(NodeId(node), in_port) {
+                self.fabric.return_credit(up.0, in_port.opposite(), vc);
             }
         }
 
@@ -1160,66 +911,59 @@ impl Network {
     }
 }
 
-/// Step one tile's node range: every router of `shared.walk` in it is
-/// [`visit`]ed in node order. A router outside the active set has no
-/// buffered flits and no source backlog, so its pipeline and injection
-/// stages are provably no-ops and its whole serial effect is its leakage
-/// (priced from the active set) plus a clock-gate tick — a tick that is
-/// elided while the gates are pristine (see `Network::gates_pristine`),
-/// so then only the set bits are walked. Off the fixpoint every live idle
-/// gate must tick, and one dense pass does both jobs.
-fn step_tile(shared: &TileShared<'_>, tile: &mut TileTask<'_>) {
-    let base = tile.base;
-    let nodes = base..base + tile.inj.len();
-    if shared.gates_pristine {
-        shared
-            .walk
-            .for_each_in(nodes, |i| visit(shared, tile, i - base));
-        return;
-    }
-    for i in nodes {
-        if shared.walk.contains(i) {
-            visit(shared, tile, i - base);
-        } else if shared
-            .ctx
-            .faults
-            .is_none_or(|ls| ls.is_router_up(NodeId(i)))
-        {
-            tile.gates[i - base].tick();
+impl NodePhase<'_> {
+    /// Visit every router of `walk` in node order. A router outside the
+    /// active set has no buffered flits and no source backlog, so its
+    /// pipeline and injection stages are provably no-ops and its whole
+    /// effect is its leakage (priced from the active set) plus a clock-gate
+    /// tick — a tick that is elided while the gates are pristine (see
+    /// `Network::gates_pristine`), so then only the set bits are walked. Off
+    /// the fixpoint every live idle gate must tick, and one dense pass does
+    /// both jobs.
+    fn run(&mut self, walk: &ActiveSet, gates_pristine: bool) {
+        if gates_pristine {
+            walk.for_each(|i| self.visit(i));
+            return;
+        }
+        for i in 0..self.inj.len() {
+            if walk.contains(i) {
+                self.visit(i);
+            } else if self.ctx.faults.is_none_or(|ls| ls.is_router_up(NodeId(i))) {
+                self.gates[i].tick();
+            }
         }
     }
-}
 
-/// One cycle of local router `k`, with every energy event counted in its
-/// `NodeWork` slot instead of applied and all cross-node effects buffered
-/// in the tile's outbox; the slot's `drained` flag tells the commit phase
-/// whether the router ends the step empty. Occupancy and backlog are stable
-/// during the phase (deliveries and credits commit afterwards; packets are
-/// offered before the step), so the start-of-cycle active set is exact.
-fn visit(shared: &TileShared<'_>, tile: &mut TileTask<'_>, k: usize) {
-    let node = NodeId(tile.base + k);
-    let busy =
-        |tile: &TileTask<'_>| tile.fabric.occupancy(k) > 0 || tile.inj[k].backlog_flits() > 0;
-    debug_assert!(
-        shared.step_all || busy(tile),
-        "router {} is in the active set but idle",
-        node.0
-    );
-    if shared.ctx.faults.is_some_and(|ls| !ls.is_router_up(node)) {
-        // A dead router does nothing and consumes nothing; traffic offered
-        // at its source queue is unreachable and dropped.
-        drop_source_queue_tile(&mut tile.inj[k], &mut tile.out.source_dropped);
-    } else if tile.gates[k].tick() {
-        tile.fabric.step_node(k, node, &shared.ctx, tile.out);
-        try_inject_tile(shared.cycle, &mut tile.fabric, k, &mut tile.inj[k]);
+    /// One cycle of router `i`, with every energy event counted in its
+    /// `NodeWork` slot instead of applied and all cross-node effects
+    /// buffered in the outbox; the slot's `drained` flag tells the commit
+    /// phase whether the router ends the step empty. Occupancy and backlog
+    /// are stable during the phase (deliveries and credits commit
+    /// afterwards; packets are offered before the step), so the
+    /// start-of-cycle active set is exact.
+    fn visit(&mut self, i: usize) {
+        let node = NodeId(i);
+        let busy = |p: &Self| p.fabric.occupancy(i) > 0 || p.inj[i].backlog_flits() > 0;
+        debug_assert!(
+            self.step_all || busy(self),
+            "router {i} is in the active set but idle"
+        );
+        if self.ctx.faults.is_some_and(|ls| !ls.is_router_up(node)) {
+            // A dead router does nothing and consumes nothing; traffic
+            // offered at its source queue is unreachable and dropped.
+            drop_source_queue(&mut self.inj[i], &mut self.out.source_dropped);
+        } else if self.gates[i].tick() {
+            self.fabric.step_node(i, node, &self.ctx, self.out);
+            try_inject(self.cycle, self.fabric, i, &mut self.inj[i]);
+        }
+        self.fabric.work[i].drained = !busy(self);
     }
-    tile.fabric.work[k].drained = !busy(tile);
 }
 
 /// Try to move one flit from the node's source queue into the router's
 /// Local input VC 0, honoring its credits (the injection and its buffer
 /// write are counted in the node's slot).
-fn try_inject_tile(cycle: u64, fabric: &mut FabricTile<'_>, k: usize, q: &mut InjectionQueue) {
+fn try_inject(cycle: u64, fabric: &mut FabricState, k: usize, q: &mut InjectionQueue) {
     if q.current.is_none() {
         let Some(packet) = q.pop_packet() else { return };
         q.current = Some(Injecting {
@@ -1246,8 +990,8 @@ fn try_inject_tile(cycle: u64, fabric: &mut FabricTile<'_>, k: usize, q: &mut In
 
 /// Drop everything waiting at a dead router's source queue: queued packets
 /// and any mid-injection remnant that never reached the network. Adds to
-/// the tile's `(packets, flits)` tally.
-fn drop_source_queue_tile(q: &mut InjectionQueue, dropped: &mut (u64, u64)) {
+/// the outbox's `(packets, flits)` tally.
+fn drop_source_queue(q: &mut InjectionQueue, dropped: &mut (u64, u64)) {
     while let Some(p) = q.pop_packet() {
         dropped.0 += 1;
         dropped.1 += p.len_flits as u64;
@@ -1737,8 +1481,8 @@ mod tests {
     #[test]
     fn one_flit_one_hop_costs_what_the_power_model_says() {
         let models = [PowerModel::default_32nm(), PowerModel::with_power_gating()];
-        for (partitions, p) in [1, 2].into_iter().flat_map(|n| models.map(|p| (n, p))) {
-            let mut cfg = small_config().with_partitions(partitions);
+        for p in models {
+            let mut cfg = small_config();
             cfg.power = p;
             let mut net = Network::new(&cfg).unwrap();
             let mut stats = StatsCollector::new(net.regions().num_regions());
@@ -1763,7 +1507,7 @@ mod tests {
             assert_eq!((energy.events(), stats.node_forwarded[0]), (13, 1));
             assert!(
                 (energy.leakage_pj() - leakage).abs() < 1e-9,
-                "partitions={partitions} gating={gating}: {energy:?} vs {leakage}"
+                "gating={gating}: {energy:?} vs {leakage}"
             );
         }
     }

@@ -18,12 +18,12 @@
 //! Flow control is credit-based: per output port and VC, the fabric keeps
 //! the number of free slots in the downstream buffer and the packet that
 //! owns the VC; the network layer returns credits as downstream buffers
-//! drain. A router's cycle writes its effects straight into its tile's
-//! [`TileOutbox`] — departing flits as [`Delivery`]s already addressed to
+//! drain. A router's cycle writes its effects straight into the network's
+//! [`Outbox`] — departing flits as [`Delivery`]s already addressed to
 //! the receiving router, drained slots as [`CreditReturn`]s, ejected and
 //! dropped flits as themselves — and counts what it did in its own
-//! [`NodeWork`] slot; the network's serial commit phase prices the slots in
-//! node order and applies the outboxes in tile order.
+//! [`NodeWork`] slot; the network's commit phase prices the slots in node
+//! order and then applies the outbox.
 //!
 //! [`FabricState`] holds every router's pipeline state in flat arrays
 //! indexed by `(router, port, vc)` — the flits themselves (one fixed ring of
@@ -31,11 +31,7 @@
 //! granted downstream VCs, VC owners, drain flags, downstream credits, and
 //! the arbitration pointers. A hop costs what it touches: a flit is 32
 //! bytes, an owner slot 8, and a neighbour is a load from a table resolved
-//! once ([`Topology::neighbor_table`]). No element owns a heap allocation, so a
-//! partition tile (a contiguous node range) is literally a contiguous slice
-//! of each array: [`FabricState::split_tiles`] carves the fabric into
-//! disjoint [`FabricTile`] views that worker threads step concurrently
-//! without sharing a cache line of mutable state.
+//! once ([`Topology::neighbor_table`]). No element owns a heap allocation.
 //!
 //! Two supporting structures per router keep the cycle loop cheap:
 //!
@@ -87,16 +83,17 @@ pub struct CreditReturn {
     pub vc: usize,
 }
 
-/// Everything a tile's routers emit beyond themselves during the per-node
-/// phase, applied serially by the commit phase in tile order. Deliveries are
-/// priced in that order (one `BufferWrite` each, after every [`NodeWork`]
-/// slot); ejections, drops and source drops feed only integers and f64 sums
-/// of integers, so their order is free. Only capacity persists across cycles.
+/// Everything the routers emit beyond themselves during the per-node phase,
+/// applied by the commit phase once every router has stepped. Deliveries are
+/// priced in node order of their senders (one `BufferWrite` each, after
+/// every [`NodeWork`] slot); ejections, drops and source drops feed only
+/// integers and f64 sums of integers, so their order is free. Only capacity
+/// persists across cycles.
 #[derive(Debug, Default)]
-pub struct TileOutbox {
-    /// Flits leaving this tile's routers (possibly into another tile).
+pub struct Outbox {
+    /// Flits leaving over a link, each addressed to its receiver.
     pub deliveries: Vec<Delivery>,
-    /// Credits owed to upstream routers (possibly in another tile).
+    /// Credits owed to upstream routers.
     pub credits: Vec<CreditReturn>,
     /// Flits ejected at their destination (`StatsCollector::record_ejection`).
     pub ejected: Vec<Flit>,
@@ -112,15 +109,14 @@ pub struct TileOutbox {
 /// counts; the serial commit phase prices the slots of the active routers in
 /// node order and resets them, so every other slot's counts stay zero.
 ///
-/// Tiles cannot share a `&mut StatsCollector`, and merging per-tile energy
-/// sums would break byte-identity: float addition is not associative, so
-/// regrouping `dynamic_pj` by tile would perturb its last bits. Counting
-/// suffices because a router's event sequence is fixed — `grants` ×
-/// (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`, `rc` ×
-/// `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy, not at
-/// the grant), then the injection's `BufferWrite`, all at the router's one
-/// V/F scale — so pricing slot after slot is the same sequence of f64
-/// additions whatever the partition count. `dynamic_pj` and `leakage_pj`
+/// The stages never touch the `StatsCollector`. Float addition is not
+/// associative, so what `dynamic_pj` needs is one fixed order of additions,
+/// and counting gives it because a router's event sequence is fixed —
+/// `grants` × (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`,
+/// `rc` × `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy,
+/// not at the grant), then the injection's `BufferWrite`, all at the
+/// router's one V/F scale — so pricing slot after slot in node order is the
+/// same sequence of f64 additions every run. `dynamic_pj` and `leakage_pj`
 /// (which the network accrues from the active set, not from the slots) are
 /// the only order-sensitive accumulators; everything else a cycle records
 /// is an integer or an f64 sum of integers.
@@ -146,7 +142,7 @@ pub struct NodeWork {
     pub injected: Option<bool>,
 }
 
-/// Per-cycle execution context handed to [`FabricTile::step_node`].
+/// Per-cycle execution context handed to [`FabricState::step_node`].
 #[derive(Debug)]
 pub struct RouterCtx<'a> {
     /// The network topology (for route computation).
@@ -223,8 +219,9 @@ fn rr_pick(reqs: u64, ptr: u32) -> u32 {
 /// directly.
 #[derive(Debug)]
 pub struct FabricState {
-    routers: usize,
     num_vcs: usize,
+    /// Flattened `(port, vc)` count per router: `Port::COUNT * num_vcs`.
+    pv: usize,
     vc_depth: usize,
     /// When true, VC allocation partitions VCs into two dateline classes
     /// (tori). Requires `num_vcs >= 2`.
@@ -270,8 +267,10 @@ pub struct FabricState {
     /// Occupancy bitmask per router: bit `port * num_vcs + vc` set iff
     /// that input VC is non-empty.
     occ_mask: Vec<u64>,
-    /// What each router did this cycle; all-default between cycles.
-    work: Vec<NodeWork>,
+    /// This cycle's [`NodeWork`] slot per router: the stages and the
+    /// network's injection count into them, the commit phase prices and
+    /// resets them, so all are default between cycles.
+    pub work: Vec<NodeWork>,
 }
 
 impl FabricState {
@@ -297,8 +296,8 @@ impl FabricState {
         let credits = u16::try_from(vc_depth).expect("credit counters are u16: vc_depth <= 65535");
         let pv = Port::COUNT * num_vcs;
         FabricState {
-            routers,
             num_vcs,
+            pv,
             vc_depth,
             vc_partition,
             flits: vec![None; routers * pv * vc_depth],
@@ -320,23 +319,13 @@ impl FabricState {
     }
 
     #[inline]
-    fn pv(&self) -> usize {
-        Port::COUNT * self.num_vcs
-    }
-
-    #[inline]
     fn idx(&self, r: usize, port: Port, vc: usize) -> usize {
-        r * self.pv() + port.index() * self.num_vcs + vc
-    }
-
-    /// Flits buffered in router `r` (see [`occupancy`] for the debug recount).
-    pub fn occupancy(&self, r: usize) -> usize {
-        occupancy(&self.occ, &self.occ_mask, &self.len, self.pv(), r)
+        r * self.pv + port.index() * self.num_vcs + vc
     }
 
     /// Total buffering capacity per router.
     pub fn buffer_capacity(&self) -> usize {
-        self.pv() * self.vc_depth
+        self.pv * self.vc_depth
     }
 
     /// Record the owners of router `r`'s output VCs on `port` (packets
@@ -354,7 +343,7 @@ impl FabricState {
     /// Record every packet with a flit buffered in router `r` or holding
     /// one of its output claims into `out` — used when the router dies.
     pub(crate) fn condemn_all(&self, r: usize, out: &mut BTreeSet<PacketId>) {
-        let (pv, slots) = (self.pv(), self.buffer_capacity());
+        let (pv, slots) = (self.pv, self.buffer_capacity());
         for flit in self.flits[r * slots..(r + 1) * slots].iter().flatten() {
             out.insert(flit.packet);
         }
@@ -373,7 +362,7 @@ impl FabricState {
     /// routers and heals.
     #[cfg(debug_assertions)]
     pub fn assert_credits_conserved(&self, topo: &Topology, local: impl Fn(usize) -> usize) {
-        for (r, port) in (0..self.routers).flat_map(|r| Port::ALL.map(|p| (r, p))) {
+        for (r, port) in (0..self.occ.len()).flat_map(|r| Port::ALL.map(|p| (r, p))) {
             let sender = topo.neighbor(NodeId(r), port);
             for vc in 0..self.num_vcs {
                 let credits = match sender {
@@ -390,133 +379,52 @@ impl FabricState {
         }
     }
 
-    /// Mutable view of the whole fabric (the serial phases — commit and
-    /// fault purge — go through this): the one-tile split.
-    pub fn tile(&mut self) -> FabricTile<'_> {
-        self.split_tiles(&[0, self.routers])
-            .next()
-            .expect("one tile")
+    /// Switch-hold ownership, checked between cycles by an oracle that
+    /// shares no code with switch allocation: a held output port's holder
+    /// input VC is still routed to that port, still owned by a packet, and
+    /// still holds the downstream VC that packet was granted (claimed in
+    /// the packet's name, except on `Local`, which claims none). Under
+    /// [`SwitchArb::PerFlit`] no port is ever held.
+    #[cfg(debug_assertions)]
+    pub fn assert_holds_owned(&self, arb: SwitchArb) {
+        let per_flit = arb == SwitchArb::PerFlit;
+        for (i, &hold) in self.sw_hold.iter().enumerate() {
+            if hold == u32::MAX {
+                continue;
+            }
+            let (r, port) = (i / Port::COUNT, Port::ALL[i % Port::COUNT]);
+            assert!(!per_flit, "router {r} holds {port} per flit");
+            let holder = r * self.pv + hold as usize;
+            let owner = self.in_owner[holder];
+            let out_vc = self.in_out_vc[holder].map(usize::from);
+            let claimed = out_vc.is_some_and(|vc| {
+                port == Port::Local || self.out_owner[self.idx(r, port, vc)] == owner
+            });
+            assert!(
+                self.in_route[holder] == Some(port) && owner != Owner::NONE && claimed,
+                "router {r} output {port} is held by input VC bit {hold}, which no longer owns it"
+            );
+        }
     }
 
-    /// Carve the fabric into disjoint contiguous tiles at the router
-    /// `bounds` (ascending, `bounds[0] == 0`, last == `num_routers`). Each
-    /// [`FabricTile`] owns the slice of every array for its node range, so
-    /// tiles can be stepped concurrently.
-    ///
-    /// # Panics
-    /// Panics if the bounds are not ascending or do not cover the fabric.
-    pub fn split_tiles<'a: 'b, 'b>(
-        &'a mut self,
-        bounds: &'b [usize],
-    ) -> impl Iterator<Item = FabricTile<'a>> + 'b {
-        assert!(
-            bounds.first() == Some(&0) && bounds.last() == Some(&self.routers),
-            "tile bounds must cover the fabric"
+    /// Flits buffered in router `r`, with a debug recount of the O(1)
+    /// counter and the occupancy bitmask against the per-VC lengths (the
+    /// debug-profile CI job checks both on the path the cycle loop runs).
+    #[inline]
+    pub fn occupancy(&self, r: usize) -> usize {
+        let (pv, len) = (self.pv, &self.len);
+        debug_assert_eq!(
+            self.occ[r],
+            (len[r * pv..(r + 1) * pv].iter())
+                .map(|&l| u32::from(l))
+                .sum::<u32>(),
+            "occupancy counter out of sync with the buffers"
         );
-        let (num_vcs, pv, vc_depth, vc_partition) =
-            (self.num_vcs, self.pv(), self.vc_depth, self.vc_partition);
-        let mut flits = self.flits.as_mut_slice();
-        let mut head = self.head.as_mut_slice();
-        let mut len = self.len.as_mut_slice();
-        let mut in_route = self.in_route.as_mut_slice();
-        let mut in_out_vc = self.in_out_vc.as_mut_slice();
-        let mut in_owner = self.in_owner.as_mut_slice();
-        let mut in_dropping = self.in_dropping.as_mut_slice();
-        let mut out_owner = self.out_owner.as_mut_slice();
-        let mut out_credits = self.out_credits.as_mut_slice();
-        let mut sw_next = self.sw_next.as_mut_slice();
-        let mut sw_hold = self.sw_hold.as_mut_slice();
-        let mut va_ptr = self.va_ptr.as_mut_slice();
-        let mut occ = self.occ.as_mut_slice();
-        let mut occ_mask = self.occ_mask.as_mut_slice();
-        let mut work = self.work.as_mut_slice();
-        bounds.windows(2).map(move |w| {
-            let rn = w[1] - w[0];
-            macro_rules! take {
-                ($slice:ident, $n:expr) => {{
-                    let (head, rest) = std::mem::take(&mut $slice).split_at_mut($n);
-                    $slice = rest;
-                    head
-                }};
-            }
-            FabricTile {
-                num_vcs,
-                pv,
-                vc_depth,
-                vc_partition,
-                flits: take!(flits, rn * pv * vc_depth),
-                head: take!(head, rn * pv),
-                len: take!(len, rn * pv),
-                in_route: take!(in_route, rn * pv),
-                in_out_vc: take!(in_out_vc, rn * pv),
-                in_owner: take!(in_owner, rn * pv),
-                in_dropping: take!(in_dropping, rn * pv),
-                out_owner: take!(out_owner, rn * pv),
-                out_credits: take!(out_credits, rn * pv),
-                sw_next: take!(sw_next, rn * Port::COUNT),
-                sw_hold: take!(sw_hold, rn * Port::COUNT),
-                va_ptr: take!(va_ptr, rn * Port::COUNT),
-                occ: take!(occ, rn),
-                occ_mask: take!(occ_mask, rn),
-                work: take!(work, rn),
-            }
-        })
-    }
-}
-
-/// Flits buffered in router `r` of the given (fabric- or tile-local) arrays,
-/// with a debug recount of the O(1) counter and the occupancy bitmask against
-/// the per-VC lengths. The one implementation behind
-/// [`FabricState::occupancy`] and [`FabricTile::occupancy`], so the
-/// debug-profile CI job checks both counters on the path the cycle loop runs.
-#[inline]
-fn occupancy(occ: &[u32], occ_mask: &[u64], len: &[u16], pv: usize, r: usize) -> usize {
-    debug_assert_eq!(
-        occ[r],
-        (len[r * pv..(r + 1) * pv].iter())
-            .map(|&l| u32::from(l))
-            .sum::<u32>(),
-        "occupancy counter out of sync with the buffers"
-    );
-    debug_assert!(
-        (0..pv).all(|b| (occ_mask[r] >> b) & 1 == u64::from(len[r * pv + b] != 0)),
-        "occupancy bitmask out of sync with the buffers"
-    );
-    occ[r] as usize
-}
-
-/// A disjoint mutable view of a contiguous router range — the slice of
-/// every [`FabricState`] array for those routers. Router indices passed to
-/// the methods are tile-local (0-based within the range).
-#[derive(Debug)]
-pub struct FabricTile<'a> {
-    num_vcs: usize,
-    pv: usize,
-    vc_depth: usize,
-    vc_partition: bool,
-    flits: &'a mut [Option<Flit>],
-    head: &'a mut [u16],
-    len: &'a mut [u16],
-    in_route: &'a mut [Option<Port>],
-    in_out_vc: &'a mut [Option<u8>],
-    in_owner: &'a mut [Owner],
-    in_dropping: &'a mut [bool],
-    out_owner: &'a mut [Owner],
-    out_credits: &'a mut [u16],
-    sw_next: &'a mut [u32],
-    sw_hold: &'a mut [u32],
-    va_ptr: &'a mut [u32],
-    occ: &'a mut [u32],
-    occ_mask: &'a mut [u64],
-    /// This cycle's [`NodeWork`] slots: the stages and the network's
-    /// injection count into them, the commit phase prices and resets them.
-    pub work: &'a mut [NodeWork],
-}
-
-impl FabricTile<'_> {
-    /// Buffered flits in local router `k`, with the debug recount.
-    pub fn occupancy(&self, k: usize) -> usize {
-        occupancy(self.occ, self.occ_mask, self.len, self.pv, k)
+        debug_assert!(
+            (0..pv).all(|b| (self.occ_mask[r] >> b) & 1 == u64::from(len[r * pv + b] != 0)),
+            "occupancy bitmask out of sync with the buffers"
+        );
+        self.occ[r] as usize
     }
 
     /// Flat slot of the `i`-th oldest position (`i <= vc_depth`) of input
@@ -634,9 +542,9 @@ impl FabricTile<'_> {
 
     /// Execute one active cycle of local router `k` (node id `node`):
     /// SA/ST, then VA, then RC. Appends this cycle's deliveries, credits,
-    /// ejections and drops to the tile's outbox and counts the energy
+    /// ejections and drops to the outbox and counts the energy
     /// events in the router's [`NodeWork`] slot.
-    pub fn step_node(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, out: &mut TileOutbox) {
+    pub fn step_node(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, out: &mut Outbox) {
         if self.occupancy(k) == 0 {
             return; // idle router: nothing to route, allocate, or move
         }
@@ -662,7 +570,7 @@ impl FabricTile<'_> {
     /// under the active fault set), returning a credit per discarded flit
     /// so the upstream sender keeps feeding the remainder of the packet.
     /// The tail flit releases the VC.
-    fn drain_dropped(&mut self, k: usize, node: NodeId, out: &mut TileOutbox) {
+    fn drain_dropped(&mut self, k: usize, node: NodeId, out: &mut Outbox) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut m = self.occ_mask[k];
@@ -704,7 +612,7 @@ impl FabricTile<'_> {
         k: usize,
         node: NodeId,
         ctx: &RouterCtx<'_>,
-        out: &mut TileOutbox,
+        out: &mut Outbox,
     ) -> (u64, u64) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
@@ -1112,13 +1020,13 @@ mod tests {
         }
 
         fn accept(&mut self, port: Port, flit: Flit) {
-            self.f.tile().accept(0, port, flit);
+            self.f.accept(0, port, flit);
         }
 
         /// One cycle; returns everything the router put in its outbox and
         /// what it counted (taking the slot, as the commit phase does).
-        fn step(&mut self) -> (TileOutbox, NodeWork) {
-            let mut out = TileOutbox::default();
+        fn step(&mut self) -> (Outbox, NodeWork) {
+            let mut out = Outbox::default();
             let ctx = RouterCtx {
                 topo: &self.topo,
                 neighbors: &Topology::neighbor_table(&self.topo),
@@ -1127,7 +1035,7 @@ mod tests {
                 arb: SwitchArb::PerFlit,
                 tables: None,
             };
-            self.f.tile().step_node(0, self.node, &ctx, &mut out);
+            self.f.step_node(0, self.node, &ctx, &mut out);
             (out, std::mem::take(&mut self.f.work[0]))
         }
 
@@ -1216,7 +1124,7 @@ mod tests {
         // Nothing more is buffered, so verify credit accounting instead.
         let east = r.idx(Port::East, 0);
         assert_eq!(r.f.out_credits[east], 0);
-        r.f.tile().return_credit(0, Port::East, 0);
+        r.f.return_credit(0, Port::East, 0);
         assert_eq!(r.f.out_credits[east], 1);
     }
 
@@ -1288,13 +1196,13 @@ mod tests {
             }
             for d in r.step().0.deliveries {
                 ids.push(d.flit.packet.0);
-                r.f.tile().return_credit(0, Port::East, 0);
+                r.f.return_credit(0, Port::East, 0);
             }
         }
         assert_eq!(ids, (0..8).collect::<Vec<_>>());
         assert_eq!(r.f.occupancy(0), 0);
         let local = r.idx(Port::Local, 0);
-        assert!(r.f.tile().pop(0, local).is_none());
+        assert!(r.f.pop(0, local).is_none());
     }
 
     #[test]
@@ -1320,9 +1228,9 @@ mod tests {
         let condemned = BTreeSet::from([PacketId(7), PacketId(9)]);
         let mut credits = Vec::new();
         let credit = |port, vc| credits.push((port, vc));
-        let removed = (r.f.tile()).purge_and_reroute(0, &condemned, |_| false, credit);
+        let removed = r.f.purge_and_reroute(0, &condemned, |_| false, credit);
         assert_eq!((removed, credits), (3, vec![(Port::Local, 0); 3]));
-        let again = (r.f.tile()).purge_and_reroute(0, &condemned, |_| false, |_, _| ());
+        let again = r.f.purge_and_reroute(0, &condemned, |_| false, |_, _| ());
         assert_eq!(again, 0);
         assert_eq!(r.f.occupancy(0), 2, "recounted against `len` in debug");
         let left: Vec<_> = (0..4).flat_map(|_| r.step().0.deliveries).collect();

@@ -692,6 +692,35 @@ mod tests {
         assert_eq!(w.offered_packets, 0);
     }
 
+    /// The `u64::MAX` sentinel of `latency_percentile` never leaks into any
+    /// rendered figure: a histogram whose tail mass sits in the open-ended
+    /// overflow bucket formats as a saturated `> <edge>` display at every
+    /// percentile, raw digits never.
+    #[test]
+    fn latency_percentile_sentinel_never_renders_raw() {
+        let mut s = StatsCollector::new(4);
+        // Push the whole latency mass into the overflow bucket.
+        let overflow = s.latency_hist.len() - 1;
+        s.latency_hist[overflow] = 100;
+        s.latency_samples = 100;
+        for p in [0.5, 0.95, 0.99, 1.0] {
+            let shown = s.latency_percentile_display(p);
+            assert!(
+                !shown.contains("18446744073709551615"),
+                "p{p} leaked the raw u64::MAX sentinel: {shown}"
+            );
+            assert!(
+                shown.starts_with("> "),
+                "overflowed percentile must render saturated, got: {shown}"
+            );
+        }
+        assert_eq!(
+            s.latency_percentile(0.95),
+            u64::MAX,
+            "numeric API keeps the sentinel"
+        );
+    }
+
     #[test]
     fn edp_multiplies_energy_and_latency() {
         let mut s = StatsCollector::new(1);

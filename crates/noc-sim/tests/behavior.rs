@@ -241,3 +241,62 @@ fn percentiles_bracket_the_mean() {
         "mean {mean} vs p50 {p50} p99 {p99}"
     );
 }
+
+/// Golden pin of a 16×16 run: exact counters and f64 sums on a
+/// uniform-load mesh. Any change to the per-node phase, the link exchange
+/// or the count-and-price commit order shows up here as a concrete diff.
+#[test]
+fn mesh_16x16_golden_metrics() {
+    let cfg = SimConfig::default()
+        .with_size(16, 16)
+        .with_traffic(TrafficPattern::Uniform, 0.10)
+        .with_seed(42);
+    let mut sim = Simulator::new(cfg).expect("valid 16x16 config");
+    sim.run(1_000);
+    let s = sim.stats();
+    assert_eq!(
+        (
+            s.offered_packets,
+            s.injected_flits,
+            s.ejected_flits,
+            s.ejected_packets,
+            s.dropped_flits,
+        ),
+        (4_997, 24_937, 24_074, 4_804, 0),
+        "16x16 counters drifted"
+    );
+    assert_eq!(
+        (s.sum_packet_latency, s.sum_network_latency, s.sum_hops),
+        (207_681.0, 206_179.0, 50_823.0),
+        "16x16 latency sums drifted"
+    );
+    assert_eq!(
+        s.energy.total_pj(),
+        1_478_453.3499950438,
+        "16x16 energy drifted"
+    );
+}
+
+/// `SimConfig::partitions` is inert: it still parses from old JSON and
+/// still validates, but a config carrying `partitions: 4` — built or
+/// parsed — runs byte-identical to the default.
+#[test]
+fn partitions_field_is_ignored() {
+    let run = |cfg: SimConfig| {
+        let mut sim = Simulator::new(cfg).expect("valid config");
+        sim.run(500);
+        serde_json::to_string(sim.stats()).expect("stats serialize")
+    };
+    let json = serde_json::to_string(&SimConfig::default()).expect("config serializes");
+    let old = json.replace("\"partitions\":1", "\"partitions\":4");
+    assert_ne!(old, json, "the field must serialize");
+    let parsed: SimConfig = serde_json::from_str(&old).expect("old config parses");
+    assert_eq!(parsed.partitions, 4);
+    let reference = run(SimConfig::default());
+    assert_eq!(run(parsed), reference, "parsed field changed the stats");
+    assert_eq!(
+        run(SimConfig::default().with_partitions(4)),
+        reference,
+        "built field changed the stats"
+    );
+}

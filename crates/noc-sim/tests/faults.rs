@@ -315,3 +315,86 @@ fn faulted_runs_are_deterministic() {
     assert_eq!(a, run(), "faulted runs must reproduce exactly");
     assert!(a.2 > 0, "the scenario must actually exercise drops");
 }
+
+/// Liveness at scale: a doubly-faulted 16×16 torus under minimal-adaptive
+/// routing drains completely — every offered packet delivered or counted
+/// dropped, nothing wedged.
+#[test]
+fn faulted_16x16_torus_delivers_or_drops() {
+    let cfg = SimConfig::default()
+        .with_size(16, 16)
+        .with_topology(TopologyKind::Torus)
+        .with_traffic(TrafficPattern::Uniform, 0.05)
+        .with_routing(RoutingAlgorithm::TorusMinAdaptive)
+        .with_seed(11)
+        .with_faults(
+            FaultPlan::new(vec![
+                FaultEvent {
+                    start: 0,
+                    duration: None,
+                    // A wrap link out of the east edge: exercises the dateline.
+                    target: FaultTarget::Link {
+                        node: NodeId(15),
+                        port: Port::East,
+                    },
+                },
+                FaultEvent {
+                    start: 0,
+                    duration: None,
+                    // An interior southbound link, row 3 into row 4.
+                    target: FaultTarget::Link {
+                        node: NodeId(3 * 16 + 7),
+                        port: Port::South,
+                    },
+                },
+            ])
+            .unwrap(),
+        );
+    let mut sim = Simulator::new(cfg).expect("valid faulted torus");
+    sim.run(2_000);
+    sim.set_traffic(TrafficSpec::stationary(TrafficPattern::Uniform, 0.0))
+        .expect("valid spec");
+    let mut budget = 8_000u64;
+    while sim.network().in_flight() > 0 {
+        assert!(budget > 0, "faulted 16x16 torus wedged");
+        sim.run(100);
+        budget = budget.saturating_sub(100);
+    }
+    let s = sim.stats();
+    assert!(s.offered_packets > 500, "too little traffic to judge");
+    assert_eq!(
+        s.offered_packets,
+        s.ejected_packets + s.dropped_packets,
+        "every offered packet must be delivered or counted dropped"
+    );
+}
+
+/// A link that dies mid-run, under load, severs packets in flight: the
+/// boundary purge must actually drop traffic, on an interior link and on
+/// one out of the first row alike.
+#[test]
+fn mid_run_link_fault_drops_traffic() {
+    for node in [NodeId(12), NodeId(4)] {
+        let cfg = SimConfig::default()
+            .with_traffic(TrafficPattern::Uniform, 0.10)
+            .with_routing(RoutingAlgorithm::OddEven)
+            .with_seed(7)
+            .with_faults(
+                FaultPlan::new(vec![FaultEvent {
+                    start: 200,
+                    duration: None,
+                    target: FaultTarget::Link {
+                        node,
+                        port: Port::South,
+                    },
+                }])
+                .unwrap(),
+            );
+        let mut sim = Simulator::new(cfg).expect("valid config");
+        sim.run(2_000);
+        assert!(
+            sim.stats().dropped_flits > 0,
+            "a fault on {node} South must drop traffic"
+        );
+    }
+}

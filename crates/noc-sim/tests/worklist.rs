@@ -6,7 +6,7 @@
 //! every metric, energy sum, and serialized byte matches a run where every
 //! router walks the full pipeline every cycle (`set_step_all(true)`). The
 //! proptest below samples topology, routing, faults, DVFS throttles, and
-//! partition counts; golden pins nail the idle-heavy scenarios (where the
+//! power models; golden pins nail the idle-heavy scenarios (where the
 //! worklist actually skips most of the fabric) to concrete numbers.
 
 use noc_sim::{
@@ -15,18 +15,16 @@ use noc_sim::{
 };
 use proptest::prelude::*;
 
-/// Run `cfg` with the worklist enabled (the default) or forced off, under
-/// the given partition count, optionally dropping a region to a lower VF
-/// level mid-run (which un-pristines the clock gates and forces the
+/// Run `cfg` with the worklist enabled (the default) or forced off,
+/// optionally dropping a region to a lower VF level mid-run (which un-pristines the clock gates and forces the
 /// idle-skip path to keep gate phases coherent).
 fn run_mode(
     cfg: &SimConfig,
-    partitions: usize,
     step_all: bool,
     relevel: Option<(usize, usize)>,
     cycles: u64,
 ) -> StatsCollector {
-    let mut sim = Simulator::new(cfg.clone().with_partitions(partitions)).expect("valid config");
+    let mut sim = Simulator::new(cfg.clone()).expect("valid config");
     sim.set_step_all(step_all);
     sim.run(cycles / 2);
     if let Some((region, level)) = relevel {
@@ -41,8 +39,8 @@ proptest! {
 
     /// Worklist stepping vs forced step-everyone, over sampled topology
     /// kind, routing algorithm, injection rate (biased low, where skipping
-    /// dominates), fault count, mid-run DVFS relevel, power model, and
-    /// partitions ∈ {1, 2, 4}. Structural and serialized-byte equality must
+    /// dominates), fault count, mid-run DVFS relevel, and power model.
+    /// Structural and serialized-byte equality must
     /// both hold — f64 energy sums included, which requires every router's
     /// leakage to be priced from the right term. Only the power-gated model
     /// tells the idle term from the busy one (the default model's idle
@@ -102,20 +100,12 @@ proptest! {
                 None,
             ));
         }
-        for p in [1usize, 2, 4] {
-            let full = run_mode(&cfg, p, true, relevel, 400);
-            let lazy = run_mode(&cfg, p, false, relevel, 400);
-            prop_assert_eq!(
-                &lazy, &full,
-                "worklist diverged structurally at partitions={}", p
-            );
-            let full_bytes = serde_json::to_string(&full).expect("stats serialize");
-            let lazy_bytes = serde_json::to_string(&lazy).expect("stats serialize");
-            prop_assert_eq!(
-                &lazy_bytes, &full_bytes,
-                "worklist diverged in serialized bytes at partitions={}", p
-            );
-        }
+        let full = run_mode(&cfg, true, relevel, 400);
+        let lazy = run_mode(&cfg, false, relevel, 400);
+        prop_assert_eq!(&lazy, &full, "worklist diverged structurally");
+        let full_bytes = serde_json::to_string(&full).expect("stats serialize");
+        let lazy_bytes = serde_json::to_string(&lazy).expect("stats serialize");
+        prop_assert_eq!(&lazy_bytes, &full_bytes, "worklist diverged in serialized bytes");
     }
 }
 
@@ -130,7 +120,7 @@ fn idle_heavy_16x16_golden_metrics() {
         .with_size(16, 16)
         .with_traffic(TrafficPattern::Uniform, 0.01)
         .with_seed(42);
-    let lazy = run_mode(&cfg, 1, false, None, 1_000);
+    let lazy = run_mode(&cfg, false, None, 1_000);
     assert_eq!(
         (
             lazy.offered_packets,
@@ -156,7 +146,7 @@ fn idle_heavy_16x16_golden_metrics() {
         274_296.90000029386,
         "idle-heavy 16x16 energy drifted"
     );
-    let full = run_mode(&cfg, 1, true, None, 1_000);
+    let full = run_mode(&cfg, true, None, 1_000);
     assert_eq!(lazy, full, "worklist run must match step-everyone");
     assert_eq!(
         serde_json::to_string(&lazy).unwrap(),
@@ -176,8 +166,8 @@ fn idle_heavy_16x16_gated_matches_step_all() {
         .with_traffic(TrafficPattern::Uniform, 0.01)
         .with_seed(42);
     cfg.power = PowerModel::with_power_gating();
-    let lazy = run_mode(&cfg, 1, false, None, 1_000);
-    let full = run_mode(&cfg, 1, true, None, 1_000);
+    let lazy = run_mode(&cfg, false, None, 1_000);
+    let full = run_mode(&cfg, true, None, 1_000);
     assert_eq!(lazy, full, "gated worklist run must match step-everyone");
     assert_eq!(
         serde_json::to_string(&lazy).unwrap(),
@@ -211,8 +201,8 @@ fn idle_fabric_under_throttles_matches_step_all() {
             },
         ])
         .with_seed(9);
-    let lazy = run_mode(&cfg, 1, false, None, 600);
-    let full = run_mode(&cfg, 1, true, None, 600);
+    let lazy = run_mode(&cfg, false, None, 600);
+    let full = run_mode(&cfg, true, None, 600);
     assert_eq!(lazy, full, "idle throttled fabric diverged");
     assert_eq!(lazy.injected_flits, 0, "zero-rate fabric must stay idle");
     assert!(

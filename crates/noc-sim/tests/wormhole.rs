@@ -9,10 +9,9 @@
 //!    pinned byte-for-byte against its wormhole twin.
 //! 2. **Liveness + determinism sweep** — a proptest over routing family
 //!    (including table-driven k-path routing), topology kind, packet-length
-//!    distribution, fault count, partitions ∈ {1, 2, 4}, and worklist
-//!    on/off: every offered packet is delivered or counted dropped after a
-//!    full drain (no wedges), and all six partition/worklist combinations
-//!    serialize to the same bytes.
+//!    distribution, fault count, and worklist on/off: every offered packet
+//!    is delivered or counted dropped after a full drain (no wedges), and
+//!    both worklist modes serialize to the same bytes.
 //! 3. **Golden pin** — a multi-flit 4×4 per-packet run nailed to exact
 //!    packet/flit/latency/energy numbers, so wormhole behavior cannot
 //!    drift silently.
@@ -23,11 +22,10 @@ use noc_sim::{
 };
 use proptest::prelude::*;
 
-/// Run `cfg` for `cycles` loaded cycles under the given partition count and
-/// worklist mode, then stop offering and drain to empty within a hard
+/// Run `cfg` for `cycles` loaded cycles under the given worklist mode, then stop offering and drain to empty within a hard
 /// budget. Panics if the network wedges.
-fn drain_run(cfg: &SimConfig, partitions: usize, step_all: bool, cycles: u64) -> StatsCollector {
-    let mut sim = Simulator::new(cfg.clone().with_partitions(partitions)).expect("valid config");
+fn drain_run(cfg: &SimConfig, step_all: bool, cycles: u64) -> StatsCollector {
+    let mut sim = Simulator::new(cfg.clone()).expect("valid config");
     sim.set_step_all(step_all);
     sim.run(cycles);
     sim.set_traffic(TrafficSpec::stationary(TrafficPattern::Uniform, 0.0))
@@ -36,8 +34,7 @@ fn drain_run(cfg: &SimConfig, partitions: usize, step_all: bool, cycles: u64) ->
     while sim.network().in_flight() > 0 {
         assert!(
             budget > 0,
-            "wormhole fabric wedged with flits in flight (partitions={partitions}, \
-             step_all={step_all})"
+            "wormhole fabric wedged with flits in flight (step_all={step_all})"
         );
         sim.run(100);
         budget = budget.saturating_sub(100);
@@ -51,8 +48,8 @@ proptest! {
     /// The liveness + determinism sweep. Conservation after a full drain:
     /// `offered == ejected + dropped` packets — the wormhole hold/release
     /// protocol must never wedge an output port, under faults, table
-    /// recomputes, and every length distribution. Determinism: partitions
-    /// {1, 2, 4} × worklist {on, off} all serialize to identical bytes.
+    /// recomputes, and every length distribution. Determinism: worklist on
+    /// and off serialize to identical bytes.
     #[test]
     fn wormhole_runs_drain_and_are_byte_identical(
         seed in 0u64..10_000,
@@ -110,7 +107,7 @@ proptest! {
                 None,
             ));
         }
-        let reference = drain_run(&cfg, 1, false, 500);
+        let reference = drain_run(&cfg, false, 500);
         // Conservation: after a clean drain every offered packet is
         // terminal — delivered or counted dropped.
         prop_assert_eq!(
@@ -127,19 +124,9 @@ proptest! {
         );
         prop_assert!(reference.offered_packets > 0, "sweep point must offer traffic");
         let reference_bytes = serde_json::to_string(&reference).expect("stats serialize");
-        for partitions in [1usize, 2, 4] {
-            for step_all in [false, true] {
-                if partitions == 1 && !step_all {
-                    continue; // the reference itself
-                }
-                let twin = drain_run(&cfg, partitions, step_all, 500);
-                let twin_bytes = serde_json::to_string(&twin).expect("stats serialize");
-                prop_assert_eq!(
-                    &twin_bytes, &reference_bytes,
-                    "diverged at partitions={} step_all={}", partitions, step_all
-                );
-            }
-        }
+        let twin = drain_run(&cfg, true, 500);
+        let twin_bytes = serde_json::to_string(&twin).expect("stats serialize");
+        prop_assert_eq!(&twin_bytes, &reference_bytes, "step-everyone diverged");
     }
 }
 
@@ -179,7 +166,7 @@ fn single_flit_wormhole_pins_legacy_bytes() {
 /// Golden pin of the multi-flit wormhole point: 4×4 mesh, uniform at 0.10
 /// flits/node/cycle, 5-flit packets, per-packet switch allocation. Exact
 /// counters, latency sums, and the f64 energy total — plus byte-equality
-/// across partitions and worklist modes on the same point.
+/// across worklist modes on the same point.
 #[test]
 fn multi_flit_4x4_perpacket_golden_metrics() {
     let cfg = SimConfig::default()
@@ -188,14 +175,13 @@ fn multi_flit_4x4_perpacket_golden_metrics() {
         .with_traffic(TrafficPattern::Uniform, 0.10)
         .with_switch_arb(SwitchArb::PerPacket)
         .with_seed(42);
-    let run = |partitions: usize, step_all: bool| {
-        let mut sim =
-            Simulator::new(cfg.clone().with_partitions(partitions)).expect("valid config");
+    let run = |step_all: bool| {
+        let mut sim = Simulator::new(cfg.clone()).expect("valid config");
         sim.set_step_all(step_all);
         sim.run(2_000);
         sim.stats().clone()
     };
-    let s = run(1, false);
+    let s = run(false);
     assert_eq!(
         (
             s.offered_packets,
@@ -218,16 +204,11 @@ fn multi_flit_4x4_perpacket_golden_metrics() {
         66_608.74999998449,
         "multi-flit 4x4 per-packet energy drifted"
     );
-    for partitions in [2usize, 4] {
-        for step_all in [false, true] {
-            let twin = run(partitions, step_all);
-            assert_eq!(
-                serde_json::to_string(&twin).unwrap(),
-                serde_json::to_string(&s).unwrap(),
-                "golden point diverged at partitions={partitions} step_all={step_all}"
-            );
-        }
-    }
+    assert_eq!(
+        serde_json::to_string(&run(true)).unwrap(),
+        serde_json::to_string(&s).unwrap(),
+        "golden point diverged under step-everyone"
+    );
 }
 
 /// Long packets under per-packet arbitration must show head-of-line
