@@ -600,14 +600,16 @@ pub fn parse_sweep_grid_args(args: &[String]) -> Result<SweepGridOptions, CliErr
 /// Returns an error for bad flags, invalid configurations, or IO failures.
 pub fn cmd_sweep_grid(args: &[String]) -> Result<(), CliError> {
     let opts = parse_sweep_grid_args(args)?;
-    let threads = opts.threads.unwrap_or_else(noc_selfconf::default_threads);
+    let threads = if opts.serial {
+        1
+    } else {
+        opts.threads.unwrap_or_else(noc_selfconf::default_threads)
+    };
     let report = match &opts.cache {
         Some(dir) => {
             let cache = ResultCache::open(std::path::Path::new(dir))
                 .map_err(|e| CliError(format!("cannot open cache dir `{dir}`: {e}")))?;
-            let report = opts
-                .grid
-                .run_cached(if opts.serial { 1 } else { threads }, &cache)?;
+            let report = opts.grid.run_cached(threads, &cache)?;
             let stats = cache.stats();
             eprintln!(
                 "sweep-grid: cache {dir}: {} memory / {} disk hit(s), {} computed",
@@ -615,7 +617,6 @@ pub fn cmd_sweep_grid(args: &[String]) -> Result<(), CliError> {
             );
             report
         }
-        None if opts.serial => opts.grid.run_serial()?,
         None => opts.grid.run(threads)?,
     };
     // Human summary on stderr; stdout stays pure JSON for piping.

@@ -18,7 +18,8 @@ pub fn default_threads() -> usize {
 }
 
 /// Run `f(0..n)` on up to `threads` OS threads and collect results in
-/// index order.
+/// index order. With one thread `f` runs on the calling thread, in index
+/// order, and no thread is spawned.
 ///
 /// # Panics
 /// Propagates panics from `f` (the scope joins all workers first).
@@ -28,6 +29,9 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return (0..n).map(f).collect();
+    }
     let next = AtomicUsize::new(0);
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let slots = Mutex::new(&mut out);
@@ -58,6 +62,24 @@ mod tests {
         for threads in [1, 2, 7, 128] {
             assert_eq!(parallel_map(100, threads, |i| i * i), expect);
         }
+    }
+
+    #[test]
+    fn one_thread_runs_on_the_caller_in_index_order() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let ids = parallel_map(5, 1, |i| {
+            order
+                .lock()
+                .expect("no panics while holding the lock")
+                .push(i);
+            std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == caller));
+        let order = order
+            .into_inner()
+            .expect("no panics while holding the lock");
+        assert_eq!(order, (0..5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -437,7 +437,7 @@ mod tests {
             drain: 40,
             ..SweepGrid::default()
         };
-        let mut report = grid.run_serial().expect("tiny grid runs");
+        let mut report = grid.run(1).expect("tiny grid runs");
         // Zero the #[serde(skip)] fields (`threads`, grid `partitions`) so
         // the parsed copy compares equal.
         report.threads = 0;

@@ -24,9 +24,10 @@
 //!   depend on which thread picks up which scenario;
 //! * results are written into their index slot, so report order is the
 //!   grid order regardless of completion order;
-//! * consequently `run` (any thread count) and [`SweepGrid::run_serial`]
-//!   produce identical reports, and serializing a report twice yields
-//!   byte-identical JSON. The sweep tests pin all three properties.
+//! * consequently [`SweepGrid::run`] produces identical reports at every
+//!   thread count — one thread runs the scenarios on the calling thread,
+//!   in grid order — and serializing a report twice yields byte-identical
+//!   JSON. The sweep tests pin all three properties.
 //!
 //! ```no_run
 //! use noc_selfconf::sweep::SweepGrid;
@@ -425,10 +426,11 @@ impl SweepGrid {
         })
     }
 
-    /// Run the whole grid on `threads` OS threads.
+    /// Run the whole grid on `threads` OS threads; with one, on the calling
+    /// thread.
     ///
-    /// Results are identical for every `threads` value (including 1); see
-    /// the module docs for why.
+    /// Results are identical for every `threads` value; see the module docs
+    /// for why.
     ///
     /// # Errors
     /// Returns the first (in grid order) scenario configuration error.
@@ -440,19 +442,7 @@ impl SweepGrid {
         })
         .into_iter()
         .collect();
-        Ok(self.report(results?, threads.clamp(1, scenarios.len().max(1))))
-    }
-
-    /// Run the whole grid on the calling thread.
-    ///
-    /// # Errors
-    /// Returns the first scenario configuration error.
-    pub fn run_serial(&self) -> SimResult<SweepReport> {
-        let scenarios = self.scenarios();
-        self.validate_scenarios(&scenarios)?;
-        let results: SimResult<Vec<ScenarioResult>> =
-            scenarios.iter().map(|s| self.run_scenario(s)).collect();
-        Ok(self.report(results?, 1))
+        Ok(self.report_from_results(results?, threads.clamp(1, scenarios.len().max(1))))
     }
 
     /// Run the whole grid through `cache`, computing only the scenarios the
@@ -482,22 +472,18 @@ impl SweepGrid {
         })
         .into_iter()
         .collect();
-        Ok(self.report(results?, threads.clamp(1, scenarios.len().max(1))))
+        Ok(self.report_from_results(results?, threads.clamp(1, scenarios.len().max(1))))
     }
 
-    /// Assemble a [`SweepReport`] from per-scenario results gathered
-    /// elsewhere (the serve scheduler streams scenarios individually, then
-    /// folds them through this to get the same report bytes a batch run
-    /// emits). `scenarios` must be in grid order.
+    /// Assemble a [`SweepReport`] from per-scenario results in grid order.
+    /// The batch runners fold their results through this, and so does the
+    /// serve scheduler, which streams scenarios individually, so both emit
+    /// the same report bytes.
     pub fn report_from_results(
         &self,
         scenarios: Vec<ScenarioResult>,
         threads: usize,
     ) -> SweepReport {
-        self.report(scenarios, threads)
-    }
-
-    fn report(&self, scenarios: Vec<ScenarioResult>, threads: usize) -> SweepReport {
         let aggregate = aggregate(&scenarios);
         SweepReport {
             grid: self.clone(),

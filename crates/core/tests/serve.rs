@@ -532,7 +532,7 @@ fn submitted_report_matches_local_run_bytes() {
     let grid = tiny_grid();
     let mut conn = ServeClient::connect(&addr).unwrap();
     let remote = conn.run_grid("test", &grid).expect("daemon runs the grid");
-    let local = grid.run_serial().expect("local run");
+    let local = grid.run(1).expect("local run");
     assert_eq!(
         serde_json::to_string_pretty(&remote).unwrap(),
         serde_json::to_string_pretty(&local).unwrap(),
@@ -993,7 +993,7 @@ proptest! {
             ..SweepGrid::default()
         };
         let reference = serde_json::to_string_pretty(
-            &grid.run_serial().expect("serial run"),
+            &grid.run(1).expect("serial run"),
         ).unwrap();
         let cache = ResultCache::in_memory();
         let cold = grid.run_cached(cold_threads, &cache).expect("cold cached run");

@@ -28,16 +28,16 @@ fn to_json(report: &SweepReport) -> String {
 }
 
 /// The engine's determinism contract, one matrix: the report rendered under
-/// every execution strategy on offer — serial twice, 1/3/8 worker threads,
-/// and an in-memory result cache cold then warm — is one byte string. Returns the serial report for the caller's
+/// every execution strategy on offer — one thread (the calling one) twice,
+/// 3/8 worker threads, and an in-memory result cache cold then warm — is
+/// one byte string. Returns the one-thread report for the caller's
 /// axis-specific assertions.
 fn assert_execution_invariant(grid: &SweepGrid) -> SweepReport {
-    let serial = grid.run_serial().expect("valid grid");
+    let serial = grid.run(1).expect("valid grid");
     let bytes = to_json(&serial);
     let cache = ResultCache::in_memory();
     let strategies = [
-        ("serial rerun", grid.run_serial()),
-        ("1 thread", grid.run(1)),
+        ("1 thread rerun", grid.run(1)),
         ("3 threads", grid.run(3)),
         ("8 threads", grid.run(8)),
         ("cold cache", grid.run_cached(2, &cache)),
@@ -358,7 +358,7 @@ fn optimized_cycle_loop_reproduces_golden_metrics() {
         base_seed: 42,
         ..quick_grid()
     };
-    let report = grid.run_serial().expect("valid grid");
+    let report = grid.run(1).expect("valid grid");
     assert_eq!(report.scenarios.len(), 2);
 
     let uni = &report.scenarios[0];
@@ -420,7 +420,7 @@ fn faulted_golden_metrics_are_pinned() {
         base_seed: 42,
         ..quick_grid()
     };
-    let report = grid.run_serial().expect("valid grid");
+    let report = grid.run(1).expect("valid grid");
     assert_eq!(report.scenarios.len(), 2);
 
     // Deterministic XY cannot route around the dead link: packets whose

@@ -11,16 +11,17 @@ use crate::traffic::{TrafficPattern, TrafficSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 crate::vocabulary! {
-    /// Switch-allocation granularity.
+    /// The release rule of switch allocation's one path.
     ///
-    /// `PerFlit` is the historical behavior: every buffered flit competes for
-    /// its output port every cycle, so flits of different packets may interleave
-    /// on a link (VC ownership still keeps packets apart per VC). `PerPacket`
-    /// models true wormhole switch allocation: once a head flit wins an output
-    /// port, the port is held for that packet until its tail flit is switched,
-    /// exposing head-of-line blocking and long-packet credit dynamics. For
-    /// single-flit packets the two modes are byte-identical (every grant is a
-    /// head-and-tail, so the hold is acquired and released within one grant).
+    /// Every grant holds its output port for the granted input VC until a
+    /// release. `PerFlit` is the historical behavior: it releases after every
+    /// grant, so every buffered flit competes for its output port every cycle
+    /// and flits of different packets may interleave on a link (VC ownership
+    /// still keeps packets apart per VC). `PerPacket` models true wormhole
+    /// switch allocation: the port stays held for the packet until its tail
+    /// flit is switched, exposing head-of-line blocking and long-packet credit
+    /// dynamics. For single-flit packets the two rules are byte-identical
+    /// (every grant is a head-and-tail, so it releases at once).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
     pub enum SwitchArb as "switch arbitration" {
         /// Flit-granular switch allocation (the legacy default).

@@ -36,8 +36,9 @@
 //! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)
 //!   over flat structure-of-arrays fabric state, the buffered flits
 //!   included (one fixed ring per input VC); each router writes its cycle
-//!   into the network's outbox and counts its energy events in its own
-//!   slot. Switch allocation's
+//!   into the network's outbox and returns its energy-event counts.
+//!   Switch allocation has one path, whose release rule is the
+//!   configured arbitration; its
 //!   request pass sorts the occupied VCs once for all three stages, and
 //!   neighbours come from a table built with the network.
 //! * [`traffic`] — composable workloads: phase schedules binding patterns
@@ -47,7 +48,7 @@
 //! * [`dvfs`] / [`power`] — V/F levels, regions, clock gating, event energy.
 //! * [`fault`] — timed link/router failures, fault-aware rerouting support.
 //! * [`network`] — the router grid, links, injection queues, cycle loop;
-//!   its serial commit phase prices the count slots in node order.
+//!   one walk per cycle steps and prices the active routers in node order.
 //! * [`stats`] / [`sim`] — metrics and the simulation driver.
 
 #![warn(missing_docs)]

@@ -1,20 +1,22 @@
 //! The network: a grid of routers, inter-router links, source (injection)
 //! queues, per-region DVFS state, and the global cycle loop.
 //!
-//! Effect application is double-buffered: all routers compute their cycle
-//! first, each writing its deliveries, credit returns, ejections and drops
-//! straight into the network's `Outbox` and counting its energy events in
-//! its `NodeWork` slot; then the commit phase prices the slots and applies
-//! the outbox, so router evaluation order never matters and links have a
-//! one-cycle latency.
+//! A cycle is one walk over the active routers in node order, then a
+//! commit. Each router's visit writes its deliveries, credit returns,
+//! ejections and drops straight into the network's `Outbox` and prices the
+//! energy events it counted before the walk moves on; the commit then
+//! applies the outbox, so router evaluation order never matters and links
+//! have a one-cycle latency.
 //!
 //! # Count and price
 //!
-//! Routers never touch the shared [`StatsCollector`] while they step. Each
-//! counts what it did in its own `NodeWork` slot, and the commit phase
-//! prices the slots in node order — one fixed sequence of float additions
-//! into the dynamic-energy sum; leakage, the other order-sensitive sum, is
-//! priced in node order too. A simulation steps on one thread: parallelism
+//! The pipeline stages never touch the shared [`StatsCollector`]: a
+//! router's step returns what it did as counts (`NodeWork`), and its visit
+//! prices them at its region's scale. Routers are visited in node order
+//! and the deliveries' buffer writes are priced in the commit, after every
+//! router, so the dynamic-energy sum receives one fixed sequence of float
+//! additions; leakage, the other order-sensitive sum, is priced in node
+//! order before the walk. A simulation steps on one thread: parallelism
 //! lives a level up, across the independent simulations of a sweep, a
 //! training population or a tournament.
 //!
@@ -24,14 +26,13 @@
 //! flits or source backlog; every other router is provably inert — it
 //! cannot inject, route, or move anything. Three writers keep the set exact
 //! between cycles: [`Network::offer`] sets a source's bit, each committed
-//! delivery sets its receiver's, and the commit phase clears the bit of a
-//! router whose own step drained it (its `NodeWork` slot's `drained` flag);
-//! a fault purge, which empties buffers outside any router's step, rebuilds
-//! the set from the buffers. The per-node phase visits only set bits while
-//! every clock gate sits at its zero-phase fixpoint (nominal frequency
-//! since reset — the `gates_pristine` flag); off it, every live gate must
-//! tick every cycle, so one dense pass visits the set bits and ticks the
-//! rest. Dynamic pricing, the occupancy and region samples and
+//! delivery sets its receiver's, and the walk clears the bit of a router
+//! its own visit drained; a fault purge, which empties buffers outside any
+//! router's step, rebuilds the set from the buffers. The walk visits only
+//! set bits while every clock gate sits at its zero-phase fixpoint
+//! (nominal frequency since reset — the `gates_pristine` flag); off it,
+//! every live gate must tick every cycle, so one dense pass visits the set
+//! bits and ticks the rest. The occupancy and region samples and
 //! [`Network::backlog`] walk only set bits, since an idle router adds
 //! nothing to any of them.
 //!
@@ -125,6 +126,36 @@ impl InjectionQueue {
         );
         self.current.as_ref().map_or(0, |c| c.left as usize) + self.queued_flits
     }
+
+    /// Try to move one flit from this queue into router `k`'s Local input
+    /// VC 0, honoring its credits. Returns, for an injected flit, whether it
+    /// was its packet's tail (its buffer write is priced with the router's
+    /// counts).
+    fn try_inject(&mut self, cycle: u64, fabric: &mut FabricState, k: usize) -> Option<bool> {
+        if self.current.is_none() {
+            let packet = self.pop_packet()?;
+            self.current = Some(Injecting {
+                left: packet.len_flits,
+                packet,
+                injected_at: cycle,
+            });
+        }
+        if self.credits == 0 {
+            return None;
+        }
+        let cur = self.current.as_mut().expect("refilled above");
+        let flit = cur
+            .packet
+            .flit(cur.packet.len_flits - cur.left, cur.injected_at);
+        cur.left -= 1;
+        if cur.left == 0 {
+            self.current = None;
+        }
+        self.credits -= 1;
+        let is_tail = flit.is_tail();
+        fabric.accept(k, Port::Local, flit);
+        Some(is_tail)
+    }
 }
 
 /// The simulated network.
@@ -132,8 +163,6 @@ impl InjectionQueue {
 pub struct Network {
     topo: Topology,
     routing: RoutingAlgorithm,
-    /// Switch-allocation granularity (see [`SwitchArb`]).
-    switch_arb: SwitchArb,
     /// k-path tables, present iff `routing` is [`RoutingAlgorithm::Table`].
     /// Rebuilt whenever the live-link set changes at a fault boundary.
     tables: Option<RoutingTables>,
@@ -178,11 +207,10 @@ pub struct Network {
     /// fault-free simulation pays nothing.
     has_faults: bool,
     cycle: u64,
-    /// Worklist kill switch: when set, the per-node phase walks this set of
-    /// every router instead of `active`. Test-only escape hatch — the
-    /// differential harness pins worklist runs byte-identical to
-    /// step-everyone runs.
-    step_all: Option<ActiveSet>,
+    /// Worklist kill switch: when set, the walk visits every router instead
+    /// of the active set. Test-only escape hatch — the differential harness
+    /// pins worklist runs byte-identical to step-everyone runs.
+    step_all: bool,
     /// True while every clock gate still sits at its initial zero-phase
     /// nominal-frequency fixpoint (`tick()` returns true and leaves the
     /// phase at exactly 0.0), which lets the worklist skip idle routers'
@@ -213,15 +241,12 @@ impl ActiveSet {
         ActiveSet(vec![0; n.div_ceil(64)])
     }
 
-    /// Every router of `n`.
-    fn full(n: usize) -> Self {
-        let mut set = ActiveSet::new(n);
-        (0..n).for_each(|i| set.insert(i));
-        set
-    }
-
     fn insert(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
     }
 
     fn contains(&self, i: usize) -> bool {
@@ -262,8 +287,9 @@ struct StepScratch {
     region_occ: Vec<usize>,
 }
 
-/// The per-node phase of one cycle: the routers' context, frozen for the
-/// phase, and the state the visited routers step.
+/// The per-node walk of one cycle: the routers' context, frozen for the
+/// walk, the state the visited routers step, and what pricing their counts
+/// reads and writes.
 #[derive(Debug)]
 struct NodePhase<'a> {
     /// The routers' context, built once per cycle; `ctx.faults` (`None`
@@ -276,6 +302,14 @@ struct NodePhase<'a> {
     inj: &'a mut [InjectionQueue],
     gates: &'a mut [ClockGate],
     out: &'a mut Outbox,
+    power: &'a PowerModel,
+    region_by_node: &'a [usize],
+    region_dynamic_scale: &'a [f64],
+    stats: &'a mut StatsCollector,
+    /// Σ grants and Σ forwards over the walk, for the switch-conservation
+    /// oracle.
+    grants: usize,
+    forwards: usize,
 }
 
 impl Network {
@@ -287,12 +321,13 @@ impl Network {
         config.validate()?;
         let topo = config.topology();
         let vc_partition = config.kind == TopologyKind::Torus;
-        let fabric = FabricState::new(
+        let mut fabric = FabricState::new(
             topo.num_nodes(),
             config.num_vcs,
             config.vc_depth,
             vc_partition,
         );
+        fabric.release_every_flit = config.switch_arb == SwitchArb::PerFlit;
         let inj = topo
             .nodes()
             .map(|_| InjectionQueue::new(config.vc_depth))
@@ -320,7 +355,6 @@ impl Network {
         let mut net = Network {
             topo,
             routing: config.routing,
-            switch_arb: config.switch_arb,
             tables,
             fabric,
             inj,
@@ -342,7 +376,7 @@ impl Network {
             link_state,
             has_faults,
             cycle: 0,
-            step_all: None,
+            step_all: false,
             gates_pristine,
             scratch: StepScratch::default(),
             #[cfg(debug_assertions)]
@@ -359,7 +393,7 @@ impl Network {
     /// is a pure strength reduction — and the differential tests hold both
     /// modes byte-identical. Test instrumentation, not a tuning knob.
     pub fn set_step_all(&mut self, step_all: bool) {
-        self.step_all = step_all.then(|| ActiveSet::full(self.topo.num_nodes()));
+        self.step_all = step_all;
     }
 
     /// The topology.
@@ -398,11 +432,6 @@ impl Network {
     /// Current routing algorithm.
     pub fn routing(&self) -> RoutingAlgorithm {
         self.routing
-    }
-
-    /// Switch-allocation granularity in force.
-    pub fn switch_arb(&self) -> SwitchArb {
-        self.switch_arb
     }
 
     /// The k-path tables, present iff table routing is in force (test and
@@ -615,10 +644,10 @@ impl Network {
 
     /// Advance the network one global clock cycle.
     ///
-    /// Leakage is priced first, from the start-of-cycle active set. The
-    /// per-node phase then steps the active routers in node order, each
-    /// counting its energy events in its `NodeWork` slot; the commit phase
-    /// prices the slots in node order and applies the outbox's ejections,
+    /// Leakage is priced first, from the start-of-cycle active set. One walk
+    /// then steps the active routers in node order, pricing each router's
+    /// counts as its visit ends and clearing the bits of the routers it
+    /// drained; the commit phase then applies the outbox's ejections,
     /// deliveries and credits (see the module docs).
     pub fn step(&mut self, stats: &mut StatsCollector) {
         #[cfg(debug_assertions)]
@@ -632,87 +661,56 @@ impl Network {
         // Leakage accrues every global cycle regardless of clock gating, one
         // add per router in node order: the busy term for a router active at
         // the start of the cycle, the idle one otherwise.
-        let n = self.topo.num_nodes();
-        match self.step_all {
-            None => {
-                let words = self.leakage.chunks(64).zip(&self.active.0);
-                stats
-                    .energy
-                    .record_leakage_terms(words.flat_map(|(terms, &word)| {
-                        (terms.iter().enumerate()).map(move |(b, t)| t[(word >> b) as usize & 1])
-                    }));
-            }
+        if self.step_all {
             // The reference the worklist differential holds the terms and
             // the active set to: each router classified from its own buffers,
             // its terms computed afresh.
-            Some(_) => stats.energy.record_leakage_terms((0..n).map(|i| {
+            let n = self.topo.num_nodes();
+            stats.energy.record_leakage_terms((0..n).map(|i| {
                 let busy = self.fabric.occupancy(i) > 0 || self.inj[i].backlog_flits() > 0;
                 self.leakage_terms(i)[usize::from(busy)]
-            })),
+            }));
+        } else {
+            let words = self.leakage.chunks(64).zip(&self.active.0);
+            stats
+                .energy
+                .record_leakage_terms(words.flat_map(|(terms, &word)| {
+                    (terms.iter().enumerate()).map(move |(b, t)| t[(word >> b) as usize & 1])
+                }));
         }
-        NodePhase {
+        let mut walk = NodePhase {
             ctx: RouterCtx {
                 topo: &self.topo,
                 neighbors: &self.neighbors,
                 routing: self.routing,
                 faults: self.has_faults.then_some(&self.link_state),
-                arb: self.switch_arb,
                 tables: self.tables.as_ref(),
             },
             cycle: self.cycle,
-            step_all: self.step_all.is_some(),
+            step_all: self.step_all,
             fabric: &mut self.fabric,
             inj: &mut self.inj,
             gates: &mut self.gates,
             out: &mut self.scratch.outbox,
-        }
-        .run(
-            self.step_all.as_ref().unwrap_or(&self.active),
-            self.gates_pristine,
-        );
+            power: &self.power,
+            region_by_node: &self.region_by_node,
+            region_dynamic_scale: &self.region_dynamic_scale,
+            stats,
+            grants: 0,
+            forwards: 0,
+        };
+        walk.run(&mut self.active, self.gates_pristine);
+        let (grants, forwards) = (walk.grants, walk.forwards);
 
-        // Commit phase. Pricing the slots in node order, then applying the
-        // outbox, reproduces the per-node order of stats mutations,
-        // deliveries, and credits.
+        // Commit phase: what crosses a link lands once every router has
+        // stepped, so links keep their one-cycle latency; the deliveries'
+        // buffer writes follow every router's own events in the
+        // dynamic-energy sum, in sender order.
         let (power, out) = (&self.power, &mut self.scratch.outbox);
-        let (mut grants, mut forwards) = (0usize, 0usize);
-        // Only a router active at the start of the cycle did anything;
-        // the one whose step drained it leaves the set.
-        self.active.retain(|i| {
-            let work = std::mem::take(&mut self.fabric.work[i]);
-            let region = self.region_by_node[i];
-            let scale = self.region_dynamic_scale[region];
-            let price = |stats: &mut StatsCollector, event| {
-                stats.energy.record(power, event, scale);
-            };
-            // The order below is the float-addition order of the
-            // dynamic-energy sum (see `NodeWork`).
-            for _ in 0..work.grants {
-                price(stats, PowerEvent::BufferRead);
-                price(stats, PowerEvent::SwitchArb);
-                price(stats, PowerEvent::Crossbar);
-            }
-            for _ in 0..work.va {
-                price(stats, PowerEvent::VcAlloc);
-            }
-            for _ in 0..work.rc {
-                price(stats, PowerEvent::RouteCompute);
-            }
-            for _ in 0..work.forwards {
-                stats.record_forward(i, n);
-                price(stats, PowerEvent::LinkTraversal);
-            }
-            if let Some(is_tail) = work.injected {
-                stats.record_injection(region, is_tail);
-                price(stats, PowerEvent::BufferWrite);
-            }
-            grants += work.grants as usize;
-            forwards += work.forwards as usize;
-            !work.drained
-        });
         // Flit conservation through the switch, by an oracle that shares
-        // no code with the pipeline: every grant left over a link or
-        // ejected, and every flit that left a buffer returned a credit.
+        // no code with the pipeline: every grant the walk counted left over
+        // a link or was ejected, and every flit that left a buffer returned
+        // a credit.
         let (deliveries, ejected) = (out.deliveries.len(), out.ejected.len());
         debug_assert_eq!(forwards, deliveries, "forward without a delivery");
         debug_assert_eq!(grants, deliveries + ejected, "granted flit went nowhere");
@@ -763,7 +761,7 @@ impl Network {
         {
             self.fabric
                 .assert_credits_conserved(&self.topo, |i| self.inj[i].credits);
-            self.fabric.assert_holds_owned(self.switch_arb);
+            self.fabric.assert_holds_owned();
             self.retired_flits += stats.ejected_flits + stats.dropped_flits - retired_before;
             self.assert_active_set_and_flit_balance();
         }
@@ -774,8 +772,7 @@ impl Network {
     /// code with the worklist:
     ///
     /// * the active set is exact — a router's bit is set iff it buffers a
-    ///   flit or has source backlog — and every `NodeWork` slot's counts
-    ///   were priced;
+    ///   flit or has source backlog;
     /// * flit balance — every flit ever offered is ejected, dropped (drop
     ///   drain, boundary purge or dead source), buffered, or still waiting
     ///   in its source queue. Exact on every path: each of them counts the
@@ -792,14 +789,6 @@ impl Network {
             );
             (buffered, backlog) = (buffered + occ, backlog + queued);
         }
-        // `drained` is read only for active routers, so it may be left set.
-        let priced = crate::soa::NodeWork::default();
-        let mut work = self.fabric.work.iter().map(|w| crate::soa::NodeWork {
-            drained: false,
-            ..*w
-        });
-        let unpriced = work.position(|w| w != priced);
-        assert_eq!(unpriced, None, "router's NodeWork counts left unpriced");
         assert_eq!(
             self.offered_flits,
             self.retired_flits + (buffered + backlog) as u64,
@@ -912,36 +901,38 @@ impl Network {
 }
 
 impl NodePhase<'_> {
-    /// Visit every router of `walk` in node order. A router outside the
-    /// active set has no buffered flits and no source backlog, so its
-    /// pipeline and injection stages are provably no-ops and its whole
-    /// effect is its leakage (priced from the active set) plus a clock-gate
-    /// tick — a tick that is elided while the gates are pristine (see
-    /// `Network::gates_pristine`), so then only the set bits are walked. Off
-    /// the fixpoint every live idle gate must tick, and one dense pass does
-    /// both jobs.
-    fn run(&mut self, walk: &ActiveSet, gates_pristine: bool) {
-        if gates_pristine {
-            walk.for_each(|i| self.visit(i));
+    /// Visit every router of `active` in node order — every router under
+    /// step-all — and clear the bit of each router its visit drained. A
+    /// router outside the set has no buffered flits and no source backlog,
+    /// so its pipeline and injection stages are provably no-ops and its
+    /// whole effect is its leakage (priced before the walk) plus a
+    /// clock-gate tick — a tick that is elided while the gates are pristine
+    /// (see `Network::gates_pristine`), so then only the set bits are
+    /// walked. Off the fixpoint every live idle gate must tick, and one
+    /// dense pass does both jobs.
+    fn run(&mut self, active: &mut ActiveSet, gates_pristine: bool) {
+        if gates_pristine && !self.step_all {
+            active.retain(|i| self.visit(i));
             return;
         }
         for i in 0..self.inj.len() {
-            if walk.contains(i) {
-                self.visit(i);
+            if self.step_all || active.contains(i) {
+                if !self.visit(i) {
+                    active.remove(i);
+                }
             } else if self.ctx.faults.is_none_or(|ls| ls.is_router_up(NodeId(i))) {
                 self.gates[i].tick();
             }
         }
     }
 
-    /// One cycle of router `i`, with every energy event counted in its
-    /// `NodeWork` slot instead of applied and all cross-node effects
-    /// buffered in the outbox; the slot's `drained` flag tells the commit
-    /// phase whether the router ends the step empty. Occupancy and backlog
-    /// are stable during the phase (deliveries and credits commit
-    /// afterwards; packets are offered before the step), so the
-    /// start-of-cycle active set is exact.
-    fn visit(&mut self, i: usize) {
+    /// One cycle of router `i`, with all cross-node effects buffered in the
+    /// outbox, then its counts priced at its region's scale; returns
+    /// whether the router is still busy. Occupancy and backlog are stable
+    /// during the walk (deliveries and credits commit afterwards; packets
+    /// are offered before the step), so the start-of-cycle active set is
+    /// exact.
+    fn visit(&mut self, i: usize) -> bool {
         let node = NodeId(i);
         let busy = |p: &Self| p.fabric.occupancy(i) > 0 || p.inj[i].backlog_flits() > 0;
         debug_assert!(
@@ -953,39 +944,40 @@ impl NodePhase<'_> {
             // offered at its source queue is unreachable and dropped.
             drop_source_queue(&mut self.inj[i], &mut self.out.source_dropped);
         } else if self.gates[i].tick() {
-            self.fabric.step_node(i, node, &self.ctx, self.out);
-            try_inject(self.cycle, self.fabric, i, &mut self.inj[i]);
+            let mut work = self.fabric.step_node(i, node, &self.ctx, self.out);
+            work.injected = self.inj[i].try_inject(self.cycle, self.fabric, i);
+            let (power, stats, n) = (self.power, &mut *self.stats, self.inj.len());
+            let region = self.region_by_node[i];
+            let scale = self.region_dynamic_scale[region];
+            let price = |stats: &mut StatsCollector, event| {
+                stats.energy.record(power, event, scale);
+            };
+            // The order below is the float-addition order of the
+            // dynamic-energy sum (see `NodeWork`).
+            for _ in 0..work.grants {
+                price(stats, PowerEvent::BufferRead);
+                price(stats, PowerEvent::SwitchArb);
+                price(stats, PowerEvent::Crossbar);
+            }
+            for _ in 0..work.va {
+                price(stats, PowerEvent::VcAlloc);
+            }
+            for _ in 0..work.rc {
+                price(stats, PowerEvent::RouteCompute);
+            }
+            for _ in 0..work.forwards {
+                stats.record_forward(i, n);
+                price(stats, PowerEvent::LinkTraversal);
+            }
+            if let Some(is_tail) = work.injected {
+                stats.record_injection(region, is_tail);
+                price(stats, PowerEvent::BufferWrite);
+            }
+            self.grants += work.grants as usize;
+            self.forwards += work.forwards as usize;
         }
-        self.fabric.work[i].drained = !busy(self);
+        busy(self)
     }
-}
-
-/// Try to move one flit from the node's source queue into the router's
-/// Local input VC 0, honoring its credits (the injection and its buffer
-/// write are counted in the node's slot).
-fn try_inject(cycle: u64, fabric: &mut FabricState, k: usize, q: &mut InjectionQueue) {
-    if q.current.is_none() {
-        let Some(packet) = q.pop_packet() else { return };
-        q.current = Some(Injecting {
-            left: packet.len_flits,
-            packet,
-            injected_at: cycle,
-        });
-    }
-    if q.credits == 0 {
-        return;
-    }
-    let cur = q.current.as_mut().expect("refilled above");
-    let flit = cur
-        .packet
-        .flit(cur.packet.len_flits - cur.left, cur.injected_at);
-    cur.left -= 1;
-    if cur.left == 0 {
-        q.current = None;
-    }
-    q.credits -= 1;
-    fabric.work[k].injected = Some(flit.is_tail());
-    fabric.accept(k, Port::Local, flit);
 }
 
 /// Drop everything waiting at a dead router's source queue: queued packets

@@ -21,9 +21,9 @@
 //! drain. A router's cycle writes its effects straight into the network's
 //! [`Outbox`] — departing flits as [`Delivery`]s already addressed to
 //! the receiving router, drained slots as [`CreditReturn`]s, ejected and
-//! dropped flits as themselves — and counts what it did in its own
-//! [`NodeWork`] slot; the network's commit phase prices the slots in node
-//! order and then applies the outbox.
+//! dropped flits as themselves — and returns what it did as a
+//! [`NodeWork`], which the network prices as soon as the router's visit
+//! ends; the outbox is applied once every router has stepped.
 //!
 //! [`FabricState`] holds every router's pipeline state in flat arrays
 //! indexed by `(router, port, vc)` — the flits themselves (one fixed ring of
@@ -43,17 +43,19 @@
 //!   request masks in a single pass over the occupied VCs; stage two grants
 //!   with the rotate-free round-robin pick `rr_pick` — first asserted index
 //!   at or after the pointer, else first asserted index; the pointer
-//!   advances past the winner. Stage one's pass is the cycle's only walk of
+//!   advances past the winner. There is one allocation path: a grant holds
+//!   its output port for the granted input VC until a release — the
+//!   packet's tail, or every grant on a fabric that releases after every
+//!   flit (`perflit`). Stage one's pass is the cycle's only walk of
 //!   the occupied VCs: it also sorts the non-requesters into the masks VA
 //!   and RC iterate, so those two stages visit only the VCs that need them.
 //!
 //! Both counters are derivable from the buffers; `debug_assert!` recounts
 //! (exercised by the debug-profile CI job) keep them honest. The stages
-//! visit VCs in `(port, vc)` order and the commit phase prices each router's
+//! visit VCs in `(port, vc)` order and the network prices each router's
 //! counts in one fixed order ([`NodeWork`]), which the golden and
 //! differential tests pin byte-for-byte.
 
-use crate::config::SwitchArb;
 use crate::fault::LinkState;
 use crate::flit::{Flit, PacketId};
 use crate::routing::{route, route_live, route_table, RoutingAlgorithm, RoutingTables};
@@ -86,7 +88,7 @@ pub struct CreditReturn {
 /// Everything the routers emit beyond themselves during the per-node phase,
 /// applied by the commit phase once every router has stepped. Deliveries are
 /// priced in node order of their senders (one `BufferWrite` each, after
-/// every [`NodeWork`] slot); ejections, drops and source drops feed only
+/// every router's [`NodeWork`]); ejections, drops and source drops feed only
 /// integers and f64 sums of integers, so their order is free. Only capacity
 /// persists across cycles.
 #[derive(Debug, Default)]
@@ -105,9 +107,9 @@ pub struct Outbox {
 }
 
 /// What one router did this cycle: how many of each dynamic-energy event it
-/// caused, and whether its step left it idle. The per-node phase only
-/// counts; the serial commit phase prices the slots of the active routers in
-/// node order and resets them, so every other slot's counts stay zero.
+/// caused. [`FabricState::step_node`] returns the stages' counts; the
+/// network adds the injection and prices the whole as soon as the router's
+/// visit ends, in node order.
 ///
 /// The stages never touch the `StatsCollector`. Float addition is not
 /// associative, so what `dynamic_pj` needs is one fixed order of additions,
@@ -115,20 +117,16 @@ pub struct Outbox {
 /// `grants` × (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`,
 /// `rc` × `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy,
 /// not at the grant), then the injection's `BufferWrite`, all at the
-/// router's one V/F scale — so pricing slot after slot in node order is the
-/// same sequence of f64 additions every run. `dynamic_pj` and `leakage_pj`
-/// (which the network accrues from the active set, not from the slots) are
-/// the only order-sensitive accumulators; everything else a cycle records
-/// is an integer or an f64 sum of integers.
+/// router's one V/F scale — so pricing router after router in node order is
+/// the same sequence of f64 additions every run. `dynamic_pj` and
+/// `leakage_pj` (which the network accrues from the active set, not from
+/// the counts) are the only order-sensitive accumulators; everything else a
+/// cycle records is an integer or an f64 sum of integers.
 ///
 /// The counts fit `u8`: each is at most one per input VC per cycle, and
 /// [`FabricState::new`] asserts `Port::COUNT * num_vcs <= 64`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeWork {
-    /// The router's step left it with no buffered flit and no source
-    /// backlog. Read only for routers in the active set, which the commit
-    /// phase then drops from it (a delivery landing on one puts it back).
-    pub drained: bool,
     /// Switch-allocation grants (flits read, arbitrated and crossed).
     pub grants: u8,
     /// VC allocations.
@@ -155,9 +153,6 @@ pub struct RouterCtx<'a> {
     /// simulation runs without a fault plan (the common case) and route
     /// computation skips the liveness filter entirely.
     pub faults: Option<&'a LinkState>,
-    /// Switch-allocation granularity (per-flit legacy vs per-packet
-    /// wormhole holds). See [`SwitchArb`].
-    pub arb: SwitchArb,
     /// Precomputed k-path tables, required when `routing` is
     /// [`RoutingAlgorithm::Table`] and ignored otherwise. The network
     /// rebuilds them whenever the live-link set changes.
@@ -252,13 +247,16 @@ pub struct FabricState {
     /// Switch-allocation round-robin pointer per `(router, out_port)`,
     /// over flattened `(in_port, vc)` requesters.
     sw_next: Vec<u32>,
-    /// Per-packet switch hold per `(router, out_port)`: the flat
-    /// `(in_port, vc)` bit of the input VC whose packet currently owns the
-    /// output port (`u32::MAX` = free). Only written under
-    /// [`SwitchArb::PerPacket`]; acquired by a head-flit grant, released by
-    /// the tail-flit grant, and cleared by fault purges when the holding VC
-    /// is released.
+    /// Switch hold per `(router, out_port)`: the flat `(in_port, vc)` bit
+    /// of the input VC the output port serves until a release (`u32::MAX` =
+    /// free). Every grant writes it — a release frees the port, any other
+    /// grant holds it for the winner — and fault purges clear a hold whose
+    /// holding VC they release.
     sw_hold: Vec<u32>,
+    /// The release rule, resolved once from `SimConfig::switch_arb` by
+    /// `Network::new`: every grant releases its output port (`perflit`, the
+    /// default), or only a packet's tail grant does (`perpacket`).
+    pub(crate) release_every_flit: bool,
     /// VC-allocation rotation pointer per `(router, out_port)`.
     va_ptr: Vec<u32>,
     /// Buffered-flit count per router, maintained on accept/pop so the
@@ -267,10 +265,6 @@ pub struct FabricState {
     /// Occupancy bitmask per router: bit `port * num_vcs + vc` set iff
     /// that input VC is non-empty.
     occ_mask: Vec<u64>,
-    /// This cycle's [`NodeWork`] slot per router: the stages and the
-    /// network's injection count into them, the commit phase prices and
-    /// resets them, so all are default between cycles.
-    pub work: Vec<NodeWork>,
 }
 
 impl FabricState {
@@ -311,10 +305,10 @@ impl FabricState {
             out_credits: vec![credits; routers * pv],
             sw_next: vec![0; routers * Port::COUNT],
             sw_hold: vec![u32::MAX; routers * Port::COUNT],
+            release_every_flit: true,
             va_ptr: vec![0; routers * Port::COUNT],
             occ: vec![0; routers],
             occ_mask: vec![0; routers],
-            work: vec![NodeWork::default(); routers],
         }
     }
 
@@ -383,17 +377,16 @@ impl FabricState {
     /// shares no code with switch allocation: a held output port's holder
     /// input VC is still routed to that port, still owned by a packet, and
     /// still holds the downstream VC that packet was granted (claimed in
-    /// the packet's name, except on `Local`, which claims none). Under
-    /// [`SwitchArb::PerFlit`] no port is ever held.
+    /// the packet's name, except on `Local`, which claims none). A fabric
+    /// that releases after every flit holds no port between cycles.
     #[cfg(debug_assertions)]
-    pub fn assert_holds_owned(&self, arb: SwitchArb) {
-        let per_flit = arb == SwitchArb::PerFlit;
+    pub fn assert_holds_owned(&self) {
         for (i, &hold) in self.sw_hold.iter().enumerate() {
             if hold == u32::MAX {
                 continue;
             }
             let (r, port) = (i / Port::COUNT, Port::ALL[i % Port::COUNT]);
-            assert!(!per_flit, "router {r} holds {port} per flit");
+            assert!(!self.release_every_flit, "router {r} holds {port} per flit");
             let holder = r * self.pv + hold as usize;
             let owner = self.in_owner[holder];
             let out_vc = self.in_out_vc[holder].map(usize::from);
@@ -542,16 +535,23 @@ impl FabricState {
 
     /// Execute one active cycle of local router `k` (node id `node`):
     /// SA/ST, then VA, then RC. Appends this cycle's deliveries, credits,
-    /// ejections and drops to the outbox and counts the energy
-    /// events in the router's [`NodeWork`] slot.
-    pub fn step_node(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, out: &mut Outbox) {
+    /// ejections and drops to the outbox and returns the stages' energy
+    /// event counts.
+    pub fn step_node(
+        &mut self,
+        k: usize,
+        node: NodeId,
+        ctx: &RouterCtx<'_>,
+        out: &mut Outbox,
+    ) -> NodeWork {
+        let mut work = NodeWork::default();
         if self.occupancy(k) == 0 {
-            return; // idle router: nothing to route, allocate, or move
+            return work; // idle router: nothing to route, allocate, or move
         }
         if ctx.faults.is_some() {
             self.drain_dropped(k, node, out);
         }
-        let (va_mask, rc_mask) = self.switch_allocation(k, node, ctx, out);
+        let (va_mask, rc_mask) = self.switch_allocation(k, node, ctx, out, &mut work);
         // The oracle for SA's fused classification: a full walk of the VCs.
         debug_assert!(
             (0..self.pv).all(|b| {
@@ -562,8 +562,9 @@ impl FabricState {
             }),
             "SA's VA/RC masks differ from a walk of the occupied VCs"
         );
-        self.vc_allocation(k, va_mask);
-        self.route_computation(k, node, ctx, rc_mask);
+        work.va = self.vc_allocation(k, va_mask);
+        work.rc = self.route_computation(k, node, ctx, rc_mask);
+        work
     }
 
     /// Discard buffered flits of packets marked `dropping` (unroutable
@@ -613,6 +614,7 @@ impl FabricState {
         node: NodeId,
         ctx: &RouterCtx<'_>,
         out: &mut Outbox,
+        work: &mut NodeWork,
     ) -> (u64, u64) {
         let v = self.num_vcs;
         let b0 = k * self.pv;
@@ -647,22 +649,19 @@ impl FabricState {
         // pops the flit and decrements the credit it consumes, which never
         // changes another output port's request set, so the masks stay
         // valid across the loop with only the used-input clearing.
-        let per_packet = ctx.arb == SwitchArb::PerPacket;
         let n = self.pv as u32;
         let vc_bits = (1u64 << v) - 1;
         let mut used_inputs = 0u64;
         for out_port in Port::ALL {
             let op = out_port.index();
             let mut reqs = req[op] & !used_inputs;
-            if per_packet {
-                // A held output port serves only the holding input VC; if
-                // the holder cannot request this cycle (no flit arrived
-                // yet, no credit, its input port already granted), the
-                // port idles — the modeled head-of-line blocking.
-                let hold = self.sw_hold[k * Port::COUNT + op];
-                if hold != u32::MAX {
-                    reqs &= 1 << hold;
-                }
+            // A held output port serves only the holding input VC; if the
+            // holder cannot request this cycle (no flit arrived yet, no
+            // credit, its input port already granted), the port idles —
+            // the modeled head-of-line blocking.
+            let hold = self.sw_hold[k * Port::COUNT + op];
+            if hold != u32::MAX {
+                reqs &= 1 << hold;
             }
             if reqs == 0 {
                 continue; // no grant: the round-robin pointer holds
@@ -677,13 +676,12 @@ impl FabricState {
             let out_vc = self.in_out_vc[idx].expect("granted VC has out_vc");
             let mut flit = self.pop(k, b).expect("granted VC has a flit");
             let is_tail = flit.is_tail();
-            if per_packet {
-                // Head (or single-flit) grant acquires the hold, the tail
-                // grant releases it. For single-flit packets the hold is
-                // set and cleared within this one grant, so per-packet
-                // arbitration is byte-identical to per-flit there.
-                self.sw_hold[k * Port::COUNT + op] = if is_tail { u32::MAX } else { win };
-            }
+            // The grant holds the port for the winner until a release: the
+            // tail, or every grant on a fabric that releases after every
+            // flit. A single-flit packet's grant is its tail, so the two
+            // rules agree byte for byte at length 1.
+            let release = is_tail || self.release_every_flit;
+            self.sw_hold[k * Port::COUNT + op] = if release { u32::MAX } else { win };
             if is_tail {
                 self.release(idx);
                 // The one reclassification stage two causes: the next
@@ -691,7 +689,7 @@ impl FabricState {
                 // fronts an unrouted VC.
                 rc_mask |= self.occ_mask[k] & (1 << b);
             }
-            self.work[k].grants += 1;
+            work.grants += 1;
             if out_port == Port::Local {
                 out.ejected.push(flit);
             } else {
@@ -720,7 +718,7 @@ impl FabricState {
                     in_port: out_port.opposite(),
                     flit,
                 });
-                self.work[k].forwards += 1;
+                work.forwards += 1;
             }
             out.credits.push(CreditReturn {
                 at: node,
@@ -733,9 +731,11 @@ impl FabricState {
 
     /// VA: head flits holding a route claim a free downstream VC. `m` is
     /// SA's `va_mask`: exactly the VCs that hold a route and no claim.
-    fn vc_allocation(&mut self, k: usize, mut m: u64) {
+    /// Returns the allocations made.
+    fn vc_allocation(&mut self, k: usize, mut m: u64) -> u8 {
         let v = self.num_vcs;
         let b0 = k * self.pv;
+        let mut allocated = 0;
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -745,7 +745,7 @@ impl FabricState {
             if out_port == Port::Local {
                 // Ejection needs no downstream VC; claim slot 0 nominally.
                 self.in_out_vc[idx] = Some(0);
-                self.work[k].va += 1;
+                allocated += 1;
                 continue;
             }
             let flit = self.front(idx).expect("awaiting implies flit");
@@ -762,9 +762,10 @@ impl FabricState {
                 self.in_out_vc[idx] = Some(ovc as u8);
                 let ptr = &mut self.va_ptr[k * Port::COUNT + op];
                 *ptr = ptr.wrapping_add(1);
-                self.work[k].va += 1;
+                allocated += 1;
             }
         }
+        allocated
     }
 
     /// RC: compute output-port candidates for head flits; adaptive
@@ -772,9 +773,11 @@ impl FabricState {
     /// Under an active fault set, dead output links are excluded; a packet
     /// with no live candidate is marked for dropping instead of wedging.
     /// `m` is SA's `rc_mask`: exactly the occupied VCs without a route.
-    fn route_computation(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, mut m: u64) {
+    /// Returns the routes computed.
+    fn route_computation(&mut self, k: usize, node: NodeId, ctx: &RouterCtx<'_>, mut m: u64) -> u8 {
         let v = self.num_vcs;
         let b0 = k * self.pv;
+        let mut routed = 0;
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -829,8 +832,9 @@ impl FabricState {
             };
             self.in_route[idx] = Some(chosen);
             self.in_owner[idx] = Owner::some(packet);
-            self.work[k].rc += 1;
+            routed += 1;
         }
+        routed
     }
 
     /// Purge condemned packets from local router `k` and clear routes into
@@ -879,9 +883,9 @@ impl FabricState {
                         if let Some((route, out_vc)) = claim {
                             self.out_owner[b0 + route.index() * v + out_vc] = Owner::NONE;
                         }
-                        // Under per-packet arbitration the condemned packet
-                        // may hold an output port mid-transmission; free it
-                        // or the port wedges forever.
+                        // The condemned packet may hold an output port
+                        // mid-transmission; free it or the port wedges
+                        // forever.
                         let b = (ip * v + vc) as u32;
                         for hold in &mut self.sw_hold[k * Port::COUNT..(k + 1) * Port::COUNT] {
                             if *hold == b {
@@ -1024,7 +1028,7 @@ mod tests {
         }
 
         /// One cycle; returns everything the router put in its outbox and
-        /// what it counted (taking the slot, as the commit phase does).
+        /// what it counted.
         fn step(&mut self) -> (Outbox, NodeWork) {
             let mut out = Outbox::default();
             let ctx = RouterCtx {
@@ -1032,11 +1036,10 @@ mod tests {
                 neighbors: &Topology::neighbor_table(&self.topo),
                 routing: self.routing,
                 faults: None,
-                arb: SwitchArb::PerFlit,
                 tables: None,
             };
-            self.f.step_node(0, self.node, &ctx, &mut out);
-            (out, std::mem::take(&mut self.f.work[0]))
+            let work = self.f.step_node(0, self.node, &ctx, &mut out);
+            (out, work)
         }
 
         /// Send a single-flit packet from this router to `dst` through the

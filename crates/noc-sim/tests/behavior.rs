@@ -277,6 +277,70 @@ fn mesh_16x16_golden_metrics() {
     );
 }
 
+/// Golden pin of the two order-sensitive energy sums on an 8×8 mesh whose
+/// four regions sit at three different V/F levels, under `lenU1-8` traffic
+/// with one seeded link fault, for both switch-allocation release rules.
+/// Every router's counts are priced at its own region's scale in node
+/// order, so pricing a router at a neighbour's scale, or out of order,
+/// moves these bits.
+#[test]
+fn mixed_level_energy_golden_bits() {
+    use noc_sim::{FaultPlan, LengthSpec, SwitchArb, Topology};
+    let run = |arb: SwitchArb| {
+        let phase = WorkloadPhase::bernoulli(TrafficPattern::Uniform, 0.08, 0)
+            .with_length(LengthSpec::Uniform { min: 1, max: 8 });
+        let cfg = SimConfig::default()
+            .with_size(8, 8)
+            .with_regions(2, 2)
+            .with_workload(WorkloadSpec::new(vec![phase]))
+            .with_faults(FaultPlan::random_links(
+                &Topology::mesh(8, 8),
+                1,
+                9,
+                300,
+                None,
+            ))
+            .with_switch_arb(arb)
+            .with_seed(17);
+        let mut sim = Simulator::new(cfg).expect("valid config");
+        // Regions 0 and 1 slow down; 2 and 3 stay at the top level.
+        for (region, level) in [(0, 0), (1, 1)] {
+            sim.set_region_level(region, level).expect("valid level");
+        }
+        sim.run(2_000);
+        let s = sim.stats();
+        (
+            s.energy.dynamic_pj().to_bits(),
+            s.energy.leakage_pj().to_bits(),
+            s.energy.events(),
+            s.node_forwarded.iter().sum::<u64>(),
+        )
+    };
+    // (dynamic_pj bits, leakage_pj bits, events, Σ node_forwarded)
+    for (arb, golden) in [
+        (
+            SwitchArb::PerFlit,
+            (
+                0x4109_21f9_b810_ffe8,
+                0x40ea_d8ba_2e8b_ccce,
+                330_777,
+                52_704,
+            ),
+        ),
+        (
+            SwitchArb::PerPacket,
+            (
+                0x4109_1ef1_ebb0_861c,
+                0x40ea_d8ba_2e8b_ccce,
+                330_556,
+                52_670,
+            ),
+        ),
+    ] {
+        assert_eq!(run(arb), golden, "{arb:?} energy bits drifted");
+    }
+}
+
 /// `SimConfig::partitions` is inert: it still parses from old JSON and
 /// still validates, but a config carrying `partitions: 4` — built or
 /// parsed — runs byte-identical to the default.
