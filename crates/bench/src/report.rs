@@ -248,6 +248,9 @@ struct SimPoint {
     params: String,
     /// The simulated configuration.
     config: SimConfig,
+    /// V/F level per region from cycle 0 (empty: every region at the top
+    /// level).
+    levels: Vec<usize>,
 }
 
 /// The suite's simulator workloads, in report order.
@@ -258,6 +261,7 @@ fn sim_points() -> Vec<SimPoint> {
         name: name.to_string(),
         params: params.to_string(),
         config,
+        levels: Vec::new(),
     };
     let mesh = |width: usize, pattern, rate: f64| {
         SimConfig::default()
@@ -315,6 +319,19 @@ fn sim_points() -> Vec<SimPoint> {
     .collect();
 
     points.extend([
+        // Below nominal frequency: `train_8x8`'s episode, whose regions run
+        // at levels the agent picks (`NocEnv::reset` starts them at random
+        // ones), so most cycles step only the active routers whose region's
+        // clock gate fired.
+        SimPoint {
+            levels: vec![1, 0, 2, 0],
+            ..point(
+                "sim/8x8/transpose/r0.05/dvfs",
+                "8x8 mesh, transpose traffic at 0.05 flits/node/cycle, region \
+                 V/F levels [1, 0, 2, 0]",
+                mesh(8, Transpose, 0.05),
+            )
+        },
         // Torus fabric: the wrap-aware scenario family (dateline VC
         // partitioning, wrap-link traversal, torus routing) at the same
         // size and load as the 8x8 mesh point, so mesh-vs-torus cost stays
@@ -426,6 +443,10 @@ fn time_sim(report: &mut BenchReport, point: &SimPoint) {
     );
     report.time(&point.name, params, "cycles", || {
         let mut sim = Simulator::new(point.config.clone()).expect("valid bench config");
+        for (region, &level) in point.levels.iter().enumerate() {
+            sim.set_region_level(region, level)
+                .expect("valid bench level");
+        }
         sim.run(config.sim_warmup);
         let flits0 = sim.stats().ejected_flits;
         let t0 = Instant::now();
@@ -767,10 +788,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 27 uniquely named rows, the `sim/*` table first and in
+        // 28 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 27);
+        assert_eq!(names.len(), 28);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

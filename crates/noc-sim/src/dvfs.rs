@@ -251,8 +251,9 @@ impl ThrottleEvent {
     }
 }
 
-/// Per-node frequency divider implemented as a phase accumulator, allowing
-/// fractional frequency ratios.
+/// A clock domain's frequency divider, implemented as a phase accumulator
+/// to allow fractional frequency ratios. The network keeps one per DVFS
+/// region.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClockGate {
     freq_scale: f64,

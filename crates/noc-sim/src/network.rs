@@ -29,10 +29,12 @@
 //! delivery sets its receiver's, and the walk clears the bit of a router
 //! its own visit drained; a fault purge, which empties buffers outside any
 //! router's step, rebuilds the set from the buffers. The walk visits only
-//! set bits while every clock gate sits at its zero-phase fixpoint
-//! (nominal frequency since reset — the `gates_pristine` flag); off it,
-//! every live gate must tick every cycle, so one dense pass visits the set
-//! bits and ticks the rest. The occupancy and region samples and
+//! set bits, at every V/F level: the clock is one gate per DVFS region,
+//! ticked once a cycle, and an active router steps iff its region's gate
+//! fired. A router takes a copy of its region's gate the first time it
+//! goes down and keeps its own from then on; it does not tick while down,
+//! so once healed it resumes from the phase it froze at. The occupancy and
+//! region samples and
 //! [`Network::backlog`] walk only set bits, since an idle router adds
 //! nothing to any of them.
 //!
@@ -169,7 +171,7 @@ pub struct Network {
     /// All router pipeline state, structure-of-arrays (see [`crate::soa`]).
     fabric: FabricState,
     inj: Vec<InjectionQueue>,
-    gates: Vec<ClockGate>,
+    clock: Clock,
     power: PowerModel,
     vf_table: VfTable,
     regions: RegionMap,
@@ -211,14 +213,6 @@ pub struct Network {
     /// of the active set. Test-only escape hatch — the differential harness
     /// pins worklist runs byte-identical to step-everyone runs.
     step_all: bool,
-    /// True while every clock gate still sits at its initial zero-phase
-    /// nominal-frequency fixpoint (`tick()` returns true and leaves the
-    /// phase at exactly 0.0), which lets the worklist skip idle routers'
-    /// gate ticks without perturbing state. Cleared permanently the first
-    /// time any gate's frequency changes: post-change phases are
-    /// float-rounding-sensitive, so from then on every gate ticks every
-    /// cycle whether or not its router is stepped.
-    gates_pristine: bool,
     /// Reusable per-cycle buffers: hoisting the outbox and the
     /// region-occupancy sample here keeps their allocations out of the
     /// hottest loop in the system.
@@ -249,6 +243,7 @@ impl ActiveSet {
         self.0[i / 64] &= !(1 << (i % 64));
     }
 
+    #[cfg(debug_assertions)]
     fn contains(&self, i: usize) -> bool {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
@@ -279,6 +274,41 @@ impl ActiveSet {
     }
 }
 
+/// The fabric's clock: one gate per DVFS region, then one per router that
+/// has been down (see the module docs).
+#[derive(Debug)]
+struct Clock {
+    /// `(gate, router, fired)`: `router` names a detached gate's router;
+    /// `fired` is this cycle's tick. A dead router's gate stands still and
+    /// reads as fired: `visit` handles a dead router before its clock.
+    gates: Vec<(ClockGate, Option<usize>, bool)>,
+    /// The gate each router runs on: its region's until it first goes down.
+    gate_of: Vec<usize>,
+}
+
+impl Clock {
+    /// Give every router down for the first time a gate of its own: a copy
+    /// of its region's, as it stands before this cycle's tick.
+    fn detach_down(&mut self, ls: &LinkState) {
+        for (i, g) in self.gate_of.iter_mut().enumerate() {
+            if !ls.is_router_up(NodeId(i)) && self.gates[*g].1.is_none() {
+                self.gates.push((self.gates[*g].0.clone(), Some(i), true));
+                *g = self.gates.len() - 1;
+            }
+        }
+    }
+
+    /// Tick every gate once; returns whether every gate fired.
+    fn tick(&mut self, ls: &LinkState) -> bool {
+        let mut all = true;
+        for (gate, router, fired) in &mut self.gates {
+            *fired = router.is_some_and(|i| !ls.is_router_up(NodeId(i))) || gate.tick();
+            all &= *fired;
+        }
+        all
+    }
+}
+
 /// Scratch buffers reused across [`Network::step`] calls (drained at the end
 /// of every cycle, so only capacity persists).
 #[derive(Debug, Default)]
@@ -300,7 +330,8 @@ struct NodePhase<'a> {
     step_all: bool,
     fabric: &'a mut FabricState,
     inj: &'a mut [InjectionQueue],
-    gates: &'a mut [ClockGate],
+    /// The clock, when some gate did not fire this cycle.
+    clock: Option<&'a Clock>,
     out: &'a mut Outbox,
     power: &'a PowerModel,
     region_by_node: &'a [usize],
@@ -320,24 +351,13 @@ impl Network {
     pub fn new(config: &SimConfig) -> SimResult<Self> {
         config.validate()?;
         let topo = config.topology();
+        let n = topo.num_nodes();
         let vc_partition = config.kind == TopologyKind::Torus;
-        let mut fabric = FabricState::new(
-            topo.num_nodes(),
-            config.num_vcs,
-            config.vc_depth,
-            vc_partition,
-        );
+        let mut fabric = FabricState::new(n, config.num_vcs, config.vc_depth, vc_partition);
         fabric.release_every_flit = config.switch_arb == SwitchArb::PerFlit;
-        let inj = topo
-            .nodes()
-            .map(|_| InjectionQueue::new(config.vc_depth))
-            .collect();
+        let inj = vec![InjectionQueue::new(config.vc_depth); n];
         let regions = RegionMap::new(&topo, config.regions_x, config.regions_y)?;
         let max_level = config.vf_table.max_level();
-        let gates = topo
-            .nodes()
-            .map(|_| ClockGate::new(config.vf_table.levels()[max_level].freq_scale))
-            .collect();
         let neighbors = topo.neighbor_table();
         let region_by_node: Vec<usize> =
             topo.nodes().map(|n| regions.region_of(&topo, n)).collect();
@@ -347,9 +367,10 @@ impl Network {
         let fault_plan = config.fault_plan.clone();
         let fault_boundaries = fault_plan.boundaries();
         let has_faults = !fault_plan.is_empty();
-        let link_state = LinkState::healthy(topo.num_nodes());
-        let n = topo.num_nodes();
-        let gates_pristine = max_vf.freq_scale == 1.0;
+        let link_state = LinkState::healthy(n);
+        let gates = vec![(ClockGate::new(max_vf.freq_scale), None, true); num_regions];
+        let gate_of = region_by_node.clone();
+        let clock = Clock { gates, gate_of };
         let tables = (config.routing == RoutingAlgorithm::Table)
             .then(|| RoutingTables::build(&topo, None, RoutingTables::K_DEFAULT));
         let mut net = Network {
@@ -358,7 +379,7 @@ impl Network {
             tables,
             fabric,
             inj,
-            gates,
+            clock,
             power: config.power,
             vf_table: config.vf_table.clone(),
             region_levels: vec![max_level; num_regions],
@@ -377,7 +398,6 @@ impl Network {
             has_faults,
             cycle: 0,
             step_all: false,
-            gates_pristine,
             scratch: StepScratch::default(),
             #[cfg(debug_assertions)]
             offered_flits: 0,
@@ -473,8 +493,8 @@ impl Network {
         Ok(())
     }
 
-    /// Recompute effective levels (requested ∧ throttles) and update clock
-    /// gates for regions whose effective level changed.
+    /// Recompute effective levels (requested ∧ throttles) and retune the
+    /// clock of each region whose effective level changed.
     fn sync_effective_levels(&mut self) {
         let mut changed = false;
         for region in 0..self.region_levels.len() {
@@ -489,14 +509,12 @@ impl Network {
                 let vf = self.vf_table.level(eff).expect("effective level valid");
                 let nominal = self.vf_table.nominal_voltage();
                 self.region_dynamic_scale[region] = vf.dynamic_scale(nominal);
-                for (node, &r) in self.region_by_node.iter().enumerate() {
-                    if r == region {
-                        self.gates[node].set_freq_scale(vf.freq_scale);
+                // The region's gate and those of its detached routers.
+                for (g, (gate, router, _)) in self.clock.gates.iter_mut().enumerate() {
+                    if router.map_or(g, |i| self.region_by_node[i]) == region {
+                        gate.set_freq_scale(vf.freq_scale);
                     }
                 }
-                // Gate phases may leave the zero fixpoint from here on:
-                // idle routers must tick their gates every cycle.
-                self.gates_pristine = false;
                 changed = true;
             }
         }
@@ -678,6 +696,7 @@ impl Network {
                     (terms.iter().enumerate()).map(move |(b, t)| t[(word >> b) as usize & 1])
                 }));
         }
+        let all_fired = self.clock.tick(&self.link_state);
         let mut walk = NodePhase {
             ctx: RouterCtx {
                 topo: &self.topo,
@@ -690,7 +709,7 @@ impl Network {
             step_all: self.step_all,
             fabric: &mut self.fabric,
             inj: &mut self.inj,
-            gates: &mut self.gates,
+            clock: (!all_fired).then_some(&self.clock),
             out: &mut self.scratch.outbox,
             power: &self.power,
             region_by_node: &self.region_by_node,
@@ -699,7 +718,7 @@ impl Network {
             grants: 0,
             forwards: 0,
         };
-        walk.run(&mut self.active, self.gates_pristine);
+        walk.run(&mut self.active);
         let (grants, forwards) = (walk.grants, walk.forwards);
 
         // Commit phase: what crosses a link lands once every router has
@@ -810,6 +829,7 @@ impl Network {
         if crossed {
             self.link_state
                 .recompute(&self.topo, &self.fault_plan, self.cycle);
+            self.clock.detach_down(&self.link_state);
             if self.routing == RoutingAlgorithm::Table {
                 // Rebuild the k-path tables over the new live-link set —
                 // fault onset and heal alike. Packets caught off every new
@@ -905,33 +925,26 @@ impl NodePhase<'_> {
     /// step-all — and clear the bit of each router its visit drained. A
     /// router outside the set has no buffered flits and no source backlog,
     /// so its pipeline and injection stages are provably no-ops and its
-    /// whole effect is its leakage (priced before the walk) plus a
-    /// clock-gate tick — a tick that is elided while the gates are pristine
-    /// (see `Network::gates_pristine`), so then only the set bits are
-    /// walked. Off the fixpoint every live idle gate must tick, and one
-    /// dense pass does both jobs.
-    fn run(&mut self, active: &mut ActiveSet, gates_pristine: bool) {
-        if gates_pristine && !self.step_all {
+    /// whole effect is its leakage, priced before the walk (its region's
+    /// gate ticks once for all of the region's routers).
+    fn run(&mut self, active: &mut ActiveSet) {
+        if !self.step_all {
             active.retain(|i| self.visit(i));
             return;
         }
         for i in 0..self.inj.len() {
-            if self.step_all || active.contains(i) {
-                if !self.visit(i) {
-                    active.remove(i);
-                }
-            } else if self.ctx.faults.is_none_or(|ls| ls.is_router_up(NodeId(i))) {
-                self.gates[i].tick();
+            if !self.visit(i) {
+                active.remove(i);
             }
         }
     }
 
-    /// One cycle of router `i`, with all cross-node effects buffered in the
-    /// outbox, then its counts priced at its region's scale; returns
-    /// whether the router is still busy. Occupancy and backlog are stable
-    /// during the walk (deliveries and credits commit afterwards; packets
-    /// are offered before the step), so the start-of-cycle active set is
-    /// exact.
+    /// One cycle of router `i` if its gate fired, with all cross-node
+    /// effects buffered in the outbox, then its counts priced at its
+    /// region's scale; returns whether the router is still busy. Occupancy
+    /// and backlog are stable during the walk (deliveries and credits commit
+    /// afterwards; packets are offered before the step), so the
+    /// start-of-cycle active set is exact.
     fn visit(&mut self, i: usize) -> bool {
         let node = NodeId(i);
         let busy = |p: &Self| p.fabric.occupancy(i) > 0 || p.inj[i].backlog_flits() > 0;
@@ -943,7 +956,7 @@ impl NodePhase<'_> {
             // A dead router does nothing and consumes nothing; traffic
             // offered at its source queue is unreachable and dropped.
             drop_source_queue(&mut self.inj[i], &mut self.out.source_dropped);
-        } else if self.gates[i].tick() {
+        } else if self.clock.is_none_or(|c| c.gates[c.gate_of[i]].2) {
             let mut work = self.fabric.step_node(i, node, &self.ctx, self.out);
             work.injected = self.inj[i].try_inject(self.cycle, self.fabric, i);
             let (power, stats, n) = (self.power, &mut *self.stats, self.inj.len());

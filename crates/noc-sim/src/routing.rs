@@ -463,7 +463,7 @@ pub fn route_live(
 ///
 /// A packet's path is selected deterministically by hashing its (src, dst)
 /// pair, so the spreading is reproducible and byte-identical across
-/// partitions and reruns. The network rebuilds the tables whenever the
+/// reruns. The network rebuilds the tables whenever the
 /// live-link set changes (fault onset *and* heal); a packet caught mid-
 /// flight off every new path becomes unroutable ([`RoutingTables::next_hop`]
 /// returns `None`) and is drained by the router's drop machinery instead of

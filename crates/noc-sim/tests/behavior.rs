@@ -364,3 +364,69 @@ fn partitions_field_is_ignored() {
         "built field changed the stats"
     );
 }
+
+/// Golden pin of clock gating below nominal frequency on a 4×4 mesh whose
+/// regions start at levels `[1, 0, 2, 0]`, with a throttle emergency on
+/// region 2 mid-run, a transient router fault in slowed region 1 and a
+/// transient link fault, under uniform traffic — with the worklist and
+/// with every router stepped. A healed router resumes from the clock phase
+/// it froze at when it went down, not from its region's, so re-attaching
+/// it to its region's phase moves these numbers.
+#[test]
+fn below_nominal_clocks_with_faults_golden() {
+    use noc_sim::{FaultEvent, FaultPlan, FaultTarget, Port, ThrottleEvent};
+    let faults = FaultPlan::new(vec![
+        FaultEvent {
+            start: 200,
+            duration: Some(97),
+            target: FaultTarget::Router { node: NodeId(6) },
+        },
+        FaultEvent {
+            start: 400,
+            duration: Some(150),
+            target: FaultTarget::Link {
+                node: NodeId(9),
+                port: Port::East,
+            },
+        },
+    ])
+    .expect("valid plan");
+    let cfg = base()
+        .with_traffic(TrafficPattern::Uniform, 0.08)
+        .with_throttles(vec![ThrottleEvent {
+            start: 300,
+            duration: 250,
+            region: 2,
+            level: 0,
+        }])
+        .with_faults(faults)
+        .with_seed(31);
+    let run = |step_all: bool| {
+        let mut sim = Simulator::new(cfg.clone()).expect("valid config");
+        sim.set_step_all(step_all);
+        for (region, level) in [1, 0, 2, 0].into_iter().enumerate() {
+            sim.set_region_level(region, level).expect("valid level");
+        }
+        sim.run(1_000);
+        let s = sim.stats();
+        (
+            s.energy.dynamic_pj().to_bits(),
+            s.energy.leakage_pj().to_bits(),
+            s.sum_packet_latency.to_bits(),
+            s.ejected_flits,
+            s.dropped_packets,
+        )
+    };
+    // (dynamic_pj bits, leakage_pj bits, Σ packet latency bits, ejected
+    // flits, dropped packets)
+    let golden = (
+        0x40be_6626_817b_24fe,
+        0x40b4_7ba0_94f2_098c,
+        0x40bc_2f00_0000_0000,
+        1_052,
+        15,
+    );
+    for step_all in [false, true] {
+        assert_eq!(run(step_all), golden, "step_all={step_all}: drifted");
+    }
+}

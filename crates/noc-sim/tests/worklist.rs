@@ -5,27 +5,34 @@
 //! The claim: skipping is *unobservable* —
 //! every metric, energy sum, and serialized byte matches a run where every
 //! router walks the full pipeline every cycle (`set_step_all(true)`). The
-//! proptest below samples topology, routing, faults, DVFS throttles, and
-//! power models; golden pins nail the idle-heavy scenarios (where the
-//! worklist actually skips most of the fabric) to concrete numbers.
+//! proptest below samples topology, routing, link and router faults, DVFS
+//! levels and power models; golden pins nail the idle-heavy scenarios
+//! (where the worklist actually skips most of the fabric) to concrete
+//! numbers.
 
 use noc_sim::{
-    FaultPlan, PowerModel, RoutingAlgorithm, SimConfig, Simulator, StatsCollector, ThrottleEvent,
-    Topology, TopologyKind, TrafficPattern,
+    FaultEvent, FaultPlan, FaultTarget, NodeId, PowerModel, RoutingAlgorithm, SimConfig, Simulator,
+    StatsCollector, ThrottleEvent, Topology, TopologyKind, TrafficPattern,
 };
 use proptest::prelude::*;
 
 /// Run `cfg` with the worklist enabled (the default) or forced off,
-/// optionally dropping a region to a lower VF level mid-run (which un-pristines the clock gates and forces the
-/// idle-skip path to keep gate phases coherent).
+/// optionally starting every region at the given V/F levels (as
+/// `NocEnv::reset` does) and optionally moving one region to another level
+/// mid-run; either way the region clock gates leave nominal frequency, so
+/// some cycles step only part of the active set.
 fn run_mode(
     cfg: &SimConfig,
     step_all: bool,
+    start: Option<[usize; 4]>,
     relevel: Option<(usize, usize)>,
     cycles: u64,
 ) -> StatsCollector {
     let mut sim = Simulator::new(cfg.clone()).expect("valid config");
     sim.set_step_all(step_all);
+    for (region, level) in start.into_iter().flatten().enumerate() {
+        sim.set_region_level(region, level).expect("valid level");
+    }
     sim.run(cycles / 2);
     if let Some((region, level)) = relevel {
         sim.set_region_level(region, level).expect("valid level");
@@ -39,7 +46,9 @@ proptest! {
 
     /// Worklist stepping vs forced step-everyone, over sampled topology
     /// kind, routing algorithm, injection rate (biased low, where skipping
-    /// dominates), fault count, mid-run DVFS relevel, and power model.
+    /// dominates), link-fault count, one transient router fault (whose
+    /// router keeps a clock gate of its own once down), every region below
+    /// nominal from cycle 0, mid-run DVFS relevel, and power model.
     /// Structural and serialized-byte equality must
     /// both hold — f64 energy sums included, which requires every router's
     /// leakage to be priced from the right term. Only the power-gated model
@@ -52,6 +61,9 @@ proptest! {
         route_sel in 0usize..3,
         rate_sel in 0usize..4,
         num_faults in 0usize..3,
+        router_fault in any::<bool>(),
+        lowered in any::<bool>(),
+        levels in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
         relevel_sel in 0usize..3,
         gated in any::<bool>(),
     ) {
@@ -87,21 +99,23 @@ proptest! {
         if gated {
             cfg.power = PowerModel::with_power_gating();
         }
-        if num_faults > 0 {
-            let topo = match cfg.kind {
-                TopologyKind::Mesh => Topology::mesh(8, 8),
-                TopologyKind::Torus => Topology::torus(8, 8),
-            };
-            cfg = cfg.with_faults(FaultPlan::random_links(
-                &topo,
-                num_faults,
-                seed ^ 0x1D7E,
-                50,
-                None,
-            ));
+        let topo = match cfg.kind {
+            TopologyKind::Mesh => Topology::mesh(8, 8),
+            TopologyKind::Torus => Topology::torus(8, 8),
+        };
+        let links = FaultPlan::random_links(&topo, num_faults, seed ^ 0x1D7E, 50, None);
+        let mut events = links.events().to_vec();
+        if router_fault {
+            events.push(FaultEvent {
+                start: 60 + seed % 100,
+                duration: Some(50 + seed % 97),
+                target: FaultTarget::Router { node: NodeId((seed % 64) as usize) },
+            });
         }
-        let full = run_mode(&cfg, true, relevel, 400);
-        let lazy = run_mode(&cfg, false, relevel, 400);
+        cfg = cfg.with_faults(FaultPlan::new(events).expect("valid plan"));
+        let start = lowered.then_some([levels.0, levels.1, levels.2, levels.3]);
+        let full = run_mode(&cfg, true, start, relevel, 400);
+        let lazy = run_mode(&cfg, false, start, relevel, 400);
         prop_assert_eq!(&lazy, &full, "worklist diverged structurally");
         let full_bytes = serde_json::to_string(&full).expect("stats serialize");
         let lazy_bytes = serde_json::to_string(&lazy).expect("stats serialize");
@@ -120,7 +134,7 @@ fn idle_heavy_16x16_golden_metrics() {
         .with_size(16, 16)
         .with_traffic(TrafficPattern::Uniform, 0.01)
         .with_seed(42);
-    let lazy = run_mode(&cfg, false, None, 1_000);
+    let lazy = run_mode(&cfg, false, None, None, 1_000);
     assert_eq!(
         (
             lazy.offered_packets,
@@ -146,7 +160,7 @@ fn idle_heavy_16x16_golden_metrics() {
         274_296.90000029386,
         "idle-heavy 16x16 energy drifted"
     );
-    let full = run_mode(&cfg, true, None, 1_000);
+    let full = run_mode(&cfg, true, None, None, 1_000);
     assert_eq!(lazy, full, "worklist run must match step-everyone");
     assert_eq!(
         serde_json::to_string(&lazy).unwrap(),
@@ -166,8 +180,8 @@ fn idle_heavy_16x16_gated_matches_step_all() {
         .with_traffic(TrafficPattern::Uniform, 0.01)
         .with_seed(42);
     cfg.power = PowerModel::with_power_gating();
-    let lazy = run_mode(&cfg, false, None, 1_000);
-    let full = run_mode(&cfg, true, None, 1_000);
+    let lazy = run_mode(&cfg, false, None, None, 1_000);
+    let full = run_mode(&cfg, true, None, None, 1_000);
     assert_eq!(lazy, full, "gated worklist run must match step-everyone");
     assert_eq!(
         serde_json::to_string(&lazy).unwrap(),
@@ -201,8 +215,8 @@ fn idle_fabric_under_throttles_matches_step_all() {
             },
         ])
         .with_seed(9);
-    let lazy = run_mode(&cfg, false, None, 600);
-    let full = run_mode(&cfg, true, None, 600);
+    let lazy = run_mode(&cfg, false, None, None, 600);
+    let full = run_mode(&cfg, true, None, None, 600);
     assert_eq!(lazy, full, "idle throttled fabric diverged");
     assert_eq!(lazy.injected_flits, 0, "zero-rate fabric must stay idle");
     assert!(
