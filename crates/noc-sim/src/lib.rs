@@ -76,7 +76,7 @@ pub use error::{SimError, SimResult};
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, LinkState};
 pub use flit::{Flit, FlitKind, Packet, PacketId};
 pub use network::Network;
-pub use power::{EnergyMeter, PowerEvent, PowerModel};
+pub use power::{EnergyMeter, PowerModel};
 pub use routing::{RoutingAlgorithm, RoutingTables};
 pub use sim::{RunSummary, Simulator};
 pub use stats::{StatsCollector, StatsSnapshot, WindowMetrics};

@@ -12,11 +12,13 @@
 //!
 //! The pipeline stages never touch the shared [`StatsCollector`]: a
 //! router's step returns what it did as counts (`NodeWork`), and its visit
-//! prices them at its region's scale. Routers are visited in node order
-//! and the deliveries' buffer writes are priced in the commit, after every
-//! router, so the dynamic-energy sum receives one fixed sequence of float
-//! additions; leakage, the other order-sensitive sum, is priced in node
-//! order before the walk. A simulation steps on one thread: parallelism
+//! prices them in one call from its region's table of event energies, each
+//! entry `e_* × (V/V_nom)²` formed once per level change rather than once
+//! per event. Routers are visited in node order and the deliveries' buffer
+//! writes are priced in the commit, after every router, so the
+//! dynamic-energy sum receives one fixed sequence of float additions;
+//! leakage, the other order-sensitive sum, is priced in node order before
+//! the walk. A simulation steps on one thread: parallelism
 //! lives a level up, across the independent simulations of a sweep, a
 //! training population or a tournament.
 //!
@@ -53,7 +55,7 @@ use crate::dvfs::{ClockGate, RegionMap, ThrottleEvent, VfTable};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, LinkState};
 use crate::flit::{Packet, PacketId};
-use crate::power::{PowerEvent, PowerModel};
+use crate::power::{EventEnergies, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
 use crate::soa::{FabricState, Outbox, RouterCtx};
 use crate::stats::StatsCollector;
@@ -187,9 +189,10 @@ pub struct Network {
     /// Region index per node (precomputed once; the cycle loop needs it for
     /// every active node every cycle).
     region_by_node: Vec<usize>,
-    /// Dynamic-energy multiplier per region at its current effective level,
-    /// recomputed only when an effective level changes.
-    region_dynamic_scale: Vec<f64>,
+    /// Event energies per region at its current effective level
+    /// ([`PowerModel::scaled`]), recomputed only when an effective level
+    /// changes.
+    region_energy: Vec<EventEnergies>,
     /// One cycle of leakage per router, `[idle, busy]`, at its region's
     /// effective level (`0.0` for a dead router), recomputed only when an
     /// effective level or the fault set changes.
@@ -333,9 +336,8 @@ struct NodePhase<'a> {
     /// The clock, when some gate did not fire this cycle.
     clock: Option<&'a Clock>,
     out: &'a mut Outbox,
-    power: &'a PowerModel,
     region_by_node: &'a [usize],
-    region_dynamic_scale: &'a [f64],
+    region_energy: &'a [EventEnergies],
     stats: &'a mut StatsCollector,
     /// Σ grants and Σ forwards over the walk, for the switch-conservation
     /// oracle.
@@ -388,7 +390,7 @@ impl Network {
             regions,
             neighbors,
             region_by_node,
-            region_dynamic_scale: vec![max_vf.dynamic_scale(nominal); num_regions],
+            region_energy: vec![config.power.scaled(max_vf.dynamic_scale(nominal)); num_regions],
             leakage: vec![[0.0; 2]; n],
             active: ActiveSet::new(n),
             fault_plan,
@@ -508,7 +510,7 @@ impl Network {
                 self.effective_levels[region] = eff;
                 let vf = self.vf_table.level(eff).expect("effective level valid");
                 let nominal = self.vf_table.nominal_voltage();
-                self.region_dynamic_scale[region] = vf.dynamic_scale(nominal);
+                self.region_energy[region] = self.power.scaled(vf.dynamic_scale(nominal));
                 // The region's gate and those of its detached routers.
                 for (g, (gate, router, _)) in self.clock.gates.iter_mut().enumerate() {
                     if router.map_or(g, |i| self.region_by_node[i]) == region {
@@ -711,9 +713,8 @@ impl Network {
             inj: &mut self.inj,
             clock: (!all_fired).then_some(&self.clock),
             out: &mut self.scratch.outbox,
-            power: &self.power,
             region_by_node: &self.region_by_node,
-            region_dynamic_scale: &self.region_dynamic_scale,
+            region_energy: &self.region_energy,
             stats,
             grants: 0,
             forwards: 0,
@@ -725,7 +726,7 @@ impl Network {
         // stepped, so links keep their one-cycle latency; the deliveries'
         // buffer writes follow every router's own events in the
         // dynamic-energy sum, in sender order.
-        let (power, out) = (&self.power, &mut self.scratch.outbox);
+        let out = &mut self.scratch.outbox;
         // Flit conservation through the switch, by an oracle that shares
         // no code with the pipeline: every grant the walk counted left over
         // a link or was ejected, and every flit that left a buffer returned
@@ -747,8 +748,8 @@ impl Network {
         let (packets, flits) = std::mem::take(&mut out.source_dropped);
         stats.record_source_drop(packets, flits);
         for d in out.deliveries.drain(..) {
-            let scale = self.region_dynamic_scale[self.region_by_node[d.to.0]];
-            stats.energy.record(power, PowerEvent::BufferWrite, scale);
+            let energies = &self.region_energy[self.region_by_node[d.to.0]];
+            stats.energy.record_buffer_write(energies);
             self.fabric.accept(d.to.0, d.in_port, d.flit);
             self.active.insert(d.to.0);
         }
@@ -959,32 +960,14 @@ impl NodePhase<'_> {
         } else if self.clock.is_none_or(|c| c.gates[c.gate_of[i]].2) {
             let mut work = self.fabric.step_node(i, node, &self.ctx, self.out);
             work.injected = self.inj[i].try_inject(self.cycle, self.fabric, i);
-            let (power, stats, n) = (self.power, &mut *self.stats, self.inj.len());
+            let (stats, n) = (&mut *self.stats, self.inj.len());
             let region = self.region_by_node[i];
-            let scale = self.region_dynamic_scale[region];
-            let price = |stats: &mut StatsCollector, event| {
-                stats.energy.record(power, event, scale);
-            };
-            // The order below is the float-addition order of the
-            // dynamic-energy sum (see `NodeWork`).
-            for _ in 0..work.grants {
-                price(stats, PowerEvent::BufferRead);
-                price(stats, PowerEvent::SwitchArb);
-                price(stats, PowerEvent::Crossbar);
-            }
-            for _ in 0..work.va {
-                price(stats, PowerEvent::VcAlloc);
-            }
-            for _ in 0..work.rc {
-                price(stats, PowerEvent::RouteCompute);
-            }
+            stats.energy.record_node(&work, &self.region_energy[region]);
             for _ in 0..work.forwards {
                 stats.record_forward(i, n);
-                price(stats, PowerEvent::LinkTraversal);
             }
             if let Some(is_tail) = work.injected {
                 stats.record_injection(region, is_tail);
-                price(stats, PowerEvent::BufferWrite);
             }
             self.grants += work.grants as usize;
             self.forwards += work.forwards as usize;

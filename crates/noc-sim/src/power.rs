@@ -10,6 +10,7 @@
 //! the evaluation is a *ratio* between controllers on the same model (see
 //! DESIGN.md, substitution 2).
 
+use crate::soa::NodeWork;
 use serde::{Deserialize, Serialize};
 
 /// Energies are in picojoules (pJ), powers in pJ per cycle.
@@ -80,23 +81,34 @@ impl Default for PowerModel {
     }
 }
 
-/// The kinds of dynamic events the router/link report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PowerEvent {
-    /// A flit written into an input buffer.
-    BufferWrite,
-    /// A flit read out of an input buffer.
-    BufferRead,
-    /// One route computation.
-    RouteCompute,
-    /// One VC allocation.
-    VcAlloc,
-    /// One switch arbitration.
-    SwitchArb,
-    /// One crossbar traversal.
-    Crossbar,
-    /// One flit crossing an inter-router link.
-    LinkTraversal,
+/// One region's dynamic event energies at its V/F level: each of the
+/// model's `e_*` times the region's `(V/V_nom)²`
+/// ([`crate::dvfs::VfLevel::dynamic_scale`]), formed once per level change
+/// instead of once per event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct EventEnergies {
+    pub buffer_write: f64,
+    pub buffer_read: f64,
+    pub route: f64,
+    pub vc_alloc: f64,
+    pub sw_arb: f64,
+    pub xbar: f64,
+    pub link: f64,
+}
+
+impl PowerModel {
+    /// The event energies at the given dynamic-energy scale.
+    pub(crate) fn scaled(&self, dynamic_scale: f64) -> EventEnergies {
+        EventEnergies {
+            buffer_write: self.e_buffer_write * dynamic_scale,
+            buffer_read: self.e_buffer_read * dynamic_scale,
+            route: self.e_route * dynamic_scale,
+            vc_alloc: self.e_vc_alloc * dynamic_scale,
+            sw_arb: self.e_sw_arb * dynamic_scale,
+            xbar: self.e_xbar * dynamic_scale,
+            link: self.e_link * dynamic_scale,
+        }
+    }
 }
 
 /// Accumulates energy over a run, separating dynamic and leakage components.
@@ -113,19 +125,42 @@ impl EnergyMeter {
         Self::default()
     }
 
-    /// Record one dynamic event at the given voltage scale (`(V/V_nom)²`
-    /// already applied by the caller via [`crate::dvfs::VfLevel::dynamic_scale`]).
-    pub fn record(&mut self, model: &PowerModel, event: PowerEvent, dynamic_scale: f64) {
-        let e = match event {
-            PowerEvent::BufferWrite => model.e_buffer_write,
-            PowerEvent::BufferRead => model.e_buffer_read,
-            PowerEvent::RouteCompute => model.e_route,
-            PowerEvent::VcAlloc => model.e_vc_alloc,
-            PowerEvent::SwitchArb => model.e_sw_arb,
-            PowerEvent::Crossbar => model.e_xbar,
-            PowerEvent::LinkTraversal => model.e_link,
-        };
-        self.dynamic_pj += e * dynamic_scale;
+    /// Price one router's cycle from its region's event energies, adding
+    /// them in [`NodeWork`]'s order — `grants` × (read, arbitration,
+    /// crossbar), `va` × VC allocation, `rc` × route computation,
+    /// `forwards` × link, then the injection's buffer write — into a local
+    /// sum written back once: the same f64 additions as one event at a
+    /// time.
+    pub(crate) fn record_node(&mut self, work: &NodeWork, e: &EventEnergies) {
+        let mut sum = self.dynamic_pj;
+        for _ in 0..work.grants {
+            sum += e.buffer_read;
+            sum += e.sw_arb;
+            sum += e.xbar;
+        }
+        for _ in 0..work.va {
+            sum += e.vc_alloc;
+        }
+        for _ in 0..work.rc {
+            sum += e.route;
+        }
+        for _ in 0..work.forwards {
+            sum += e.link;
+        }
+        if work.injected.is_some() {
+            sum += e.buffer_write;
+        }
+        self.dynamic_pj = sum;
+        self.events += 3 * u64::from(work.grants)
+            + u64::from(work.va)
+            + u64::from(work.rc)
+            + u64::from(work.forwards)
+            + u64::from(work.injected.is_some());
+    }
+
+    /// Price one flit written into an input buffer by a link delivery.
+    pub(crate) fn record_buffer_write(&mut self, e: &EventEnergies) {
+        self.dynamic_pj += e.buffer_write;
         self.events += 1;
     }
 
@@ -191,13 +226,26 @@ impl EnergyMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dvfs::VfTable;
+    use proptest::prelude::*;
+
+    /// A router cycle's counts.
+    fn work(grants: u8, va: u8, rc: u8, forwards: u8, injected: Option<bool>) -> NodeWork {
+        NodeWork {
+            grants,
+            va,
+            rc,
+            forwards,
+            injected,
+        }
+    }
 
     #[test]
     fn events_accumulate_scaled_energy() {
         let m = PowerModel::default_32nm();
         let mut meter = EnergyMeter::new();
-        meter.record(&m, PowerEvent::BufferWrite, 1.0);
-        meter.record(&m, PowerEvent::LinkTraversal, 0.25);
+        meter.record_node(&work(0, 0, 0, 0, Some(true)), &m.scaled(1.0));
+        meter.record_node(&work(0, 0, 0, 1, None), &m.scaled(0.25));
         assert!((meter.dynamic_pj() - (1.2 + 1.6 * 0.25)).abs() < 1e-12);
         assert_eq!(meter.events(), 2);
     }
@@ -235,15 +283,17 @@ mod tests {
     #[test]
     fn since_computes_epoch_delta() {
         let m = PowerModel::default_32nm();
+        let e = m.scaled(1.0);
         let mut meter = EnergyMeter::new();
-        meter.record(&m, PowerEvent::Crossbar, 1.0);
+        meter.record_node(&work(1, 0, 0, 0, None), &e);
         let snap = meter.clone();
-        meter.record(&m, PowerEvent::Crossbar, 1.0);
+        meter.record_node(&work(1, 0, 0, 0, None), &e);
         meter.record_leakage(&m, 0, 1.0);
         let delta = meter.since(&snap);
-        assert!((delta.dynamic_pj() - 0.8).abs() < 1e-12);
+        // One grant: a buffer read, a switch arbitration, a crossbar.
+        assert!((delta.dynamic_pj() - (1.0 + 0.2 + 0.8)).abs() < 1e-12);
         assert!((delta.leakage_pj() - 0.35).abs() < 1e-12);
-        assert_eq!(delta.events(), 1);
+        assert_eq!(delta.events(), 3);
     }
 
     #[test]
@@ -251,10 +301,50 @@ mod tests {
         let m = PowerModel::default_32nm();
         let mut a = EnergyMeter::new();
         let mut b = EnergyMeter::new();
-        a.record(&m, PowerEvent::BufferRead, 1.0);
+        a.record_node(&work(1, 0, 0, 0, None), &m.scaled(1.0));
         b.record_leakage(&m, 2, 1.0);
         a.merge(&b);
         assert!(a.dynamic_pj() > 0.0 && a.leakage_pj() > 0.0);
-        assert_eq!(a.events(), 1);
+        assert_eq!(a.events(), 3);
+    }
+
+    proptest! {
+        /// Pricing from a region's table is bit-identical to adding
+        /// `e_* × scale` one event at a time in `NodeWork` order, across
+        /// V/F level changes between router cycles.
+        #[test]
+        fn record_node_matches_per_event_pricing(
+            cycles in prop::collection::vec(
+                (0usize..4, 0u8..=20, 0u8..=20, 0u8..=20, 0u8..=20, 0u8..3),
+                0..40,
+            )
+        ) {
+            let (m, table) = (PowerModel::default_32nm(), VfTable::four_level());
+            let mut meter = EnergyMeter::new();
+            let (mut sum, mut events) = (0.0f64, 0u64);
+            for (level, grants, va, rc, forwards, inject) in cycles {
+                // No injection, or one whose flit is (not) its packet's tail.
+                let injected = (inject > 0).then_some(inject == 2);
+                let scale = table.level(level).unwrap().dynamic_scale(table.nominal_voltage());
+                meter.record_node(&work(grants, va, rc, forwards, injected), &m.scaled(scale));
+                let mut event = |e: f64| {
+                    sum += e * scale;
+                    events += 1;
+                };
+                for _ in 0..grants {
+                    event(m.e_buffer_read);
+                    event(m.e_sw_arb);
+                    event(m.e_xbar);
+                }
+                (0..va).for_each(|_| event(m.e_vc_alloc));
+                (0..rc).for_each(|_| event(m.e_route));
+                (0..forwards).for_each(|_| event(m.e_link));
+                if injected.is_some() {
+                    event(m.e_buffer_write);
+                }
+            }
+            prop_assert_eq!(meter.dynamic_pj().to_bits(), sum.to_bits());
+            prop_assert_eq!(meter.events(), events);
+        }
     }
 }

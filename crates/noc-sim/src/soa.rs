@@ -40,15 +40,17 @@
 //! * an occupancy bitmask (`occ_mask`) with bit `port * num_vcs + vc` set
 //!   iff that input VC buffers at least one flit. Switch allocation is
 //!   two-stage arbitration over bitmasks: stage one builds per-output-port
-//!   request masks in a single pass over the occupied VCs; stage two grants
-//!   with the rotate-free round-robin pick `rr_pick` — first asserted index
-//!   at or after the pointer, else first asserted index; the pointer
-//!   advances past the winner. There is one allocation path: a grant holds
-//!   its output port for the granted input VC until a release — the
-//!   packet's tail, or every grant on a fabric that releases after every
-//!   flit (`perflit`). Stage one's pass is the cycle's only walk of
-//!   the occupied VCs: it also sorts the non-requesters into the masks VA
-//!   and RC iterate, so those two stages visit only the VCs that need them.
+//!   request masks in a single pass over the occupied VCs, and a mask of
+//!   the output ports that got a request; stage two visits only those
+//!   ports, in port order, and grants with the rotate-free round-robin pick
+//!   `rr_pick` — first asserted index at or after the pointer, else first
+//!   asserted index; the pointer advances past the winner. There is one
+//!   allocation path: a grant holds its output port for the granted input
+//!   VC until a release — the packet's tail, or every grant on a fabric
+//!   that releases after every flit (`perflit`). Stage one's pass is the
+//!   cycle's only walk of the occupied VCs: it also sorts the
+//!   non-requesters into the masks VA and RC iterate, so those two stages
+//!   visit only the VCs that need them.
 //!
 //! Both counters are derivable from the buffers; `debug_assert!` recounts
 //! (exercised by the debug-profile CI job) keep them honest. The stages
@@ -109,7 +111,9 @@ pub struct Outbox {
 /// What one router did this cycle: how many of each dynamic-energy event it
 /// caused. [`FabricState::step_node`] returns the stages' counts; the
 /// network adds the injection and prices the whole as soon as the router's
-/// visit ends, in node order.
+/// visit ends, in node order, with one
+/// [`EnergyMeter::record_node`](crate::power::EnergyMeter::record_node)
+/// call from its region's table of pre-scaled event energies.
 ///
 /// The stages never touch the `StatsCollector`. Float addition is not
 /// associative, so what `dynamic_pj` needs is one fixed order of additions,
@@ -117,7 +121,7 @@ pub struct Outbox {
 /// `grants` × (`BufferRead`, `SwitchArb`, `Crossbar`), `va` × `VcAlloc`,
 /// `rc` × `RouteCompute`, `forwards` × `LinkTraversal` (after RC's energy,
 /// not at the grant), then the injection's `BufferWrite`, all at the
-/// router's one V/F scale — so pricing router after router in node order is
+/// router's one V/F level — so pricing router after router in node order is
 /// the same sequence of f64 additions every run. `dynamic_pj` and
 /// `leakage_pj` (which the network accrues from the active set, not from
 /// the counts) are the only order-sensitive accumulators; everything else a
@@ -623,6 +627,8 @@ impl FabricState {
         // VC, is non-empty (the occupancy mask), and has a credit (the
         // Local output sinks ejected flits unconditionally).
         let mut req = [0u64; Port::COUNT];
+        // Bit `op` set iff `req[op]` is non-empty.
+        let mut ports = 0u8;
         let (mut va_mask, mut rc_mask) = (0u64, 0u64);
         let mut m = self.occ_mask[k];
         while m != 0 {
@@ -643,17 +649,21 @@ impl FabricState {
                 || self.out_credits[b0 + out_port.index() * v + ovc as usize] > 0;
             if has_credit {
                 req[out_port.index()] |= 1 << b;
+                ports |= 1 << out_port.index();
             }
         }
-        // Stage two: grant per output port in fixed port order. Granting
-        // pops the flit and decrements the credit it consumes, which never
-        // changes another output port's request set, so the masks stay
-        // valid across the loop with only the used-input clearing.
+        // Stage two: grant the requested output ports in ascending port
+        // order. Granting pops the flit and decrements the credit it
+        // consumes, which never changes another output port's request set,
+        // so the masks stay valid across the loop with only the used-input
+        // clearing.
         let n = self.pv as u32;
         let vc_bits = (1u64 << v) - 1;
         let mut used_inputs = 0u64;
-        for out_port in Port::ALL {
-            let op = out_port.index();
+        while ports != 0 {
+            let op = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let out_port = Port::from_index(op);
             let mut reqs = req[op] & !used_inputs;
             // A held output port serves only the holding input VC; if the
             // holder cannot request this cycle (no flit arrived yet, no

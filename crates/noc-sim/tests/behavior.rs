@@ -278,20 +278,21 @@ fn mesh_16x16_golden_metrics() {
 }
 
 /// Golden pin of the two order-sensitive energy sums on an 8×8 mesh whose
-/// four regions sit at three different V/F levels, under `lenU1-8` traffic
-/// with one seeded link fault, for both switch-allocation release rules.
+/// four regions sit at three different V/F levels, with one seeded link
+/// fault: `lenU1-8` traffic under XY for both switch-allocation release
+/// rules, and the `sweep_cold` point where switch allocation sees the most
+/// requesting output ports (odd-even routing, tornado 0.20, `PerFlit`).
 /// Every router's counts are priced at its own region's scale in node
-/// order, so pricing a router at a neighbour's scale, or out of order,
-/// moves these bits.
+/// order, so pricing a router at a neighbour's scale, or out of order, or
+/// granting output ports out of port order, moves these bits.
 #[test]
 fn mixed_level_energy_golden_bits() {
     use noc_sim::{FaultPlan, LengthSpec, SwitchArb, Topology};
-    let run = |arb: SwitchArb| {
-        let phase = WorkloadPhase::bernoulli(TrafficPattern::Uniform, 0.08, 0)
-            .with_length(LengthSpec::Uniform { min: 1, max: 8 });
+    let run = |routing: RoutingAlgorithm, phase: WorkloadPhase, arb: SwitchArb| {
         let cfg = SimConfig::default()
             .with_size(8, 8)
             .with_regions(2, 2)
+            .with_routing(routing)
             .with_workload(WorkloadSpec::new(vec![phase]))
             .with_faults(FaultPlan::random_links(
                 &Topology::mesh(8, 8),
@@ -316,9 +317,14 @@ fn mixed_level_energy_golden_bits() {
             s.node_forwarded.iter().sum::<u64>(),
         )
     };
+    let len_u1_8 = WorkloadPhase::bernoulli(TrafficPattern::Uniform, 0.08, 0)
+        .with_length(LengthSpec::Uniform { min: 1, max: 8 });
+    let tornado = WorkloadPhase::bernoulli(TrafficPattern::Tornado, 0.20, 0);
     // (dynamic_pj bits, leakage_pj bits, events, Σ node_forwarded)
-    for (arb, golden) in [
+    for (routing, phase, arb, golden) in [
         (
+            RoutingAlgorithm::Xy,
+            len_u1_8.clone(),
             SwitchArb::PerFlit,
             (
                 0x4109_21f9_b810_ffe8,
@@ -328,6 +334,8 @@ fn mixed_level_energy_golden_bits() {
             ),
         ),
         (
+            RoutingAlgorithm::Xy,
+            len_u1_8,
             SwitchArb::PerPacket,
             (
                 0x4109_1ef1_ebb0_861c,
@@ -336,8 +344,23 @@ fn mixed_level_energy_golden_bits() {
                 52_670,
             ),
         ),
+        (
+            RoutingAlgorithm::OddEven,
+            tornado,
+            SwitchArb::PerFlit,
+            (
+                0x4115_d5a0_faec_290a,
+                0x40ea_d8ba_2e8b_ccce,
+                535_576,
+                81_704,
+            ),
+        ),
     ] {
-        assert_eq!(run(arb), golden, "{arb:?} energy bits drifted");
+        assert_eq!(
+            run(routing, phase, arb),
+            golden,
+            "{routing:?} {arb:?} energy bits drifted"
+        );
     }
 }
 
