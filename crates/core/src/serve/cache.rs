@@ -32,7 +32,7 @@
 //! job.
 
 use crate::sweep::{Scenario, ScenarioResult};
-use noc_sim::SimResult;
+use noc_sim::{SimConfig, SimResult};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -63,14 +63,17 @@ impl std::fmt::Display for CacheKey {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`, seeded with `h` (two different seeds give
-/// the two independent halves of the 128-bit key).
-pub(crate) fn fnv1a64(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// 128 bits of FNV-1a over `bytes`, as 32 hex digits: two 64-bit FNV-1a
+/// lanes with different offset bases, run side by side in one pass. The
+/// digest of cache keys and of zoo config hashes.
+pub(crate) fn fnv1a128_hex(bytes: &[u8]) -> String {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let (mut a, mut b) = (0xCBF2_9CE4_8422_2325u64, 0x6C62_272E_07BB_0142u64);
+    for &byte in bytes {
+        a = (a ^ u64::from(byte)).wrapping_mul(PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(PRIME);
     }
-    h
+    format!("{a:016x}{b:016x}")
 }
 
 /// Derive the content-addressed key of one resolved sweep scenario.
@@ -81,19 +84,20 @@ pub(crate) fn fnv1a64(bytes: &[u8], mut h: u64) -> u64 {
 /// DVFS level, and the window budgets. Everything that can change the
 /// result bytes is inside; nothing that cannot is.
 pub fn scenario_cache_key(scenario: &Scenario, warmup: u64, measure: u64, drain: u64) -> CacheKey {
-    let mut config = scenario.config.clone();
-    config.partitions = 1;
-    let config_json = serde_json::to_string(&config).expect("SimConfig serializes");
-    let text = format!(
-        "v{CACHE_SCHEMA_VERSION}\n{}\n{config_json}\nlevel={:?}\nw{warmup}/m{measure}/d{drain}",
-        scenario.label, scenario.level
+    use std::fmt::Write;
+    let config = SimConfig {
+        partitions: 1,
+        ..scenario.config.clone()
+    };
+    let mut text = format!("v{CACHE_SCHEMA_VERSION}\n{}\n", scenario.label);
+    serde_json::to_string_into(&mut text, &config).expect("SimConfig serializes");
+    // `fmt::Write` for `String` cannot fail.
+    let _ = write!(
+        text,
+        "\nlevel={:?}\nw{warmup}/m{measure}/d{drain}",
+        scenario.level
     );
-    let bytes = text.as_bytes();
-    CacheKey(format!(
-        "{:016x}{:016x}",
-        fnv1a64(bytes, 0xCBF2_9CE4_8422_2325),
-        fnv1a64(bytes, 0x6C62_272E_07BB_0142)
-    ))
+    CacheKey(fnv1a128_hex(text.as_bytes()))
 }
 
 /// How a [`ResultCache::get_or_compute`] call was satisfied.

@@ -337,7 +337,7 @@ fn write_frames(mut out: TcpStream, rx: &Receiver<Event>) {
         frame.clear();
         let mut next = Some(event);
         while let Some(event) = next {
-            frame.push_str(&event.render());
+            event.render_into(&mut frame);
             frame.push('\n');
             next = rx.try_recv().ok();
         }

@@ -134,11 +134,14 @@ impl Request {
     /// Render this request as one wire line (no trailing newline).
     pub fn render(&self) -> String {
         match self {
-            Request::Submit { client, grid } => format!(
-                "{{\"cmd\":\"submit\",\"client\":{},\"grid\":{}}}",
-                json_str(client),
-                serde_json::to_string(grid.as_ref()).expect("grid serializes")
-            ),
+            Request::Submit { client, grid } => {
+                let mut line = String::from("{\"cmd\":\"submit\",\"client\":");
+                json_into(&mut line, client);
+                line.push_str(",\"grid\":");
+                json_into(&mut line, grid.as_ref());
+                line.push('}');
+                line
+            }
             Request::Status { job } => format!("{{\"cmd\":\"status\",\"job\":{job}}}"),
             Request::Cancel { job } => format!("{{\"cmd\":\"cancel\",\"job\":{job}}}"),
             Request::Stats => "{\"cmd\":\"stats\"}".to_string(),
@@ -237,51 +240,76 @@ impl Event {
     /// Render this event as one wire line (no trailing newline).
     ///
     /// Rendering is deterministic: field order is fixed and nested payloads
-    /// go through the canonical `serde_json` renderer, so identical jobs
+    /// go through the canonical `serde_json` writer, so identical jobs
     /// produce identical bytes — the property the CI byte-compare pins.
     pub fn render(&self) -> String {
-        match self {
-            Event::Accepted { job, scenarios } => {
-                format!("{{\"event\":\"accepted\",\"job\":{job},\"scenarios\":{scenarios}}}")
+        let mut line = String::new();
+        self.render_into(&mut line);
+        line
+    }
+
+    /// Append this event's wire line (no trailing newline) to `out`: what
+    /// [`Event::render`] returns, written in place, so a connection's
+    /// writer renders straight into its frame buffer.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        // `fmt::Write` for `String` cannot fail.
+        let _ = match self {
+            Event::Accepted { job, scenarios } => write!(
+                out,
+                "{{\"event\":\"accepted\",\"job\":{job},\"scenarios\":{scenarios}}}"
+            ),
+            Event::Result { job, index, result } => {
+                let _ = write!(
+                    out,
+                    "{{\"event\":\"result\",\"job\":{job},\"index\":{index},\"result\":"
+                );
+                json_into(out, result.as_ref());
+                out.write_char('}')
             }
-            Event::Result { job, index, result } => format!(
-                "{{\"event\":\"result\",\"job\":{job},\"index\":{index},\"result\":{}}}",
-                serde_json::to_string(result.as_ref()).expect("result serializes")
-            ),
-            Event::Done { job, report } => format!(
-                "{{\"event\":\"done\",\"job\":{job},\"report\":{}}}",
-                serde_json::to_string(report.as_ref()).expect("report serializes")
-            ),
-            Event::Canceled { job, completed } => {
-                format!("{{\"event\":\"canceled\",\"job\":{job},\"completed\":{completed}}}")
+            Event::Done { job, report } => {
+                let _ = write!(out, "{{\"event\":\"done\",\"job\":{job},\"report\":");
+                json_into(out, report.as_ref());
+                out.write_char('}')
             }
-            Event::Failed { job, message } => format!(
-                "{{\"event\":\"failed\",\"job\":{job},\"message\":{}}}",
-                json_str(message)
+            Event::Canceled { job, completed } => write!(
+                out,
+                "{{\"event\":\"canceled\",\"job\":{job},\"completed\":{completed}}}"
             ),
+            Event::Failed { job, message } => {
+                let _ = write!(out, "{{\"event\":\"failed\",\"job\":{job},\"message\":");
+                json_into(out, message);
+                out.write_char('}')
+            }
             Event::Status {
                 job,
                 state,
                 completed,
                 total,
-            } => format!(
-                "{{\"event\":\"status\",\"job\":{job},\"state\":{},\"completed\":{completed},\
-                 \"total\":{total}}}",
-                json_str(state)
-            ),
-            Event::Stats { cache, scheduler } => format!(
-                "{{\"event\":\"stats\",\"cache\":{},\"scheduler\":{}}}",
-                serde_json::to_string(cache).expect("stats serialize"),
-                serde_json::to_string(scheduler).expect("stats serialize")
-            ),
-            Event::Pong => "{\"event\":\"pong\"}".to_string(),
-            Event::ShuttingDown => "{\"event\":\"shutting_down\"}".to_string(),
-            Event::Error { code, message } => format!(
-                "{{\"event\":\"error\",\"code\":\"{}\",\"message\":{}}}",
-                code.name(),
-                json_str(message)
-            ),
-        }
+            } => {
+                let _ = write!(out, "{{\"event\":\"status\",\"job\":{job},\"state\":");
+                json_into(out, state);
+                write!(out, ",\"completed\":{completed},\"total\":{total}}}")
+            }
+            Event::Stats { cache, scheduler } => {
+                out.push_str("{\"event\":\"stats\",\"cache\":");
+                json_into(out, cache);
+                out.push_str(",\"scheduler\":");
+                json_into(out, scheduler);
+                out.write_char('}')
+            }
+            Event::Pong => out.write_str("{\"event\":\"pong\"}"),
+            Event::ShuttingDown => out.write_str("{\"event\":\"shutting_down\"}"),
+            Event::Error { code, message } => {
+                let _ = write!(
+                    out,
+                    "{{\"event\":\"error\",\"code\":\"{}\",\"message\":",
+                    code.name()
+                );
+                json_into(out, message);
+                out.write_char('}')
+            }
+        };
     }
 
     /// Parse one reply line (the client side of [`Event::render`]).
@@ -374,10 +402,10 @@ impl Event {
     }
 }
 
-/// Render a string as a JSON string literal via the canonical renderer (so
-/// escaping matches everything else on the wire).
-fn json_str(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).expect("strings serialize")
+/// Append `value` as compact JSON via the canonical writer (so escaping
+/// matches everything else on the wire).
+fn json_into<T: Serialize + ?Sized>(out: &mut String, value: &T) {
+    serde_json::to_string_into(out, value).expect("wire payloads serialize");
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use crate::controller::{
 use crate::env::{NocEnv, NocEnvConfig};
 use crate::par::parallel_map;
 use crate::reward::RewardConfig;
-use crate::serve::cache::fnv1a64;
+use crate::serve::cache::fnv1a128_hex;
 use crate::state::StateEncoder;
 use crate::sweep::{mix_seed, seeded_link_faults};
 use crate::training::{run_controller, train_drl, RunAggregate, TrainedPolicy};
@@ -191,15 +191,6 @@ pub struct PolicyArtifact {
     pub config_hash: String,
 }
 
-fn hash_hex(text: &str) -> String {
-    let bytes = text.as_bytes();
-    format!(
-        "{:016x}{:016x}",
-        fnv1a64(bytes, 0xCBF2_9CE4_8422_2325),
-        fnv1a64(bytes, 0x6C62_272E_07BB_0142)
-    )
-}
-
 fn config_hash_over(
     kind: &str,
     env: &NocEnvConfig,
@@ -208,9 +199,12 @@ fn config_hash_over(
 ) -> String {
     let env_json = serde_json::to_string(env).expect("env config serializes");
     let train_json = serde_json::to_string(train).expect("train config serializes");
-    hash_hex(&format!(
-        "zoo-v{ZOO_SCHEMA_VERSION}\nkind={kind}\n{env_json}\n{policy_cfg_json}\n{train_json}"
-    ))
+    fnv1a128_hex(
+        format!(
+            "zoo-v{ZOO_SCHEMA_VERSION}\nkind={kind}\n{env_json}\n{policy_cfg_json}\n{train_json}"
+        )
+        .as_bytes(),
+    )
 }
 
 /// Content hash of a DQN training configuration: environment, DQN

@@ -18,6 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::mutate;
+
 /// A small, fast grid (4 scenarios at 4x4, 110 cycles each).
 fn tiny_grid() -> SweepGrid {
     SweepGrid {
@@ -673,6 +676,26 @@ fn oversized_request_line_is_refused_and_the_connection_closed() {
 }
 
 #[test]
+fn deeply_nested_request_line_is_one_bad_request() {
+    let daemon = local_daemon(ServeConfig::default());
+    let mut conn = ServeClient::connect(&daemon.addr().to_string()).unwrap();
+    // 64 KiB of `[`: far under the line cap, far over the parser's nesting
+    // cap. Unbounded recursion would overflow the connection thread's stack
+    // and abort the whole daemon.
+    conn.send_raw(&"[".repeat(64 << 10)).unwrap();
+    match conn.recv().unwrap() {
+        Event::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    assert_eq!(conn.request(&Request::Ping).unwrap(), Event::Pong);
+    drop(conn);
+    shut_down(daemon);
+}
+
+#[test]
 fn shutdown_command_stops_the_daemon_cleanly() {
     let daemon = local_daemon(ServeConfig::default());
     let addr = daemon.addr().to_string();
@@ -853,28 +876,6 @@ fn legacy_peers_receive_the_same_bytes_as_the_client() {
         reference,
         "a peer that dribbles its request sees the same stream"
     );
-}
-
-/// One seeded byte-level mutation of `line`: flip a bit, delete or
-/// duplicate a byte, truncate, or splice in the tail of a `corpus` line.
-fn mutate(rng: &mut StdRng, line: &mut Vec<u8>, corpus: &[String]) {
-    if line.is_empty() {
-        return;
-    }
-    let at = rng.gen_range(0..line.len());
-    match rng.gen_range(0..5) {
-        0 => line[at] ^= 1u8 << rng.gen_range(0..8u32),
-        1 => {
-            line.remove(at);
-        }
-        2 => line.insert(at, line[at]),
-        3 => line.truncate(at),
-        _ => {
-            let other = corpus[rng.gen_range(0..corpus.len())].as_bytes();
-            line.truncate(at);
-            line.extend_from_slice(&other[rng.gen_range(0..other.len())..]);
-        }
-    }
 }
 
 #[test]
