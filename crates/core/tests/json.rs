@@ -185,8 +185,8 @@ fn writer_matches_the_value_tree_on_real_documents() {
 }
 
 /// The seeded flip / delete / duplicate / truncate / splice loop of the
-/// protocol test, on real artifacts: every mutant is parsed and validated
-/// under `catch_unwind`, and none may panic.
+/// protocol test, on real artifacts: every mutant is parsed, validated and
+/// built into its controller under `catch_unwind`, and none may panic.
 #[test]
 fn mutated_artifacts_never_panic_the_parser() {
     let corpus = [dqn_artifact(), tabular_artifact()].map(|a| a.to_json());
@@ -200,7 +200,9 @@ fn mutated_artifacts_never_panic_the_parser() {
         }
         let text = String::from_utf8_lossy(&bytes).into_owned();
         let outcome = std::panic::catch_unwind(|| {
-            PolicyArtifact::parse(&text).and_then(|artifact| artifact.validate())
+            let artifact = PolicyArtifact::parse(&text)?;
+            artifact.validate()?;
+            artifact.controller().map(drop)
         });
         match outcome {
             Ok(result) => valid += usize::from(result.is_ok()),

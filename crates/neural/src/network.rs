@@ -82,6 +82,17 @@ impl Mlp {
         self.layers.last().expect("non-empty").fan_out()
     }
 
+    /// The layer widths, input first: `[in, hidden.., out]` (empty for a
+    /// network without layers). Two networks can share parameters iff their
+    /// widths are equal.
+    pub fn widths(&self) -> Vec<usize> {
+        let input = self.layers.first().map(Dense::fan_in);
+        input
+            .into_iter()
+            .chain(self.layers.iter().map(Dense::fan_out))
+            .collect()
+    }
+
     /// Total trainable parameters.
     pub fn num_params(&self) -> usize {
         self.layers.iter().map(|l| l.num_params()).sum()
@@ -222,6 +233,21 @@ impl Mlp {
         }
     }
 
+    /// [`Mlp::copy_params_from`] for a network read from outside.
+    ///
+    /// # Errors
+    /// Returns an error, and copies nothing, if the layer widths differ.
+    pub fn try_copy_params_from(&mut self, other: &Mlp) -> Result<(), ModelIoError> {
+        let (found, expected) = (other.widths(), self.widths());
+        if found != expected {
+            return Err(ModelIoError(format!(
+                "layer widths {found:?} where {expected:?} are expected"
+            )));
+        }
+        self.copy_params_from(other);
+        Ok(())
+    }
+
     /// Polyak soft update from another MLP: `θ ← τ·θ_other + (1-τ)·θ`.
     ///
     /// # Panics
@@ -248,9 +274,25 @@ impl Mlp {
     /// Deserialize a model saved by [`Mlp::to_json`].
     ///
     /// # Errors
-    /// Returns an error if the JSON is malformed.
+    /// Returns an error if the JSON is malformed or describes a network no
+    /// constructor builds: no layer, a weight matrix whose data is not
+    /// `rows × cols`, a bias that is not one per output, or a layer whose
+    /// input is not as wide as the layer below's output.
     pub fn from_json(json: &str) -> Result<Mlp, ModelIoError> {
-        serde_json::from_str(json).map_err(|e| ModelIoError(e.to_string()))
+        let net: Mlp = serde_json::from_str(json).map_err(|e| ModelIoError(e.to_string()))?;
+        let mut below = net.layers.first().map(Dense::fan_in);
+        for (i, layer) in net.layers.iter().enumerate() {
+            let (w, b) = layer.params();
+            let (rows, cols) = (layer.fan_in(), layer.fan_out());
+            if rows.checked_mul(cols) != Some(w.len()) || b.len() != cols || below != Some(rows) {
+                return Err(ModelIoError(format!("layer {i} is malformed")));
+            }
+            below = Some(cols);
+        }
+        if below.is_none() {
+            return Err(ModelIoError("network has no layer".into()));
+        }
+        Ok(net)
     }
 }
 
@@ -417,6 +459,29 @@ mod tests {
     #[test]
     fn from_json_rejects_garbage() {
         assert!(Mlp::from_json("not json").is_err());
+    }
+
+    /// Well-formed JSON for a network no constructor builds is an error:
+    /// a weight matrix whose data is not `rows × cols`, a bias of the wrong
+    /// length, layers that do not chain, no layer at all.
+    #[test]
+    fn from_json_rejects_inconsistent_shapes() {
+        let json = Mlp::new(&[3, 5, 2], Activation::Relu, Activation::Linear, 9)
+            .to_json()
+            .unwrap();
+        assert!(json.contains(r#""rows":3,"cols":5"#) && json.contains(r#""rows":5,"cols":2"#));
+        for bad in [
+            json.replacen(r#""rows":3,"cols":5"#, r#""rows":3,"cols":6"#, 1),
+            json.replacen(r#""rows":5,"cols":2"#, r#""rows":4,"cols":2"#, 1),
+            json.replacen(r#""b":[0.0,"#, r#""b":["#, 1),
+            r#"{"layers":[]}"#.to_string(),
+        ] {
+            assert!(Mlp::from_json(&bad).is_err(), "{bad}");
+        }
+        let mut net = Mlp::new(&[3, 4, 2], Activation::Relu, Activation::Linear, 1);
+        let other = Mlp::from_json(&json).unwrap();
+        assert!(net.try_copy_params_from(&other).is_err());
+        assert_eq!(net.widths(), [3, 4, 2]);
     }
 
     #[test]

@@ -222,8 +222,8 @@ impl SimConfig {
             ));
         }
         if (self.width.checked_mul(self.height)).is_none_or(|n| n > MAX_ROUTERS) {
-            // A flit names its endpoints in u16 (`Flit::src`/`dst`) and
-            // counts its hops, fewer than the routers, in u16 too.
+            // The packet table names endpoints in u16 (`PacketTable::ends`)
+            // and a flit counts its hops, fewer than the routers, in u16 too.
             return Err(SimError::InvalidConfig(format!(
                 "grid {}x{} exceeds the supported maximum of {MAX_ROUTERS} routers",
                 self.width, self.height

@@ -29,8 +29,9 @@
 //! ## Architecture
 //!
 //! * [`topology`] — mesh/torus grids, ports, neighbor wiring.
-//! * [`flit`] — packets and the 32-byte flits a source queue mints from
-//!   them one at a time.
+//! * [`flit`] — packets, the network's table of packet records, and the
+//!   8-byte flits a source queue mints one at a time, each naming its
+//!   packet's record.
 //! * [`routing`] — XY/YX, three turn models, Odd-Even, torus DOR and
 //!   torus minimal-adaptive.
 //! * `soa` (private) — the three-stage VC router pipeline (RC, VA, SA/ST)

@@ -8,6 +8,23 @@
 //! applies the outbox, so router evaluation order never matters and links
 //! have a one-cycle latency.
 //!
+//! # Packet records
+//!
+//! [`Network::offer`] files every packet in one packet table per network
+//! (`PacketTable`, columns by slot), and from then on a source queue holds
+//! the slot, and every flit names it: a flit is 8 bytes because it carries
+//! only its VC, class, hop count and role, as a hardware body flit does.
+//! Route computation reads a head's endpoints and VC allocation its id from
+//! the table, through the router context; a source queue writes the
+//! `injected` stamp as it takes a packet up; the commit reads a tail's
+//! timestamps as it ejects. Each record is freed exactly once, at its
+//! packet's terminal event — tail ejected, tail discarded by the drop drain,
+//! packet condemned by a fault purge (by its buffered tail, or at its
+//! source cursor if the tail was never minted), or dropped at a dead
+//! router's source queue — and a debug-build oracle checks at the end of
+//! every step that the live records are the packets offered less those
+//! ejected or dropped.
+//!
 //! # Count and price
 //!
 //! The pipeline stages never touch the shared [`StatsCollector`]: a
@@ -54,7 +71,7 @@ use crate::config::{SimConfig, SwitchArb};
 use crate::dvfs::{ClockGate, RegionMap, ThrottleEvent, VfTable};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultPlan, LinkState};
-use crate::flit::{Packet, PacketId};
+use crate::flit::{Flit, Packet, PacketId, PacketTable};
 use crate::power::{EventEnergies, PowerModel};
 use crate::routing::{RoutingAlgorithm, RoutingTables};
 use crate::soa::{FabricState, Outbox, RouterCtx};
@@ -66,8 +83,8 @@ use std::collections::{BTreeSet, VecDeque};
 /// `Local` input port.
 #[derive(Debug, Clone)]
 struct InjectionQueue {
-    /// Packets waiting to enter the network.
-    packets: VecDeque<Packet>,
+    /// Packets waiting to enter the network, by packet-table slot.
+    packets: VecDeque<u32>,
     /// Total flits across `packets`, maintained on push/pop so backlog
     /// sampling is O(1) per queue even when the queue is saturated.
     queued_flits: usize,
@@ -86,10 +103,11 @@ struct InjectionQueue {
 /// A source queue's cursor into the packet it is injecting.
 #[derive(Debug, Clone)]
 struct Injecting {
-    packet: Packet,
-    /// Cycle the packet left the queue, stamped on every flit of it.
-    injected_at: u64,
-    /// Flits of the packet not yet minted: the next is `len_flits - left`.
+    /// The packet's record.
+    slot: u32,
+    /// The packet's length in flits.
+    len: u32,
+    /// Flits of the packet not yet minted: the next is `len - left`.
     left: u32,
 }
 
@@ -103,54 +121,46 @@ impl InjectionQueue {
         }
     }
 
-    /// Enqueue a packet for injection.
-    fn push_packet(&mut self, p: Packet) {
-        self.queued_flits += p.len_flits as usize;
-        self.packets.push_back(p);
-    }
-
-    /// Dequeue the next packet to inject.
-    fn pop_packet(&mut self) -> Option<Packet> {
-        let p = self.packets.pop_front();
-        if let Some(p) = &p {
-            self.queued_flits -= p.len_flits as usize;
-        }
-        p
+    /// Enqueue the `len`-flit packet of record `slot` for injection.
+    fn push_packet(&mut self, slot: u32, len: u32) {
+        self.queued_flits += len as usize;
+        self.packets.push_back(slot);
     }
 
     /// Flits still waiting (queued packets plus the partially injected one).
     fn backlog_flits(&self) -> usize {
-        debug_assert_eq!(
-            self.queued_flits,
-            self.packets
-                .iter()
-                .map(|p| p.len_flits as usize)
-                .sum::<usize>(),
-            "queued-flit counter out of sync with the packet queue"
-        );
         self.current.as_ref().map_or(0, |c| c.left as usize) + self.queued_flits
     }
 
     /// Try to move one flit from this queue into router `k`'s Local input
-    /// VC 0, honoring its credits. Returns, for an injected flit, whether it
-    /// was its packet's tail (its buffer write is priced with the router's
-    /// counts).
-    fn try_inject(&mut self, cycle: u64, fabric: &mut FabricState, k: usize) -> Option<bool> {
+    /// VC 0, honoring its credits. Taking up a packet stamps its record's
+    /// `injected` column with `cycle`; `lens` is the table's length column.
+    /// Returns, for an injected flit, whether it was its packet's tail (its
+    /// buffer write is priced with the router's counts).
+    fn try_inject(
+        &mut self,
+        cycle: u64,
+        lens: &[u32],
+        injected: &mut [u64],
+        fabric: &mut FabricState,
+        k: usize,
+    ) -> Option<bool> {
         if self.current.is_none() {
-            let packet = self.pop_packet()?;
+            let slot = self.packets.pop_front()?;
+            let len = lens[slot as usize];
+            self.queued_flits -= len as usize;
+            injected[slot as usize] = cycle;
             self.current = Some(Injecting {
-                left: packet.len_flits,
-                packet,
-                injected_at: cycle,
+                slot,
+                len,
+                left: len,
             });
         }
         if self.credits == 0 {
             return None;
         }
         let cur = self.current.as_mut().expect("refilled above");
-        let flit = cur
-            .packet
-            .flit(cur.packet.len_flits - cur.left, cur.injected_at);
+        let flit = Flit::new(cur.slot, cur.len - cur.left, cur.len);
         cur.left -= 1;
         if cur.left == 0 {
             self.current = None;
@@ -172,6 +182,9 @@ pub struct Network {
     tables: Option<RoutingTables>,
     /// All router pipeline state, structure-of-arrays (see [`crate::soa`]).
     fabric: FabricState,
+    /// One record per packet offered and not yet ejected or dropped; flits
+    /// and source queues name their packet by its slot.
+    packets: PacketTable,
     inj: Vec<InjectionQueue>,
     clock: Clock,
     power: PowerModel,
@@ -226,6 +239,12 @@ pub struct Network {
     /// Flits that left the system since construction (ejected or dropped).
     #[cfg(debug_assertions)]
     retired_flits: u64,
+    /// Packets offered since construction, for the packet-record oracle.
+    #[cfg(debug_assertions)]
+    offered_packets: u64,
+    /// Packets that left the system since construction (ejected or dropped).
+    #[cfg(debug_assertions)]
+    retired_packets: u64,
 }
 
 /// One bit per router, in node order.
@@ -333,6 +352,10 @@ struct NodePhase<'a> {
     step_all: bool,
     fabric: &'a mut FabricState,
     inj: &'a mut [InjectionQueue],
+    /// The packet table's length column, and its `injected` column, which
+    /// a source queue stamps as it takes a packet up.
+    lens: &'a [u32],
+    injected: &'a mut [u64],
     /// The clock, when some gate did not fire this cycle.
     clock: Option<&'a Clock>,
     out: &'a mut Outbox,
@@ -380,6 +403,7 @@ impl Network {
             routing: config.routing,
             tables,
             fabric,
+            packets: PacketTable::default(),
             inj,
             clock,
             power: config.power,
@@ -405,6 +429,10 @@ impl Network {
             offered_flits: 0,
             #[cfg(debug_assertions)]
             retired_flits: 0,
+            #[cfg(debug_assertions)]
+            offered_packets: 0,
+            #[cfg(debug_assertions)]
+            retired_packets: 0,
         };
         net.refresh_leakage();
         Ok(net)
@@ -598,16 +626,19 @@ impl Network {
         Ok(())
     }
 
-    /// Offer freshly generated packets to their source queues.
+    /// Offer freshly generated packets to their source queues, filing a
+    /// record for each in the packet table.
     pub fn offer(&mut self, packets: Vec<Packet>, stats: &mut StatsCollector) {
         for p in packets {
             stats.record_offered();
             #[cfg(debug_assertions)]
             {
                 self.offered_flits += u64::from(p.len_flits);
+                self.offered_packets += 1;
             }
+            let slot = self.packets.alloc(&p);
             self.active.insert(p.src.0);
-            self.inj[p.src.0].push_packet(p);
+            self.inj[p.src.0].push_packet(slot, p.len_flits);
         }
     }
 
@@ -662,6 +693,12 @@ impl Network {
         self.backlog() + self.occupancy()
     }
 
+    /// Packets offered and not yet ejected or dropped: the packet table's
+    /// live records.
+    pub fn live_packets(&self) -> usize {
+        self.packets.live()
+    }
+
     /// Advance the network one global clock cycle.
     ///
     /// Leakage is priced first, from the start-of-cycle active set. One walk
@@ -671,7 +708,10 @@ impl Network {
     /// deliveries and credits (see the module docs).
     pub fn step(&mut self, stats: &mut StatsCollector) {
         #[cfg(debug_assertions)]
-        let retired_before = stats.ejected_flits + stats.dropped_flits;
+        let retired_before = (
+            stats.ejected_flits + stats.dropped_flits,
+            stats.ejected_packets + stats.dropped_packets,
+        );
         if !self.throttles.is_empty() {
             self.sync_effective_levels();
         }
@@ -706,11 +746,15 @@ impl Network {
                 routing: self.routing,
                 faults: self.has_faults.then_some(&self.link_state),
                 tables: self.tables.as_ref(),
+                packet_ids: &self.packets.ids,
+                endpoints: &self.packets.ends,
             },
             cycle: self.cycle,
             step_all: self.step_all,
             fabric: &mut self.fabric,
             inj: &mut self.inj,
+            lens: &self.packets.len,
+            injected: &mut self.packets.injected,
             clock: (!all_fired).then_some(&self.clock),
             out: &mut self.scratch.outbox,
             region_by_node: &self.region_by_node,
@@ -739,31 +783,48 @@ impl Network {
             grants + out.dropped.len(),
             "a flit left a buffer without returning its credit"
         );
+        // A tail's ejection or drop is its packet's terminal event: the
+        // record's timestamps are read once, then the record is freed.
+        let records = &mut self.packets;
         for flit in out.ejected.drain(..) {
-            stats.record_ejection(&flit, self.cycle);
+            if flit.is_tail() {
+                let s = flit.slot();
+                let (created, injected) = (records.created[s], records.injected[s]);
+                stats.record_ejection(created, injected, flit.hops, self.cycle);
+                records.free(s);
+            } else {
+                stats.record_ejected_flit();
+            }
         }
         for flit in out.dropped.drain(..) {
-            stats.record_drop(&flit);
+            stats.record_drop(flit.is_tail());
+            if flit.is_tail() {
+                records.free(flit.slot());
+            }
         }
-        let (packets, flits) = std::mem::take(&mut out.source_dropped);
-        stats.record_source_drop(packets, flits);
+        for slot in out.source_dropped.drain(..) {
+            stats.record_source_drop(1, u64::from(records.len[slot as usize]));
+            records.free(slot as usize);
+        }
         for d in out.deliveries.drain(..) {
-            let energies = &self.region_energy[self.region_by_node[d.to.0]];
+            let to = d.to as usize;
+            let energies = &self.region_energy[self.region_by_node[to]];
             stats.energy.record_buffer_write(energies);
-            self.fabric.accept(d.to.0, d.in_port, d.flit);
-            self.active.insert(d.to.0);
+            self.fabric.accept(to, d.in_port, d.flit);
+            self.active.insert(to);
         }
         for c in out.credits.drain(..) {
+            let (at, vc) = (c.at as usize, usize::from(c.vc));
             if c.in_port == Port::Local {
-                self.inj[c.at.0].credits += 1;
+                self.inj[at].credits += 1;
             } else {
-                let upstream = self.neighbors[c.at.0][c.in_port.index()];
+                let upstream = self.neighbors[at][c.in_port.index()];
                 assert!(
                     upstream != Topology::NO_LINK,
                     "credit toward a missing neighbor"
                 );
                 self.fabric
-                    .return_credit(upstream as usize, c.in_port.opposite(), c.vc);
+                    .return_credit(upstream as usize, c.in_port.opposite(), vc);
             }
         }
 
@@ -782,13 +843,15 @@ impl Network {
             self.fabric
                 .assert_credits_conserved(&self.topo, |i| self.inj[i].credits);
             self.fabric.assert_holds_owned();
-            self.retired_flits += stats.ejected_flits + stats.dropped_flits - retired_before;
-            self.assert_active_set_and_flit_balance();
+            self.retired_flits += stats.ejected_flits + stats.dropped_flits - retired_before.0;
+            self.retired_packets +=
+                stats.ejected_packets + stats.dropped_packets - retired_before.1;
+            self.assert_active_set_and_balances();
         }
         self.cycle += 1;
     }
 
-    /// Two oracles, checked between cycles by a full walk that shares no
+    /// Three oracles, checked between cycles by a full walk that shares no
     /// code with the worklist:
     ///
     /// * the active set is exact — a router's bit is set iff it buffers a
@@ -796,11 +859,23 @@ impl Network {
     /// * flit balance — every flit ever offered is ejected, dropped (drop
     ///   drain, boundary purge or dead source), buffered, or still waiting
     ///   in its source queue. Exact on every path: each of them counts the
-    ///   flits it removes, in `StatsCollector::dropped_flits`.
+    ///   flits it removes, in `StatsCollector::dropped_flits`;
+    /// * packet-record balance — the packet table holds one record per
+    ///   packet offered and neither ejected nor dropped, so every terminal
+    ///   event freed its record (`PacketTable::free` catches a second free).
     #[cfg(debug_assertions)]
-    fn assert_active_set_and_flit_balance(&mut self) {
+    fn assert_active_set_and_balances(&mut self) {
         let (mut buffered, mut backlog) = (0, 0);
         for (i, q) in self.inj.iter().enumerate() {
+            let lens = q
+                .packets
+                .iter()
+                .map(|&s| self.packets.len[s as usize] as usize);
+            assert_eq!(
+                q.queued_flits,
+                lens.sum::<usize>(),
+                "queued-flit counter of router {i} out of sync with its queue"
+            );
             let (occ, queued) = (self.fabric.occupancy(i), q.backlog_flits());
             assert_eq!(
                 self.active.contains(i),
@@ -814,6 +889,13 @@ impl Network {
             self.retired_flits + (buffered + backlog) as u64,
             "flit balance: offered != ejected + dropped ({}) + buffered ({buffered}) + backlog ({backlog})",
             self.retired_flits
+        );
+        assert_eq!(
+            self.packets.live() as u64,
+            self.offered_packets - self.retired_packets,
+            "packet records: live != offered ({}) - (ejected + dropped) ({})",
+            self.offered_packets,
+            self.retired_packets
         );
     }
 
@@ -864,9 +946,11 @@ impl Network {
         for i in 0..n {
             let node = NodeId(i);
             if !self.link_state.is_router_up(node) {
-                self.fabric.condemn_all(i, &mut condemned);
+                self.fabric
+                    .condemn_all(i, &self.packets.ids, &mut condemned);
                 // Mid-injection at a dying router: the whole packet goes.
-                condemned.extend(self.inj[i].current.as_ref().map(|c| c.packet.id));
+                let current = self.inj[i].current.as_ref();
+                condemned.extend(current.map(|c| self.packets.ids[c.slot as usize]));
             } else {
                 for port in [Port::North, Port::East, Port::South, Port::West] {
                     if self.topo.neighbor(node, port).is_some()
@@ -879,16 +963,27 @@ impl Network {
         }
 
         // Sweep: drop condemned flits everywhere (collecting the credits to
-        // restore), and clear uncommitted routes into dead links.
+        // restore and the records their tails close), and clear uncommitted
+        // routes into dead links. A condemned packet's tail has not yet
+        // passed the router that condemned it, so it is buffered somewhere
+        // or not yet minted, and exactly one of the two sweeps frees each
+        // record.
         let mut restored: Vec<(usize, Port, usize)> = Vec::new();
+        let mut closed: Vec<usize> = Vec::new();
         let mut dropped_flits = 0u64;
         for i in 0..n {
             let node = NodeId(i);
             dropped_flits += self.fabric.purge_and_reroute(
                 i,
                 &condemned,
+                &self.packets.ids,
                 |p| !self.link_state.is_link_up(node, p),
-                |in_port, vc| restored.push((i, in_port, vc)),
+                |in_port, vc, flit| {
+                    restored.push((i, in_port, vc));
+                    if flit.is_tail() {
+                        closed.push(flit.slot());
+                    }
+                },
             );
         }
         for (node, in_port, vc) in restored {
@@ -902,11 +997,19 @@ impl Network {
         // Source queues: a condemned packet caught mid-injection loses its
         // not-yet-injected flits too.
         if !condemned.is_empty() {
+            let ids = &self.packets.ids;
             for q in &mut self.inj {
-                if let Some(c) = q.current.take_if(|c| condemned.contains(&c.packet.id)) {
+                if let Some(c) = q
+                    .current
+                    .take_if(|c| condemned.contains(&ids[c.slot as usize]))
+                {
                     dropped_flits += u64::from(c.left);
+                    closed.push(c.slot as usize);
                 }
             }
+        }
+        for slot in closed {
+            self.packets.free(slot);
         }
         stats.record_purged(condemned.len() as u64, dropped_flits);
 
@@ -956,10 +1059,11 @@ impl NodePhase<'_> {
         if self.ctx.faults.is_some_and(|ls| !ls.is_router_up(node)) {
             // A dead router does nothing and consumes nothing; traffic
             // offered at its source queue is unreachable and dropped.
-            drop_source_queue(&mut self.inj[i], &mut self.out.source_dropped);
+            drop_source_queue(&mut self.inj[i], self.out);
         } else if self.clock.is_none_or(|c| c.gates[c.gate_of[i]].2) {
             let mut work = self.fabric.step_node(i, node, &self.ctx, self.out);
-            work.injected = self.inj[i].try_inject(self.cycle, self.fabric, i);
+            work.injected =
+                self.inj[i].try_inject(self.cycle, self.lens, self.injected, self.fabric, i);
             let (stats, n) = (&mut *self.stats, self.inj.len());
             let region = self.region_by_node[i];
             stats.energy.record_node(&work, &self.region_energy[region]);
@@ -977,19 +1081,17 @@ impl NodePhase<'_> {
 }
 
 /// Drop everything waiting at a dead router's source queue: queued packets
-/// and any mid-injection remnant that never reached the network. Adds to
-/// the outbox's `(packets, flits)` tally.
-fn drop_source_queue(q: &mut InjectionQueue, dropped: &mut (u64, u64)) {
-    while let Some(p) = q.pop_packet() {
-        dropped.0 += 1;
-        dropped.1 += p.len_flits as u64;
-    }
+/// and any mid-injection remnant that never reached the network, each a
+/// whole packet the outbox's `source_dropped` names by its record.
+fn drop_source_queue(q: &mut InjectionQueue, out: &mut Outbox) {
+    q.queued_flits = 0;
+    out.source_dropped.extend(q.packets.drain(..));
     if let Some(c) = q.current.take() {
         // Possible only for a packet that had injected nothing when the
         // router died (otherwise the boundary purge already cleared it),
         // so it still counts as a whole dropped packet.
-        dropped.0 += 1;
-        dropped.1 += u64::from(c.left);
+        debug_assert_eq!(c.left, c.len, "a dead router's packet was half injected");
+        out.source_dropped.push(c.slot);
     }
 }
 

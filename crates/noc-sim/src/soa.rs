@@ -29,9 +29,11 @@
 //! indexed by `(router, port, vc)` — the flits themselves (one fixed ring of
 //! `vc_depth` slots per input VC, with its head and length), route locks,
 //! granted downstream VCs, VC owners, drain flags, downstream credits, and
-//! the arbitration pointers. A hop costs what it touches: a flit is 32
-//! bytes, an owner slot 8, and a neighbour is a load from a table resolved
-//! once ([`Topology::neighbor_table`]). No element owns a heap allocation.
+//! the arbitration pointers. A hop costs what it touches: a flit is 8
+//! bytes and names its packet's record, which only a head's RC and VA read
+//! (through [`RouterCtx`]); a [`Delivery`] is 16 bytes, a [`CreditReturn`]
+//! 8, an owner slot 8; and a neighbour is a load from a table resolved once
+//! ([`Topology::neighbor_table`]). No element owns a heap allocation.
 //!
 //! Two supporting structures per router keep the cycle loop cheap:
 //!
@@ -67,8 +69,8 @@ use std::collections::BTreeSet;
 /// A flit in transit on a link, to be delivered at the end of the cycle.
 #[derive(Debug, Clone)]
 pub struct Delivery {
-    /// Receiving router.
-    pub to: NodeId,
+    /// Receiving router (`validate` caps the node count well inside `u32`).
+    pub to: u32,
     /// Input port of `to` the flit arrives on.
     pub in_port: Port,
     /// The flit, with `vc` set to the downstream VC and `vc_class` already
@@ -80,12 +82,15 @@ pub struct Delivery {
 #[derive(Debug, Clone)]
 pub struct CreditReturn {
     /// Router whose input buffer drained.
-    pub at: NodeId,
+    pub at: u32,
     /// Input port the flit had arrived on.
     pub in_port: Port,
     /// Virtual channel index.
-    pub vc: usize,
+    pub vc: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Delivery>() == 16);
+const _: () = assert!(std::mem::size_of::<CreditReturn>() == 8);
 
 /// Everything the routers emit beyond themselves during the per-node phase,
 /// applied by the commit phase once every router has stepped. Deliveries are
@@ -99,13 +104,15 @@ pub struct Outbox {
     pub deliveries: Vec<Delivery>,
     /// Credits owed to upstream routers.
     pub credits: Vec<CreditReturn>,
-    /// Flits ejected at their destination (`StatsCollector::record_ejection`).
+    /// Flits ejected at their destination (`StatsCollector::record_ejection`;
+    /// a tail frees its packet's record).
     pub ejected: Vec<Flit>,
-    /// Flits discarded by the drop drain (`StatsCollector::record_drop`).
+    /// Flits discarded by the drop drain (`StatsCollector::record_drop`; a
+    /// tail frees its packet's record).
     pub dropped: Vec<Flit>,
-    /// `(packets, flits)` discarded at dead routers' source queues
-    /// (`StatsCollector::record_source_drop`).
-    pub source_dropped: (u64, u64),
+    /// Records of the packets discarded whole at dead routers' source
+    /// queues (`StatsCollector::record_source_drop`; each frees its record).
+    pub source_dropped: Vec<u32>,
 }
 
 /// What one router did this cycle: how many of each dynamic-energy event it
@@ -161,6 +168,12 @@ pub struct RouterCtx<'a> {
     /// [`RoutingAlgorithm::Table`] and ignored otherwise. The network
     /// rebuilds them whenever the live-link set changes.
     pub tables: Option<&'a RoutingTables>,
+    /// The packet table's ids, by slot: what VC allocation and route
+    /// computation record as a VC's owner.
+    pub packet_ids: &'a [PacketId],
+    /// The packet table's `[src, dst]`, by slot: what route computation
+    /// routes on.
+    pub endpoints: &'a [[u16; 2]],
 }
 
 /// The packet that owns a VC, or none: 8 bytes where `Option<PacketId>` is
@@ -228,7 +241,7 @@ pub struct FabricState {
     /// Input flit storage: a ring of `vc_depth` slots per `(router, port,
     /// vc)`. A slot is `Some` iff it lies within `len` of its ring's `head`
     /// (`pop` and `purge` vacate what they remove); `Option<Flit>` is the
-    /// same 32 bytes as `Flit` through `FlitKind`'s niche.
+    /// same 8 bytes as `Flit` through `FlitKind`'s niche.
     flits: Vec<Option<Flit>>,
     /// Ring slot of the oldest buffered flit, per input VC.
     head: Vec<u16>,
@@ -269,6 +282,9 @@ pub struct FabricState {
     /// Occupancy bitmask per router: bit `port * num_vcs + vc` set iff
     /// that input VC is non-empty.
     occ_mask: Vec<u64>,
+    /// Input port index of each flat `(port, vc)` bit (`bit / num_vcs`,
+    /// resolved once so arbitration divides nothing).
+    bit_port: [u8; 64],
 }
 
 impl FabricState {
@@ -313,6 +329,7 @@ impl FabricState {
             va_ptr: vec![0; routers * Port::COUNT],
             occ: vec![0; routers],
             occ_mask: vec![0; routers],
+            bit_port: std::array::from_fn(|b| (b / num_vcs) as u8),
         }
     }
 
@@ -340,10 +357,11 @@ impl FabricState {
 
     /// Record every packet with a flit buffered in router `r` or holding
     /// one of its output claims into `out` — used when the router dies.
-    pub(crate) fn condemn_all(&self, r: usize, out: &mut BTreeSet<PacketId>) {
+    /// `ids` is the packet table's id column.
+    pub(crate) fn condemn_all(&self, r: usize, ids: &[PacketId], out: &mut BTreeSet<PacketId>) {
         let (pv, slots) = (self.pv, self.buffer_capacity());
         for flit in self.flits[r * slots..(r + 1) * slots].iter().flatten() {
-            out.insert(flit.packet);
+            out.insert(ids[flit.slot()]);
         }
         for pid in self.out_owner[r * pv..(r + 1) * pv].iter() {
             out.extend(pid.get());
@@ -459,17 +477,26 @@ impl FabricState {
         Some(flit)
     }
 
-    /// Remove every flit of a `condemned` packet from input VC `idx` in one
-    /// pass, closing the gaps so the survivors keep their FIFO order;
+    /// Remove every flit of a `condemned` packet (by the id column `ids`)
+    /// from input VC `idx` in one pass, closing the gaps so the survivors
+    /// keep their FIFO order, and hand each removed flit to `removed`;
     /// returns how many were removed. Fault handling only: normal operation
     /// never removes flits out of FIFO order.
-    fn purge(&mut self, idx: usize, condemned: &BTreeSet<PacketId>) -> usize {
+    fn purge(
+        &mut self,
+        idx: usize,
+        condemned: &BTreeSet<PacketId>,
+        ids: &[PacketId],
+        mut removed: impl FnMut(&Flit),
+    ) -> usize {
         let len = self.len[idx] as usize;
         let mut kept = 0;
         for i in 0..len {
             let from = self.slot(idx, i);
             let flit = self.flits[from].take().expect("slot within len");
-            if !condemned.contains(&flit.packet) {
+            if condemned.contains(&ids[flit.slot()]) {
+                removed(&flit);
+            } else {
                 let to = self.slot(idx, kept);
                 self.flits[to] = Some(flit);
                 kept += 1;
@@ -566,7 +593,7 @@ impl FabricState {
             }),
             "SA's VA/RC masks differ from a walk of the occupied VCs"
         );
-        work.va = self.vc_allocation(k, va_mask);
+        work.va = self.vc_allocation(k, ctx, va_mask);
         work.rc = self.route_computation(k, node, ctx, rc_mask);
         work
     }
@@ -586,12 +613,13 @@ impl FabricState {
             if !self.in_dropping[idx] {
                 continue;
             }
-            let (ip, vc) = (b / v, b % v);
+            let ip = self.bit_port[b] as usize;
+            let vc = (b - ip * v) as u8;
             while let Some(flit) = self.pop(k, b) {
                 let is_tail = flit.is_tail();
                 out.dropped.push(flit);
                 out.credits.push(CreditReturn {
-                    at: node,
+                    at: node.0 as u32,
                     in_port: Port::from_index(ip),
                     vc,
                 });
@@ -677,9 +705,10 @@ impl FabricState {
                 continue; // no grant: the round-robin pointer holds
             }
             let win = rr_pick(reqs, self.sw_next[k * Port::COUNT + op]);
-            self.sw_next[k * Port::COUNT + op] = (win + 1) % n;
+            self.sw_next[k * Port::COUNT + op] = if win + 1 == n { 0 } else { win + 1 };
             let b = win as usize;
-            let (ip, vc) = (b / v, b % v);
+            let ip = self.bit_port[b] as usize;
+            let vc = b - ip * v;
             used_inputs |= vc_bits << (ip * v);
             let in_port = Port::from_index(ip);
             let idx = b0 + b;
@@ -719,30 +748,30 @@ impl FabricState {
                 // class, so the commit phase only deposits the flit.
                 let to = ctx.neighbors[node.0][op];
                 assert!(to != Topology::NO_LINK, "router forwarded off the edge");
-                let to = to as usize;
-                if crosses_dateline(node.0, to, out_port) {
+                if crosses_dateline(node.0, to as usize, out_port) {
                     flit.cross_dateline();
                 }
                 out.deliveries.push(Delivery {
-                    to: NodeId(to),
+                    to,
                     in_port: out_port.opposite(),
                     flit,
                 });
                 work.forwards += 1;
             }
             out.credits.push(CreditReturn {
-                at: node,
+                at: node.0 as u32,
                 in_port,
-                vc,
+                vc: vc as u8,
             });
         }
         (va_mask, rc_mask)
     }
 
-    /// VA: head flits holding a route claim a free downstream VC. `m` is
-    /// SA's `va_mask`: exactly the VCs that hold a route and no claim.
-    /// Returns the allocations made.
-    fn vc_allocation(&mut self, k: usize, mut m: u64) -> u8 {
+    /// VA: head flits holding a route claim a free downstream VC, scanning
+    /// from the port's rotation pointer and wrapping once. `m` is SA's
+    /// `va_mask`: exactly the VCs that hold a route and no claim. Returns
+    /// the allocations made.
+    fn vc_allocation(&mut self, k: usize, ctx: &RouterCtx<'_>, mut m: u64) -> u8 {
         let v = self.num_vcs;
         let b0 = k * self.pv;
         let mut allocated = 0;
@@ -760,12 +789,11 @@ impl FabricState {
             }
             let flit = self.front(idx).expect("awaiting implies flit");
             debug_assert!(flit.is_head(), "VA on a non-head flit");
-            let (packet, vc_class) = (flit.packet, flit.vc_class());
+            let (packet, vc_class) = (ctx.packet_ids[flit.slot()], flit.vc_class());
             let range = self.allowed_vcs(vc_class);
-            let span = range.len();
-            let start = (self.va_ptr[k * Port::COUNT + op] as usize) % span.max(1);
-            let granted = (0..span)
-                .map(|off| range.start + (start + off) % span)
+            let start = range.start + (self.va_ptr[k * Port::COUNT + op] as usize) % range.len();
+            let granted = (start..range.end)
+                .chain(range.start..start)
                 .find(|&ovc| self.out_owner[b0 + op * v + ovc] == Owner::NONE);
             if let Some(ovc) = granted {
                 self.out_owner[b0 + op * v + ovc] = Owner::some(packet);
@@ -800,8 +828,9 @@ impl FabricState {
                 flit.is_head(),
                 "non-head flit at front of an unrouted VC: flow-control bug"
             );
-            let (packet, src, dst, vc_class) =
-                (flit.packet, flit.src(), flit.dst(), flit.vc_class());
+            let (slot, vc_class) = (flit.slot(), flit.vc_class());
+            let (packet, [src, dst]) = (ctx.packet_ids[slot], ctx.endpoints[slot]);
+            let (src, dst) = (NodeId(usize::from(src)), NodeId(usize::from(dst)));
             let cands = if ctx.routing == RoutingAlgorithm::Table {
                 // Table paths are enumerated over live links at build time
                 // and rebuilt on every liveness change, so no per-hop
@@ -850,9 +879,10 @@ impl FabricState {
     /// Purge condemned packets from local router `k` and clear routes into
     /// dead links.
     ///
-    /// * Flits of condemned packets are removed from every input VC;
-    ///   `credit(in_port, vc)` is invoked once per removed flit so the
-    ///   network can restore the upstream sender's credit.
+    /// * Flits of condemned packets (by the id column `ids`) are removed
+    ///   from every input VC; `removed(in_port, vc, flit)` is invoked once
+    ///   per removed flit so the network can restore the upstream sender's
+    ///   credit and free the record a removed tail closes.
     /// * Input VCs owned by a condemned packet are released, dropping the
     ///   downstream output-VC claim they held.
     /// * Routes that point into a dead link but have not yet claimed a
@@ -864,22 +894,20 @@ impl FabricState {
         &mut self,
         k: usize,
         condemned: &BTreeSet<PacketId>,
+        ids: &[PacketId],
         dead: impl Fn(Port) -> bool,
-        mut credit: impl FnMut(Port, usize),
+        mut removed: impl FnMut(Port, usize, &Flit),
     ) -> u64 {
         let v = self.num_vcs;
         let b0 = k * self.pv;
-        let mut removed = 0u64;
+        let mut total = 0u64;
         for ip in 0..Port::COUNT {
             let in_port = Port::from_index(ip);
             for vc in 0..v {
                 let idx = b0 + ip * v + vc;
                 if !condemned.is_empty() {
-                    let purged = self.purge(idx, condemned);
-                    for _ in 0..purged {
-                        credit(in_port, vc);
-                    }
-                    removed += purged as u64;
+                    let purged = self.purge(idx, condemned, ids, |f| removed(in_port, vc, f));
+                    total += purged as u64;
                     let owner_condemned =
                         (self.in_owner[idx].get()).is_some_and(|o| condemned.contains(&o));
                     if owner_condemned {
@@ -912,7 +940,7 @@ impl FabricState {
                 }
             }
         }
-        self.occ[k] -= removed as u32;
+        self.occ[k] -= total as u32;
         let mut mask = 0u64;
         for b in 0..self.pv {
             if self.len[b0 + b] != 0 {
@@ -920,14 +948,14 @@ impl FabricState {
             }
         }
         self.occ_mask[k] = mask;
-        removed
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, Packet};
+    use crate::flit::{FlitKind, Packet, PacketTable};
     use proptest::prelude::*;
 
     /// Grant the way `switch_allocation` does: pick, then advance the
@@ -1013,6 +1041,7 @@ mod tests {
         f: FabricState,
         topo: Topology,
         routing: RoutingAlgorithm,
+        packets: PacketTable,
     }
 
     impl Rig {
@@ -1022,6 +1051,7 @@ mod tests {
                 f: FabricState::new(1, num_vcs, vc_depth, vc_partition),
                 topo: Topology::mesh(4, 4),
                 routing: RoutingAlgorithm::Xy,
+                packets: PacketTable::default(),
             }
         }
 
@@ -1047,6 +1077,8 @@ mod tests {
                 routing: self.routing,
                 faults: None,
                 tables: None,
+                packet_ids: &self.packets.ids,
+                endpoints: &self.packets.ends,
             };
             let work = self.f.step_node(0, self.node, &ctx, &mut out);
             (out, work)
@@ -1055,7 +1087,8 @@ mod tests {
         /// Send a single-flit packet from this router to `dst` through the
         /// whole pipeline and return the delivery it leaves as.
         fn forward_to(&mut self, dst: usize) -> Delivery {
-            self.accept(Port::Local, make_flits(self.node.0, dst, 1).remove(0));
+            let flit = self.flits(1, self.node.0, dst, 1).remove(0);
+            self.accept(Port::Local, flit);
             let mut sent: Vec<_> = (0..3).flat_map(|_| self.step().0.deliveries).collect();
             assert_eq!(sent.len(), 1, "one flit in, one delivery out");
             sent.remove(0)
@@ -1064,20 +1097,24 @@ mod tests {
         fn idx(&self, port: Port, vc: usize) -> usize {
             self.f.idx(0, port, vc)
         }
-    }
 
-    fn make_packet(id: u64, src: usize, dst: usize, len: u32) -> Packet {
-        Packet {
-            id: PacketId(id),
-            src: NodeId(src),
-            dst: NodeId(dst),
-            len_flits: len,
-            created_at: 0,
+        /// File packet `id` in the rig's packet table and return its whole
+        /// flit sequence.
+        fn flits(&mut self, id: u64, src: usize, dst: usize, len: u32) -> Vec<Flit> {
+            let slot = self.packets.alloc(&Packet {
+                id: PacketId(id),
+                src: NodeId(src),
+                dst: NodeId(dst),
+                len_flits: len,
+                created_at: 0,
+            });
+            (0..len).map(|i| Flit::new(slot, i, len)).collect()
         }
-    }
 
-    fn make_flits(src: usize, dst: usize, len: u32) -> Vec<Flit> {
-        make_packet(1, src, dst, len).to_flits(0)
+        /// The id of the packet `flit` belongs to.
+        fn id(&self, flit: &Flit) -> u64 {
+            self.packets.ids[flit.slot()].0
+        }
     }
 
     /// Drive a lone router: inject a packet on the Local port addressed to a
@@ -1086,7 +1123,8 @@ mod tests {
     #[test]
     fn single_flit_traverses_pipeline_in_three_cycles() {
         let mut r = Rig::new(0, 2, 4, false);
-        r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
+        let flit = r.flits(1, 0, 1, 1).remove(0);
+        r.accept(Port::Local, flit);
 
         // Cycle 1: RC only.
         let (out, _) = r.step();
@@ -1097,25 +1135,25 @@ mod tests {
         // Cycle 3: SA/ST forwards the flit east, to node 1's West port.
         let (out, work) = r.step();
         let d = out.deliveries.first().expect("flit forwarded");
-        assert_eq!((d.to, d.in_port), (NodeId(1), Port::West));
+        assert_eq!((d.to, d.in_port), (1, Port::West));
         assert_eq!(d.flit.hops, 1);
         assert_eq!((work.grants, work.forwards), (1, 1));
         assert!(out
             .credits
             .iter()
-            .any(|c| (c.at, c.in_port, c.vc) == (NodeId(0), Port::Local, 0)));
+            .any(|c| (c.at, c.in_port, c.vc) == (0, Port::Local, 0)));
     }
 
     #[test]
     fn flit_at_destination_is_ejected() {
         let mut r = Rig::new(5, 2, 4, false);
-        let mut flit = make_flits(0, 5, 1).remove(0);
+        let mut flit = r.flits(1, 0, 5, 1).remove(0);
         flit.set_vc(1);
         r.accept(Port::West, flit);
         let mut ejected = false;
         for _ in 0..3 {
             for flit in r.step().0.ejected {
-                assert_eq!(flit.dst(), NodeId(5));
+                assert_eq!(r.id(&flit), 1);
                 ejected = true;
             }
         }
@@ -1126,7 +1164,7 @@ mod tests {
     fn credits_limit_outstanding_flits() {
         let mut r = Rig::new(0, 1, 2, false);
         // 5-flit packet; downstream buffer depth 2 and no credit returns.
-        for f in make_flits(0, 3, 5).into_iter().take(2) {
+        for f in r.flits(1, 0, 3, 5).into_iter().take(2) {
             r.accept(Port::Local, f);
         }
         let forwarded: usize = (0..10).map(|_| r.step().0.deliveries.len()).sum();
@@ -1144,7 +1182,7 @@ mod tests {
     #[test]
     fn tail_flit_releases_vc_ownership() {
         let mut r = Rig::new(0, 1, 4, false);
-        for f in make_flits(0, 1, 2) {
+        for f in r.flits(1, 0, 1, 2) {
             r.accept(Port::Local, f);
         }
         let mut tails = 0;
@@ -1167,10 +1205,11 @@ mod tests {
     #[test]
     fn tail_grant_routes_the_head_behind_it_in_the_same_cycle() {
         let mut r = Rig::new(0, 1, 4, false);
-        for flit in make_packet(1, 0, 1, 2).to_flits(0) {
+        for flit in r.flits(1, 0, 1, 2) {
             r.accept(Port::Local, flit);
         }
-        r.accept(Port::Local, make_packet(2, 0, 1, 2).flit(0, 0));
+        let head = r.flits(2, 0, 1, 2).remove(0);
+        r.accept(Port::Local, head);
         for _ in 0..3 {
             r.step(); // RC, VA, then A's head leaves
         }
@@ -1186,7 +1225,7 @@ mod tests {
     fn occupancy_tracks_buffered_flits() {
         let mut r = Rig::new(0, 2, 4, false);
         assert_eq!(r.f.occupancy(0), 0);
-        for f in make_flits(0, 1, 3) {
+        for f in r.flits(1, 0, 1, 3) {
             r.accept(Port::Local, f);
         }
         assert_eq!(r.f.occupancy(0), 3);
@@ -1199,7 +1238,8 @@ mod tests {
     #[test]
     fn ring_is_fifo_across_wrap_around() {
         let mut r = Rig::new(0, 1, 3, false);
-        let mut flits = (0..8).map(|id| make_packet(id, 0, 1, 1).flit(0, 0));
+        let flits: Vec<_> = (0..8).map(|id| r.flits(id, 0, 1, 1).remove(0)).collect();
+        let mut flits = flits.into_iter();
         let mut ids = Vec::new();
         for _ in 0..20 {
             // Keep the ring full, as a credit-respecting sender would.
@@ -1208,7 +1248,7 @@ mod tests {
                 r.accept(Port::Local, flit);
             }
             for d in r.step().0.deliveries {
-                ids.push(d.flit.packet.0);
+                ids.push(r.id(&d.flit));
                 r.f.return_credit(0, Port::East, 0);
             }
         }
@@ -1223,7 +1263,7 @@ mod tests {
     fn ring_overflow_panics() {
         let mut r = Rig::new(0, 1, 3, false);
         r.forward_to(1); // the ring's head is now slot 1
-        for flit in make_flits(0, 1, 4) {
+        for flit in r.flits(2, 0, 1, 4) {
             r.accept(Port::Local, flit); // the third wraps, the fourth overflows
         }
     }
@@ -1234,23 +1274,24 @@ mod tests {
         r.forward_to(1);
         r.forward_to(1); // head at slot 2: the five flits below wrap
         for (id, len) in [(7, 2), (8, 2), (9, 1)] {
-            for flit in make_packet(id, 0, 1, len).to_flits(0) {
+            for flit in r.flits(id, 0, 1, len) {
                 r.accept(Port::Local, flit);
             }
         }
         let condemned = BTreeSet::from([PacketId(7), PacketId(9)]);
         let mut credits = Vec::new();
-        let credit = |port, vc| credits.push((port, vc));
-        let removed = r.f.purge_and_reroute(0, &condemned, |_| false, credit);
-        assert_eq!((removed, credits), (3, vec![(Port::Local, 0); 3]));
-        let again = r.f.purge_and_reroute(0, &condemned, |_| false, |_, _| ());
+        let credit = |port, vc, f: &Flit| credits.push((port, vc, f.kind));
+        let ids = &r.packets.ids;
+        let removed = r.f.purge_and_reroute(0, &condemned, ids, |_| false, credit);
+        let kinds = [FlitKind::Head, FlitKind::Tail, FlitKind::Single];
+        assert_eq!(removed, 3);
+        assert_eq!(credits, kinds.map(|kind| (Port::Local, 0, kind)));
+        let again =
+            r.f.purge_and_reroute(0, &condemned, ids, |_| false, |_, _, _| ());
         assert_eq!(again, 0);
         assert_eq!(r.f.occupancy(0), 2, "recounted against `len` in debug");
         let left: Vec<_> = (0..4).flat_map(|_| r.step().0.deliveries).collect();
-        let left: Vec<_> = left
-            .iter()
-            .map(|d| (d.flit.packet.0, d.flit.kind))
-            .collect();
+        let left: Vec<_> = left.iter().map(|d| (r.id(&d.flit), d.flit.kind)).collect();
         let survivor = [(8, FlitKind::Head), (8, FlitKind::Tail)];
         assert_eq!(left, survivor, "the survivor, in order");
     }
@@ -1258,7 +1299,7 @@ mod tests {
     #[test]
     fn vc_partition_restricts_allocation() {
         let mut r = Rig::new(0, 4, 2, true);
-        let mut flit = make_flits(0, 1, 1).remove(0);
+        let mut flit = r.flits(1, 0, 1, 1).remove(0);
         flit.cross_dateline();
         r.accept(Port::Local, flit);
         r.step(); // RC
@@ -1273,7 +1314,8 @@ mod tests {
     #[test]
     fn step_consumes_energy() {
         let mut r = Rig::new(0, 2, 4, false);
-        r.accept(Port::Local, make_flits(0, 1, 1).remove(0));
+        let flit = r.flits(1, 0, 1, 1).remove(0);
+        r.accept(Port::Local, flit);
         // One stage per cycle: RC, then VA, then SA + link.
         let counts = |w: NodeWork| (w.rc, w.va, w.grants, w.forwards);
         assert_eq!(counts(r.step().1), (1, 0, 0, 0));
@@ -1297,14 +1339,14 @@ mod tests {
         ] {
             let d = Rig::torus(node).forward_to(dst);
             assert_eq!(
-                (d.to, d.in_port, d.flit.vc_class()),
-                (NodeId(dst), in_port, class)
+                (d.to as usize, d.in_port, d.flit.vc_class()),
+                (dst, in_port, class)
             );
         }
         // Mesh edge routers have no wrap link to cross.
         for (node, dst, to) in [(3, 2, 2), (3, 7, 7), (12, 8, 8), (12, 13, 13)] {
             let d = Rig::new(node, 2, 4, false).forward_to(dst);
-            assert_eq!((d.to, d.flit.vc_class()), (NodeId(to), 0));
+            assert_eq!((d.to as usize, d.flit.vc_class()), (to, 0));
         }
     }
 }

@@ -3,7 +3,6 @@
 //! All counters are monotone totals; callers take [`StatsSnapshot`]s and diff
 //! them to obtain per-epoch or per-measurement-window figures.
 
-use crate::flit::Flit;
 use crate::power::EnergyMeter;
 use serde::{Deserialize, Serialize};
 
@@ -194,25 +193,28 @@ impl StatsCollector {
         self.window = (start, end);
     }
 
-    /// Record a flit ejecting at `cycle`. Tail flits complete their packet
-    /// and, if the packet was created inside the latency window, contribute
-    /// to the latency sums.
-    pub fn record_ejection(&mut self, flit: &Flit, cycle: u64) {
+    /// Record a head or body flit ejecting: its packet is not complete yet.
+    pub fn record_ejected_flit(&mut self) {
         self.ejected_flits += 1;
-        if !flit.is_tail() {
-            return;
-        }
+    }
+
+    /// Record a packet's tail flit ejecting at `cycle` after `hops` router
+    /// hops, which completes the packet; `created_at` and `injected_at` are
+    /// its record's. If the packet was created inside the latency window, it
+    /// contributes to the latency sums.
+    pub fn record_ejection(&mut self, created_at: u64, injected_at: u64, hops: u16, cycle: u64) {
+        self.ejected_flits += 1;
         self.ejected_packets += 1;
         let (ws, we) = self.window;
-        if flit.created_at < ws || flit.created_at >= we {
+        if created_at < ws || created_at >= we {
             return;
         }
         self.latency_samples += 1;
-        let plat = cycle.saturating_sub(flit.created_at);
-        let nlat = cycle.saturating_sub(flit.injected_at);
+        let plat = cycle.saturating_sub(created_at);
+        let nlat = cycle.saturating_sub(injected_at);
         self.sum_packet_latency += plat as f64;
         self.sum_network_latency += nlat as f64;
-        self.sum_hops += flit.hops as f64;
+        self.sum_hops += hops as f64;
         self.max_packet_latency = self.max_packet_latency.max(plat);
         let bucket = LATENCY_BUCKETS
             .iter()
@@ -265,9 +267,9 @@ impl StatsCollector {
     /// The packet itself is counted once, when its tail flit is dropped —
     /// never earlier, so a packet whose drop is cut short by a fault purge
     /// (which counts it instead) cannot be counted twice.
-    pub fn record_drop(&mut self, flit: &Flit) {
+    pub fn record_drop(&mut self, is_tail: bool) {
         self.dropped_flits += 1;
-        if flit.is_tail() {
+        if is_tail {
             self.dropped_packets += 1;
         }
     }
@@ -518,26 +520,11 @@ impl WindowMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, Packet, PacketId};
-    use crate::topology::NodeId;
-
-    fn tail_flit(created: u64, injected: u64, hops: u16) -> Flit {
-        let packet = Packet {
-            id: PacketId(0),
-            src: NodeId(0),
-            dst: NodeId(9),
-            len_flits: 5,
-            created_at: created,
-        };
-        let mut flit = packet.flit(4, injected);
-        flit.hops = hops;
-        flit
-    }
 
     #[test]
     fn ejection_counts_and_latency() {
         let mut s = StatsCollector::new(1);
-        s.record_ejection(&tail_flit(0, 5, 3), 20);
+        s.record_ejection(0, 5, 3, 20);
         assert_eq!(s.ejected_packets, 1);
         assert_eq!(s.latency_samples, 1);
         assert_eq!(s.sum_packet_latency, 20.0);
@@ -548,9 +535,7 @@ mod tests {
     #[test]
     fn body_flits_do_not_complete_packets() {
         let mut s = StatsCollector::new(1);
-        let mut f = tail_flit(0, 0, 1);
-        f.kind = FlitKind::Body;
-        s.record_ejection(&f, 10);
+        s.record_ejected_flit();
         assert_eq!(s.ejected_flits, 1);
         assert_eq!(s.ejected_packets, 0);
     }
@@ -559,9 +544,9 @@ mod tests {
     fn latency_window_filters_samples() {
         let mut s = StatsCollector::new(1);
         s.set_latency_window(100, 200);
-        s.record_ejection(&tail_flit(50, 55, 2), 90); // before window
-        s.record_ejection(&tail_flit(150, 155, 2), 190); // inside
-        s.record_ejection(&tail_flit(250, 255, 2), 290); // after
+        s.record_ejection(50, 55, 2, 90); // before window
+        s.record_ejection(150, 155, 2, 190); // inside
+        s.record_ejection(250, 255, 2, 290); // after
         assert_eq!(s.ejected_packets, 3);
         assert_eq!(s.latency_samples, 1);
         assert_eq!(s.sum_packet_latency, 40.0);
@@ -570,9 +555,9 @@ mod tests {
     #[test]
     fn histogram_buckets_latencies() {
         let mut s = StatsCollector::new(1);
-        s.record_ejection(&tail_flit(0, 0, 1), 5); // bucket 0 (<=8)
-        s.record_ejection(&tail_flit(0, 0, 1), 100); // <=128 bucket
-        s.record_ejection(&tail_flit(0, 0, 1), 5000); // overflow bucket
+        s.record_ejection(0, 0, 1, 5); // bucket 0 (<=8)
+        s.record_ejection(0, 0, 1, 100); // <=128 bucket
+        s.record_ejection(0, 0, 1, 5000); // overflow bucket
         assert_eq!(s.latency_hist[0], 1);
         assert_eq!(s.latency_hist[7], 1);
         assert_eq!(*s.latency_hist.last().unwrap(), 1);
@@ -597,7 +582,7 @@ mod tests {
         for _ in 0..3 {
             s.record_injection(1, true);
         }
-        s.record_ejection(&tail_flit(0, 2, 4), 10);
+        s.record_ejection(0, 2, 4, 10);
         s.sample_occupancy(6, &[2, 4], 0, 0);
         s.sample_occupancy(2, &[1, 1], 0, 0);
         let b = s.snapshot();
@@ -725,7 +710,7 @@ mod tests {
     fn edp_multiplies_energy_and_latency() {
         let mut s = StatsCollector::new(1);
         let a = s.snapshot();
-        s.record_ejection(&tail_flit(0, 0, 1), 10);
+        s.record_ejection(0, 0, 1, 10);
         s.sample_occupancy(0, &[0], 0, 0);
         let b = s.snapshot();
         let w = WindowMetrics::between(&a, &b, 4);

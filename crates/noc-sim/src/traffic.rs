@@ -25,7 +25,7 @@ use crate::names::Form;
 use crate::topology::{Coord, NodeId, Topology};
 use crate::trace::PacketTrace;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -791,6 +791,22 @@ impl TrafficSpec {
     }
 }
 
+/// The integer form of the Bernoulli test `rng.gen::<f64>() < p`. That draw
+/// is `k · 2⁻⁵³` with `k = next_u64() >> 11 < 2⁵³`, and for an integer `k`,
+/// `k · 2⁻⁵³ < p` iff `k < ⌈p · 2⁵³⌉`: scaling by a power of two is exact,
+/// subnormal `p` included. The cast saturates, so `p <= 0` and NaN give 0
+/// (never) and `p >= 1` a threshold no `k` reaches (always).
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`bernoulli_threshold`]: the decision
+/// `rng.gen::<f64>() < p` makes, from the same draw, without the float.
+#[inline]
+fn bernoulli(rng: &mut impl RngCore, below: u64) -> bool {
+    rng.next_u64() >> 11 < below
+}
+
 /// Generates packets cycle by cycle under a [`TrafficSpec`].
 ///
 /// ```
@@ -937,18 +953,32 @@ impl TrafficGenerator {
         // phase without one divides by the global `packet_len` — the exact
         // pre-length expression, preserving byte-identical draw sequences.
         let plen = phase.mean_len_flits(*packet_len);
+        // Each coin is an integer compare against a threshold formed once
+        // per tick ([`bernoulli_threshold`]): the same decisions from the
+        // same draws as the float test `gen::<f64>() < rate / plen`.
+        let (below, flip_below, pulse_on) = match &phase.process {
+            InjectionProcess::Bernoulli { rate } => (bernoulli_threshold(rate / plen), 0, true),
+            InjectionProcess::Bursty { rate_on, switch } => (
+                bernoulli_threshold(rate_on / plen),
+                bernoulli_threshold(*switch),
+                true,
+            ),
+            InjectionProcess::Periodic { rate, period, on } => {
+                (bernoulli_threshold(rate / plen), 0, offset % period < *on)
+            }
+        };
+        if !pulse_on {
+            return out; // a periodic phase between pulses: no node draws
+        }
+        let bursty = matches!(phase.process, InjectionProcess::Bursty { .. });
         for src in topo.nodes() {
-            let inject = match &phase.process {
-                InjectionProcess::Bernoulli { rate } => rng.gen::<f64>() < rate / plen,
-                InjectionProcess::Bursty { rate_on, switch } => {
-                    if rng.gen::<f64>() < *switch {
-                        burst_on[src.0] = !burst_on[src.0];
-                    }
-                    burst_on[src.0] && rng.gen::<f64>() < rate_on / plen
+            let inject = if bursty {
+                if bernoulli(rng, flip_below) {
+                    burst_on[src.0] = !burst_on[src.0];
                 }
-                InjectionProcess::Periodic { rate, period, on } => {
-                    offset % period < *on && rng.gen::<f64>() < rate / plen
-                }
+                burst_on[src.0] && bernoulli(rng, below)
+            } else {
+                bernoulli(rng, below)
             };
             if !inject {
                 continue;
@@ -981,9 +1011,128 @@ impl TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// The float test the integer draw replaces, on the same raw draw `x`.
+    fn float_coin(x: u64, p: f64) -> bool {
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The integer coin agrees with the float coin for any draw and any
+        /// probability, in range and out of it.
+        #[test]
+        fn integer_coin_matches_float_coin(x in any::<u64>(), p in -0.5f64..1.5, tiny in any::<u64>()) {
+            prop_assert_eq!(x >> 11 < bernoulli_threshold(p), float_coin(x, p));
+            // A probability near the draw itself, where a rounding slip
+            // would show first.
+            let q = (x >> 11) as f64 / (1u64 << 53) as f64 + (tiny % 3) as f64 * 1e-17;
+            prop_assert_eq!(x >> 11 < bernoulli_threshold(q), float_coin(x, q));
+        }
+    }
+
+    /// The edges of the threshold, each against the draws just below, at and
+    /// above it: 0, 2⁻⁵³, 1 − 2⁻⁵³, 1, beyond 1, subnormals, and NaN.
+    #[test]
+    fn integer_coin_matches_float_coin_at_the_edges() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            ulp,
+            2.0 * ulp,
+            0.5,
+            1.0 - ulp,
+            1.0,
+            1.0 + f64::EPSILON,
+            3.0,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            -5e-324,
+            f64::NAN,
+        ];
+        let top = (1u64 << 53) - 1;
+        for p in edges {
+            let t = bernoulli_threshold(p).min(top);
+            for k in [0, 1, 2, t.saturating_sub(1), t, (t + 1).min(top), top] {
+                let x = k << 11 | 0x7ff; // the discarded low bits must not matter
+                assert_eq!(
+                    x >> 11 < bernoulli_threshold(p),
+                    float_coin(x, p),
+                    "p={p:e} k={k}"
+                );
+            }
+        }
+    }
+
+    /// A 16x16 generator against a reference that makes every coin with the
+    /// float expression, from the same seed, over 10 000 cycles: the same
+    /// packets, for each injection process.
+    #[test]
+    fn integer_coins_keep_the_packet_stream() {
+        let topo = Topology::mesh(16, 16);
+        let processes = [
+            InjectionProcess::Bernoulli { rate: 0.05 },
+            InjectionProcess::Bursty {
+                rate_on: 0.2,
+                switch: 0.01,
+            },
+            InjectionProcess::Periodic {
+                rate: 0.3,
+                period: 50,
+                on: 7,
+            },
+        ];
+        for process in processes {
+            let spec = WorkloadSpec::stationary(TrafficPattern::Uniform, process.clone());
+            let mut gen = TrafficGenerator::new(&topo, TrafficSpec::Workload(spec), 4, 9).unwrap();
+            let mut r = StdRng::seed_from_u64(9);
+            let mut burst_on = Vec::new();
+            let mut next_id = 0;
+            for t in 0..10_000 {
+                let mut want = Vec::new();
+                if let (0, InjectionProcess::Bursty { .. }) = (t, &process) {
+                    burst_on.extend((0..256).map(|_| r.gen::<f64>() < 0.5));
+                }
+                for src in topo.nodes() {
+                    let inject = match process {
+                        InjectionProcess::Bernoulli { rate } => r.gen::<f64>() < rate / 4.0,
+                        InjectionProcess::Bursty { rate_on, switch } => {
+                            if r.gen::<f64>() < switch {
+                                burst_on[src.0] = !burst_on[src.0];
+                            }
+                            burst_on[src.0] && r.gen::<f64>() < rate_on / 4.0
+                        }
+                        InjectionProcess::Periodic { rate, period, on } => {
+                            t % period < on && r.gen::<f64>() < rate / 4.0
+                        }
+                    };
+                    if !inject {
+                        continue;
+                    }
+                    let dst = TrafficPattern::Uniform.destination(&topo, src, &mut r);
+                    if dst != src {
+                        want.push((PacketId(next_id), src, dst));
+                        next_id += 1;
+                    }
+                }
+                let got: Vec<_> = gen
+                    .tick(&topo, t)
+                    .iter()
+                    .map(|p| (p.id, p.src, p.dst))
+                    .collect();
+                assert_eq!(got, want, "{process:?} at cycle {t}");
+            }
+            assert!(next_id > 1000, "{process:?}: only {next_id} packets");
+        }
     }
 
     #[test]

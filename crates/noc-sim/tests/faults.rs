@@ -9,8 +9,8 @@
 //! after a full drain.
 
 use noc_sim::{
-    FaultEvent, FaultPlan, FaultTarget, NodeId, Port, RoutingAlgorithm, SimConfig, Simulator,
-    TopologyKind, TrafficPattern, TrafficSpec,
+    FaultEvent, FaultPlan, FaultTarget, Network, NodeId, Packet, PacketId, Port, RoutingAlgorithm,
+    SimConfig, Simulator, StatsCollector, TopologyKind, TrafficPattern, TrafficSpec,
 };
 
 /// All algorithm/topology pairings the simulator supports.
@@ -74,6 +74,11 @@ fn assert_delivers_or_drops(mut cfg: SimConfig, what: &str) {
         s.offered_packets,
         s.ejected_packets,
         s.dropped_packets
+    );
+    assert_eq!(
+        sim.network().live_packets(),
+        0,
+        "{what}: every terminal event frees its packet record"
     );
     // Flit-level conservation: every injected flit either ejected or was
     // dropped (dropped_flits may additionally cover never-injected flits of
@@ -397,4 +402,114 @@ fn mid_run_link_fault_drops_traffic() {
             "a fault on {node} South must drop traffic"
         );
     }
+}
+
+/// A 4x4 XY network under `faults`, with `packets` — `(src, dst, len)` —
+/// offered at cycle 0.
+fn offered(faults: Vec<FaultEvent>, packets: &[(usize, usize, u32)]) -> (Network, StatsCollector) {
+    let cfg = SimConfig::default()
+        .with_size(4, 4)
+        .with_regions(2, 2)
+        .with_faults(FaultPlan::new(faults).unwrap());
+    let mut net = Network::new(&cfg).expect("valid faulted config");
+    let mut stats = StatsCollector::new(net.regions().num_regions());
+    let packets = packets
+        .iter()
+        .enumerate()
+        .map(|(id, &(src, dst, len))| Packet {
+            id: PacketId(id as u64),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            len_flits: len,
+            created_at: 0,
+        });
+    net.offer(packets.collect(), &mut stats);
+    assert_eq!(net.live_packets(), stats.offered_packets as usize);
+    (net, stats)
+}
+
+/// Step until nothing is in flight, within `budget` cycles.
+fn drain(net: &mut Network, stats: &mut StatsCollector, budget: u32) {
+    for _ in 0..budget {
+        if net.in_flight() == 0 {
+            return;
+        }
+        net.step(stats);
+    }
+    panic!("network wedged with {} flits in flight", net.in_flight());
+}
+
+fn link(start: u64, duration: Option<u64>, node: usize, port: Port) -> FaultEvent {
+    FaultEvent {
+        start,
+        duration,
+        target: FaultTarget::Link {
+            node: NodeId(node),
+            port,
+        },
+    }
+}
+
+/// A link dies under a packet mid-crossing and heals: the purge frees the
+/// severed packet's record, and a packet sent over the healed link frees
+/// its own on ejection.
+#[test]
+fn transient_link_fault_mid_packet_leaves_no_record() {
+    let (mut net, mut stats) = offered(vec![link(8, Some(40), 0, Port::East)], &[(0, 3, 8)]);
+    for _ in 0..8 {
+        net.step(&mut stats);
+    }
+    assert!(
+        stats.injected_flits > 1 && net.live_packets() == 1,
+        "mid-packet at the fault"
+    );
+    drain(&mut net, &mut stats, 100);
+    assert_eq!((stats.dropped_packets, net.live_packets()), (1, 0));
+    while net.cycle() < 48 {
+        net.step(&mut stats);
+    }
+    let resend = Packet {
+        id: PacketId(1),
+        src: NodeId(0),
+        dst: NodeId(3),
+        len_flits: 8,
+        created_at: 48,
+    };
+    net.offer(vec![resend], &mut stats);
+    drain(&mut net, &mut stats, 200);
+    assert_eq!((stats.ejected_packets, net.live_packets()), (1, 0));
+}
+
+/// A router dies while its source queue is mid-way through a long packet,
+/// with another queued behind it: the purge frees the first record, the
+/// dead source's drop the second, and an unrelated packet's ejection the
+/// third.
+#[test]
+fn router_death_mid_injection_leaves_no_record() {
+    let death = FaultEvent {
+        start: 3,
+        duration: None,
+        target: FaultTarget::Router { node: NodeId(0) },
+    };
+    let (mut net, mut stats) = offered(vec![death], &[(0, 3, 16), (0, 2, 4), (12, 15, 4)]);
+    for _ in 0..3 {
+        net.step(&mut stats);
+    }
+    assert!(
+        (1..16).contains(&stats.injected_flits),
+        "mid-injection at the death"
+    );
+    drain(&mut net, &mut stats, 200);
+    assert_eq!((stats.dropped_packets, stats.ejected_packets), (2, 1));
+    assert_eq!(net.live_packets(), 0);
+}
+
+/// An unroutable packet (XY across a dead link) is drained flit by flit;
+/// its tail's drop frees the record.
+#[test]
+fn drop_drain_leaves_no_record() {
+    let (mut net, mut stats) = offered(vec![link(0, None, 1, Port::East)], &[(0, 3, 5), (4, 7, 3)]);
+    drain(&mut net, &mut stats, 300);
+    assert_eq!((stats.dropped_packets, stats.dropped_flits), (1, 5));
+    assert_eq!((stats.ejected_packets, net.live_packets()), (1, 0));
 }

@@ -4,8 +4,9 @@ use noc_sim::dvfs::ClockGate;
 use noc_sim::flit::PacketId;
 use noc_sim::routing::walk_route;
 use noc_sim::{
-    InjectionProcess, LengthSpec, NodeId, Packet, RoutingAlgorithm, SimConfig, Simulator,
-    StatsCollector, Topology, TopologyKind, TrafficPattern, WorkloadPhase, WorkloadSpec,
+    FaultEvent, FaultPlan, FaultTarget, InjectionProcess, LengthSpec, NodeId, Packet, Port,
+    RoutingAlgorithm, SimConfig, Simulator, StatsCollector, Topology, TopologyKind, TrafficPattern,
+    WorkloadPhase, WorkloadSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -151,6 +152,61 @@ proptest! {
         prop_assert_eq!(net.in_flight(), 0, "torus deadlock: flits stuck");
         prop_assert_eq!(stats.ejected_packets, total);
         prop_assert_eq!(stats.ejected_flits, total * plen as u64);
+    }
+
+    /// Every packet record is freed at its packet's terminal event: an
+    /// all-to-all burst on a 4x4 fabric, under every routing and packet
+    /// lengths 1-6, with a transient link fault cutting through it (purges,
+    /// drop drains, a heal), drains to an empty packet table.
+    #[test]
+    fn drains_to_zero_live_records(
+        r in 0usize..RoutingAlgorithm::NAMED.len(),
+        len in 1u32..=6,
+        start in 0u64..60,
+        node in 0usize..15,
+    ) {
+        let routing = RoutingAlgorithm::NAMED[r].1;
+        let kind = if routing.supports(TopologyKind::Mesh) {
+            TopologyKind::Mesh
+        } else {
+            TopologyKind::Torus
+        };
+        // A link with an East neighbour on either topology.
+        let node = NodeId(node - usize::from(node % 4 == 3));
+        let fault = FaultEvent {
+            start,
+            duration: Some(100),
+            target: FaultTarget::Link { node, port: Port::East },
+        };
+        let cfg = SimConfig::default()
+            .with_size(4, 4)
+            .with_regions(2, 2)
+            .with_topology(kind)
+            .with_routing(routing)
+            .with_faults(FaultPlan::new(vec![fault]).unwrap());
+        let mut net = noc_sim::Network::new(&cfg).expect("valid config");
+        let mut stats = StatsCollector::new(net.regions().num_regions());
+        let pairs = (0..16usize).flat_map(|s| (0..16).map(move |d| (s, d)));
+        let packets: Vec<_> = (pairs.filter(|(s, d)| s != d).enumerate())
+            .map(|(id, (s, d))| Packet {
+                id: PacketId(id as u64),
+                src: NodeId(s),
+                dst: NodeId(d),
+                len_flits: len,
+                created_at: 0,
+            })
+            .collect();
+        net.offer(packets, &mut stats);
+        prop_assert_eq!(net.live_packets(), 240);
+        for _ in 0..30_000 {
+            if net.in_flight() == 0 {
+                break;
+            }
+            net.step(&mut stats);
+        }
+        prop_assert_eq!(net.in_flight(), 0, "{:?} wedged", routing);
+        prop_assert_eq!(stats.ejected_packets + stats.dropped_packets, 240);
+        prop_assert_eq!(net.live_packets(), 0, "{:?}: records leaked", routing);
     }
 
     /// The canonical workload grammar is lossless: spec → label → parse is

@@ -260,10 +260,11 @@ impl DqnAgent {
     /// Restore the online (and target) network from JSON.
     ///
     /// # Errors
-    /// Returns an error if the JSON is malformed or shapes mismatch.
+    /// Returns an error if the JSON is malformed or its layer widths differ
+    /// from the agent's networks.
     pub fn policy_from_json(&mut self, json: &str) -> Result<(), neural::ModelIoError> {
         let net = Mlp::from_json(json)?;
-        self.online.copy_params_from(&net);
+        self.online.try_copy_params_from(&net)?;
         self.target.copy_params_from(&net);
         Ok(())
     }
@@ -851,5 +852,19 @@ mod tests {
         b.policy_from_json(&json).unwrap();
         assert_eq!(b.q_values(&[0.3, 0.7]), q_before);
         assert!(a.policy_from_json("garbage").is_err());
+    }
+
+    /// A well-formed policy for a different architecture is an error, not
+    /// a panic, and leaves the agent's networks as they were.
+    #[test]
+    fn policy_of_another_shape_is_an_error() {
+        let mut a = agent(small_cfg());
+        let q_before = a.q_values(&[0.3, 0.7]);
+        let mut wider = small_cfg();
+        wider.hidden = vec![wider.hidden[0] + 1];
+        let json = agent(wider).policy_to_json().unwrap();
+        let err = a.policy_from_json(&json).unwrap_err().to_string();
+        assert!(err.contains("layer widths"), "{err}");
+        assert_eq!(a.q_values(&[0.3, 0.7]), q_before);
     }
 }
