@@ -4,13 +4,14 @@
 //! and baseline entrants alike) across thread counts.
 
 use noc_selfconf::zoo::{
-    self, dqn_variant, load_zoo, tournament_matrix, train_grid, Entrant, PolicyArtifact,
-    PolicyKind, ScenarioFamily, TournamentConfig, ZooError, ZooGrid,
+    self, dqn_config_hash, dqn_variant, load_zoo, tabular_config_hash, tournament_matrix,
+    train_grid, Entrant, PolicyArtifact, PolicyKind, ScenarioFamily, TournamentConfig,
+    TrainProvenance, ZooError, ZooGrid,
 };
-use noc_selfconf::{train_drl, ActionSpace, NocEnvConfig, StateEncoder};
-use noc_sim::SimConfig;
+use noc_selfconf::{train_drl, ActionSpace, NocEnv, NocEnvConfig, StateEncoder};
+use noc_sim::{SimConfig, Simulator, TrafficPattern, WindowMetrics};
 use proptest::prelude::*;
-use rl::{DqnAgent, DqnConfig, TabularConfig, TabularQ, TrainConfig, Transition};
+use rl::{DqnAgent, DqnConfig, Environment, TabularConfig, TabularQ, TrainConfig, Transition};
 use std::path::PathBuf;
 
 /// Fresh temp dir per test (same idiom as the serve tests).
@@ -470,4 +471,128 @@ fn one_artifact_under_two_names_scores_identically_per_column() {
         assert_eq!(a.score, b.score);
     }
     assert_ne!(report.cells[0].seed, report.cells[1].seed);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned bytes of both learned kinds: the config hashes, the artifact JSON,
+// and what the deployed controller decides. A refactor of the train /
+// capture / deploy path must move none of them.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a of `bytes`, as 16 hex digits.
+fn fnv1a64_hex(bytes: &[u8]) -> String {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    format!("{h:016x}")
+}
+
+/// The tabular configuration of the pinned artifact.
+fn pinned_tabular() -> TabularConfig {
+    TabularConfig {
+        bins: 3,
+        ..TabularConfig::default()
+    }
+}
+
+/// A tiny trained tabular artifact on [`small_sim`] (1 episode x 2 steps),
+/// assembled field by field the way training and capture fill it in: the
+/// table is sized from the environment, trained by `rl::train`, and stored
+/// with its provenance and config hash.
+fn tiny_tabular_artifact() -> PolicyArtifact {
+    let env_cfg = NocEnvConfig::for_sim(small_sim(), 5);
+    let train = tiny_train(5);
+    let mut env = NocEnv::new(env_cfg.clone()).unwrap();
+    let mut agent = TabularQ::new(TabularConfig {
+        state_dim: env.state_dim(),
+        num_actions: env.num_actions(),
+        ..pinned_tabular()
+    });
+    let curve = rl::train(&mut env, &mut agent, &train);
+    let config_hash = tabular_config_hash(&env_cfg, &pinned_tabular(), &train);
+    PolicyArtifact {
+        schema_version: zoo::ZOO_SCHEMA_VERSION,
+        kind: PolicyKind::Tabular { agent },
+        encoder: env.encoder().clone(),
+        action_space: env.config().action_space.clone(),
+        provenance: Some(TrainProvenance {
+            env: env_cfg,
+            seed: train.seed,
+            train,
+        }),
+        curve,
+        config_hash,
+    }
+}
+
+/// Twelve epochs of real 4x4 telemetry, with region occupancies and the
+/// current levels redrawn from a fixed stream so the probe visits varied
+/// states.
+fn probe_stream() -> Vec<(WindowMetrics, Vec<usize>)> {
+    let sim = small_sim().with_traffic(TrafficPattern::Uniform, 0.3);
+    let mut sim = Simulator::new(sim).unwrap();
+    let mut next = feature_stream(0x9E37);
+    (0..12)
+        .map(|_| {
+            let mut metrics = sim.run_epoch(60);
+            for occ in &mut metrics.region_occupancy {
+                *occ = f64::from(next()) * 120.0;
+            }
+            let levels = (0..4).map(|_| (next() * 4.0) as usize).collect();
+            (metrics, levels)
+        })
+        .collect()
+}
+
+/// The deployed controller's name and its level vectors on [`probe_stream`].
+fn decisions(artifact: &PolicyArtifact) -> (String, Vec<Vec<usize>>) {
+    let mut controller = artifact.controller().unwrap();
+    let levels = probe_stream()
+        .iter()
+        .map(|(metrics, levels)| controller.decide(metrics, levels, 4).levels)
+        .collect();
+    (controller.name().to_string(), levels)
+}
+
+#[test]
+fn learned_policy_bytes_are_pinned() {
+    let env = NocEnvConfig::for_sim(small_sim(), 3);
+    let train = TrainConfig::default();
+    assert_eq!(
+        dqn_config_hash(&env, &DqnConfig::default(), &train),
+        "d32c2dc16068f00478e52314996c1021"
+    );
+    assert_eq!(
+        tabular_config_hash(&env, &TabularConfig::default(), &train),
+        "782ea513637355ef92f85b040d1205e0"
+    );
+    // The default environment is the paper-style one `for_sim` builds.
+    assert_eq!(
+        dqn_config_hash(&NocEnvConfig::default(), &DqnConfig::default(), &train),
+        "7681017d2c24b02df341f784b84ae0c0"
+    );
+
+    let tabular = tiny_tabular_artifact();
+    assert_eq!(
+        fnv1a64_hex(tabular.to_json().as_bytes()),
+        "1c20b831fbd9d6b0"
+    );
+    let (name, levels) = decisions(&tabular);
+    assert_eq!(name, "tabular-q");
+    assert_eq!(
+        format!("{levels:?}"),
+        "[[1, 2, 2, 3], [3, 1, 0, 0], [0, 3, 3, 3], [2, 3, 1, 3], [3, 0, 0, 0], [3, 3, 1, 3], \
+         [1, 3, 2, 1], [3, 1, 2, 3], [2, 1, 3, 3], [3, 1, 3, 0], [3, 0, 2, 2], [0, 1, 3, 1]]"
+    );
+
+    let dqn = tiny_policy(17);
+    assert_eq!(fnv1a64_hex(dqn.to_json().as_bytes()), "cdd9c5cd657618f4");
+    let (name, levels) = decisions(&dqn);
+    assert_eq!(name, "drl");
+    assert_eq!(
+        format!("{levels:?}"),
+        "[[1, 3, 2, 3], [3, 1, 0, 0], [0, 3, 3, 3], [2, 3, 1, 2], [3, 0, 0, 0], [3, 3, 1, 2], \
+         [1, 3, 2, 0], [3, 0, 2, 3], [2, 0, 3, 3], [3, 1, 3, 0], [3, 0, 2, 2], [0, 1, 3, 1]]"
+    );
 }
