@@ -5,22 +5,24 @@
 //! plateaus; the plateau beats the tabular baseline's.
 
 use noc_bench::{
-    configs, fmt, print_table, save_csv, save_markdown, train_or_load, train_or_load_tabular, Scale,
+    configs, fmt, print_table, results_dir, save_csv, save_markdown, train_or_load, Learner, Scale,
 };
 
 fn main() {
     let scale = Scale::from_env();
     let sim = configs::mesh8();
     let drl = train_or_load(
+        &results_dir(),
         "mesh8_drl",
         configs::train_env(sim.clone(), 7),
-        configs::dqn_default(7),
+        Learner::Dqn(configs::dqn_default(7)),
         configs::train_budget(scale, 7),
     );
-    let tab = train_or_load_tabular(
+    let tab = train_or_load(
+        &results_dir(),
         "mesh8_tabular",
         configs::train_env(sim, 8),
-        configs::tabular_default(),
+        Learner::Tabular(configs::tabular_default()),
         configs::train_budget(scale, 8),
     );
 

@@ -7,7 +7,8 @@
 //! a fixed workload mix.
 
 use noc_bench::{
-    configs, evaluate, fmt, print_table, save_csv, save_markdown, train_or_load, Scale,
+    configs, evaluate, fmt, print_table, results_dir, save_csv, save_markdown, train_or_load,
+    Learner, Scale,
 };
 use noc_selfconf::{Entrant, RewardConfig};
 use noc_sim::TrafficPattern;
@@ -99,7 +100,8 @@ fn main() {
         env_cfg.reward = (v.reward)();
         let mut train = configs::train_budget(scale, 7);
         train.episodes = episodes;
-        let artifact = train_or_load(v.key, env_cfg, (v.dqn)(configs::dqn_default(7)), train);
+        let dqn = (v.dqn)(configs::dqn_default(7));
+        let artifact = train_or_load(&results_dir(), v.key, env_cfg, Learner::Dqn(dqn), train);
         // Final-quarter training return.
         let quarter = (artifact.curve.len() / 4).max(1);
         final_returns.push(

@@ -10,7 +10,8 @@
 //! tie (XY is already optimal there).
 
 use noc_bench::{
-    configs, evaluate, fmt, print_table, save_csv, save_markdown, train_or_load, Scale,
+    configs, evaluate, fmt, print_table, results_dir, save_csv, save_markdown, train_or_load,
+    Learner, Scale,
 };
 use noc_selfconf::{ActionSpace, Entrant, NocEnvConfig};
 use noc_sim::{RoutingAlgorithm, TrafficPattern};
@@ -28,17 +29,19 @@ fn main() {
     let mut train = configs::train_budget(scale, 21);
     train.episodes = scale.pick(100, 2);
     let joint = train_or_load(
+        &results_dir(),
         "mesh8_joint_routing",
         env_cfg,
-        configs::dqn_default(21),
+        Learner::Dqn(configs::dqn_default(21)),
         train,
     );
 
     // The DVFS-only policy for comparison (shared cache with figs 4-6).
     let dvfs_only = train_or_load(
+        &results_dir(),
         "mesh8_drl",
         configs::train_env(sim.clone(), 7),
-        configs::dqn_default(7),
+        Learner::Dqn(configs::dqn_default(7)),
         configs::train_budget(scale, 7),
     );
 

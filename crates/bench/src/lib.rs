@@ -146,78 +146,52 @@ fn cache_hit(path: &Path, expected: &str, kind: &str) -> Option<PolicyArtifact> 
     Some(artifact)
 }
 
-/// Train a DQN policy, caching the artifact at `<dir>/<key>.json`. The
-/// cache is keyed on the configuration hash: an artifact trained under a
-/// different environment/hyper-parameter/budget combination is a miss and
-/// gets retrained. `EXPT_RETRAIN` forces a miss.
-pub fn train_or_load_in(
-    dir: &Path,
-    key: &str,
-    env_cfg: NocEnvConfig,
-    dqn: DqnConfig,
-    train: TrainConfig,
-) -> PolicyArtifact {
-    let path = dir.join(format!("{key}.json"));
-    let expected = noc_selfconf::dqn_config_hash(&env_cfg, &dqn, &train);
-    if let Some(artifact) = cache_hit(&path, &expected, "dqn") {
-        return artifact;
-    }
-    eprintln!("training policy `{key}` ({} episodes)...", train.episodes);
-    let t0 = std::time::Instant::now();
-    let policy = noc_selfconf::train_drl(env_cfg.clone(), dqn, train.clone())
-        .expect("training configuration");
-    eprintln!(
-        "trained `{key}` in {:.1?} ({} steps)",
-        t0.elapsed(),
-        policy.agent.train_steps()
-    );
-    let artifact = PolicyArtifact::from_dqn(&policy, env_cfg, train).expect("policy serializes");
-    artifact.save(&path).expect("artifact must be writable");
-    artifact
+/// The learner a cached policy is trained with.
+#[derive(Debug, Clone)]
+pub enum Learner {
+    /// A DQN with these hyper-parameters.
+    Dqn(DqnConfig),
+    /// The tabular Q-learning baseline.
+    Tabular(TabularConfig),
 }
 
-/// [`train_or_load_in`] against the shared `results/` directory.
+/// Train a policy, caching the artifact at `<dir>/<key>.json`. The cache
+/// is keyed on the policy kind and the configuration hash: an artifact
+/// trained under a different environment/hyper-parameter/budget
+/// combination is a miss and gets retrained. `EXPT_RETRAIN` forces a miss.
 pub fn train_or_load(
-    key: &str,
-    env_cfg: NocEnvConfig,
-    dqn: DqnConfig,
-    train: TrainConfig,
-) -> PolicyArtifact {
-    train_or_load_in(&results_dir(), key, env_cfg, dqn, train)
-}
-
-/// Train the tabular baseline, caching at `<dir>/<key>.json` with the same
-/// config-hash keying as [`train_or_load_in`].
-pub fn train_or_load_tabular_in(
     dir: &Path,
     key: &str,
     env_cfg: NocEnvConfig,
-    tab: TabularConfig,
+    learner: Learner,
     train: TrainConfig,
 ) -> PolicyArtifact {
     let path = dir.join(format!("{key}.json"));
-    let expected = noc_selfconf::tabular_config_hash(&env_cfg, &tab, &train);
-    if let Some(artifact) = cache_hit(&path, &expected, "tabular") {
+    let (kind, expected) = match &learner {
+        Learner::Dqn(dqn) => ("dqn", noc_selfconf::dqn_config_hash(&env_cfg, dqn, &train)),
+        Learner::Tabular(tab) => (
+            "tabular",
+            noc_selfconf::tabular_config_hash(&env_cfg, tab, &train),
+        ),
+    };
+    if let Some(artifact) = cache_hit(&path, &expected, kind) {
         return artifact;
     }
-    eprintln!("training tabular `{key}` ({} episodes)...", train.episodes);
-    let (agent, curve, encoder, action_space) =
-        noc_selfconf::train_tabular(env_cfg.clone(), tab, train.clone())
-            .expect("training configuration");
-    let artifact =
-        PolicyArtifact::from_tabular(agent, curve, encoder, action_space, env_cfg, train);
+    eprintln!(
+        "training {kind} policy `{key}` ({} episodes)...",
+        train.episodes
+    );
+    let t0 = std::time::Instant::now();
+    let artifact = match learner {
+        Learner::Dqn(dqn) => noc_selfconf::train_drl(env_cfg.clone(), dqn, train.clone())
+            .map(|p| PolicyArtifact::from_dqn(&p, env_cfg, train).expect("policy serializes")),
+        Learner::Tabular(tab) => noc_selfconf::train_tabular(env_cfg.clone(), tab, train.clone())
+            .map(|p| PolicyArtifact::from_tabular(&p, env_cfg, train)),
+    }
+    .expect("training configuration");
+    eprintln!("trained `{key}` in {:.1?}", t0.elapsed());
     artifact.save(&path).expect("artifact must be writable");
     artifact
-}
-
-/// [`train_or_load_tabular_in`] against the shared `results/` directory.
-pub fn train_or_load_tabular(
-    key: &str,
-    env_cfg: NocEnvConfig,
-    tab: TabularConfig,
-    train: TrainConfig,
-) -> PolicyArtifact {
-    train_or_load_tabular_in(&results_dir(), key, env_cfg, tab, train)
 }
 
 /// Standard experiment configurations shared by the binaries.
@@ -396,16 +370,19 @@ mod tests {
             max_steps: 2,
             ..configs::train_budget(Scale::Quick, 3)
         };
-        let a = train_or_load_in(&dir, "cache_probe", env.clone(), dqn.clone(), train.clone());
+        let probe = |env: &NocEnvConfig, learner: Learner| {
+            train_or_load(&dir, "cache_probe", env.clone(), learner, train.clone())
+        };
+        let a = probe(&env, Learner::Dqn(dqn.clone()));
         // Same configuration: the second call is a cache hit with identical
         // bytes (or an identical deterministic retrain under EXPT_RETRAIN).
-        let b = train_or_load_in(&dir, "cache_probe", env.clone(), dqn.clone(), train.clone());
+        let b = probe(&env, Learner::Dqn(dqn.clone()));
         assert_eq!(a.to_json(), b.to_json());
         // Changed configuration under the SAME key: the cached artifact
         // must not be returned.
         let mut env2 = env.clone();
         env2.epoch_cycles += 1;
-        let c = train_or_load_in(&dir, "cache_probe", env2.clone(), dqn, train.clone());
+        let c = probe(&env2, Learner::Dqn(dqn));
         assert_ne!(a.config_hash, c.config_hash);
         assert_eq!(
             c.provenance
@@ -417,8 +394,7 @@ mod tests {
         );
         // The tabular path shares the keying: a DQN artifact under a
         // tabular key is a kind mismatch, not a hit.
-        let t =
-            train_or_load_tabular_in(&dir, "cache_probe", env2, configs::tabular_default(), train);
+        let t = probe(&env2, Learner::Tabular(configs::tabular_default()));
         assert_eq!(t.kind_name(), "tabular");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -505,15 +481,17 @@ pub mod comparison {
     /// given mesh key.
     pub fn entrants_for(sim: &SimConfig, key_prefix: &str, scale: Scale) -> Vec<(String, Entrant)> {
         let drl = train_or_load(
+            &results_dir(),
             &format!("{key_prefix}_drl"),
             configs::train_env(sim.clone(), 7),
-            configs::dqn_default(7),
+            Learner::Dqn(configs::dqn_default(7)),
             configs::train_budget(scale, 7),
         );
-        let tab = train_or_load_tabular(
+        let tab = train_or_load(
+            &results_dir(),
             &format!("{key_prefix}_tabular"),
             configs::train_env(sim.clone(), 8),
-            configs::tabular_default(),
+            Learner::Tabular(configs::tabular_default()),
             configs::train_budget(scale, 8),
         );
         let mut entrants = Entrant::baselines();

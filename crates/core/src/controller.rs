@@ -1,14 +1,12 @@
-//! Runtime controllers: the trained DRL policy and every baseline the
-//! evaluation compares against.
+//! Runtime controllers: the [`Controller`] trait and the baselines the
+//! evaluation compares against. A trained policy (DQN or tabular) deploys
+//! through [`crate::zoo::PolicyArtifact::controller`].
 //!
 //! A controller sees the last epoch's telemetry and the current per-region
 //! V/F levels and returns the level vector for the next epoch (and
 //! optionally a routing choice).
 
-use crate::action::ActionSpace;
-use crate::state::StateEncoder;
 use noc_sim::{RoutingAlgorithm, WindowMetrics};
-use rl::{DqnAgent, TabularQ};
 use std::fmt;
 
 /// What a controller wants the next epoch to look like.
@@ -43,50 +41,32 @@ impl fmt::Debug for dyn Controller + '_ {
     }
 }
 
-/// Holds every region at one fixed level. `StaticController::max` is the
-/// performance baseline, `StaticController::min` the energy floor.
+/// Holds every region at one end of the V/F table. `StaticController::max`
+/// is the performance baseline, `StaticController::min` the energy floor.
 #[derive(Debug, Clone)]
 pub struct StaticController {
-    name: String,
-    level: LevelChoice,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum LevelChoice {
-    Max,
-    Min,
-    Fixed(usize),
+    top: bool,
 }
 
 impl StaticController {
     /// Always run at the nominal (fastest) level.
     pub fn max() -> Self {
-        StaticController {
-            name: "static-max".into(),
-            level: LevelChoice::Max,
-        }
+        StaticController { top: true }
     }
 
     /// Always run at the lowest level.
     pub fn min() -> Self {
-        StaticController {
-            name: "static-min".into(),
-            level: LevelChoice::Min,
-        }
-    }
-
-    /// Always run at a fixed level index.
-    pub fn fixed(level: usize) -> Self {
-        StaticController {
-            name: format!("static-{level}"),
-            level: LevelChoice::Fixed(level),
-        }
+        StaticController { top: false }
     }
 }
 
 impl Controller for StaticController {
     fn name(&self) -> &str {
-        &self.name
+        if self.top {
+            "static-max"
+        } else {
+            "static-min"
+        }
     }
 
     fn decide(
@@ -95,11 +75,7 @@ impl Controller for StaticController {
         levels: &[usize],
         num_levels: usize,
     ) -> ControlDecision {
-        let l = match self.level {
-            LevelChoice::Max => num_levels - 1,
-            LevelChoice::Min => 0,
-            LevelChoice::Fixed(l) => l.min(num_levels - 1),
-        };
+        let l = if self.top { num_levels - 1 } else { 0 };
         ControlDecision {
             levels: vec![l; levels.len()],
             routing: None,
@@ -108,11 +84,11 @@ impl Controller for StaticController {
 }
 
 /// The classic reactive DVFS heuristic: per region, raise the level when
-/// buffer occupancy exceeds `high`, lower it when occupancy falls below
-/// `low` (hysteresis band in between holds). Because wormhole flow control
+/// buffer occupancy exceeds 10 %, lower it when occupancy falls below 2 %
+/// (hysteresis band in between holds). Because wormhole flow control
 /// pushes congestion back into the *source queues* rather than router
 /// buffers, the controller additionally jumps every region to the top level
-/// while the per-node source backlog exceeds `backlog_high` flits.
+/// while the source backlog exceeds 1 flit per node.
 ///
 /// ```
 /// use noc_selfconf::{run_controller, ThresholdController};
@@ -130,13 +106,6 @@ impl Controller for StaticController {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ThresholdController {
-    /// Occupancy fraction above which the region speeds up.
-    pub high: f64,
-    /// Occupancy fraction below which the region slows down.
-    pub low: f64,
-    /// Source backlog (flits per node) above which every region jumps to
-    /// the top level.
-    pub backlog_high: f64,
     /// Buffer capacity per region (normalizer).
     region_capacity: Vec<usize>,
     /// Node count (normalizer for the backlog trigger).
@@ -144,36 +113,18 @@ pub struct ThresholdController {
 }
 
 impl ThresholdController {
-    /// Standard thresholds: raise above 10 % occupancy, lower below 2 %,
-    /// panic to maximum when source queues back up past 1 flit/node.
+    /// Occupancy fraction above which a region speeds up.
+    const HIGH: f64 = 0.10;
+    /// Occupancy fraction below which a region slows down.
+    const LOW: f64 = 0.02;
+    /// Source backlog (flits per node) above which every region jumps to
+    /// the top level.
+    const BACKLOG_HIGH: f64 = 1.0;
+
+    /// The heuristic for a fabric with these region buffer capacities and
+    /// this many nodes.
     pub fn new(region_capacity: Vec<usize>, num_nodes: usize) -> Self {
         ThresholdController {
-            high: 0.10,
-            low: 0.02,
-            backlog_high: 1.0,
-            region_capacity,
-            num_nodes: num_nodes.max(1),
-        }
-    }
-
-    /// Custom occupancy thresholds.
-    ///
-    /// # Panics
-    /// Panics unless `0 <= low < high <= 1`.
-    pub fn with_thresholds(
-        region_capacity: Vec<usize>,
-        num_nodes: usize,
-        low: f64,
-        high: f64,
-    ) -> Self {
-        assert!(
-            0.0 <= low && low < high && high <= 1.0,
-            "need 0 <= low < high <= 1"
-        );
-        ThresholdController {
-            high,
-            low,
-            backlog_high: 1.0,
             region_capacity,
             num_nodes: num_nodes.max(1),
         }
@@ -193,7 +144,7 @@ impl Controller for ThresholdController {
     ) -> ControlDecision {
         // Saturation escape hatch: source queues backing up means the
         // network is under-clocked regardless of buffer occupancy.
-        if metrics.avg_backlog / self.num_nodes as f64 > self.backlog_high {
+        if metrics.avg_backlog / self.num_nodes as f64 > Self::BACKLOG_HIGH {
             return ControlDecision {
                 levels: vec![num_levels - 1; levels.len()],
                 routing: None,
@@ -205,9 +156,9 @@ impl Controller for ThresholdController {
             .map(|(r, &l)| {
                 let cap = self.region_capacity.get(r).copied().unwrap_or(1).max(1) as f64;
                 let occ = metrics.region_occupancy.get(r).copied().unwrap_or(0.0) / cap;
-                if occ > self.high {
+                if occ > Self::HIGH {
                     (l + 1).min(num_levels - 1)
-                } else if occ < self.low {
+                } else if occ < Self::LOW {
                     l.saturating_sub(1)
                 } else {
                     l
@@ -221,129 +172,11 @@ impl Controller for ThresholdController {
     }
 }
 
-/// The trained deep-RL policy: encodes telemetry with the shared
-/// [`StateEncoder`], queries the DQN greedily, and translates the action
-/// through the [`ActionSpace`].
-#[derive(Debug)]
-pub struct DrlController {
-    agent: DqnAgent,
-    encoder: StateEncoder,
-    action_space: ActionSpace,
-    name: String,
-}
-
-impl DrlController {
-    /// Wrap a trained agent.
-    ///
-    /// # Panics
-    /// Panics if the agent's dimensions disagree with the encoder/action
-    /// space.
-    pub fn new(agent: DqnAgent, encoder: StateEncoder, action_space: ActionSpace) -> Self {
-        assert_eq!(
-            agent.config().state_dim,
-            encoder.state_dim(),
-            "state dim mismatch"
-        );
-        assert_eq!(
-            agent.config().num_actions,
-            action_space.num_actions(),
-            "action count mismatch"
-        );
-        DrlController {
-            agent,
-            encoder,
-            action_space,
-            name: "drl".into(),
-        }
-    }
-
-    /// The wrapped agent (e.g. for checkpointing).
-    pub fn agent(&self) -> &DqnAgent {
-        &self.agent
-    }
-
-    /// The greedy action the policy would take for the given telemetry.
-    pub fn action_for(&self, metrics: &WindowMetrics, levels: &[usize]) -> usize {
-        let state = self.encoder.encode(metrics, levels);
-        self.agent.greedy_action(&state)
-    }
-}
-
-impl Controller for DrlController {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn decide(
-        &mut self,
-        metrics: &WindowMetrics,
-        levels: &[usize],
-        _num_levels: usize,
-    ) -> ControlDecision {
-        let action = self.action_for(metrics, levels);
-        ControlDecision {
-            levels: self.action_space.levels_after(action, levels),
-            routing: self.action_space.routing_after(action),
-        }
-    }
-}
-
-/// The tabular Q-learning baseline wrapped as a controller.
-#[derive(Debug)]
-pub struct TabularController {
-    agent: TabularQ,
-    encoder: StateEncoder,
-    action_space: ActionSpace,
-}
-
-impl TabularController {
-    /// Wrap a trained tabular agent.
-    ///
-    /// # Panics
-    /// Panics if the agent's dimensions disagree with the encoder/action
-    /// space.
-    pub fn new(agent: TabularQ, encoder: StateEncoder, action_space: ActionSpace) -> Self {
-        assert_eq!(
-            agent.config().state_dim,
-            encoder.state_dim(),
-            "state dim mismatch"
-        );
-        assert_eq!(
-            agent.config().num_actions,
-            action_space.num_actions(),
-            "action count mismatch"
-        );
-        TabularController {
-            agent,
-            encoder,
-            action_space,
-        }
-    }
-}
-
-impl Controller for TabularController {
-    fn name(&self) -> &str {
-        "tabular-q"
-    }
-
-    fn decide(
-        &mut self,
-        metrics: &WindowMetrics,
-        levels: &[usize],
-        _num_levels: usize,
-    ) -> ControlDecision {
-        let state = self.encoder.encode(metrics, levels);
-        let action = self.agent.greedy_action(&state);
-        ControlDecision {
-            levels: self.action_space.levels_after(action, levels),
-            routing: self.action_space.routing_after(action),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo::{PolicyArtifact, PolicyKind, ZOO_SCHEMA_VERSION};
+    use crate::{ActionSpace, StateEncoder};
 
     fn metrics_with_occupancy(occ: Vec<f64>) -> WindowMetrics {
         WindowMetrics {
@@ -380,11 +213,10 @@ mod tests {
         let m = metrics_with_occupancy(vec![0.0; 4]);
         let mut hi = StaticController::max();
         let mut lo = StaticController::min();
-        let mut two = StaticController::fixed(2);
         assert_eq!(hi.decide(&m, &[0, 1, 2, 3], 4).levels, vec![3; 4]);
         assert_eq!(lo.decide(&m, &[0, 1, 2, 3], 4).levels, vec![0; 4]);
-        assert_eq!(two.decide(&m, &[0, 1, 2, 3], 4).levels, vec![2; 4]);
         assert_eq!(hi.name(), "static-max");
+        assert_eq!(lo.name(), "static-min");
     }
 
     #[test]
@@ -420,23 +252,32 @@ mod tests {
         assert_eq!(c.decide(&m, &[0, 1], 4).levels, vec![3, 3]);
     }
 
-    #[test]
-    #[should_panic(expected = "low < high")]
-    fn bad_thresholds_panic() {
-        let _ = ThresholdController::with_thresholds(vec![1], 16, 0.5, 0.2);
+    /// A hand-assembled, untrained artifact around `kind`.
+    fn untrained(kind: PolicyKind, action_space: ActionSpace) -> PolicyArtifact {
+        PolicyArtifact {
+            schema_version: ZOO_SCHEMA_VERSION,
+            kind,
+            encoder: StateEncoder::new(vec![100; 4], vec![4; 4], 4, 16),
+            action_space,
+            provenance: None,
+            curve: vec![],
+            config_hash: String::new(),
+        }
     }
 
     #[test]
     fn drl_controller_translates_actions() {
-        use rl::DqnConfig;
-        let encoder = StateEncoder::new(vec![100; 4], vec![4; 4], 4, 16);
+        use rl::{DqnAgent, DqnConfig};
         let space = ActionSpace::PerRegionDelta {
             num_regions: 4,
             num_levels: 4,
         };
-        let agent =
-            DqnAgent::new(DqnConfig::default().with_dims(encoder.state_dim(), space.num_actions()));
-        let mut c = DrlController::new(agent, encoder, space);
+        let agent = DqnAgent::new(DqnConfig::default().with_dims(17, space.num_actions()));
+        let kind = PolicyKind::Dqn {
+            dqn: agent.config().clone(),
+            policy_json: agent.policy_to_json().unwrap(),
+        };
+        let mut c = untrained(kind, space).controller().unwrap();
         let m = metrics_with_occupancy(vec![1.0; 4]);
         let d = c.decide(&m, &[2, 2, 2, 2], 4);
         assert_eq!(d.levels.len(), 4);
@@ -448,15 +289,16 @@ mod tests {
 
     #[test]
     fn tabular_controller_translates_actions() {
-        use rl::TabularConfig;
-        let encoder = StateEncoder::new(vec![100; 4], vec![4; 4], 4, 16);
+        use rl::{TabularConfig, TabularQ};
         let space = ActionSpace::UniformLevel { num_levels: 4 };
         let agent = TabularQ::new(TabularConfig {
-            state_dim: encoder.state_dim(),
+            state_dim: 17,
             num_actions: space.num_actions(),
             ..TabularConfig::default()
         });
-        let mut c = TabularController::new(agent, encoder, space);
+        let mut c = untrained(PolicyKind::Tabular { agent }, space)
+            .controller()
+            .unwrap();
         let m = metrics_with_occupancy(vec![1.0; 4]);
         let d = c.decide(&m, &[2, 2, 2, 2], 4);
         assert_eq!(
@@ -464,5 +306,6 @@ mod tests {
             vec![0; 4],
             "untrained table is greedy toward action 0"
         );
+        assert_eq!(c.name(), "tabular-q");
     }
 }

@@ -41,24 +41,10 @@ pub struct NocEnvConfig {
 }
 
 impl Default for NocEnvConfig {
-    /// Paper-style default: 8×8 mesh, 2×2 regions, 500-cycle epochs, 40
-    /// epochs per episode, per-region delta actions, a traffic menu spanning
-    /// uniform/transpose/hotspot at several rates.
+    /// Paper-style default: [`NocEnvConfig::for_sim`] on the default 8×8
+    /// mesh (2×2 regions) with seed 0.
     fn default() -> Self {
-        let sim = SimConfig::default();
-        let menu = standard_traffic_menu();
-        NocEnvConfig {
-            action_space: ActionSpace::PerRegionDelta {
-                num_regions: sim.regions_x * sim.regions_y,
-                num_levels: sim.vf_table.num_levels(),
-            },
-            sim,
-            epoch_cycles: 500,
-            epochs_per_episode: 40,
-            reward: RewardConfig::default(),
-            traffic_menu: menu,
-            seed: 0,
-        }
+        NocEnvConfig::for_sim(SimConfig::default(), 0)
     }
 }
 

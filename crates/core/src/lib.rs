@@ -9,8 +9,8 @@
 //! * [`action`] — discrete action → configuration change.
 //! * [`reward`] — the latency/energy/throughput objective.
 //! * [`mod@env`] — `NocEnv`, the Gym-style environment over the simulator.
-//! * [`controller`] — the DRL policy plus static / threshold / tabular
-//!   baselines behind one `Controller` trait.
+//! * [`controller`] — the `Controller` trait and the static / threshold
+//!   baselines; a trained policy deploys through its `PolicyArtifact`.
 //! * [`training`] — training and controller-evaluation drivers.
 //! * [`sweep`] — the parallel scenario-sweep engine: cartesian grids of
 //!   configurations fanned out over a thread pool into one deterministic
@@ -52,10 +52,7 @@ pub mod training;
 pub mod zoo;
 
 pub use action::ActionSpace;
-pub use controller::{
-    ControlDecision, Controller, DrlController, StaticController, TabularController,
-    ThresholdController,
-};
+pub use controller::{ControlDecision, Controller, StaticController, ThresholdController};
 pub use env::{standard_traffic_menu, NocEnv, NocEnvConfig};
 pub use par::{default_threads, parallel_map};
 pub use reward::RewardConfig;

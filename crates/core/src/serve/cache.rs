@@ -132,13 +132,6 @@ pub struct CacheStats {
     pub read_errors: u64,
 }
 
-impl CacheStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.memory_hits + self.disk_hits + self.coalesced + self.computed
-    }
-}
-
 #[derive(Default)]
 struct CacheIndex {
     /// Finished results by key.

@@ -1,19 +1,24 @@
-//! Convenience wrappers: train the DRL agent on [`crate::NocEnv`], and run
-//! any controller against a workload to produce comparable metrics.
+//! Training drivers: train a DQN or the tabular baseline on
+//! [`crate::NocEnv`] through one body, and run any controller against a
+//! workload to produce comparable metrics.
 
 use crate::action::ActionSpace;
 use crate::controller::Controller;
 use crate::env::{NocEnv, NocEnvConfig};
 use crate::state::StateEncoder;
 use noc_sim::{SimConfig, SimResult, Simulator, WindowMetrics};
-use rl::{DqnAgent, DqnConfig, EpisodeStats, TabularConfig, TabularQ, TrainConfig};
+use rl::{
+    DqnAgent, DqnConfig, Environment, EpisodeStats, LearningAgent, TabularConfig, TabularQ,
+    TrainConfig,
+};
 use serde::{Deserialize, Serialize};
 
-/// Everything produced by a training run.
+/// Everything produced by a training run: the trained agent (a DQN unless
+/// `A` says otherwise) and what deploying it needs.
 #[derive(Debug)]
-pub struct TrainedPolicy {
+pub struct TrainedPolicy<A = DqnAgent> {
     /// The trained agent.
-    pub agent: DqnAgent,
+    pub agent: A,
     /// Per-episode learning curve (Fig 3).
     pub curve: Vec<EpisodeStats>,
     /// The state encoder used during training (reuse it at deployment).
@@ -31,41 +36,49 @@ pub struct TrainedPolicy {
 /// Returns an error if the environment configuration is invalid.
 pub fn train_drl(
     env_config: NocEnvConfig,
-    mut dqn: DqnConfig,
+    dqn: DqnConfig,
     train: TrainConfig,
 ) -> SimResult<TrainedPolicy> {
-    let mut env = NocEnv::new(env_config)?;
-    dqn.state_dim = rl::Environment::state_dim(&env);
-    dqn.num_actions = rl::Environment::num_actions(&env);
-    let mut agent = DqnAgent::new(dqn);
-    let curve = rl::train(&mut env, &mut agent, &train);
-    let encoder = env.encoder().clone();
-    let action_space = env.config().action_space.clone();
-    Ok(TrainedPolicy {
-        agent,
-        curve,
-        encoder,
-        action_space,
+    train_agent(env_config, &train, |state_dim, num_actions| {
+        DqnAgent::new(dqn.with_dims(state_dim, num_actions))
     })
 }
 
-/// Train the tabular Q-learning baseline on the same environment.
+/// Train the tabular Q-learning baseline on the same environment (its
+/// dimensions are overwritten the same way).
 ///
 /// # Errors
 /// Returns an error if the environment configuration is invalid.
 pub fn train_tabular(
     env_config: NocEnvConfig,
-    mut tab: TabularConfig,
+    tab: TabularConfig,
     train: TrainConfig,
-) -> SimResult<(TabularQ, Vec<EpisodeStats>, StateEncoder, ActionSpace)> {
+) -> SimResult<TrainedPolicy<TabularQ>> {
+    train_agent(env_config, &train, |state_dim, num_actions| {
+        TabularQ::new(TabularConfig {
+            state_dim,
+            num_actions,
+            ..tab
+        })
+    })
+}
+
+/// The one training body: size the agent from the environment, run the
+/// training loop, and keep the encoder and action space beside it.
+fn train_agent<A: LearningAgent>(
+    env_config: NocEnvConfig,
+    train: &TrainConfig,
+    agent: impl FnOnce(usize, usize) -> A,
+) -> SimResult<TrainedPolicy<A>> {
     let mut env = NocEnv::new(env_config)?;
-    tab.state_dim = rl::Environment::state_dim(&env);
-    tab.num_actions = rl::Environment::num_actions(&env);
-    let mut agent = TabularQ::new(tab);
-    let curve = rl::train(&mut env, &mut agent, &train);
-    let encoder = env.encoder().clone();
-    let action_space = env.config().action_space.clone();
-    Ok((agent, curve, encoder, action_space))
+    let mut agent = agent(env.state_dim(), env.num_actions());
+    let curve = rl::train(&mut env, &mut agent, train);
+    Ok(TrainedPolicy {
+        agent,
+        curve,
+        encoder: env.encoder().clone(),
+        action_space: env.config().action_space.clone(),
+    })
 }
 
 /// Aggregate figures of a controller run (one row of the comparison tables).
@@ -88,7 +101,7 @@ pub struct RunAggregate {
     /// Energy-delay product: total energy × mean latency.
     #[serde(with = "noc_sim::stats::serde_nan")]
     pub edp: f64,
-    /// Mean reward per epoch under the default reward (for reference).
+    /// Mean V/F level over every epoch and region (NaN for an empty run).
     #[serde(with = "noc_sim::stats::serde_nan")]
     pub mean_level: f64,
 }
@@ -291,7 +304,7 @@ mod tests {
 
     #[test]
     fn train_tabular_smoke() {
-        let (agent, curve, _, _) = train_tabular(
+        let policy = train_tabular(
             small_env_cfg(),
             TabularConfig {
                 bins: 3,
@@ -306,8 +319,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(curve.len(), 3);
-        assert!(agent.updates() > 0);
+        assert_eq!(policy.curve.len(), 3);
+        assert!(policy.agent.updates() > 0);
     }
 
     #[test]

@@ -27,9 +27,7 @@
 //! matrices too.
 
 use crate::action::ActionSpace;
-use crate::controller::{
-    Controller, DrlController, StaticController, TabularController, ThresholdController,
-};
+use crate::controller::{ControlDecision, Controller, StaticController, ThresholdController};
 use crate::env::{NocEnv, NocEnvConfig};
 use crate::par::parallel_map;
 use crate::reward::RewardConfig;
@@ -37,7 +35,9 @@ use crate::serve::cache::fnv1a128_hex;
 use crate::state::StateEncoder;
 use crate::sweep::{mix_seed, seeded_link_faults};
 use crate::training::{run_controller, train_drl, RunAggregate, TrainedPolicy};
-use noc_sim::{SimConfig, SimError, Simulator, TopologyKind, TrafficPattern, WorkloadSpec};
+use noc_sim::{
+    SimConfig, SimError, Simulator, TopologyKind, TrafficPattern, WindowMetrics, WorkloadSpec,
+};
 use rl::{DqnAgent, DqnConfig, EpisodeStats, TabularConfig, TabularQ, TrainConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -87,13 +87,6 @@ pub enum ZooError {
         /// The value the policy carries.
         found: usize,
     },
-    /// The artifact holds a different policy kind than the caller asked for.
-    WrongKind {
-        /// The kind the caller needs.
-        expected: &'static str,
-        /// The kind the artifact holds.
-        found: &'static str,
-    },
     /// Training or evaluation failed inside the simulator.
     Sim(SimError),
 }
@@ -119,15 +112,22 @@ impl fmt::Display for ZooError {
                  {expected}; retrain with `noc-cli train` (or `train-grid`) against the current \
                  fabric"
             ),
-            ZooError::WrongKind { expected, found } => {
-                write!(f, "artifact holds a {found} policy, expected {expected}")
-            }
             ZooError::Sim(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ZooError {}
+
+impl ZooError {
+    /// The `map_err` closure that files an OS error under `path`.
+    fn io(path: &Path) -> impl FnOnce(std::io::Error) -> ZooError + '_ {
+        move |e| ZooError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        }
+    }
+}
 
 impl From<SimError> for ZooError {
     fn from(e: SimError) -> Self {
@@ -247,37 +247,40 @@ impl PolicyArtifact {
             message: e.to_string(),
         })?;
         let dqn = policy.agent.config().clone();
-        let config_hash = dqn_config_hash(&env, &dqn, &train);
-        let seed = train.seed;
-        Ok(PolicyArtifact {
-            schema_version: ZOO_SCHEMA_VERSION,
-            kind: PolicyKind::Dqn { dqn, policy_json },
-            encoder: policy.encoder.clone(),
-            action_space: policy.action_space.clone(),
-            provenance: Some(TrainProvenance { env, train, seed }),
-            curve: policy.curve.clone(),
-            config_hash,
-        })
+        let kind = PolicyKind::Dqn { dqn, policy_json };
+        Ok(Self::capture(kind, policy, env, train))
     }
 
     /// Capture a freshly trained tabular policy with full provenance.
     pub fn from_tabular(
-        agent: TabularQ,
-        curve: Vec<EpisodeStats>,
-        encoder: StateEncoder,
-        action_space: ActionSpace,
+        policy: &TrainedPolicy<TabularQ>,
         env: NocEnvConfig,
         train: TrainConfig,
     ) -> Self {
-        let config_hash = tabular_config_hash(&env, agent.config(), &train);
+        let agent = policy.agent.clone();
+        Self::capture(PolicyKind::Tabular { agent }, policy, env, train)
+    }
+
+    /// The one capture body: the serialized policy, what deploying it
+    /// needs, and the provenance and config hash of its training run.
+    fn capture<A>(
+        kind: PolicyKind,
+        policy: &TrainedPolicy<A>,
+        env: NocEnvConfig,
+        train: TrainConfig,
+    ) -> Self {
+        let config_hash = match &kind {
+            PolicyKind::Dqn { dqn, .. } => dqn_config_hash(&env, dqn, &train),
+            PolicyKind::Tabular { agent } => tabular_config_hash(&env, agent.config(), &train),
+        };
         let seed = train.seed;
         PolicyArtifact {
             schema_version: ZOO_SCHEMA_VERSION,
-            kind: PolicyKind::Tabular { agent },
-            encoder,
-            action_space,
+            kind,
+            encoder: policy.encoder.clone(),
+            action_space: policy.action_space.clone(),
             provenance: Some(TrainProvenance { env, train, seed }),
-            curve,
+            curve: policy.curve.clone(),
             config_hash,
         }
     }
@@ -357,16 +360,10 @@ impl PolicyArtifact {
     pub fn save(&self, path: &Path) -> ZooResult<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent).map_err(|e| ZooError::Io {
-                    path: parent.display().to_string(),
-                    message: e.to_string(),
-                })?;
+                fs::create_dir_all(parent).map_err(ZooError::io(parent))?;
             }
         }
-        fs::write(path, self.to_json()).map_err(|e| ZooError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        fs::write(path, self.to_json()).map_err(ZooError::io(path))
     }
 
     /// Load an artifact from `path`: read, parse, and validate. This is the single entry point every consumer (CLI
@@ -376,10 +373,7 @@ impl PolicyArtifact {
     /// [`ZooError::Io`], [`ZooError::Parse`], [`ZooError::SchemaVersion`],
     /// or [`ZooError::Incompatible`].
     pub fn load(path: &Path) -> ZooResult<Self> {
-        let text = fs::read_to_string(path).map_err(|e| ZooError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
+        let text = fs::read_to_string(path).map_err(ZooError::io(path))?;
         let artifact = Self::parse(&text).map_err(|e| match e {
             ZooError::Parse { context, message } => ZooError::Parse {
                 context: format!("{context} at `{}`", path.display()),
@@ -391,75 +385,75 @@ impl PolicyArtifact {
         Ok(artifact)
     }
 
-    /// Rebuild a deployable controller of whatever kind the artifact holds.
+    /// Rebuild a deployable controller of whatever kind the artifact holds:
+    /// the one way a learned policy is deployed.
     ///
     /// # Errors
     /// Validation errors (see [`PolicyArtifact::validate`]), or
     /// [`ZooError::Parse`] if stored DQN weights fail to deserialize.
     pub fn controller(&self) -> ZooResult<Box<dyn Controller>> {
         self.validate()?;
-        match &self.kind {
-            PolicyKind::Dqn { .. } => Ok(Box::new(self.build_drl()?)),
-            PolicyKind::Tabular { agent } => Ok(Box::new(TabularController::new(
-                agent.clone(),
-                self.encoder.clone(),
-                self.action_space.clone(),
-            ))),
-        }
-    }
-
-    /// Rebuild the DQN controller (typed).
-    ///
-    /// # Errors
-    /// [`ZooError::WrongKind`] for tabular artifacts, else as
-    /// [`PolicyArtifact::controller`].
-    pub fn drl_controller(&self) -> ZooResult<DrlController> {
-        self.validate()?;
-        match &self.kind {
-            PolicyKind::Dqn { .. } => self.build_drl(),
-            PolicyKind::Tabular { .. } => Err(ZooError::WrongKind {
-                expected: "dqn",
-                found: "tabular",
-            }),
-        }
-    }
-
-    /// Rebuild the tabular controller (typed).
-    ///
-    /// # Errors
-    /// [`ZooError::WrongKind`] for DQN artifacts, else as
-    /// [`PolicyArtifact::controller`].
-    pub fn tabular_controller(&self) -> ZooResult<TabularController> {
-        self.validate()?;
-        match &self.kind {
-            PolicyKind::Tabular { agent } => Ok(TabularController::new(
-                agent.clone(),
-                self.encoder.clone(),
-                self.action_space.clone(),
-            )),
-            PolicyKind::Dqn { .. } => Err(ZooError::WrongKind {
-                expected: "tabular",
-                found: "dqn",
-            }),
-        }
-    }
-
-    fn build_drl(&self) -> ZooResult<DrlController> {
-        let PolicyKind::Dqn { dqn, policy_json } = &self.kind else {
-            unreachable!("checked by callers");
+        let agent = match &self.kind {
+            PolicyKind::Dqn { dqn, policy_json } => {
+                let mut agent = DqnAgent::new(dqn.clone());
+                agent
+                    .policy_from_json(policy_json)
+                    .map_err(|e| ZooError::Parse {
+                        context: "stored DQN weights".into(),
+                        message: e.to_string(),
+                    })?;
+                LiveAgent::Dqn(Box::new(agent))
+            }
+            PolicyKind::Tabular { agent } => LiveAgent::Tabular(agent.clone()),
         };
-        let mut agent = DqnAgent::new(dqn.clone());
-        agent
-            .policy_from_json(policy_json)
-            .map_err(|e| ZooError::Parse {
-                context: "stored DQN weights".into(),
-                message: e.to_string(),
-            })?;
-        Ok(DrlController::new(
+        Ok(Box::new(PolicyController {
             agent,
-            self.encoder.clone(),
-            self.action_space.clone(),
-        ))
+            encoder: self.encoder.clone(),
+            action_space: self.action_space.clone(),
+        }))
+    }
+}
+
+/// The live agent a [`PolicyKind`] deploys as.
+#[derive(Debug)]
+enum LiveAgent {
+    Dqn(Box<DqnAgent>),
+    Tabular(TabularQ),
+}
+
+/// The controller every learned policy deploys as: it encodes telemetry
+/// with the artifact's [`StateEncoder`], queries the agent greedily, and
+/// translates the action through the artifact's [`ActionSpace`].
+#[derive(Debug)]
+struct PolicyController {
+    agent: LiveAgent,
+    encoder: StateEncoder,
+    action_space: ActionSpace,
+}
+
+impl Controller for PolicyController {
+    fn name(&self) -> &str {
+        match self.agent {
+            LiveAgent::Dqn(_) => "drl",
+            LiveAgent::Tabular(_) => "tabular-q",
+        }
+    }
+
+    fn decide(
+        &mut self,
+        metrics: &WindowMetrics,
+        levels: &[usize],
+        _num_levels: usize,
+    ) -> ControlDecision {
+        let state = self.encoder.encode(metrics, levels);
+        let action = match &self.agent {
+            LiveAgent::Dqn(agent) => agent.greedy_action(&state),
+            LiveAgent::Tabular(agent) => agent.greedy_action(&state),
+        };
+        ControlDecision {
+            levels: self.action_space.levels_after(action, levels),
+            routing: self.action_space.routing_after(action),
+        }
     }
 }
 
@@ -768,19 +762,13 @@ pub fn train_grid(grid: &ZooGrid, out_dir: &Path, threads: usize) -> ZooResult<Z
     let trained = parallel_map(members.len(), threads, |i| {
         train_member(grid, i).map(|a| (a.to_json(), a.config_hash.clone()))
     });
-    fs::create_dir_all(out_dir).map_err(|e| ZooError::Io {
-        path: out_dir.display().to_string(),
-        message: e.to_string(),
-    })?;
+    fs::create_dir_all(out_dir).map_err(ZooError::io(out_dir))?;
     let mut entries = Vec::with_capacity(members.len());
     for (member, result) in members.into_iter().zip(trained) {
         let (json, config_hash) = result?;
         let file = format!("{}.json", member.name);
         let path = out_dir.join(&file);
-        fs::write(&path, json).map_err(|e| ZooError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
+        fs::write(&path, json).map_err(ZooError::io(&path))?;
         entries.push(ZooManifestEntry {
             name: member.name,
             file,
@@ -800,10 +788,7 @@ pub fn train_grid(grid: &ZooGrid, out_dir: &Path, threads: usize) -> ZooResult<Z
         &manifest_path,
         serde_json::to_string_pretty(&manifest).expect("manifest serializes"),
     )
-    .map_err(|e| ZooError::Io {
-        path: manifest_path.display().to_string(),
-        message: e.to_string(),
-    })?;
+    .map_err(ZooError::io(&manifest_path))?;
     Ok(manifest)
 }
 
@@ -817,10 +802,7 @@ pub fn load_zoo(dir: &Path) -> ZooResult<Vec<(String, PolicyArtifact)>> {
     let manifest_path = dir.join("manifest.json");
     let mut out = Vec::new();
     if manifest_path.exists() {
-        let text = fs::read_to_string(&manifest_path).map_err(|e| ZooError::Io {
-            path: manifest_path.display().to_string(),
-            message: e.to_string(),
-        })?;
+        let text = fs::read_to_string(&manifest_path).map_err(ZooError::io(&manifest_path))?;
         let manifest: ZooManifest = serde_json::from_str(&text).map_err(|e| ZooError::Parse {
             context: format!("zoo manifest at `{}`", manifest_path.display()),
             message: e.to_string(),
@@ -838,16 +820,10 @@ pub fn load_zoo(dir: &Path) -> ZooResult<Vec<(String, PolicyArtifact)>> {
             ));
         }
     } else {
-        let read = fs::read_dir(dir).map_err(|e| ZooError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
+        let read = fs::read_dir(dir).map_err(ZooError::io(dir))?;
         let mut files: Vec<String> = Vec::new();
         for dirent in read {
-            let dirent = dirent.map_err(|e| ZooError::Io {
-                path: dir.display().to_string(),
-                message: e.to_string(),
-            })?;
+            let dirent = dirent.map_err(ZooError::io(dir))?;
             let name = dirent.file_name().to_string_lossy().into_owned();
             if name.ends_with(".json") && name != "manifest.json" {
                 files.push(name);
@@ -1306,37 +1282,26 @@ mod tests {
     }
 
     #[test]
-    fn typed_controller_accessors_enforce_kind() {
+    fn tabular_artifact_deploys_as_tabular_q() {
         let env = NocEnvConfig::for_sim(SimConfig::default().with_size(4, 4).with_regions(2, 2), 1);
-        let (agent, curve, encoder, action_space) = crate::training::train_tabular(
-            env.clone(),
-            TabularConfig {
-                bins: 3,
-                ..TabularConfig::default()
-            },
-            TrainConfig {
-                episodes: 1,
-                max_steps: 2,
-                ..TrainConfig::default()
-            },
-        )
-        .unwrap();
-        let artifact = PolicyArtifact::from_tabular(
-            agent,
-            curve,
-            encoder,
-            action_space,
-            env,
-            TrainConfig::default(),
-        );
+        let tab = TabularConfig {
+            bins: 3,
+            ..TabularConfig::default()
+        };
+        let train = TrainConfig {
+            episodes: 1,
+            max_steps: 2,
+            ..TrainConfig::default()
+        };
+        let policy =
+            crate::training::train_tabular(env.clone(), tab.clone(), train.clone()).unwrap();
+        let artifact = PolicyArtifact::from_tabular(&policy, env.clone(), train.clone());
         assert_eq!(artifact.kind_name(), "tabular");
-        assert!(artifact.tabular_controller().is_ok());
-        assert!(matches!(
-            artifact.drl_controller(),
-            Err(ZooError::WrongKind { .. })
-        ));
-        assert!(artifact.controller().is_ok());
-        assert!(!artifact.config_hash.is_empty());
+        assert_eq!(artifact.controller().unwrap().name(), "tabular-q");
+        assert_eq!(
+            artifact.config_hash,
+            tabular_config_hash(&env, &tab, &train)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use noc_selfconf::serve::{CacheStats, Request};
 use noc_selfconf::zoo::PolicyArtifact;
-use noc_selfconf::{train_drl, ActionSpace, NocEnvConfig, StateEncoder, SweepGrid};
+use noc_selfconf::{train_drl, ActionSpace, NocEnvConfig, StateEncoder, SweepGrid, TrainedPolicy};
 use noc_sim::{
     FaultEvent, FaultPlan, FaultTarget, NodeId, Port, RoutingAlgorithm, SimConfig, ThrottleEvent,
     TrafficPattern, TrafficSpec, WorkloadPhase, WorkloadSpec,
@@ -139,17 +139,16 @@ fn tabular_artifact() -> PolicyArtifact {
             done: i % 7 == 0,
         });
     }
-    PolicyArtifact::from_tabular(
+    let policy = TrainedPolicy {
         agent,
-        vec![],
-        StateEncoder::new(vec![320; 4], vec![4; 4], 4, 16),
-        ActionSpace::PerRegionDelta {
+        curve: vec![],
+        encoder: StateEncoder::new(vec![320; 4], vec![4; 4], 4, 16),
+        action_space: ActionSpace::PerRegionDelta {
             num_regions: 4,
             num_levels: 4,
         },
-        small_env(11),
-        tiny_train(11),
-    )
+    };
+    PolicyArtifact::from_tabular(&policy, small_env(11), tiny_train(11))
 }
 
 #[test]

@@ -179,7 +179,8 @@ fn concurrent_identical_lookups_compute_exactly_once() {
     assert_eq!(computed, 1, "exactly one caller computed");
     let stats = cache.stats();
     assert_eq!(stats.computed, 1);
-    assert_eq!(stats.lookups(), n as u64);
+    let lookups = stats.memory_hits + stats.disk_hits + stats.coalesced + stats.computed;
+    assert_eq!(lookups, n as u64);
 }
 
 #[test]

@@ -8,7 +8,9 @@ use noc_selfconf::zoo::{
     train_grid, Entrant, PolicyArtifact, PolicyKind, ScenarioFamily, TournamentConfig,
     TrainProvenance, ZooError, ZooGrid,
 };
-use noc_selfconf::{train_drl, ActionSpace, NocEnv, NocEnvConfig, StateEncoder};
+use noc_selfconf::{
+    train_drl, train_tabular, ActionSpace, NocEnv, NocEnvConfig, StateEncoder, TrainedPolicy,
+};
 use noc_sim::{SimConfig, Simulator, TrafficPattern, WindowMetrics};
 use proptest::prelude::*;
 use rl::{DqnAgent, DqnConfig, Environment, TabularConfig, TabularQ, TrainConfig, Transition};
@@ -268,11 +270,14 @@ proptest! {
                 done: i % 7 == 0,
             });
         }
-        let artifact = PolicyArtifact::from_tabular(
-            agent.clone(),
-            vec![],
+        let policy = TrainedPolicy {
+            agent: agent.clone(),
+            curve: vec![],
             encoder,
             action_space,
+        };
+        let artifact = PolicyArtifact::from_tabular(
+            &policy,
             NocEnvConfig::for_sim(small_sim(), seed),
             tiny_train(seed),
         );
@@ -595,4 +600,14 @@ fn learned_policy_bytes_are_pinned() {
         "[[1, 3, 2, 3], [3, 1, 0, 0], [0, 3, 3, 3], [2, 3, 1, 2], [3, 0, 0, 0], [3, 3, 1, 2], \
          [1, 3, 2, 0], [3, 0, 2, 3], [2, 0, 3, 3], [3, 1, 3, 0], [3, 0, 2, 2], [0, 1, 3, 1]]"
     );
+}
+
+/// The training and capture path builds the pinned tabular artifact byte
+/// for byte.
+#[test]
+fn tabular_training_and_capture_match_the_pinned_artifact() {
+    let env = NocEnvConfig::for_sim(small_sim(), 5);
+    let policy = train_tabular(env.clone(), pinned_tabular(), tiny_train(5)).unwrap();
+    let artifact = PolicyArtifact::from_tabular(&policy, env, tiny_train(5));
+    assert_eq!(artifact.to_json(), tiny_tabular_artifact().to_json());
 }

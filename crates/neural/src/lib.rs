@@ -2,7 +2,7 @@
 //!
 //! Supplies the function approximators for the deep-RL stack of the
 //! *Self-Configurable NoC* reproduction: dense layers with ReLU/tanh/sigmoid
-//! activations, MSE and Huber losses, SGD/momentum/Adam optimizers, and
+//! activations, MSE and Huber losses, SGD/Adam optimizers, and
 //! JSON model serialization. No external ML dependency.
 //!
 //! ```

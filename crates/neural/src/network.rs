@@ -72,16 +72,6 @@ impl Mlp {
         }
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.layers.first().expect("non-empty").fan_in()
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").fan_out()
-    }
-
     /// The layer widths, input first: `[in, hidden.., out]` (empty for a
     /// network without layers). Two networks can share parameters iff their
     /// widths are equal.
@@ -304,8 +294,7 @@ mod tests {
     #[test]
     fn shapes_flow_through_network() {
         let net = Mlp::new(&[4, 8, 3], Activation::Relu, Activation::Linear, 1);
-        assert_eq!(net.input_dim(), 4);
-        assert_eq!(net.output_dim(), 3);
+        assert_eq!(net.widths(), vec![4, 8, 3]);
         assert_eq!(net.num_params(), 4 * 8 + 8 + 8 * 3 + 3);
         let y = net.predict(&Matrix::zeros(5, 4));
         assert_eq!((y.rows(), y.cols()), (5, 3));

@@ -2,7 +2,7 @@
 //!
 //! Optimizers are keyed by a *slot* (one per parameter tensor) so a single
 //! optimizer instance can drive a whole network while keeping per-tensor
-//! state (momentum/Adam moments).
+//! state (Adam moments).
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -20,59 +20,29 @@ pub trait Optimizer {
     fn reset(&mut self);
 }
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent (stateless).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    velocity: HashMap<usize, Vec<f32>>,
 }
 
 impl Sgd {
-    /// Plain SGD.
+    /// SGD at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
+    fn step(&mut self, _slot: usize, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        let v = self
-            .velocity
-            .entry(slot)
-            .or_insert_with(|| vec![0.0; params.len()]);
-        assert_eq!(v.len(), params.len(), "slot reused with a different shape");
-        for ((p, &g), vi) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-            *vi = self.momentum * *vi + g;
-            *p -= self.lr * *vi;
+        for (p, &g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
+    fn reset(&mut self) {}
 }
 
 /// Adam (Kingma & Ba, 2015).
@@ -161,12 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut o = Sgd::with_momentum(0.02, 0.9);
-        assert!((minimize(&mut o, 300) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut o = Adam::new(0.1);
         assert!((minimize(&mut o, 500) - 3.0).abs() < 1e-2);
@@ -188,11 +152,11 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut o = Sgd::with_momentum(0.1, 0.9);
+        let mut o = Adam::new(0.1);
         let mut x = [0.0f32];
         o.step(0, &mut x, &[1.0]);
         o.reset();
-        assert!(o.velocity.is_empty());
+        assert!(o.state.is_empty());
     }
 
     #[test]

@@ -173,21 +173,6 @@ impl Matrix {
             *x = f(*x);
         }
     }
-
-    /// Element-wise product in place.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn hadamard_inplace(&mut self, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-    }
 }
 
 /// Output columns in one [`gemm`] register block: eight 4-lane accumulators.
@@ -326,13 +311,6 @@ pub(crate) mod tests {
     fn col_sums_sum_rows() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.col_sums(), vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let mut a = m(1, 3, &[1.0, 2.0, 3.0]);
-        a.hadamard_inplace(&m(1, 3, &[2.0, 0.5, -1.0]));
-        assert_eq!(a.as_slice(), &[2.0, 1.0, -3.0]);
     }
 
     #[test]

@@ -114,21 +114,6 @@ impl VfTable {
         .expect("built-in table is valid")
     }
 
-    /// A two-level table (low / nominal), useful for tabular baselines.
-    pub fn two_level() -> Self {
-        VfTable::new(vec![
-            VfLevel {
-                voltage: 0.7,
-                freq_scale: 0.5,
-            },
-            VfLevel {
-                voltage: 1.1,
-                freq_scale: 1.0,
-            },
-        ])
-        .expect("built-in table is valid")
-    }
-
     /// Number of levels.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
@@ -346,12 +331,12 @@ mod tests {
 
     #[test]
     fn level_out_of_range_is_error() {
-        let t = VfTable::two_level();
+        let t = VfTable::default();
         assert_eq!(
             t.level(5),
             Err(SimError::VfLevelOutOfRange {
                 level: 5,
-                levels: 2
+                levels: 4
             })
         );
     }

@@ -385,11 +385,6 @@ impl LinkState {
         self.dead_links
     }
 
-    /// Whether any component is currently down.
-    pub fn any_faults(&self) -> bool {
-        self.dead_links > 0 || self.router_up.iter().any(|&u| !u)
-    }
-
     fn take_link_down(&mut self, topo: &Topology, node: NodeId, port: Port) {
         if let Some(peer) = topo.neighbor(node, port) {
             for (n, p) in [(node, port), (peer, port.opposite())] {
@@ -646,9 +641,9 @@ mod tests {
         ])
         .unwrap();
         let mut ls = LinkState::healthy(16);
-        assert!(!ls.any_faults());
+        assert_eq!(ls.dead_link_count(), 0);
+        assert!(ls.is_router_up(NodeId(0)));
         ls.recompute(&topo, &plan, 15);
-        assert!(ls.any_faults());
         assert!(!ls.is_link_up(NodeId(5), Port::East));
         assert!(!ls.is_link_up(NodeId(6), Port::West), "both directions die");
         assert!(!ls.is_router_up(NodeId(0)));

@@ -474,11 +474,6 @@ impl Network {
         &self.effective_levels
     }
 
-    /// Whether any throttle emergency is active at the current cycle.
-    pub fn throttle_active(&self) -> bool {
-        self.throttles.iter().any(|t| t.active_at(self.cycle))
-    }
-
     /// Current routing algorithm.
     pub fn routing(&self) -> RoutingAlgorithm {
         self.routing
@@ -561,8 +556,8 @@ impl Network {
     }
 
     /// One global cycle of router `i`'s leakage, `[idle, busy]`, at its
-    /// region's effective level: what a per-router `record_leakage` call
-    /// would add, computed the same way, so pricing the terms changes no bit.
+    /// region's effective level ([`PowerModel::leakage_pj`] of its link
+    /// count and leakage scale).
     fn leakage_terms(&self, i: usize) -> [f64; 2] {
         if !self.link_state.is_router_up(NodeId(i)) {
             // A dead router consumes nothing: adding +0.0 to a sum that
@@ -1344,7 +1339,6 @@ mod tests {
         for _ in 0..60 {
             net.step(&mut stats);
         }
-        assert!(net.throttle_active());
         assert_eq!(
             net.region_levels(),
             &[3, 3, 3, 3],
@@ -1363,7 +1357,6 @@ mod tests {
         for _ in 0..100 {
             net.step(&mut stats);
         }
-        assert!(!net.throttle_active());
         assert_eq!(net.effective_region_levels(), &[3, 3, 3, 3]);
     }
 

@@ -164,16 +164,9 @@ impl EnergyMeter {
         self.events += 1;
     }
 
-    /// Record one global cycle of leakage for a router with `num_links`
-    /// outgoing links, at the given leakage scale (`V/V_nom`).
-    pub fn record_leakage(&mut self, model: &PowerModel, num_links: usize, leakage_scale: f64) {
-        self.leakage_pj += model.leakage_pj(num_links, leakage_scale);
-    }
-
     /// Add already-priced leakage terms ([`PowerModel::leakage_pj`]) one
-    /// after another, in iteration order: the same f64 additions as one
-    /// [`record_leakage`](Self::record_leakage) call per term, with the
-    /// running sum kept out of memory.
+    /// after another, in iteration order, with the running sum kept out of
+    /// memory.
     pub(crate) fn record_leakage_terms(&mut self, terms: impl Iterator<Item = f64>) {
         self.leakage_pj = terms.fold(self.leakage_pj, |sum, term| sum + term);
     }
@@ -196,13 +189,6 @@ impl EnergyMeter {
     /// Number of dynamic events recorded.
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Fold another meter into this one.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        self.dynamic_pj += other.dynamic_pj;
-        self.leakage_pj += other.leakage_pj;
-        self.events += other.events;
     }
 
     /// Difference `self - earlier`, for per-epoch accounting.
@@ -254,9 +240,7 @@ mod tests {
     fn leakage_accumulates_per_cycle() {
         let m = PowerModel::default_32nm();
         let mut meter = EnergyMeter::new();
-        for _ in 0..10 {
-            meter.record_leakage(&m, 4, 1.0);
-        }
+        meter.record_leakage_terms((0..10).map(|_| m.leakage_pj(4, 1.0)));
         let expected = 10.0 * (0.35 + 0.05 * 4.0);
         assert!((meter.leakage_pj() - expected).abs() < 1e-9);
         assert!((meter.total_pj() - expected).abs() < 1e-9);
@@ -274,8 +258,8 @@ mod tests {
         let m = PowerModel::default_32nm();
         let mut hi = EnergyMeter::new();
         let mut lo = EnergyMeter::new();
-        hi.record_leakage(&m, 4, 1.0);
-        lo.record_leakage(&m, 4, 0.5);
+        hi.record_leakage_terms(std::iter::once(m.leakage_pj(4, 1.0)));
+        lo.record_leakage_terms(std::iter::once(m.leakage_pj(4, 0.5)));
         assert!(lo.leakage_pj() < hi.leakage_pj());
         assert!((lo.leakage_pj() * 2.0 - hi.leakage_pj()).abs() < 1e-12);
     }
@@ -288,24 +272,12 @@ mod tests {
         meter.record_node(&work(1, 0, 0, 0, None), &e);
         let snap = meter.clone();
         meter.record_node(&work(1, 0, 0, 0, None), &e);
-        meter.record_leakage(&m, 0, 1.0);
+        meter.record_leakage_terms(std::iter::once(m.leakage_pj(0, 1.0)));
         let delta = meter.since(&snap);
         // One grant: a buffer read, a switch arbitration, a crossbar.
         assert!((delta.dynamic_pj() - (1.0 + 0.2 + 0.8)).abs() < 1e-12);
         assert!((delta.leakage_pj() - 0.35).abs() < 1e-12);
         assert_eq!(delta.events(), 3);
-    }
-
-    #[test]
-    fn merge_adds_components() {
-        let m = PowerModel::default_32nm();
-        let mut a = EnergyMeter::new();
-        let mut b = EnergyMeter::new();
-        a.record_node(&work(1, 0, 0, 0, None), &m.scaled(1.0));
-        b.record_leakage(&m, 2, 1.0);
-        a.merge(&b);
-        assert!(a.dynamic_pj() > 0.0 && a.leakage_pj() > 0.0);
-        assert_eq!(a.events(), 3);
     }
 
     proptest! {

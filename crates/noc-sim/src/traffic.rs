@@ -869,15 +869,6 @@ impl TrafficGenerator {
         self.generated
     }
 
-    /// The workload phase in force at cycle `t` (`None` for trace-driven
-    /// specs).
-    pub fn phase_index(&self, t: u64) -> Option<usize> {
-        match &self.spec {
-            TrafficSpec::Workload(w) => Some(w.phase_at(t).0),
-            TrafficSpec::Trace(_) => None,
-        }
-    }
-
     /// The workload phase the last [`TrafficGenerator::tick`] ran in
     /// (`None` before the first tick and for trace-driven specs). Drives
     /// the per-phase stat buckets without a second schedule lookup.
@@ -1710,7 +1701,7 @@ mod tests {
         .unwrap();
         let mut g = TrafficGenerator::new(&t, TrafficSpec::Trace(trace), 5, 0).unwrap();
         assert!(g.tick(&t, 0).is_empty());
-        assert_eq!(g.phase_index(0), None, "trace specs have no phases");
+        assert_eq!(g.current_phase(), None, "trace specs have no phases");
         let at1 = g.tick(&t, 1);
         assert_eq!(at1.len(), 2);
         assert_eq!(at1[0].len_flits, 3, "trace length overrides packet_len");

@@ -102,11 +102,6 @@ impl TabularQ {
         &self.config
     }
 
-    /// Number of distinct discretized states visited.
-    pub fn num_states(&self) -> usize {
-        self.table.len()
-    }
-
     /// Number of Q-updates applied.
     pub fn updates(&self) -> u64 {
         self.updates
@@ -286,7 +281,7 @@ mod tests {
         let json = serde_json::to_string(&q).unwrap();
         let back: TabularQ = serde_json::from_str(&json).unwrap();
         assert_eq!(back.q_values(&[0.0]), q.q_values(&[0.0]));
-        assert_eq!(back.num_states(), q.num_states());
+        assert_eq!(back.table.len(), q.table.len());
         assert_eq!(back.updates(), q.updates());
     }
 
@@ -299,7 +294,7 @@ mod tests {
         for i in 0..10 {
             q.update(&t(i as f32 / 10.0 + 0.05, 0, 0.0, 0.0, true));
         }
-        assert_eq!(q.num_states(), 10);
+        assert_eq!(q.table.len(), 10);
         assert_eq!(q.updates(), 10);
     }
 }

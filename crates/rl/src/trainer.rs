@@ -136,6 +136,9 @@ mod tests {
     use crate::env::ChainEnv;
     use crate::tabular::{TabularConfig, TabularQ};
 
+    /// The optimal return of `ChainEnv::new(5, 0.01, _)`: 1 - 0.01 * (5 - 2).
+    const CHAIN5_OPTIMAL: f64 = 0.97;
+
     #[test]
     fn dqn_solves_the_chain() {
         let mut env = ChainEnv::new(5, 0.01, 30);
@@ -163,9 +166,8 @@ mod tests {
         assert_eq!(stats.len(), 120);
         let avg = evaluate(&mut env, &mut agent, 10, 30, 1);
         assert!(
-            avg > 0.9 * env.optimal_return(),
-            "greedy return {avg} should be near optimal {}",
-            env.optimal_return()
+            avg > 0.9 * CHAIN5_OPTIMAL,
+            "greedy return {avg} should be near optimal {CHAIN5_OPTIMAL}"
         );
         // Learning curve: late episodes beat early ones.
         let early: f64 = stats[..20].iter().map(|s| s.total_reward).sum::<f64>() / 20.0;
@@ -202,10 +204,7 @@ mod tests {
         };
         train(&mut env, &mut agent, &config);
         let avg = evaluate(&mut env, &mut agent, 10, 30, 2);
-        assert!(
-            avg > 0.9 * env.optimal_return(),
-            "tabular greedy return {avg}"
-        );
+        assert!(avg > 0.9 * CHAIN5_OPTIMAL, "tabular greedy return {avg}");
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! (training takes ~1–2 minutes; set `EPISODES=10` for a fast demo).
 
 use noc_selfconf::{
-    run_controller, train_drl, DrlController, NocEnvConfig, StaticController, ThresholdController,
+    run_controller, train_drl, NocEnvConfig, PolicyArtifact, StaticController, ThresholdController,
 };
-use noc_sim::{SimConfig, SimError, Simulator, TrafficPattern};
+use noc_sim::{SimConfig, Simulator, TrafficPattern};
 use rl::{DqnConfig, Schedule, TrainConfig};
 
-fn main() -> Result<(), SimError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let episodes: usize = std::env::var("EPISODES")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -27,22 +27,19 @@ fn main() -> Result<(), SimError> {
         epochs_per_episode: 30,
         ..NocEnvConfig::default()
     };
-    println!("training DQN for {episodes} episodes...");
-    let policy = train_drl(
-        env_cfg,
-        DqnConfig::default(),
-        TrainConfig {
-            episodes,
-            max_steps: 30,
-            epsilon: Schedule::Linear {
-                start: 1.0,
-                end: 0.05,
-                steps: (episodes * 20) as u64,
-            },
-            train_per_step: 1,
-            seed: 42,
+    let train = TrainConfig {
+        episodes,
+        max_steps: 30,
+        epsilon: Schedule::Linear {
+            start: 1.0,
+            end: 0.05,
+            steps: (episodes * 20) as u64,
         },
-    )?;
+        train_per_step: 1,
+        seed: 42,
+    };
+    println!("training DQN for {episodes} episodes...");
+    let policy = train_drl(env_cfg.clone(), DqnConfig::default(), train.clone())?;
     let quarter = (policy.curve.len() / 4).max(1);
     let early: f64 = policy.curve[..quarter]
         .iter()
@@ -67,11 +64,7 @@ fn main() -> Result<(), SimError> {
         Box::new(StaticController::max()),
         Box::new(StaticController::min()),
         Box::new(ThresholdController::new(caps, eval.width * eval.height)),
-        Box::new(DrlController::new(
-            policy.agent,
-            policy.encoder,
-            policy.action_space,
-        )),
+        PolicyArtifact::from_dqn(&policy, env_cfg, train)?.controller()?,
     ];
     for controller in controllers.iter_mut() {
         let out = run_controller(&eval, controller.as_mut(), 40, 400)?;

@@ -3,7 +3,7 @@
 
 use noc_selfconf::ActionSpace;
 use noc_selfconf::{
-    run_controller, train_drl, DrlController, NocEnvConfig, RewardConfig, StaticController,
+    run_controller, train_drl, NocEnvConfig, PolicyArtifact, RewardConfig, StaticController,
 };
 use noc_sim::{SimConfig, Simulator, TrafficPattern, TrafficSpec};
 use rl::{DqnConfig, Schedule, TrainConfig};
@@ -33,39 +33,40 @@ fn tiny_env(sim: SimConfig) -> NocEnvConfig {
     }
 }
 
-/// Train a tiny policy end-to-end and deploy it as a runtime controller on a
-/// fresh simulator. The whole chain must hold together: encoder dims, action
-/// translation, level actuation.
+/// Train a tiny policy end-to-end, capture it as an artifact, and deploy it
+/// as a runtime controller on a fresh simulator. The whole chain must hold
+/// together: encoder dims, weight serialization, action translation, level
+/// actuation.
 #[test]
 fn train_then_deploy_controller() {
-    let policy = train_drl(
-        tiny_env(small_sim()),
-        DqnConfig {
-            hidden: vec![32],
-            batch_size: 16,
-            min_replay: 16,
-            ..DqnConfig::default()
+    let train = TrainConfig {
+        episodes: 6,
+        max_steps: 6,
+        epsilon: Schedule::Linear {
+            start: 1.0,
+            end: 0.1,
+            steps: 20,
         },
-        TrainConfig {
-            episodes: 6,
-            max_steps: 6,
-            epsilon: Schedule::Linear {
-                start: 1.0,
-                end: 0.1,
-                steps: 20,
-            },
-            train_per_step: 1,
-            seed: 3,
-        },
-    )
-    .expect("training runs");
+        train_per_step: 1,
+        seed: 3,
+    };
+    let dqn = DqnConfig {
+        hidden: vec![32],
+        batch_size: 16,
+        min_replay: 16,
+        ..DqnConfig::default()
+    };
+    let env = tiny_env(small_sim());
+    let policy = train_drl(env.clone(), dqn, train.clone()).expect("training runs");
     assert!(
         policy.agent.train_steps() > 0,
         "agent must have learned something"
     );
 
-    let mut controller = DrlController::new(policy.agent, policy.encoder, policy.action_space);
-    let run = run_controller(&small_sim(), &mut controller, 8, 150).expect("deployment runs");
+    let mut controller = PolicyArtifact::from_dqn(&policy, env, train)
+        .and_then(|artifact| artifact.controller())
+        .expect("the trained policy deploys");
+    let run = run_controller(&small_sim(), controller.as_mut(), 8, 150).expect("deployment runs");
     assert_eq!(run.epochs.len(), 8);
     // Levels must always be valid indices.
     assert!(run.levels.iter().flatten().all(|&l| l < 4));
