@@ -1,43 +1,3 @@
-//! Table 1 — NoC and simulator configuration.
-
-use noc_bench::{configs, print_table, save_markdown};
-
 fn main() {
-    let cfg = configs::mesh8();
-    let vf_rows: Vec<String> = cfg
-        .vf_table
-        .levels()
-        .iter()
-        .enumerate()
-        .map(|(i, l)| format!("L{i}: {:.1} V @ {:.1}× f_nom", l.voltage, l.freq_scale))
-        .collect();
-    let rows = vec![
-        vec!["Topology".into(), format!("{}×{} {:?}", cfg.width, cfg.height, cfg.kind)],
-        vec!["Routing".into(), format!("{:?}", cfg.routing)],
-        vec!["Virtual channels / port".into(), cfg.num_vcs.to_string()],
-        vec!["Buffer depth / VC".into(), format!("{} flits", cfg.vc_depth)],
-        vec!["Packet length".into(), format!("{} flits", cfg.packet_len)],
-        vec!["Switching".into(), "wormhole, credit-based flow control".into()],
-        vec!["Router pipeline".into(), "3 stages (RC, VA, SA/ST), 1-cycle links".into()],
-        vec!["DVFS regions".into(), format!("{}×{}", cfg.regions_x, cfg.regions_y)],
-        vec!["V/F levels".into(), vf_rows.join("; ")],
-        vec![
-            "Power model".into(),
-            format!(
-                "event energy (pJ): buf W {:.2} / R {:.2}, xbar {:.2}, link {:.2}; leakage {:.2}/router/cycle",
-                cfg.power.e_buffer_write,
-                cfg.power.e_buffer_read,
-                cfg.power.e_xbar,
-                cfg.power.e_link,
-                cfg.power.p_leak_router
-            ),
-        ],
-        vec!["Control epoch".into(), "500 cycles".into()],
-    ];
-    let md = print_table(
-        "Table 1 — NoC configuration",
-        &["Parameter", "Value"],
-        &rows,
-    );
-    save_markdown("table1_config", &md);
+    noc_bench::run_figure(env!("CARGO_BIN_NAME"))
 }

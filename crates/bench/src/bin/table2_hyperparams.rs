@@ -1,66 +1,3 @@
-//! Table 2 — DRL hyper-parameters.
-
-use noc_bench::{configs, print_table, save_markdown, Scale};
-
 fn main() {
-    let dqn = configs::dqn_default(7);
-    let env = configs::train_env(configs::mesh8(), 7);
-    let train = configs::train_budget(Scale::Full, 7);
-    let rows = vec![
-        vec![
-            "Network".into(),
-            format!("MLP {:?} (ReLU hidden, linear head)", dqn.hidden),
-        ],
-        vec![
-            "State".into(),
-            format!(
-                "3 features × {} regions + 3 global = {} dims",
-                env.sim.regions_x * env.sim.regions_y,
-                3 * env.sim.regions_x * env.sim.regions_y + 3
-            ),
-        ],
-        vec![
-            "Actions".into(),
-            format!(
-                "{} (per-region level ±1 / hold)",
-                env.action_space.num_actions()
-            ),
-        ],
-        vec!["Discount γ".into(), format!("{}", dqn.gamma)],
-        vec!["Optimizer".into(), format!("Adam, lr {}", dqn.lr)],
-        vec!["Loss".into(), format!("{:?}", dqn.loss)],
-        vec!["Batch size".into(), dqn.batch_size.to_string()],
-        vec![
-            "Replay".into(),
-            format!(
-                "{} transitions (min {})",
-                dqn.replay_capacity, dqn.min_replay
-            ),
-        ],
-        vec!["Target sync".into(), format!("{:?}", dqn.target_sync)],
-        vec!["Double DQN".into(), dqn.double.to_string()],
-        vec!["ε schedule".into(), format!("{:?}", train.epsilon)],
-        vec![
-            "Episodes".into(),
-            format!("{} × {} epochs", train.episodes, train.max_steps),
-        ],
-        vec!["Epoch".into(), format!("{} cycles", env.epoch_cycles)],
-        vec![
-            "Reward".into(),
-            format!(
-                "{}·tput − {}·latencỹ − {}·energỹ − {}·[lat>{:?}]",
-                env.reward.throughput_weight,
-                env.reward.latency_weight,
-                env.reward.energy_weight,
-                env.reward.violation_penalty,
-                env.reward.latency_limit
-            ),
-        ],
-    ];
-    let md = print_table(
-        "Table 2 — DRL hyper-parameters",
-        &["Parameter", "Value"],
-        &rows,
-    );
-    save_markdown("table2_hyperparams", &md);
+    noc_bench::run_figure(env!("CARGO_BIN_NAME"))
 }

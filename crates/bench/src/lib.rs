@@ -1,20 +1,26 @@
 //! # noc-bench — the experiment harness
 //!
-//! One binary per table/figure of the evaluation (see DESIGN.md for the
-//! index) plus the timed workload suite behind `noc-cli bench`
-//! ([`report`]). This library holds what the binaries share: result
-//! formatting, artifact caching for trained policies, standard
-//! configurations, and [`evaluate`] — the tournament-matrix call every
-//! controller comparison is formatted from. It owns no simulation loop:
-//! scenario grids run on `SweepGrid`, controllers on `tournament_matrix`.
+//! Every reproduced figure and table of the evaluation is one row of
+//! `FIGURES`: its name and the engine that computes its `Table`s.
+//! Each binary under `src/bin/` is the one statement
+//! `noc_bench::run_figure(env!("CARGO_BIN_NAME"))`, and [`run_figure`]
+//! prints and saves what the engine returns by one rule. The library also
+//! holds the timed workload suite behind `noc-cli bench` ([`report`]) and
+//! what the engines share: artifact caching for trained policies
+//! ([`train_or_load`]), standard configurations, and `evaluate` — the
+//! tournament-matrix call every controller comparison is formatted from.
+//! It owns no simulation loop: scenario grids run on `SweepGrid`,
+//! controllers on `tournament_matrix`.
 
 #![warn(missing_docs)]
 
+mod figures;
 pub mod report;
 
 use noc_selfconf::zoo::{tournament_matrix, TournamentConfig};
 use noc_selfconf::{
-    Entrant, NocEnvConfig, PolicyArtifact, RewardConfig, ScenarioFamily, TournamentReport,
+    default_threads, Entrant, Learner, NocEnvConfig, PolicyArtifact, RewardConfig, ScenarioFamily,
+    TournamentReport,
 };
 use noc_sim::{SimConfig, TrafficPattern, WorkloadSpec};
 use rl::{DqnConfig, TabularConfig, TrainConfig};
@@ -25,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// integration tests and smoke runs finish in seconds; the default `full`
 /// scale regenerates paper-quality curves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
+enum Scale {
     /// Paper-quality budgets (minutes).
     Full,
     /// Smoke-test budgets (seconds).
@@ -34,7 +40,7 @@ pub enum Scale {
 
 impl Scale {
     /// Read the scale from the `EXPT_SCALE` environment variable.
-    pub fn from_env() -> Scale {
+    fn from_env() -> Scale {
         match std::env::var("EXPT_SCALE").as_deref() {
             Ok("quick") => Scale::Quick,
             _ => Scale::Full,
@@ -42,7 +48,7 @@ impl Scale {
     }
 
     /// Pick `full` or `quick` depending on the scale.
-    pub fn pick<T>(self, full: T, quick: T) -> T {
+    fn pick<T>(self, full: T, quick: T) -> T {
         match self {
             Scale::Full => full,
             Scale::Quick => quick,
@@ -71,42 +77,102 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Render a markdown table to stdout and return it as a string.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n## {title}\n\n"));
-    out.push_str(&format!("| {} |\n", headers.join(" | ")));
-    out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
-    for row in rows {
-        out.push_str(&format!("| {} |\n", row.join(" | ")));
-    }
-    print!("{out}");
-    out
+/// One table of a figure: what [`run_figure`] prints and saves.
+struct Table {
+    /// The markdown heading.
+    title: String,
+    /// Column headers (also the CSV header line).
+    headers: Vec<&'static str>,
+    /// Rendered cells, one per header in each row.
+    rows: Vec<Vec<String>>,
 }
 
-/// Write rows as CSV into `results/<name>.csv`.
-pub fn save_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut s = String::new();
-    s.push_str(&headers.join(","));
-    s.push('\n');
-    for row in rows {
-        s.push_str(&row.join(","));
-        s.push('\n');
+/// A column of a [`Table`]: its header and how to render its cell from
+/// one item.
+type Column<R> = (&'static str, fn(&R) -> String);
+
+impl Table {
+    /// One row per item, one cell per column.
+    fn new<R>(title: impl Into<String>, items: &[R], columns: &[Column<R>]) -> Table {
+        Table {
+            title: title.into(),
+            headers: columns.iter().map(|(header, _)| *header).collect(),
+            rows: items
+                .iter()
+                .map(|item| columns.iter().map(|(_, cell)| cell(item)).collect())
+                .collect(),
+        }
     }
-    let path = results_dir().join(format!("{name}.csv"));
-    fs::write(&path, s).expect("CSV must be writable");
-    eprintln!("wrote {}", path.display());
+
+    /// The table as markdown under a `##` heading of its title.
+    fn markdown(&self) -> String {
+        let mut out = format!(
+            "\n## {}\n\n| {} |\n|{}\n",
+            self.title,
+            self.headers.join(" | "),
+            "---|".repeat(self.headers.len())
+        );
+        for row in &self.rows {
+            out.push_str(&format!("| {} |\n", row.join(" | ")));
+        }
+        out
+    }
+
+    /// The table as CSV: the header line, then one line per row.
+    fn csv(&self) -> String {
+        let mut out = self.headers.join(",") + "\n";
+        for row in &self.rows {
+            out.push_str(&(row.join(",") + "\n"));
+        }
+        out
+    }
 }
 
-/// Write a markdown report into `results/<name>.md`.
-pub fn save_markdown(name: &str, content: &str) {
-    let path = results_dir().join(format!("{name}.md"));
-    fs::write(&path, content).expect("markdown must be writable");
-    eprintln!("wrote {}", path.display());
+/// A figure's engine: its tables at a [`Scale`].
+type Engine = fn(Scale) -> Vec<Table>;
+
+/// Every reproduced figure and table: its name — the name of its binary
+/// and the stem of its files in [`results_dir`] — and its engine.
+const FIGURES: &[(&str, Engine)] = &[
+    ("fig1_latency_curves", figures::fig1_latency_curves),
+    ("fig2_routing", figures::fig2_routing),
+    ("fig3_training", figures::fig3_training),
+    ("fig4_latency_compare", figures::fig4_latency_compare),
+    ("fig5_energy_compare", figures::fig5_energy_compare),
+    ("fig6_edp", figures::fig6_edp),
+    ("fig7_phase_timeline", figures::fig7_phase_timeline),
+    ("fig8_scalability", figures::fig8_scalability),
+    ("table1_config", figures::table1_config),
+    ("table2_hyperparams", figures::table2_hyperparams),
+    ("table3_summary", figures::table3_summary),
+    ("table4_ablation", figures::table4_ablation),
+    ("table5_joint_routing", figures::table5_joint_routing),
+];
+
+/// Run the figure `name` of `FIGURES` at the `EXPT_SCALE` scale: print
+/// every table its engine returns to stdout as markdown, in order, and
+/// write the first one to `<name>.csv` and `<name>.md` in [`results_dir`].
+///
+/// # Panics
+/// Panics on a name that is not in `FIGURES`, listing the known names.
+pub fn run_figure(name: &str) {
+    let Some((_, engine)) = FIGURES.iter().find(|(known, _)| *known == name) else {
+        let known: Vec<&str> = FIGURES.iter().map(|(known, _)| *known).collect();
+        panic!("unknown figure `{name}`; known figures: {known:?}");
+    };
+    let tables = engine(Scale::from_env());
+    for table in &tables {
+        print!("{}", table.markdown());
+    }
+    for (extension, content) in [("csv", tables[0].csv()), ("md", tables[0].markdown())] {
+        let path = results_dir().join(format!("{name}.{extension}"));
+        fs::write(&path, content).expect("results must be writable");
+        eprintln!("wrote {}", path.display());
+    }
 }
 
 /// Format a float with sensible precision for tables.
-pub fn fmt(v: f64) -> String {
+fn fmt(v: f64) -> String {
     if v.is_nan() {
         "—".to_string()
     } else if v.abs() >= 1000.0 {
@@ -117,10 +183,6 @@ pub fn fmt(v: f64) -> String {
         format!("{v:.3}")
     }
 }
-
-/// Run `f(0..n)` on up to `threads` OS threads and collect results in order
-/// (the workspace's shared pool primitive, re-exported from the core crate).
-pub use noc_selfconf::{default_threads, parallel_map};
 
 /// Whether a cached artifact at `path` can satisfy a request whose training
 /// configuration hashes to `expected`. Artifacts whose hash differs — or
@@ -146,15 +208,6 @@ fn cache_hit(path: &Path, expected: &str, kind: &str) -> Option<PolicyArtifact> 
     Some(artifact)
 }
 
-/// The learner a cached policy is trained with.
-#[derive(Debug, Clone)]
-pub enum Learner {
-    /// A DQN with these hyper-parameters.
-    Dqn(DqnConfig),
-    /// The tabular Q-learning baseline.
-    Tabular(TabularConfig),
-}
-
 /// Train a policy, caching the artifact at `<dir>/<key>.json`. The cache
 /// is keyed on the policy kind and the configuration hash: an artifact
 /// trained under a different environment/hyper-parameter/budget
@@ -167,14 +220,8 @@ pub fn train_or_load(
     train: TrainConfig,
 ) -> PolicyArtifact {
     let path = dir.join(format!("{key}.json"));
-    let (kind, expected) = match &learner {
-        Learner::Dqn(dqn) => ("dqn", noc_selfconf::dqn_config_hash(&env_cfg, dqn, &train)),
-        Learner::Tabular(tab) => (
-            "tabular",
-            noc_selfconf::tabular_config_hash(&env_cfg, tab, &train),
-        ),
-    };
-    if let Some(artifact) = cache_hit(&path, &expected, kind) {
+    let kind = learner.kind_name();
+    if let Some(artifact) = cache_hit(&path, &learner.config_hash(&env_cfg, &train), kind) {
         return artifact;
     }
     eprintln!(
@@ -182,20 +229,16 @@ pub fn train_or_load(
         train.episodes
     );
     let t0 = std::time::Instant::now();
-    let artifact = match learner {
-        Learner::Dqn(dqn) => noc_selfconf::train_drl(env_cfg.clone(), dqn, train.clone())
-            .map(|p| PolicyArtifact::from_dqn(&p, env_cfg, train).expect("policy serializes")),
-        Learner::Tabular(tab) => noc_selfconf::train_tabular(env_cfg.clone(), tab, train.clone())
-            .map(|p| PolicyArtifact::from_tabular(&p, env_cfg, train)),
-    }
-    .expect("training configuration");
+    let artifact = learner
+        .train(env_cfg, train)
+        .expect("training configuration");
     eprintln!("trained `{key}` in {:.1?}", t0.elapsed());
     artifact.save(&path).expect("artifact must be writable");
     artifact
 }
 
-/// Standard experiment configurations shared by the binaries.
-pub mod configs {
+/// Standard experiment configurations shared by the engines.
+mod configs {
     use super::*;
     use noc_sim::{InjectionProcess, NodeId, TrafficSpec, WorkloadPhase};
     use rl::Schedule;
@@ -208,16 +251,6 @@ pub mod configs {
     /// The scalability mesh: 4×4 with 2×2 regions.
     pub fn mesh4() -> SimConfig {
         SimConfig::default().with_size(4, 4).with_regions(2, 2)
-    }
-
-    /// The patterns of the comparison figures.
-    pub fn comparison_patterns() -> Vec<(&'static str, TrafficPattern)> {
-        vec![
-            ("uniform", TrafficPattern::Uniform),
-            ("transpose", TrafficPattern::Transpose),
-            ("bitcomp", TrafficPattern::BitComplement),
-            ("hotspot", hotspot()),
-        ]
     }
 
     /// The hotspot pattern used throughout: 30 % of traffic to node 0.
@@ -248,17 +281,6 @@ pub mod configs {
         ]))
     }
 
-    /// The environment configuration used to train the deployed policies
-    /// (the paper-style environment over the given fabric).
-    pub fn train_env(sim: SimConfig, seed: u64) -> NocEnvConfig {
-        NocEnvConfig::for_sim(sim, seed)
-    }
-
-    /// The DQN hyper-parameters of Table 2.
-    pub fn dqn_default(seed: u64) -> DqnConfig {
-        DqnConfig::default().with_seed(seed)
-    }
-
     /// The training budget, scaled.
     pub fn train_budget(scale: Scale, seed: u64) -> TrainConfig {
         TrainConfig {
@@ -285,8 +307,14 @@ pub mod configs {
     }
 }
 
-/// Score `entrants` on `sim` under each Bernoulli `(pattern, rate)`
-/// workload, `epochs` control epochs of `epoch_cycles` per cell: the one
+/// The evaluation budget of every controller comparison: control epochs,
+/// and cycles per epoch.
+fn eval_budget(scale: Scale) -> (usize, u64) {
+    (scale.pick(40, 3), scale.pick(500, 200))
+}
+
+/// Score `entrants` on `sim` under each labelled Bernoulli
+/// `(label, pattern, rate)` workload, `epochs` control epochs of `epoch_cycles` per cell: the one
 /// call behind every controller-comparison figure and table. Cells come
 /// back entrant-major, workload-fastest (`cells[e * workloads.len() + w]`),
 /// every entrant of a workload column on the identical simulation, seeded
@@ -294,19 +322,18 @@ pub mod configs {
 ///
 /// # Panics
 /// Panics on an invalid `sim` or an entrant trained for a different fabric
-/// (the experiment binaries have no error path to report it through).
-pub fn evaluate(
+/// (the engines have no error path to report it through).
+fn evaluate(
     sim: &SimConfig,
     entrants: &[(String, Entrant)],
-    workloads: &[(TrafficPattern, f64)],
-    epochs: usize,
-    epoch_cycles: u64,
+    workloads: &[(&str, TrafficPattern, f64)],
+    (epochs, epoch_cycles): (usize, u64),
 ) -> TournamentReport {
     let config = TournamentConfig {
         base: sim.clone(),
         families: workloads
             .iter()
-            .map(|(pattern, rate)| {
+            .map(|(_, pattern, rate)| {
                 ScenarioFamily::new(sim.kind, WorkloadSpec::bernoulli(pattern.clone(), *rate), 0)
             })
             .collect(),
@@ -316,6 +343,108 @@ pub fn evaluate(
         base_seed: sim.seed,
     };
     tournament_matrix(entrants, &config, default_threads()).expect("valid evaluation matrix")
+}
+
+/// The controller-comparison grid shared by Figs 4–6 and Table 3.
+mod comparison {
+    use super::*;
+    use noc_selfconf::RunAggregate;
+
+    /// One grid point: a controller on a workload.
+    #[derive(Debug, Clone)]
+    pub struct ComparisonPoint {
+        /// Traffic pattern name.
+        pub pattern: String,
+        /// Offered injection rate (flits/node/cycle).
+        pub rate: f64,
+        /// Controller name.
+        pub controller: String,
+        /// Aggregate metrics of the run.
+        pub agg: RunAggregate,
+    }
+
+    /// The mesh's DRL policy, trained (or loaded from cache) under
+    /// `<key_prefix>_drl`.
+    pub fn drl(sim: &SimConfig, key_prefix: &str, scale: Scale) -> PolicyArtifact {
+        train_or_load(
+            &results_dir(),
+            &format!("{key_prefix}_drl"),
+            NocEnvConfig::for_sim(sim.clone(), 7),
+            Learner::Dqn(DqnConfig::default().with_seed(7)),
+            configs::train_budget(scale, 7),
+        )
+    }
+
+    /// The mesh's tabular policy, trained (or loaded from cache) under
+    /// `<key_prefix>_tabular`.
+    pub fn tabular(sim: &SimConfig, key_prefix: &str, scale: Scale) -> PolicyArtifact {
+        train_or_load(
+            &results_dir(),
+            &format!("{key_prefix}_tabular"),
+            NocEnvConfig::for_sim(sim.clone(), 8),
+            Learner::Tabular(configs::tabular_default()),
+            configs::train_budget(scale, 8),
+        )
+    }
+
+    /// The controllers compared everywhere: the three baselines plus the
+    /// tabular and DRL policies of the given mesh key.
+    pub fn entrants_for(sim: &SimConfig, key_prefix: &str, scale: Scale) -> Vec<(String, Entrant)> {
+        let drl = drl(sim, key_prefix, scale);
+        let tab = tabular(sim, key_prefix, scale);
+        let mut entrants = Entrant::baselines();
+        entrants.push(("tabular-q".into(), tab.into()));
+        entrants.push(("drl".into(), drl.into()));
+        entrants
+    }
+
+    /// Injection rates of the comparison sweep.
+    pub fn sweep_rates(scale: Scale) -> Vec<f64> {
+        scale.pick(vec![0.02, 0.06, 0.10, 0.14, 0.18, 0.22], vec![0.05, 0.20])
+    }
+
+    /// Patterns of the comparison sweep.
+    pub fn sweep_patterns() -> Vec<(&'static str, TrafficPattern)> {
+        vec![
+            ("uniform", TrafficPattern::Uniform),
+            ("transpose", TrafficPattern::Transpose),
+            ("hotspot", configs::hotspot()),
+        ]
+    }
+
+    /// `entrants` × `patterns` × `rates` on `sim` at the `budget` of
+    /// [`evaluate`], one point per cell in matrix order (entrant-major,
+    /// then pattern, then rate).
+    pub fn grid(
+        sim: &SimConfig,
+        entrants: &[(String, Entrant)],
+        patterns: &[(&str, TrafficPattern)],
+        rates: &[f64],
+        budget: (usize, u64),
+    ) -> Vec<ComparisonPoint> {
+        let mut workloads = Vec::new();
+        for (name, pattern) in patterns {
+            workloads.extend(rates.iter().map(|&rate| (*name, pattern.clone(), rate)));
+        }
+        let report = evaluate(sim, entrants, &workloads, budget);
+        let points = report.cells.into_iter().zip(workloads.iter().cycle());
+        points
+            .map(|(cell, (pattern, _, rate))| ComparisonPoint {
+                pattern: pattern.to_string(),
+                rate: *rate,
+                controller: cell.policy,
+                agg: cell.aggregate,
+            })
+            .collect()
+    }
+
+    /// The full comparison grid on the 8×8 mesh at `scale`'s budgets.
+    pub fn run(scale: Scale) -> Vec<ComparisonPoint> {
+        let sim = configs::mesh8();
+        let entrants = entrants_for(&sim, "mesh8", scale);
+        let (patterns, rates) = (sweep_patterns(), sweep_rates(scale));
+        grid(&sim, &entrants, &patterns, &rates, eval_budget(scale))
+    }
 }
 
 #[cfg(test)]
@@ -331,12 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(20, 4, |i| i * i);
-        assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn scale_pick() {
         assert_eq!(Scale::Full.pick(10, 1), 10);
         assert_eq!(Scale::Quick.pick(10, 1), 1);
@@ -344,9 +467,50 @@ mod tests {
 
     #[test]
     fn table_renders_markdown() {
-        let s = print_table("T", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert!(s.contains("| a | b |"));
-        assert!(s.contains("| 1 | 2 |"));
+        let table = Table::new(
+            "T",
+            &[(1, 2)],
+            &[("a", |r| r.0.to_string()), ("b", |r| r.1.to_string())],
+        );
+        assert_eq!(
+            table.markdown(),
+            "\n## T\n\n| a | b |\n|---|---|\n| 1 | 2 |\n"
+        );
+        assert_eq!(table.csv(), "a,b\n1,2\n");
+    }
+
+    /// The figure table and the binaries agree: every file under `src/bin/`
+    /// is a row of [`FIGURES`] and every row has a binary, each name once.
+    #[test]
+    fn figures_table_matches_the_binaries() {
+        let mut bins: Vec<String> =
+            fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+                .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+                .collect();
+        bins.sort();
+        let mut names: Vec<String> = FIGURES.iter().map(|(name, _)| name.to_string()).collect();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), FIGURES.len(), "each figure name once");
+        assert_eq!(bins, names);
+    }
+
+    #[test]
+    fn unknown_figure_panics_with_the_known_names() {
+        let payload = std::panic::catch_unwind(|| run_figure("fig9_missing")).unwrap_err();
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            message.contains("unknown figure `fig9_missing`"),
+            "{message}"
+        );
+        for (name, _) in FIGURES {
+            assert!(message.contains(name), "{message} lists {name}");
+        }
     }
 
     /// Regression for the stale-cache bug: the old cache returned whatever
@@ -358,12 +522,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("noc_bench_cache_test_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let env = configs::train_env(configs::mesh4(), 3);
+        let env = NocEnvConfig::for_sim(configs::mesh4(), 3);
         let dqn = DqnConfig {
             hidden: vec![8],
             batch_size: 8,
             min_replay: 8,
-            ..configs::dqn_default(3)
+            ..DqnConfig::default().with_seed(3)
         };
         let train = TrainConfig {
             episodes: 1,
@@ -414,7 +578,7 @@ mod tests {
         };
         let before = listing();
         let sim = configs::mesh4();
-        let env = configs::train_env(sim.clone(), 5);
+        let env = NocEnvConfig::for_sim(sim.clone(), 5);
         let train = TrainConfig {
             episodes: 1,
             max_steps: 2,
@@ -424,19 +588,16 @@ mod tests {
             hidden: vec![8],
             batch_size: 8,
             min_replay: 8,
-            ..configs::dqn_default(5)
+            ..DqnConfig::default().with_seed(5)
         };
-        let policy = noc_selfconf::train_drl(env.clone(), dqn, train.clone()).unwrap();
         let mut entrants = Entrant::baselines();
         entrants.push((
             "drl".into(),
-            PolicyArtifact::from_dqn(&policy, env, train)
-                .unwrap()
-                .into(),
+            Learner::Dqn(dqn).train(env, train).unwrap().into(),
         ));
         let patterns = comparison::sweep_patterns();
         let rates = [0.05, 0.2];
-        let run = || comparison::grid(&sim, &entrants, &patterns, &rates, 2, 60);
+        let run = || comparison::grid(&sim, &entrants, &patterns, &rates, (2, 60));
         let points = run();
         assert_eq!(points.len(), entrants.len() * patterns.len() * rates.len());
         // Matrix order: entrant-major, then pattern, then rate.
@@ -455,110 +616,5 @@ mod tests {
         };
         assert_eq!(bytes(&points), bytes(&run()));
         assert_eq!(before, listing(), "the grid must not touch results/");
-    }
-}
-
-/// The controller-comparison grid shared by Figs 4–6 and Table 3.
-pub mod comparison {
-    use super::*;
-    use noc_selfconf::RunAggregate;
-
-    /// One grid point: a controller on a workload.
-    #[derive(Debug, Clone)]
-    pub struct ComparisonPoint {
-        /// Traffic pattern name.
-        pub pattern: String,
-        /// Offered injection rate (flits/node/cycle).
-        pub rate: f64,
-        /// Controller name.
-        pub controller: String,
-        /// Aggregate metrics of the run.
-        pub agg: RunAggregate,
-    }
-
-    /// The controllers compared everywhere: the three baselines plus the
-    /// tabular and DRL policies, trained (or loaded from cache) for the
-    /// given mesh key.
-    pub fn entrants_for(sim: &SimConfig, key_prefix: &str, scale: Scale) -> Vec<(String, Entrant)> {
-        let drl = train_or_load(
-            &results_dir(),
-            &format!("{key_prefix}_drl"),
-            configs::train_env(sim.clone(), 7),
-            Learner::Dqn(configs::dqn_default(7)),
-            configs::train_budget(scale, 7),
-        );
-        let tab = train_or_load(
-            &results_dir(),
-            &format!("{key_prefix}_tabular"),
-            configs::train_env(sim.clone(), 8),
-            Learner::Tabular(configs::tabular_default()),
-            configs::train_budget(scale, 8),
-        );
-        let mut entrants = Entrant::baselines();
-        entrants.push(("tabular-q".into(), tab.into()));
-        entrants.push(("drl".into(), drl.into()));
-        entrants
-    }
-
-    /// Injection rates of the comparison sweep.
-    pub fn sweep_rates(scale: Scale) -> Vec<f64> {
-        scale.pick(vec![0.02, 0.06, 0.10, 0.14, 0.18, 0.22], vec![0.05, 0.20])
-    }
-
-    /// Patterns of the comparison sweep.
-    pub fn sweep_patterns() -> Vec<(&'static str, TrafficPattern)> {
-        vec![
-            ("uniform", TrafficPattern::Uniform),
-            ("transpose", TrafficPattern::Transpose),
-            ("hotspot", configs::hotspot()),
-        ]
-    }
-
-    /// `entrants` × `patterns` × `rates` on `sim`, one point per cell in
-    /// matrix order (entrant-major, then pattern, then rate).
-    pub fn grid(
-        sim: &SimConfig,
-        entrants: &[(String, Entrant)],
-        patterns: &[(&str, TrafficPattern)],
-        rates: &[f64],
-        epochs: usize,
-        epoch_cycles: u64,
-    ) -> Vec<ComparisonPoint> {
-        let mut names = Vec::new();
-        let mut workloads = Vec::new();
-        for (name, pattern) in patterns {
-            for &rate in rates {
-                names.push(*name);
-                workloads.push((pattern.clone(), rate));
-            }
-        }
-        let report = evaluate(sim, entrants, &workloads, epochs, epoch_cycles);
-        report
-            .cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, cell)| {
-                let w = i % workloads.len();
-                ComparisonPoint {
-                    pattern: names[w].to_string(),
-                    rate: workloads[w].1,
-                    controller: cell.policy,
-                    agg: cell.aggregate,
-                }
-            })
-            .collect()
-    }
-
-    /// The full comparison grid on the 8×8 mesh at `scale`'s budgets.
-    pub fn run(scale: Scale) -> Vec<ComparisonPoint> {
-        let sim = configs::mesh8();
-        grid(
-            &sim,
-            &entrants_for(&sim, "mesh8", scale),
-            &sweep_patterns(),
-            &sweep_rates(scale),
-            scale.pick(40, 3),
-            scale.pick(500, 200),
-        )
     }
 }

@@ -1,6 +1,6 @@
 //! Machine-readable performance reporting: the `noc-cli bench` subsystem.
 //!
-//! * [`run_suite`] executes a fixed set of 29 timed workloads (cycle-level
+//! * [`run_suite`] executes a fixed set of 28 timed workloads (cycle-level
 //!   simulation on several mesh/pattern points plus torus and faulted-fabric
 //!   scenarios, batched DQN training steps,
 //!   full `NocEnv` control epochs, and a parallel sweep-grid fan-out),
@@ -491,14 +491,18 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
 
     // --- Batched DQN forward/backward (the training inner loop): the
     // default self-configuration shape, then the zoo's `wide` shape the
-    // `learn_4x4` gate trains.
+    // `learn_4x4` gate trains. Both read their input and output widths off
+    // the default environment.
     {
-        let mut agent = bench_agent(15, &[64, 64], 9);
-        let mut wide = bench_agent(17, &[128, 64], 11);
+        let env = NocEnv::new(NocEnvConfig::default()).expect("default environment");
+        let (inputs, outputs) = (env.state_dim(), env.num_actions());
+        let mut agent = bench_agent(inputs, &[64, 64], outputs);
+        let mut wide = bench_agent(inputs, &[128, 64], outputs);
+        let mlp = |first: usize| format!("{inputs}-{first}-64-{outputs}");
         let steps = config.dqn_steps as u64;
         for (name, shape, agent) in [
-            ("dqn/train_step/batch32", "15-64-64-9", &mut agent),
-            ("dqn/train_step/wide-b32", "17-128-64-11", &mut wide),
+            ("dqn/train_step/batch32", mlp(64), &mut agent),
+            ("dqn/train_step/wide-b32", mlp(128), &mut wide),
         ] {
             let mut rng = StdRng::seed_from_u64(1);
             // Prime replay + Adam state outside the timed region.
@@ -525,7 +529,7 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             .map(|_| {
                 (0..32)
                     .map(|_| {
-                        (0..15)
+                        (0..inputs)
                             .map(|_| rng.gen_range(-1.0f32..1.0).max(0.0))
                             .collect()
                     })
@@ -534,8 +538,9 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             .collect();
         let batches = config.dqn_predicts as u64;
         let params = format!(
-            "15-64-64-9 MLP, 32-state batched Q evaluation, {} batches per repeat, \
+            "{} MLP, 32-state batched Q evaluation, {} batches per repeat, \
              rotating through {} ReLU-sparse batches",
+            mlp(64),
             config.dqn_predicts,
             rotation.len()
         );

@@ -64,7 +64,6 @@ pub use training::{
     TrainedPolicy,
 };
 pub use zoo::{
-    dqn_config_hash, load_zoo, tabular_config_hash, tournament_matrix, train_grid, Entrant,
-    PolicyArtifact, PolicyKind, ScenarioFamily, TournamentConfig, TournamentReport, ZooError,
-    ZooGrid, ZooManifest,
+    load_zoo, tournament_matrix, train_grid, Entrant, Learner, PolicyArtifact, PolicyKind,
+    ScenarioFamily, TournamentConfig, TournamentReport, ZooError, ZooGrid, ZooManifest,
 };

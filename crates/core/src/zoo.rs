@@ -34,7 +34,7 @@ use crate::reward::RewardConfig;
 use crate::serve::cache::fnv1a128_hex;
 use crate::state::StateEncoder;
 use crate::sweep::{mix_seed, seeded_link_faults};
-use crate::training::{run_controller, train_drl, RunAggregate, TrainedPolicy};
+use crate::training::{run_controller, train_drl, train_tabular, RunAggregate, TrainedPolicy};
 use noc_sim::{
     SimConfig, SimError, Simulator, TopologyKind, TrafficPattern, WindowMetrics, WorkloadSpec,
 };
@@ -185,51 +185,79 @@ pub struct PolicyArtifact {
     #[serde(default)]
     pub curve: Vec<EpisodeStats>,
     /// Content hash of the configuration that trained this policy
-    /// ([`dqn_config_hash`] / [`tabular_config_hash`]); empty when there is
-    /// no provenance, which any config-hash-keyed cache treats as a miss.
+    /// ([`Learner::config_hash`]); empty when there is no provenance, which
+    /// any config-hash-keyed cache treats as a miss.
     #[serde(default)]
     pub config_hash: String,
 }
 
-fn config_hash_over(
-    kind: &str,
-    env: &NocEnvConfig,
-    policy_cfg_json: &str,
-    train: &TrainConfig,
-) -> String {
-    let env_json = serde_json::to_string(env).expect("env config serializes");
-    let train_json = serde_json::to_string(train).expect("train config serializes");
-    fnv1a128_hex(
-        format!(
-            "zoo-v{ZOO_SCHEMA_VERSION}\nkind={kind}\n{env_json}\n{policy_cfg_json}\n{train_json}"
+/// The learner a policy is trained with: the one place a learned kind
+/// maps to its trainer and its configuration hash.
+#[derive(Debug, Clone)]
+pub enum Learner {
+    /// A DQN with these hyper-parameters.
+    Dqn(DqnConfig),
+    /// The tabular Q-learning baseline.
+    Tabular(TabularConfig),
+}
+
+impl Learner {
+    /// Short name of the policy kind this learner trains: `"dqn"` or
+    /// `"tabular"` (the artifact's [`PolicyArtifact::kind_name`]).
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            Learner::Dqn(_) => "dqn",
+            Learner::Tabular(_) => "tabular",
+        }
+    }
+
+    /// Content hash of a training configuration: environment, learner
+    /// hyper-parameters, and training budget, under the zoo schema version.
+    ///
+    /// `state_dim`/`num_actions` are normalized out of the learner config
+    /// before hashing — they are derived from the environment (which is
+    /// hashed), so the hash of a config written *before* training equals
+    /// the hash stored in the artifact *after* training overwrote the
+    /// dimensions.
+    pub fn config_hash(&self, env: &NocEnvConfig, train: &TrainConfig) -> String {
+        let learner_json = match self {
+            Learner::Dqn(dqn) => serde_json::to_string(&dqn.clone().with_dims(0, 0)),
+            Learner::Tabular(tab) => serde_json::to_string(&TabularConfig {
+                state_dim: 0,
+                num_actions: 0,
+                ..tab.clone()
+            }),
+        }
+        .expect("learner config serializes");
+        let env_json = serde_json::to_string(env).expect("env config serializes");
+        let train_json = serde_json::to_string(train).expect("train config serializes");
+        let kind = self.kind_name();
+        fnv1a128_hex(
+            format!(
+                "zoo-v{ZOO_SCHEMA_VERSION}\nkind={kind}\n{env_json}\n{learner_json}\n{train_json}"
+            )
+            .as_bytes(),
         )
-        .as_bytes(),
-    )
-}
+    }
 
-/// Content hash of a DQN training configuration: environment, DQN
-/// hyper-parameters, and training budget, under the zoo schema version.
-///
-/// `state_dim`/`num_actions` are normalized out of the DQN config before
-/// hashing — they are derived from the environment (which is hashed), so the
-/// hash of a config written *before* training equals the hash stored in the
-/// artifact *after* [`train_drl`] overwrote the dimensions.
-pub fn dqn_config_hash(env: &NocEnvConfig, dqn: &DqnConfig, train: &TrainConfig) -> String {
-    let mut d = dqn.clone();
-    d.state_dim = 0;
-    d.num_actions = 0;
-    let dqn_json = serde_json::to_string(&d).expect("dqn config serializes");
-    config_hash_over("dqn", env, &dqn_json, train)
-}
-
-/// Content hash of a tabular training configuration (see
-/// [`dqn_config_hash`] for the dimension normalization).
-pub fn tabular_config_hash(env: &NocEnvConfig, tab: &TabularConfig, train: &TrainConfig) -> String {
-    let mut t = tab.clone();
-    t.state_dim = 0;
-    t.num_actions = 0;
-    let tab_json = serde_json::to_string(&t).expect("tabular config serializes");
-    config_hash_over("tabular", env, &tab_json, train)
+    /// Train a policy on `env` and capture it as an artifact with full
+    /// provenance.
+    ///
+    /// # Errors
+    /// [`ZooError::Sim`] on an invalid environment, [`ZooError::Parse`] if
+    /// the DQN weights fail to serialize.
+    pub fn train(self, env: NocEnvConfig, train: TrainConfig) -> ZooResult<PolicyArtifact> {
+        match self {
+            Learner::Dqn(dqn) => {
+                let policy = train_drl(env.clone(), dqn, train.clone())?;
+                PolicyArtifact::from_dqn(&policy, env, train)
+            }
+            Learner::Tabular(tab) => {
+                let policy = train_tabular(env.clone(), tab, train.clone())?;
+                Ok(PolicyArtifact::from_tabular(&policy, env, train))
+            }
+        }
+    }
 }
 
 impl PolicyArtifact {
@@ -269,10 +297,11 @@ impl PolicyArtifact {
         env: NocEnvConfig,
         train: TrainConfig,
     ) -> Self {
-        let config_hash = match &kind {
-            PolicyKind::Dqn { dqn, .. } => dqn_config_hash(&env, dqn, &train),
-            PolicyKind::Tabular { agent } => tabular_config_hash(&env, agent.config(), &train),
+        let learner = match &kind {
+            PolicyKind::Dqn { dqn, .. } => Learner::Dqn(dqn.clone()),
+            PolicyKind::Tabular { agent } => Learner::Tabular(agent.config().clone()),
         };
+        let config_hash = learner.config_hash(&env, &train);
         let seed = train.seed;
         PolicyArtifact {
             schema_version: ZOO_SCHEMA_VERSION,
@@ -699,8 +728,7 @@ pub fn train_member(grid: &ZooGrid, index: usize) -> ZooResult<PolicyArtifact> {
     dqn.seed = seed;
     let mut train = grid.train.clone();
     train.seed = seed;
-    let policy = train_drl(env.clone(), dqn, train.clone())?;
-    PolicyArtifact::from_dqn(&policy, env, train)
+    Learner::Dqn(dqn).train(env, train)
 }
 
 /// The zoo directory's index: every member, its file, and its config hash,
@@ -1169,32 +1197,33 @@ mod tests {
         let env = NocEnvConfig::for_sim(SimConfig::default().with_size(4, 4).with_regions(2, 2), 3);
         let dqn = DqnConfig::default();
         let train = TrainConfig::default();
-        let h = dqn_config_hash(&env, &dqn, &train);
+        let hash = |env, dqn: &DqnConfig, train| Learner::Dqn(dqn.clone()).config_hash(env, train);
+        let h = hash(&env, &dqn, &train);
         assert_eq!(h.len(), 32, "two 64-bit hex words");
-        assert_eq!(h, dqn_config_hash(&env, &dqn, &train), "deterministic");
+        assert_eq!(h, hash(&env, &dqn, &train), "deterministic");
         // Dimension normalization: a pre-training config (dims unset)
         // hashes the same as the post-training one (dims overwritten).
         let mut with_dims = dqn.clone();
         with_dims.state_dim = 17;
         with_dims.num_actions = 11;
-        assert_eq!(h, dqn_config_hash(&env, &with_dims, &train));
+        assert_eq!(h, hash(&env, &with_dims, &train));
         // Every real axis moves the hash.
         let mut env2 = env.clone();
         env2.epoch_cycles += 1;
-        assert_ne!(h, dqn_config_hash(&env2, &dqn, &train));
+        assert_ne!(h, hash(&env2, &dqn, &train));
         let dqn2 = DqnConfig {
             gamma: 0.9,
             ..dqn.clone()
         };
-        assert_ne!(h, dqn_config_hash(&env, &dqn2, &train));
+        assert_ne!(h, hash(&env, &dqn2, &train));
         let mut train2 = train.clone();
         train2.episodes += 1;
-        assert_ne!(h, dqn_config_hash(&env, &dqn, &train2));
+        assert_ne!(h, hash(&env, &dqn, &train2));
         // The tabular hash of the same env/train never collides with the
         // DQN hash (kind is part of the hashed text).
         assert_ne!(
             h,
-            tabular_config_hash(&env, &TabularConfig::default(), &train)
+            Learner::Tabular(TabularConfig::default()).config_hash(&env, &train)
         );
     }
 
@@ -1300,7 +1329,7 @@ mod tests {
         assert_eq!(artifact.controller().unwrap().name(), "tabular-q");
         assert_eq!(
             artifact.config_hash,
-            tabular_config_hash(&env, &tab, &train)
+            Learner::Tabular(tab.clone()).config_hash(&env, &train)
         );
     }
 

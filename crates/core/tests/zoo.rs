@@ -4,9 +4,8 @@
 //! and baseline entrants alike) across thread counts.
 
 use noc_selfconf::zoo::{
-    self, dqn_config_hash, dqn_variant, load_zoo, tabular_config_hash, tournament_matrix,
-    train_grid, Entrant, PolicyArtifact, PolicyKind, ScenarioFamily, TournamentConfig,
-    TrainProvenance, ZooError, ZooGrid,
+    self, dqn_variant, load_zoo, tournament_matrix, train_grid, Entrant, Learner, PolicyArtifact,
+    PolicyKind, ScenarioFamily, TournamentConfig, TrainProvenance, ZooError, ZooGrid,
 };
 use noc_selfconf::{
     train_drl, train_tabular, ActionSpace, NocEnv, NocEnvConfig, StateEncoder, TrainedPolicy,
@@ -515,7 +514,7 @@ fn tiny_tabular_artifact() -> PolicyArtifact {
         ..pinned_tabular()
     });
     let curve = rl::train(&mut env, &mut agent, &train);
-    let config_hash = tabular_config_hash(&env_cfg, &pinned_tabular(), &train);
+    let config_hash = Learner::Tabular(pinned_tabular()).config_hash(&env_cfg, &train);
     PolicyArtifact {
         schema_version: zoo::ZOO_SCHEMA_VERSION,
         kind: PolicyKind::Tabular { agent },
@@ -565,16 +564,16 @@ fn learned_policy_bytes_are_pinned() {
     let env = NocEnvConfig::for_sim(small_sim(), 3);
     let train = TrainConfig::default();
     assert_eq!(
-        dqn_config_hash(&env, &DqnConfig::default(), &train),
+        Learner::Dqn(DqnConfig::default()).config_hash(&env, &train),
         "d32c2dc16068f00478e52314996c1021"
     );
     assert_eq!(
-        tabular_config_hash(&env, &TabularConfig::default(), &train),
+        Learner::Tabular(TabularConfig::default()).config_hash(&env, &train),
         "782ea513637355ef92f85b040d1205e0"
     );
     // The default environment is the paper-style one `for_sim` builds.
     assert_eq!(
-        dqn_config_hash(&NocEnvConfig::default(), &DqnConfig::default(), &train),
+        Learner::Dqn(DqnConfig::default()).config_hash(&NocEnvConfig::default(), &train),
         "7681017d2c24b02df341f784b84ae0c0"
     );
 
