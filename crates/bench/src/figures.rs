@@ -7,8 +7,8 @@ use crate::{
     configs, eval_budget, evaluate, fmt, results_dir, train_or_load, Column, Scale, Table,
 };
 use noc_selfconf::{
-    default_threads, run_controller, ActionSpace, Entrant, Learner, NocEnv, NocEnvConfig,
-    RewardConfig, RunAggregate, ScenarioResult, SweepGrid,
+    default_threads, run_controller, ActionSpace, Entrant, Learner, NocEnvConfig, RewardConfig,
+    RunAggregate, ScenarioResult, StateEncoder, SweepGrid,
 };
 use noc_sim::{RoutingAlgorithm, TrafficPattern};
 use rl::{DqnConfig, EpisodeStats, TargetSync, TrainConfig};
@@ -495,7 +495,10 @@ pub fn table1_config(_: Scale) -> Vec<Table> {
             ("Virtual channels / port", cfg.num_vcs.to_string()),
             ("Buffer depth / VC", format!("{} flits", cfg.vc_depth)),
             ("Packet length", format!("{} flits", cfg.packet_len)),
-            ("Switching", "wormhole, credit-based flow control".into()),
+            (
+                "Switching",
+                format!("{:?} switch allocation, credit-based flow control", cfg.switch_arb),
+            ),
             ("Router pipeline", "3 stages (RC, VA, SA/ST), 1-cycle links".into()),
             ("DVFS regions", format!("{}×{}", cfg.regions_x, cfg.regions_y)),
             ("V/F levels", vf.join("; ")),
@@ -518,10 +521,14 @@ pub fn table1_config(_: Scale) -> Vec<Table> {
 /// Table 2 — DRL hyper-parameters.
 pub fn table2_hyperparams(_: Scale) -> Vec<Table> {
     let dqn = DqnConfig::default().with_seed(7);
-    let env = NocEnv::new(NocEnvConfig::for_sim(configs::mesh8(), 7)).expect("valid environment");
-    let (encoder, cfg) = (env.encoder(), env.config());
+    let cfg = NocEnvConfig::for_sim(configs::mesh8(), 7);
+    let encoder = StateEncoder::for_sim(&cfg.sim).expect("valid fabric");
     let (dims, regions) = (encoder.state_dim(), encoder.num_regions());
-    let (global, actions) = (dims - 3 * regions, cfg.action_space.num_actions());
+    let global = dims - 3 * regions;
+    let space = &cfg.action_space;
+    let actions: Vec<String> = (0..space.num_actions())
+        .map(|a| space.describe(a))
+        .collect();
     let (replay, min_replay) = (dqn.replay_capacity, dqn.min_replay);
     let train = configs::train_budget(Scale::Full, 7);
     let r = &cfg.reward;
@@ -537,7 +544,10 @@ pub fn table2_hyperparams(_: Scale) -> Vec<Table> {
                 "State",
                 format!("3 features × {regions} regions + {global} global = {dims} dims"),
             ),
-            ("Actions", format!("{actions} (per-region level ±1 / hold)")),
+            (
+                "Actions",
+                format!("{}: {}", actions.len(), actions.join(", ")),
+            ),
             ("Discount γ", format!("{}", dqn.gamma)),
             ("Optimizer", format!("Adam, lr {}", dqn.lr)),
             ("Loss", format!("{:?}", dqn.loss)),

@@ -118,13 +118,25 @@ impl Table {
         out
     }
 
-    /// The table as CSV: the header line, then one line per row.
+    /// The table as RFC 4180 CSV: the header line, then one line per row.
     fn csv(&self) -> String {
-        let mut out = self.headers.join(",") + "\n";
-        for row in &self.rows {
-            out.push_str(&(row.join(",") + "\n"));
+        let headers: Vec<String> = self.headers.iter().map(|h| h.to_string()).collect();
+        let mut out = String::new();
+        for line in std::iter::once(&headers).chain(&self.rows) {
+            let fields: Vec<String> = line.iter().map(|cell| csv_field(cell)).collect();
+            out.push_str(&(fields.join(",") + "\n"));
         }
         out
+    }
+}
+
+/// One CSV field: a cell holding a comma, a quote or a line break is
+/// quoted, its quotes doubled (RFC 4180); any other cell is written as is.
+fn csv_field(cell: &str) -> String {
+    if cell.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", cell.replace('"', "\"\""))
+    } else {
+        cell.to_string()
     }
 }
 
@@ -477,6 +489,20 @@ mod tests {
             "\n## T\n\n| a | b |\n|---|---|\n| 1 | 2 |\n"
         );
         assert_eq!(table.csv(), "a,b\n1,2\n");
+    }
+
+    /// A cell with a comma, a quote or a line break stays one CSV field.
+    #[test]
+    fn table_csv_quotes_cells_that_need_it() {
+        let table = Table::new(
+            "T",
+            &[("double-DQN, uniform replay (default)", "say \"hi\"\nbye")],
+            &[("variant", |r| r.0.into()), ("note", |r| r.1.into())],
+        );
+        assert_eq!(
+            table.csv(),
+            "variant,note\n\"double-DQN, uniform replay (default)\",\"say \"\"hi\"\"\nbye\"\n"
+        );
     }
 
     /// The figure table and the binaries agree: every file under `src/bin/`

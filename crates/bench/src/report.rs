@@ -16,7 +16,7 @@
 //! the parent and the change on one machine and compares paired runs (see
 //! `benchmark/README.md`).
 
-use noc_selfconf::{zoo, ActionSpace, NocEnv, NocEnvConfig, RewardConfig, SweepGrid};
+use noc_selfconf::{zoo, ActionSpace, NocEnv, NocEnvConfig, RewardConfig, StateEncoder, SweepGrid};
 use noc_sim::{
     FaultPlan, InjectionProcess, RoutingAlgorithm, SimConfig, Simulator, SwitchArb, TopologyKind,
     TrafficPattern, WorkloadSpec,
@@ -492,10 +492,13 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
     // --- Batched DQN forward/backward (the training inner loop): the
     // default self-configuration shape, then the zoo's `wide` shape the
     // `learn_4x4` gate trains. Both read their input and output widths off
-    // the default environment.
+    // the default environment's configuration.
     {
-        let env = NocEnv::new(NocEnvConfig::default()).expect("default environment");
-        let (inputs, outputs) = (env.state_dim(), env.num_actions());
+        let env = NocEnvConfig::default();
+        let inputs = StateEncoder::for_sim(&env.sim)
+            .expect("default fabric")
+            .state_dim();
+        let outputs = env.action_space.num_actions();
         let mut agent = bench_agent(inputs, &[64, 64], outputs);
         let mut wide = bench_agent(inputs, &[128, 64], outputs);
         let mlp = |first: usize| format!("{inputs}-{first}-64-{outputs}");

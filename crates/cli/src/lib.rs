@@ -1068,7 +1068,11 @@ pub fn cmd_tournament(args: &[String]) -> Result<(), CliError> {
     config.families = o.families.unwrap_or(config.families);
     config.epochs = o.epochs.unwrap_or(config.epochs);
     let threads = o.threads.unwrap_or_else(noc_selfconf::default_threads);
-    let report = zoo::run_tournament(Path::new(&o.pos[0]), &config, threads)?;
+    let entrants: Vec<(String, zoo::Entrant)> = zoo::load_zoo(Path::new(&o.pos[0]))?
+        .into_iter()
+        .map(|(name, artifact)| (name, artifact.into()))
+        .collect();
+    let report = zoo::tournament_matrix(&entrants, &config, threads)?;
     println!(
         "tournament: {} policies x {} families (seed {})",
         report.policies.len(),

@@ -19,11 +19,6 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ActionSpace {
-    /// Action `a` sets *every* region to V/F level `a`.
-    UniformLevel {
-        /// Number of V/F levels.
-        num_levels: usize,
-    },
     /// Action 0 holds; action `1 + 2r` raises region `r` one level; action
     /// `2 + 2r` lowers it one level (saturating); the final two actions
     /// raise/lower *every* region at once (fast response to global load
@@ -49,7 +44,6 @@ impl ActionSpace {
     /// Number of discrete actions.
     pub fn num_actions(&self) -> usize {
         match self {
-            ActionSpace::UniformLevel { num_levels } => *num_levels,
             ActionSpace::PerRegionDelta { num_regions, .. } => 2 * num_regions + 3,
             ActionSpace::LevelAndRouting {
                 num_levels,
@@ -68,7 +62,6 @@ impl ActionSpace {
     pub fn levels_after(&self, action: usize, levels: &[usize]) -> Vec<usize> {
         assert!(action < self.num_actions(), "action {action} out of range");
         match self {
-            ActionSpace::UniformLevel { .. } => vec![action; levels.len()],
             ActionSpace::PerRegionDelta {
                 num_regions,
                 num_levels,
@@ -133,7 +126,6 @@ impl ActionSpace {
     /// Human-readable description of an action (for experiment logs).
     pub fn describe(&self, action: usize) -> String {
         match self {
-            ActionSpace::UniformLevel { .. } => format!("set all regions to level {action}"),
             ActionSpace::PerRegionDelta { num_regions, .. } => {
                 if action == 0 {
                     "hold".to_string()
@@ -165,14 +157,6 @@ mod tests {
     use noc_sim::{SimConfig, TrafficPattern};
 
     #[test]
-    fn uniform_space_counts_levels() {
-        let a = ActionSpace::UniformLevel { num_levels: 4 };
-        assert_eq!(a.num_actions(), 4);
-        assert_eq!(a.levels_after(2, &[0, 3, 1, 2]), vec![2, 2, 2, 2]);
-        assert!(a.routing_after(2).is_none());
-    }
-
-    #[test]
     fn per_region_delta_holds_raises_and_lowers() {
         let a = ActionSpace::PerRegionDelta {
             num_regions: 4,
@@ -181,6 +165,7 @@ mod tests {
         assert_eq!(a.num_actions(), 11);
         let cur = vec![1, 1, 1, 1];
         assert_eq!(a.levels_after(0, &cur), cur, "action 0 holds");
+        assert!(a.routing_after(9).is_none(), "levels only");
         assert_eq!(a.levels_after(1, &cur), vec![2, 1, 1, 1], "raise region 0");
         assert_eq!(a.levels_after(2, &cur), vec![0, 1, 1, 1], "lower region 0");
         assert_eq!(a.levels_after(7, &cur), vec![1, 1, 1, 2], "raise region 3");
@@ -258,7 +243,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_action_panics() {
-        let a = ActionSpace::UniformLevel { num_levels: 4 };
-        let _ = a.levels_after(4, &[0]);
+        let a = ActionSpace::PerRegionDelta {
+            num_regions: 1,
+            num_levels: 4,
+        };
+        let _ = a.levels_after(5, &[0]);
     }
 }

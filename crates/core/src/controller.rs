@@ -6,7 +6,7 @@
 //! V/F levels and returns the level vector for the next epoch (and
 //! optionally a routing choice).
 
-use noc_sim::{RoutingAlgorithm, WindowMetrics};
+use noc_sim::{RoutingAlgorithm, SimConfig, SimResult, WindowMetrics};
 use std::fmt;
 
 /// What a controller wants the next epoch to look like.
@@ -92,14 +92,10 @@ impl Controller for StaticController {
 ///
 /// ```
 /// use noc_selfconf::{run_controller, ThresholdController};
-/// use noc_sim::{SimConfig, Simulator};
+/// use noc_sim::SimConfig;
 ///
 /// let cfg = SimConfig::default().with_size(4, 4).with_regions(2, 2);
-/// let net = Simulator::new(cfg.clone())?;
-/// let mut heuristic = ThresholdController::new(
-///     net.network().region_capacity(),
-///     net.network().topology().num_nodes(),
-/// );
+/// let mut heuristic = ThresholdController::for_sim(&cfg)?;
 /// let run = run_controller(&cfg, &mut heuristic, 4, 100)?;
 /// assert_eq!(run.epochs.len(), 4);
 /// # Ok::<(), noc_sim::SimError>(())
@@ -123,11 +119,20 @@ impl ThresholdController {
 
     /// The heuristic for a fabric with these region buffer capacities and
     /// this many nodes.
-    pub fn new(region_capacity: Vec<usize>, num_nodes: usize) -> Self {
+    fn new(region_capacity: Vec<usize>, num_nodes: usize) -> Self {
         ThresholdController {
             region_capacity,
             num_nodes: num_nodes.max(1),
         }
+    }
+
+    /// The heuristic for `sim`'s fabric ([`SimConfig::region_shape`]).
+    ///
+    /// # Errors
+    /// Returns `sim`'s first violated constraint.
+    pub fn for_sim(sim: &SimConfig) -> SimResult<Self> {
+        let capacity = sim.region_shape()?.capacity;
+        Ok(ThresholdController::new(capacity, sim.width * sim.height))
     }
 }
 
@@ -290,7 +295,10 @@ mod tests {
     #[test]
     fn tabular_controller_translates_actions() {
         use rl::{TabularConfig, TabularQ};
-        let space = ActionSpace::UniformLevel { num_levels: 4 };
+        let space = ActionSpace::PerRegionDelta {
+            num_regions: 4,
+            num_levels: 4,
+        };
         let agent = TabularQ::new(TabularConfig {
             state_dim: 17,
             num_actions: space.num_actions(),
@@ -300,11 +308,11 @@ mod tests {
             .controller()
             .unwrap();
         let m = metrics_with_occupancy(vec![1.0; 4]);
-        let d = c.decide(&m, &[2, 2, 2, 2], 4);
+        let d = c.decide(&m, &[2, 1, 2, 3], 4);
         assert_eq!(
             d.levels,
-            vec![0; 4],
-            "untrained table is greedy toward action 0"
+            vec![2, 1, 2, 3],
+            "untrained table is greedy toward action 0 (hold)"
         );
         assert_eq!(c.name(), "tabular-q");
     }

@@ -154,13 +154,12 @@ impl NocEnv {
     /// invalid, or if the action space disagrees with the simulator's region
     /// or level counts.
     pub fn new(config: NocEnvConfig) -> SimResult<Self> {
-        config.sim.validate()?;
+        let encoder = StateEncoder::for_sim(&config.sim)?;
         let sim = Simulator::new(config.sim.clone())?;
-        let topo = sim.network().topology();
         for spec in &config.traffic_menu {
-            spec.validate(topo)?;
+            spec.validate(sim.network().topology())?;
         }
-        let regions = sim.network().regions().num_regions();
+        let regions = encoder.num_regions();
         let levels = config.sim.vf_table.num_levels();
         match &config.action_space {
             ActionSpace::PerRegionDelta {
@@ -174,8 +173,7 @@ impl NocEnv {
                     )));
                 }
             }
-            ActionSpace::UniformLevel { num_levels }
-            | ActionSpace::LevelAndRouting { num_levels, .. } => {
+            ActionSpace::LevelAndRouting { num_levels, .. } => {
                 if *num_levels != levels {
                     return Err(SimError::InvalidConfig(format!(
                         "action space expects {num_levels} levels, simulator has {levels}"
@@ -197,15 +195,6 @@ impl NocEnv {
                 }
             }
         }
-        let region_nodes = (0..regions)
-            .map(|r| sim.network().regions().nodes_in(topo, r).len())
-            .collect();
-        let encoder = StateEncoder::new(
-            sim.network().region_capacity(),
-            region_nodes,
-            levels,
-            topo.num_nodes(),
-        );
         let rng = StdRng::seed_from_u64(config.seed);
         Ok(NocEnv {
             config,

@@ -9,7 +9,7 @@
 //! to faults). All features are scaled into `[0, 1]` so one MLP
 //! architecture works across mesh sizes and loads.
 
-use noc_sim::WindowMetrics;
+use noc_sim::{SimConfig, SimResult, WindowMetrics};
 use serde::{Deserialize, Serialize};
 
 /// Encodes epoch telemetry into a fixed-size feature vector.
@@ -79,6 +79,21 @@ impl StateEncoder {
             fault_scale: default_fault_scale(),
             burst_scale: default_burst_scale(),
         }
+    }
+
+    /// The encoder for `sim`'s fabric: its region shape
+    /// ([`SimConfig::region_shape`]), V/F levels and node count.
+    ///
+    /// # Errors
+    /// Returns `sim`'s first violated constraint.
+    pub fn for_sim(sim: &SimConfig) -> SimResult<Self> {
+        let shape = sim.region_shape()?;
+        Ok(StateEncoder::new(
+            shape.capacity,
+            shape.nodes,
+            sim.vf_table.num_levels(),
+            sim.width * sim.height,
+        ))
     }
 
     /// Number of regions this encoder covers.

@@ -269,9 +269,7 @@ mod tests {
     #[test]
     fn threshold_controller_runs_and_reacts() {
         let sim = small_sim();
-        let net = Simulator::new(sim.clone()).unwrap();
-        let caps = net.network().region_capacity();
-        let mut c = ThresholdController::new(caps, 16);
+        let mut c = ThresholdController::for_sim(&sim).unwrap();
         let run = run_controller(&sim, &mut c, 8, 200).unwrap();
         assert_eq!(run.aggregate.controller, "threshold");
         assert!(run.aggregate.avg_latency.is_finite());

@@ -28,16 +28,14 @@
 
 use crate::action::ActionSpace;
 use crate::controller::{ControlDecision, Controller, StaticController, ThresholdController};
-use crate::env::{NocEnv, NocEnvConfig};
+use crate::env::NocEnvConfig;
 use crate::par::parallel_map;
 use crate::reward::RewardConfig;
 use crate::serve::cache::fnv1a128_hex;
 use crate::state::StateEncoder;
 use crate::sweep::{mix_seed, seeded_link_faults};
 use crate::training::{run_controller, train_drl, train_tabular, RunAggregate, TrainedPolicy};
-use noc_sim::{
-    SimConfig, SimError, Simulator, TopologyKind, TrafficPattern, WindowMetrics, WorkloadSpec,
-};
+use noc_sim::{SimConfig, SimError, TopologyKind, TrafficPattern, WindowMetrics, WorkloadSpec};
 use rl::{DqnAgent, DqnConfig, EpisodeStats, TabularConfig, TabularQ, TrainConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -1022,14 +1020,7 @@ impl Entrant {
             Entrant::Policy(artifact) => artifact.controller()?,
             Entrant::StaticMax => Box::new(StaticController::max()),
             Entrant::StaticMin => Box::new(StaticController::min()),
-            Entrant::Threshold => {
-                let probe = Simulator::new(sim.clone())?;
-                let net = probe.network();
-                Box::new(ThresholdController::new(
-                    net.region_capacity(),
-                    net.topology().num_nodes(),
-                ))
-            }
+            Entrant::Threshold => Box::new(ThresholdController::for_sim(sim)?),
         })
     }
 }
@@ -1063,10 +1054,9 @@ pub fn tournament_matrix(
         });
     }
     // The observation layout depends only on the base fabric's region grid
-    // (families vary topology/workload/faults, never regions), so one probe
-    // environment yields the expected dimensions for every cell.
-    let probe = NocEnv::new(NocEnvConfig::for_sim(config.base.clone(), 0))?;
-    let expected_dim = probe.encoder().state_dim();
+    // (families vary topology/workload/faults, never regions), so the base
+    // fabric's encoder yields the expected dimensions for every cell.
+    let expected_dim = StateEncoder::for_sim(&config.base)?.state_dim();
     for (name, entrant) in entrants {
         let Entrant::Policy(artifact) = entrant else {
             continue;
@@ -1169,23 +1159,6 @@ pub fn tournament_matrix(
         best_by_family,
         mean_score_by_policy,
     })
-}
-
-/// Load a zoo directory and run the tournament over it (see
-/// [`load_zoo`] and [`tournament_matrix`]).
-///
-/// # Errors
-/// As [`load_zoo`] and [`tournament_matrix`].
-pub fn run_tournament(
-    zoo_dir: &Path,
-    config: &TournamentConfig,
-    threads: usize,
-) -> ZooResult<TournamentReport> {
-    let entrants: Vec<(String, Entrant)> = load_zoo(zoo_dir)?
-        .into_iter()
-        .map(|(name, artifact)| (name, artifact.into()))
-        .collect();
-    tournament_matrix(&entrants, config, threads)
 }
 
 #[cfg(test)]

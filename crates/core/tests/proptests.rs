@@ -124,7 +124,6 @@ proptest! {
         current in prop::collection::vec(0usize..6, 1..8),
     ) {
         let spaces = [
-            ActionSpace::UniformLevel { num_levels },
             ActionSpace::PerRegionDelta { num_regions, num_levels },
             ActionSpace::LevelAndRouting {
                 num_levels,

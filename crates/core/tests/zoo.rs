@@ -431,6 +431,22 @@ fn tournament_rejects_policies_from_a_different_fabric() {
     }
 }
 
+/// A tournament fabric need not be square: a policy trained at 4x4 scores
+/// on a 4x2 mesh with the same region grid, and no training traffic menu
+/// (transpose needs a square grid) is checked against the tournament's.
+#[test]
+fn tournament_scores_a_non_square_fabric() {
+    let mut entrants = Entrant::baselines();
+    entrants.push(("drl".into(), tiny_policy(5).into()));
+    let config = TournamentConfig {
+        base: SimConfig::default().with_size(4, 2).with_regions(2, 2),
+        ..tiny_tournament(&["mesh/uniform/r0.1"])
+    };
+    let report = tournament_matrix(&entrants, &config, 1).unwrap();
+    assert_eq!(report.cells.len(), 4);
+    assert!(report.cells.iter().all(|c| c.score.is_finite()));
+}
+
 /// The unified matrix: baselines and a trained policy side by side, over a
 /// healthy and a faulted family, byte-identical at any thread count.
 #[test]

@@ -1,12 +1,12 @@
 //! Simulation configuration.
 
-use crate::dvfs::{ThrottleEvent, VfTable};
+use crate::dvfs::{RegionMap, RegionShape, ThrottleEvent, VfTable};
 use crate::error::{SimError, SimResult};
 use crate::fault::FaultPlan;
 use crate::flit::MAX_ROUTERS;
 use crate::power::PowerModel;
 use crate::routing::RoutingAlgorithm;
-use crate::topology::{Topology, TopologyKind};
+use crate::topology::{Port, Topology, TopologyKind};
 use crate::traffic::{TrafficPattern, TrafficSpec, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
@@ -209,6 +209,20 @@ impl SimConfig {
             TopologyKind::Mesh => Topology::mesh(self.width, self.height),
             TopologyKind::Torus => Topology::torus(self.width, self.height),
         }
+    }
+
+    /// The fabric's shape per DVFS region ([`RegionMap::shape`]), read off
+    /// the configuration without building a simulator: what state encoders
+    /// and heuristics normalise by. Each router buffers `num_vcs × vc_depth`
+    /// flits on each of its ports.
+    ///
+    /// # Errors
+    /// Returns the first violated constraint ([`SimConfig::validate`]).
+    pub fn region_shape(&self) -> SimResult<RegionShape> {
+        self.validate()?;
+        let topo = self.topology();
+        let regions = RegionMap::new(&topo, self.regions_x, self.regions_y)?;
+        Ok(regions.shape(&topo, Port::COUNT * self.num_vcs * self.vc_depth))
     }
 
     /// Check internal consistency.

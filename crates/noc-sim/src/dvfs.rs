@@ -205,12 +205,29 @@ impl RegionMap {
         ry * self.regions_x + rx
     }
 
-    /// All nodes belonging to `region`.
-    pub fn nodes_in(&self, topo: &Topology, region: usize) -> Vec<NodeId> {
-        topo.nodes()
-            .filter(|&n| self.region_of(topo, n) == region)
-            .collect()
+    /// The fabric's shape per region, each router buffering
+    /// `router_capacity` flits: the one derivation behind
+    /// [`SimConfig::region_shape`](crate::SimConfig::region_shape) and
+    /// [`Network::region_capacity`](crate::Network::region_capacity).
+    pub fn shape(&self, topo: &Topology, router_capacity: usize) -> RegionShape {
+        let mut nodes = vec![0; self.num_regions()];
+        for n in topo.nodes() {
+            nodes[self.region_of(topo, n)] += 1;
+        }
+        let capacity = nodes.iter().map(|&k| k * router_capacity).collect();
+        RegionShape { nodes, capacity }
     }
+}
+
+/// What a controller normalises its per-region telemetry by, one entry per
+/// region in region order. A pure function of the configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionShape {
+    /// Nodes in the region (the injection-rate normaliser).
+    pub nodes: Vec<usize>,
+    /// Flit slots across the region's router input buffers (the occupancy
+    /// normaliser).
+    pub capacity: Vec<usize>,
 }
 
 /// A forced-throttle window (thermal/power emergency injection): while
@@ -363,12 +380,16 @@ mod tests {
 
     #[test]
     fn region_nodes_in_is_consistent() {
-        let topo = Topology::mesh(4, 4);
-        let rm = RegionMap::new(&topo, 2, 1).unwrap();
-        let all: usize = (0..rm.num_regions())
-            .map(|r| rm.nodes_in(&topo, r).len())
-            .sum();
-        assert_eq!(all, topo.num_nodes());
+        // 5 columns split 3|2 and 3 rows split 2|1: uneven regions.
+        let topo = Topology::mesh(5, 3);
+        let rm = RegionMap::new(&topo, 2, 2).unwrap();
+        let shape = rm.shape(&topo, 40);
+        assert_eq!(shape.nodes, vec![6, 4, 3, 2]);
+        assert_eq!(shape.capacity, vec![240, 160, 120, 80]);
+        for (r, &k) in shape.nodes.iter().enumerate() {
+            let members = topo.nodes().filter(|&n| rm.region_of(&topo, n) == r);
+            assert_eq!(members.count(), k);
+        }
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //! A [`FaultPlan`] is an ordered list of [`FaultEvent`]s — permanent or
 //! transient failures of a link or a whole router — that the [`Network`]
 //! applies at cycle boundaries. Plans are JSON round-trippable (they live
-//! inside [`SimConfig`](crate::SimConfig)) and, like
-//! [`PacketTrace`](crate::PacketTrace), loadable from and storable to a
-//! simple CSV format (`start,duration,kind,node,port` per line, `#`
-//! comments allowed). [`FaultPlan::random_links`] draws a seeded-random set
-//! of link faults so scenario sweeps can explore fault *rates* without
-//! hand-writing plans.
+//! inside [`SimConfig`](crate::SimConfig)). [`FaultPlan::random_links`]
+//! draws a seeded-random set of link faults so scenario sweeps can explore
+//! fault *rates* without hand-writing plans.
 //!
 //! Semantics (see DESIGN.md §8 for the full story):
 //!
@@ -247,100 +244,6 @@ impl FaultPlan {
         out.dedup();
         out
     }
-
-    /// Parse the CSV format: one `start,duration,kind,node,port` per line.
-    /// `duration` is a cycle count or `perm`; `kind` is `link` or `router`;
-    /// `port` is `north`/`east`/`south`/`west` for links and `-` for
-    /// routers. Blank lines and lines starting with `#` are skipped.
-    ///
-    /// # Errors
-    /// Returns an error describing the first malformed line.
-    pub fn from_csv(text: &str) -> SimResult<Self> {
-        let mut events = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let bad = |what: &str| {
-                SimError::InvalidTrace(format!("line {}: {what}: `{line}`", lineno + 1))
-            };
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() != 5 {
-                return Err(bad("expected `start,duration,kind,node,port`"));
-            }
-            let start: u64 = fields[0].parse().map_err(|_| bad("bad start cycle"))?;
-            let duration = match fields[1] {
-                "perm" => None,
-                d => Some(d.parse::<u64>().map_err(|_| bad("bad duration"))?),
-            };
-            let node = NodeId(fields[3].parse().map_err(|_| bad("bad node"))?);
-            let target = match fields[2] {
-                "link" => FaultTarget::Link {
-                    node,
-                    port: parse_port(fields[4]).ok_or_else(|| bad("bad port"))?,
-                },
-                "router" => {
-                    if fields[4] != "-" {
-                        return Err(bad("router faults take `-` for the port field"));
-                    }
-                    FaultTarget::Router { node }
-                }
-                _ => return Err(bad("kind must be `link` or `router`")),
-            };
-            events.push(FaultEvent {
-                start,
-                duration,
-                target,
-            });
-        }
-        FaultPlan::new(events)
-    }
-
-    /// Render the CSV format parsed by [`FaultPlan::from_csv`].
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("# start,duration,kind,node,port\n");
-        for e in &self.events {
-            let duration = match e.duration {
-                Some(d) => d.to_string(),
-                None => "perm".to_string(),
-            };
-            match e.target {
-                FaultTarget::Link { node, port } => {
-                    out.push_str(&format!(
-                        "{},{duration},link,{},{}\n",
-                        e.start,
-                        node.0,
-                        port_name(port)
-                    ));
-                }
-                FaultTarget::Router { node } => {
-                    out.push_str(&format!("{},{duration},router,{},-\n", e.start, node.0));
-                }
-            }
-        }
-        out
-    }
-}
-
-fn parse_port(s: &str) -> Option<Port> {
-    match s {
-        "north" => Some(Port::North),
-        "east" => Some(Port::East),
-        "south" => Some(Port::South),
-        "west" => Some(Port::West),
-        _ => None,
-    }
-}
-
-fn port_name(p: Port) -> &'static str {
-    match p {
-        Port::North => "north",
-        Port::East => "east",
-        Port::South => "south",
-        Port::West => "west",
-        Port::Local => "local",
-    }
 }
 
 /// The instantaneous liveness of every link and router, recomputed by the
@@ -489,49 +392,6 @@ mod tests {
         }])
         .unwrap();
         assert!(router.validate(&topo).is_ok());
-    }
-
-    #[test]
-    fn csv_roundtrip_identity() {
-        let plan = FaultPlan::new(vec![
-            link(0, None, 5, Port::East),
-            link(100, Some(50), 2, Port::North),
-            FaultEvent {
-                start: 30,
-                duration: None,
-                target: FaultTarget::Router { node: NodeId(7) },
-            },
-        ])
-        .unwrap();
-        let csv = plan.to_csv();
-        let back = FaultPlan::from_csv(&csv).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(back.to_csv(), csv, "store -> load -> store is the identity");
-    }
-
-    #[test]
-    fn csv_parsing_is_strict_but_tolerant_of_comments() {
-        let text = "# header\n\n 0, perm, link, 5, east \n10,20,router,3,-\n";
-        let plan = FaultPlan::from_csv(text).unwrap();
-        assert_eq!(plan.len(), 2);
-        assert!(
-            FaultPlan::from_csv("0,perm,link,5").is_err(),
-            "missing field"
-        );
-        assert!(
-            FaultPlan::from_csv("x,perm,link,5,east").is_err(),
-            "bad start"
-        );
-        assert!(FaultPlan::from_csv("0,perm,link,5,up").is_err(), "bad port");
-        assert!(FaultPlan::from_csv("0,perm,core,5,-").is_err(), "bad kind");
-        assert!(
-            FaultPlan::from_csv("0,perm,router,5,east").is_err(),
-            "router rows take `-`"
-        );
-        assert!(
-            FaultPlan::from_csv("0,0,link,5,east").is_err(),
-            "zero duration"
-        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod trace;
 pub mod traffic;
 
 pub use config::{SimConfig, SwitchArb};
-pub use dvfs::{ClockGate, RegionMap, ThrottleEvent, VfLevel, VfTable};
+pub use dvfs::{ClockGate, RegionMap, RegionShape, ThrottleEvent, VfLevel, VfTable};
 pub use error::{SimError, SimResult};
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, LinkState};
 pub use flit::{Flit, FlitKind, Packet, PacketId};

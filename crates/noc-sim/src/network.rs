@@ -665,14 +665,11 @@ impl Network {
         backlog
     }
 
-    /// Total buffer capacity per region (for normalizing occupancy).
+    /// Total buffer capacity per region (for normalizing occupancy): the
+    /// `capacity` of [`SimConfig::region_shape`].
     pub fn region_capacity(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.regions.num_regions()];
-        let cap = self.fabric.buffer_capacity();
-        for n in self.topo.nodes() {
-            out[self.regions.region_of(&self.topo, n)] += cap;
-        }
-        out
+        let router_capacity = self.fabric.buffer_capacity();
+        self.regions.shape(&self.topo, router_capacity).capacity
     }
 
     /// Flits waiting in source queues.
@@ -798,7 +795,7 @@ impl Network {
             }
         }
         for slot in out.source_dropped.drain(..) {
-            stats.record_source_drop(1, u64::from(records.len[slot as usize]));
+            stats.record_dropped(1, u64::from(records.len[slot as usize]));
             records.free(slot as usize);
         }
         for d in out.deliveries.drain(..) {
@@ -1006,7 +1003,7 @@ impl Network {
         for slot in closed {
             self.packets.free(slot);
         }
-        stats.record_purged(condemned.len() as u64, dropped_flits);
+        stats.record_dropped(condemned.len() as u64, dropped_flits);
 
         // The purge emptied buffers and source cursors outside any router's
         // step: rebuild the active set from what is left.
@@ -1302,6 +1299,7 @@ mod tests {
         );
         let cap: usize = net.region_capacity().iter().sum();
         assert_eq!(cap, 16 * 5 * cfg.num_vcs * cfg.vc_depth);
+        assert_eq!(net.region_capacity(), cfg.region_shape().unwrap().capacity);
     }
 
     #[test]

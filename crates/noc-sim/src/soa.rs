@@ -111,7 +111,7 @@ pub struct Outbox {
     /// tail frees its packet's record).
     pub dropped: Vec<Flit>,
     /// Records of the packets discarded whole at dead routers' source
-    /// queues (`StatsCollector::record_source_drop`; each frees its record).
+    /// queues (`StatsCollector::record_dropped`; each frees its record).
     pub source_dropped: Vec<u32>,
 }
 

@@ -274,16 +274,10 @@ impl StatsCollector {
         }
     }
 
-    /// Record a fault-boundary purge: `packets` condemned packets with
-    /// `flits` buffered flits discarded network-wide.
-    pub fn record_purged(&mut self, packets: u64, flits: u64) {
-        self.dropped_packets += packets;
-        self.dropped_flits += flits;
-    }
-
-    /// Record a packet discarded at its source (dead router or flits that
-    /// never entered the network).
-    pub fn record_source_drop(&mut self, packets: u64, flits: u64) {
+    /// Record `packets` whole packets with `flits` flits discarded at once:
+    /// at their source (dead router, or flits that never entered the
+    /// network) or by a fault-boundary purge of condemned packets.
+    pub fn record_dropped(&mut self, packets: u64, flits: u64) {
         self.dropped_packets += packets;
         self.dropped_flits += flits;
     }

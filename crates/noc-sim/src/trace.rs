@@ -3,8 +3,8 @@
 //!
 //! The closest stand-in for application traces (see DESIGN.md substitution
 //! 1): a [`PacketTrace`] is an ordered list of `(cycle, src, dst, len)`
-//! events, optionally repeating, loadable from and storable to a simple CSV
-//! format (`cycle,src,dst,len` per line, `#` comments allowed).
+//! events, optionally repeating, loaded from a simple CSV format
+//! (`cycle,src,dst,len` per line, `#` comments allowed).
 
 use crate::error::{SimError, SimResult};
 use crate::topology::{NodeId, Topology};
@@ -151,18 +151,6 @@ impl PacketTrace {
         }
         PacketTrace::new(events, repeat_every)
     }
-
-    /// Render the CSV format parsed by [`PacketTrace::from_csv`].
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("# cycle,src,dst,len\n");
-        for e in &self.events {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                e.cycle, e.src.0, e.dst.0, e.len_flits
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -219,8 +207,8 @@ mod tests {
     #[test]
     fn csv_roundtrip() {
         let t = PacketTrace::new(vec![ev(0, 0, 1), ev(3, 2, 0), ev(7, 1, 3)], Some(20)).unwrap();
-        let csv = t.to_csv();
-        let back = PacketTrace::from_csv(&csv, Some(20)).unwrap();
+        let csv = "# cycle,src,dst,len\n0,0,1,2\n3,2,0,2\n7,1,3,2\n";
+        let back = PacketTrace::from_csv(csv, Some(20)).unwrap();
         assert_eq!(t, back);
     }
 
@@ -267,20 +255,5 @@ mod tests {
         assert_eq!(cycles, vec![0, 4, 9], "events sort by cycle on load");
         // Querying by cycle works after the sort.
         assert_eq!(t.events_at(4).len(), 1);
-    }
-
-    #[test]
-    fn csv_store_load_store_is_the_identity() {
-        // Start from a deliberately unsorted, whitespace-laden source.
-        let source = "# demo\n  7, 1, 3, 2 \n0,0,1,5\n\n3,2,0,1\n";
-        let t = PacketTrace::from_csv(source, Some(20)).unwrap();
-        let stored = t.to_csv();
-        let reloaded = PacketTrace::from_csv(&stored, Some(20)).unwrap();
-        assert_eq!(reloaded, t);
-        assert_eq!(
-            reloaded.to_csv(),
-            stored,
-            "store -> load -> store must be byte-identical"
-        );
     }
 }

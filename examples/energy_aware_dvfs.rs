@@ -8,7 +8,7 @@
 use noc_selfconf::{
     run_controller, train_drl, NocEnvConfig, PolicyArtifact, StaticController, ThresholdController,
 };
-use noc_sim::{SimConfig, Simulator, TrafficPattern};
+use noc_sim::{SimConfig, TrafficPattern};
 use rl::{DqnConfig, Schedule, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,11 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_traffic(TrafficPattern::Transpose, 0.15)
         .with_seed(999);
     println!("\nevaluation on transpose @ 0.15 (unseen):");
-    let caps = Simulator::new(eval.clone())?.network().region_capacity();
     let mut controllers: Vec<Box<dyn noc_selfconf::Controller>> = vec![
         Box::new(StaticController::max()),
         Box::new(StaticController::min()),
-        Box::new(ThresholdController::new(caps, eval.width * eval.height)),
+        Box::new(ThresholdController::for_sim(&eval)?),
         PolicyArtifact::from_dqn(&policy, env_cfg, train)?.controller()?,
     ];
     for controller in controllers.iter_mut() {

@@ -6,8 +6,7 @@
 
 use noc_selfconf::{run_controller, StaticController, ThresholdController};
 use noc_sim::{
-    InjectionProcess, SimConfig, SimError, Simulator, TrafficPattern, TrafficSpec, WorkloadPhase,
-    WorkloadSpec,
+    InjectionProcess, SimConfig, SimError, TrafficPattern, TrafficSpec, WorkloadPhase, WorkloadSpec,
 };
 
 fn main() -> Result<(), SimError> {
@@ -26,12 +25,10 @@ fn main() -> Result<(), SimError> {
         WorkloadPhase::bernoulli(TrafficPattern::Uniform, 0.01, 3000),
     ]));
     let config = SimConfig::default().with_traffic_spec(trace);
-    let caps = Simulator::new(config.clone())?.network().region_capacity();
-    let nodes = config.width * config.height;
 
     for mut controller in [
         Box::new(StaticController::max()) as Box<dyn noc_selfconf::Controller>,
-        Box::new(ThresholdController::new(caps, nodes)),
+        Box::new(ThresholdController::for_sim(&config)?),
     ] {
         let run = run_controller(&config, controller.as_mut(), 48, 500)?;
         println!("\n=== {} ===", run.aggregate.controller);

@@ -31,10 +31,7 @@ fn main() -> Result<(), SimError> {
     for mut controller in [
         Box::new(StaticController::max()) as Box<dyn noc_selfconf::Controller>,
         Box::new(StaticController::min()),
-        Box::new(ThresholdController::new(
-            Simulator::new(config.clone())?.network().region_capacity(),
-            config.width * config.height,
-        )),
+        Box::new(ThresholdController::for_sim(&config)?),
     ] {
         let out = run_controller(&config, controller.as_mut(), 40, 500)?;
         println!(

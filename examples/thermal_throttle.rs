@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example thermal_throttle`
 
 use noc_selfconf::{run_controller, StaticController, ThresholdController};
-use noc_sim::{SimConfig, SimError, Simulator, ThrottleEvent, TrafficPattern};
+use noc_sim::{SimConfig, SimError, ThrottleEvent, TrafficPattern};
 
 fn main() -> Result<(), SimError> {
     // Region 0 (top-left quadrant) hits a thermal emergency from cycle 4000
@@ -21,10 +21,9 @@ fn main() -> Result<(), SimError> {
         }]);
 
     println!("workload: uniform @ 0.12; region 0 throttled during cycles 4000-10000\n");
-    let caps = Simulator::new(config.clone())?.network().region_capacity();
     for mut controller in [
         Box::new(StaticController::max()) as Box<dyn noc_selfconf::Controller>,
-        Box::new(ThresholdController::new(caps, 64)),
+        Box::new(ThresholdController::for_sim(&config)?),
     ] {
         let run = run_controller(&config, controller.as_mut(), 32, 500)?;
         println!("=== {} ===", run.aggregate.controller);

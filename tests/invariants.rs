@@ -157,9 +157,8 @@ fn encoder_and_reward_total_over_sim_outputs() {
         .with_size(4, 4)
         .with_regions(2, 2)
         .with_traffic(TrafficPattern::Uniform, 0.3);
+    let encoder = StateEncoder::for_sim(&cfg).expect("valid config");
     let mut sim = Simulator::new(cfg).expect("valid config");
-    let caps = sim.network().region_capacity();
-    let encoder = StateEncoder::new(caps, vec![4; 4], 4, 16);
     let reward = RewardConfig::default();
     for i in 0..30 {
         sim.set_all_levels(i % 4).expect("valid level");
