@@ -4,8 +4,8 @@
 //! wire path (latency, byte identity across peers, mutated lines).
 
 use noc_selfconf::serve::{
-    scenario_cache_key, CacheOutcome, Daemon, ErrorCode, Event, Request, ResultCache, Scheduler,
-    SchedulerConfig, ServeClient, ServeConfig,
+    scenario_cache_key, CacheOutcome, CacheStats, Daemon, ErrorCode, Event, Request, ResultCache,
+    Scheduler, SchedulerConfig, SchedulerStats, ServeClient, ServeConfig,
 };
 use noc_selfconf::{ScenarioResult, SweepGrid};
 use noc_sim::{RoutingAlgorithm, SimError, SwitchArb, TrafficPattern};
@@ -854,6 +854,130 @@ fn cold_then_warm_stream(peer: Peer) -> String {
     }
     shut_down(daemon);
     stream
+}
+
+/// Every request and event variant, as the exact line it puts on the wire;
+/// each line also reads back to the value it was written from. The `result`
+/// and `done` payloads are a real run's, written by `serde_json`.
+#[test]
+fn every_wire_line_is_pinned_byte_for_byte() {
+    let grid = tiny_grid();
+    let report = grid.run(1).unwrap();
+    let scenario = report.scenarios[3].clone();
+    let grid_json = serde_json::to_string(&grid).unwrap();
+    let scenario_json = serde_json::to_string(&scenario).unwrap();
+    let report_json = serde_json::to_string(&report).unwrap();
+
+    let requests = [
+        (
+            Request::Submit {
+                client: "ci \"q\" \\ é\n".to_string(),
+                grid: Box::new(grid),
+            },
+            format!(r#"{{"cmd":"submit","client":"ci \"q\" \\ é\n","grid":{grid_json}}}"#),
+        ),
+        (
+            Request::Status { job: 7 },
+            r#"{"cmd":"status","job":7}"#.into(),
+        ),
+        (
+            Request::Cancel { job: 12 },
+            r#"{"cmd":"cancel","job":12}"#.into(),
+        ),
+        (Request::Stats, r#"{"cmd":"stats"}"#.into()),
+        (Request::Ping, r#"{"cmd":"ping"}"#.into()),
+        (Request::Shutdown, r#"{"cmd":"shutdown"}"#.into()),
+    ];
+    for (request, line) in requests {
+        assert_eq!(request.render(), line);
+        assert_eq!(Request::parse(&line).unwrap().render(), line);
+    }
+
+    let events = [
+        (
+            Event::Accepted {
+                job: 1,
+                scenarios: 4,
+            },
+            r#"{"event":"accepted","job":1,"scenarios":4}"#.to_string(),
+        ),
+        (
+            Event::Result {
+                job: 1,
+                index: 3,
+                result: Box::new(scenario),
+            },
+            format!(r#"{{"event":"result","job":1,"index":3,"result":{scenario_json}}}"#),
+        ),
+        (
+            Event::Done {
+                job: 1,
+                report: Box::new(report),
+            },
+            format!(r#"{{"event":"done","job":1,"report":{report_json}}}"#),
+        ),
+        (
+            Event::Canceled {
+                job: 2,
+                completed: 3,
+            },
+            r#"{"event":"canceled","job":2,"completed":3}"#.into(),
+        ),
+        (
+            Event::Failed {
+                job: 3,
+                message: "sim \"x\"\tfailed \\ at\ncycle 9 \u{1}".into(),
+            },
+            r#"{"event":"failed","job":3,"message":"sim \"x\"\tfailed \\ at\ncycle 9 \u0001"}"#
+                .into(),
+        ),
+        (
+            Event::Status {
+                job: 1,
+                state: "running".into(),
+                completed: 2,
+                total: 4,
+            },
+            r#"{"event":"status","job":1,"state":"running","completed":2,"total":4}"#.into(),
+        ),
+        (
+            Event::Stats {
+                cache: CacheStats {
+                    memory_hits: 5,
+                    disk_hits: 1,
+                    coalesced: 2,
+                    computed: 3,
+                    write_errors: 0,
+                    read_errors: 7,
+                },
+                scheduler: SchedulerStats {
+                    outstanding_scenarios: 4,
+                    active_jobs: 1,
+                    finished_jobs: 9,
+                    sim_runs: 3,
+                },
+            },
+            concat!(
+                r#"{"event":"stats","cache":{"memory_hits":5,"disk_hits":1,"coalesced":2,"#,
+                r#""computed":3,"write_errors":0,"read_errors":7},"scheduler":"#,
+                r#"{"outstanding_scenarios":4,"active_jobs":1,"finished_jobs":9,"sim_runs":3}}"#
+            )
+            .into(),
+        ),
+        (Event::Pong, r#"{"event":"pong"}"#.into()),
+        (Event::ShuttingDown, r#"{"event":"shutting_down"}"#.into()),
+        (
+            Event::Error {
+                code: ErrorCode::UnknownJob,
+                message: "job 9 is \"unknown\"".into(),
+            },
+            r#"{"event":"error","code":"unknown_job","message":"job 9 is \"unknown\""}"#.into(),
+        ),
+    ];
+    for (event, line) in events {
+        assert_eq!(event.render(), line);
+        assert_eq!(Event::parse(&line).unwrap().render(), line);
+    }
 }
 
 #[test]
