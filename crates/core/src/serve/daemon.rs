@@ -337,7 +337,7 @@ fn write_frames(mut out: TcpStream, rx: &Receiver<Event>) {
         frame.clear();
         let mut next = Some(event);
         while let Some(event) = next {
-            event.render_into(&mut frame);
+            serde_json::to_string_into(&mut frame, &event).expect("events serialize");
             frame.push('\n');
             next = rx.try_recv().ok();
         }

@@ -20,19 +20,25 @@
 //!   command, not in the data path, so response bytes stay a pure function
 //!   of the submitted grid.
 //!
-//! Parsing is hand-written over the [`serde_json::Value`] tree (not derived)
-//! so malformed requests produce precise, structured [`Event::Error`]
-//! replies instead of panics or connection drops.
+//! Both directions are declared once, as [`Request`] and [`Event`], and
+//! the derive writes and reads them: serde's internally tagged form
+//! (`#[serde(tag = "cmd")]`, `tag = "event"`) makes each variant one
+//! object, its tag entry first and then its fields in declaration order,
+//! with nested payloads through the same canonical writer, so identical
+//! jobs produce identical bytes. The reader finds the tag by name wherever
+//! it stands. A line that is not JSON, not an object, names no known
+//! variant or holds a field of the wrong type is an `Err`, which the daemon
+//! answers with a structured [`Event::Error`] instead of a panic or a
+//! dropped connection.
 
 use crate::serve::cache::CacheStats;
 use crate::sweep::{ScenarioResult, SweepGrid, SweepReport};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 
 noc_sim::vocabulary! {
     /// Machine-readable error codes carried by [`Event::Error`], by their
     /// canonical wire names.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum ErrorCode as "error code" {
         /// The request line was not valid JSON or not a known command shape.
         BadRequest = "bad_request",
@@ -51,13 +57,34 @@ noc_sim::vocabulary! {
     }
 }
 
+/// `Event::Error`'s `code` on the wire: its name in [`ErrorCode`]'s table.
+mod code_name {
+    use super::ErrorCode;
+    use serde::{de::Error, Deserialize, Deserializer, Serializer};
+
+    pub fn serialize<S: Serializer>(code: &ErrorCode, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_str(code.name())
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<ErrorCode, D::Error> {
+        ErrorCode::parse(&String::deserialize(d)?).map_err(D::Error::custom)
+    }
+}
+
+/// The client a submit that names none runs as.
+fn anon() -> String {
+    "anon".to_string()
+}
+
 /// One client request line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "cmd", rename_all = "snake_case")]
 pub enum Request {
     /// Submit a sweep grid; results stream back on this connection.
     Submit {
         /// Client identity for fair-share scheduling and quotas (defaults
         /// to `anon` when omitted on the wire).
+        #[serde(default = "anon")]
         client: String,
         /// The grid to run (boxed: a `SweepGrid` dwarfs the other variants).
         grid: Box<SweepGrid>,
@@ -89,65 +116,12 @@ impl Request {
     /// daemon wraps it in an [`Event::Error`] with
     /// [`ErrorCode::BadRequest`]).
     pub fn parse(line: &str) -> Result<Request, String> {
-        let value = serde_json::parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
-        value
-            .as_map()
-            .ok_or_else(|| "request must be a JSON object".to_string())?;
-        let cmd = value
-            .get("cmd")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing string field `cmd`".to_string())?;
-        let job_id = |what: &str| {
-            value
-                .get("job")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("`{what}` needs an unsigned integer field `job`"))
-        };
-        match cmd {
-            "submit" => {
-                let grid_value = value
-                    .get("grid")
-                    .ok_or_else(|| "`submit` needs a `grid` object".to_string())?;
-                let grid: Box<SweepGrid> = Box::new(
-                    serde::from_value(grid_value).map_err(|e| format!("malformed grid: {e}"))?,
-                );
-                let client = value
-                    .get("client")
-                    .and_then(Value::as_str)
-                    .unwrap_or("anon")
-                    .to_string();
-                Ok(Request::Submit { client, grid })
-            }
-            "status" => Ok(Request::Status {
-                job: job_id("status")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                job: job_id("cancel")?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown cmd `{other}`")),
-        }
+        serde_json::from_str(line).map_err(|e| e.0)
     }
 
     /// Render this request as one wire line (no trailing newline).
     pub fn render(&self) -> String {
-        match self {
-            Request::Submit { client, grid } => {
-                let mut line = String::from("{\"cmd\":\"submit\",\"client\":");
-                json_into(&mut line, client);
-                line.push_str(",\"grid\":");
-                json_into(&mut line, grid.as_ref());
-                line.push('}');
-                line
-            }
-            Request::Status { job } => format!("{{\"cmd\":\"status\",\"job\":{job}}}"),
-            Request::Cancel { job } => format!("{{\"cmd\":\"cancel\",\"job\":{job}}}"),
-            Request::Stats => "{\"cmd\":\"stats\"}".to_string(),
-            Request::Ping => "{\"cmd\":\"ping\"}".to_string(),
-            Request::Shutdown => "{\"cmd\":\"shutdown\"}".to_string(),
-        }
+        serde_json::to_string(self).expect("requests serialize")
     }
 }
 
@@ -166,7 +140,8 @@ pub struct SchedulerStats {
 }
 
 /// One daemon reply line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum Event {
     /// A submit was admitted; results for `scenarios` scenarios follow.
     Accepted {
@@ -230,6 +205,7 @@ pub enum Event {
     /// A structured error (the connection stays usable).
     Error {
         /// Machine-readable code.
+        #[serde(with = "code_name")]
         code: ErrorCode,
         /// Human-readable detail.
         message: String,
@@ -238,78 +214,8 @@ pub enum Event {
 
 impl Event {
     /// Render this event as one wire line (no trailing newline).
-    ///
-    /// Rendering is deterministic: field order is fixed and nested payloads
-    /// go through the canonical `serde_json` writer, so identical jobs
-    /// produce identical bytes — the property the CI byte-compare pins.
     pub fn render(&self) -> String {
-        let mut line = String::new();
-        self.render_into(&mut line);
-        line
-    }
-
-    /// Append this event's wire line (no trailing newline) to `out`: what
-    /// [`Event::render`] returns, written in place, so a connection's
-    /// writer renders straight into its frame buffer.
-    pub fn render_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        // `fmt::Write` for `String` cannot fail.
-        let _ = match self {
-            Event::Accepted { job, scenarios } => write!(
-                out,
-                "{{\"event\":\"accepted\",\"job\":{job},\"scenarios\":{scenarios}}}"
-            ),
-            Event::Result { job, index, result } => {
-                let _ = write!(
-                    out,
-                    "{{\"event\":\"result\",\"job\":{job},\"index\":{index},\"result\":"
-                );
-                json_into(out, result.as_ref());
-                out.write_char('}')
-            }
-            Event::Done { job, report } => {
-                let _ = write!(out, "{{\"event\":\"done\",\"job\":{job},\"report\":");
-                json_into(out, report.as_ref());
-                out.write_char('}')
-            }
-            Event::Canceled { job, completed } => write!(
-                out,
-                "{{\"event\":\"canceled\",\"job\":{job},\"completed\":{completed}}}"
-            ),
-            Event::Failed { job, message } => {
-                let _ = write!(out, "{{\"event\":\"failed\",\"job\":{job},\"message\":");
-                json_into(out, message);
-                out.write_char('}')
-            }
-            Event::Status {
-                job,
-                state,
-                completed,
-                total,
-            } => {
-                let _ = write!(out, "{{\"event\":\"status\",\"job\":{job},\"state\":");
-                json_into(out, state);
-                write!(out, ",\"completed\":{completed},\"total\":{total}}}")
-            }
-            Event::Stats { cache, scheduler } => {
-                out.push_str("{\"event\":\"stats\",\"cache\":");
-                json_into(out, cache);
-                out.push_str(",\"scheduler\":");
-                json_into(out, scheduler);
-                out.write_char('}')
-            }
-            Event::Pong => out.write_str("{\"event\":\"pong\"}"),
-            Event::ShuttingDown => out.write_str("{\"event\":\"shutting_down\"}"),
-            Event::Error { code, message } => {
-                let _ = write!(
-                    out,
-                    "{{\"event\":\"error\",\"code\":\"{}\",\"message\":",
-                    code.name()
-                );
-                json_into(out, message);
-                out.write_char('}')
-            }
-        };
+        serde_json::to_string(self).expect("events serialize")
     }
 
     /// Parse one reply line (the client side of [`Event::render`]).
@@ -317,95 +223,8 @@ impl Event {
     /// # Errors
     /// Returns a description of what was malformed.
     pub fn parse(line: &str) -> Result<Event, String> {
-        let value = serde_json::parse(line).map_err(|e| format!("not valid JSON: {e}"))?;
-        let event = value
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing string field `event`".to_string())?;
-        let u64_field = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("`{event}` missing unsigned field `{name}`"))
-        };
-        let str_field = |name: &str| {
-            value
-                .get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{event}` missing string field `{name}`"))
-        };
-        match event {
-            "accepted" => Ok(Event::Accepted {
-                job: u64_field("job")?,
-                scenarios: u64_field("scenarios")?,
-            }),
-            "result" => Ok(Event::Result {
-                job: u64_field("job")?,
-                index: u64_field("index")?,
-                result: Box::new(
-                    serde::from_value(
-                        value
-                            .get("result")
-                            .ok_or_else(|| "`result` missing `result`".to_string())?,
-                    )
-                    .map_err(|e| format!("malformed result payload: {e}"))?,
-                ),
-            }),
-            "done" => Ok(Event::Done {
-                job: u64_field("job")?,
-                report: Box::new(
-                    serde::from_value(
-                        value
-                            .get("report")
-                            .ok_or_else(|| "`done` missing `report`".to_string())?,
-                    )
-                    .map_err(|e| format!("malformed report payload: {e}"))?,
-                ),
-            }),
-            "canceled" => Ok(Event::Canceled {
-                job: u64_field("job")?,
-                completed: u64_field("completed")?,
-            }),
-            "failed" => Ok(Event::Failed {
-                job: u64_field("job")?,
-                message: str_field("message")?,
-            }),
-            "status" => Ok(Event::Status {
-                job: u64_field("job")?,
-                state: str_field("state")?,
-                completed: u64_field("completed")?,
-                total: u64_field("total")?,
-            }),
-            "stats" => Ok(Event::Stats {
-                cache: serde::from_value(
-                    value
-                        .get("cache")
-                        .ok_or_else(|| "`stats` missing `cache`".to_string())?,
-                )
-                .map_err(|e| format!("malformed cache stats: {e}"))?,
-                scheduler: serde::from_value(
-                    value
-                        .get("scheduler")
-                        .ok_or_else(|| "`stats` missing `scheduler`".to_string())?,
-                )
-                .map_err(|e| format!("malformed scheduler stats: {e}"))?,
-            }),
-            "pong" => Ok(Event::Pong),
-            "shutting_down" => Ok(Event::ShuttingDown),
-            "error" => Ok(Event::Error {
-                code: ErrorCode::parse(&str_field("code")?).map_err(|e| e.to_string())?,
-                message: str_field("message")?,
-            }),
-            other => Err(format!("unknown event `{other}`")),
-        }
+        serde_json::from_str(line).map_err(|e| e.0)
     }
-}
-
-/// Append `value` as compact JSON via the canonical writer (so escaping
-/// matches everything else on the wire).
-fn json_into<T: Serialize + ?Sized>(out: &mut String, value: &T) {
-    serde_json::to_string_into(out, value).expect("wire payloads serialize");
 }
 
 #[cfg(test)]
@@ -452,6 +271,16 @@ mod tests {
         ] {
             assert!(Request::parse(bad).is_err(), "`{bad}` must not parse");
         }
+        // A `client` of the wrong type is an error, not a silent `anon`; a
+        // missing one still defaults to `anon`.
+        let grid = serde_json::to_string(&SweepGrid::default()).unwrap();
+        let numbered = format!("{{\"cmd\":\"submit\",\"client\":42,\"grid\":{grid}}}");
+        assert!(Request::parse(&numbered).is_err(), "{numbered}");
+        let unnamed = format!("{{\"cmd\":\"submit\",\"grid\":{grid}}}");
+        assert!(matches!(
+            Request::parse(&unnamed),
+            Ok(Request::Submit { client, .. }) if client == "anon"
+        ));
     }
 
     #[test]

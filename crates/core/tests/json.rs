@@ -173,8 +173,8 @@ fn writer_matches_the_value_tree_on_real_documents() {
         },
     );
 
-    // A submit line is written by hand around the grid's JSON; read back
-    // and rendered again, it is the same line.
+    // A submit line (the derived tagged form around the grid's JSON), read
+    // back as a tree and rendered again, is the same line.
     let line = Request::Submit {
         client: "bench \"0\"".to_string(),
         grid: Box::new(grid),

@@ -206,9 +206,8 @@ impl RegionMap {
     }
 
     /// The fabric's shape per region, each router buffering
-    /// `router_capacity` flits: the one derivation behind
-    /// [`SimConfig::region_shape`](crate::SimConfig::region_shape) and
-    /// [`Network::region_capacity`](crate::Network::region_capacity).
+    /// `router_capacity` flits: the derivation behind
+    /// [`SimConfig::region_shape`](crate::SimConfig::region_shape).
     pub fn shape(&self, topo: &Topology, router_capacity: usize) -> RegionShape {
         let mut nodes = vec![0; self.num_regions()];
         for n in topo.nodes() {

@@ -665,13 +665,6 @@ impl Network {
         backlog
     }
 
-    /// Total buffer capacity per region (for normalizing occupancy): the
-    /// `capacity` of [`SimConfig::region_shape`].
-    pub fn region_capacity(&self) -> Vec<usize> {
-        let router_capacity = self.fabric.buffer_capacity();
-        self.regions.shape(&self.topo, router_capacity).capacity
-    }
-
     /// Flits waiting in source queues.
     pub fn backlog(&self) -> usize {
         let mut total = 0;
@@ -1297,9 +1290,11 @@ mod tests {
             5,
             "flits conserved between queue and buffers"
         );
-        let cap: usize = net.region_capacity().iter().sum();
+        // The config-side shape is the fabric's own buffer capacity.
+        let shape = net.regions.shape(&net.topo, net.fabric.buffer_capacity());
+        assert_eq!(shape, cfg.region_shape().unwrap());
+        let cap: usize = shape.capacity.iter().sum();
         assert_eq!(cap, 16 * 5 * cfg.num_vcs * cfg.vc_depth);
-        assert_eq!(net.region_capacity(), cfg.region_shape().unwrap().capacity);
     }
 
     #[test]

@@ -251,13 +251,14 @@ proptest! {
             .with_regions(2, 2)
             .with_traffic(TrafficPattern::Uniform, rate)
             .with_seed(seed);
+        let capacity = cfg.region_shape().expect("valid config").capacity;
         let mut sim = Simulator::new(cfg).expect("valid config");
         for _ in 0..10 {
             sim.run(50);
             let net = sim.network();
             let region: usize = net.region_occupancy().iter().sum();
             prop_assert_eq!(region, net.occupancy());
-            for (occ, cap) in net.region_occupancy().iter().zip(net.region_capacity()) {
+            for (occ, &cap) in net.region_occupancy().iter().zip(&capacity) {
                 prop_assert!(*occ <= cap);
             }
         }
