@@ -1,8 +1,12 @@
 //! Golden digests of trained DQN weights.
 //!
-//! Both constants were generated on commit 0bc11a0 — the parent of the
-//! change that reshaped `matmul_t`, `Mlp::backward` and `Adam::step` —
-//! by running this file there unmodified. Every trained weight is a long
+//! The first two constants were generated on commit 0bc11a0 — the parent
+//! of the change that reshaped `matmul_t`, `Mlp::backward` and
+//! `Adam::step` — by running this file there unmodified. The last three
+//! (a hard sync mid-run on an evicting ring, a soft sync, the vanilla max
+//! target) were generated on commit 91c474e, before the target network's
+//! Q-rows were cached per replay slot, so they pin that cache to the
+//! bootstrap it replaced. Every trained weight is a long
 //! chain of f32 roundings, so a change to any kernel's summation order,
 //! to the optimizer's association, or to which transitions a batch holds
 //! moves these digests; `benchmark/digests.json` says the same thing
@@ -11,7 +15,7 @@
 use neural::Mlp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl::{DqnAgent, DqnConfig, LearningAgent, Transition};
+use rl::{DqnAgent, DqnConfig, LearningAgent, TargetSync, Transition};
 
 const STATE_DIM: usize = 20;
 const NUM_ACTIONS: usize = 5;
@@ -138,4 +142,34 @@ fn wide_prioritized_nstep3_weights_match_parent_commit() {
         ..wide(12)
     };
     assert_eq!(train(config), 0x7154_bfa8_75af_e7c6);
+}
+
+/// A hard sync every 30 updates (six mid-run syncs) on a 64-slot ring
+/// that wraps more than three times, so stored transitions are evicted.
+#[test]
+fn wide_hard_sync_30_evicting_ring_weights_match_parent_commit() {
+    let config = DqnConfig {
+        target_sync: TargetSync::Hard { every: 30 },
+        replay_capacity: 64,
+        ..wide(13)
+    };
+    assert_eq!(train(config), 0xaae2_43ae_feba_a6c8);
+}
+
+#[test]
+fn wide_soft_sync_weights_match_parent_commit() {
+    let config = DqnConfig {
+        target_sync: TargetSync::Soft { tau: 0.05 },
+        ..wide(14)
+    };
+    assert_eq!(train(config), 0x3e62_57bb_a9c4_f777);
+}
+
+#[test]
+fn wide_vanilla_dqn_weights_match_parent_commit() {
+    let config = DqnConfig {
+        double: false,
+        ..wide(15)
+    };
+    assert_eq!(train(config), 0xe77d_d333_0bc1_c32f);
 }
