@@ -1,6 +1,6 @@
 //! Machine-readable performance reporting: the `noc-cli bench` subsystem.
 //!
-//! * [`run_suite`] executes a fixed set of 28 timed workloads (cycle-level
+//! * [`run_suite`] executes a fixed set of 29 timed workloads (cycle-level
 //!   simulation on several mesh/pattern points plus torus and faulted-fabric
 //!   scenarios, batched DQN training steps,
 //!   full `NocEnv` control epochs, and a parallel sweep-grid fan-out),
@@ -129,13 +129,13 @@ impl BenchReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<28} {:>12} {:>10} {:>14} {:>14}",
+            "{:<34} {:>12} {:>10} {:>14} {:>14}",
             "workload", "median", "iqr", "rate", "flits/sec"
         );
         for w in &self.workloads {
             let _ = writeln!(
                 out,
-                "{:<28} {:>12} {:>10} {:>14} {:>14}",
+                "{:<34} {:>12} {:>10} {:>14} {:>14}",
                 w.name,
                 fmt_ns(w.median_ns),
                 fmt_ns(w.iqr_ns),
@@ -491,27 +491,38 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
 
     // --- Batched DQN forward/backward (the training inner loop): the
     // default self-configuration shape, then the zoo's `wide` shape the
-    // `learn_4x4` gate trains. Both read their input and output widths off
-    // the default environment's configuration.
+    // `learn_4x4` gate trains, on a 256-transition replay (the target
+    // network's cached rows are almost all warm) and on a full 10 000-slot
+    // one (the default capacity a long `train` run fills: a batch mostly
+    // draws slots whose rows are stale). All read their input and output
+    // widths off the default environment's configuration.
     {
         let env = NocEnvConfig::default();
         let inputs = StateEncoder::for_sim(&env.sim)
             .expect("default fabric")
             .state_dim();
         let outputs = env.action_space.num_actions();
-        let mut agent = bench_agent(inputs, &[64, 64], outputs);
-        let mut wide = bench_agent(inputs, &[128, 64], outputs);
+        let mut agent = bench_agent(inputs, &[64, 64], outputs, 256);
+        let mut wide = bench_agent(inputs, &[128, 64], outputs, 256);
+        let mut wide_full = bench_agent(inputs, &[128, 64], outputs, 10_000);
         let mlp = |first: usize| format!("{inputs}-{first}-64-{outputs}");
         let steps = config.dqn_steps as u64;
         for (name, shape, agent) in [
             ("dqn/train_step/batch32", mlp(64), &mut agent),
             ("dqn/train_step/wide-b32", mlp(128), &mut wide),
+            (
+                "dqn/train_step/wide-b32/replay10k",
+                mlp(128),
+                &mut wide_full,
+            ),
         ] {
             let mut rng = StdRng::seed_from_u64(1);
             // Prime replay + Adam state outside the timed region.
             agent.train_step(&mut rng);
             let params = format!(
-                "{shape} MLP, batch 32, double-DQN, {} train steps per repeat",
+                "{shape} MLP, batch 32, double-DQN, {} stored transitions, \
+                 {} train steps per repeat",
+                agent.replay_len(),
                 config.dqn_steps
             );
             report.time(name, params, "train_steps", || {
@@ -741,15 +752,15 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
     report
 }
 
-/// A bench agent of the given network shape with a replay buffer
-/// pre-filled deterministically.
-fn bench_agent(state_dim: usize, hidden: &[usize], num_actions: usize) -> DqnAgent {
+/// A bench agent of the given network shape with its replay buffer
+/// pre-filled deterministically with `stored` transitions.
+fn bench_agent(state_dim: usize, hidden: &[usize], num_actions: usize, stored: usize) -> DqnAgent {
     let mut agent = DqnAgent::new(DqnConfig {
         hidden: hidden.to_vec(),
         min_replay: 64,
         ..DqnConfig::default().with_dims(state_dim, num_actions)
     });
-    for i in 0..256usize {
+    for i in 0..stored {
         let state: Vec<f32> = (0..state_dim).map(|j| ((i + j) % 7) as f32 / 7.0).collect();
         let next: Vec<f32> = (0..state_dim)
             .map(|j| ((i + j + 1) % 7) as f32 / 7.0)
@@ -796,10 +807,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 28 uniquely named rows, the `sim/*` table first and in
+        // 29 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 28);
+        assert_eq!(names.len(), 29);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

@@ -20,7 +20,9 @@ pub trait Optimizer {
     fn reset(&mut self);
 }
 
-/// Plain stochastic gradient descent (stateless).
+/// Plain stochastic gradient descent (stateless). A test fixture: the DQN
+/// trains with [`Adam`]; `Sgd` keeps the simplest optimizer at hand for
+/// the crate's own training and gradient tests.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sgd {
     /// Learning rate.

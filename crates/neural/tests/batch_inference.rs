@@ -3,9 +3,53 @@
 //! row-equivalent to `predict_one`, for any architecture and input, because
 //! both run the same f32 operations in the same order — only the packing
 //! differs.
+//!
+//! The same premise lets a DQN keep the target network's Q-row per replay
+//! slot and predict only the stale rows as a sub-batch: every output row is
+//! built from its own input row alone, so a row has the same bits alone, in
+//! any sub-batch, and in the full batch.
 
 use neural::{Activation, Matrix, Mlp};
 use proptest::prelude::*;
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `rows` states of width `in_dim` cut from `pool`, each entry zeroed
+/// where its `draw` is under `share` (keeping its sign, so about half of
+/// the zeros are `-0.0`, as a ReLU layer's output holds exact zeros), and
+/// row `zero_row` zeroed throughout.
+fn relu_sparse_states(
+    pool: &[f32],
+    draws: &[f32],
+    share: f32,
+    rows: usize,
+    in_dim: usize,
+    zero_row: usize,
+) -> Vec<Vec<f32>> {
+    (0..rows)
+        .map(|r| {
+            (0..in_dim)
+                .map(|j| {
+                    let (v, d) = (pool[r * in_dim + j], draws[r * in_dim + j]);
+                    if d < share || r == zero_row {
+                        0.0f32.copysign(v)
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Layer widths up to 140: the `wide` network's 17, 128, 64 and 11 among
+/// them, so the 32-column register blocks and the shifted 8-wide tail of
+/// an 11-wide layer are reached.
+fn width(wide: usize) -> impl Strategy<Value = usize> {
+    prop_oneof![Just(wide), 1usize..141]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -14,33 +58,63 @@ proptest! {
     /// state `i`, across architectures, activations, batch sizes, and seeds.
     #[test]
     fn predict_batch_matches_rowwise_predict_one(
-        in_dim in 1usize..6,
-        hidden in 1usize..12,
-        out_dim in 1usize..5,
+        in_dim in width(17),
+        hidden in width(128),
+        out_dim in width(11),
         seed in 0u64..1000,
         act_idx in 0usize..3,
-        rows in prop::collection::vec(
-            prop::collection::vec(-3.0f32..3.0, 1..6),
-            1..9,
-        ),
+        rows in 1usize..33,
+        share in 0.0f32..0.9,
+        zero_row in 0usize..32,
+        pool in prop::collection::vec(-3.0f32..3.0, 32 * 140),
+        draws in prop::collection::vec(0.0f32..1.0, 32 * 140),
     ) {
         let act = [Activation::Relu, Activation::Tanh, Activation::Sigmoid][act_idx];
         let net = Mlp::new(&[in_dim, hidden, out_dim], act, Activation::Linear, seed);
-        // Re-shape the generated rows to the sampled input width.
-        let states: Vec<Vec<f32>> = rows
-            .iter()
-            .map(|r| (0..in_dim).map(|j| r[j % r.len()]).collect())
-            .collect();
+        let states = relu_sparse_states(&pool, &draws, share, rows, in_dim, zero_row % rows);
         let batch = net.predict_batch(&states);
         prop_assert_eq!(batch.rows(), states.len());
         prop_assert_eq!(batch.cols(), out_dim);
         for (i, s) in states.iter().enumerate() {
-            let one = net.predict_one(s);
             prop_assert_eq!(
-                batch.row_slice(i),
-                one.as_slice(),
+                bits(batch.row_slice(i)),
+                bits(&net.predict_one(s)),
                 "row {} diverges from predict_one",
                 i
+            );
+        }
+    }
+
+    /// Any sub-batch of the rows — repeated, reordered, one row or all —
+    /// predicts each row to the bits the full batch gives it, on the
+    /// `wide` network's two-hidden-layer ReLU shape.
+    #[test]
+    fn sub_batch_rows_match_the_full_batch(
+        in_dim in width(17),
+        hidden in (width(128), width(64)),
+        out_dim in width(11),
+        seed in 0u64..1000,
+        rows in 1usize..33,
+        share in 0.0f32..0.9,
+        zero_row in 0usize..32,
+        picks in prop::collection::vec(0usize..32, 1..33),
+        pool in prop::collection::vec(-3.0f32..3.0, 32 * 140),
+        draws in prop::collection::vec(0.0f32..1.0, 32 * 140),
+    ) {
+        let dims = [in_dim, hidden.0, hidden.1, out_dim];
+        let net = Mlp::new(&dims, Activation::Relu, Activation::Linear, seed);
+        let states = relu_sparse_states(&pool, &draws, share, rows, in_dim, zero_row % rows);
+        let full = net.predict_batch(&states);
+        let picks: Vec<usize> = picks.iter().map(|&p| p % rows).collect();
+        let sub_states: Vec<&[f32]> = picks.iter().map(|&p| states[p].as_slice()).collect();
+        let sub = net.predict_batch(&sub_states);
+        for (k, &p) in picks.iter().enumerate() {
+            prop_assert_eq!(
+                bits(sub.row_slice(k)),
+                bits(full.row_slice(p)),
+                "sub-batch row {} (state {}) diverges from the full batch",
+                k,
+                p
             );
         }
     }

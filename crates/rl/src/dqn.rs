@@ -122,6 +122,89 @@ enum Replay {
     Prioritized(PrioritizedReplay),
 }
 
+impl Replay {
+    fn get(&self, slot: usize) -> &Transition {
+        match self {
+            Replay::Uniform(b) => b.get(slot),
+            Replay::Prioritized(b) => b.get(slot),
+        }
+    }
+}
+
+/// The target network's Q-row for each replay slot's `next_state`, kept
+/// between syncs: the target network is frozen until the next sync, so a
+/// stored transition's bootstrap row keeps its bits until then.
+///
+/// Each row is stamped with the target generation it was predicted at. A
+/// sync (hard or soft) and a policy load bump the generation, which makes
+/// every row stale; writing a new transition into a slot clears that
+/// slot's stamp. Serving a cached row is exact: `Mlp::predict` builds each
+/// output row from its own input row alone (`gemm`, the bias add and the
+/// activations are row-local), so a row has the same bits whether it was
+/// predicted alone, in a sub-batch or in the full batch.
+#[derive(Debug)]
+struct TargetRows {
+    /// `width` floats per slot, row-major.
+    q: Vec<f32>,
+    /// Per slot: the generation its row was predicted at (0 = none).
+    stamps: Vec<u64>,
+    /// The target network's current generation (never 0).
+    generation: u64,
+    width: usize,
+}
+
+impl TargetRows {
+    fn new(width: usize) -> Self {
+        TargetRows {
+            q: Vec::new(),
+            stamps: Vec::new(),
+            generation: 1,
+            width,
+        }
+    }
+
+    /// The target network's parameters changed: every row is stale.
+    fn invalidate_all(&mut self) {
+        self.generation += 1;
+    }
+
+    /// A new transition was written into `slot`: its row is stale.
+    fn invalidate(&mut self, slot: usize) {
+        if slot >= self.stamps.len() {
+            self.stamps.resize(slot + 1, 0);
+            self.q.resize((slot + 1) * self.width, 0.0);
+        }
+        self.stamps[slot] = 0;
+    }
+
+    /// Make the row of every slot in `slots` current. `next_states[i]` is
+    /// the next state stored in `slots[i]`. The distinct stale slots are
+    /// predicted as one sub-batch, in first-seen order.
+    fn refresh(&mut self, slots: &[usize], next_states: &[&[f32]], target: &Mlp) {
+        let mut stale = Vec::new();
+        let mut inputs = Vec::new();
+        for (&slot, &next_state) in slots.iter().zip(next_states) {
+            if self.stamps[slot] != self.generation {
+                self.stamps[slot] = self.generation;
+                stale.push(slot);
+                inputs.push(next_state);
+            }
+        }
+        if stale.is_empty() {
+            return;
+        }
+        let q = target.predict_batch(&inputs);
+        for (k, &slot) in stale.iter().enumerate() {
+            self.q[slot * self.width..(slot + 1) * self.width].copy_from_slice(q.row_slice(k));
+        }
+    }
+
+    /// The cached row of `slot` (current after [`TargetRows::refresh`]).
+    fn row(&self, slot: usize) -> &[f32] {
+        &self.q[slot * self.width..(slot + 1) * self.width]
+    }
+}
+
 /// A DQN agent: online + target networks, replay, and the TD update.
 ///
 /// ```
@@ -153,6 +236,8 @@ pub struct DqnAgent {
     target: Mlp,
     opt: Adam,
     replay: Replay,
+    /// `target.predict(next_state)` per replay slot, between syncs.
+    target_rows: TargetRows,
     /// Sliding window for n-step return aggregation.
     nstep_buf: VecDeque<Transition>,
     train_steps: u64,
@@ -186,12 +271,14 @@ impl DqnAgent {
         };
         assert!(config.n_step >= 1, "n_step must be at least 1");
         let opt = Adam::new(config.lr);
+        let target_rows = TargetRows::new(config.num_actions);
         DqnAgent {
             config,
             online,
             target,
             opt,
             replay,
+            target_rows,
             nstep_buf: VecDeque::new(),
             train_steps: 0,
         }
@@ -266,6 +353,7 @@ impl DqnAgent {
         let net = Mlp::from_json(json)?;
         self.online.try_copy_params_from(&net)?;
         self.target.copy_params_from(&net);
+        self.target_rows.invalidate_all();
         Ok(())
     }
 
@@ -276,55 +364,62 @@ impl DqnAgent {
             return None;
         }
         let batch = self.config.batch_size;
-        // Gather the batch by reference: `replay` and `online` are disjoint
-        // fields, so the transitions stay borrowed through the update.
-        let (transitions, indices, weights): (Vec<&Transition>, Vec<usize>, Vec<f32>) = match &self
-            .replay
-        {
-            Replay::Uniform(b) => (b.sample(batch, rng), vec![], vec![1.0; batch]),
+        let (slots, weights) = match &self.replay {
+            Replay::Uniform(b) => (b.sample_slots(batch, rng), vec![1.0; batch]),
             Replay::Prioritized(b) => {
                 let beta = 0.4
                     + 0.6
                         * (self.train_steps as f64 / self.config.beta_anneal_steps as f64).min(1.0);
                 let pb = b.sample(batch, beta, rng);
-                let ts = pb.indices.iter().map(|&i| b.get(i)).collect();
-                (ts, pb.indices, pb.weights)
+                (pb.indices, pb.weights)
             }
         };
-
+        // Gather the batch by reference: `replay` and `online` are disjoint
+        // fields, so the transitions stay borrowed through the update.
+        let transitions: Vec<&Transition> = slots.iter().map(|&i| self.replay.get(i)).collect();
         let states: Vec<&[f32]> = transitions.iter().map(|t| t.state.as_slice()).collect();
         let next_states: Vec<&[f32]> = transitions
             .iter()
             .map(|t| t.next_state.as_slice())
             .collect();
         let states = Matrix::from_rows(&states);
-        let next_states = Matrix::from_rows(&next_states);
 
-        // Bootstrap targets: one batched forward pass per network over the
-        // whole replay batch (packed once, shared by both networks).
-        let q_next_target = self.target.predict(&next_states);
-        let q_next_online = if self.config.double {
-            Some(self.online.predict(&next_states))
-        } else {
-            None
-        };
+        // Bootstrap targets: the target network's rows come from the
+        // per-slot cache (only its stale slots are predicted); the online
+        // network's, for Double-DQN, from one batched forward pass.
+        self.target_rows.refresh(&slots, &next_states, &self.target);
+        #[cfg(debug_assertions)]
+        {
+            let full = self.target.predict_batch(&next_states);
+            let bits = |row: &[f32]| row.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+            for (i, &slot) in slots.iter().enumerate() {
+                assert_eq!(
+                    bits(self.target_rows.row(slot)),
+                    bits(full.row_slice(i)),
+                    "cached target row of slot {slot} differs from the target network's"
+                );
+            }
+        }
+        let q_next_online = self
+            .config
+            .double
+            .then(|| self.online.predict_batch(&next_states));
         self.online.zero_grad();
         let pred = self.online.forward(&states);
         let mut target = pred.clone();
         let discount = self.config.gamma.powi(self.config.n_step as i32);
         let mut td_errors = Vec::with_capacity(batch);
         for (i, t) in transitions.iter().enumerate() {
+            let q_next_target = self.target_rows.row(slots[i]);
             let bootstrap = if t.done {
                 0.0
             } else {
                 match &q_next_online {
                     Some(qo) => {
                         // Double-DQN: online net picks, target net evaluates.
-                        let a_star = argmax(qo.row_slice(i));
-                        q_next_target.get(i, a_star)
+                        q_next_target[argmax(qo.row_slice(i))]
                     }
                     None => q_next_target
-                        .row_slice(i)
                         .iter()
                         .copied()
                         .fold(f32::NEG_INFINITY, f32::max),
@@ -348,7 +443,7 @@ impl DqnAgent {
         self.online.apply_grads(&mut self.opt);
 
         if let Replay::Prioritized(b) = &mut self.replay {
-            b.update_priorities(&indices, &td_errors);
+            b.update_priorities(&slots, &td_errors);
         }
 
         self.train_steps += 1;
@@ -356,9 +451,13 @@ impl DqnAgent {
             TargetSync::Hard { every } => {
                 if self.train_steps.is_multiple_of(every.max(1)) {
                     self.target.copy_params_from(&self.online);
+                    self.target_rows.invalidate_all();
                 }
             }
-            TargetSync::Soft { tau } => self.target.soft_update_from(&self.online, tau),
+            TargetSync::Soft { tau } => {
+                self.target.soft_update_from(&self.online, tau);
+                self.target_rows.invalidate_all();
+            }
         }
         Some(loss)
     }
@@ -366,10 +465,11 @@ impl DqnAgent {
 
 impl DqnAgent {
     fn push_replay(&mut self, transition: Transition) {
-        match &mut self.replay {
+        let slot = match &mut self.replay {
             Replay::Uniform(b) => b.push(transition),
             Replay::Prioritized(b) => b.push(transition),
-        }
+        };
+        self.target_rows.invalidate(slot);
     }
 
     /// Fold the current n-step window into one aggregated transition:
@@ -840,6 +940,111 @@ mod tests {
             q.iter().all(|v| v.is_finite()),
             "clipped training must not diverge: {q:?}"
         );
+    }
+
+    /// Every row the target-row cache would serve (stamped with the
+    /// current generation) is the target network's own prediction for its
+    /// slot's next state, bit for bit.
+    fn assert_current_rows_are_exact(a: &DqnAgent, context: &str) {
+        let rows = &a.target_rows;
+        let bits = |row: &[f32]| row.iter().map(|q| q.to_bits()).collect::<Vec<_>>();
+        for slot in 0..a.replay_len() {
+            if rows.stamps[slot] == rows.generation {
+                let fresh = a.target.predict_one(&a.replay.get(slot).next_state);
+                assert_eq!(bits(rows.row(slot)), bits(&fresh), "{context}: slot {slot}");
+            }
+        }
+    }
+
+    /// Drives every way a cached target row goes stale — a hard sync, a
+    /// soft sync, a policy load mid-run, a ring that wraps, an n-step
+    /// burst at episode end, prioritized replay — and checks after every
+    /// observation and update that no stale row survives. (Debug builds
+    /// also run `learn`'s own oracle against a full-batch prediction.)
+    #[test]
+    fn cached_target_rows_survive_no_invalidation() {
+        let base = DqnConfig {
+            hidden: vec![16, 8],
+            batch_size: 8,
+            min_replay: 8,
+            replay_capacity: 8,
+            ..DqnConfig::default().with_dims(3, 4)
+        };
+        let cases = [
+            (
+                "hard sync every 3",
+                DqnConfig {
+                    target_sync: TargetSync::Hard { every: 3 },
+                    replay_capacity: 64,
+                    ..base.clone()
+                },
+            ),
+            (
+                "soft sync",
+                DqnConfig {
+                    target_sync: TargetSync::Soft { tau: 0.3 },
+                    ..base.clone()
+                },
+            ),
+            ("ring of 8 wraps", base.clone()),
+            (
+                "n-step burst",
+                DqnConfig {
+                    n_step: 3,
+                    ..base.clone()
+                },
+            ),
+            (
+                "prioritized",
+                DqnConfig {
+                    prioritized_alpha: Some(0.6),
+                    ..base.clone()
+                },
+            ),
+            (
+                "vanilla target",
+                DqnConfig {
+                    double: false,
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (name, cfg) in cases {
+            let other = agent(cfg.clone().with_seed(77)).policy_to_json().unwrap();
+            let mut a = agent(cfg);
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut state: Vec<f32> = (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let mut updates = 0;
+            for step in 0..60 {
+                let next_state: Vec<f32> = (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let done = step % 7 == 6;
+                a.observe(Transition {
+                    state: std::mem::replace(&mut state, next_state.clone()),
+                    action: step % 4,
+                    reward: next_state[0],
+                    next_state,
+                    done,
+                });
+                assert_current_rows_are_exact(&a, &format!("{name}, observe {step}"));
+                let generation = a.target_rows.generation;
+                if a.train_step(&mut rng).is_some() {
+                    updates += 1;
+                    let synced = match a.config.target_sync {
+                        TargetSync::Hard { every } => a.train_steps().is_multiple_of(every),
+                        TargetSync::Soft { .. } => true,
+                    };
+                    assert_eq!(a.target_rows.generation, generation + u64::from(synced));
+                }
+                assert_current_rows_are_exact(&a, &format!("{name}, update {step}"));
+                if step == 30 {
+                    let generation = a.target_rows.generation;
+                    a.policy_from_json(&other).unwrap();
+                    assert_eq!(a.target_rows.generation, generation + 1, "{name}");
+                    assert_current_rows_are_exact(&a, &format!("{name}, policy load"));
+                }
+            }
+            assert!(updates > 40, "{name}: {updates} updates");
+        }
     }
 
     #[test]

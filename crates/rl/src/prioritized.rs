@@ -132,8 +132,8 @@ impl PrioritizedReplay {
     }
 
     /// Store a transition with maximal priority (so new experiences are
-    /// replayed at least once soon).
-    pub fn push(&mut self, t: Transition) {
+    /// replayed at least once soon). Returns the slot it was written to.
+    pub fn push(&mut self, t: Transition) -> usize {
         let idx = if self.data.len() < self.capacity {
             self.data.push(t);
             self.data.len() - 1
@@ -143,6 +143,7 @@ impl PrioritizedReplay {
         };
         self.next = (self.next + 1) % self.capacity;
         self.tree.set(idx, self.max_priority.powf(self.alpha));
+        idx
     }
 
     /// Access a transition by buffer slot.
@@ -292,9 +293,8 @@ mod tests {
     #[test]
     fn eviction_reuses_slots() {
         let mut b = PrioritizedReplay::new(2, 0.6);
-        for i in 0..5 {
-            b.push(t(i as f32));
-        }
+        let slots: Vec<usize> = (0..5).map(|i| b.push(t(i as f32))).collect();
+        assert_eq!(slots, [0, 1, 0, 1, 0]);
         assert_eq!(b.len(), 2);
         let rewards: Vec<f32> = (0..2).map(|i| b.get(i).reward).collect();
         assert!(rewards.contains(&4.0));

@@ -56,28 +56,37 @@ impl ReplayBuffer {
         self.capacity
     }
 
-    /// Store a transition, evicting the oldest once full.
-    pub fn push(&mut self, t: Transition) {
+    /// Store a transition, evicting the oldest once full. Returns the slot
+    /// it was written to.
+    pub fn push(&mut self, t: Transition) -> usize {
+        let slot = self.next;
         if self.data.len() < self.capacity {
             self.data.push(t);
         } else {
-            self.data[self.next] = t;
+            self.data[slot] = t;
         }
         self.next = (self.next + 1) % self.capacity;
+        slot
     }
 
-    /// Sample `batch` transitions uniformly with replacement.
+    /// Sample `batch` slots uniformly with replacement (read them with
+    /// [`ReplayBuffer::get`]).
     ///
     /// # Panics
     /// Panics if the buffer is empty.
-    pub fn sample<'a>(&'a self, batch: usize, rng: &mut StdRng) -> Vec<&'a Transition> {
+    pub fn sample_slots(&self, batch: usize, rng: &mut StdRng) -> Vec<usize> {
         assert!(
             !self.data.is_empty(),
             "cannot sample from an empty replay buffer"
         );
         (0..batch)
-            .map(|_| &self.data[rng.gen_range(0..self.data.len())])
+            .map(|_| rng.gen_range(0..self.data.len()))
             .collect()
+    }
+
+    /// The transition in slot `i`.
+    pub fn get(&self, i: usize) -> &Transition {
+        &self.data[i]
     }
 
     /// Iterate over stored transitions (oldest-first is not guaranteed).
@@ -104,10 +113,10 @@ mod tests {
     #[test]
     fn push_grows_until_capacity_then_overwrites() {
         let mut b = ReplayBuffer::new(3);
-        for i in 0..5 {
-            b.push(t(i as f32));
-        }
+        let slots: Vec<usize> = (0..5).map(|i| b.push(t(i as f32))).collect();
+        assert_eq!(slots, [0, 1, 2, 0, 1]);
         assert_eq!(b.len(), 3);
+        assert_eq!(b.get(0).reward, 3.0);
         let rewards: Vec<f32> = b.iter().map(|x| x.reward).collect();
         // 0 and 1 evicted.
         assert!(rewards.contains(&2.0) && rewards.contains(&3.0) && rewards.contains(&4.0));
@@ -120,10 +129,9 @@ mod tests {
             b.push(t(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(0);
-        let sample = b.sample(1000, &mut rng);
         let mut seen = [false; 10];
-        for s in sample {
-            seen[s.reward as usize] = true;
+        for slot in b.sample_slots(1000, &mut rng) {
+            seen[b.get(slot).reward as usize] = true;
         }
         assert!(
             seen.iter().all(|&x| x),
@@ -136,7 +144,7 @@ mod tests {
     fn sampling_empty_panics() {
         let b = ReplayBuffer::new(4);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = b.sample(1, &mut rng);
+        let _ = b.sample_slots(1, &mut rng);
     }
 
     #[test]

@@ -103,8 +103,9 @@ proptest! {
             buf.push(transition(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        for t in buf.sample(32, &mut rng) {
-            prop_assert!((t.reward as usize) < pushes);
+        for slot in buf.sample_slots(32, &mut rng) {
+            prop_assert!(slot < buf.len());
+            prop_assert!((buf.get(slot).reward as usize) < pushes);
         }
     }
 
