@@ -374,8 +374,9 @@ impl DqnAgent {
                 (pb.indices, pb.weights)
             }
         };
-        // Gather the batch by reference: `replay` and `online` are disjoint
-        // fields, so the transitions stay borrowed through the update.
+        // Gather the batch by reference: `replay` is a field apart from
+        // `online` and `target_rows`, so the transitions stay borrowed
+        // through the update.
         let transitions: Vec<&Transition> = slots.iter().map(|&i| self.replay.get(i)).collect();
         let states: Vec<&[f32]> = transitions.iter().map(|t| t.state.as_slice()).collect();
         let next_states: Vec<&[f32]> = transitions
