@@ -1,9 +1,10 @@
 //! The JSON layer on the workspace's real documents: the tree-free writer
 //! prints the same bytes as the `to_value` tree it replaced, the reader
-//! reads them back to that tree, and mutated policy artifacts are parse
-//! errors, never panics.
+//! reads them back to that tree, mutated policy artifacts are parse
+//! errors, never panics, and what the reader makes of every document, wire
+//! line and seeded mutant is pinned by one digest.
 
-use noc_selfconf::serve::{CacheStats, Request};
+use noc_selfconf::serve::{CacheStats, Daemon, Event, Request, ServeClient, ServeConfig};
 use noc_selfconf::zoo::PolicyArtifact;
 use noc_selfconf::{train_drl, ActionSpace, NocEnvConfig, StateEncoder, SweepGrid, TrainedPolicy};
 use noc_sim::{
@@ -13,11 +14,12 @@ use noc_sim::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl::{DqnConfig, TabularConfig, TabularQ, TrainConfig, Transition};
+use serde::de::DeserializeOwned;
 use serde::value::render;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 mod common;
-use common::mutate;
+use common::{mutants, serve_exchange, tiny_grid};
 
 /// `x` through the writer equals `x` through `to_value` and the tree
 /// renderer, compact and pretty; and the reader turns the text back into
@@ -189,15 +191,9 @@ fn writer_matches_the_value_tree_on_real_documents() {
 #[test]
 fn mutated_artifacts_never_panic_the_parser() {
     let corpus = [dqn_artifact(), tabular_artifact()].map(|a| a.to_json());
-    let mut rng = StdRng::seed_from_u64(0xa27f);
     let mut valid = 0;
     let cases = 1500;
-    for case in 0..cases {
-        let mut bytes = corpus[rng.gen_range(0..corpus.len())].clone().into_bytes();
-        for _ in 0..rng.gen_range(1..=3) {
-            mutate(&mut rng, &mut bytes, &corpus);
-        }
-        let text = String::from_utf8_lossy(&bytes).into_owned();
+    for (case, (_, text)) in mutants(0xa27f, cases, &corpus).enumerate() {
         let outcome = std::panic::catch_unwind(|| {
             let artifact = PolicyArtifact::parse(&text)?;
             artifact.validate()?;
@@ -212,5 +208,127 @@ fn mutated_artifacts_never_panic_the_parser() {
     assert!(
         valid > 0 && valid < cases,
         "{valid} of {cases} mutants valid"
+    );
+}
+
+/// What the reader makes of a corpus, folded into one 64-bit FNV-1a
+/// digest: per (text, target type) row, the text, whether it reads as the
+/// type, and if it does, the bytes it renders back to.
+struct Outcomes {
+    digest: u64,
+    rows: usize,
+    read: usize,
+}
+
+fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+impl Outcomes {
+    /// Add the row of `text` read as `T`.
+    fn read<T: DeserializeOwned + Serialize>(&mut self, text: &str) {
+        self.rows += 1;
+        self.digest = fnv(self.digest, text.as_bytes());
+        match serde_json::from_str::<T>(text) {
+            Ok(v) => {
+                self.read += 1;
+                let back = serde_json::to_string(&v).unwrap();
+                self.digest = fnv(fnv(self.digest, b"ok"), back.as_bytes());
+            }
+            Err(_) => self.digest = fnv(self.digest, b"err"),
+        }
+    }
+
+    /// Add the rows of a protocol line read as an event, a request and a
+    /// value tree.
+    fn read_line(&mut self, line: &str) {
+        self.read::<Event>(line);
+        self.read::<Request>(line);
+        self.read::<Value>(line);
+    }
+}
+
+/// Every document `writer_matches_the_value_tree_on_real_documents`
+/// renders, every line of one real serve exchange, and the seeded mutants
+/// of the artifact and protocol mutation loops, each read as its own type
+/// and as a value tree: whether each reads, and every bit of what it reads
+/// to, is pinned by one digest.
+#[test]
+fn reader_outcomes_are_pinned_on_documents_wire_lines_and_mutants() {
+    let mut table = Outcomes {
+        digest: 0xcbf2_9ce4_8422_2325,
+        rows: 0,
+        read: 0,
+    };
+    fn both<T: DeserializeOwned + Serialize>(table: &mut Outcomes, x: &T) {
+        for text in [
+            serde_json::to_string(x).unwrap(),
+            serde_json::to_string_pretty(x).unwrap(),
+        ] {
+            table.read::<T>(&text);
+            table.read::<Value>(&text);
+        }
+    }
+    let grid = g40();
+    both(&mut table, &grid.run(1).unwrap());
+    both(&mut table, &grid);
+    both(&mut table, &busy_config());
+    let artifacts = [dqn_artifact(), tabular_artifact()];
+    for artifact in &artifacts {
+        both(&mut table, artifact);
+    }
+    both(
+        &mut table,
+        &CacheStats {
+            memory_hits: 5,
+            disk_hits: 1,
+            coalesced: 2,
+            computed: 3,
+            write_errors: 0,
+            read_errors: u64::MAX,
+        },
+    );
+    table.read_line(
+        &Request::Submit {
+            client: "bench \"0\"".to_string(),
+            grid: Box::new(grid),
+        }
+        .render(),
+    );
+
+    let daemon = Daemon::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..ServeConfig::default()
+    })
+    .expect("daemon starts");
+    let mut conn = ServeClient::connect(&daemon.addr().to_string()).unwrap();
+    let (requests, events) = serve_exchange(&mut conn);
+    drop(conn);
+    daemon.shutdown();
+    daemon.wait();
+    assert_eq!(events.len(), 4 + tiny_grid().len() + 2);
+    let lines: Vec<String> = requests.into_iter().chain(events).collect();
+    for line in &lines {
+        table.read_line(line);
+    }
+
+    let corpus = artifacts.map(|a| a.to_json());
+    for (_, text) in mutants(0xa27f, 1500, &corpus) {
+        table.read::<PolicyArtifact>(&text);
+        table.read::<Value>(&text);
+    }
+    for (_, line) in mutants(0x5e7e, 4000, &lines) {
+        table.read_line(&line);
+    }
+
+    assert_eq!(
+        (format!("{:016x}", table.digest), table.rows, table.read),
+        ("abc434d2720a6cd5".to_string(), 15072, 1806),
+        "reader outcomes over {} rows",
+        table.rows
     );
 }

@@ -10,8 +10,6 @@ use noc_selfconf::serve::{
 use noc_selfconf::{ScenarioResult, SweepGrid};
 use noc_sim::{RoutingAlgorithm, SimError, SwitchArb, TrafficPattern};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,21 +17,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 mod common;
-use common::mutate;
-
-/// A small, fast grid (4 scenarios at 4x4, 110 cycles each).
-fn tiny_grid() -> SweepGrid {
-    SweepGrid {
-        sizes: vec![(4, 4)],
-        patterns: vec![TrafficPattern::Uniform, TrafficPattern::Transpose],
-        rates: vec![0.03, 0.06],
-        routings: vec![RoutingAlgorithm::Xy],
-        warmup: 10,
-        measure: 50,
-        drain: 50,
-        ..SweepGrid::default()
-    }
-}
+use common::{mutants, serve_exchange, tiny_grid};
 
 /// A single-scenario grid that takes long enough to keep one worker busy
 /// while a few quick scheduler calls happen on another thread.
@@ -1008,44 +992,12 @@ fn mutated_protocol_lines_never_panic_a_parser_or_wedge_a_connection() {
     let daemon = local_daemon(ServeConfig::default());
     let mut conn = ServeClient::connect(&daemon.addr().to_string()).unwrap();
 
-    // One real exchange: every request shape but `shutdown`, and every
-    // event line the daemon answered with.
-    let mut requests = Vec::new();
-    let mut events = Vec::new();
-    for request in [
-        Request::Ping,
-        Request::Submit {
-            client: "fuzz".to_string(),
-            grid: Box::new(tiny_grid()),
-        },
-        Request::Status { job: 1 },
-        Request::Stats,
-        Request::Cancel { job: 1 },
-    ] {
-        conn.send(&request).unwrap();
-        loop {
-            let line = conn.recv_line().unwrap();
-            let streaming = line.starts_with("{\"event\":\"accepted\"")
-                || line.starts_with("{\"event\":\"result\"");
-            events.push(line);
-            if !streaming {
-                break;
-            }
-        }
-        requests.push(request.render());
-    }
+    let (requests, events) = serve_exchange(&mut conn);
     assert_eq!(events.len(), 4 + tiny_grid().len() + 2);
     let corpus: Vec<String> = requests.iter().chain(&events).cloned().collect();
 
-    let mut rng = StdRng::seed_from_u64(0x5e7e);
     let mut over_the_wire = 0;
-    for case in 0..4000 {
-        let pick = rng.gen_range(0..corpus.len());
-        let mut bytes = corpus[pick].clone().into_bytes();
-        for _ in 0..rng.gen_range(1..=3) {
-            mutate(&mut rng, &mut bytes, &corpus);
-        }
-        let line = String::from_utf8_lossy(&bytes).into_owned();
+    for (case, (pick, line)) in mutants(0x5e7e, 4000, &corpus).enumerate() {
         let parsed = std::panic::catch_unwind(|| {
             let _ = Event::parse(&line);
             Request::parse(line.trim()).is_ok()
