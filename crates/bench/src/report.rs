@@ -1,6 +1,6 @@
 //! Machine-readable performance reporting: the `noc-cli bench` subsystem.
 //!
-//! * [`run_suite`] executes a fixed set of 29 timed workloads (cycle-level
+//! * [`run_suite`] executes a fixed set of 30 timed workloads (cycle-level
 //!   simulation on several mesh/pattern points plus torus and faulted-fabric
 //!   scenarios, batched DQN training steps,
 //!   full `NocEnv` control epochs, and a parallel sweep-grid fan-out),
@@ -16,6 +16,7 @@
 //! the parent and the change on one machine and compares paired runs (see
 //! `benchmark/README.md`).
 
+use noc_selfconf::serve::{Event, Request};
 use noc_selfconf::{zoo, ActionSpace, NocEnv, NocEnvConfig, RewardConfig, StateEncoder, SweepGrid};
 use noc_sim::{
     FaultPlan, InjectionProcess, RoutingAlgorithm, SimConfig, Simulator, SwitchArb, TopologyKind,
@@ -679,6 +680,56 @@ pub fn run_suite(config: BenchSuiteConfig, mode: &str, git_sha: String) -> Bench
             std::hint::black_box(swept.aggregate.num_scenarios);
             (dt, scenarios, None)
         });
+
+        // The client's parse of a warm submit, alone: `Event::parse` over
+        // the lines one warm exchange of G40 (the `serve_warm` benchmark's
+        // grid) delivers on this connection.
+        let g40 = SweepGrid {
+            sizes: vec![(4, 4), (8, 8)],
+            patterns: vec![
+                TrafficPattern::Uniform,
+                TrafficPattern::Transpose,
+                TrafficPattern::Tornado,
+                TrafficPattern::Shuffle,
+                TrafficPattern::BitComplement,
+            ],
+            rates: vec![0.05, 0.20],
+            routings: vec![RoutingAlgorithm::Xy, RoutingAlgorithm::OddEven],
+            warmup: 25,
+            measure: 100,
+            drain: 100,
+            base_seed: 1,
+            ..SweepGrid::default()
+        };
+        conn.run_grid("prime", &g40).expect("valid G40 grid");
+        conn.send(&Request::Submit {
+            client: "bench".into(),
+            grid: Box::new(g40),
+        })
+        .expect("warm submit");
+        let mut lines = Vec::new();
+        loop {
+            let line = conn.recv_line().expect("warm exchange");
+            let streaming = line.starts_with("{\"event\":\"accepted\"")
+                || line.starts_with("{\"event\":\"result\"");
+            lines.push(line);
+            if !streaming {
+                break;
+            }
+        }
+        let params = format!(
+            "Event::parse over the {} event lines ({} bytes) of one warm \
+             G40 submit",
+            lines.len(),
+            lines.iter().map(String::len).sum::<usize>()
+        );
+        report.time("json/parse/warm-exchange", params, "exchanges", || {
+            let t0 = Instant::now();
+            for line in &lines {
+                std::hint::black_box(Event::parse(line).expect("daemon lines parse"));
+            }
+            (t0.elapsed().as_nanos() as u64, 1, None)
+        });
         drop(conn);
         daemon.shutdown();
         daemon.wait();
@@ -807,10 +858,10 @@ mod tests {
         let report = run_suite(tiny_config(), "tiny", "deadbeef".into());
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(report.file_name(), "BENCH_deadbeef.json");
-        // 29 uniquely named rows, the `sim/*` table first and in
+        // 30 uniquely named rows, the `sim/*` table first and in
         // `sim_points()` order.
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names.len(), 29);
+        assert_eq!(names.len(), 30);
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "duplicate workload name");
         let sim_names: Vec<String> = sim_points().into_iter().map(|p| p.name).collect();

@@ -1774,7 +1774,7 @@ mod tests {
             serde_json::from_str(&fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(written.git_sha, "testsha");
         assert_eq!(written.mode, "quick");
-        assert_eq!(written.workloads.len(), 29);
+        assert_eq!(written.workloads.len(), 30);
     }
 
     #[test]
